@@ -7,7 +7,6 @@ from .encoders import (
     EncoderSpec,
     HierarchicalModel,
     Variant,
-    build_variant,
 )
 from .classifier import TagTaxonomy, TrainConfig, train
 from .corpus import Corpus, IngestConfig, SynthSpec, generate_synthetic_corpus, ingest
@@ -31,7 +30,6 @@ __all__ = [
     "TagTaxonomy",
     "TrainConfig",
     "Variant",
-    "build_variant",
     "generate_synthetic_corpus",
     "ingest",
     "micro_f1",

@@ -14,9 +14,10 @@ gate ``r`` and candidate state, which is normative for this package::
     c = tanh(x Wh + (r * h) Uh + bh)
     h' = (1 - z) * h + z * c
 
+It is exposed only as a whole-sequence bidirectional encoder, ``bi_gru``.
 Input weights ``W`` are stored (input_dim, hidden) and recurrent weights
-``U`` (hidden, hidden), so whole-sequence input transforms batch into a
-single matrix product.
+``U`` (hidden, hidden), so each direction's input transforms batch into a
+single matrix product over the (T, D) sequence.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def parameter(data, rng: np.random.Generator | None = None) -> Tensor:
+def parameter(data) -> Tensor:
     """Wrap ``data`` as a trainable leaf."""
     return Tensor(data, requires_grad=True)
 
@@ -115,15 +116,6 @@ def _toposort(root: Tensor) -> list[Tensor]:
             if par.requires_grad:
                 stack.append((par, False))
     return order  # parents precede children
-
-
-def tape(root: Tensor) -> list[Tensor]:
-    """The recorded operations reaching ``root``, parents before children.
-
-    Each participating node appears exactly once; backward walks this list
-    in reverse.
-    """
-    return _toposort(root)
 
 
 def backward(root: Tensor) -> None:
@@ -422,15 +414,6 @@ class BiGru:
 def init_bi_gru(rng: np.random.Generator, input_dim: int, hidden_per_direction: int) -> BiGru:
     return BiGru(fw=init_gru_direction(rng, input_dim, hidden_per_direction),
                  bw=init_gru_direction(rng, input_dim, hidden_per_direction))
-
-
-def gru_cell(x: Tensor, h_prev: Tensor, p: GruDirection) -> Tensor:
-    """One GRU step for a single input vector."""
-    z = sigmoid(add(add(matmul(x, p.wz), matmul(h_prev, p.uz)), p.bz))
-    r = sigmoid(add(add(matmul(x, p.wr), matmul(h_prev, p.ur)), p.br))
-    c = tanh(add(add(matmul(x, p.wh), matmul(mul(r, h_prev), p.uh)), p.bh))
-    # h' = (1 - z) * h + z * c, written as h + z * (c - h)
-    return add(h_prev, mul(z, sub(c, h_prev)))
 
 
 def _gru_direction(xs: Tensor, p: GruDirection, reverse: bool) -> list[Tensor]:

@@ -27,7 +27,13 @@ from . import autodiff as ad
 from .autodiff import Adam, Tensor, clip_grad_norm
 from .corpus import CorpusItem, TokenVectors, tokenize
 from .encoders import HierarchicalModel
-from .errors import DataEmpty, MissingLogline, NonFiniteLoss, NoPositives
+from .errors import (
+    DataEmpty,
+    MissingLogline,
+    NonFiniteLoss,
+    NoPositives,
+    ParameterMismatch,
+)
 from .parser import Screenplay
 
 log = logging.getLogger(__name__)
@@ -75,10 +81,6 @@ class TagTaxonomy:
     def label_vector(self, tag_values: Sequence[str]) -> np.ndarray:
         present = set(tag_values)
         return np.array([1.0 if t in present else 0.0 for t in self.tags])
-
-    def label_matrix(self, items: Sequence[CorpusItem]) -> np.ndarray:
-        return np.stack([self.label_vector(it.tags.get(self.attribute, ()))
-                         for it in items])
 
     def active_tags(self) -> tuple[str, ...]:
         return tuple(t for t, a in zip(self.tags, self.active) if a)
@@ -227,14 +229,12 @@ class TrainConfig:
     patience: int = 5
     threshold: float = 0.5
     seed: int = 0
-    loss_form: str = STABLE
     stop_at_train_f1: float | None = None
 
     def to_dict(self) -> dict:
         return {"lr": self.lr, "max_norm": self.max_norm,
                 "max_epochs": self.max_epochs, "patience": self.patience,
                 "threshold": self.threshold, "seed": self.seed,
-                "loss_form": self.loss_form,
                 "stop_at_train_f1": self.stop_at_train_f1}
 
 
@@ -340,8 +340,7 @@ def train(model, train_samples: Sequence[Sample], val_samples: Sequence[Sample],
             sample = train_samples[int(i)]
             opt.zero_grad()
             z = model.logits(sample.x)
-            loss = reweighted_loss(sample.y, z, taxonomy.lam, taxonomy.active,
-                                   form=config.loss_form)
+            loss = reweighted_loss(sample.y, z, taxonomy.lam, taxonomy.active)
             value = loss.item()
             if not math.isfinite(value):
                 raise NonFiniteLoss(
@@ -374,11 +373,22 @@ def train(model, train_samples: Sequence[Sample], val_samples: Sequence[Sample],
                        best_val_ap=best_ap, rows=rows)
 
 
-def load_params(model, arrays: dict[str, np.ndarray]) -> None:
-    params = model.named_params()
-    missing = set(params) ^ set(arrays)
-    if missing:
-        raise ValueError(f"parameter names do not match: {sorted(missing)[:5]}")
+def load_params(params: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> None:
+    """Copy checkpoint ``arrays`` into ``params`` in place.
+
+    Names must match exactly and each array must have its tensor's exact
+    shape; nothing is broadcast, and nothing is written unless all match.
+    """
+    missing = sorted(set(params) - set(arrays))
+    unexpected = sorted(set(arrays) - set(params))
+    if missing or unexpected:
+        raise ParameterMismatch(f"checkpoint lacks {missing[:5]}; "
+                                f"unexpected {unexpected[:5]}")
+    wrong = [f"{name} {arrays[name].shape} vs {tensor.data.shape}"
+             for name, tensor in sorted(params.items())
+             if arrays[name].shape != tensor.data.shape]
+    if wrong:
+        raise ParameterMismatch(f"checkpoint shapes differ: {'; '.join(wrong[:5])}")
     for name, tensor in params.items():
         tensor.data[...] = arrays[name]
 

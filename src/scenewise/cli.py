@@ -15,8 +15,11 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from . import parser as screenplay
+from .autodiff import constant
 from .checkpoint import load_checkpoint, save_checkpoint
 from .classifier import (
     LoglinesModel,
@@ -74,7 +77,6 @@ def _add_corpus_flags(sp: argparse.ArgumentParser, loglines: bool = False) -> No
     sp.add_argument("--validation-fraction", type=float, default=0.1)
     sp.add_argument("--descriptor-min-movies", type=int, default=50)
     sp.add_argument("--descriptor-top-exclude", type=int, default=500)
-    sp.add_argument("--workers", type=int, default=4)
     sp.add_argument("--seed", type=int, default=0)
 
 
@@ -84,8 +86,7 @@ def _ingest_config(args: argparse.Namespace) -> IngestConfig:
         heldout_fraction=args.heldout_fraction,
         validation_fraction=args.validation_fraction, seed=args.seed,
         descriptor_min_movies=args.descriptor_min_movies,
-        descriptor_top_exclude=args.descriptor_top_exclude,
-        workers=args.workers)
+        descriptor_top_exclude=args.descriptor_top_exclude)
 
 
 def _ingest_from_args(args: argparse.Namespace) -> tuple[Corpus, dict]:
@@ -234,7 +235,7 @@ def _load_for_evaluation(args: argparse.Namespace):
             "checkpoint vocabulary hash does not match this corpus "
             "(pass the ingestion flags used at training time)")
     model, taxonomy, use_loglines = _rebuild_tag_model(manifest, corpus)
-    load_params(model, params)
+    load_params(model.named_params(), params)
     items = {"train": corpus.train_items, "validation": corpus.validation_items,
              "heldout": corpus.heldout_items,
              "all": corpus.items}[args.split]
@@ -350,11 +351,12 @@ def cmd_trajectories(args: argparse.Namespace) -> int:
     if manifest.get("kind") != "descriptor_model":
         raise DataError(f"{args.checkpoint} is not a descriptor checkpoint")
     embeddings = WordEmbeddings.load(args.embeddings)
-    target = SceneBagEncoder(manifest["vocab"], embeddings, params["target.p"])
     config = DescriptorConfig(**manifest["config"])
-    model = DescriptorModel(params["descriptors.r"], target, config)
-    for name, tensor in model.predictor.named_params().items():
-        tensor.data[...] = params[name]
+    # the target encoder pools with p's array, which load_params fills
+    p = constant(np.zeros(embeddings.dim))
+    target = SceneBagEncoder(manifest["vocab"], embeddings, p.data)
+    model = DescriptorModel(np.zeros((config.k, embeddings.dim)), target, config)
+    load_params({"target.p": p, **model.named_params()}, params)
 
     script_path = Path(args.scripts) / f"{args.title}.txt"
     if not script_path.exists():
@@ -365,15 +367,20 @@ def cmd_trajectories(args: argparse.Namespace) -> int:
     weights = model.weights_for_script(play)
     selection = select_descriptors(weights, args.descriptors)
     trajectories = build_trajectories(weights, selection, window=args.window)
+    n_scenes = weights.shape[0]
     annotations = []
     for spec in args.annotate or []:
-        scene_no, _, label = spec.partition(":")
-        annotations.append((int(scene_no), label))
+        number, _, label = spec.partition(":")
+        scene_no = int(number)
+        if not 1 <= scene_no <= n_scenes:
+            raise DataError(f"--annotate {spec!r}: scene {scene_no} is outside "
+                            f"1..{n_scenes}")
+        annotations.append((scene_no, label))
     text = export(trajectories, args.format, annotations, title=args.title)
     out = _default_out(args.out, f"{args.title}.{args.format}")
     atomic_write_text(out, text)
     print(f"wrote {len(selection)} descriptor trajectories over "
-          f"{weights.shape[0]} scenes to {out}")
+          f"{n_scenes} scenes to {out}")
     return 0
 
 

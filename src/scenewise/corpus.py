@@ -15,7 +15,6 @@ import json
 import logging
 import re
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -63,9 +62,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    def map(self, token: str) -> str:
-        return token if token in self._set else UNK_TOKEN
 
     def hash(self) -> str:
         return sha256_hex("\n".join(self.tokens))
@@ -139,10 +135,6 @@ class WordEmbeddings:
     def __contains__(self, token: str) -> bool:
         return token in self.table
 
-    def matrix(self, tokens: list[str] | tuple[str, ...]) -> np.ndarray:
-        return np.stack([self.vector(t) for t in tokens]) if tokens else \
-            np.zeros((0, self.dim))
-
 
 @dataclass
 class TokenVectors:
@@ -185,7 +177,6 @@ class IngestConfig:
     descriptor_min_movies: int = 50
     descriptor_top_exclude: int = 500
     expected_dim: int = 100
-    workers: int = 4
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -274,25 +265,15 @@ def ingest(scripts_dir: str | Path, tags_path: str | Path,
     loglines = load_loglines(loglines_path) if loglines_path else {}
     embeddings = WordEmbeddings.load(embeddings_path, expected_dim=config.expected_dim)
 
-    paths = sorted(scripts_dir.glob("*.txt"))
     excluded: list[dict] = []
     parsed: list[CorpusItem] = []
-
-    def parse_one(path: Path) -> tuple[str, Screenplay | None, str | None]:
+    for path in sorted(scripts_dir.glob("*.txt")):
         title = path.stem
         try:
             play = parser.parse_script(title, path.read_text(encoding="utf-8"),
                                        cap=config.cap)
         except EmptyScript as err:
-            return title, None, f"empty: {err}"
-        return title, play, None
-
-    with ThreadPoolExecutor(max_workers=max(1, config.workers)) as pool:
-        results = list(pool.map(parse_one, paths))
-
-    for title, play, reason in results:
-        if play is None:
-            excluded.append({"title": title, "reason": reason})
+            excluded.append({"title": title, "reason": f"empty: {err}"})
             continue
         n_action = sum(len(s.action_statements) for s in play.scenes)
         n_dialogue = sum(len(s.dialogue_statements) for s in play.scenes)

@@ -27,6 +27,7 @@ from . import autodiff as ad
 from .autodiff import Adam, Tensor, clip_grad_norm
 from .classifier import ClassifierHead, TagTaxonomy, reweighted_loss
 from .corpus import Corpus, WordEmbeddings, scene_tokens
+from .encoders import attend
 from .errors import (
     InsufficientVocab,
     NonFiniteLoss,
@@ -147,7 +148,7 @@ def pretrain_reconstruction_target(corpus: Corpus, attribute: str,
             opt.zero_grad()
             scene_vecs = []
             for rows in mats:
-                pooled, _ = _attn_pool(ad.constant(rows), p)
+                pooled, _ = attend(ad.constant(rows), p)
                 scene_vecs.append(pooled)
             script_vec = ad.mean_rows(ad.stack(scene_vecs))
             loss = reweighted_loss(y, head.logits(script_vec), taxonomy.lam,
@@ -158,11 +159,6 @@ def pretrain_reconstruction_target(corpus: Corpus, attribute: str,
             clip_grad_norm(params.values(), config.max_norm)
             opt.step()
     return SceneBagEncoder(vocab, corpus.embeddings, p.data.copy())
-
-
-def _attn_pool(rows: Tensor, p: Tensor) -> tuple[Tensor, Tensor]:
-    weights = ad.softmax(ad.matmul(rows, p))
-    return ad.matmul(weights, rows), weights
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +185,7 @@ class DescriptorPredictor:
         return ad.softmax(ad.add(ad.matmul(h, self.w2), self.b2))
 
     def weights(self, v: np.ndarray, o_prev: np.ndarray | None = None) -> Tensor:
-        """Descriptor weights for one scene vector (graph-building path)."""
+        """Descriptor weights for one scene vector; ``.data`` is the simplex row."""
         if not self.recurrent:
             return self.ffnn(ad.constant(v))
         if o_prev is None:
@@ -199,30 +195,9 @@ class DescriptorPredictor:
                        ad.constant(self.alpha * o_prev))
         return mixed
 
-    def weights_np(self, v: np.ndarray, o_prev: np.ndarray | None = None) -> np.ndarray:
-        return self.weights(v, o_prev).data
-
     def named_params(self, prefix: str = "predictor") -> dict[str, Tensor]:
         return {f"{prefix}.w1": self.w1, f"{prefix}.b1": self.b1,
                 f"{prefix}.w2": self.w2, f"{prefix}.b2": self.b2}
-
-
-def predict_weights(predictor: DescriptorPredictor, v: np.ndarray,
-                    o_prev: np.ndarray | None = None,
-                    alpha: float | None = None) -> np.ndarray:
-    """Simplex weights over descriptors for one scene vector.
-
-    ``alpha`` overrides the predictor's recurrence mix for this call;
-    ``alpha=1`` returns ``o_prev`` unchanged.
-    """
-    if alpha is None or not predictor.recurrent:
-        return predictor.weights_np(v, o_prev)
-    saved = predictor.alpha
-    predictor.alpha = alpha
-    try:
-        return predictor.weights_np(v, o_prev)
-    finally:
-        predictor.alpha = saved
 
 
 def reconstruct(o: Tensor | np.ndarray, r_matrix: Tensor | np.ndarray):
@@ -416,7 +391,7 @@ class DescriptorModel:
         for scene in screenplay.scenes:
             u = self.target.encode_scene(scene)
             v = u if u is not None else np.zeros(self.target.dim)
-            o = self.predictor.weights_np(v, o_prev)
+            o = self.predictor.weights(v, o_prev).data
             rows.append(o)
             o_prev = o
         return np.stack(rows) if rows else np.zeros((0, self.config.k))

@@ -343,20 +343,3 @@ class HierarchicalModel:
         return cls(spec=spec, variant=Variant(config["variant"]), vectors=vectors,
                    characters=names, include_chars=config["include_chars"],
                    char_dim=config["char_dim"], seed=config["seed"])
-
-
-def build_variant(flag: Variant | str, vectors: TokenVectors,
-                  characters: list[str], spec: EncoderSpec | None = None,
-                  include_chars: bool | None = None, char_dim: int = 10,
-                  seed: int = 0) -> HierarchicalModel:
-    """Construct the hierarchical model for one structural variant.
-
-    ``full`` and ``plus_chars`` include the character block by default;
-    the other variants exclude it unless ``include_chars`` forces it on.
-    """
-    variant = Variant(flag) if isinstance(flag, str) else flag
-    if spec is None:
-        spec = EncoderSpec(kind=EncoderKind.GRU_ATTN, input_dim=vectors.dim)
-    return HierarchicalModel(spec=spec, variant=variant, vectors=vectors,
-                             characters=characters, include_chars=include_chars,
-                             char_dim=char_dim, seed=seed)

@@ -95,3 +95,7 @@ class EmbeddingDimMismatch(DataError):
 
 class VocabularyMismatch(DataError):
     """Checkpoint vocabulary hash differs from the corpus vocabulary."""
+
+
+class ParameterMismatch(DataError):
+    """Checkpoint parameter names or shapes differ from the model's."""

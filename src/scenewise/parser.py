@@ -10,7 +10,6 @@ character-cue lines are structural and never become statements.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -367,7 +366,3 @@ def quality_report(raw: RawScript, config: ParserConfig = ParserConfig()) -> dic
         "heading_count": counts["SCENE_HEADING"],
         "quality_score": round(score, 6),
     }
-
-
-def quality_report_json(raw: RawScript, config: ParserConfig = ParserConfig()) -> str:
-    return json.dumps(quality_report(raw, config), indent=2, sort_keys=True) + "\n"

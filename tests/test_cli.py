@@ -1,8 +1,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from scenewise.checkpoint import load_checkpoint, save_checkpoint
 from scenewise.cli import main
 
 CORPUS_FLAGS = ["--min-count", "2", "--descriptor-min-movies", "2",
@@ -11,6 +13,17 @@ CORPUS_FLAGS = ["--min-count", "2", "--descriptor-min-movies", "2",
 
 def run(argv):
     return main(argv)
+
+
+def last_error(capsys):
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+
+
+def altered_checkpoint(src, dst, change):
+    params, manifest = load_checkpoint(src)
+    change(params)
+    save_checkpoint(dst, params, manifest)
+    return str(dst)
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +131,18 @@ def test_evaluate_refuses_vocabulary_mismatch(workspace, trained, capsys):
     assert payload["error"] == "VocabularyMismatch"
 
 
+def test_evaluate_rejects_checkpoint_shape_mismatch(workspace, trained, tmp_path,
+                                                   capsys):
+    root, synth = workspace
+    out_ckpt, _ = trained
+    bad = altered_checkpoint(out_ckpt / "checkpoint.swck", tmp_path / "bad.swck",
+                             lambda p: p.update({"head.b": np.zeros(1)}))
+    assert run(["evaluate"] + corpus_args(synth)
+               + ["--checkpoint", bad, "--out", str(tmp_path / "eval.json")]) == 1
+    assert last_error(capsys) == "ParameterMismatch"
+    assert not (tmp_path / "eval.json").exists()
+
+
 def test_eval_sim_cutoff_100_matches_evaluate(workspace, trained):
     root, synth = workspace
     out_ckpt, _ = trained
@@ -188,6 +213,42 @@ def test_trajectories_command(workspace, descriptor_run, tmp_path, fmt):
     rerun = tmp_path / f"traj2.{fmt}"
     assert run(args[:-1] + [str(rerun)]) == 0
     assert rerun.read_bytes() == out_file.read_bytes()
+
+
+def trajectory_args(synth, checkpoint, out):
+    return ["trajectories", "--checkpoint", str(checkpoint),
+            "--scripts", str(synth / "scripts"),
+            "--embeddings", str(synth / "embeddings.txt"),
+            "--title", "synth000", "--format", "svg", "--out", str(out)]
+
+
+@pytest.mark.parametrize("change", [
+    lambda p: p.pop("predictor.w1"),
+    lambda p: p.update({"predictor.b1": np.zeros(1)}),
+], ids=["missing_w1", "b1_shape_1"])
+def test_trajectories_rejects_mismatched_checkpoint(workspace, descriptor_run,
+                                                    tmp_path, capsys, change):
+    _, synth = workspace
+    out_desc, _ = descriptor_run
+    bad = altered_checkpoint(out_desc / "descriptors.swck",
+                             tmp_path / "bad.swck", change)
+    out = tmp_path / "traj.svg"
+    assert run(trajectory_args(synth, bad, out)) == 1
+    assert last_error(capsys) == "ParameterMismatch"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("annotate", ["99:X", "0:Y"])
+def test_trajectories_rejects_annotation_outside_script(workspace, descriptor_run,
+                                                        tmp_path, capsys,
+                                                        annotate):
+    _, synth = workspace
+    out_desc, _ = descriptor_run
+    out = tmp_path / "traj.svg"
+    assert run(trajectory_args(synth, out_desc / "descriptors.swck", out)
+               + ["--annotate", annotate]) == 1
+    assert last_error(capsys) == "DataError"
+    assert not out.exists()
 
 
 def test_usage_error_exits_2():

@@ -25,12 +25,12 @@ from scenewise.descriptors import (
     kmeans_lloyd,
     nearest_words,
     orthogonality_penalty,
-    predict_weights,
     pretrain_reconstruction_target,
     reconstruct,
     semantic_coherence,
     train_descriptors,
 )
+from scenewise.encoders import attend
 from scenewise.errors import InsufficientVocab, ZeroDocFrequency
 
 
@@ -46,7 +46,7 @@ def make_predictor(recurrent=False, k=4, dim=6, seed=0, alpha=0.5):
 def test_weights_on_simplex():
     pred = make_predictor()
     for seed in range(5):
-        o = pred.weights_np(rng(seed).normal(size=6) * 3)
+        o = pred.weights(rng(seed).normal(size=6) * 3).data
         assert np.all(o >= 0)
         assert abs(o.sum() - 1.0) < 1e-12
 
@@ -56,17 +56,16 @@ def test_recurrent_weights_stay_on_simplex_over_many_steps():
     o = None
     r = rng(9)
     for _ in range(50):
-        o = pred.weights_np(r.normal(size=6), o)
+        o = pred.weights(r.normal(size=6), o).data
         assert np.all(o >= -1e-15)
         assert abs(o.sum() - 1.0) < 1e-9
 
 
 def test_alpha_one_returns_previous_weights():
-    pred = make_predictor(recurrent=True)
+    pred = make_predictor(recurrent=True, alpha=1.0)
     o_prev = np.array([0.1, 0.2, 0.3, 0.4])
-    o = predict_weights(pred, rng(1).normal(size=6), o_prev, alpha=1.0)
+    o = pred.weights(rng(1).normal(size=6), o_prev).data
     assert np.allclose(o, o_prev)
-    assert pred.alpha == 0.5  # restored
 
 
 def test_recurrence_fixed_point():
@@ -75,7 +74,7 @@ def test_recurrence_fixed_point():
     pred = make_predictor(recurrent=True)
     ff = pred.ffnn(ad.constant(np.concatenate([np.zeros(6), o_prev]))).data
     mixed = 0.5 * ff + 0.5 * o_prev
-    out = pred.weights_np(np.zeros(6), o_prev)
+    out = pred.weights(np.zeros(6), o_prev).data
     assert np.allclose(out, mixed)
     assert abs(out.sum() - 1.0) < 1e-12
 
@@ -231,6 +230,18 @@ def test_scene_bag_encoder_softmax_pool():
     w = np.exp([2.0, 0.0])
     w = w / w.sum()
     assert np.allclose(out, w @ rows)
+
+
+def test_scene_bag_encoder_matches_tape_attention_bitwise():
+    # the frozen numpy pool and the trained tape pool are one function
+    r = rng(12)
+    for _ in range(200):
+        dim = int(r.integers(1, 9))
+        rows = r.normal(size=(int(r.integers(1, 12)), dim)) * 3
+        p = r.normal(size=dim)
+        enc = SceneBagEncoder([], WordEmbeddings({}, dim), p)
+        pooled, _ = attend(ad.constant(rows), ad.constant(p))
+        assert np.array_equal(enc.encode_rows(rows), pooled.data)
 
 
 @pytest.fixture(scope="module")

@@ -11,7 +11,6 @@ from scenewise.encoders import (
     SequenceEncoder,
     Variant,
     attend,
-    build_variant,
     encode_statement,
 )
 from scenewise.errors import DegenerateNormalizer, EmptyStatement
@@ -140,10 +139,15 @@ def small_spec(kind):
     return EncoderSpec(kind, input_dim=4, hidden_per_direction=2, attention_dim=4)
 
 
-def small_model(tiny_vectors, variant=Variant.FULL, kind=EncoderKind.BOE, **kw):
-    spec = small_spec(kind)
-    return HierarchicalModel(spec=spec, variant=variant, vectors=tiny_vectors,
-                             characters=["ANNA", "BO"], char_dim=2, seed=1, **kw)
+def small_model(vectors, variant=Variant.FULL, kind=EncoderKind.BOE, spec=None,
+                **kw):
+    kw = {"characters": ["ANNA", "BO"], "char_dim": 2, "seed": 1, **kw}
+    return HierarchicalModel(spec=spec or small_spec(kind), variant=variant,
+                             vectors=vectors, **kw)
+
+
+# the paper's sizes: GRU+Attn at hidden 50 over 100-dim words, 10-dim characters
+PAPER_SPEC = EncoderSpec(EncoderKind.GRU_ATTN, input_dim=100)
 
 
 def test_character_block_is_mean(tiny_vectors):
@@ -168,7 +172,7 @@ def test_full_variant_dims_at_paper_sizes():
     r = rng(9)
     vocab = [f"w{i}" for i in range(6)]
     vectors = make_vectors({t: r.normal(size=100) for t in vocab})
-    model = build_variant(Variant.FULL, vectors, ["ANNA"])
+    model = small_model(vectors, spec=PAPER_SPEC, char_dim=10)
     assert model.scene_dim == 210  # 100 action + 100 dialogue + 10 characters
     scene = scene_of(action("w0 w1"), dialogue("w2 w3", "ANNA"))
     emb = model.encode_scene(scene)
@@ -179,7 +183,8 @@ def test_full_variant_dims_at_paper_sizes():
 def test_full_without_chars_matches_base_configuration():
     r = rng(10)
     vectors = make_vectors({f"w{i}": r.normal(size=100) for i in range(4)})
-    model = build_variant(Variant.FULL, vectors, ["ANNA"], include_chars=False)
+    model = small_model(vectors, spec=PAPER_SPEC, char_dim=10,
+                        include_chars=False)
     assert [name for name, _ in model.block_layout] == ["action", "dialogue"]
     assert model.scene_dim == 200
 
