@@ -60,18 +60,6 @@ class Tensor:
     def backward(self) -> None:
         backward(self)
 
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -345,7 +333,7 @@ def transpose(a: Tensor) -> Tensor:
 
 def glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """Glorot/Xavier uniform init with fan sizes taken from ``shape``."""
-    fan_in = shape[0] if len(shape) > 1 else shape[0]
+    fan_in = shape[0]
     fan_out = shape[1] if len(shape) > 1 else shape[0]
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
@@ -368,10 +356,6 @@ class GruDirection:
     bz: Tensor
     br: Tensor
     bh: Tensor
-
-    @property
-    def input_dim(self) -> int:
-        return self.wz.data.shape[0]
 
     @property
     def hidden_dim(self) -> int:

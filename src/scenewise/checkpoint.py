@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import CheckpointCorrupt
 from .ioutil import atomic_write_bytes, canonical_json
 
 MAGIC = b"SWCKPT1\n"
@@ -40,19 +41,33 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray],
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
+    """Read a checkpoint, checking that the header parses and that the
+    payload holds exactly the listed parameters' bytes."""
     raw = Path(path).read_bytes()
     if not raw.startswith(MAGIC):
         raise ValueError(f"{path}: not a scenewise checkpoint")
-    offset = len(MAGIC)
-    (header_len,) = struct.unpack_from("<Q", raw, offset)
-    offset += 8
-    header = json.loads(raw[offset:offset + header_len].decode("utf-8"))
+    offset = len(MAGIC) + 8
+    if len(raw) < offset:
+        raise CheckpointCorrupt(f"{path}: truncated before the header length")
+    (header_len,) = struct.unpack_from("<Q", raw, len(MAGIC))
+    if len(raw) < offset + header_len:
+        raise CheckpointCorrupt(f"{path}: header of {header_len} bytes is "
+                                f"truncated at {len(raw) - offset}")
+    try:
+        header = json.loads(raw[offset:offset + header_len].decode("utf-8"))
+        entries = [(e["name"], tuple(e["shape"])) for e in header["params"]]
+        counts = [int(np.prod(shape, dtype=np.int64)) for _, shape in entries]
+        manifest = header["manifest"]
+    except (ValueError, KeyError, TypeError) as err:
+        raise CheckpointCorrupt(f"{path}: unreadable header: {err}") from err
     offset += header_len
+    expected = 8 * sum(counts)
+    if len(raw) - offset != expected:
+        raise CheckpointCorrupt(f"{path}: payload is {len(raw) - offset} bytes, "
+                                f"the header lists {expected}")
     params: dict[str, np.ndarray] = {}
-    for entry in header["params"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+    for (name, shape), count in zip(entries, counts):
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
         offset += count * 8
-        params[entry["name"]] = arr.reshape(shape).astype(np.float64)
-    return params, header["manifest"]
+        params[name] = arr.reshape(shape).astype(np.float64)
+    return params, manifest

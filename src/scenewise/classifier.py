@@ -26,7 +26,12 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Adam, Tensor, clip_grad_norm
 from .corpus import CorpusItem, TokenVectors, tokenize
-from .encoders import HierarchicalModel
+from .encoders import (
+    EncoderKind,
+    EncoderSpec,
+    HierarchicalModel,
+    SequenceEncoder,
+)
 from .errors import (
     DataEmpty,
     MissingLogline,
@@ -34,6 +39,7 @@ from .errors import (
     NoPositives,
     ParameterMismatch,
 )
+from .evaluation import micro_f1
 from .parser import Screenplay
 
 log = logging.getLogger(__name__)
@@ -192,27 +198,27 @@ class LoglinesModel:
 
     def __init__(self, vectors: TokenVectors, n_tags: int,
                  hidden_per_direction: int = 50, seed: int = 0):
-        rng = np.random.default_rng(seed)
         self.vectors = vectors
-        self.gru = ad.init_bi_gru(rng, vectors.dim, hidden_per_direction)
-        self.head = ClassifierHead(n_tags, 2 * hidden_per_direction,
+        self.encoder = SequenceEncoder(
+            EncoderSpec(EncoderKind.GRU, vectors.dim, hidden_per_direction),
+            np.random.default_rng(seed))
+        self.head = ClassifierHead(n_tags, self.output_dim,
                                    np.random.default_rng(seed + 1))
 
     @property
     def output_dim(self) -> int:
-        return self.gru.output_dim
+        return self.encoder.output_dim
 
     def encode(self, tokens: list[str]) -> Tensor:
         if not tokens:
             raise MissingLogline("empty logline")
-        _, final = ad.bi_gru(ad.constant(self.vectors.rows(tokens)), self.gru)
-        return final
+        return self.encoder.encode(ad.constant(self.vectors.rows(tokens)))
 
     def logits(self, tokens: list[str]) -> Tensor:
         return self.head.logits(self.encode(tokens))
 
     def named_params(self) -> dict[str, Tensor]:
-        out = self.gru.named("logline.gru")
+        out = self.encoder.named_params("logline")
         out.update(self.head.named_params())
         return out
 
@@ -287,15 +293,6 @@ def scores_for(model, samples: Sequence[Sample]) -> np.ndarray:
     return np.stack(rows)
 
 
-def _micro_f1_binary(pred: np.ndarray, gold: np.ndarray) -> float:
-    tp = float(np.sum((pred == 1) & (gold == 1)))
-    fp = float(np.sum((pred == 1) & (gold == 0)))
-    fn = float(np.sum((pred == 0) & (gold == 1)))
-    if 2 * tp + fp + fn == 0:
-        return 0.0
-    return 2 * tp / (2 * tp + fp + fn)
-
-
 def validation_ap(model, samples: Sequence[Sample], taxonomy: TagTaxonomy) -> float:
     if not samples:
         return 0.0
@@ -330,7 +327,7 @@ def train(model, train_samples: Sequence[Sample], val_samples: Sequence[Sample],
     best_epoch = 0
     best_params = {k: t.data.copy() for k, t in params.items()}
     strikes = 0
-    keep = taxonomy.active.astype(bool)
+    train_gold = {s.key: taxonomy.tag_set(s.y) for s in train_samples}
     start = time.monotonic()
 
     for epoch in range(1, config.max_epochs + 1):
@@ -361,11 +358,8 @@ def train(model, train_samples: Sequence[Sample], val_samples: Sequence[Sample],
         else:
             strikes += 1
         if config.stop_at_train_f1 is not None:
-            scores = scores_for(model, train_samples)
-            preds = (scores > config.threshold).astype(np.int64)
-            gold = np.stack([s.y for s in train_samples])
-            f1 = _micro_f1_binary(preds[:, keep], gold[:, keep])
-            if f1 >= config.stop_at_train_f1:
+            preds = predictions(model, train_samples, taxonomy, config.threshold)
+            if micro_f1(preds, train_gold) >= config.stop_at_train_f1:
                 break
         if strikes >= config.patience:
             break

@@ -80,6 +80,15 @@ def _add_corpus_flags(sp: argparse.ArgumentParser, loglines: bool = False) -> No
     sp.add_argument("--seed", type=int, default=0)
 
 
+def _probability(text: str) -> float:
+    """argparse type for a threshold strictly inside (0, 1)."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, "
+                                         f"got {text}")
+    return value
+
+
 def _ingest_config(args: argparse.Namespace) -> IngestConfig:
     return IngestConfig(
         min_count=args.min_count, cap=args.cap,
@@ -227,9 +236,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _load_for_evaluation(args: argparse.Namespace):
     params, manifest = load_checkpoint(args.checkpoint)
-    corpus, _ = ingest(args.scripts, args.tags, args.embeddings,
-                       _ingest_config(args),
-                       loglines_path=getattr(args, "loglines", None))
+    corpus, _ = _ingest_from_args(args)
     if corpus.vocabulary.hash() != manifest["vocabulary_hash"]:
         raise VocabularyMismatch(
             "checkpoint vocabulary hash does not match this corpus "
@@ -442,7 +449,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-norm", type=float, default=5.0)
     sp.add_argument("--epochs", type=int, default=20)
     sp.add_argument("--patience", type=int, default=5)
-    sp.add_argument("--threshold", type=float, default=0.5)
+    sp.add_argument("--threshold", type=_probability, default=0.5)
     sp.add_argument("--stop-at-train-f1", type=float, default=None)
     sp.add_argument("--timing", action="store_true",
                     help="record wallclock in the train log (nondeterministic)")
@@ -454,7 +461,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--split", default="heldout",
                     choices=["train", "validation", "heldout", "all"])
-    sp.add_argument("--threshold", type=float, default=0.5)
+    sp.add_argument("--threshold", type=_probability, default=0.5)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_evaluate)
 
@@ -465,7 +472,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cutoffs", default="100,90,80,70")
     sp.add_argument("--split", default="heldout",
                     choices=["train", "validation", "heldout", "all"])
-    sp.add_argument("--threshold", type=float, default=0.5)
+    sp.add_argument("--threshold", type=_probability, default=0.5)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_eval_sim)
 

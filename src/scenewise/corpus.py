@@ -15,13 +15,18 @@ import json
 import logging
 import re
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import parser
-from .errors import EmbeddingDimMismatch, EmptyScript, MissingTags
+from .errors import (
+    EmbeddingDimMismatch,
+    EmptyScript,
+    MissingTags,
+    NonFiniteEmbedding,
+)
 from .ioutil import atomic_write_text, canonical_json, config_hash, sha256_hex
 from .parser import Scene, Screenplay
 
@@ -50,11 +55,10 @@ def scene_tokens(scene: Scene) -> list[str]:
 
 
 class Vocabulary:
-    """Corpus token inventory with a minimum-count threshold."""
+    """Corpus token inventory: the tokens that met the minimum count."""
 
-    def __init__(self, tokens: list[str] | tuple[str, ...], min_count: int):
+    def __init__(self, tokens: list[str] | tuple[str, ...]):
         self.tokens = tuple(sorted(tokens))
-        self.min_count = min_count
         self._set = frozenset(self.tokens)
 
     def __contains__(self, token: str) -> bool:
@@ -73,7 +77,7 @@ def build_vocabulary(screenplays: list[Screenplay], min_count: int = 5) -> Vocab
         for scene in sp.scenes:
             counts.update(scene_tokens(scene))
     kept = [tok for tok, c in counts.items() if c >= min_count]
-    return Vocabulary(kept, min_count)
+    return Vocabulary(kept)
 
 
 def descriptor_vocabulary(screenplays: list[Screenplay], min_movies: int = 50,
@@ -96,17 +100,23 @@ def descriptor_vocabulary(screenplays: list[Screenplay], min_movies: int = 50,
 
 
 class WordEmbeddings:
-    """Pretrained token vectors; unknown tokens map to the mean vector."""
+    """Pretrained token vectors in one ``(n + 1, dim)`` matrix.
+
+    ``index`` maps each token to its row; the last row is the unknown
+    vector (the file's ``<unk>`` row, else the mean of all rows), so row
+    ``-1`` serves every token the file lacks.
+    """
 
     def __init__(self, table: dict[str, np.ndarray], dim: int):
         self.dim = dim
-        self.table = table
+        self.index = {token: i for i, token in enumerate(table)}
+        self.matrix = np.zeros((len(table) + 1, dim))
+        if table:
+            self.matrix[:-1] = list(table.values())
         if UNK_TOKEN in table:
-            self.unk = table[UNK_TOKEN]
+            self.matrix[-1] = table[UNK_TOKEN]
         elif table:
-            self.unk = np.mean(list(table.values()), axis=0)
-        else:
-            self.unk = np.zeros(dim)
+            self.matrix[-1] = self.matrix[:-1].mean(axis=0)
 
     @classmethod
     def load(cls, path: str | Path, expected_dim: int = 100) -> "WordEmbeddings":
@@ -126,14 +136,26 @@ class WordEmbeddings:
                 elif len(values) != dim:
                     raise EmbeddingDimMismatch(
                         f"{path}: inconsistent row width for {token!r}")
-                table[token] = np.asarray([float(v) for v in values])
+                vec = np.asarray([float(v) for v in values])
+                if not np.isfinite(vec).all():
+                    raise NonFiniteEmbedding(
+                        f"{path}: non-finite value in the vector of {token!r}")
+                table[token] = vec
         return cls(table, dim if dim is not None else expected_dim)
 
+    @property
+    def unk(self) -> np.ndarray:
+        return self.matrix[-1]
+
+    def rows(self, tokens: list[str]) -> np.ndarray:
+        """One row per token, unknown tokens taking the unknown vector."""
+        return self.matrix[[self.index.get(t, -1) for t in tokens]]
+
     def vector(self, token: str) -> np.ndarray:
-        return self.table.get(token, self.unk)
+        return self.matrix[self.index.get(token, -1)]
 
     def __contains__(self, token: str) -> bool:
-        return token in self.table
+        return token in self.index
 
 
 @dataclass
@@ -148,11 +170,9 @@ class TokenVectors:
         return self.embeddings.dim
 
     def rows(self, tokens: list[str]) -> np.ndarray:
-        if not tokens:
-            return np.zeros((0, self.dim))
-        return np.stack([
-            self.embeddings.vector(t) if t in self.vocabulary else self.embeddings.unk
-            for t in tokens])
+        vocabulary = self.vocabulary
+        return self.embeddings.rows(
+            [t if t in vocabulary else UNK_TOKEN for t in tokens])
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +209,6 @@ class Corpus:
     vocabulary: Vocabulary
     embeddings: WordEmbeddings
     descriptor_vocab: tuple[str, ...] = ()
-    config: IngestConfig = field(default_factory=IngestConfig)
 
     def _by_split(self, name: str) -> list[CorpusItem]:
         return [it for it in self.items if self.split[it.title] == name]
@@ -272,6 +291,9 @@ def ingest(scripts_dir: str | Path, tags_path: str | Path,
         try:
             play = parser.parse_script(title, path.read_text(encoding="utf-8"),
                                        cap=config.cap)
+        except UnicodeDecodeError as err:
+            excluded.append({"title": title, "reason": f"undecodable: {err}"})
+            continue
         except EmptyScript as err:
             excluded.append({"title": title, "reason": f"empty: {err}"})
             continue
@@ -298,8 +320,7 @@ def ingest(scripts_dir: str | Path, tags_path: str | Path,
                                        min_movies=config.descriptor_min_movies,
                                        exclude_top=config.descriptor_top_exclude)
     corpus = Corpus(items=parsed, split=split, vocabulary=vocabulary,
-                    embeddings=embeddings, descriptor_vocab=desc_vocab,
-                    config=config)
+                    embeddings=embeddings, descriptor_vocab=desc_vocab)
     manifest = {
         "config": config.to_dict(),
         "config_hash": config_hash(config.to_dict()),

@@ -92,7 +92,7 @@ class SceneBagEncoder:
         tokens = [t for t in scene_tokens(scene) if t in self._vocab_set]
         if not tokens:
             return None
-        return np.stack([self.embeddings.vector(t) for t in tokens])
+        return self.embeddings.rows(tokens)
 
     def encode_rows(self, rows: np.ndarray) -> np.ndarray:
         scores = rows @ self.p
@@ -107,7 +107,7 @@ class SceneBagEncoder:
         return self.encode_rows(rows)
 
     def vocab_matrix(self) -> np.ndarray:
-        return np.stack([self.embeddings.vector(t) for t in self.vocab])
+        return self.embeddings.rows(list(self.vocab))
 
 
 def pretrain_reconstruction_target(corpus: Corpus, attribute: str,

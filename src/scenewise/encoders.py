@@ -50,7 +50,6 @@ class EncoderSpec:
     kind: EncoderKind
     input_dim: int = 100
     hidden_per_direction: int = 50
-    attention_dim: int = 100
     attention_normalization: str = SOFTMAX
 
     @property
@@ -61,7 +60,8 @@ class EncoderSpec:
 
     @property
     def attended_dim(self) -> int:
-        """Dimensionality of the vectors attention is computed over."""
+        """Dimensionality of the vectors attention is computed over, and so
+        of the attention vector ``p``."""
         if self.kind is EncoderKind.BOE_ATTN:
             return self.input_dim
         return 2 * self.hidden_per_direction
@@ -100,11 +100,7 @@ class SequenceEncoder:
         if spec.kind in (EncoderKind.GRU, EncoderKind.GRU_ATTN):
             self.gru = ad.init_bi_gru(rng, spec.input_dim, spec.hidden_per_direction)
         if spec.kind in (EncoderKind.BOE_ATTN, EncoderKind.GRU_ATTN):
-            if spec.attention_dim != spec.attended_dim:
-                raise ShapeMismatch(
-                    f"attention_dim ({spec.attention_dim},) must match attended "
-                    f"outputs ({spec.attended_dim},)")
-            self.p = ad.parameter(ad.glorot(rng, (spec.attention_dim,)))
+            self.p = ad.parameter(ad.glorot(rng, (spec.attended_dim,)))
 
     @property
     def output_dim(self) -> int:
@@ -149,9 +145,7 @@ class CharacterTable:
 
     UNK_NAME = "<unk-char>"
 
-    def __init__(self, names: list[str], dim: int = 10,
-                 rng: np.random.Generator | None = None):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, names: list[str], dim: int, rng: np.random.Generator):
         self.dim = dim
         self.embeddings = {name: ad.parameter(rng.normal(0.0, 0.1, size=dim))
                            for name in [self.UNK_NAME] + sorted(set(names))}
@@ -182,18 +176,6 @@ _CHANNEL_VARIANTS = {
 }
 
 
-@dataclass
-class SceneEmbedding:
-    """Concatenated scene vector plus the block layout used to build it."""
-
-    vector: Tensor
-    blocks: dict[str, tuple[int, int]]
-
-    def block(self, name: str) -> np.ndarray:
-        lo, hi = self.blocks[name]
-        return self.vector.data[lo:hi]
-
-
 class HierarchicalModel:
     """Three-tier script encoder over parsed screenplays."""
 
@@ -213,22 +195,17 @@ class HierarchicalModel:
         self.seed = seed
         rng = np.random.default_rng(seed)
 
-        word_dim = vectors.dim
-        stmt_spec = replace(spec, input_dim=word_dim)
-        stmt_spec = replace(stmt_spec, attention_dim=stmt_spec.attended_dim)
-        scene_spec = replace(spec, input_dim=stmt_spec.output_dim)
-        scene_spec = replace(scene_spec, attention_dim=scene_spec.attended_dim)
-        word_scene_spec = replace(spec, input_dim=word_dim)
-        word_scene_spec = replace(word_scene_spec,
-                                  attention_dim=word_scene_spec.attended_dim)
+        # statement encoders, and two_tier's scene encoders, read word vectors
+        word_spec = replace(spec, input_dim=vectors.dim)
+        scene_spec = replace(spec, input_dim=word_spec.output_dim)
 
         self.statement_encoders: dict[str, SequenceEncoder] = {}
         self.scene_encoders: dict[str, SequenceEncoder] = {}
         for channel in _CHANNEL_VARIANTS[variant]:
             if variant is Variant.TWO_TIER:
-                self.scene_encoders[channel] = SequenceEncoder(word_scene_spec, rng)
+                self.scene_encoders[channel] = SequenceEncoder(word_spec, rng)
             else:
-                self.statement_encoders[channel] = SequenceEncoder(stmt_spec, rng)
+                self.statement_encoders[channel] = SequenceEncoder(word_spec, rng)
                 self.scene_encoders[channel] = SequenceEncoder(scene_spec, rng)
 
         self.char_table = CharacterTable(characters, dim=char_dim, rng=rng) \
@@ -241,9 +218,8 @@ class HierarchicalModel:
             layout.append(("characters", char_dim))
         self.block_layout = tuple(layout)
 
-        script_spec = replace(spec, input_dim=self.scene_dim)
-        script_spec = replace(script_spec, attention_dim=script_spec.attended_dim)
-        self.script_encoder = SequenceEncoder(script_spec, rng)
+        self.script_encoder = SequenceEncoder(
+            replace(spec, input_dim=self.scene_dim), rng)
 
     @property
     def scene_dim(self) -> int:
@@ -283,24 +259,16 @@ class HierarchicalModel:
         rows = ad.stack([self.char_table.vector(n) for n in names])
         return ad.mean_rows(rows)
 
-    def encode_scene(self, scene: Scene) -> SceneEmbedding:
-        parts: list[Tensor] = []
-        blocks: dict[str, tuple[int, int]] = {}
-        offset = 0
-        for name, dim in self.block_layout:
-            if name == "characters":
-                part = self._encode_characters(scene)
-            else:
-                part = self._encode_channel(scene, name)
-            parts.append(part)
-            blocks[name] = (offset, offset + dim)
-            offset += dim
-        return SceneEmbedding(vector=ad.concat(parts), blocks=blocks)
+    def encode_scene(self, scene: Scene) -> Tensor:
+        """The scene's blocks concatenated in ``block_layout`` order."""
+        return ad.concat([self._encode_characters(scene) if name == "characters"
+                          else self._encode_channel(scene, name)
+                          for name, _ in self.block_layout])
 
     def encode_script(self, screenplay: Screenplay) -> Tensor:
         if not screenplay.scenes:
             raise EmptyScript(f"{screenplay.title}: no scenes to encode")
-        scene_vecs = [self.encode_scene(s).vector for s in screenplay.scenes]
+        scene_vecs = [self.encode_scene(s) for s in screenplay.scenes]
         return self.script_encoder.encode(ad.stack(scene_vecs))
 
     def named_params(self) -> dict[str, Tensor]:
@@ -330,13 +298,10 @@ class HierarchicalModel:
 
     @classmethod
     def from_config(cls, config: dict, vectors: TokenVectors) -> "HierarchicalModel":
-        kind = EncoderKind(config["kind"])
         spec = EncoderSpec(
-            kind=kind,
+            kind=EncoderKind(config["kind"]),
             input_dim=config["input_dim"],
             hidden_per_direction=config["hidden_per_direction"],
-            attention_dim=config["input_dim"] if kind is EncoderKind.BOE_ATTN
-            else 2 * config["hidden_per_direction"],
             attention_normalization=config["attention_normalization"],
         )
         names = [n for n in config["characters"] if n != CharacterTable.UNK_NAME]

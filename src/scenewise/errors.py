@@ -93,9 +93,17 @@ class EmbeddingDimMismatch(DataError):
     """Embedding file dimensionality differs from the expected dimension."""
 
 
+class NonFiniteEmbedding(DataError):
+    """An embedding file holds a NaN or infinite value."""
+
+
 class VocabularyMismatch(DataError):
     """Checkpoint vocabulary hash differs from the corpus vocabulary."""
 
 
 class ParameterMismatch(DataError):
     """Checkpoint parameter names or shapes differ from the model's."""
+
+
+class CheckpointCorrupt(DataError):
+    """Checkpoint header or payload is truncated, unreadable or too long."""

@@ -29,7 +29,6 @@ class TagEmbeddingSpace:
     tags: tuple[str, ...]
     vectors: np.ndarray
     similarities: np.ndarray = field(init=False)
-    distances: np.ndarray = field(init=False)
     _pair_sims: np.ndarray = field(init=False)
     _index: dict = field(init=False)
 
@@ -39,7 +38,6 @@ class TagEmbeddingSpace:
         safe = np.where(norms == 0, 1.0, norms)
         unit = self.vectors / safe[:, None]
         self.similarities = unit @ unit.T
-        self.distances = 1.0 - self.similarities
         n = len(self.tags)
         iu = np.triu_indices(n, k=1)
         self._pair_sims = np.sort(self.similarities[iu])

@@ -171,7 +171,7 @@ def classify_line(raw: str, previous: LineClass | None,
 
     if (upper and has_letters and indent >= config.cue_indent
             and len(stripped) <= config.max_cue_length):
-        name = _strip_cue_markers(stripped)
+        name = _strip_cue_markers(_normalize(stripped))
         if name:
             return LineClass(StatementKind.DIALOGUE, character=name,
                              is_character_cue=True)

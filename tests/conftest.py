@@ -4,10 +4,10 @@ import pytest
 from scenewise.corpus import TokenVectors, Vocabulary, WordEmbeddings
 
 
-def make_vectors(table: dict[str, np.ndarray], min_count: int = 1) -> TokenVectors:
+def make_vectors(table: dict[str, np.ndarray]) -> TokenVectors:
     dim = len(next(iter(table.values())))
     arrays = {k: np.asarray(v, dtype=np.float64) for k, v in table.items()}
-    return TokenVectors(Vocabulary(list(arrays), min_count),
+    return TokenVectors(Vocabulary(list(arrays)),
                         WordEmbeddings(arrays, dim))
 
 

@@ -161,7 +161,7 @@ def test_criterion_1_gradient_fidelity(tiny_vectors):
     from scenewise.parser import Screenplay
     model = HierarchicalModel(
         spec=EncoderSpec(EncoderKind.GRU_ATTN, input_dim=4,
-                         hidden_per_direction=2, attention_dim=4),
+                         hidden_per_direction=2),
         variant=Variant.FULL, vectors=tiny_vectors,
         characters=["ANNA", "BO"], char_dim=2, seed=3)
     play = Screenplay("toy", [

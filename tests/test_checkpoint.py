@@ -1,7 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
-from scenewise.checkpoint import load_checkpoint, save_checkpoint
+from scenewise.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from scenewise.errors import CheckpointCorrupt
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -34,4 +37,21 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.swck"
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(ValueError):
+        load_checkpoint(path)
+
+
+def _damage(raw: bytes, case: str) -> bytes:
+    header_end = len(MAGIC) + 8 + struct.unpack_from("<Q", raw, len(MAGIC))[0]
+    return {"trailing_bytes": raw + bytes(8),
+            "truncated_payload": raw[:-8],
+            "truncated_header": raw[:header_end - 5]}[case]
+
+
+@pytest.mark.parametrize("case", ["trailing_bytes", "truncated_payload",
+                                  "truncated_header"])
+def test_checkpoint_rejects_damage(tmp_path, case):
+    path = tmp_path / "model.swck"
+    save_checkpoint(path, {"w": np.ones((2, 3)), "b": np.zeros(3)}, {"seed": 1})
+    path.write_bytes(_damage(path.read_bytes(), case))
+    with pytest.raises(CheckpointCorrupt):
         load_checkpoint(path)

@@ -169,7 +169,7 @@ def _toy_play(seed=0):
 
 
 def _toy_model(vectors, n_tags, seed=0, kind=EncoderKind.BOE):
-    spec = EncoderSpec(kind, input_dim=4, hidden_per_direction=2, attention_dim=4)
+    spec = EncoderSpec(kind, input_dim=4, hidden_per_direction=2)
     encoder = HierarchicalModel(spec=spec, variant=Variant.FULL, vectors=vectors,
                                 characters=["ANNA"], char_dim=2, seed=seed)
     return ScriptTagModel(encoder, n_tags, seed=seed)

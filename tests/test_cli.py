@@ -288,3 +288,51 @@ def test_default_out_uses_env_dir(workspace, tmp_path, monkeypatch):
     monkeypatch.setenv("SCENEWISE_OUT", str(tmp_path))
     assert run(["parse", "--scripts", str(synth / "scripts")]) == 0
     assert (tmp_path / "parsed" / "synth000.tsv").exists()
+
+
+def test_ingest_excludes_undecodable_script(workspace, tmp_path):
+    _, synth = workspace
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    for p in (synth / "scripts").glob("*.txt"):
+        (scripts / p.name).write_bytes(p.read_bytes())
+    (scripts / "zzbinary.txt").write_bytes(b"INT. ROOM - DAY\n\xff\n")
+    out = tmp_path / "manifest.json"
+    args = corpus_args(synth)
+    args[args.index("--scripts") + 1] = str(scripts)
+    assert run(["ingest"] + args + ["--out", str(out)]) == 0
+    manifest = json.loads(out.read_text())
+    assert sum(len(v) for v in manifest["splits"].values()) == 8
+    assert [e["title"] for e in manifest["excluded"]] == ["zzbinary"]
+    assert manifest["excluded"][0]["reason"].startswith("undecodable: ")
+
+
+def test_evaluate_rejects_truncated_checkpoint(workspace, trained, tmp_path,
+                                               capsys):
+    _, synth = workspace
+    out_ckpt, _ = trained
+    bad = tmp_path / "truncated.swck"
+    bad.write_bytes((out_ckpt / "checkpoint.swck").read_bytes()[:-8])
+    assert run(["evaluate"] + corpus_args(synth)
+               + ["--checkpoint", str(bad), "--out", str(tmp_path / "e.json")]) == 1
+    assert last_error(capsys) == "CheckpointCorrupt"
+    assert not (tmp_path / "e.json").exists()
+
+
+THRESHOLD_FLAGS = {
+    "train": ["--attribute", "genre", "--epochs", "1",
+              "--stop-at-train-f1", "0.1"],
+    "evaluate": ["--checkpoint", "model.swck"],
+    "eval-sim": ["--checkpoint", "model.swck", "--tag-embeddings", "tags.tsv"],
+}
+
+
+@pytest.mark.parametrize("value", ["0", "1.0", "1.5"])
+@pytest.mark.parametrize("command", sorted(THRESHOLD_FLAGS))
+def test_threshold_outside_unit_interval_is_usage_error(workspace, tmp_path,
+                                                        command, value):
+    _, synth = workspace
+    with pytest.raises(SystemExit) as exc:
+        main([command] + corpus_args(synth) + THRESHOLD_FLAGS[command]
+             + ["--threshold", value, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2

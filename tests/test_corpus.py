@@ -33,8 +33,8 @@ def test_vocabulary_min_count():
 
 
 def test_vocabulary_hash_stable():
-    v1 = Vocabulary(["b", "a"], 5)
-    v2 = Vocabulary(["a", "b"], 5)
+    v1 = Vocabulary(["b", "a"])
+    v2 = Vocabulary(["a", "b"])
     assert v1.hash() == v2.hash()
 
 
@@ -211,3 +211,24 @@ def test_token_below_min_count_maps_to_unk(synth_corpus):
     vectors = corpus.vectors()
     rows = vectors.rows(["notarealtokenatall"])
     assert np.allclose(rows[0], corpus.embeddings.unk)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_embeddings_reject_non_finite_values(tmp_path, value):
+    path = tmp_path / "emb.txt"
+    path.write_text(f"tok 0.1 0.2 0.3\nbad 0.1 {value} 0.3\n")
+    with pytest.raises(cp.NonFiniteEmbedding, match="'bad'"):
+        WordEmbeddings.load(path, expected_dim=3)
+
+
+def test_embedding_rows_gather_one_matrix():
+    table = {"a": np.array([1.0, 2.0]), "b": np.array([3.0, 5.0])}
+    emb = WordEmbeddings(table, 2)
+    assert np.array_equal(emb.unk, [2.0, 3.5])
+    assert np.array_equal(emb.matrix[-1], emb.unk)
+    rows = emb.rows(["b", "zzz", "a"])
+    assert np.array_equal(rows, np.stack([emb.vector("b"), emb.unk, emb.vector("a")]))
+    assert emb.rows([]).shape == (0, 2)
+    with_unk = WordEmbeddings({**table, cp.UNK_TOKEN: np.array([9.0, 9.0])}, 2)
+    assert np.array_equal(with_unk.rows(["zzz"]), [[9.0, 9.0]])
+

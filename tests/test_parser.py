@@ -289,3 +289,40 @@ def test_configurable_heading_prefixes():
     assert cls.kind is StatementKind.SCENE_HEADING
     default = classify_line("SCENE: THE DOCKS", None)
     assert default.kind is not StatementKind.SCENE_HEADING
+
+
+def test_cue_with_tab_keeps_table_round_trip():
+    text = "INT. ROOM - DAY\n\n\t\t\tBOB\tSMITH\n\t\tHello there.\n"
+    play = parse_script("t", text)
+    assert play.scenes[0].dialogue_statements == [("BOB SMITH", "Hello there.")]
+    assert parse_table(to_table(play)) == play
+
+
+RAW_BODIES = st.one_of(
+    st.sampled_from(["INT. HOUSE - DAY", "EXT. ROAD - NIGHT", "I/E. CAR",
+                     "CUT TO:", "FADE IN:", "(beat)", "(V.O.)", "BOB\tSMITH",
+                     "ANNA (V.O.)", "MIA (CONT'D)", "Mia walks in.", "...", "",
+                     "int. lower slug"]),
+    st.text(alphabet="abcXYZ \t.:()'-/", max_size=30),
+    st.text(max_size=20),
+)
+
+
+@st.composite
+def raw_scripts(draw):
+    indents = st.sampled_from(["", " " * 4, " " * 10, " " * 20, "\t", "\t\t",
+                               "\t\t\t", "  \t", "\t  "])
+    lines = draw(st.lists(st.tuples(indents, RAW_BODIES, st.booleans()),
+                          max_size=25))
+    return "\n".join(indent + (body.upper() if shout else body)
+                     for indent, body, shout in lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_scripts(), st.sampled_from([None, 1, 3, 60]))
+def test_parse_raw_text_fuzz(text, cap):
+    try:
+        play = parse_script("Fuzz Script", text, cap=cap)
+    except EmptyScript:
+        return
+    assert parse_table(to_table(play)) == play
