@@ -14,10 +14,21 @@ gate ``r`` and candidate state, which is normative for this package::
     c = tanh(x Wh + (r * h) Uh + bh)
     h' = (1 - z) * h + z * c
 
-It is exposed only as a whole-sequence bidirectional encoder, ``bi_gru``.
 Input weights ``W`` are stored (input_dim, hidden) and recurrent weights
-``U`` (hidden, hidden), so each direction's input transforms batch into a
-single matrix product over the (T, D) sequence.
+``U`` (hidden, hidden).  ``gru_direction`` runs one direction over a batch
+of sequences as a single tape node.  The batch is right-padded to
+``(B, T, D)`` and ``lengths[b]`` says how many leading steps of row ``b``
+are real; every row starts from a zero state, the forward direction reads
+steps ``0 .. L-1`` and the reverse direction ``L-1 .. 0``.  The gates are
+fused: one ``x [Wz|Wr|Wh]`` product for all steps and one ``h [Uz|Ur]``
+product per step, with the concatenated weights built from the nine stored
+parameters at call time.  A padded step leaves the state unchanged, its
+output is exactly zero, and its input receives exactly zero gradient.  The
+VJP is hand-written backpropagation through time over the saved gate
+activations; it returns the input's gradient and each parameter's.
+``bi_gru`` concatenates the two directions.  ``attention_pool`` pools such
+a batch with one attention vector, masking the padded steps, also as a
+single node.
 """
 
 from __future__ import annotations
@@ -85,6 +96,20 @@ def _op(data: np.ndarray, parents: Sequence[Tensor], vjp: Vjp) -> Tensor:
 def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
     if a.data.shape != b.data.shape:
         raise ShapeMismatch(f"{op}: {a.data.shape} vs {b.data.shape}")
+
+
+def _step_mask(a: Tensor, lengths) -> np.ndarray:
+    """(B, T, 1) mask, 1.0 on the real steps of a right-padded (B, T, ...)
+    batch whose row ``b`` holds ``lengths[b]`` steps."""
+    lengths = np.asarray(lengths)
+    shape = a.data.shape
+    if a.data.ndim != 3 or lengths.shape != shape[:1]:
+        raise ShapeMismatch(f"batch {shape} vs lengths {lengths.shape}")
+    if shape[0] == 0 or lengths.min() < 1:
+        raise EmptySequence(f"batch {shape} holds an empty sequence: {lengths}")
+    if lengths.max() > shape[1]:
+        raise ShapeMismatch(f"lengths {lengths} exceed the batch's {shape[1]} steps")
+    return (np.arange(shape[1]) < lengths[:, None])[:, :, None].astype(np.float64)
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -186,19 +211,21 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor]) -> Tensor:
-    """Concatenate 1-D tensors."""
+    """Concatenate tensors along their last axis; the leading axes must match."""
     if not tensors:
         raise EmptySequence("concat of zero tensors")
+    lead = tensors[0].data.shape[:-1]
     for t in tensors:
-        if t.data.ndim != 1:
-            raise ShapeMismatch(f"concat expects vectors, got {t.data.shape}")
-    sizes = [t.data.shape[0] for t in tensors]
+        if t.data.ndim == 0 or t.data.shape[:-1] != lead:
+            raise ShapeMismatch(f"concat: {t.data.shape} vs {lead} leading axes")
+    sizes = [t.data.shape[-1] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
     def vjp(g: np.ndarray) -> tuple:
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(sizes)))
+        return tuple(g[..., offsets[i]:offsets[i + 1]] for i in range(len(sizes)))
 
-    return _op(np.concatenate([t.data for t in tensors]), tuple(tensors), vjp)
+    return _op(np.concatenate([t.data for t in tensors], axis=-1), tuple(tensors),
+               vjp)
 
 
 def stack(tensors: Sequence[Tensor]) -> Tensor:
@@ -216,16 +243,26 @@ def stack(tensors: Sequence[Tensor]) -> Tensor:
     return _op(np.stack([t.data for t in tensors]), tuple(tensors), vjp)
 
 
-def row(a: Tensor, i: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeMismatch(f"row: expected matrix, got {a.data.shape}")
+def row(a: Tensor, index) -> Tensor:
+    """``a.data[index]`` for an integer index, or a tuple of integer arrays,
+    that addresses distinct rows of a matrix or batch."""
+    if a.data.ndim < 2:
+        raise ShapeMismatch(f"row: expected matrix or batch, got {a.data.shape}")
 
     def vjp(g: np.ndarray) -> tuple:
         full = np.zeros_like(a.data)
-        full[i] = g
+        full[index] = g
         return (full,)
 
-    return _op(a.data[i].copy(), (a,), vjp)
+    return _op(a.data[index].copy(), (a,), vjp)
+
+
+def place(a: Tensor, index, shape: tuple[int, ...]) -> Tensor:
+    """A zero tensor of ``shape`` with ``a`` written at ``index``, which
+    addresses distinct positions; the transpose of :func:`row`."""
+    out = np.zeros(shape)
+    out[index] = a.data
+    return _op(out, (a,), lambda g: (g[index],))
 
 
 def mean(a: Tensor) -> Tensor:
@@ -237,16 +274,30 @@ def mean(a: Tensor) -> Tensor:
     return _op(np.asarray(a.data.mean()), (a,), vjp)
 
 
-def mean_rows(a: Tensor) -> Tensor:
-    """Column-wise mean of a matrix: (T, D) -> (D,)."""
+def mean_rows(a: Tensor, lengths=None) -> Tensor:
+    """Column-wise mean of a matrix, (T, D) -> (D,); or, with ``lengths``,
+    of each run of ``lengths[b]`` consecutive rows, (N, D) -> (B, D)."""
     if a.data.ndim != 2:
         raise ShapeMismatch(f"mean_rows: expected matrix, got {a.data.shape}")
-    t = a.data.shape[0]
+    if lengths is None:
+        t = a.data.shape[0]
 
-    def vjp(g: np.ndarray) -> tuple:
-        return (np.tile(g / t, (t, 1)),)
+        def vjp(g: np.ndarray) -> tuple:
+            return (np.tile(g / t, (t, 1)),)
 
-    return _op(a.data.mean(axis=0), (a,), vjp)
+        return _op(a.data.mean(axis=0), (a,), vjp)
+    lengths = np.asarray(lengths)
+    if lengths.ndim != 1 or lengths.sum() != a.data.shape[0]:
+        raise ShapeMismatch(f"mean_rows: runs {lengths} vs {a.data.shape}")
+    if lengths.size == 0 or lengths.min() < 1:
+        raise EmptySequence(f"mean_rows: an empty run in {lengths}")
+    counts = lengths[:, None].astype(np.float64)
+    starts = np.cumsum(lengths) - lengths
+
+    def runs_vjp(g: np.ndarray) -> tuple:
+        return (np.repeat(g / counts, lengths, axis=0),)
+
+    return _op(np.add.reduceat(a.data, starts, axis=0) / counts, (a,), runs_vjp)
 
 
 def total(a: Tensor) -> Tensor:
@@ -256,10 +307,13 @@ def total(a: Tensor) -> Tensor:
     return _op(np.asarray(a.data.sum()), (a,), vjp)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    s = _sigmoid(a.data)
     return _op(s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
@@ -400,38 +454,143 @@ def init_bi_gru(rng: np.random.Generator, input_dim: int, hidden_per_direction: 
                  bw=init_gru_direction(rng, input_dim, hidden_per_direction))
 
 
-def _gru_direction(xs: Tensor, p: GruDirection, reverse: bool) -> list[Tensor]:
-    t_steps = xs.data.shape[0]
-    az = add_bias(matmul(xs, p.wz), p.bz)
-    ar = add_bias(matmul(xs, p.wr), p.br)
-    ah = add_bias(matmul(xs, p.wh), p.bh)
-    h = constant(np.zeros(p.hidden_dim))
-    states: list[Tensor] = []
-    order = range(t_steps - 1, -1, -1) if reverse else range(t_steps)
-    for t in order:
-        z = sigmoid(add(row(az, t), matmul(h, p.uz)))
-        r = sigmoid(add(row(ar, t), matmul(h, p.ur)))
-        c = tanh(add(row(ah, t), matmul(mul(r, h), p.uh)))
-        h = add(h, mul(z, sub(c, h)))
-        states.append(h)
-    if reverse:
-        states.reverse()
-    return states
+def gru_direction(xs: Tensor, p: GruDirection, lengths, reverse: bool = False
+                  ) -> Tensor:
+    """One GRU direction over a right-padded (B, T, D) batch, as one tape node.
 
-
-def bi_gru(xs: Tensor, p: BiGru) -> tuple[list[Tensor], Tensor]:
-    """Run both directions over a (T, D) input matrix.
-
-    Returns the per-step outputs ``c_1 .. c_T`` (each the concatenation of the
-    forward and backward hidden states at that step) and the final output
-    ``c_T``.
+    Returns the (B, T, H) hidden states, exactly zero at padded steps; see
+    the module docstring for the masking and the backward pass.
     """
-    if xs.data.ndim != 2 or xs.data.shape[0] == 0:
-        raise EmptySequence(f"bi_gru needs a non-empty (T, D) input, got {xs.data.shape}")
-    fw_states = _gru_direction(xs, p.fw, reverse=False)
-    bw_states = _gru_direction(xs, p.bw, reverse=True)
-    outputs = [concat([f, b]) for f, b in zip(fw_states, bw_states)]
-    return outputs, outputs[-1]
+    mask = _step_mask(xs, lengths)
+    x = xs.data
+    n, t_max, d = x.shape
+    h_dim = p.hidden_dim
+    params = (p.wz, p.wr, p.wh, p.uz, p.ur, p.uh, p.bz, p.br, p.bh)
+    if d != p.wz.data.shape[0]:
+        raise ShapeMismatch(f"gru_direction: input {x.shape} vs Wz {p.wz.data.shape}")
+    gates_x = (x.reshape(-1, d)
+               @ np.concatenate([p.wz.data, p.wr.data, p.wh.data], axis=1)
+               + np.concatenate([p.bz.data, p.br.data, p.bh.data])
+               ).reshape(n, t_max, 3 * h_dim)
+    u_zr = np.concatenate([p.uz.data, p.ur.data], axis=1)
+    uh = p.uh.data
+    # per step: the state read (h_prev), the gates and the candidate
+    h_prev = np.empty((n, t_max, h_dim))
+    zr = np.empty((n, t_max, 2 * h_dim))
+    cand = np.empty((n, t_max, h_dim))
+    out = np.empty((n, t_max, h_dim))
+    steps = range(t_max - 1, -1, -1) if reverse else range(t_max)
+    h = np.zeros((n, h_dim))
+    for t in steps:
+        h_prev[:, t] = h
+        zr[:, t] = gate = _sigmoid(gates_x[:, t, :2 * h_dim] + h @ u_zr)
+        z, r = gate[:, :h_dim], gate[:, h_dim:]
+        cand[:, t] = c = np.tanh(gates_x[:, t, 2 * h_dim:] + (r * h) @ uh)
+        h = h + mask[:, t] * (z * (c - h))
+        out[:, t] = h
+    out *= mask
+
+    def vjp(g: np.ndarray) -> tuple:
+        z, r = zr[..., :h_dim], zr[..., h_dim:]
+        d_gates = np.empty((n, t_max, 3 * h_dim))  # pre-activation grads
+        # rebuilt rather than kept from the forward pass, so that a node
+        # waiting for backward holds no copy of the weights
+        u_zr = np.concatenate([p.uz.data, p.ur.data], axis=1)
+        uh = p.uh.data
+        dh = np.zeros((n, h_dim))
+        for t in reversed(steps):
+            m = mask[:, t]
+            dh = dh + m * g[:, t]
+            hp, zt, rt, ct = h_prev[:, t], z[:, t], r[:, t], cand[:, t]
+            live = m * dh
+            d_c = live * zt * (1.0 - ct * ct)
+            d_rh = d_c @ uh.T
+            d_zr = d_gates[:, t, :2 * h_dim]
+            d_zr[:, :h_dim] = live * (ct - hp) * zt * (1.0 - zt)
+            d_zr[:, h_dim:] = d_rh * hp * rt * (1.0 - rt)
+            d_gates[:, t, 2 * h_dim:] = d_c
+            dh = dh * (1.0 - m * zt) + d_rh * rt + d_zr @ u_zr.T
+        flat = d_gates.reshape(-1, 3 * h_dim)
+        d_w = x.reshape(-1, d).T @ flat
+        d_u_zr = h_prev.reshape(-1, h_dim).T @ d_gates[..., :2 * h_dim].reshape(
+            -1, 2 * h_dim)
+        d_uh = (r * h_prev).reshape(-1, h_dim).T @ flat[:, 2 * h_dim:]
+        d_b = flat.sum(axis=0)
+        d_x = None
+        if xs.requires_grad:
+            w = np.concatenate([p.wz.data, p.wr.data, p.wh.data], axis=1)
+            d_x = (flat @ w.T).reshape(x.shape)
+        thirds = [slice(0, h_dim), slice(h_dim, 2 * h_dim),
+                  slice(2 * h_dim, 3 * h_dim)]
+        return (d_x, *(d_w[:, k] for k in thirds), d_u_zr[:, thirds[0]],
+                d_u_zr[:, thirds[1]], d_uh, *(d_b[k] for k in thirds))
+
+    return _op(out, (xs, *params), vjp)
+
+
+def bi_gru(xs: Tensor, p: BiGru, lengths) -> Tensor:
+    """Both directions over a right-padded (B, T, D) batch.
+
+    Returns the (B, T, 2H) per-step outputs ``c_1 .. c_L`` of each sequence,
+    each the concatenation of the forward and backward hidden states at
+    that step, and zero at padded steps.
+    """
+    return concat([gru_direction(xs, p.fw, lengths),
+                   gru_direction(xs, p.bw, lengths, reverse=True)])
+
+
+def attention_pool(outputs: Tensor, p: Tensor, lengths=None, linear: bool = False,
+                   min_denominator: float = 1e-9) -> tuple[Tensor, Tensor]:
+    """Attention-weighted sum of each sequence's outputs, as one tape node.
+
+    ``outputs`` is a right-padded (B, T, H) batch with ``lengths``, or one
+    (T, H) sequence.  Scores are ``outputs @ p``; the weights are their
+    softmax over each sequence's real steps or, with ``linear``, each score
+    over the sum of its sequence's scores, which raises
+    :class:`DegenerateNormalizer` for a sequence whose sum is below
+    ``min_denominator`` in magnitude.  Padded steps get weight zero.
+    Returns the pooled (B, H) or (H,) tensor and the weights, (B, T) or
+    (T,), as a constant: gradients flow through the pooled output only.
+    """
+    single = outputs.data.ndim == 2
+    o = outputs.data[None] if single else outputs.data
+    if o.ndim != 3 or p.data.shape != o.shape[2:]:
+        raise ShapeMismatch(f"attention_pool: {outputs.data.shape} vs {p.data.shape}")
+    if single:
+        if o.shape[1] == 0:
+            raise EmptySequence(f"attention over an empty sequence {o.shape}")
+        valid = np.ones(o.shape[:2], dtype=bool)
+    else:
+        valid = _step_mask(outputs, lengths)[..., 0] > 0
+    scores = o @ p.data
+    if linear:
+        scores = np.where(valid, scores, 0.0)
+        sums = scores.sum(axis=1, keepdims=True)
+        low = np.abs(sums[:, 0]) < min_denominator
+        if low.any():
+            raise DegenerateNormalizer(
+                f"normalizer sum {float(sums[low][0, 0])!r} of sequence "
+                f"{int(np.argmax(low))} below {min_denominator}")
+        weights = scores / sums
+    else:
+        shifted = np.exp(np.where(valid, scores, -np.inf)
+                         - scores.max(axis=1, keepdims=True, where=valid,
+                                      initial=-np.inf))
+        weights = shifted / shifted.sum(axis=1, keepdims=True)
+    pooled = (weights[:, None, :] @ o)[:, 0]
+
+    def vjp(g: np.ndarray) -> tuple:
+        g = g.reshape(pooled.shape)
+        d_w = (o @ g[:, :, None])[:, :, 0]
+        centred = d_w - (weights * d_w).sum(axis=1, keepdims=True)
+        d_s = np.where(valid, centred / sums, 0.0) if linear else weights * centred
+        d_o = weights[:, :, None] * g[:, None, :] + d_s[:, :, None] * p.data
+        d_p = d_s.reshape(-1) @ o.reshape(-1, o.shape[2])
+        return (d_o.reshape(outputs.data.shape), d_p)
+
+    if single:
+        return _op(pooled[0], (outputs, p), vjp), constant(weights[0])
+    return _op(pooled, (outputs, p), vjp), constant(weights)
 
 
 # ---------------------------------------------------------------------------

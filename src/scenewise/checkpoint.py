@@ -41,11 +41,11 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray],
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint, checking that the header parses and that the
-    payload holds exactly the listed parameters' bytes."""
+    """Read a checkpoint, checking the magic bytes, that the header parses
+    and that the payload holds exactly the listed parameters' bytes."""
     raw = Path(path).read_bytes()
     if not raw.startswith(MAGIC):
-        raise ValueError(f"{path}: not a scenewise checkpoint")
+        raise CheckpointCorrupt(f"{path}: not a scenewise checkpoint")
     offset = len(MAGIC) + 8
     if len(raw) < offset:
         raise CheckpointCorrupt(f"{path}: truncated before the header length")

@@ -114,8 +114,13 @@ def cmd_parse(args: argparse.Namespace) -> int:
     paths = sorted(Path(args.scripts).glob("*.txt"))
     if not paths:
         raise DataError(f"no *.txt scripts under {args.scripts}")
+    parsed = 0
     for path in paths:
-        text = path.read_text(encoding="utf-8")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as err:
+            log.warning("skipping %s: undecodable: %s", path.name, err)
+            continue
         play = screenplay.parse_script(path.stem, text, cap=cap)
         atomic_write_text(out_dir / f"{path.stem}.tsv", screenplay.to_table(play))
         raw = screenplay.RawScript.from_text(path.stem, text)
@@ -123,7 +128,8 @@ def cmd_parse(args: argparse.Namespace) -> int:
         report["config_hash"] = config_hash({"cap": cap})
         atomic_write_text(out_dir / f"{path.stem}.quality.json",
                           json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(f"parsed {len(paths)} script(s) into {out_dir}")
+        parsed += 1
+    print(f"parsed {parsed} script(s) into {out_dir}")
     return 0
 
 

@@ -10,8 +10,13 @@ normalization ``a_i = s_i / sum_j s_j`` is available as ``paper_linear``.
 The hierarchical composition encodes action statements and dialogue
 statements through separate statement and scene encoders, optionally
 appends a mean character embedding per scene, and feeds the scene-embedding
-sequence to a script encoder of the same kind.  Structural variants replace
-or drop tiers:
+sequence to a script encoder of the same kind.  Each tier encodes a batch
+of sequences at once: all statements of a channel in a script are one
+statement-tier batch, the channel's per-scene sequences of statement
+vectors are one scene-tier batch, and the script is a batch of one.  A
+batch reaches an encoder as its sequences' rows laid end to end plus their
+lengths; the GRU and attention kinds pad it into a masked (B, T, D) batch.
+Structural variants replace or drop tiers:
 
 * ``full`` / ``plus_chars`` — both channels, character block included
 * ``minus_action`` / ``minus_dialogue`` — one channel dropped entirely
@@ -67,27 +72,21 @@ class EncoderSpec:
         return 2 * self.hidden_per_direction
 
 
-def attend(outputs: Tensor, p: Tensor,
-           normalization: str = SOFTMAX) -> tuple[Tensor, Tensor]:
-    """Pool a (T, H) matrix of outputs with attention vector ``p``.
+def attend(outputs: Tensor, p: Tensor, normalization: str = SOFTMAX,
+           lengths=None) -> tuple[Tensor, Tensor]:
+    """Pool outputs with attention vector ``p``: a right-padded (B, T, H)
+    batch with ``lengths``, or one (T, H) sequence.
 
-    Returns the pooled vector and the weights.  ``softmax`` normalizes
-    scores with a softmax; ``paper_linear`` divides each score by the sum of
-    scores, exactly as a linear normalization (weights may then be negative
-    and the sum may be degenerate).
+    Returns the pooled (B, H) or (H,) tensor and the weights, which are not
+    on the tape.  ``softmax`` normalizes scores with a softmax;
+    ``paper_linear`` divides each score by the sum of its sequence's scores,
+    exactly as a linear normalization (weights may then be negative and the
+    sum may be degenerate).
     """
-    if outputs.data.ndim != 2 or p.data.ndim != 1 \
-            or outputs.data.shape[1] != p.data.shape[0]:
-        raise ShapeMismatch(f"attend: {outputs.data.shape} vs {p.data.shape}")
-    scores = ad.matmul(outputs, p)
-    if normalization == SOFTMAX:
-        weights = ad.softmax(scores)
-    elif normalization == PAPER_LINEAR:
-        weights = ad.normalize_sum(scores)
-    else:
+    if normalization not in (SOFTMAX, PAPER_LINEAR):
         raise ValueError(f"unknown attention normalization {normalization!r}")
-    pooled = ad.matmul(weights, outputs)
-    return pooled, weights
+    return ad.attention_pool(outputs, p, lengths,
+                             linear=normalization == PAPER_LINEAR)
 
 
 class SequenceEncoder:
@@ -106,22 +105,35 @@ class SequenceEncoder:
     def output_dim(self) -> int:
         return self.spec.output_dim
 
-    def encode_with_weights(self, xs: Tensor) -> tuple[Tensor, Tensor | None]:
+    def encode_with_weights(self, xs: Tensor, lengths=None
+                            ) -> tuple[Tensor, Tensor | None]:
+        """Encode a batch of sequences laid end to end in the rows of ``xs``,
+        sequence ``b`` taking the next ``lengths[b]`` rows.
+
+        Returns the (B, output_dim) encodings and, for the attention kinds,
+        the (B, T) weights over the right-padded steps.  Without
+        ``lengths``, ``xs`` is one (T, D) sequence and the results are a
+        vector and (T,) weights.
+        """
+        if lengths is None:
+            out, weights = self.encode_with_weights(xs, [xs.data.shape[0]])
+            return ad.row(out, 0), weights if weights is None \
+                else ad.constant(weights.data[0])
+        lengths = np.asarray(lengths)
         kind = self.spec.kind
         if kind is EncoderKind.BOE:
-            return ad.mean_rows(xs), None
+            return ad.mean_rows(xs, lengths), None
+        padded = _padded(xs, lengths)
         if kind is EncoderKind.BOE_ATTN:
-            pooled, weights = attend(xs, self.p, self.spec.attention_normalization)
-            return pooled, weights
-        outputs, final = ad.bi_gru(xs, self.gru)
+            return attend(padded, self.p, self.spec.attention_normalization,
+                          lengths)
+        outputs = ad.bi_gru(padded, self.gru, lengths)
         if kind is EncoderKind.GRU:
-            return final, None
-        pooled, weights = attend(ad.stack(outputs), self.p,
-                                 self.spec.attention_normalization)
-        return pooled, weights
+            return ad.row(outputs, (np.arange(len(lengths)), lengths - 1)), None
+        return attend(outputs, self.p, self.spec.attention_normalization, lengths)
 
-    def encode(self, xs: Tensor) -> Tensor:
-        return self.encode_with_weights(xs)[0]
+    def encode(self, xs: Tensor, lengths=None) -> Tensor:
+        return self.encode_with_weights(xs, lengths)[0]
 
     def named_params(self, prefix: str) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -132,12 +144,33 @@ class SequenceEncoder:
         return out
 
 
-def encode_statement(tokens: list[str], vectors: TokenVectors,
-                     encoder: SequenceEncoder) -> Tensor:
-    """Encode one statement's tokens; raises EmptyStatement on zero tokens."""
-    if not tokens:
+def _padded(rows: Tensor, lengths: np.ndarray) -> Tensor:
+    """Consecutive runs of ``lengths[b]`` rows as a right-padded
+    (len(lengths), max(lengths), F) batch."""
+    if rows.data.ndim != 2 or lengths.sum() != rows.data.shape[0]:
+        raise ShapeMismatch(f"runs {lengths} vs rows {rows.data.shape}")
+    seq = np.repeat(np.arange(len(lengths)), lengths)
+    starts = np.cumsum(lengths) - lengths
+    step = np.arange(len(seq)) - np.repeat(starts, lengths)
+    return ad.place(rows, (seq, step),
+                    (len(lengths), lengths.max(), rows.data.shape[1]))
+
+
+def _scene_rows(vecs: Tensor, kept: list[int], n_scenes: int) -> Tensor:
+    """(n_scenes, F): row ``j`` of ``vecs`` at scene ``kept[j]``, zero rows
+    for the other scenes."""
+    return ad.place(vecs, np.asarray(kept), (n_scenes, vecs.data.shape[1]))
+
+
+def encode_tokens(sequences: list[list[str]], vectors: TokenVectors,
+                  encoder: SequenceEncoder) -> Tensor:
+    """Encode token sequences as one batch: (len(sequences), output_dim).
+    Raises EmptyStatement if a sequence has zero tokens."""
+    lengths = [len(tokens) for tokens in sequences]
+    if not lengths or min(lengths) == 0:
         raise EmptyStatement("statement has no tokens")
-    return encoder.encode(ad.constant(vectors.rows(tokens)))
+    rows = vectors.rows([t for tokens in sequences for t in tokens])
+    return encoder.encode(ad.constant(rows), lengths)
 
 
 class CharacterTable:
@@ -238,38 +271,46 @@ class HierarchicalModel:
             texts = [s.text for s in scene.statements]
         return [toks for toks in (tokenize(t) for t in texts) if toks]
 
-    def _encode_channel(self, scene: Scene, channel: str) -> Tensor:
-        stmts = self._channel_statements(scene, channel)
+    def _encode_channel(self, scenes: list[Scene], channel: str) -> Tensor:
+        per_scene = [self._channel_statements(s, channel) for s in scenes]
         scene_enc = self.scene_encoders[channel]
+        kept = [i for i, stmts in enumerate(per_scene) if stmts]
+        if not kept:
+            return ad.constant(np.zeros((len(scenes), scene_enc.output_dim)))
         if self.variant is Variant.TWO_TIER:
-            tokens = [tok for stmt in stmts for tok in stmt]
-            if not tokens:
-                return ad.constant(np.zeros(scene_enc.output_dim))
-            return scene_enc.encode(ad.constant(self.vectors.rows(tokens)))
-        if not stmts:
-            return ad.constant(np.zeros(scene_enc.output_dim))
-        stmt_enc = self.statement_encoders[channel]
-        stmt_vecs = [encode_statement(toks, self.vectors, stmt_enc) for toks in stmts]
-        return scene_enc.encode(ad.stack(stmt_vecs))
+            words = [[tok for stmt in per_scene[i] for tok in stmt] for i in kept]
+            vecs = encode_tokens(words, self.vectors, scene_enc)
+        else:
+            runs = [len(per_scene[i]) for i in kept]
+            stmt_vecs = encode_tokens([stmt for i in kept for stmt in per_scene[i]],
+                                      self.vectors, self.statement_encoders[channel])
+            vecs = scene_enc.encode(stmt_vecs, runs)
+        return _scene_rows(vecs, kept, len(scenes))
 
-    def _encode_characters(self, scene: Scene) -> Tensor:
-        names = sorted(scene.characters)
-        if not names:
-            return ad.constant(np.zeros(self.char_dim))
-        rows = ad.stack([self.char_table.vector(n) for n in names])
-        return ad.mean_rows(rows)
+    def _encode_characters(self, scenes: list[Scene]) -> Tensor:
+        names = [sorted(scene.characters) for scene in scenes]
+        kept = [i for i, per in enumerate(names) if per]
+        if not kept:
+            return ad.constant(np.zeros((len(scenes), self.char_dim)))
+        runs = [len(names[i]) for i in kept]
+        rows = ad.stack([self.char_table.vector(n) for i in kept for n in names[i]])
+        return _scene_rows(ad.mean_rows(rows, runs), kept, len(scenes))
+
+    def encode_scenes(self, scenes: list[Scene]) -> Tensor:
+        """(len(scenes), scene_dim): each scene's blocks concatenated in
+        ``block_layout`` order."""
+        return ad.concat([self._encode_characters(scenes) if name == "characters"
+                          else self._encode_channel(scenes, name)
+                          for name, _ in self.block_layout])
 
     def encode_scene(self, scene: Scene) -> Tensor:
-        """The scene's blocks concatenated in ``block_layout`` order."""
-        return ad.concat([self._encode_characters(scene) if name == "characters"
-                          else self._encode_channel(scene, name)
-                          for name, _ in self.block_layout])
+        """One scene's blocks concatenated in ``block_layout`` order."""
+        return ad.row(self.encode_scenes([scene]), 0)
 
     def encode_script(self, screenplay: Screenplay) -> Tensor:
         if not screenplay.scenes:
             raise EmptyScript(f"{screenplay.title}: no scenes to encode")
-        scene_vecs = [self.encode_scene(s) for s in screenplay.scenes]
-        return self.script_encoder.encode(ad.stack(scene_vecs))
+        return self.script_encoder.encode(self.encode_scenes(screenplay.scenes))
 
     def named_params(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}

@@ -105,5 +105,6 @@ class ParameterMismatch(DataError):
     """Checkpoint parameter names or shapes differ from the model's."""
 
 
-class CheckpointCorrupt(DataError):
-    """Checkpoint header or payload is truncated, unreadable or too long."""
+class CheckpointCorrupt(DataError, ValueError):
+    """Checkpoint lacks the magic bytes, or its header or payload is
+    truncated, unreadable or too long."""

@@ -474,15 +474,15 @@ def test_criterion_9_cli_determinism(tmp_path):
             "--tags", str(synth_dir / "tags.json"),
             "--embeddings", str(synth_dir / "embeddings.txt")] + corpus_flags
 
-    def train_args(out):
+    def train_args(out, encoder="boe", chars="no"):
         return (["train"] + base
                 + ["--attribute", "genre", "--variant", "full",
-                   "--encoder", "boe", "--include-chars", "no",
+                   "--encoder", encoder, "--include-chars", chars,
                    "--epochs", "2", "--seed", "4", "--out", str(out)])
 
-    def eval_args(out):
+    def eval_args(out, run="run1"):
         return (["evaluate"] + base
-                + ["--checkpoint", str(tmp_path / "run1" / "checkpoint.swck"),
+                + ["--checkpoint", str(tmp_path / run / "checkpoint.swck"),
                    "--out", str(out)])
 
     def sim_args(out):
@@ -525,6 +525,14 @@ def test_criterion_9_cli_determinism(tmp_path):
     assert cli_main(eval_args(tmp_path / "eval1.json")) == 0
     assert cli_main(eval_args(tmp_path / "eval2.json")) == 0
     pairs.append((tmp_path / "eval1.json", tmp_path / "eval2.json"))
+
+    # the GRU+Attn encoder, with the characters block
+    for run in ("gru1", "gru2"):
+        assert cli_main(train_args(tmp_path / run, "gru_attn", "yes")) == 0
+        assert cli_main(eval_args(tmp_path / f"{run}.json", run)) == 0
+    for name in ("checkpoint.swck", "train_log.csv"):
+        pairs.append((tmp_path / "gru1" / name, tmp_path / "gru2" / name))
+    pairs.append((tmp_path / "gru1.json", tmp_path / "gru2.json"))
 
     assert cli_main(sim_args(tmp_path / "sim1.json")) == 0
     assert cli_main(sim_args(tmp_path / "sim2.json")) == 0

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -155,13 +156,28 @@ def test_backward_zeroes_old_gradients():
 
 def gru_cell(x, h_prev, p):
     """One GRU step for a single input vector: the per-step oracle that the
-    whole-sequence ``bi_gru`` path is checked against."""
+    fused ``gru_direction`` op is checked against."""
     z = ad.sigmoid(ad.add(ad.add(ad.matmul(x, p.wz), ad.matmul(h_prev, p.uz)), p.bz))
     r = ad.sigmoid(ad.add(ad.add(ad.matmul(x, p.wr), ad.matmul(h_prev, p.ur)), p.br))
     c = ad.tanh(ad.add(ad.add(ad.matmul(x, p.wh),
                               ad.matmul(ad.mul(r, h_prev), p.uh)), p.bh))
     # h' = (1 - z) * h + z * c, written as h + z * (c - h)
     return ad.add(h_prev, ad.mul(z, ad.sub(c, h_prev)))
+
+
+def oracle_direction(xs, b, length, p, reverse=False):
+    """The per-step composition: ``gru_cell`` over the first ``length`` steps
+    of row ``b`` of a (B, T, D) tensor, one tape node per operation.
+    Returns the (length, H) states in step order."""
+    h = ad.constant(np.zeros(p.hidden_dim))
+    states = []
+    order = range(length - 1, -1, -1) if reverse else range(length)
+    for t in order:
+        h = gru_cell(ad.row(xs, (b, t)), h, p)
+        states.append(h)
+    if reverse:
+        states.reverse()
+    return ad.stack(states)
 
 
 def test_gru_cell_zero_params_zero_state():
@@ -199,27 +215,25 @@ def test_gru_cell_hand_evaluated_gating():
 def test_bi_gru_output_dims():
     r = rng(5)
     p = ad.init_bi_gru(r, 100, 50)
-    xs = ad.constant(r.normal(size=(1, 100)))
-    outputs, final = ad.bi_gru(xs, p)
-    assert final.data.shape == (100,)
-    assert all(o.data.shape == (100,) for o in outputs)
+    xs = ad.constant(r.normal(size=(1, 1, 100)))
+    outputs = ad.bi_gru(xs, p, [1])
+    assert outputs.data.shape == (1, 1, 100)
 
 
 def test_bi_gru_empty_sequence_raises():
     p = ad.init_bi_gru(rng(0), 4, 3)
     with pytest.raises(EmptySequence):
-        ad.bi_gru(ad.constant(np.zeros((0, 4))), p)
+        ad.bi_gru(ad.constant(np.zeros((1, 0, 4))), p, [0])
 
 
 def test_bi_gru_gradients_match_finite_differences():
     r = rng(7)
     p = ad.init_bi_gru(r, 3, 2)
-    xs_data = r.normal(size=(4, 3))
+    xs_data = r.normal(size=(1, 4, 3))
     params = list(p.named("gru").values())
 
     def fn():
-        outputs, _ = ad.bi_gru(ad.constant(xs_data), p)
-        return ad.total(ad.stack(outputs))
+        return ad.total(ad.bi_gru(ad.constant(xs_data), p, [4]))
 
     assert ad.gradcheck(fn, params) < 1e-4
 
@@ -232,8 +246,66 @@ def test_gru_cell_matches_sequence_path():
     h = ad.constant(np.zeros(2))
     for t in range(5):
         h = gru_cell(ad.constant(xs_data[t]), h, p)
-    outputs = ad._gru_direction(ad.constant(xs_data), p, reverse=False)
-    assert np.allclose(h.data, outputs[-1].data, atol=1e-12)
+    outputs = ad.gru_direction(ad.constant(xs_data[None]), p, [5])
+    assert np.allclose(h.data, outputs.data[0, -1], atol=1e-12)
+
+
+# A ragged batch: every length from 1 to T, in mixed order, with the padded
+# steps holding values the op must ignore.
+RAGGED_LENGTHS = np.array([3, 1, 5, 2, 4])
+
+
+def ragged_batch(seed, dim=3):
+    r = rng(seed)
+    return r.normal(size=(len(RAGGED_LENGTHS), RAGGED_LENGTHS.max(), dim))
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "backward"])
+def test_fused_gru_forward_matches_oracle(reverse):
+    p = ad.init_gru_direction(rng(21), 3, 4)
+    xs = ad.constant(ragged_batch(22))
+    out = ad.gru_direction(xs, p, RAGGED_LENGTHS, reverse).data
+    for b, length in enumerate(RAGGED_LENGTHS):
+        expected = oracle_direction(xs, b, length, p, reverse).data
+        assert np.max(np.abs(out[b, :length] - expected)) < 1e-12
+        # padded output positions are exactly zero
+        assert np.all(out[b, length:] == 0.0)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "backward"])
+def test_fused_gru_gradients_match_oracle(reverse):
+    p = ad.init_gru_direction(rng(23), 3, 4)
+    params = list(p.named("gru").values())
+    xs = ad.parameter(ragged_batch(24))
+    probe = rng(25).normal(size=(len(RAGGED_LENGTHS), RAGGED_LENGTHS.max(), 4))
+
+    def grads(loss):
+        loss.backward()
+        return [t.grad.copy() for t in params + [xs]]
+
+    fused = grads(ad.total(ad.mul(ad.gru_direction(xs, p, RAGGED_LENGTHS, reverse),
+                                  ad.constant(probe))))
+    oracle = grads(functools.reduce(ad.add, [
+        ad.total(ad.mul(oracle_direction(xs, b, length, p, reverse),
+                        ad.constant(probe[b, :length])))
+        for b, length in enumerate(RAGGED_LENGTHS)]))
+    for got, want in zip(fused, oracle):
+        assert np.max(np.abs(got - want)) < 1e-10
+    # padded inputs get exactly zero gradient
+    for b, length in enumerate(RAGGED_LENGTHS):
+        assert np.all(fused[-1][b, length:] == 0.0)
+
+
+def test_fused_gru_gradcheck_on_ragged_batch():
+    p = ad.init_bi_gru(rng(26), 3, 2)
+    xs = ad.parameter(ragged_batch(27))
+    probe = ad.constant(rng(28).normal(size=(len(RAGGED_LENGTHS),
+                                             RAGGED_LENGTHS.max(), 4)))
+
+    def fn():
+        return ad.total(ad.mul(ad.bi_gru(xs, p, RAGGED_LENGTHS), probe))
+
+    assert ad.gradcheck(fn, list(p.named("gru").values()) + [xs]) < 1e-4
 
 
 def test_clip_grad_norm_boundary():

@@ -307,6 +307,32 @@ def test_ingest_excludes_undecodable_script(workspace, tmp_path):
     assert manifest["excluded"][0]["reason"].startswith("undecodable: ")
 
 
+def test_parse_skips_undecodable_script(workspace, tmp_path, caplog):
+    _, synth = workspace
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    for p in sorted((synth / "scripts").glob("*.txt"))[:3]:
+        (scripts / p.name).write_bytes(p.read_bytes())
+    (scripts / "zzbinary.txt").write_bytes(b"INT. ROOM - DAY\n\xff\n")
+    out = tmp_path / "parsed"
+    with caplog.at_level("WARNING"):
+        assert run(["parse", "--scripts", str(scripts), "--out", str(out)]) == 0
+    assert sorted(p.stem for p in out.glob("*.tsv")) == \
+        ["synth000", "synth001", "synth002"]
+    assert not (out / "zzbinary.quality.json").exists()
+    assert "zzbinary.txt: undecodable: " in caplog.text
+
+
+def test_evaluate_rejects_garbage_checkpoint(workspace, tmp_path, capsys):
+    _, synth = workspace
+    bad = tmp_path / "garbage.swck"
+    bad.write_bytes(b"garbage")
+    assert run(["evaluate"] + corpus_args(synth)
+               + ["--checkpoint", str(bad), "--out", str(tmp_path / "e.json")]) == 1
+    assert last_error(capsys) == "CheckpointCorrupt"
+    assert not (tmp_path / "e.json").exists()
+
+
 def test_evaluate_rejects_truncated_checkpoint(workspace, trained, tmp_path,
                                                capsys):
     _, synth = workspace

@@ -11,7 +11,7 @@ from scenewise.encoders import (
     SequenceEncoder,
     Variant,
     attend,
-    encode_statement,
+    encode_tokens,
 )
 from scenewise.errors import DegenerateNormalizer, EmptyStatement
 from scenewise.parser import Scene, Screenplay, Statement, StatementKind
@@ -73,6 +73,57 @@ def test_attend_paper_linear_degenerate_sum():
         attend(ad.constant(c), ad.constant(p), enc.PAPER_LINEAR)
 
 
+RAGGED_LENGTHS = np.array([2, 4, 1, 3])
+
+
+def ragged_outputs(seed, width=3):
+    """A right-padded (B, T, H) batch whose padded steps hold values the
+    pool must ignore."""
+    return rng(seed).normal(size=(len(RAGGED_LENGTHS), RAGGED_LENGTHS.max(),
+                                  width))
+
+
+@pytest.mark.parametrize("mode", [enc.SOFTMAX, enc.PAPER_LINEAR])
+def test_masked_attend_matches_each_sequence_alone(mode):
+    outputs = ragged_outputs(13) + 2.0  # positive scores: no degenerate sum
+    p = ad.constant(np.abs(rng(14).normal(size=3)))
+    pooled, weights = attend(ad.constant(outputs), p, mode, RAGGED_LENGTHS)
+    for b, length in enumerate(RAGGED_LENGTHS):
+        alone, alone_weights = attend(ad.constant(outputs[b, :length]), p, mode)
+        assert np.max(np.abs(pooled.data[b] - alone.data)) < 1e-12
+        assert np.max(np.abs(weights.data[b, :length] - alone_weights.data)) < 1e-12
+        assert np.all(weights.data[b, length:] == 0.0)
+
+
+@pytest.mark.parametrize("mode", [enc.SOFTMAX, enc.PAPER_LINEAR])
+def test_masked_attend_gradcheck(mode):
+    outputs = ad.parameter(np.abs(ragged_outputs(15)) + 0.5)
+    p = ad.parameter(np.abs(rng(16).normal(size=3)) + 0.1)
+    probe = ad.constant(rng(17).normal(size=(len(RAGGED_LENGTHS), 3)))
+
+    def fn():
+        pooled, _ = attend(outputs, p, mode, RAGGED_LENGTHS)
+        return ad.total(ad.mul(pooled, probe))
+
+    assert ad.gradcheck(fn, [outputs, p]) < 1e-4
+    # padded outputs get exactly zero gradient
+    for b, length in enumerate(RAGGED_LENGTHS):
+        assert np.all(outputs.grad[b, length:] == 0.0)
+
+
+def test_masked_attend_paper_linear_normalizes_each_row():
+    p = np.array([1.0, 0.0])
+    # row 0: real scores 1 and 2 sum to 3; its padded score -3 is ignored
+    ok = np.array([[[1.0, 0.0], [2.0, 0.0], [-3.0, 0.0]]])
+    _, weights = attend(ad.constant(ok), ad.constant(p), enc.PAPER_LINEAR, [2])
+    assert np.allclose(weights.data, [[1 / 3, 2 / 3, 0.0]])
+    # row 1: real scores +1 and -1 sum to 0, though its padded score does not
+    bad = np.array([[[1.0, 0.0], [2.0, 0.0], [0.0, 0.0]],
+                    [[1.0, 0.0], [-1.0, 0.0], [5.0, 0.0]]])
+    with pytest.raises(DegenerateNormalizer):
+        attend(ad.constant(bad), ad.constant(p), enc.PAPER_LINEAR, [2, 2])
+
+
 def test_attention_weights_form_simplex():
     r = rng(6)
     spec = EncoderSpec(EncoderKind.GRU_ATTN, input_dim=4, hidden_per_direction=3)
@@ -89,16 +140,31 @@ def test_attention_weights_form_simplex():
 def test_boe_single_token_identity(tiny_vectors):
     spec = EncoderSpec(EncoderKind.BOE, input_dim=4)
     encoder = SequenceEncoder(spec, rng())
-    out = encode_statement(["alpha"], tiny_vectors, encoder)
-    assert np.allclose(out.data, tiny_vectors.rows(["alpha"])[0])
+    out = encode_tokens([["alpha"]], tiny_vectors, encoder)
+    assert np.allclose(out.data[0], tiny_vectors.rows(["alpha"])[0])
 
 
 def test_boe_two_tokens_midpoint(tiny_vectors):
     spec = EncoderSpec(EncoderKind.BOE, input_dim=4)
     encoder = SequenceEncoder(spec, rng())
-    out = encode_statement(["alpha", "beta"], tiny_vectors, encoder)
+    out = encode_tokens([["alpha", "beta"]], tiny_vectors, encoder)
     expected = tiny_vectors.rows(["alpha", "beta"]).mean(axis=0)
-    assert np.allclose(out.data, expected)
+    assert np.allclose(out.data[0], expected)
+
+
+@pytest.mark.parametrize("kind", list(EncoderKind))
+def test_token_batch_matches_one_sequence_at_a_time(kind):
+    r = rng(18)
+    vocab = [f"w{i}" for i in range(6)]
+    vectors = make_vectors({t: r.normal(size=4) for t in vocab})
+    encoder = SequenceEncoder(EncoderSpec(kind, input_dim=4,
+                                          hidden_per_direction=3), r)
+    sequences = [["w0", "w1", "w2"], ["w3"], ["w4", "w5", "w0", "w1", "w2"],
+                 ["w5", "w4"]]
+    batch = encode_tokens(sequences, vectors, encoder).data
+    for row, tokens in zip(batch, sequences):
+        alone = encoder.encode(ad.constant(vectors.rows(tokens))).data
+        assert np.max(np.abs(row - alone)) < 1e-12
 
 
 def test_gru_attn_statement_output_dim_100():
@@ -107,8 +173,8 @@ def test_gru_attn_statement_output_dim_100():
     vectors = make_vectors({t: r.normal(size=100) for t in tokens})
     encoder = SequenceEncoder(EncoderSpec(EncoderKind.GRU_ATTN), r)
     for t in range(1, 4):
-        out = encode_statement(tokens[:t], vectors, encoder)
-        assert out.data.shape == (100,)
+        out = encode_tokens([tokens[:t]], vectors, encoder)
+        assert out.data.shape == (1, 100)
 
 
 def test_paper_linear_mode_through_encoder(tiny_vectors):
@@ -126,7 +192,7 @@ def test_paper_linear_mode_through_encoder(tiny_vectors):
 def test_empty_statement_raises(tiny_vectors):
     encoder = SequenceEncoder(EncoderSpec(EncoderKind.BOE, input_dim=4), rng())
     with pytest.raises(EmptyStatement):
-        encode_statement([], tiny_vectors, encoder)
+        encode_tokens([[]], tiny_vectors, encoder)
 
 
 # ---------------------------------------------------------------------------
