@@ -98,12 +98,19 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
         raise ShapeMismatch(f"{op}: {a.data.shape} vs {b.data.shape}")
 
 
-def _step_mask(a: Tensor, lengths) -> np.ndarray:
+def batch_of_one(a: Tensor, lengths) -> tuple[np.ndarray, bool]:
+    """``lengths`` as an array, and whether ``a`` is one (T, ...) sequence
+    given without lengths, which is taken as a batch of one, ``[T]``; the
+    caller then drops the batch axis from its results."""
+    if lengths is None:
+        return np.array([a.data.shape[0]]), True
+    return np.asarray(lengths), False
+
+
+def _step_mask(shape: tuple[int, ...], lengths: np.ndarray) -> np.ndarray:
     """(B, T, 1) mask, 1.0 on the real steps of a right-padded (B, T, ...)
-    batch whose row ``b`` holds ``lengths[b]`` steps."""
-    lengths = np.asarray(lengths)
-    shape = a.data.shape
-    if a.data.ndim != 3 or lengths.shape != shape[:1]:
+    batch of ``shape`` whose row ``b`` holds ``lengths[b]`` steps."""
+    if len(shape) != 3 or lengths.shape != shape[:1]:
         raise ShapeMismatch(f"batch {shape} vs lengths {lengths.shape}")
     if shape[0] == 0 or lengths.min() < 1:
         raise EmptySequence(f"batch {shape} holds an empty sequence: {lengths}")
@@ -275,29 +282,22 @@ def mean(a: Tensor) -> Tensor:
 
 
 def mean_rows(a: Tensor, lengths=None) -> Tensor:
-    """Column-wise mean of a matrix, (T, D) -> (D,); or, with ``lengths``,
-    of each run of ``lengths[b]`` consecutive rows, (N, D) -> (B, D)."""
+    """Mean of each run of ``lengths[b]`` consecutive rows, (N, D) -> (B, D);
+    without ``lengths`` the column-wise mean of a matrix, (T, D) -> (D,)."""
     if a.data.ndim != 2:
         raise ShapeMismatch(f"mean_rows: expected matrix, got {a.data.shape}")
-    if lengths is None:
-        t = a.data.shape[0]
-
-        def vjp(g: np.ndarray) -> tuple:
-            return (np.tile(g / t, (t, 1)),)
-
-        return _op(a.data.mean(axis=0), (a,), vjp)
-    lengths = np.asarray(lengths)
+    lengths, single = batch_of_one(a, lengths)
     if lengths.ndim != 1 or lengths.sum() != a.data.shape[0]:
         raise ShapeMismatch(f"mean_rows: runs {lengths} vs {a.data.shape}")
     if lengths.size == 0 or lengths.min() < 1:
         raise EmptySequence(f"mean_rows: an empty run in {lengths}")
     counts = lengths[:, None].astype(np.float64)
-    starts = np.cumsum(lengths) - lengths
+    means = np.add.reduceat(a.data, np.cumsum(lengths) - lengths, axis=0) / counts
 
-    def runs_vjp(g: np.ndarray) -> tuple:
-        return (np.repeat(g / counts, lengths, axis=0),)
+    def vjp(g: np.ndarray) -> tuple:
+        return (np.repeat(g.reshape(means.shape) / counts, lengths, axis=0),)
 
-    return _op(np.add.reduceat(a.data, starts, axis=0) / counts, (a,), runs_vjp)
+    return _op(means[0] if single else means, (a,), vjp)
 
 
 def total(a: Tensor) -> Tensor:
@@ -357,16 +357,20 @@ def sqrt(a: Tensor) -> Tensor:
     return _op(y, (a,), lambda g: (g * 0.5 / y,))
 
 
-def normalize_sum(a: Tensor, min_denominator: float = 1e-9) -> Tensor:
+# the smallest |sum| that normalize_sum and linear attention divide by
+_MIN_NORMALIZER = 1e-9
+
+
+def normalize_sum(a: Tensor) -> Tensor:
     """Divide a vector by the sum of its entries: a_i / sum(a).
 
-    Raises :class:`DegenerateNormalizer` when |sum(a)| < ``min_denominator``.
+    Raises :class:`DegenerateNormalizer` when |sum(a)| < ``_MIN_NORMALIZER``.
     """
     if a.data.ndim != 1:
         raise ShapeMismatch(f"normalize_sum: expected vector, got {a.data.shape}")
     s = float(a.data.sum())
-    if abs(s) < min_denominator:
-        raise DegenerateNormalizer(f"normalizer sum {s!r} below {min_denominator}")
+    if abs(s) < _MIN_NORMALIZER:
+        raise DegenerateNormalizer(f"normalizer sum {s!r} below {_MIN_NORMALIZER}")
     y = a.data / s
 
     def vjp(g: np.ndarray) -> tuple:
@@ -461,7 +465,7 @@ def gru_direction(xs: Tensor, p: GruDirection, lengths, reverse: bool = False
     Returns the (B, T, H) hidden states, exactly zero at padded steps; see
     the module docstring for the masking and the backward pass.
     """
-    mask = _step_mask(xs, lengths)
+    mask = _step_mask(xs.data.shape, np.asarray(lengths))
     x = xs.data
     n, t_max, d = x.shape
     h_dim = p.hidden_dim
@@ -539,8 +543,8 @@ def bi_gru(xs: Tensor, p: BiGru, lengths) -> Tensor:
                    gru_direction(xs, p.bw, lengths, reverse=True)])
 
 
-def attention_pool(outputs: Tensor, p: Tensor, lengths=None, linear: bool = False,
-                   min_denominator: float = 1e-9) -> tuple[Tensor, Tensor]:
+def attention_pool(outputs: Tensor, p: Tensor, lengths=None, linear: bool = False
+                   ) -> tuple[Tensor, Tensor]:
     """Attention-weighted sum of each sequence's outputs, as one tape node.
 
     ``outputs`` is a right-padded (B, T, H) batch with ``lengths``, or one
@@ -548,29 +552,24 @@ def attention_pool(outputs: Tensor, p: Tensor, lengths=None, linear: bool = Fals
     softmax over each sequence's real steps or, with ``linear``, each score
     over the sum of its sequence's scores, which raises
     :class:`DegenerateNormalizer` for a sequence whose sum is below
-    ``min_denominator`` in magnitude.  Padded steps get weight zero.
+    ``_MIN_NORMALIZER`` in magnitude.  Padded steps get weight zero.
     Returns the pooled (B, H) or (H,) tensor and the weights, (B, T) or
     (T,), as a constant: gradients flow through the pooled output only.
     """
-    single = outputs.data.ndim == 2
+    lengths, single = batch_of_one(outputs, lengths)
     o = outputs.data[None] if single else outputs.data
     if o.ndim != 3 or p.data.shape != o.shape[2:]:
         raise ShapeMismatch(f"attention_pool: {outputs.data.shape} vs {p.data.shape}")
-    if single:
-        if o.shape[1] == 0:
-            raise EmptySequence(f"attention over an empty sequence {o.shape}")
-        valid = np.ones(o.shape[:2], dtype=bool)
-    else:
-        valid = _step_mask(outputs, lengths)[..., 0] > 0
+    valid = _step_mask(o.shape, lengths)[..., 0] > 0
     scores = o @ p.data
     if linear:
         scores = np.where(valid, scores, 0.0)
         sums = scores.sum(axis=1, keepdims=True)
-        low = np.abs(sums[:, 0]) < min_denominator
+        low = np.abs(sums[:, 0]) < _MIN_NORMALIZER
         if low.any():
             raise DegenerateNormalizer(
                 f"normalizer sum {float(sums[low][0, 0])!r} of sequence "
-                f"{int(np.argmax(low))} below {min_denominator}")
+                f"{int(np.argmax(low))} below {_MIN_NORMALIZER}")
         weights = scores / sums
     else:
         shifted = np.exp(np.where(valid, scores, -np.inf)

@@ -115,11 +115,15 @@ class SequenceEncoder:
         ``lengths``, ``xs`` is one (T, D) sequence and the results are a
         vector and (T,) weights.
         """
-        if lengths is None:
-            out, weights = self.encode_with_weights(xs, [xs.data.shape[0]])
-            return ad.row(out, 0), weights if weights is None \
+        lengths, single = ad.batch_of_one(xs, lengths)
+        out, weights = self._encode_batch(xs, lengths)
+        if single:
+            return ad.row(out, 0), None if weights is None \
                 else ad.constant(weights.data[0])
-        lengths = np.asarray(lengths)
+        return out, weights
+
+    def _encode_batch(self, xs: Tensor, lengths: np.ndarray
+                      ) -> tuple[Tensor, Tensor | None]:
         kind = self.spec.kind
         if kind is EncoderKind.BOE:
             return ad.mean_rows(xs, lengths), None

@@ -308,6 +308,21 @@ def test_fused_gru_gradcheck_on_ragged_batch():
     assert ad.gradcheck(fn, list(p.named("gru").values()) + [xs]) < 1e-4
 
 
+def test_mean_rows_runs_match_each_run_alone_bitwise():
+    lengths = np.array([3, 1, 40, 2, 9])
+    a = ad.parameter(rng(29).normal(size=(lengths.sum(), 7)))
+    runs = ad.mean_rows(a, lengths)
+    starts = np.cumsum(lengths) - lengths
+    for b, (start, length) in enumerate(zip(starts, lengths)):
+        alone = ad.mean_rows(ad.constant(a.data[start:start + length]))
+        assert np.array_equal(runs.data[b], alone.data)
+        assert np.allclose(alone.data, a.data[start:start + length].mean(axis=0),
+                           rtol=1e-15, atol=1e-15)
+    probe = rng(30).normal(size=runs.data.shape)
+    ad.total(ad.mul(runs, ad.constant(probe))).backward()
+    assert np.array_equal(a.grad, np.repeat(probe / lengths[:, None], lengths, axis=0))
+
+
 def test_clip_grad_norm_boundary():
     a = ad.parameter(np.zeros(2))
     a.grad = np.array([3.0, 4.0])
