@@ -28,7 +28,8 @@ VJP is hand-written backpropagation through time over the saved gate
 activations; it returns the input's gradient and each parameter's.
 ``bi_gru`` concatenates the two directions.  ``attention_pool`` pools such
 a batch with one attention vector, masking the padded steps, also as a
-single node.
+single node.  ``margin_hinge`` sums the max-margin hinge of every row of a
+matrix against its negatives as one node, with a hand-written VJP.
 """
 
 from __future__ import annotations
@@ -329,13 +330,15 @@ def relu(a: Tensor) -> Tensor:
 
 
 def softmax(a: Tensor) -> Tensor:
-    """Softmax of a vector; output is a probability simplex."""
-    if a.data.ndim != 1:
-        raise ShapeMismatch(f"softmax: expected vector, got {a.data.shape}")
-    shifted = a.data - a.data.max()
+    """Softmax over the last axis: each vector along it becomes a
+    probability simplex, so a (S, k) matrix gives S simplex rows."""
+    if a.data.ndim == 0:
+        raise ShapeMismatch("softmax: expected at least one axis, got a scalar")
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum()
-    return _op(y, (a,), lambda g: (y * (g - float(g @ y)),))
+    y = e / e.sum(axis=-1, keepdims=True)
+    return _op(y, (a,),
+               lambda g: (y * (g - (g * y).sum(axis=-1, keepdims=True)),))
 
 
 def logsigmoid(a: Tensor) -> Tensor:
@@ -590,6 +593,34 @@ def attention_pool(outputs: Tensor, p: Tensor, lengths=None, linear: bool = Fals
     if single:
         return _op(pooled[0], (outputs, p), vjp), constant(weights[0])
     return _op(pooled, (outputs, p), vjp), constant(weights)
+
+
+def margin_hinge(w: Tensor, targets: np.ndarray, neg: np.ndarray) -> Tensor:
+    """sum_t sum_j max(0, 1 - w_t.u_t + w_t.u_neg[t, j]), as one tape node.
+
+    ``w`` and the constant ``targets`` are (S, d), row ``t`` of each
+    belonging to item ``t``; ``neg`` is an (S, J) array of indices into
+    ``targets``, distinct within a row.  The gradient flows to ``w`` only;
+    a margin of exactly zero takes none, as with :func:`relu`.
+    """
+    u = np.asarray(targets, dtype=np.float64)
+    neg = np.asarray(neg)
+    if w.data.ndim != 2 or u.shape != w.data.shape or neg.ndim != 2 \
+            or neg.shape[0] != u.shape[0]:
+        raise ShapeMismatch(f"margin_hinge: w {w.data.shape}, targets {u.shape}, "
+                            f"negatives {neg.shape}")
+    scores = w.data @ u.T  # scores[t, s] = w_t . u_s
+    margins = (1.0 - np.diagonal(scores)[:, None]
+               + np.take_along_axis(scores, neg, axis=1))
+    active = (margins > 0).astype(np.float64)
+
+    def vjp(g: np.ndarray) -> tuple:
+        # d/dw_t = g * sum over active j of (u_neg[t, j] - u_t)
+        hits = np.zeros_like(scores)
+        np.put_along_axis(hits, neg, active, axis=1)
+        return (float(g) * (hits @ u - active.sum(axis=1)[:, None] * u),)
+
+    return _op(np.asarray(np.maximum(margins, 0.0).sum()), (w,), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from .descriptors import (
     train_descriptors,
 )
 from .encoders import EncoderKind, EncoderSpec, HierarchicalModel, Variant
-from .errors import DataError, ScenewiseError, VocabularyMismatch
+from .errors import DataError, EmptyScript, ScenewiseError, VocabularyMismatch
 from .evaluation import load_tag_embeddings, micro_f1, similarity_report
 from .ioutil import atomic_write_text, config_hash
 from .trajectories import build_trajectories, export, select_descriptors
@@ -118,10 +118,13 @@ def cmd_parse(args: argparse.Namespace) -> int:
     for path in paths:
         try:
             text = path.read_text(encoding="utf-8")
+            play = screenplay.parse_script(path.stem, text, cap=cap)
         except UnicodeDecodeError as err:
             log.warning("skipping %s: undecodable: %s", path.name, err)
             continue
-        play = screenplay.parse_script(path.stem, text, cap=cap)
+        except EmptyScript as err:
+            log.warning("skipping %s: empty: %s", path.name, err)
+            continue
         atomic_write_text(out_dir / f"{path.stem}.tsv", screenplay.to_table(play))
         raw = screenplay.RawScript.from_text(path.stem, text)
         report = screenplay.quality_report(raw)
@@ -181,6 +184,13 @@ def _train_log_csv(rows, cfg_hash: str) -> str:
     for r in rows:
         wallclock = "" if r.wallclock is None else repr(r.wallclock)
         lines.append(f"{r.epoch},{r.train_loss!r},{r.val_ap!r},{r.lr!r},{wallclock}")
+    return "\n".join(lines) + "\n"
+
+
+def _descriptor_log_csv(stats, cfg_hash: str) -> str:
+    lines = [f"# config_hash {cfg_hash}", "epoch,train_loss,fro_distance"]
+    for epoch, (loss, fro) in enumerate(zip(stats.epoch_losses, stats.fro_trace), 1):
+        lines.append(f"{epoch},{loss!r},{fro!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -353,6 +363,8 @@ def cmd_descriptors(args: argparse.Namespace) -> int:
                       json.dumps({"descriptors": report,
                                   "config_hash": cfg_hash},
                                  indent=2, sort_keys=True) + "\n")
+    atomic_write_text(out_dir / "descriptor_log.csv",
+                      _descriptor_log_csv(stats, cfg_hash))
     print(f"trained {config.k} descriptors; ||RR^T - I||_F "
           f"{stats.initial_fro:.4f} -> {stats.final_fro:.4f}; "
           f"artifacts in {out_dir}")

@@ -132,25 +132,27 @@ def pretrain_reconstruction_target(corpus: Corpus, attribute: str,
     opt = Adam(params, lr=config.lr)
 
     frozen = SceneBagEncoder(vocab, corpus.embeddings, p.data)
-    per_script: list[tuple[np.ndarray, list[np.ndarray]]] = []
+    # each script's scene matrices, padded once into a (S, T, d) batch
+    per_script: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for it in train_items:
         mats = [m for m in (frozen.scene_matrix(s) for s in it.screenplay.scenes)
                 if m is not None]
         if not mats:
             continue
+        lengths = np.array([len(m) for m in mats])
+        padded = np.zeros((len(mats), lengths.max(), dim))
+        for b, rows in enumerate(mats):
+            padded[b, :len(rows)] = rows
         y = taxonomy.label_vector(it.tags.get(attribute, ()))
-        per_script.append((y, mats))
+        per_script.append((y, padded, lengths))
 
     for epoch in range(config.pretrain_epochs):
         order = rng.permutation(len(per_script))
         for i in order:
-            y, mats = per_script[int(i)]
+            y, padded, lengths = per_script[int(i)]
             opt.zero_grad()
-            scene_vecs = []
-            for rows in mats:
-                pooled, _ = attend(ad.constant(rows), p)
-                scene_vecs.append(pooled)
-            script_vec = ad.mean_rows(ad.stack(scene_vecs))
+            scene_vecs, _ = attend(ad.constant(padded), p, lengths=lengths)
+            script_vec = ad.mean_rows(scene_vecs)
             loss = reweighted_loss(y, head.logits(script_vec), taxonomy.lam,
                                    taxonomy.active)
             if not math.isfinite(loss.item()):
@@ -181,19 +183,39 @@ class DescriptorPredictor:
         self.b2 = ad.parameter(np.zeros(k))
 
     def ffnn(self, x: Tensor) -> Tensor:
-        h = ad.relu(ad.add(ad.matmul(x, self.w1), self.b1))
-        return ad.softmax(ad.add(ad.matmul(h, self.w2), self.b2))
+        """(S, in) rows to (S, k) softmax rows."""
+        h = ad.relu(ad.add_bias(ad.matmul(x, self.w1), self.b1))
+        return ad.softmax(ad.add_bias(ad.matmul(h, self.w2), self.b2))
 
-    def weights(self, v: np.ndarray, o_prev: np.ndarray | None = None) -> Tensor:
-        """Descriptor weights for one scene vector; ``.data`` is the simplex row."""
+    def weights(self, vs: np.ndarray, o_prev: np.ndarray | None = None) -> Tensor:
+        """(S, k) descriptor weights for (S, d) scene vectors, one graph for
+        all S; ``.data`` holds one simplex row per scene.
+
+        When recurrent, row ``t`` of the (S, k) ``o_prev`` is the weights
+        entering scene ``t``, a constant (no backpropagation across scenes);
+        without it every scene enters with uniform weights.
+        """
         if not self.recurrent:
-            return self.ffnn(ad.constant(v))
+            return self.ffnn(ad.constant(vs))
         if o_prev is None:
-            o_prev = np.full(self.k, 1.0 / self.k)
-        x = ad.constant(np.concatenate([v, o_prev]))
-        mixed = ad.add(ad.scale(self.ffnn(x), 1.0 - self.alpha),
-                       ad.constant(self.alpha * o_prev))
-        return mixed
+            o_prev = np.full((len(vs), self.k), 1.0 / self.k)
+        x = ad.constant(np.concatenate([vs, o_prev], axis=1))
+        return ad.add(ad.scale(self.ffnn(x), 1.0 - self.alpha),
+                      ad.constant(self.alpha * o_prev))
+
+    def rollout(self, vs: np.ndarray) -> np.ndarray:
+        """(S, k) weights of a script's scenes in order, as plain arrays.
+
+        One batched call; when recurrent, one scene at a time, each
+        entering with the weights of the scene before it (the first with
+        uniform weights).
+        """
+        if not self.recurrent:
+            return self.weights(vs).data
+        out = np.empty((len(vs), self.k))
+        for t in range(len(vs)):
+            out[t] = self.weights(vs[t:t + 1], out[t - 1:t] if t else None).data[0]
+        return out
 
     def named_params(self, prefix: str = "predictor") -> dict[str, Tensor]:
         return {f"{prefix}.w1": self.w1, f"{prefix}.b1": self.b1,
@@ -216,28 +238,37 @@ def orthogonality_penalty(r_matrix: Tensor, lam: float) -> Tensor:
     return ad.scale(ad.sqrt(ad.total(ad.mul(diff, diff))), lam)
 
 
-def hinge_terms(w: Tensor, u_t: np.ndarray,
-                negatives: Sequence[np.ndarray]) -> Tensor:
-    """sum_j max(0, 1 - w.u_t + w.u_j) over the negative samples."""
-    if not negatives:
+def draw_negatives(rng: np.random.Generator, n_scenes: int,
+                   negatives: int) -> np.ndarray:
+    """(S, n_eff) negative-scene indices, n_eff = min(negatives, S - 1).
+
+    Row ``t`` holds distinct scenes other than ``t``, drawn scene by scene
+    with one ``rng.choice`` over the other scenes each.
+    """
+    n_eff = min(negatives, n_scenes - 1)
+    neg = np.empty((n_scenes, n_eff), dtype=np.intp)
+    for t in range(n_scenes):
+        picks = rng.choice(n_scenes - 1, size=n_eff, replace=False)
+        neg[t] = picks + (picks >= t)  # position among the other scenes
+    return neg
+
+
+def hinge_terms(w: Tensor, us: np.ndarray, neg: np.ndarray) -> Tensor:
+    """sum_t sum_j max(0, 1 - w_t.u_t + w_t.u_neg[t, j]) over a script's
+    scenes, as one tape node (:func:`autodiff.margin_hinge`).
+
+    ``w`` and ``us`` are (S, d): each scene's reconstruction and target;
+    ``neg`` is the (S, n_eff) index array of each scene's negatives.
+    """
+    if neg.size == 0:
         raise ScriptTooSmall("no negative samples available")
-    pos = ad.dot(w, ad.constant(u_t))
-    terms = []
-    for u_j in negatives:
-        margin = ad.add(ad.sub(ad.constant(np.asarray(1.0)), pos),
-                        ad.dot(w, ad.constant(u_j)))
-        terms.append(ad.relu(margin))
-    out = terms[0]
-    for t in terms[1:]:
-        out = ad.add(out, t)
-    return out
+    return ad.margin_hinge(w, us, neg)
 
 
-def descriptor_loss(w: Tensor, u_t: np.ndarray, negatives: Sequence[np.ndarray],
+def descriptor_loss(w: Tensor, us: np.ndarray, neg: np.ndarray,
                     r_matrix: Tensor, lam: float = 10.0) -> Tensor:
-    """Hinge reconstruction loss for one scene plus the orthogonality penalty."""
-    return ad.add(hinge_terms(w, u_t, negatives),
-                  orthogonality_penalty(r_matrix, lam))
+    """One script's loss: its hinge terms plus the orthogonality penalty."""
+    return ad.add(hinge_terms(w, us, neg), orthogonality_penalty(r_matrix, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -380,21 +411,37 @@ class DescriptorModel:
         gram = self.r.data @ self.r.data.T
         return float(np.linalg.norm(gram - np.eye(self.r.data.shape[0])))
 
+    def script_loss(self, us: np.ndarray, neg: np.ndarray
+                    ) -> tuple[Tensor, np.ndarray]:
+        """One script's training loss over its (S, d) scene targets ``us``
+        and (S, n_eff) negatives ``neg``, built as one graph, and its (S, k)
+        weights.
+
+        When recurrent, the weights entering each scene come from a
+        forward-only rollout and enter the graph as constants.
+        """
+        o_prev = None
+        if self.predictor.recurrent:
+            k = self.predictor.k
+            o_prev = np.concatenate([np.full((1, k), 1.0 / k),
+                                     self.predictor.rollout(us[:-1])])
+        o = self.predictor.weights(us, o_prev)
+        loss = descriptor_loss(reconstruct(o, self.r), us, neg, self.r,
+                               self.config.ortho_lambda)
+        return loss, o.data
+
     def weights_for_script(self, screenplay: Screenplay) -> np.ndarray:
         """(S, k) descriptor weights, one simplex row per scene.
 
         Scenes without restricted-vocabulary tokens fall back to a zero
         scene vector so the trajectory keeps one row per scene.
         """
-        o_prev: np.ndarray | None = None
-        rows = []
-        for scene in screenplay.scenes:
+        vs = np.zeros((len(screenplay.scenes), self.target.dim))
+        for i, scene in enumerate(screenplay.scenes):
             u = self.target.encode_scene(scene)
-            v = u if u is not None else np.zeros(self.target.dim)
-            o = self.predictor.weights(v, o_prev).data
-            rows.append(o)
-            o_prev = o
-        return np.stack(rows) if rows else np.zeros((0, self.config.k))
+            if u is not None:
+                vs[i] = u
+        return self.predictor.rollout(vs)
 
 
 def train_descriptors(corpus: Corpus, target: SceneBagEncoder,
@@ -403,8 +450,9 @@ def train_descriptors(corpus: Corpus, target: SceneBagEncoder,
     """Fit descriptors and predictor against the frozen target encoder.
 
     One optimizer step per script: hinge terms summed over its scenes plus
-    one orthogonality penalty.  The recurrent state entering each scene is
-    treated as a constant (no backpropagation across scenes).
+    one orthogonality penalty, built as one graph over all its scenes.  The
+    recurrent state entering each scene is treated as a constant (no
+    backpropagation across scenes).
     """
     vocab_emb = target.vocab_matrix()
     r_init = init_descriptors(config.init, vocab_emb, k=config.k, seed=config.seed)
@@ -414,7 +462,7 @@ def train_descriptors(corpus: Corpus, target: SceneBagEncoder,
     rng = np.random.default_rng(config.seed)
 
     items = corpus.train_items + corpus.validation_items
-    per_script: list[list[np.ndarray]] = []
+    per_script: list[np.ndarray] = []
     for it in items:
         us = [u for u in (target.encode_scene(s) for s in it.screenplay.scenes)
               if u is not None]
@@ -422,7 +470,7 @@ def train_descriptors(corpus: Corpus, target: SceneBagEncoder,
             log.warning("skipping %s: %s", it.title,
                         ScriptTooSmall(f"{len(us)} usable scene(s)"))
             continue
-        per_script.append(us)
+        per_script.append(np.stack(us))
 
     stats = DescriptorStats(initial_fro=model.fro_distance(), final_fro=0.0,
                             fro_trace=[], epoch_losses=[],
@@ -434,26 +482,11 @@ def train_descriptors(corpus: Corpus, target: SceneBagEncoder,
         for si in order:
             us = per_script[int(si)]
             opt.zero_grad()
-            o_prev: np.ndarray | None = None
-            script_loss: Tensor | None = None
-            for t, u_t in enumerate(us):
-                o = model.predictor.weights(u_t, o_prev)
-                dev = abs(float(o.data.sum()) - 1.0)
-                stats.simplex_max_deviation = max(stats.simplex_max_deviation, dev)
-                stats.simplex_min_entry = min(stats.simplex_min_entry,
-                                              float(o.data.min()))
-                w = reconstruct(o, model.r)
-                n_eff = min(config.negatives, len(us) - 1)
-                others = [j for j in range(len(us)) if j != t]
-                picks = rng.choice(len(others), size=n_eff, replace=False)
-                negatives = [us[others[int(j)]] for j in picks]
-                term = hinge_terms(w, u_t, negatives)
-                script_loss = term if script_loss is None \
-                    else ad.add(script_loss, term)
-                o_prev = o.data
-            script_loss = ad.add(script_loss,
-                                 orthogonality_penalty(model.r,
-                                                       config.ortho_lambda))
+            neg = draw_negatives(rng, len(us), config.negatives)
+            script_loss, o = model.script_loss(us, neg)
+            stats.simplex_max_deviation = max(
+                stats.simplex_max_deviation, float(np.abs(o.sum(axis=1) - 1.0).max()))
+            stats.simplex_min_entry = min(stats.simplex_min_entry, float(o.min()))
             value = script_loss.item()
             if not math.isfinite(value):
                 raise NonFiniteLoss(f"descriptor epoch {epoch + 1}")

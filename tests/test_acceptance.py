@@ -183,13 +183,13 @@ def test_criterion_1_gradient_fidelity(tiny_vectors):
     pred = DescriptorPredictor(input_dim=4, hidden=5, k=3,
                                rng=np.random.default_rng(11))
     r_matrix = ad.parameter(r.normal(size=(3, 4)) * 0.5)
-    v = r.normal(size=4)
-    u_t = r.normal(size=4)
-    negatives = [r.normal(size=4) for _ in range(2)]
+    vs = r.normal(size=(3, 4))
+    us = r.normal(size=(3, 4))
+    neg = np.array([[1, 2], [2, 0], [0, 1]])
     desc_params = [r_matrix] + list(pred.named_params().values())
     worst["descriptor_loss"] = ad.gradcheck(
-        lambda: descriptor_loss(reconstruct(pred.weights(v), r_matrix),
-                                u_t, negatives, r_matrix, lam=10.0),
+        lambda: descriptor_loss(reconstruct(pred.weights(vs), r_matrix),
+                                us, neg, r_matrix, lam=10.0),
         desc_params, h=FD_H)
 
     elapsed = time.monotonic() - start
@@ -544,6 +544,8 @@ def test_criterion_9_cli_determinism(tmp_path):
                   tmp_path / "desc2" / "descriptors.swck"))
     pairs.append((tmp_path / "desc1" / "descriptor_report.json",
                   tmp_path / "desc2" / "descriptor_report.json"))
+    pairs.append((tmp_path / "desc1" / "descriptor_log.csv",
+                  tmp_path / "desc2" / "descriptor_log.csv"))
 
     for fmt in ("csv", "svg"):
         assert cli_main(traj_args(tmp_path / f"t1.{fmt}", fmt)) == 0

@@ -29,6 +29,16 @@ def test_softmax_simplex_random():
         assert abs(y.sum() - 1.0) < 1e-12
 
 
+def test_softmax_normalizes_each_row():
+    a = ad.parameter(rng(3).normal(size=(4, 5)))
+    y = ad.softmax(a).data
+    for i in range(4):
+        assert np.allclose(y[i], ad.softmax(ad.constant(a.data[i])).data,
+                           rtol=0, atol=1e-15)
+    probe = ad.constant(rng(4).normal(size=(4, 5)))
+    assert ad.gradcheck(lambda: ad.total(ad.mul(ad.softmax(a), probe)), [a]) < 1e-6
+
+
 def test_shape_mismatch_messages_carry_both_shapes():
     a = ad.constant(np.zeros((2, 3)))
     b = ad.constant(np.zeros((4, 5)))

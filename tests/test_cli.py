@@ -182,6 +182,19 @@ def test_descriptors_artifacts(descriptor_run):
     assert (out / "descriptors.swck").exists()
 
 
+def test_descriptors_log(descriptor_run):
+    out, _ = descriptor_run
+    lines = (out / "descriptor_log.csv").read_text().splitlines()
+    report = json.loads((out / "descriptor_report.json").read_text())
+    _, manifest = load_checkpoint(out / "descriptors.swck")
+    assert lines[0] == f"# config_hash {report['config_hash']}"
+    assert lines[1] == "epoch,train_loss,fro_distance"
+    rows = [line.split(",") for line in lines[2:]]
+    assert [int(r[0]) for r in rows] == [1, 2]
+    assert all(np.isfinite(float(r[1])) for r in rows)
+    assert float(rows[-1][2]) == manifest["stats"]["final_fro"]
+
+
 def test_descriptors_rerun_byte_identical(descriptor_run, tmp_path):
     out, args = descriptor_run
     other = tmp_path / "desc2"
@@ -190,6 +203,8 @@ def test_descriptors_rerun_byte_identical(descriptor_run, tmp_path):
         (out / "descriptors.swck").read_bytes()
     assert (other / "descriptor_report.json").read_bytes() == \
         (out / "descriptor_report.json").read_bytes()
+    assert (other / "descriptor_log.csv").read_bytes() == \
+        (out / "descriptor_log.csv").read_bytes()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "svg"])
@@ -321,6 +336,21 @@ def test_parse_skips_undecodable_script(workspace, tmp_path, caplog):
         ["synth000", "synth001", "synth002"]
     assert not (out / "zzbinary.quality.json").exists()
     assert "zzbinary.txt: undecodable: " in caplog.text
+
+
+def test_parse_skips_empty_script(workspace, tmp_path, caplog):
+    _, synth = workspace
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    for p in sorted((synth / "scripts").glob("*.txt"))[:2]:
+        (scripts / p.name).write_bytes(p.read_bytes())
+    (scripts / "synth000b.txt").write_text("\n   \n\t\n\n")
+    out = tmp_path / "parsed"
+    with caplog.at_level("WARNING"):
+        assert run(["parse", "--scripts", str(scripts), "--out", str(out)]) == 0
+    assert sorted(p.stem for p in out.glob("*.tsv")) == ["synth000", "synth001"]
+    assert not (out / "synth000b.quality.json").exists()
+    assert "synth000b.txt: empty: " in caplog.text
 
 
 def test_evaluate_rejects_garbage_checkpoint(workspace, tmp_path, capsys):

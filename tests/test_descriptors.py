@@ -31,7 +31,7 @@ from scenewise.descriptors import (
     train_descriptors,
 )
 from scenewise.encoders import attend
-from scenewise.errors import InsufficientVocab, ZeroDocFrequency
+from scenewise.errors import InsufficientVocab, ScriptTooSmall, ZeroDocFrequency
 
 
 def rng(seed=0):
@@ -46,9 +46,10 @@ def make_predictor(recurrent=False, k=4, dim=6, seed=0, alpha=0.5):
 def test_weights_on_simplex():
     pred = make_predictor()
     for seed in range(5):
-        o = pred.weights(rng(seed).normal(size=6) * 3).data
+        o = pred.weights(rng(seed).normal(size=(4, 6)) * 3).data
+        assert o.shape == (4, 4)
         assert np.all(o >= 0)
-        assert abs(o.sum() - 1.0) < 1e-12
+        assert np.abs(o.sum(axis=1) - 1.0).max() < 1e-12
 
 
 def test_recurrent_weights_stay_on_simplex_over_many_steps():
@@ -56,25 +57,26 @@ def test_recurrent_weights_stay_on_simplex_over_many_steps():
     o = None
     r = rng(9)
     for _ in range(50):
-        o = pred.weights(r.normal(size=6), o).data
+        o = pred.weights(r.normal(size=(1, 6)), o).data
         assert np.all(o >= -1e-15)
         assert abs(o.sum() - 1.0) < 1e-9
 
 
 def test_alpha_one_returns_previous_weights():
     pred = make_predictor(recurrent=True, alpha=1.0)
-    o_prev = np.array([0.1, 0.2, 0.3, 0.4])
-    o = pred.weights(rng(1).normal(size=6), o_prev).data
+    o_prev = np.array([[0.1, 0.2, 0.3, 0.4]])
+    o = pred.weights(rng(1).normal(size=(1, 6)), o_prev).data
     assert np.allclose(o, o_prev)
 
 
 def test_recurrence_fixed_point():
     # if the network output equals o_prev, the convex mix leaves it unchanged
-    o_prev = np.array([0.25, 0.25, 0.25, 0.25])
+    o_prev = np.array([[0.25, 0.25, 0.25, 0.25]])
     pred = make_predictor(recurrent=True)
-    ff = pred.ffnn(ad.constant(np.concatenate([np.zeros(6), o_prev]))).data
+    ff = pred.ffnn(ad.constant(np.concatenate([np.zeros((1, 6)), o_prev],
+                                              axis=1))).data
     mixed = 0.5 * ff + 0.5 * o_prev
-    out = pred.weights(np.zeros(6), o_prev).data
+    out = pred.weights(np.zeros((1, 6)), o_prev).data
     assert np.allclose(out, mixed)
     assert abs(out.sum() - 1.0) < 1e-12
 
@@ -108,11 +110,11 @@ def test_orthonormal_rows_zero_penalty():
 def test_satisfied_margins_zero_loss():
     q, _ = np.linalg.qr(rng(6).normal(size=(5, 5)))
     r_matrix = ad.parameter(q[:2])
-    w = ad.constant(np.array([3.0, 0.0, 0.0, 0.0, 0.0]))
-    u_t = np.array([1.0, 0, 0, 0, 0])
-    negatives = [np.array([0.0, 1.0, 0, 0, 0]), np.array([0.0, 0, 1.0, 0, 0])]
-    # w.u_t = 3, w.u_j = 0 -> margin satisfied by 2
-    loss = descriptor_loss(w, u_t, negatives, r_matrix, lam=10.0)
+    us = np.eye(5)[:3]
+    w = ad.constant(3.0 * us)
+    neg = np.array([[1, 2], [0, 2], [0, 1]])
+    # w_t.u_t = 3, w_t.u_j = 0 -> every margin satisfied by 2
+    loss = descriptor_loss(w, us, neg, r_matrix, lam=10.0)
     assert loss.item() < 1e-12
 
 
@@ -120,17 +122,19 @@ def test_descriptor_loss_matches_direct_evaluation():
     r = rng(7)
     k, d = 3, 5
     r_data = r.normal(size=(k, d))
-    o = r.dirichlet(np.ones(k))
-    u_t = r.normal(size=d)
-    negatives = [r.normal(size=d) for _ in range(3)]
+    o = r.dirichlet(np.ones(k), size=4)
+    us = r.normal(size=(4, d))
+    neg = np.array([[1, 2, 3], [0, 2, 3], [3, 0, 1], [2, 1, 0]])
     lam = 10.0
 
     r_matrix = ad.parameter(r_data)
     w = reconstruct(ad.constant(o), r_matrix)
-    loss = descriptor_loss(w, u_t, negatives, r_matrix, lam).item()
+    loss = descriptor_loss(w, us, neg, r_matrix, lam).item()
 
-    w_np = r_data.T @ o
-    hinge = sum(max(0.0, 1.0 - w_np @ u_t + w_np @ u_j) for u_j in negatives)
+    hinge = 0.0
+    for t in range(4):
+        w_np = r_data.T @ o[t]
+        hinge += sum(max(0.0, 1.0 - w_np @ us[t] + w_np @ us[j]) for j in neg[t])
     fro = np.linalg.norm(r_data @ r_data.T - np.eye(k))
     assert abs(loss - (hinge + lam * fro)) < 1e-10
 
@@ -140,18 +144,164 @@ def test_descriptor_loss_gradients_match_finite_differences():
     k, d = 3, 4
     pred = make_predictor(k=k, dim=d, seed=8)
     r_matrix = ad.parameter(r.normal(size=(k, d)) * 0.5)
-    v = r.normal(size=d)
-    u_t = r.normal(size=d)
-    negatives = [r.normal(size=d) for _ in range(2)]
+    vs = r.normal(size=(3, d))
+    us = r.normal(size=(3, d))
+    neg = np.array([[1, 2], [2, 0], [0, 1]])
     params = {"r": r_matrix}
     params.update(pred.named_params())
 
     def loss():
-        o = pred.weights(v)
+        o = pred.weights(vs)
         w = reconstruct(o, r_matrix)
-        return descriptor_loss(w, u_t, negatives, r_matrix, lam=10.0)
+        return descriptor_loss(w, us, neg, r_matrix, lam=10.0)
 
     assert ad.gradcheck(loss, list(params.values())) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# the per-scene composition, kept as the oracle for the one-graph-per-script
+# step: one predictor graph, one reconstruction and one hinge sum per scene
+
+
+def oracle_weights(pred, v, o_prev=None):
+    """One scene's weights from 1-D vectors, as ``(k,)``."""
+    x = v
+    if pred.recurrent:
+        o_prev = np.full(pred.k, 1.0 / pred.k) if o_prev is None else o_prev
+        x = np.concatenate([v, o_prev])
+    h = ad.relu(ad.add(ad.matmul(ad.constant(x), pred.w1), pred.b1))
+    o = ad.softmax(ad.add(ad.matmul(h, pred.w2), pred.b2))
+    if not pred.recurrent:
+        return o
+    return ad.add(ad.scale(o, 1.0 - pred.alpha), ad.constant(pred.alpha * o_prev))
+
+
+def oracle_hinge(w, u_t, negatives):
+    pos = ad.dot(w, ad.constant(u_t))
+    out = None
+    for u_j in negatives:
+        margin = ad.add(ad.sub(ad.constant(np.asarray(1.0)), pos),
+                        ad.dot(w, ad.constant(u_j)))
+        out = ad.relu(margin) if out is None else ad.add(out, ad.relu(margin))
+    return out
+
+
+def oracle_script_loss(pred, r_matrix, us, neg, lam):
+    loss, o_prev = None, None
+    for t, u_t in enumerate(us):
+        o = oracle_weights(pred, u_t, o_prev)
+        term = oracle_hinge(ad.matmul(o, r_matrix), u_t, [us[j] for j in neg[t]])
+        loss = term if loss is None else ad.add(loss, term)
+        o_prev = o.data
+    return ad.add(loss, orthogonality_penalty(r_matrix, lam))
+
+
+def oracle_negatives(rng_, n_scenes, negatives):
+    """The per-scene draw: one ``rng.choice`` over the other scenes each."""
+    rows = []
+    for t in range(n_scenes):
+        others = [j for j in range(n_scenes) if j != t]
+        picks = rng_.choice(len(others), size=min(negatives, n_scenes - 1),
+                            replace=False)
+        rows.append([others[int(j)] for j in picks])
+    return np.array(rows, dtype=np.intp)
+
+
+def tiny_model(recurrent, k=4, dim=6, seed=0):
+    emb = WordEmbeddings({f"w{i}": rng(seed + i).normal(size=dim) for i in range(8)},
+                         dim)
+    target = SceneBagEncoder([f"w{i}" for i in range(8)], emb,
+                             p=rng(seed).normal(size=dim))
+    config = DescriptorConfig(k=k, hidden=5, recurrent=recurrent, negatives=3,
+                              ortho_lambda=10.0, seed=seed)
+    r_init = init_descriptors(dsc.RANDOM_GLOROT, emb.matrix, k=k, seed=seed)
+    return DescriptorModel(r_init, target, config)
+
+
+def grads_of(loss, params):
+    for t in params.values():
+        t.grad = None
+    loss.backward()
+    return {name: t.grad.copy() for name, t in params.items()}
+
+
+@pytest.mark.parametrize("recurrent", [False, True], ids=["plain", "recurrent"])
+def test_script_loss_matches_per_scene_oracle(recurrent):
+    # S - 1 < negatives = 3 for S = 2, 3, so n_eff is clipped there
+    for n_scenes in range(2, 9):
+        model = tiny_model(recurrent, seed=n_scenes)
+        params = model.named_params()
+        r = rng(100 + n_scenes)
+        us = r.normal(size=(n_scenes, 6))
+        neg = dsc.draw_negatives(r, n_scenes, model.config.negatives)
+        assert neg.shape == (n_scenes, min(3, n_scenes - 1))
+
+        loss, o = model.script_loss(us, neg)
+        batched = grads_of(loss, params)
+        expected = oracle_script_loss(model.predictor, model.r, us, neg,
+                                      model.config.ortho_lambda)
+        oracle = grads_of(expected, params)
+
+        assert abs(loss.item() - expected.item()) <= 1e-12 * max(1.0, abs(expected.item()))
+        assert np.abs(o.sum(axis=1) - 1.0).max() < 1e-12 and o.min() >= 0
+        for name in params:
+            scale = max(1.0, float(np.abs(oracle[name]).max()))
+            assert np.abs(batched[name] - oracle[name]).max() <= 1e-12 * scale, name
+
+
+def test_hinge_terms_gradient_matches_finite_differences():
+    # margins stay at least 0.1 away from the ReLU kink at zero
+    r = rng(14)
+    us = r.normal(size=(5, 4))
+    neg = dsc.draw_negatives(r, 5, 3)
+    w = ad.parameter(r.normal(size=(5, 4)))
+    margins = (1.0 - np.einsum("td,td->t", w.data, us)[:, None]
+               + np.einsum("td,tjd->tj", w.data, us[neg]))
+    assert np.abs(margins).min() > 0.1
+    assert (margins > 0).any() and (margins < 0).any()
+    assert ad.gradcheck(lambda: hinge_terms(w, us, neg), [w]) < 1e-8
+    assert abs(hinge_terms(w, us, neg).item()
+               - np.maximum(margins, 0.0).sum()) < 1e-12
+
+
+def test_hinge_terms_without_negatives_raise():
+    w = ad.parameter(np.zeros((1, 3)))
+    with pytest.raises(ScriptTooSmall):
+        hinge_terms(w, np.zeros((1, 3)), dsc.draw_negatives(rng(0), 1, 5))
+
+
+@pytest.mark.parametrize("negatives", [1, 3, 5, 9])
+def test_draw_negatives_matches_per_scene_loop(negatives):
+    for n_scenes in range(2, 9):
+        drawn = dsc.draw_negatives(rng(n_scenes), n_scenes, negatives)
+        assert np.array_equal(drawn, oracle_negatives(rng(n_scenes), n_scenes,
+                                                      negatives))
+        for t, row in enumerate(drawn):
+            assert t not in row and len(set(row)) == len(row)
+
+
+@pytest.mark.parametrize("recurrent", [False, True], ids=["plain", "recurrent"])
+def test_weights_for_script_matches_per_scene_oracle(desc_corpus, recurrent):
+    corpus = desc_corpus
+    dim = corpus.embeddings.dim
+    target = SceneBagEncoder(corpus.descriptor_vocab, corpus.embeddings,
+                             p=rng(14).normal(size=dim) * 0.1)
+    config = DescriptorConfig(k=4, hidden=8, recurrent=recurrent, seed=2)
+    model = DescriptorModel(init_descriptors(dsc.RANDOM_GLOROT,
+                                             target.vocab_matrix(), k=4, seed=2),
+                            target, config)
+    for it in corpus.items:
+        play = it.screenplay
+        weights = model.weights_for_script(play)
+        o_prev = None
+        for t, scene in enumerate(play.scenes):
+            u = target.encode_scene(scene)
+            v = u if u is not None else np.zeros(dim)
+            o_prev = oracle_weights(model.predictor, v, o_prev).data
+            assert np.abs(weights[t] - o_prev).max() <= 1e-12
+        assert weights.shape == (len(play.scenes), 4)
+        assert weights.min() >= 0
+        assert np.abs(weights.sum(axis=1) - 1.0).max() < 1e-12
 
 
 def test_init_glorot_bounded():
