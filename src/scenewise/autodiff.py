@@ -212,12 +212,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     raise ShapeMismatch(f"matmul: unsupported ranks {A.shape} vs {B.shape}")
 
 
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 1 or b.data.ndim != 1 or a.data.shape != b.data.shape:
-        raise ShapeMismatch(f"dot: {a.data.shape} vs {b.data.shape}")
-    return _op(a.data @ b.data, (a, b), lambda g: (g * b.data, g * a.data))
-
-
 def concat(tensors: Sequence[Tensor]) -> Tensor:
     """Concatenate tensors along their last axis; the leading axes must match."""
     if not tensors:
@@ -273,15 +267,6 @@ def place(a: Tensor, index, shape: tuple[int, ...]) -> Tensor:
     return _op(out, (a,), lambda g: (g[index],))
 
 
-def mean(a: Tensor) -> Tensor:
-    n = a.data.size
-
-    def vjp(g: np.ndarray) -> tuple:
-        return (np.full_like(a.data, float(g) / n),)
-
-    return _op(np.asarray(a.data.mean()), (a,), vjp)
-
-
 def mean_rows(a: Tensor, lengths=None) -> Tensor:
     """Mean of each run of ``lengths[b]`` consecutive rows, (N, D) -> (B, D);
     without ``lengths`` the column-wise mean of a matrix, (T, D) -> (D,)."""
@@ -311,16 +296,6 @@ def total(a: Tensor) -> Tensor:
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    s = _sigmoid(a.data)
-    return _op(s, (a,), lambda g: (g * s * (1.0 - s),))
-
-
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-    return _op(y, (a,), lambda g: (g * (1.0 - y * y),))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -358,28 +333,6 @@ def logsigmoid(a: Tensor) -> Tensor:
 def sqrt(a: Tensor) -> Tensor:
     y = np.sqrt(a.data)
     return _op(y, (a,), lambda g: (g * 0.5 / y,))
-
-
-# the smallest |sum| that normalize_sum and linear attention divide by
-_MIN_NORMALIZER = 1e-9
-
-
-def normalize_sum(a: Tensor) -> Tensor:
-    """Divide a vector by the sum of its entries: a_i / sum(a).
-
-    Raises :class:`DegenerateNormalizer` when |sum(a)| < ``_MIN_NORMALIZER``.
-    """
-    if a.data.ndim != 1:
-        raise ShapeMismatch(f"normalize_sum: expected vector, got {a.data.shape}")
-    s = float(a.data.sum())
-    if abs(s) < _MIN_NORMALIZER:
-        raise DegenerateNormalizer(f"normalizer sum {s!r} below {_MIN_NORMALIZER}")
-    y = a.data / s
-
-    def vjp(g: np.ndarray) -> tuple:
-        return (g / s - float(g @ a.data) / (s * s),)
-
-    return _op(y, (a,), vjp)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -544,6 +497,10 @@ def bi_gru(xs: Tensor, p: BiGru, lengths) -> Tensor:
     """
     return concat([gru_direction(xs, p.fw, lengths),
                    gru_direction(xs, p.bw, lengths, reverse=True)])
+
+
+# the smallest |sum| that linear attention divides by
+_MIN_NORMALIZER = 1e-9
 
 
 def attention_pool(outputs: Tensor, p: Tensor, lengths=None, linear: bool = False

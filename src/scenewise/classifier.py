@@ -7,10 +7,7 @@ to negative training samples, so rare tags are not drowned out::
     L(y, z) = -(1/(N*L)) sum_ij [ y_ij log s(z_ij)
                                   + lam_j (1 - y_ij) log(1 - s(z_ij)) ]
 
-computed via the stable log-sigmoid.  A literal transcription with the
-``(1 - log s(z))`` negative term is available as ``form="printed"`` for
-comparison; it is unbounded below under minimization and not used for
-training.
+computed via the stable log-sigmoid.
 """
 
 from __future__ import annotations
@@ -43,9 +40,6 @@ from .evaluation import micro_f1
 from .parser import Screenplay
 
 log = logging.getLogger(__name__)
-
-STABLE = "stable"
-PRINTED = "printed"
 
 
 @dataclass
@@ -106,13 +100,12 @@ class TagTaxonomy:
 
 
 def reweighted_loss(y: np.ndarray, z: Tensor, lam: np.ndarray,
-                    active: np.ndarray | None = None,
-                    form: str = STABLE) -> Tensor:
+                    active: np.ndarray | None = None) -> Tensor:
     """Reweighted multi-label loss over labels ``y`` and logits ``z``.
 
     ``y`` may be (L,) for a single script or (N, L) for a batch; ``z`` must
-    match.  With every ``lam`` equal to 1 the stable form reduces exactly to
-    mean binary cross-entropy.
+    match.  With every ``lam`` equal to 1 it reduces exactly to mean binary
+    cross-entropy.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.shape != z.data.shape:
@@ -126,16 +119,8 @@ def reweighted_loss(y: np.ndarray, z: Tensor, lam: np.ndarray,
     c_pos = y * mask
     c_neg = (1.0 - y) * lam * mask
     pos = ad.mul(ad.constant(c_pos), ad.logsigmoid(z))
-    if form == STABLE:
-        neg = ad.mul(ad.constant(c_neg), ad.logsigmoid(ad.neg(z)))
-        return ad.scale(ad.total(ad.add(pos, neg)), -1.0 / denom)
-    if form == PRINTED:
-        # literal form: + (1/NL) sum [ y log s(z) + lam (1-y) (1 - log s(z)) ]
-        neg = ad.mul(ad.constant(c_neg), ad.logsigmoid(z))
-        s = ad.add(ad.sub(ad.total(pos), ad.total(neg)),
-                   ad.constant(c_neg.sum()))
-        return ad.scale(s, 1.0 / denom)
-    raise ValueError(f"unknown loss form {form!r}")
+    neg = ad.mul(ad.constant(c_neg), ad.logsigmoid(ad.neg(z)))
+    return ad.scale(ad.total(ad.add(pos, neg)), -1.0 / denom)
 
 
 def predict_tags(logits: np.ndarray | Tensor, threshold: float = 0.5) -> np.ndarray:
@@ -274,11 +259,13 @@ def make_samples(items: Sequence[CorpusItem], taxonomy: TagTaxonomy,
     for it in items:
         y = taxonomy.label_vector(it.tags.get(taxonomy.attribute, ()))
         if use_loglines:
-            if not it.logline:
+            # a logline with no tokens is as missing as an absent one
+            tokens = tokenize(it.logline) if it.logline else []
+            if not tokens:
                 log.warning("skipping %s: %s", it.title,
                             MissingLogline(it.title))
                 continue
-            samples.append(Sample(it.title, tokenize(it.logline), y))
+            samples.append(Sample(it.title, tokens, y))
         else:
             samples.append(Sample(it.title, it.screenplay, y))
     return samples

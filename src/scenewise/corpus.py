@@ -22,6 +22,7 @@ import numpy as np
 
 from . import parser
 from .errors import (
+    DataError,
     EmbeddingDimMismatch,
     EmptyScript,
     MissingTags,
@@ -259,16 +260,33 @@ def split_titles(titles: list[str], heldout_fraction: float,
     return out
 
 
-def load_tags(path: str | Path) -> dict[str, dict[str, tuple[str, ...]]]:
+def _load_by_title(path: str | Path) -> dict:
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    return {title: {attr: tuple(vals) for attr, vals in attrs.items()}
-            for title, attrs in raw.items()}
+    if not isinstance(raw, dict):
+        raise DataError(f"{path}: expected a JSON object keyed by title")
+    return raw
 
 
-def load_loglines(path: str | Path) -> dict[str, str]:
-    with open(path, encoding="utf-8") as fh:
-        return dict(json.load(fh))
+def load_tags(path: str | Path) -> dict[str, dict[str, tuple[str, ...]]]:
+    out = {}
+    for title, attrs in _load_by_title(path).items():
+        if not isinstance(attrs, dict) or not all(
+                isinstance(vals, list) and all(isinstance(v, str) for v in vals)
+                for vals in attrs.values()):
+            raise DataError(f"{path}: the tags of {title!r} are not an object "
+                            f"mapping each attribute to a list of tag strings")
+        out[title] = {attr: tuple(vals) for attr, vals in attrs.items()}
+    return out
+
+
+def load_loglines(path: str | Path) -> dict[str, str | None]:
+    """Loglines by title; a null logline counts as missing."""
+    raw = _load_by_title(path)
+    for title, text in raw.items():
+        if text is not None and not isinstance(text, str):
+            raise DataError(f"{path}: the logline of {title!r} is not a string")
+    return raw
 
 
 def ingest(scripts_dir: str | Path, tags_path: str | Path,

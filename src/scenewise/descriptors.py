@@ -76,8 +76,10 @@ class DescriptorConfig:
 class SceneBagEncoder:
     """Attention-weighted bag of a scene's restricted-vocabulary words.
 
-    The attention vector is fixed after pretraining; the frozen forward pass
-    is plain numpy, so its outputs are bitwise stable by construction.
+    Scenes are pooled with :func:`encoders.attend`, the pool the attention
+    vector ``p`` is pretrained through, one padded batch per script.  ``p``
+    is fixed after pretraining and pooling constants builds no graph, so the
+    targets are frozen.
     """
 
     def __init__(self, vocab: Sequence[str], embeddings: WordEmbeddings,
@@ -88,23 +90,42 @@ class SceneBagEncoder:
         self.p = np.asarray(p, dtype=np.float64)
         self.dim = embeddings.dim
 
-    def scene_matrix(self, scene: Scene) -> np.ndarray | None:
-        tokens = [t for t in scene_tokens(scene) if t in self._vocab_set]
-        if not tokens:
-            return None
-        return self.embeddings.rows(tokens)
+    def script_batch(self, scenes: Sequence[Scene]
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The scenes that hold restricted-vocabulary tokens, as a
+        right-padded (K, T, d) batch of their tokens' embedding rows, the
+        (K,) lengths, and their (K,) indices into ``scenes``."""
+        mats, kept = [], []
+        for i, scene in enumerate(scenes):
+            tokens = [t for t in scene_tokens(scene) if t in self._vocab_set]
+            if tokens:
+                mats.append(self.embeddings.rows(tokens))
+                kept.append(i)
+        lengths = np.array([len(m) for m in mats], dtype=np.int64)
+        padded = np.zeros((len(mats), lengths.max(initial=0), self.dim))
+        for b, rows in enumerate(mats):
+            padded[b, :len(rows)] = rows
+        return padded, lengths, np.array(kept, dtype=np.intp)
 
-    def encode_rows(self, rows: np.ndarray) -> np.ndarray:
-        scores = rows @ self.p
-        shifted = np.exp(scores - scores.max())
-        weights = shifted / shifted.sum()
-        return weights @ rows
+    def encode_scenes(self, scenes: Sequence[Scene]
+                      ) -> tuple[np.ndarray, np.ndarray]:
+        """(S, d) pooled scene vectors, zero rows for the scenes without
+        restricted-vocabulary tokens, and the indices of the other scenes.
+
+        One :func:`encoders.attend` call pools the script's batch.
+        """
+        padded, lengths, kept = self.script_batch(scenes)
+        vs = np.zeros((len(scenes), self.dim))
+        if len(kept):
+            pooled, _ = attend(ad.constant(padded), ad.constant(self.p),
+                               lengths=lengths)
+            vs[kept] = pooled.data
+        return vs, kept
 
     def encode_scene(self, scene: Scene) -> np.ndarray | None:
-        rows = self.scene_matrix(scene)
-        if rows is None:
-            return None
-        return self.encode_rows(rows)
+        """One scene's pooled vector, or None without restricted tokens."""
+        vs, kept = self.encode_scenes([scene])
+        return vs[0] if len(kept) else None
 
     def vocab_matrix(self) -> np.ndarray:
         return self.embeddings.rows(list(self.vocab))
@@ -131,20 +152,14 @@ def pretrain_reconstruction_target(corpus: Corpus, attribute: str,
     params.update(head.named_params())
     opt = Adam(params, lr=config.lr)
 
-    frozen = SceneBagEncoder(vocab, corpus.embeddings, p.data)
-    # each script's scene matrices, padded once into a (S, T, d) batch
+    # the target pools with p's own array, which Adam updates in place
+    target = SceneBagEncoder(vocab, corpus.embeddings, p.data)
     per_script: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for it in train_items:
-        mats = [m for m in (frozen.scene_matrix(s) for s in it.screenplay.scenes)
-                if m is not None]
-        if not mats:
-            continue
-        lengths = np.array([len(m) for m in mats])
-        padded = np.zeros((len(mats), lengths.max(), dim))
-        for b, rows in enumerate(mats):
-            padded[b, :len(rows)] = rows
-        y = taxonomy.label_vector(it.tags.get(attribute, ()))
-        per_script.append((y, padded, lengths))
+        padded, lengths, _ = target.script_batch(it.screenplay.scenes)
+        if len(lengths):
+            y = taxonomy.label_vector(it.tags.get(attribute, ()))
+            per_script.append((y, padded, lengths))
 
     for epoch in range(config.pretrain_epochs):
         order = rng.permutation(len(per_script))
@@ -160,7 +175,7 @@ def pretrain_reconstruction_target(corpus: Corpus, attribute: str,
             loss.backward()
             clip_grad_norm(params.values(), config.max_norm)
             opt.step()
-    return SceneBagEncoder(vocab, corpus.embeddings, p.data.copy())
+    return target
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +237,9 @@ class DescriptorPredictor:
                 f"{prefix}.w2": self.w2, f"{prefix}.b2": self.b2}
 
 
-def reconstruct(o: Tensor | np.ndarray, r_matrix: Tensor | np.ndarray):
+def reconstruct(o: Tensor, r_matrix: Tensor) -> Tensor:
     """w = R^T o: the o-weighted combination of descriptor rows."""
-    if isinstance(o, Tensor) or isinstance(r_matrix, Tensor):
-        o_t = o if isinstance(o, Tensor) else ad.constant(o)
-        r_t = r_matrix if isinstance(r_matrix, Tensor) else ad.constant(r_matrix)
-        return ad.matmul(o_t, r_t)
-    return np.asarray(o) @ np.asarray(r_matrix)
+    return ad.matmul(o, r_matrix)
 
 
 def orthogonality_penalty(r_matrix: Tensor, lam: float) -> Tensor:
@@ -436,11 +447,7 @@ class DescriptorModel:
         Scenes without restricted-vocabulary tokens fall back to a zero
         scene vector so the trajectory keeps one row per scene.
         """
-        vs = np.zeros((len(screenplay.scenes), self.target.dim))
-        for i, scene in enumerate(screenplay.scenes):
-            u = self.target.encode_scene(scene)
-            if u is not None:
-                vs[i] = u
+        vs, _ = self.target.encode_scenes(screenplay.scenes)
         return self.predictor.rollout(vs)
 
 
@@ -464,13 +471,12 @@ def train_descriptors(corpus: Corpus, target: SceneBagEncoder,
     items = corpus.train_items + corpus.validation_items
     per_script: list[np.ndarray] = []
     for it in items:
-        us = [u for u in (target.encode_scene(s) for s in it.screenplay.scenes)
-              if u is not None]
-        if len(us) < 2:
+        vs, kept = target.encode_scenes(it.screenplay.scenes)
+        if len(kept) < 2:
             log.warning("skipping %s: %s", it.title,
-                        ScriptTooSmall(f"{len(us)} usable scene(s)"))
+                        ScriptTooSmall(f"{len(kept)} usable scene(s)"))
             continue
-        per_script.append(np.stack(us))
+        per_script.append(vs[kept])
 
     stats = DescriptorStats(initial_fro=model.fro_distance(), final_fro=0.0,
                             fro_trace=[], epoch_losses=[],

@@ -222,8 +222,9 @@ class HierarchicalModel:
                  seed: int = 0):
         if include_chars is None:
             include_chars = variant in (Variant.FULL, Variant.PLUS_CHARS)
-        if variant is Variant.PLUS_CHARS:
-            include_chars = True
+        if variant is Variant.PLUS_CHARS and not include_chars:
+            raise ValueError("variant plus_chars always includes characters; "
+                             "it cannot run with include_chars off")
         self.spec = spec
         self.variant = variant
         self.vectors = vectors
@@ -306,10 +307,6 @@ class HierarchicalModel:
         return ad.concat([self._encode_characters(scenes) if name == "characters"
                           else self._encode_channel(scenes, name)
                           for name, _ in self.block_layout])
-
-    def encode_scene(self, scene: Scene) -> Tensor:
-        """One scene's blocks concatenated in ``block_layout`` order."""
-        return ad.row(self.encode_scenes([scene]), 0)
 
     def encode_script(self, screenplay: Screenplay) -> Tensor:
         if not screenplay.scenes:

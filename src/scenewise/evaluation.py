@@ -18,7 +18,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InvalidDistribution, UnknownTag
+from .errors import (
+    DataError,
+    DomainError,
+    EmbeddingDimMismatch,
+    InvalidDistribution,
+    NonFiniteEmbedding,
+    UnknownTag,
+)
 
 
 @dataclass
@@ -74,16 +81,39 @@ class TagEmbeddingSpace:
 
 
 def load_tag_embeddings(path: str | Path) -> dict[str, TagEmbeddingSpace]:
-    """Read ``attribute<TAB>tag<TAB>floats`` lines into per-attribute spaces."""
+    """Read ``attribute<TAB>tag<TAB>floats`` lines into per-attribute spaces.
+
+    A line without three tab-separated fields, without values, with a value
+    that is not a finite number, or with another width than its attribute's
+    first vector is a data error that names the file and line.
+    """
     groups: dict[str, list[tuple[str, np.ndarray]]] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            attribute, tag, values = line.split("\t")
-            vec = np.asarray([float(v) for v in values.split()])
-            groups.setdefault(attribute, []).append((tag, vec))
+            where = f"{path} line {number}"
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise DataError(f"{where}: {len(fields)} tab-separated field(s), "
+                                f"expected attribute, tag and values")
+            attribute, tag, values = fields
+            try:
+                vec = np.asarray([float(v) for v in values.split()])
+            except ValueError as err:
+                raise DataError(f"{where}: {err}") from None
+            if not vec.size:
+                raise DataError(f"{where}: no values for {tag!r}")
+            if not np.isfinite(vec).all():
+                raise NonFiniteEmbedding(
+                    f"{where}: non-finite value in the vector of {tag!r}")
+            rows = groups.setdefault(attribute, [])
+            if rows and vec.size != rows[0][1].size:
+                raise EmbeddingDimMismatch(
+                    f"{where}: {vec.size} values for {tag!r}, but {attribute!r} "
+                    f"vectors have {rows[0][1].size}")
+            rows.append((tag, vec))
     spaces = {}
     for attribute, rows in groups.items():
         rows.sort(key=lambda kv: kv[0])

@@ -298,6 +298,18 @@ def test_variant_accepts_encoder_kind_shorthand(workspace, tmp_path):
     assert manifest["model"]["kind"] == "boe"
 
 
+def test_plus_chars_refuses_include_chars_no(workspace, tmp_path, capsys):
+    _, synth = workspace
+    out = tmp_path / "run_plus"
+    assert run(["train"] + corpus_args(synth)
+               + ["--attribute", "genre", "--variant", "plus_chars",
+                  "--encoder", "boe", "--include-chars", "no", "--epochs", "1",
+                  "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert "plus_chars" in err["message"]
+    assert not (out / "checkpoint.swck").exists()
+
+
 def test_default_out_uses_env_dir(workspace, tmp_path, monkeypatch):
     root, synth = workspace
     monkeypatch.setenv("SCENEWISE_OUT", str(tmp_path))

@@ -14,9 +14,12 @@ from scenewise.corpus import (
     descriptor_vocabulary,
     generate_synthetic_corpus,
     ingest,
+    load_loglines,
+    load_tags,
     split_titles,
     tokenize,
 )
+from scenewise.errors import DataError
 from scenewise.parser import StatementKind
 
 
@@ -232,3 +235,31 @@ def test_embedding_rows_gather_one_matrix():
     with_unk = WordEmbeddings({**table, cp.UNK_TOKEN: np.array([9.0, 9.0])}, 2)
     assert np.array_equal(with_unk.rows(["zzz"]), [[9.0, 9.0]])
 
+
+
+@pytest.mark.parametrize("tags", [
+    {"heat": {"genre": "drama"}},         # a string, not a list of tags
+    {"heat": ["drama"]},                  # a list, not attributes
+    {"heat": {"genre": ["drama", 3]}},    # a tag that is not a string
+], ids=["string", "list", "number"])
+def test_load_tags_rejects_malformed_entry(tmp_path, tags):
+    path = tmp_path / "tags.json"
+    path.write_text(json.dumps({"alien": {"genre": ["horror"]}, **tags}))
+    with pytest.raises(DataError, match="'heat'"):
+        load_tags(path)
+
+
+def test_load_tags_rejects_non_object(tmp_path):
+    path = tmp_path / "tags.json"
+    path.write_text(json.dumps([["heat", "drama"]]))
+    with pytest.raises(DataError, match="keyed by title"):
+        load_tags(path)
+
+
+def test_load_loglines_rejects_non_string(tmp_path):
+    path = tmp_path / "loglines.json"
+    path.write_text(json.dumps({"alien": "in space", "heat": ["a", "heist"]}))
+    with pytest.raises(DataError, match="'heat'"):
+        load_loglines(path)
+    path.write_text(json.dumps({"alien": "in space", "heat": None}))
+    assert load_loglines(path) == {"alien": "in space", "heat": None}

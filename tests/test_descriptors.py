@@ -32,6 +32,9 @@ from scenewise.descriptors import (
 )
 from scenewise.encoders import attend
 from scenewise.errors import InsufficientVocab, ScriptTooSmall, ZeroDocFrequency
+from scenewise.parser import Scene, Statement, StatementKind
+
+from test_autodiff import dot
 
 
 def rng(seed=0):
@@ -85,20 +88,23 @@ def test_reconstruct_one_hot_selects_row():
     r_matrix = rng(2).normal(size=(4, 6))
     o = np.zeros(4)
     o[2] = 1.0
-    assert np.allclose(reconstruct(o, r_matrix), r_matrix[2])
+    assert np.allclose(reconstruct(ad.constant(o), ad.constant(r_matrix)).data,
+                       r_matrix[2])
 
 
 def test_reconstruct_uniform_is_row_mean():
     r_matrix = rng(3).normal(size=(5, 4))
     o = np.full(5, 0.2)
-    assert np.allclose(reconstruct(o, r_matrix), r_matrix.mean(axis=0))
+    assert np.allclose(reconstruct(ad.constant(o), ad.constant(r_matrix)).data,
+                       r_matrix.mean(axis=0))
 
 
 def test_reconstruct_matches_direct_arithmetic():
     r = rng(4)
     r_matrix = r.normal(size=(3, 7))
     o = r.dirichlet(np.ones(3))
-    assert np.allclose(reconstruct(o, r_matrix), r_matrix.T @ o)
+    assert np.allclose(reconstruct(ad.constant(o), ad.constant(r_matrix)).data,
+                       r_matrix.T @ o)
 
 
 def test_orthonormal_rows_zero_penalty():
@@ -177,11 +183,11 @@ def oracle_weights(pred, v, o_prev=None):
 
 
 def oracle_hinge(w, u_t, negatives):
-    pos = ad.dot(w, ad.constant(u_t))
+    pos = dot(w, ad.constant(u_t))
     out = None
     for u_j in negatives:
         margin = ad.add(ad.sub(ad.constant(np.asarray(1.0)), pos),
-                        ad.dot(w, ad.constant(u_j)))
+                        dot(w, ad.constant(u_j)))
         out = ad.relu(margin) if out is None else ad.add(out, ad.relu(margin))
     return out
 
@@ -372,26 +378,58 @@ def test_coherence_zero_doc_frequency():
         semantic_coherence([["a", "zz"]], [{"a"}])
 
 
+def action_scene(index, text):
+    return Scene(index=index, statements=[Statement(StatementKind.ACTION, text)])
+
+
 def test_scene_bag_encoder_softmax_pool():
-    emb = WordEmbeddings({"x": np.array([1.0, 0.0]), "y": np.array([0.0, 1.0])}, 2)
+    # restricted words x and y score 2 and 0 under p; z is outside the vocab
+    emb = WordEmbeddings({"x": np.array([1.0, 0.0]), "y": np.array([0.0, 1.0]),
+                          "z": np.array([3.0, 3.0])}, 2)
     enc = SceneBagEncoder(["x", "y"], emb, p=np.array([2.0, 0.0]))
-    rows = np.array([[1.0, 0.0], [0.0, 1.0]])
-    out = enc.encode_rows(rows)
-    w = np.exp([2.0, 0.0])
-    w = w / w.sum()
-    assert np.allclose(out, w @ rows)
+    scenes = [action_scene(1, "x y z"), action_scene(2, "z z"),
+              action_scene(3, "y y x")]
+    padded, lengths, kept = enc.script_batch(scenes)
+    assert padded.shape == (2, 3, 2) and lengths.tolist() == [2, 3]
+    assert np.array_equal(padded[0], [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    vs, kept = enc.encode_scenes(scenes)
+    assert kept.tolist() == [0, 2]
+    e2 = math.exp(2.0)
+    assert np.allclose(vs[0], np.array([e2, 1.0]) / (e2 + 1.0), rtol=0, atol=1e-15)
+    assert np.array_equal(vs[1], [0.0, 0.0])  # no restricted token: a zero row
+    assert np.allclose(vs[2], np.array([e2, 2.0]) / (e2 + 2.0), rtol=0, atol=1e-15)
+    assert enc.encode_scene(scenes[1]) is None
+    assert np.allclose(enc.encode_scene(scenes[2]), vs[2], rtol=0, atol=1e-15)
 
 
-def test_scene_bag_encoder_matches_tape_attention_bitwise():
-    # the frozen numpy pool and the trained tape pool are one function
-    r = rng(12)
-    for _ in range(200):
-        dim = int(r.integers(1, 9))
-        rows = r.normal(size=(int(r.integers(1, 12)), dim)) * 3
-        p = r.normal(size=dim)
-        enc = SceneBagEncoder([], WordEmbeddings({}, dim), p)
-        pooled, _ = attend(ad.constant(rows), ad.constant(p))
-        assert np.array_equal(enc.encode_rows(rows), pooled.data)
+def test_scene_bag_encoder_matches_tape_attention_bitwise(desc_corpus,
+                                                          monkeypatch):
+    # pretraining pools each script's batch through one attend call on the
+    # tape; the frozen target pools the same batch, so at the same p the
+    # vectors agree bitwise
+    calls = []
+
+    def recording_attend(outputs, p, *args, **kwargs):
+        pooled, weights = attend(outputs, p, *args, **kwargs)
+        calls.append((outputs.data, p.data.copy(), pooled.data))
+        return pooled, weights
+
+    monkeypatch.setattr(dsc, "attend", recording_attend)
+    config = DescriptorConfig(k=4, hidden=8, pretrain_epochs=1, seed=4)
+    pretrain_reconstruction_target(desc_corpus, "genre", config)
+    monkeypatch.undo()
+
+    plays = [it.screenplay
+             for it in desc_corpus.train_items + desc_corpus.validation_items]
+    assert len(calls) == len(plays)
+    for padded, p, pooled in calls:
+        enc = SceneBagEncoder(desc_corpus.descriptor_vocab,
+                              desc_corpus.embeddings, p)
+        play, = [play for play in plays if np.array_equal(
+            enc.script_batch(play.scenes)[0], padded)]
+        vs, kept = enc.encode_scenes(play.scenes)
+        assert np.array_equal(vs[kept], pooled)
+        assert not np.delete(vs, kept, axis=0).any()
 
 
 @pytest.fixture(scope="module")

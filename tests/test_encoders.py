@@ -17,6 +17,7 @@ from scenewise.errors import DegenerateNormalizer, EmptyStatement
 from scenewise.parser import Scene, Screenplay, Statement, StatementKind
 
 from conftest import make_vectors
+from test_autodiff import dot
 
 
 def rng(seed=0):
@@ -210,12 +211,13 @@ def small_model(vectors, variant=Variant.FULL, kind=EncoderKind.BOE, spec=None,
                              vectors=vectors, **kw)
 
 
-def block(model, scene_vec, name):
-    """The ``name`` block of an encoded scene, located by ``block_layout``."""
+def block(model, scene_vecs, name):
+    """The ``name`` block of the one scene encoded in ``scene_vecs``, located
+    by ``block_layout``."""
     offset = 0
     for block_name, dim in model.block_layout:
         if block_name == name:
-            return scene_vec.data[offset:offset + dim]
+            return scene_vecs.data[0, offset:offset + dim]
         offset += dim
     raise KeyError(name)
 
@@ -227,7 +229,7 @@ PAPER_SPEC = EncoderSpec(EncoderKind.GRU_ATTN, input_dim=100)
 def test_character_block_is_mean(tiny_vectors):
     model = small_model(tiny_vectors)
     scene = scene_of(dialogue("alpha beta", "ANNA"), dialogue("gamma", "BO"))
-    emb = model.encode_scene(scene)
+    emb = model.encode_scenes([scene])
     e_a = model.char_table.vector("ANNA").data
     e_b = model.char_table.vector("BO").data
     assert np.allclose(block(model, emb, "characters"), (e_a + e_b) / 2)
@@ -236,7 +238,7 @@ def test_character_block_is_mean(tiny_vectors):
 def test_dialogue_free_scene_has_zero_blocks(tiny_vectors):
     model = small_model(tiny_vectors)
     scene = scene_of(action("alpha beta gamma"))
-    emb = model.encode_scene(scene)
+    emb = model.encode_scenes([scene])
     assert np.allclose(block(model, emb, "dialogue"), 0.0)
     assert np.allclose(block(model, emb, "characters"), 0.0)
     assert not np.allclose(block(model, emb, "action"), 0.0)
@@ -249,8 +251,8 @@ def test_full_variant_dims_at_paper_sizes():
     model = small_model(vectors, spec=PAPER_SPEC, char_dim=10)
     assert model.scene_dim == 210  # 100 action + 100 dialogue + 10 characters
     scene = scene_of(action("w0 w1"), dialogue("w2 w3", "ANNA"))
-    emb = model.encode_scene(scene)
-    assert emb.data.shape == (210,)
+    emb = model.encode_scenes([scene])
+    assert emb.data.shape == (1, 210)
     assert model.encode_script(Screenplay("t", [scene])).data.shape == (100,)
 
 
@@ -276,8 +278,8 @@ def test_block_layout_stable_under_dialogue_change(tiny_vectors):
     model = small_model(tiny_vectors)
     s1 = scene_of(action("alpha beta"), dialogue("gamma", "ANNA"))
     s2 = scene_of(action("alpha beta"), dialogue("delta sun", "ANNA"))
-    b1 = model.encode_scene(s1)
-    b2 = model.encode_scene(s2)
+    b1 = model.encode_scenes([s1])
+    b2 = model.encode_scenes([s2])
     assert np.array_equal(block(model, b1, "action"), block(model, b2, "action"))
     assert not np.array_equal(block(model, b1, "dialogue"),
                               block(model, b2, "dialogue"))
@@ -287,16 +289,16 @@ def test_boe_scene_encoder_permutation_invariant(tiny_vectors):
     model = small_model(tiny_vectors)
     s1 = scene_of(action("alpha"), action("beta gamma"), action("delta"))
     s2 = scene_of(action("delta"), action("alpha"), action("beta gamma"))
-    assert np.allclose(model.encode_scene(s1).data,
-                       model.encode_scene(s2).data)
+    assert np.allclose(model.encode_scenes([s1]).data,
+                       model.encode_scenes([s2]).data)
 
 
 def test_han_uses_interleaved_order(tiny_vectors):
     model = small_model(tiny_vectors, variant=Variant.HAN, kind=EncoderKind.GRU)
     s1 = scene_of(action("alpha"), dialogue("beta", "ANNA"), action("gamma"))
     s2 = scene_of(action("alpha"), action("gamma"), dialogue("beta", "ANNA"))
-    v1 = model.encode_scene(s1).data
-    v2 = model.encode_scene(s2).data
+    v1 = model.encode_scenes([s1]).data
+    v2 = model.encode_scenes([s2]).data
     assert not np.allclose(v1, v2)
 
 
@@ -310,7 +312,7 @@ def test_two_tier_concatenates_words(tiny_vectors):
     model = small_model(tiny_vectors, variant=Variant.TWO_TIER)
     assert model.statement_encoders == {}
     scene = scene_of(action("alpha beta"), action("gamma"))
-    emb = model.encode_scene(scene)
+    emb = model.encode_scenes([scene])
     # BoE over the concatenated word sequence = mean of all three words
     expected = tiny_vectors.rows(["alpha", "beta", "gamma"]).mean(axis=0)
     assert np.allclose(block(model, emb, "action"), expected)
@@ -323,7 +325,7 @@ def test_two_tier_concatenates_words(tiny_vectors):
 def test_single_scene_boe_script_identity(tiny_vectors):
     model = small_model(tiny_vectors, include_chars=False)
     scene = scene_of(action("alpha beta"), dialogue("gamma", "ANNA"))
-    scene_vec = model.encode_scene(scene).data
+    scene_vec = model.encode_scenes([scene]).data[0]
     script_vec = model.encode_script(Screenplay("t", [scene])).data
     assert np.allclose(script_vec, scene_vec)
 
@@ -346,7 +348,7 @@ def test_scene_order_sensitivity_gru_vs_boe(tiny_vectors):
 def test_unknown_character_maps_to_unk(tiny_vectors):
     model = small_model(tiny_vectors)
     scene = scene_of(dialogue("alpha", "STRANGER"))
-    emb = model.encode_scene(scene)
+    emb = model.encode_scenes([scene])
     assert np.allclose(block(model, emb, "characters"),
                        model.char_table.vector(CharacterTable.UNK_NAME).data)
 
@@ -376,7 +378,7 @@ def test_end_to_end_gradients_match_finite_differences(tiny_vectors):
     weights = ad.constant(np.linspace(0.5, 1.5, model.script_dim))
 
     def loss():
-        return ad.dot(model.encode_script(play), weights)
+        return dot(model.encode_script(play), weights)
 
     err = ad.gradcheck(loss, list(params.values()))
     assert err < 1e-4, err

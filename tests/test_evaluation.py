@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenewise.errors import DomainError, InvalidDistribution, UnknownTag
+from scenewise.errors import (
+    DataError,
+    DomainError,
+    EmbeddingDimMismatch,
+    InvalidDistribution,
+    NonFiniteEmbedding,
+    UnknownTag,
+)
 from scenewise.evaluation import (
     TagEmbeddingSpace,
     load_tag_embeddings,
@@ -266,6 +273,24 @@ def test_load_tag_embeddings_round_trip(tmp_path):
     assert set(spaces) == {"genre", "mood"}
     assert spaces["genre"].tags == ("crime", "heist")
     assert spaces["genre"].similarity("crime", "crime") == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    ("genre\theist\t0.9 nan\n", NonFiniteEmbedding, "non-finite"),
+    ("genre\theist\t0.9 inf\n", NonFiniteEmbedding, "non-finite"),
+    ("genre\theist\t0.9 0.1 0.3\n", EmbeddingDimMismatch, "3 values"),
+    ("genre heist 0.9 0.1\n", DataError, "1 tab-separated field"),
+    ("genre\theist\n", DataError, "2 tab-separated field"),
+    ("genre\theist\t\n", DataError, "no values"),
+    ("genre\theist\t0.9 x\n", DataError, "could not convert"),
+], ids=["nan", "inf", "ragged", "spaces", "two-fields", "empty", "text"])
+def test_load_tag_embeddings_rejects_bad_line(tmp_path, bad, error, message):
+    path = tmp_path / "tags.tsv"
+    path.write_text("genre\tcrime\t1.0 0.0\n" + bad)
+    with pytest.raises(error, match=message) as err:
+        load_tag_embeddings(path)
+    assert isinstance(err.value, DataError)
+    assert f"{path} line 2" in str(err.value)
 
 
 def test_similarity_report_shape():
