@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Adam, Tensor, clip_grad_norm
-from .corpus import CorpusItem, TokenVectors, tokenize
+from .corpus import CompiledScript, CorpusItem, TokenVectors
 from .encoders import (
     EncoderKind,
     EncoderSpec,
@@ -169,8 +169,8 @@ class ScriptTagModel:
         self.head = ClassifierHead(n_tags, encoder.script_dim,
                                    np.random.default_rng(seed + 1))
 
-    def logits(self, screenplay: Screenplay) -> Tensor:
-        return self.head.logits(self.encoder.encode_script(screenplay))
+    def logits(self, script: CompiledScript | Screenplay) -> Tensor:
+        return self.head.logits(self.encoder.encode_script(script))
 
     def named_params(self) -> dict[str, Tensor]:
         out = self.encoder.named_params()
@@ -194,13 +194,16 @@ class LoglinesModel:
     def output_dim(self) -> int:
         return self.encoder.output_dim
 
-    def encode(self, tokens: list[str]) -> Tensor:
-        if not tokens:
+    def encode(self, logline: CompiledScript | Screenplay) -> Tensor:
+        """Encode a compiled logline, or a raw one (``logline_screenplay``)
+        compiled here."""
+        ids = self.vectors.compiled(logline).ids
+        if not ids.size:
             raise MissingLogline("empty logline")
-        return self.encoder.encode(ad.constant(self.vectors.rows(tokens)))
+        return self.encoder.encode(ad.constant(self.vectors.embeddings.matrix[ids]))
 
-    def logits(self, tokens: list[str]) -> Tensor:
-        return self.head.logits(self.encode(tokens))
+    def logits(self, logline: CompiledScript | Screenplay) -> Tensor:
+        return self.head.logits(self.encode(logline))
 
     def named_params(self) -> dict[str, Tensor]:
         out = self.encoder.named_params("logline")
@@ -255,19 +258,17 @@ class TrainResult:
 
 def make_samples(items: Sequence[CorpusItem], taxonomy: TagTaxonomy,
                  use_loglines: bool = False) -> list[Sample]:
+    """One sample per item, holding the script or logline that ingest
+    compiled."""
     samples: list[Sample] = []
     for it in items:
         y = taxonomy.label_vector(it.tags.get(taxonomy.attribute, ()))
-        if use_loglines:
-            # a logline with no tokens is as missing as an absent one
-            tokens = tokenize(it.logline) if it.logline else []
-            if not tokens:
-                log.warning("skipping %s: %s", it.title,
-                            MissingLogline(it.title))
-                continue
-            samples.append(Sample(it.title, tokens, y))
-        else:
-            samples.append(Sample(it.title, it.screenplay, y))
+        x = it.logline_script if use_loglines else it.script
+        # a logline with no tokens is as missing as an absent one
+        if use_loglines and (x is None or not x.ids.size):
+            log.warning("skipping %s: %s", it.title, MissingLogline(it.title))
+            continue
+        samples.append(Sample(it.title, x, y))
     return samples
 
 

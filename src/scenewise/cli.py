@@ -89,6 +89,14 @@ def _probability(text: str) -> float:
     return value
 
 
+def _odd_window(text: str) -> int:
+    """argparse type for a smoothing window: an odd integer >= 1."""
+    value = int(text)
+    if value < 1 or value % 2 == 0:
+        raise argparse.ArgumentTypeError(f"must be an odd integer >= 1, got {text}")
+    return value
+
+
 def _ingest_config(args: argparse.Namespace) -> IngestConfig:
     return IngestConfig(
         min_count=args.min_count, cap=args.cap,
@@ -520,7 +528,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("--title", required=True)
     sp.add_argument("--descriptors", default="top:4",
                     help="'top:m' or comma-separated indices")
-    sp.add_argument("--window", type=int, default=5)
+    sp.add_argument("--window", type=_odd_window, default=5)
     sp.add_argument("--annotate", action="append", metavar="SCENE:LABEL")
     sp.add_argument("--format", default="svg", choices=["csv", "svg"])
     sp.add_argument("--cap", type=int, default=60)

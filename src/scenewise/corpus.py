@@ -14,9 +14,9 @@ from __future__ import annotations
 import json
 import logging
 import re
-from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .errors import (
     NonFiniteEmbedding,
 )
 from .ioutil import atomic_write_text, canonical_json, config_hash, sha256_hex
-from .parser import Scene, Screenplay
+from .parser import Scene, Screenplay, Statement, StatementKind
 
 log = logging.getLogger(__name__)
 
@@ -70,34 +70,6 @@ class Vocabulary:
 
     def hash(self) -> str:
         return sha256_hex("\n".join(self.tokens))
-
-
-def build_vocabulary(screenplays: list[Screenplay], min_count: int = 5) -> Vocabulary:
-    counts: Counter[str] = Counter()
-    for sp in screenplays:
-        for scene in sp.scenes:
-            counts.update(scene_tokens(scene))
-    kept = [tok for tok, c in counts.items() if c >= min_count]
-    return Vocabulary(kept)
-
-
-def descriptor_vocabulary(screenplays: list[Screenplay], min_movies: int = 50,
-                          exclude_top: int = 500) -> tuple[str, ...]:
-    """Tokens occurring in at least ``min_movies`` scripts, outside the
-    ``exclude_top`` most frequent tokens."""
-    doc_freq: Counter[str] = Counter()
-    total: Counter[str] = Counter()
-    for sp in screenplays:
-        seen: set[str] = set()
-        for scene in sp.scenes:
-            toks = scene_tokens(scene)
-            total.update(toks)
-            seen.update(toks)
-        doc_freq.update(seen)
-    by_frequency = sorted(total, key=lambda t: (-total[t], t))
-    top = set(by_frequency[:exclude_top])
-    kept = [t for t in sorted(doc_freq) if doc_freq[t] >= min_movies and t not in top]
-    return tuple(kept)
 
 
 class WordEmbeddings:
@@ -159,9 +131,146 @@ class WordEmbeddings:
         return token in self.index
 
 
+# ---------------------------------------------------------------------------
+# compiled scripts
+
+ACTION, DIALOGUE = 0, 1   # statement kinds in a compiled script
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class CompiledScript:
+    """A screenplay as embedding-row ids, tokenized once.
+
+    ``ids`` holds every statement's tokens end to end in the original
+    statement order, as int32 rows of ``embeddings.matrix``; tokens outside
+    ``vocabulary`` take the unknown row.  Statement ``i`` has ``lengths[i]``
+    tokens (possibly none), sits in scene ``scenes[i]`` and is of kind
+    ``kinds[i]`` (ACTION or DIALOGUE).  ``characters[s]`` holds scene
+    ``s``'s speaking characters, sorted.  The ids mean nothing to another
+    vocabulary or embedding matrix.
+    """
+
+    title: str
+    ids: np.ndarray
+    lengths: np.ndarray
+    scenes: np.ndarray
+    kinds: np.ndarray
+    characters: tuple[tuple[str, ...], ...]
+    vocabulary: Vocabulary
+    embeddings: WordEmbeddings
+
+    @property
+    def n_scenes(self) -> int:
+        return len(self.characters)
+
+
+class TokenPass:
+    """One tokenize pass over screenplays.
+
+    Each statement is tokenized once.  Each distinct token gets a type
+    number in first-seen order, and each screenplay keeps its tokens' type
+    numbers end to end with its statements' lengths, scenes and kinds.  The
+    vocabulary, the descriptor vocabulary and the compiled scripts are all
+    read from this one pass.
+    """
+
+    def __init__(self, screenplays: Sequence[Screenplay]):
+        index: dict[str, int] = {}
+        casts: dict[tuple[str, ...], tuple[str, ...]] = {}
+        self.type_ids: list[np.ndarray] = []   # per play, int32
+        self.layouts = []   # per play: title, lengths, scenes, kinds, characters
+        for play in screenplays:
+            tokens: list[str] = []
+            lengths, scenes, kinds, characters = [], [], [], []
+            for s, scene in enumerate(play.scenes):
+                speakers = set()
+                for stmt in scene.statements:
+                    toks = tokenize(stmt.text)
+                    tokens += toks
+                    lengths.append(len(toks))
+                    scenes.append(s)
+                    if stmt.kind is StatementKind.DIALOGUE:
+                        kinds.append(DIALOGUE)
+                        speakers.add(stmt.character)
+                    else:
+                        kinds.append(ACTION)
+                cast = tuple(sorted(speakers))
+                characters.append(casts.setdefault(cast, cast))
+            self.type_ids.append(np.array(
+                [index.setdefault(t, len(index)) for t in tokens], dtype=np.int32))
+            self.layouts.append((play.title, np.array(lengths, dtype=np.int32),
+                                 np.array(scenes, dtype=np.int32),
+                                 np.array(kinds, dtype=np.int32),
+                                 tuple(characters)))
+        self.types = list(index)
+
+    def _counts(self, which: Sequence[int] | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """Occurrences of each token type over the plays at ``which``
+        (default all), and the number of those plays it occurs in."""
+        chosen = range(len(self.type_ids)) if which is None else which
+        total = np.zeros(len(self.types), dtype=np.int64)
+        plays = np.zeros(len(self.types), dtype=np.int64)
+        for i in chosen:
+            counts = np.bincount(self.type_ids[i], minlength=len(self.types))
+            total += counts
+            plays += counts > 0
+        return total, plays
+
+    def vocabulary(self, min_count: int = 5) -> Vocabulary:
+        """The tokens occurring at least ``min_count`` times in all plays."""
+        total, _ = self._counts()
+        return Vocabulary([t for t, c in zip(self.types, total) if c >= min_count])
+
+    def descriptor_vocabulary(self, which: Sequence[int] | None = None,
+                              min_movies: int = 50,
+                              exclude_top: int = 500) -> tuple[str, ...]:
+        """Tokens occurring in at least ``min_movies`` of the plays at
+        ``which`` (default all), outside their ``exclude_top`` most frequent
+        tokens (ties broken by the token)."""
+        total, doc_freq = self._counts(which)
+        total = total.tolist()
+        present = [i for i, n in enumerate(total) if n]
+        by_frequency = sorted(present, key=lambda i: (-total[i], self.types[i]))
+        top = set(by_frequency[:exclude_top])
+        return tuple(sorted(self.types[i] for i in present
+                            if doc_freq[i] >= min_movies and i not in top))
+
+    def compile(self, vocabulary: Vocabulary,
+                embeddings: WordEmbeddings) -> list[CompiledScript]:
+        """Every play as embedding-row ids, in pass order.
+
+        The plays' type numbers are overwritten with their row ids, so the
+        ids take no second copy; the pass is spent afterwards.
+        """
+        unknown = len(embeddings.matrix) - 1
+        rows = np.array([embeddings.index.get(t, unknown) if t in vocabulary
+                         else unknown for t in self.types], dtype=np.int32)
+        scripts = []
+        for ids, (title, lengths, scenes, kinds, characters) in zip(
+                self.type_ids, self.layouts):
+            ids[:] = rows[ids]
+            scripts.append(CompiledScript(title, ids, lengths, scenes, kinds,
+                                          characters, vocabulary, embeddings))
+        self.type_ids, self.layouts = [], []
+        return scripts
+
+
+def compile_script(screenplay: Screenplay, vocabulary: Vocabulary,
+                   embeddings: WordEmbeddings) -> CompiledScript:
+    return TokenPass([screenplay]).compile(vocabulary, embeddings)[0]
+
+
+def logline_screenplay(title: str, logline: str) -> Screenplay:
+    """A logline as a screenplay of one scene holding one action statement,
+    the form it is compiled in."""
+    return Screenplay(title, [Scene(index=1, statements=[
+        Statement(StatementKind.ACTION, logline)])])
+
+
 @dataclass
 class TokenVectors:
-    """Vocabulary-filtered embedding lookup used by the encoders."""
+    """The vocabulary and embeddings that scripts are compiled against."""
 
     vocabulary: Vocabulary
     embeddings: WordEmbeddings
@@ -170,10 +279,20 @@ class TokenVectors:
     def dim(self) -> int:
         return self.embeddings.dim
 
-    def rows(self, tokens: list[str]) -> np.ndarray:
-        vocabulary = self.vocabulary
-        return self.embeddings.rows(
-            [t if t in vocabulary else UNK_TOKEN for t in tokens])
+    def compiled(self, script: CompiledScript | Screenplay) -> CompiledScript:
+        """``script`` as row ids for this vocabulary and these embeddings.
+
+        A raw screenplay is compiled here; a compiled one must have been
+        compiled against these very objects, else its ids would gather the
+        wrong rows, so it raises DataError.
+        """
+        if isinstance(script, Screenplay):
+            return compile_script(script, self.vocabulary, self.embeddings)
+        if script.vocabulary is not self.vocabulary \
+                or script.embeddings is not self.embeddings:
+            raise DataError(f"{script.title}: compiled against another "
+                            f"vocabulary or embedding table")
+        return script
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +305,9 @@ class CorpusItem:
     screenplay: Screenplay
     tags: dict[str, tuple[str, ...]]
     logline: str | None = None
+    # set by ingest: the screenplay and the logline compiled to row ids
+    script: CompiledScript | None = None
+    logline_script: CompiledScript | None = None
 
 
 @dataclass(frozen=True)
@@ -294,7 +416,9 @@ def ingest(scripts_dir: str | Path, tags_path: str | Path,
            loglines_path: str | Path | None = None) -> tuple[Corpus, dict]:
     """Parse, filter, split, and index a script directory.
 
-    Returns the corpus plus a manifest recording the split assignment and
+    One tokenize pass over the kept scripts yields the vocabulary, the
+    descriptor vocabulary, and each item's compiled script (and compiled
+    logline).  Returns the corpus plus a manifest recording the split assignment and
     every exclusion with its reason.
     """
     scripts_dir = Path(scripts_dir)
@@ -330,13 +454,18 @@ def ingest(scripts_dir: str | Path, tags_path: str | Path,
     parsed.sort(key=lambda it: it.title)
     split = split_titles([it.title for it in parsed], config.heldout_fraction,
                          config.validation_fraction, config.seed)
-    train_plays = [it.screenplay for it in parsed
-                   if split[it.title] in ("train", "validation")]
-    vocabulary = build_vocabulary([it.screenplay for it in parsed],
-                                  min_count=config.min_count)
-    desc_vocab = descriptor_vocabulary(train_plays,
-                                       min_movies=config.descriptor_min_movies,
-                                       exclude_top=config.descriptor_top_exclude)
+    tokens = TokenPass([it.screenplay for it in parsed])
+    vocabulary = tokens.vocabulary(config.min_count)
+    desc_vocab = tokens.descriptor_vocabulary(
+        [i for i, it in enumerate(parsed)
+         if split[it.title] in ("train", "validation")],
+        min_movies=config.descriptor_min_movies,
+        exclude_top=config.descriptor_top_exclude)
+    for it, script in zip(parsed, tokens.compile(vocabulary, embeddings)):
+        it.script = script
+        if it.logline is not None:
+            it.logline_script = compile_script(
+                logline_screenplay(it.title, it.logline), vocabulary, embeddings)
     corpus = Corpus(items=parsed, split=split, vocabulary=vocabulary,
                     embeddings=embeddings, descriptor_vocab=desc_vocab)
     manifest = {

@@ -16,6 +16,9 @@ statement-tier batch, the channel's per-scene sequences of statement
 vectors are one scene-tier batch, and the script is a batch of one.  A
 batch reaches an encoder as its sequences' rows laid end to end plus their
 lengths; the GRU and attention kinds pad it into a masked (B, T, D) batch.
+The model reads a script compiled once to embedding-row ids
+(``corpus.CompiledScript``): numpy masks over its statement table pick each
+channel's statements, and one gather per channel fetches their word rows.
 Structural variants replace or drop tiers:
 
 * ``full`` / ``plus_chars`` — both channels, character block included
@@ -34,9 +37,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import TokenVectors, tokenize
+from .corpus import ACTION, DIALOGUE, CompiledScript, TokenVectors
 from .errors import EmptyScript, EmptyStatement, ShapeMismatch
-from .parser import Scene, Screenplay
+from .parser import Screenplay
 
 
 class EncoderKind(Enum):
@@ -160,21 +163,24 @@ def _padded(rows: Tensor, lengths: np.ndarray) -> Tensor:
                     (len(lengths), lengths.max(), rows.data.shape[1]))
 
 
-def _scene_rows(vecs: Tensor, kept: list[int], n_scenes: int) -> Tensor:
+def _scene_rows(vecs: Tensor, kept, n_scenes: int) -> Tensor:
     """(n_scenes, F): row ``j`` of ``vecs`` at scene ``kept[j]``, zero rows
     for the other scenes."""
     return ad.place(vecs, np.asarray(kept), (n_scenes, vecs.data.shape[1]))
 
 
-def encode_tokens(sequences: list[list[str]], vectors: TokenVectors,
+def encode_tokens(ids: np.ndarray, lengths, matrix: np.ndarray,
                   encoder: SequenceEncoder) -> Tensor:
-    """Encode token sequences as one batch: (len(sequences), output_dim).
-    Raises EmptyStatement if a sequence has zero tokens."""
-    lengths = [len(tokens) for tokens in sequences]
-    if not lengths or min(lengths) == 0:
+    """Encode token sequences as one batch: (len(lengths), output_dim).
+
+    ``ids`` are the sequences' rows of the embedding ``matrix`` laid end to
+    end, sequence ``b`` taking the next ``lengths[b]``; they are gathered
+    with one indexing.  Raises EmptyStatement if a sequence has zero tokens.
+    """
+    lengths = np.asarray(lengths)
+    if not lengths.size or lengths.min() == 0:
         raise EmptyStatement("statement has no tokens")
-    rows = vectors.rows([t for tokens in sequences for t in tokens])
-    return encoder.encode(ad.constant(rows), lengths)
+    return encoder.encode(ad.constant(matrix[ids]), lengths)
 
 
 class CharacterTable:
@@ -214,7 +220,7 @@ _CHANNEL_VARIANTS = {
 
 
 class HierarchicalModel:
-    """Three-tier script encoder over parsed screenplays."""
+    """Three-tier script encoder over compiled screenplays."""
 
     def __init__(self, spec: EncoderSpec, variant: Variant,
                  vectors: TokenVectors, characters: list[str],
@@ -267,51 +273,52 @@ class HierarchicalModel:
     def script_dim(self) -> int:
         return self.script_encoder.output_dim
 
-    def _channel_statements(self, scene: Scene, channel: str) -> list[list[str]]:
-        if channel == "action":
-            texts = scene.action_statements
-        elif channel == "dialogue":
-            texts = [text for _, text in scene.dialogue_statements]
-        else:  # han content: interleaved original order
-            texts = [s.text for s in scene.statements]
-        return [toks for toks in (tokenize(t) for t in texts) if toks]
-
-    def _encode_channel(self, scenes: list[Scene], channel: str) -> Tensor:
-        per_scene = [self._channel_statements(s, channel) for s in scenes]
+    def _encode_channel(self, script: CompiledScript, channel: str) -> Tensor:
+        """(n_scenes, F): the channel's statements with tokens, encoded per
+        scene; zero rows for scenes without such statements."""
         scene_enc = self.scene_encoders[channel]
-        kept = [i for i, stmts in enumerate(per_scene) if stmts]
-        if not kept:
-            return ad.constant(np.zeros((len(scenes), scene_enc.output_dim)))
+        keep = script.lengths > 0
+        if channel != "content":  # han content: all statements, interleaved
+            keep &= script.kinds == (ACTION if channel == "action" else DIALOGUE)
+        lengths = script.lengths[keep]
+        if not lengths.size:
+            return ad.constant(np.zeros((script.n_scenes, scene_enc.output_dim)))
+        ids = script.ids[np.repeat(keep, script.lengths)]
+        runs = np.bincount(script.scenes[keep], minlength=script.n_scenes)
+        kept = np.flatnonzero(runs)
+        runs = runs[kept]
+        matrix = self.vectors.embeddings.matrix
         if self.variant is Variant.TWO_TIER:
-            words = [[tok for stmt in per_scene[i] for tok in stmt] for i in kept]
-            vecs = encode_tokens(words, self.vectors, scene_enc)
+            words = np.add.reduceat(lengths, np.cumsum(runs) - runs)
+            vecs = encode_tokens(ids, words, matrix, scene_enc)
         else:
-            runs = [len(per_scene[i]) for i in kept]
-            stmt_vecs = encode_tokens([stmt for i in kept for stmt in per_scene[i]],
-                                      self.vectors, self.statement_encoders[channel])
+            stmt_vecs = encode_tokens(ids, lengths, matrix,
+                                      self.statement_encoders[channel])
             vecs = scene_enc.encode(stmt_vecs, runs)
-        return _scene_rows(vecs, kept, len(scenes))
+        return _scene_rows(vecs, kept, script.n_scenes)
 
-    def _encode_characters(self, scenes: list[Scene]) -> Tensor:
-        names = [sorted(scene.characters) for scene in scenes]
+    def _encode_characters(self, script: CompiledScript) -> Tensor:
+        names = script.characters
         kept = [i for i, per in enumerate(names) if per]
         if not kept:
-            return ad.constant(np.zeros((len(scenes), self.char_dim)))
+            return ad.constant(np.zeros((script.n_scenes, self.char_dim)))
         runs = [len(names[i]) for i in kept]
         rows = ad.stack([self.char_table.vector(n) for i in kept for n in names[i]])
-        return _scene_rows(ad.mean_rows(rows, runs), kept, len(scenes))
+        return _scene_rows(ad.mean_rows(rows, runs), kept, script.n_scenes)
 
-    def encode_scenes(self, scenes: list[Scene]) -> Tensor:
-        """(len(scenes), scene_dim): each scene's blocks concatenated in
-        ``block_layout`` order."""
-        return ad.concat([self._encode_characters(scenes) if name == "characters"
-                          else self._encode_channel(scenes, name)
+    def encode_scenes(self, script: CompiledScript | Screenplay) -> Tensor:
+        """(n_scenes, scene_dim): each scene's blocks concatenated in
+        ``block_layout`` order.  A raw screenplay is compiled first."""
+        script = self.vectors.compiled(script)
+        return ad.concat([self._encode_characters(script) if name == "characters"
+                          else self._encode_channel(script, name)
                           for name, _ in self.block_layout])
 
-    def encode_script(self, screenplay: Screenplay) -> Tensor:
-        if not screenplay.scenes:
-            raise EmptyScript(f"{screenplay.title}: no scenes to encode")
-        return self.script_encoder.encode(self.encode_scenes(screenplay.scenes))
+    def encode_script(self, script: CompiledScript | Screenplay) -> Tensor:
+        script = self.vectors.compiled(script)
+        if not script.n_scenes:
+            raise EmptyScript(f"{script.title}: no scenes to encode")
+        return self.script_encoder.encode(self.encode_scenes(script))
 
     def named_params(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}

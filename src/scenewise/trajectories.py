@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import UnknownFormat
 
@@ -28,18 +29,25 @@ class Trajectory:
     rescaled: np.ndarray
 
 
-def smooth(values: Sequence[float], window: int = 5) -> np.ndarray:
-    """Centered moving average with shorter windows at the edges."""
+def smooth(values, window: int = 5) -> np.ndarray:
+    """Centered moving average down the first axis, with shorter windows at
+    the edges; the columns of a (S, m) array are smoothed independently.
+
+    Each window's sum runs over the zero-padded input and is divided by the
+    number of real entries in the window.  (One spare zero row keeps an
+    empty input at least one window long.)
+    """
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be odd and >= 1, got {window}")
     x = np.asarray(values, dtype=np.float64)
     half = window // 2
-    out = np.empty_like(x)
-    for i in range(x.size):
-        lo = max(0, i - half)
-        hi = min(x.size, i + half + 1)
-        out[i] = x[lo:hi].mean()
-    return out
+    n = x.shape[0]
+    padded = np.zeros((n + window,) + x.shape[1:])
+    padded[half:half + n] = x
+    sums = sliding_window_view(padded, window, axis=0)[:n].sum(axis=-1)
+    step = np.arange(n)
+    counts = np.minimum(step + half + 1, n) - np.maximum(step - half, 0)
+    return sums / counts.reshape((n,) + (1,) * (x.ndim - 1))
 
 
 def rescale(rows: np.ndarray) -> np.ndarray:
@@ -59,7 +67,8 @@ def rescale(rows: np.ndarray) -> np.ndarray:
 
 
 def select_descriptors(weights: np.ndarray, selection: str) -> list[int]:
-    """Parse ``top:m`` (by mean weight) or a comma list of indices."""
+    """Parse ``top:m`` (by mean weight) or a comma list of distinct
+    indices."""
     k = weights.shape[1]
     if selection.startswith("top:"):
         m = int(selection.split(":", 1)[1])
@@ -68,9 +77,12 @@ def select_descriptors(weights: np.ndarray, selection: str) -> list[int]:
         means = weights.mean(axis=0)
         order = sorted(range(k), key=lambda i: (-means[i], i))
         return sorted(order[:m])
-    indices = [int(tok) for tok in selection.split(",") if tok.strip() != ""]
-    if not indices:
-        raise ValueError(f"empty descriptor selection {selection!r}")
+    items = selection.split(",")
+    if not selection.strip() or any(not tok.strip() for tok in items):
+        raise ValueError(f"empty item in descriptor selection {selection!r}")
+    indices = [int(tok) for tok in items]
+    if len(set(indices)) != len(indices):
+        raise ValueError(f"duplicate index in descriptor selection {selection!r}")
     for i in indices:
         if not 0 <= i < k:
             raise ValueError(f"descriptor index {i} out of range [0, {k})")
@@ -81,7 +93,7 @@ def build_trajectories(weights: np.ndarray, selection: Sequence[int],
                        window: int = 5) -> list[Trajectory]:
     """Smooth and rescale the selected descriptor columns of (S, k) weights."""
     weights = np.asarray(weights, dtype=np.float64)
-    smoothed = np.stack([smooth(weights[:, i], window) for i in selection], axis=1)
+    smoothed = smooth(weights[:, list(selection)], window)
     shares = rescale(smoothed)
     return [Trajectory(descriptor=idx, raw=weights[:, idx].copy(),
                        smoothed=smoothed[:, j], rescaled=shares[:, j])

@@ -16,7 +16,7 @@ from scenewise.classifier import (
     reweighted_loss,
     train,
 )
-from scenewise.corpus import CorpusItem
+from scenewise.corpus import CorpusItem, logline_screenplay
 from scenewise.encoders import EncoderKind, EncoderSpec, HierarchicalModel, Variant
 from scenewise.errors import DataEmpty, NoPositives
 from scenewise.parser import Scene, Screenplay, Statement, StatementKind
@@ -233,11 +233,11 @@ def test_train_empty_raises(tiny_vectors):
 def test_loglines_model_dims_and_determinism(tiny_vectors):
     model = LoglinesModel(tiny_vectors, n_tags=3, hidden_per_direction=2, seed=2)
     assert model.output_dim == 4
-    single = model.encode(["alpha"])
+    single = model.encode(logline_screenplay("t", "alpha"))
     assert single.data.shape == (4,)
-    z1 = model.logits(["alpha", "beta"]).data
+    z1 = model.logits(logline_screenplay("t", "alpha beta")).data
     model2 = LoglinesModel(tiny_vectors, n_tags=3, hidden_per_direction=2, seed=2)
-    z2 = model2.logits(["alpha", "beta"]).data
+    z2 = model2.logits(logline_screenplay("t", "alpha beta")).data
     assert np.array_equal(z1, z2)
 
 
@@ -248,18 +248,26 @@ def test_loglines_paper_output_dim():
     assert model.output_dim == 100
 
 
+def _logline_item(title, tags, logline, vectors):
+    """An item with its logline compiled, as ingest leaves it."""
+    compiled = None if logline is None else vectors.compiled(
+        logline_screenplay(title, logline))
+    return CorpusItem(title, _toy_play(), tags, logline=logline,
+                      logline_script=compiled)
+
+
 def test_make_samples_skips_missing_loglines(tiny_vectors):
     taxonomy = _toy_taxonomy()
-    items = [CorpusItem("a", _toy_play(), {"genre": ("x",)}, logline="alpha beta"),
-             CorpusItem("b", _toy_play(), {"genre": ("y",)}, logline=None)]
+    items = [_logline_item("a", {"genre": ("x",)}, "alpha beta", tiny_vectors),
+             _logline_item("b", {"genre": ("y",)}, None, tiny_vectors)]
     samples = make_samples(items, taxonomy, use_loglines=True)
     assert [s.key for s in samples] == ["a"]
 
 
-def test_make_samples_skips_logline_without_tokens(caplog):
+def test_make_samples_skips_logline_without_tokens(caplog, tiny_vectors):
     taxonomy = _toy_taxonomy()
-    items = [CorpusItem("a", _toy_play(), {"genre": ("x",)}, logline="..."),
-             CorpusItem("b", _toy_play(), {"genre": ("y",)}, logline="alpha")]
+    items = [_logline_item("a", {"genre": ("x",)}, "...", tiny_vectors),
+             _logline_item("b", {"genre": ("y",)}, "alpha", tiny_vectors)]
     samples = make_samples(items, taxonomy, use_loglines=True)
     assert [s.key for s in samples] == ["b"]
     assert "skipping a" in caplog.text

@@ -395,6 +395,18 @@ THRESHOLD_FLAGS = {
 }
 
 
+@pytest.mark.parametrize("window", ["0", "-3", "4"])
+def test_trajectories_window_even_or_below_one_is_usage_error(workspace, tmp_path,
+                                                              window):
+    _, synth = workspace
+    # the checkpoint does not exist: the window is refused before it is read
+    with pytest.raises(SystemExit) as exc:
+        main(trajectory_args(synth, tmp_path / "missing.swck", tmp_path / "t.svg")
+             + ["--window", window])
+    assert exc.value.code == 2
+    assert not (tmp_path / "t.svg").exists()
+
+
 @pytest.mark.parametrize("value", ["0", "1.0", "1.5"])
 @pytest.mark.parametrize("command", sorted(THRESHOLD_FLAGS))
 def test_threshold_outside_unit_interval_is_usage_error(workspace, tmp_path,

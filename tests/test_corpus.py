@@ -8,10 +8,9 @@ from scenewise import parser
 from scenewise.corpus import (
     IngestConfig,
     SynthSpec,
+    TokenPass,
     Vocabulary,
     WordEmbeddings,
-    build_vocabulary,
-    descriptor_vocabulary,
     generate_synthetic_corpus,
     ingest,
     load_loglines,
@@ -30,7 +29,7 @@ def test_tokenize_basic():
 
 def test_vocabulary_min_count():
     plays = [parser.parse_script("a", "hello world\n" * 5 + "rare thing\n", cap=None)]
-    vocab = build_vocabulary(plays, min_count=5)
+    vocab = TokenPass(plays).vocabulary(min_count=5)
     assert "hello" in vocab and "world" in vocab
     assert "rare" not in vocab
 
@@ -47,7 +46,7 @@ def test_descriptor_vocabulary_filters():
         text = "common words here\n" + (f"special{i:02d} marker\n" if i < 5 else "")
         plays.append(parser.parse_script(f"s{i}", text, cap=None))
     # "marker" occurs in 5 movies; exclude the 3 most frequent tokens
-    vocab = descriptor_vocabulary(plays, min_movies=5, exclude_top=3)
+    vocab = TokenPass(plays).descriptor_vocabulary(min_movies=5, exclude_top=3)
     assert "marker" in vocab
     assert "common" not in vocab  # top-frequency exclusion
     assert not any(v.startswith("special") for v in vocab)  # below min_movies
@@ -211,9 +210,10 @@ def test_token_below_min_count_maps_to_unk(synth_corpus):
     config = IngestConfig(min_count=2)
     corpus, _ = ingest(out / "scripts", out / "tags.json", out / "embeddings.txt",
                        config)
-    vectors = corpus.vectors()
-    rows = vectors.rows(["notarealtokenatall"])
-    assert np.allclose(rows[0], corpus.embeddings.unk)
+    play = parser.parse_script("t", "notarealtokenatall\n", cap=None)
+    script = corpus.vectors().compiled(play)
+    assert np.allclose(corpus.embeddings.matrix[script.ids[0]],
+                       corpus.embeddings.unk)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -36,6 +36,23 @@ def dialogue(text, who):
     return Statement(StatementKind.DIALOGUE, text, character=who)
 
 
+def play_of(*scenes):
+    return Screenplay("t", list(scenes))
+
+
+def compiled_ids(vectors, sequences):
+    """Row ids and lengths of token sequences, each compiled as one
+    action statement."""
+    script = vectors.compiled(play_of(scene_of(*[action(" ".join(tokens))
+                                                 for tokens in sequences])))
+    return script.ids, script.lengths
+
+
+def encode_sequences(sequences, vectors, encoder):
+    return encode_tokens(*compiled_ids(vectors, sequences),
+                         vectors.embeddings.matrix, encoder)
+
+
 # ---------------------------------------------------------------------------
 # attention
 
@@ -141,15 +158,15 @@ def test_attention_weights_form_simplex():
 def test_boe_single_token_identity(tiny_vectors):
     spec = EncoderSpec(EncoderKind.BOE, input_dim=4)
     encoder = SequenceEncoder(spec, rng())
-    out = encode_tokens([["alpha"]], tiny_vectors, encoder)
-    assert np.allclose(out.data[0], tiny_vectors.rows(["alpha"])[0])
+    out = encode_sequences([["alpha"]], tiny_vectors, encoder)
+    assert np.allclose(out.data[0], tiny_vectors.embeddings.vector("alpha"))
 
 
 def test_boe_two_tokens_midpoint(tiny_vectors):
     spec = EncoderSpec(EncoderKind.BOE, input_dim=4)
     encoder = SequenceEncoder(spec, rng())
-    out = encode_tokens([["alpha", "beta"]], tiny_vectors, encoder)
-    expected = tiny_vectors.rows(["alpha", "beta"]).mean(axis=0)
+    out = encode_sequences([["alpha", "beta"]], tiny_vectors, encoder)
+    expected = tiny_vectors.embeddings.rows(["alpha", "beta"]).mean(axis=0)
     assert np.allclose(out.data[0], expected)
 
 
@@ -162,9 +179,9 @@ def test_token_batch_matches_one_sequence_at_a_time(kind):
                                           hidden_per_direction=3), r)
     sequences = [["w0", "w1", "w2"], ["w3"], ["w4", "w5", "w0", "w1", "w2"],
                  ["w5", "w4"]]
-    batch = encode_tokens(sequences, vectors, encoder).data
+    batch = encode_sequences(sequences, vectors, encoder).data
     for row, tokens in zip(batch, sequences):
-        alone = encoder.encode(ad.constant(vectors.rows(tokens))).data
+        alone = encoder.encode(ad.constant(vectors.embeddings.rows(tokens))).data
         assert np.max(np.abs(row - alone)) < 1e-12
 
 
@@ -174,7 +191,7 @@ def test_gru_attn_statement_output_dim_100():
     vectors = make_vectors({t: r.normal(size=100) for t in tokens})
     encoder = SequenceEncoder(EncoderSpec(EncoderKind.GRU_ATTN), r)
     for t in range(1, 4):
-        out = encode_tokens([tokens[:t]], vectors, encoder)
+        out = encode_sequences([tokens[:t]], vectors, encoder)
         assert out.data.shape == (1, 100)
 
 
@@ -182,7 +199,7 @@ def test_paper_linear_mode_through_encoder(tiny_vectors):
     spec = EncoderSpec(EncoderKind.BOE_ATTN, input_dim=4,
                        attention_normalization=enc.PAPER_LINEAR)
     encoder = SequenceEncoder(spec, rng(12))
-    rows = tiny_vectors.rows(["alpha", "beta", "gamma"])
+    rows = tiny_vectors.embeddings.rows(["alpha", "beta", "gamma"])
     out, weights = encoder.encode_with_weights(ad.constant(rows))
     scores = rows @ encoder.p.data
     expected = (scores / scores.sum()) @ rows
@@ -193,7 +210,8 @@ def test_paper_linear_mode_through_encoder(tiny_vectors):
 def test_empty_statement_raises(tiny_vectors):
     encoder = SequenceEncoder(EncoderSpec(EncoderKind.BOE, input_dim=4), rng())
     with pytest.raises(EmptyStatement):
-        encode_tokens([[]], tiny_vectors, encoder)
+        encode_tokens(np.zeros(0, dtype=np.int32), [0],
+                      tiny_vectors.embeddings.matrix, encoder)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +247,7 @@ PAPER_SPEC = EncoderSpec(EncoderKind.GRU_ATTN, input_dim=100)
 def test_character_block_is_mean(tiny_vectors):
     model = small_model(tiny_vectors)
     scene = scene_of(dialogue("alpha beta", "ANNA"), dialogue("gamma", "BO"))
-    emb = model.encode_scenes([scene])
+    emb = model.encode_scenes(play_of(scene))
     e_a = model.char_table.vector("ANNA").data
     e_b = model.char_table.vector("BO").data
     assert np.allclose(block(model, emb, "characters"), (e_a + e_b) / 2)
@@ -238,7 +256,7 @@ def test_character_block_is_mean(tiny_vectors):
 def test_dialogue_free_scene_has_zero_blocks(tiny_vectors):
     model = small_model(tiny_vectors)
     scene = scene_of(action("alpha beta gamma"))
-    emb = model.encode_scenes([scene])
+    emb = model.encode_scenes(play_of(scene))
     assert np.allclose(block(model, emb, "dialogue"), 0.0)
     assert np.allclose(block(model, emb, "characters"), 0.0)
     assert not np.allclose(block(model, emb, "action"), 0.0)
@@ -251,7 +269,7 @@ def test_full_variant_dims_at_paper_sizes():
     model = small_model(vectors, spec=PAPER_SPEC, char_dim=10)
     assert model.scene_dim == 210  # 100 action + 100 dialogue + 10 characters
     scene = scene_of(action("w0 w1"), dialogue("w2 w3", "ANNA"))
-    emb = model.encode_scenes([scene])
+    emb = model.encode_scenes(play_of(scene))
     assert emb.data.shape == (1, 210)
     assert model.encode_script(Screenplay("t", [scene])).data.shape == (100,)
 
@@ -278,8 +296,8 @@ def test_block_layout_stable_under_dialogue_change(tiny_vectors):
     model = small_model(tiny_vectors)
     s1 = scene_of(action("alpha beta"), dialogue("gamma", "ANNA"))
     s2 = scene_of(action("alpha beta"), dialogue("delta sun", "ANNA"))
-    b1 = model.encode_scenes([s1])
-    b2 = model.encode_scenes([s2])
+    b1 = model.encode_scenes(play_of(s1))
+    b2 = model.encode_scenes(play_of(s2))
     assert np.array_equal(block(model, b1, "action"), block(model, b2, "action"))
     assert not np.array_equal(block(model, b1, "dialogue"),
                               block(model, b2, "dialogue"))
@@ -289,16 +307,16 @@ def test_boe_scene_encoder_permutation_invariant(tiny_vectors):
     model = small_model(tiny_vectors)
     s1 = scene_of(action("alpha"), action("beta gamma"), action("delta"))
     s2 = scene_of(action("delta"), action("alpha"), action("beta gamma"))
-    assert np.allclose(model.encode_scenes([s1]).data,
-                       model.encode_scenes([s2]).data)
+    assert np.allclose(model.encode_scenes(play_of(s1)).data,
+                       model.encode_scenes(play_of(s2)).data)
 
 
 def test_han_uses_interleaved_order(tiny_vectors):
     model = small_model(tiny_vectors, variant=Variant.HAN, kind=EncoderKind.GRU)
     s1 = scene_of(action("alpha"), dialogue("beta", "ANNA"), action("gamma"))
     s2 = scene_of(action("alpha"), action("gamma"), dialogue("beta", "ANNA"))
-    v1 = model.encode_scenes([s1]).data
-    v2 = model.encode_scenes([s2]).data
+    v1 = model.encode_scenes(play_of(s1)).data
+    v2 = model.encode_scenes(play_of(s2)).data
     assert not np.allclose(v1, v2)
 
 
@@ -312,9 +330,9 @@ def test_two_tier_concatenates_words(tiny_vectors):
     model = small_model(tiny_vectors, variant=Variant.TWO_TIER)
     assert model.statement_encoders == {}
     scene = scene_of(action("alpha beta"), action("gamma"))
-    emb = model.encode_scenes([scene])
+    emb = model.encode_scenes(play_of(scene))
     # BoE over the concatenated word sequence = mean of all three words
-    expected = tiny_vectors.rows(["alpha", "beta", "gamma"]).mean(axis=0)
+    expected = tiny_vectors.embeddings.rows(["alpha", "beta", "gamma"]).mean(axis=0)
     assert np.allclose(block(model, emb, "action"), expected)
 
 
@@ -325,7 +343,7 @@ def test_two_tier_concatenates_words(tiny_vectors):
 def test_single_scene_boe_script_identity(tiny_vectors):
     model = small_model(tiny_vectors, include_chars=False)
     scene = scene_of(action("alpha beta"), dialogue("gamma", "ANNA"))
-    scene_vec = model.encode_scenes([scene]).data[0]
+    scene_vec = model.encode_scenes(play_of(scene)).data[0]
     script_vec = model.encode_script(Screenplay("t", [scene])).data
     assert np.allclose(script_vec, scene_vec)
 
@@ -348,7 +366,7 @@ def test_scene_order_sensitivity_gru_vs_boe(tiny_vectors):
 def test_unknown_character_maps_to_unk(tiny_vectors):
     model = small_model(tiny_vectors)
     scene = scene_of(dialogue("alpha", "STRANGER"))
-    emb = model.encode_scenes([scene])
+    emb = model.encode_scenes(play_of(scene))
     assert np.allclose(block(model, emb, "characters"),
                        model.char_table.vector(CharacterTable.UNK_NAME).data)
 

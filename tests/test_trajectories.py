@@ -91,6 +91,45 @@ def test_select_descriptors_top_m():
         select_descriptors(weights, "0,9")
 
 
+@pytest.mark.parametrize("selection", ["1,1", "0,2,0"])
+def test_select_descriptors_rejects_duplicate_index(selection):
+    weights = np.full((2, 3), 1 / 3)
+    with pytest.raises(ValueError, match=f"duplicate.*{selection!r}"):
+        select_descriptors(weights, selection)
+
+
+@pytest.mark.parametrize("selection", ["1,,2", "0,", ",1", "", " "])
+def test_select_descriptors_rejects_empty_item(selection):
+    weights = np.full((2, 3), 1 / 3)
+    with pytest.raises(ValueError, match=f"empty item.*{selection!r}"):
+        select_descriptors(weights, selection)
+
+
+def _smooth_per_scene(values, window):
+    """The per-scene loop that smooth replaces: one np.mean per scene."""
+    x = np.asarray(values, dtype=np.float64)
+    half = window // 2
+    return np.array([x[max(0, i - half):i + half + 1].mean()
+                     for i in range(x.size)])
+
+
+@pytest.mark.parametrize("window", [1, 3, 5, 7, 9, 15])
+def test_smooth_columns_match_per_scene_means(window):
+    rng = np.random.default_rng(window)
+    for n in (0, 1, 2, 5, 8, 13, 31):
+        weights = rng.dirichlet(np.ones(6), size=n)
+        selection = [0, 2, 3, 5]
+        out = smooth(weights[:, selection], window)
+        expected = np.stack([_smooth_per_scene(weights[:, i], window)
+                             for i in selection], axis=1)
+        if window <= 7:
+            # sums of at most seven terms run in the same order both ways
+            assert np.array_equal(out, expected)
+        else:
+            # from eight terms numpy sums pairwise, so the order can differ
+            assert np.allclose(out, expected, rtol=4e-16 * window, atol=0)
+
+
 def test_export_csv_shape_and_round_trip():
     rng = np.random.default_rng(6)
     weights = rng.random((3, 4))
