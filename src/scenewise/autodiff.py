@@ -28,8 +28,11 @@ VJP is hand-written backpropagation through time over the saved gate
 activations; it returns the input's gradient and each parameter's.
 ``bi_gru`` concatenates the two directions.  ``attention_pool`` pools such
 a batch with one attention vector, masking the padded steps, also as a
-single node.  ``margin_hinge`` sums the max-margin hinge of every row of a
-matrix against its negatives as one node, with a hand-written VJP.
+single node, and ``mean_rows`` averages runs of consecutive rows.  Every
+sequence op takes its batch's ``lengths`` and returns one tensor with a
+batch axis; a single sequence is a batch of one.  ``margin_hinge`` sums the
+max-margin hinge of every row of a matrix against its negatives as one
+node, with a hand-written VJP.
 """
 
 from __future__ import annotations
@@ -97,15 +100,6 @@ def _op(data: np.ndarray, parents: Sequence[Tensor], vjp: Vjp) -> Tensor:
 def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
     if a.data.shape != b.data.shape:
         raise ShapeMismatch(f"{op}: {a.data.shape} vs {b.data.shape}")
-
-
-def batch_of_one(a: Tensor, lengths) -> tuple[np.ndarray, bool]:
-    """``lengths`` as an array, and whether ``a`` is one (T, ...) sequence
-    given without lengths, which is taken as a batch of one, ``[T]``; the
-    caller then drops the batch axis from its results."""
-    if lengths is None:
-        return np.array([a.data.shape[0]]), True
-    return np.asarray(lengths), False
 
 
 def _step_mask(shape: tuple[int, ...], lengths: np.ndarray) -> np.ndarray:
@@ -267,12 +261,11 @@ def place(a: Tensor, index, shape: tuple[int, ...]) -> Tensor:
     return _op(out, (a,), lambda g: (g[index],))
 
 
-def mean_rows(a: Tensor, lengths=None) -> Tensor:
-    """Mean of each run of ``lengths[b]`` consecutive rows, (N, D) -> (B, D);
-    without ``lengths`` the column-wise mean of a matrix, (T, D) -> (D,)."""
+def mean_rows(a: Tensor, lengths) -> Tensor:
+    """Mean of each run of ``lengths[b]`` consecutive rows, (N, D) -> (B, D)."""
     if a.data.ndim != 2:
         raise ShapeMismatch(f"mean_rows: expected matrix, got {a.data.shape}")
-    lengths, single = batch_of_one(a, lengths)
+    lengths = np.asarray(lengths)
     if lengths.ndim != 1 or lengths.sum() != a.data.shape[0]:
         raise ShapeMismatch(f"mean_rows: runs {lengths} vs {a.data.shape}")
     if lengths.size == 0 or lengths.min() < 1:
@@ -281,9 +274,9 @@ def mean_rows(a: Tensor, lengths=None) -> Tensor:
     means = np.add.reduceat(a.data, np.cumsum(lengths) - lengths, axis=0) / counts
 
     def vjp(g: np.ndarray) -> tuple:
-        return (np.repeat(g.reshape(means.shape) / counts, lengths, axis=0),)
+        return (np.repeat(g / counts, lengths, axis=0),)
 
-    return _op(means[0] if single else means, (a,), vjp)
+    return _op(means, (a,), vjp)
 
 
 def total(a: Tensor) -> Tensor:
@@ -503,24 +496,22 @@ def bi_gru(xs: Tensor, p: BiGru, lengths) -> Tensor:
 _MIN_NORMALIZER = 1e-9
 
 
-def attention_pool(outputs: Tensor, p: Tensor, lengths=None, linear: bool = False
-                   ) -> tuple[Tensor, Tensor]:
-    """Attention-weighted sum of each sequence's outputs, as one tape node.
+def attention_pool(outputs: Tensor, p: Tensor, lengths, linear: bool = False
+                   ) -> Tensor:
+    """Attention-weighted sum of each sequence's outputs, (B, T, H) -> (B, H),
+    as one tape node.
 
-    ``outputs`` is a right-padded (B, T, H) batch with ``lengths``, or one
-    (T, H) sequence.  Scores are ``outputs @ p``; the weights are their
-    softmax over each sequence's real steps or, with ``linear``, each score
-    over the sum of its sequence's scores, which raises
+    ``outputs`` is a right-padded batch whose row ``b`` holds ``lengths[b]``
+    real steps.  Scores are ``outputs @ p``; the weights are their softmax
+    over each sequence's real steps or, with ``linear``, each score over
+    the sum of its sequence's scores, which raises
     :class:`DegenerateNormalizer` for a sequence whose sum is below
     ``_MIN_NORMALIZER`` in magnitude.  Padded steps get weight zero.
-    Returns the pooled (B, H) or (H,) tensor and the weights, (B, T) or
-    (T,), as a constant: gradients flow through the pooled output only.
     """
-    lengths, single = batch_of_one(outputs, lengths)
-    o = outputs.data[None] if single else outputs.data
+    o = outputs.data
     if o.ndim != 3 or p.data.shape != o.shape[2:]:
-        raise ShapeMismatch(f"attention_pool: {outputs.data.shape} vs {p.data.shape}")
-    valid = _step_mask(o.shape, lengths)[..., 0] > 0
+        raise ShapeMismatch(f"attention_pool: {o.shape} vs {p.data.shape}")
+    valid = _step_mask(o.shape, np.asarray(lengths))[..., 0] > 0
     scores = o @ p.data
     if linear:
         scores = np.where(valid, scores, 0.0)
@@ -539,17 +530,14 @@ def attention_pool(outputs: Tensor, p: Tensor, lengths=None, linear: bool = Fals
     pooled = (weights[:, None, :] @ o)[:, 0]
 
     def vjp(g: np.ndarray) -> tuple:
-        g = g.reshape(pooled.shape)
         d_w = (o @ g[:, :, None])[:, :, 0]
         centred = d_w - (weights * d_w).sum(axis=1, keepdims=True)
         d_s = np.where(valid, centred / sums, 0.0) if linear else weights * centred
         d_o = weights[:, :, None] * g[:, None, :] + d_s[:, :, None] * p.data
         d_p = d_s.reshape(-1) @ o.reshape(-1, o.shape[2])
-        return (d_o.reshape(outputs.data.shape), d_p)
+        return (d_o, d_p)
 
-    if single:
-        return _op(pooled[0], (outputs, p), vjp), constant(weights[0])
-    return _op(pooled, (outputs, p), vjp), constant(weights)
+    return _op(pooled, (outputs, p), vjp)
 
 
 def margin_hinge(w: Tensor, targets: np.ndarray, neg: np.ndarray) -> Tensor:

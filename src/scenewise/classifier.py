@@ -28,6 +28,7 @@ from .encoders import (
     EncoderSpec,
     HierarchicalModel,
     SequenceEncoder,
+    encode_tokens,
 )
 from .errors import (
     DataEmpty,
@@ -200,7 +201,8 @@ class LoglinesModel:
         ids = self.vectors.compiled(logline).ids
         if not ids.size:
             raise MissingLogline("empty logline")
-        return self.encoder.encode(ad.constant(self.vectors.embeddings.matrix[ids]))
+        return ad.row(encode_tokens(ids, [ids.size], self.vectors.embeddings.matrix,
+                                    self.encoder), 0)
 
     def logits(self, logline: CompiledScript | Screenplay) -> Tensor:
         return self.head.logits(self.encode(logline))

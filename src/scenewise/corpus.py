@@ -456,11 +456,13 @@ def ingest(scripts_dir: str | Path, tags_path: str | Path,
                          config.validation_fraction, config.seed)
     tokens = TokenPass([it.screenplay for it in parsed])
     vocabulary = tokens.vocabulary(config.min_count)
-    desc_vocab = tokens.descriptor_vocabulary(
+    # a descriptor word must have its own vector: the ones the embedding
+    # file lacks would all pool, and rank, as the one unknown row
+    desc_vocab = tuple(t for t in tokens.descriptor_vocabulary(
         [i for i, it in enumerate(parsed)
          if split[it.title] in ("train", "validation")],
         min_movies=config.descriptor_min_movies,
-        exclude_top=config.descriptor_top_exclude)
+        exclude_top=config.descriptor_top_exclude) if t in embeddings)
     for it, script in zip(parsed, tokens.compile(vocabulary, embeddings)):
         it.script = script
         if it.logline is not None:

@@ -10,7 +10,11 @@ descriptors distinct.
 
 Targets ``u_t`` come from a frozen attention-weighted bag-of-words scene
 encoder over a restricted vocabulary, pretrained on the tag task, so
-descriptor rows can be read off as their nearest vocabulary words.
+descriptor rows can be read off as their nearest vocabulary words.  The
+restricted (descriptor) vocabulary holds only tokens with a vector of their
+own in the embedding file: one without would pool, and be read out, as the
+shared unknown vector.  Each script's scenes are pooled as one batch,
+padded by ``encoders.pad_runs`` like every encoder tier's.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from . import autodiff as ad
 from .autodiff import Adam, Tensor, clip_grad_norm
 from .classifier import ClassifierHead, TagTaxonomy, reweighted_loss
 from .corpus import Corpus, WordEmbeddings, scene_tokens
-from .encoders import attend
+from .encoders import attend, pad_runs
 from .errors import (
     InsufficientVocab,
     NonFiniteLoss,
@@ -77,7 +81,7 @@ class SceneBagEncoder:
     """Attention-weighted bag of a scene's restricted-vocabulary words.
 
     Scenes are pooled with :func:`encoders.attend`, the pool the attention
-    vector ``p`` is pretrained through, one padded batch per script.  ``p``
+    vector ``p`` is pretrained through, one batch per script.  ``p``
     is fixed after pretraining and pooling constants builds no graph, so the
     targets are frozen.
     """
@@ -91,20 +95,19 @@ class SceneBagEncoder:
         self.dim = embeddings.dim
 
     def script_batch(self, scenes: Sequence[Scene]
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     ) -> tuple[Tensor, np.ndarray, np.ndarray]:
         """The scenes that hold restricted-vocabulary tokens, as a
-        right-padded (K, T, d) batch of their tokens' embedding rows, the
-        (K,) lengths, and their (K,) indices into ``scenes``."""
-        mats, kept = [], []
+        right-padded (K, T, d) constant batch of their tokens' embedding
+        rows, the (K,) lengths, and their (K,) indices into ``scenes``."""
+        tokens, lengths, kept = [], [], []
         for i, scene in enumerate(scenes):
-            tokens = [t for t in scene_tokens(scene) if t in self._vocab_set]
-            if tokens:
-                mats.append(self.embeddings.rows(tokens))
+            words = [t for t in scene_tokens(scene) if t in self._vocab_set]
+            if words:
+                tokens += words
+                lengths.append(len(words))
                 kept.append(i)
-        lengths = np.array([len(m) for m in mats], dtype=np.int64)
-        padded = np.zeros((len(mats), lengths.max(initial=0), self.dim))
-        for b, rows in enumerate(mats):
-            padded[b, :len(rows)] = rows
+        lengths = np.array(lengths, dtype=np.int64)
+        padded = pad_runs(ad.constant(self.embeddings.rows(tokens)), lengths)
         return padded, lengths, np.array(kept, dtype=np.intp)
 
     def encode_scenes(self, scenes: Sequence[Scene]
@@ -117,9 +120,7 @@ class SceneBagEncoder:
         padded, lengths, kept = self.script_batch(scenes)
         vs = np.zeros((len(scenes), self.dim))
         if len(kept):
-            pooled, _ = attend(ad.constant(padded), ad.constant(self.p),
-                               lengths=lengths)
-            vs[kept] = pooled.data
+            vs[kept] = attend(padded, ad.constant(self.p), lengths).data
         return vs, kept
 
     def encode_scene(self, scene: Scene) -> np.ndarray | None:
@@ -154,7 +155,7 @@ def pretrain_reconstruction_target(corpus: Corpus, attribute: str,
 
     # the target pools with p's own array, which Adam updates in place
     target = SceneBagEncoder(vocab, corpus.embeddings, p.data)
-    per_script: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    per_script: list[tuple[np.ndarray, Tensor, np.ndarray]] = []
     for it in train_items:
         padded, lengths, _ = target.script_batch(it.screenplay.scenes)
         if len(lengths):
@@ -166,8 +167,8 @@ def pretrain_reconstruction_target(corpus: Corpus, attribute: str,
         for i in order:
             y, padded, lengths = per_script[int(i)]
             opt.zero_grad()
-            scene_vecs, _ = attend(ad.constant(padded), p, lengths=lengths)
-            script_vec = ad.mean_rows(scene_vecs)
+            scene_vecs = attend(padded, p, lengths)
+            script_vec = ad.row(ad.mean_rows(scene_vecs, [len(lengths)]), 0)
             loss = reweighted_loss(y, head.logits(script_vec), taxonomy.lam,
                                    taxonomy.active)
             if not math.isfinite(loss.item()):

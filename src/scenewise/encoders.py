@@ -15,7 +15,9 @@ of sequences at once: all statements of a channel in a script are one
 statement-tier batch, the channel's per-scene sequences of statement
 vectors are one scene-tier batch, and the script is a batch of one.  A
 batch reaches an encoder as its sequences' rows laid end to end plus their
-lengths; the GRU and attention kinds pad it into a masked (B, T, D) batch.
+lengths, which are always given; the GRU and attention kinds pad it into a
+masked (B, T, D) batch with ``pad_runs``.  Every encode returns one
+(B, output_dim) tensor; attention weights are not returned.
 The model reads a script compiled once to embedding-row ids
 (``corpus.CompiledScript``): numpy masks over its statement table pick each
 channel's statements, and one gather per channel fetches their word rows.
@@ -66,25 +68,16 @@ class EncoderSpec:
             return self.input_dim
         return 2 * self.hidden_per_direction
 
-    @property
-    def attended_dim(self) -> int:
-        """Dimensionality of the vectors attention is computed over, and so
-        of the attention vector ``p``."""
-        if self.kind is EncoderKind.BOE_ATTN:
-            return self.input_dim
-        return 2 * self.hidden_per_direction
 
+def attend(outputs: Tensor, p: Tensor, lengths,
+           normalization: str = SOFTMAX) -> Tensor:
+    """Pool a right-padded (B, T, H) batch of outputs, row ``b`` holding
+    ``lengths[b]`` real steps, with attention vector ``p``: (B, H).
 
-def attend(outputs: Tensor, p: Tensor, normalization: str = SOFTMAX,
-           lengths=None) -> tuple[Tensor, Tensor]:
-    """Pool outputs with attention vector ``p``: a right-padded (B, T, H)
-    batch with ``lengths``, or one (T, H) sequence.
-
-    Returns the pooled (B, H) or (H,) tensor and the weights, which are not
-    on the tape.  ``softmax`` normalizes scores with a softmax;
-    ``paper_linear`` divides each score by the sum of its sequence's scores,
-    exactly as a linear normalization (weights may then be negative and the
-    sum may be degenerate).
+    ``softmax`` normalizes scores with a softmax; ``paper_linear`` divides
+    each score by the sum of its sequence's scores, exactly as a linear
+    normalization (weights may then be negative and the sum may be
+    degenerate).
     """
     if normalization not in (SOFTMAX, PAPER_LINEAR):
         raise ValueError(f"unknown attention normalization {normalization!r}")
@@ -102,45 +95,28 @@ class SequenceEncoder:
         if spec.kind in (EncoderKind.GRU, EncoderKind.GRU_ATTN):
             self.gru = ad.init_bi_gru(rng, spec.input_dim, spec.hidden_per_direction)
         if spec.kind in (EncoderKind.BOE_ATTN, EncoderKind.GRU_ATTN):
-            self.p = ad.parameter(ad.glorot(rng, (spec.attended_dim,)))
+            self.p = ad.parameter(ad.glorot(rng, (spec.output_dim,)))
 
     @property
     def output_dim(self) -> int:
         return self.spec.output_dim
 
-    def encode_with_weights(self, xs: Tensor, lengths=None
-                            ) -> tuple[Tensor, Tensor | None]:
+    def encode(self, xs: Tensor, lengths) -> Tensor:
         """Encode a batch of sequences laid end to end in the rows of ``xs``,
-        sequence ``b`` taking the next ``lengths[b]`` rows.
-
-        Returns the (B, output_dim) encodings and, for the attention kinds,
-        the (B, T) weights over the right-padded steps.  Without
-        ``lengths``, ``xs`` is one (T, D) sequence and the results are a
-        vector and (T,) weights.
+        sequence ``b`` taking the next ``lengths[b]`` rows: (B, output_dim).
         """
-        lengths, single = ad.batch_of_one(xs, lengths)
-        out, weights = self._encode_batch(xs, lengths)
-        if single:
-            return ad.row(out, 0), None if weights is None \
-                else ad.constant(weights.data[0])
-        return out, weights
-
-    def _encode_batch(self, xs: Tensor, lengths: np.ndarray
-                      ) -> tuple[Tensor, Tensor | None]:
+        lengths = np.asarray(lengths)
         kind = self.spec.kind
         if kind is EncoderKind.BOE:
-            return ad.mean_rows(xs, lengths), None
-        padded = _padded(xs, lengths)
+            return ad.mean_rows(xs, lengths)
+        padded = pad_runs(xs, lengths)
         if kind is EncoderKind.BOE_ATTN:
-            return attend(padded, self.p, self.spec.attention_normalization,
-                          lengths)
+            return attend(padded, self.p, lengths,
+                          self.spec.attention_normalization)
         outputs = ad.bi_gru(padded, self.gru, lengths)
         if kind is EncoderKind.GRU:
-            return ad.row(outputs, (np.arange(len(lengths)), lengths - 1)), None
-        return attend(outputs, self.p, self.spec.attention_normalization, lengths)
-
-    def encode(self, xs: Tensor, lengths=None) -> Tensor:
-        return self.encode_with_weights(xs, lengths)[0]
+            return ad.row(outputs, (np.arange(len(lengths)), lengths - 1))
+        return attend(outputs, self.p, lengths, self.spec.attention_normalization)
 
     def named_params(self, prefix: str) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -151,16 +127,16 @@ class SequenceEncoder:
         return out
 
 
-def _padded(rows: Tensor, lengths: np.ndarray) -> Tensor:
+def pad_runs(rows: Tensor, lengths: np.ndarray) -> Tensor:
     """Consecutive runs of ``lengths[b]`` rows as a right-padded
-    (len(lengths), max(lengths), F) batch."""
+    (len(lengths), max(lengths), F) batch; no runs give a (0, 0, F) one."""
     if rows.data.ndim != 2 or lengths.sum() != rows.data.shape[0]:
         raise ShapeMismatch(f"runs {lengths} vs rows {rows.data.shape}")
     seq = np.repeat(np.arange(len(lengths)), lengths)
     starts = np.cumsum(lengths) - lengths
     step = np.arange(len(seq)) - np.repeat(starts, lengths)
     return ad.place(rows, (seq, step),
-                    (len(lengths), lengths.max(), rows.data.shape[1]))
+                    (len(lengths), lengths.max(initial=0), rows.data.shape[1]))
 
 
 def _scene_rows(vecs: Tensor, kept, n_scenes: int) -> Tensor:
@@ -318,7 +294,8 @@ class HierarchicalModel:
         script = self.vectors.compiled(script)
         if not script.n_scenes:
             raise EmptyScript(f"{script.title}: no scenes to encode")
-        return self.script_encoder.encode(self.encode_scenes(script))
+        return ad.row(self.script_encoder.encode(self.encode_scenes(script),
+                                                 [script.n_scenes]), 0)
 
     def named_params(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}

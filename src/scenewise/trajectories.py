@@ -24,8 +24,6 @@ PALETTE = ("#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f", "#edc948",
 @dataclass
 class Trajectory:
     descriptor: int
-    raw: np.ndarray
-    smoothed: np.ndarray
     rescaled: np.ndarray
 
 
@@ -93,10 +91,8 @@ def build_trajectories(weights: np.ndarray, selection: Sequence[int],
                        window: int = 5) -> list[Trajectory]:
     """Smooth and rescale the selected descriptor columns of (S, k) weights."""
     weights = np.asarray(weights, dtype=np.float64)
-    smoothed = smooth(weights[:, list(selection)], window)
-    shares = rescale(smoothed)
-    return [Trajectory(descriptor=idx, raw=weights[:, idx].copy(),
-                       smoothed=smoothed[:, j], rescaled=shares[:, j])
+    shares = rescale(smooth(weights[:, list(selection)], window))
+    return [Trajectory(descriptor=idx, rescaled=shares[:, j])
             for j, idx in enumerate(selection)]
 
 

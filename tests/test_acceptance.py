@@ -134,7 +134,7 @@ def _primitive_cases():
         "concat": (lambda: ad.total(sigmoid(ad.concat([v3, v4]))), [v3, v4]),
         "stack": (lambda: ad.total(tanh(ad.stack([a5, b5]))), [a5, b5]),
         "row": (lambda: ad.total(sigmoid(ad.row(m34, 1))), [m34]),
-        "mean_rows": (lambda: ad.total(tanh(ad.mean_rows(m34))), [m34]),
+        "mean_rows": (lambda: ad.total(tanh(ad.mean_rows(m34, [3]))), [m34]),
         "total": (lambda: ad.total(ad.mul(a5, a5)), [a5]),
         "sigmoid": (lambda: ad.total(sigmoid(a5)), [a5]),
         "tanh": (lambda: ad.total(tanh(a5)), [a5]),

@@ -116,12 +116,13 @@ def oracle_script(model, play):
                         if name == "characters"
                         else oracle_channel(model, play.scenes, name)
                         for name, _ in model.block_layout])
-    return model.script_encoder.encode(scenes)
+    return ad.row(model.script_encoder.encode(scenes, [len(play.scenes)]), 0)
 
 
 def oracle_logline(model: LoglinesModel, text: str):
     rows = oracle_rows(model.vectors, tokenize(text))
-    return model.head.logits(model.encoder.encode(ad.constant(rows)))
+    return model.head.logits(
+        ad.row(model.encoder.encode(ad.constant(rows), [len(rows)]), 0))
 
 
 def oracle_vocabulary(plays, min_count):

@@ -159,6 +159,27 @@ def test_ingest_round_trip(synth_corpus):
     assert corpus.characters()
 
 
+def test_descriptor_vocabulary_keeps_only_embedded_tokens(tmp_path, synth_corpus):
+    # a descriptor word without a vector would pool, and rank among the
+    # nearest words, as the one unknown vector all such words share
+    out, _ = synth_corpus
+    config = IngestConfig(min_count=2, descriptor_min_movies=2,
+                          descriptor_top_exclude=10)
+    full, _ = ingest(out / "scripts", out / "tags.json", out / "embeddings.txt",
+                     config)
+    dropped = {t for t in full.descriptor_vocab if t.startswith("drift")}
+    assert len(dropped) >= 3
+    embeddings = tmp_path / "embeddings.txt"
+    embeddings.write_text("".join(
+        line for line in (out / "embeddings.txt").read_text().splitlines(True)
+        if line.split(" ", 1)[0] not in dropped))
+    corpus, manifest = ingest(out / "scripts", out / "tags.json", embeddings,
+                              config)
+    assert set(corpus.descriptor_vocab) == set(full.descriptor_vocab) - dropped
+    assert all(t in corpus.embeddings for t in corpus.descriptor_vocab)
+    assert manifest["descriptor_vocabulary_size"] == len(corpus.descriptor_vocab)
+
+
 def test_ingest_deterministic(synth_corpus):
     out, _ = synth_corpus
     config = IngestConfig(min_count=2, seed=4)

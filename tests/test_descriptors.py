@@ -391,7 +391,7 @@ def test_scene_bag_encoder_softmax_pool():
               action_scene(3, "y y x")]
     padded, lengths, kept = enc.script_batch(scenes)
     assert padded.shape == (2, 3, 2) and lengths.tolist() == [2, 3]
-    assert np.array_equal(padded[0], [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    assert np.array_equal(padded.data[0], [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     vs, kept = enc.encode_scenes(scenes)
     assert kept.tolist() == [0, 2]
     e2 = math.exp(2.0)
@@ -410,9 +410,9 @@ def test_scene_bag_encoder_matches_tape_attention_bitwise(desc_corpus,
     calls = []
 
     def recording_attend(outputs, p, *args, **kwargs):
-        pooled, weights = attend(outputs, p, *args, **kwargs)
+        pooled = attend(outputs, p, *args, **kwargs)
         calls.append((outputs.data, p.data.copy(), pooled.data))
-        return pooled, weights
+        return pooled
 
     monkeypatch.setattr(dsc, "attend", recording_attend)
     config = DescriptorConfig(k=4, hidden=8, pretrain_epochs=1, seed=4)
@@ -426,7 +426,7 @@ def test_scene_bag_encoder_matches_tape_attention_bitwise(desc_corpus,
         enc = SceneBagEncoder(desc_corpus.descriptor_vocab,
                               desc_corpus.embeddings, p)
         play, = [play for play in plays if np.array_equal(
-            enc.script_batch(play.scenes)[0], padded)]
+            enc.script_batch(play.scenes)[0].data, padded)]
         vs, kept = enc.encode_scenes(play.scenes)
         assert np.array_equal(vs[kept], pooled)
         assert not np.delete(vs, kept, axis=0).any()

@@ -57,19 +57,37 @@ def encode_sequences(sequences, vectors, encoder):
 # attention
 
 
+def pooled_weights(scores, lengths, mode=enc.SOFTMAX):
+    """The (B, T) weights that ``attend`` gives a (B, T) batch of scores,
+    read through the pooled output: step ``t`` of row ``b`` is the one-hot
+    output e_{bT+t}, so it scores p[bT+t] = scores[b, t], and row ``b``'s
+    pooled vector holds its weights at bT .. bT+T-1 and zeros elsewhere."""
+    scores = np.asarray(scores, dtype=np.float64)
+    b, t = scores.shape
+    outputs = np.eye(b * t).reshape(b, t, b * t)
+    pooled = attend(ad.constant(outputs), ad.constant(scores.reshape(-1)),
+                    lengths, mode).data.reshape(b, b, t)
+    weights = pooled[np.arange(b), np.arange(b)].copy()
+    pooled[np.arange(b), np.arange(b)] = 0.0
+    assert not pooled.any()
+    return weights
+
+
 def test_attend_identical_outputs_softmax_uniform():
     c = np.tile(rng(1).normal(size=5), (4, 1))
-    pooled, weights = attend(ad.constant(c), ad.constant(rng(2).normal(size=5)))
-    assert np.allclose(weights.data, 0.25)
-    assert np.allclose(pooled.data, c[0])
+    p = rng(2).normal(size=5)
+    pooled = attend(ad.constant(c[None]), ad.constant(p), [4])
+    assert np.allclose(pooled.data, c[:1])
+    assert np.allclose(pooled_weights((c @ p)[None], [4]), 0.25)
 
 
 @pytest.mark.parametrize("mode", [enc.SOFTMAX, enc.PAPER_LINEAR])
 def test_attend_single_step(mode):
-    c = rng(3).normal(size=(1, 4))
-    pooled, weights = attend(ad.constant(c), ad.constant(rng(4).normal(size=4)), mode)
-    assert np.allclose(weights.data, [1.0])
-    assert np.allclose(pooled.data, c[0])
+    c = rng(3).normal(size=(1, 1, 4))
+    p = rng(4).normal(size=4)
+    pooled = attend(ad.constant(c), ad.constant(p), [1], mode)
+    assert np.allclose(pooled_weights(c @ p, [1], mode), [[1.0]])
+    assert np.allclose(pooled.data, c[:, 0])
 
 
 def test_attend_paper_linear_matches_direct_formula():
@@ -79,16 +97,17 @@ def test_attend_paper_linear_matches_direct_formula():
     scores = c @ p
     expected_weights = scores / scores.sum()
     expected_pooled = expected_weights @ c
-    pooled, weights = attend(ad.constant(c), ad.constant(p), enc.PAPER_LINEAR)
-    assert np.allclose(weights.data, expected_weights)
-    assert np.allclose(pooled.data, expected_pooled)
+    pooled = attend(ad.constant(c[None]), ad.constant(p), [4], enc.PAPER_LINEAR)
+    assert np.allclose(pooled_weights(scores[None], [4], enc.PAPER_LINEAR),
+                       [expected_weights])
+    assert np.allclose(pooled.data, [expected_pooled])
 
 
 def test_attend_paper_linear_degenerate_sum():
-    c = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    c = np.array([[[1.0, 0.0], [-1.0, 0.0]]])
     p = np.array([1.0, 0.0])  # scores +1 and -1 sum to 0
     with pytest.raises(DegenerateNormalizer):
-        attend(ad.constant(c), ad.constant(p), enc.PAPER_LINEAR)
+        attend(ad.constant(c), ad.constant(p), [2], enc.PAPER_LINEAR)
 
 
 RAGGED_LENGTHS = np.array([2, 4, 1, 3])
@@ -105,12 +124,15 @@ def ragged_outputs(seed, width=3):
 def test_masked_attend_matches_each_sequence_alone(mode):
     outputs = ragged_outputs(13) + 2.0  # positive scores: no degenerate sum
     p = ad.constant(np.abs(rng(14).normal(size=3)))
-    pooled, weights = attend(ad.constant(outputs), p, mode, RAGGED_LENGTHS)
+    pooled = attend(ad.constant(outputs), p, RAGGED_LENGTHS, mode)
+    scores = outputs @ p.data
+    weights = pooled_weights(scores, RAGGED_LENGTHS, mode)
     for b, length in enumerate(RAGGED_LENGTHS):
-        alone, alone_weights = attend(ad.constant(outputs[b, :length]), p, mode)
-        assert np.max(np.abs(pooled.data[b] - alone.data)) < 1e-12
-        assert np.max(np.abs(weights.data[b, :length] - alone_weights.data)) < 1e-12
-        assert np.all(weights.data[b, length:] == 0.0)
+        alone = attend(ad.constant(outputs[b:b + 1, :length]), p, [length], mode)
+        alone_weights = pooled_weights(scores[b:b + 1, :length], [length], mode)
+        assert np.max(np.abs(pooled.data[b] - alone.data[0])) < 1e-12
+        assert np.max(np.abs(weights[b, :length] - alone_weights[0])) < 1e-12
+        assert np.all(weights[b, length:] == 0.0)
 
 
 @pytest.mark.parametrize("mode", [enc.SOFTMAX, enc.PAPER_LINEAR])
@@ -120,8 +142,7 @@ def test_masked_attend_gradcheck(mode):
     probe = ad.constant(rng(17).normal(size=(len(RAGGED_LENGTHS), 3)))
 
     def fn():
-        pooled, _ = attend(outputs, p, mode, RAGGED_LENGTHS)
-        return ad.total(ad.mul(pooled, probe))
+        return ad.total(ad.mul(attend(outputs, p, RAGGED_LENGTHS, mode), probe))
 
     assert ad.gradcheck(fn, [outputs, p]) < 1e-4
     # padded outputs get exactly zero gradient
@@ -133,22 +154,29 @@ def test_masked_attend_paper_linear_normalizes_each_row():
     p = np.array([1.0, 0.0])
     # row 0: real scores 1 and 2 sum to 3; its padded score -3 is ignored
     ok = np.array([[[1.0, 0.0], [2.0, 0.0], [-3.0, 0.0]]])
-    _, weights = attend(ad.constant(ok), ad.constant(p), enc.PAPER_LINEAR, [2])
-    assert np.allclose(weights.data, [[1 / 3, 2 / 3, 0.0]])
+    pooled = attend(ad.constant(ok), ad.constant(p), [2], enc.PAPER_LINEAR)
+    assert np.allclose(pooled.data, [[1 / 3 + 4 / 3, 0.0]])
+    assert np.allclose(pooled_weights(ok @ p, [2], enc.PAPER_LINEAR),
+                       [[1 / 3, 2 / 3, 0.0]])
     # row 1: real scores +1 and -1 sum to 0, though its padded score does not
     bad = np.array([[[1.0, 0.0], [2.0, 0.0], [0.0, 0.0]],
                     [[1.0, 0.0], [-1.0, 0.0], [5.0, 0.0]]])
     with pytest.raises(DegenerateNormalizer):
-        attend(ad.constant(bad), ad.constant(p), enc.PAPER_LINEAR, [2, 2])
+        attend(ad.constant(bad), ad.constant(p), [2, 2], enc.PAPER_LINEAR)
 
 
 def test_attention_weights_form_simplex():
     r = rng(6)
     spec = EncoderSpec(EncoderKind.GRU_ATTN, input_dim=4, hidden_per_direction=3)
     encoder = SequenceEncoder(spec, r)
-    _, weights = encoder.encode_with_weights(ad.constant(r.normal(size=(5, 4))))
-    assert np.all(weights.data >= 0)
-    assert abs(weights.data.sum() - 1.0) < 1e-12
+    xs = r.normal(size=(5, 4))
+    outputs = ad.bi_gru(ad.constant(xs[None]), encoder.gru, [5]).data
+    weights = pooled_weights(outputs @ encoder.p.data, [5])
+    assert np.all(weights >= 0)
+    assert abs(weights.sum() - 1.0) < 1e-12
+    # the encoder pools its GRU outputs with exactly these weights
+    pooled = encoder.encode(ad.constant(xs), [5]).data
+    assert np.max(np.abs(pooled - weights @ outputs[0])) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +209,8 @@ def test_token_batch_matches_one_sequence_at_a_time(kind):
                  ["w5", "w4"]]
     batch = encode_sequences(sequences, vectors, encoder).data
     for row, tokens in zip(batch, sequences):
-        alone = encoder.encode(ad.constant(vectors.embeddings.rows(tokens))).data
+        alone = encoder.encode(ad.constant(vectors.embeddings.rows(tokens)),
+                               [len(tokens)]).data[0]
         assert np.max(np.abs(row - alone)) < 1e-12
 
 
@@ -200,11 +229,15 @@ def test_paper_linear_mode_through_encoder(tiny_vectors):
                        attention_normalization=enc.PAPER_LINEAR)
     encoder = SequenceEncoder(spec, rng(12))
     rows = tiny_vectors.embeddings.rows(["alpha", "beta", "gamma"])
-    out, weights = encoder.encode_with_weights(ad.constant(rows))
+    out = encoder.encode(ad.constant(rows), [3])
     scores = rows @ encoder.p.data
     expected = (scores / scores.sum()) @ rows
-    assert np.allclose(weights.data.sum(), 1.0)
-    assert np.allclose(out.data, expected)
+    assert np.allclose(out.data, [expected])
+    # one-hot inputs: a BoE+Attn encoder's output is then its weights
+    weights = encoder.encode(ad.constant(np.eye(4)[:3]), [3]).data[0]
+    assert np.allclose(weights, np.append(encoder.p.data[:3]
+                                          / encoder.p.data[:3].sum(), 0.0))
+    assert np.allclose(weights.sum(), 1.0)
 
 
 def test_empty_statement_raises(tiny_vectors):
