@@ -3,8 +3,8 @@
 The graph is built eagerly: every operation returns a :class:`Tensor` holding
 its forward value and, when any input participates in differentiation, a
 closure mapping the output gradient to per-parent contributions.
-``backward`` zeroes the gradient of every reachable node before
-accumulating, so repeated backward passes never double-count.
+``backward`` assigns each reachable node's first gradient contribution and
+adds later ones, so repeated backward passes never double-count.
 
 The GRU implemented here is the gated unit with update gate ``z``, reset
 gate ``r`` and candidate state, which is normative for this package::
@@ -14,18 +14,20 @@ gate ``r`` and candidate state, which is normative for this package::
     c = tanh(x Wh + (r * h) Uh + bh)
     h' = (1 - z) * h + z * c
 
-Input weights ``W`` are stored (input_dim, hidden) and recurrent weights
-``U`` (hidden, hidden).  ``gru_direction`` runs one direction over a batch
-of sequences as a single tape node.  The batch is right-padded to
-``(B, T, D)`` and ``lengths[b]`` says how many leading steps of row ``b``
-are real; every row starts from a zero state, the forward direction reads
-steps ``0 .. L-1`` and the reverse direction ``L-1 .. 0``.  The gates are
-fused: one ``x [Wz|Wr|Wh]`` product for all steps and one ``h [Uz|Ur]``
-product per step, with the concatenated weights built from the nine stored
-parameters at call time.  A padded step leaves the state unchanged, its
-output is exactly zero, and its input receives exactly zero gradient.  The
-VJP is hand-written backpropagation through time over the saved gate
-activations; it returns the input's gradient and each parameter's.
+A direction stores its gates fused, in the layout the op reads: the input
+weights ``[Wz|Wr|Wh]`` as one (input_dim, 3 hidden) array, the recurrent
+``[Uz|Ur]`` as one (hidden, 2 hidden) array beside ``Uh`` (hidden, hidden),
+and the biases ``[bz|br|bh]`` as one vector.  ``gru_direction`` runs one
+direction over a batch of sequences as a single tape node.  The batch is
+right-padded to ``(B, T, D)`` and ``lengths[b]`` says how many leading
+steps of row ``b`` are real; every row starts from a zero state, the
+forward direction reads steps ``0 .. L-1`` and the reverse direction
+``L-1 .. 0``.  It makes one ``x [Wz|Wr|Wh]`` product for all steps and
+one ``h [Uz|Ur]`` product per step.  A padded step leaves the state
+unchanged, its output is exactly zero, and its input receives exactly zero
+gradient.  The VJP is hand-written backpropagation through time over the
+saved gate activations; it returns the input's gradient and each stored
+array's.
 ``bi_gru`` concatenates the two directions.  ``attention_pool`` pools such
 a batch with one attention vector, masking the padded steps, also as a
 single node, and ``mean_rows`` averages runs of consecutive rows.  Every
@@ -68,9 +70,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeMismatch(f"item: expected a scalar, got {self.data.shape}")
         return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.data)
 
     def backward(self) -> None:
         backward(self)
@@ -136,21 +135,27 @@ def _toposort(root: Tensor) -> list[Tensor]:
 def backward(root: Tensor) -> None:
     """Populate ``.grad`` on every participating node reachable from ``root``.
 
-    All reachable gradients are zeroed first, so calling backward twice on
-    the same graph yields the same gradients as calling it once.
+    A node's gradient starts as a copy of its first contribution (which
+    may be a view of another gradient) and later ones are added to it, so
+    calling backward twice on the same graph yields the same gradients as
+    calling it once.  A node no contribution reaches keeps ``None``.
     """
     if not root.requires_grad:
         raise ValueError("backward() on a tensor with no graph attached")
     order = _toposort(root)
     for node in order:
-        node.grad = np.zeros_like(node.data)
+        node.grad = None
     root.grad = np.ones_like(root.data)
     for node in reversed(order):
         vjp = node._vjp
-        if vjp is None:
+        if vjp is None or node.grad is None:
             continue
         for par, contribution in zip(node._parents, vjp(node.grad)):
-            if par.requires_grad and contribution is not None:
+            if not par.requires_grad or contribution is None:
+                continue
+            if par.grad is None:
+                par.grad = np.array(contribution, dtype=np.float64)
+            else:
                 par.grad += contribution
 
 
@@ -224,30 +229,16 @@ def concat(tensors: Sequence[Tensor]) -> Tensor:
                vjp)
 
 
-def stack(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack 1-D tensors of equal length into a matrix of rows."""
-    if not tensors:
-        raise EmptySequence("stack of zero tensors")
-    width = tensors[0].data.shape
-    for t in tensors:
-        if t.data.ndim != 1 or t.data.shape != width:
-            raise ShapeMismatch(f"stack: {t.data.shape} vs {width}")
-
-    def vjp(g: np.ndarray) -> tuple:
-        return tuple(g[i] for i in range(len(tensors)))
-
-    return _op(np.stack([t.data for t in tensors]), tuple(tensors), vjp)
-
-
 def row(a: Tensor, index) -> Tensor:
-    """``a.data[index]`` for an integer index, or a tuple of integer arrays,
-    that addresses distinct rows of a matrix or batch."""
+    """``a.data[index]`` for an integer index, an integer array, or a tuple
+    of them, that addresses rows of a matrix or batch; a row addressed more
+    than once gets the sum of its copies' gradients."""
     if a.data.ndim < 2:
         raise ShapeMismatch(f"row: expected matrix or batch, got {a.data.shape}")
 
     def vjp(g: np.ndarray) -> tuple:
         full = np.zeros_like(a.data)
-        full[index] = g
+        np.add.at(full, index, g)
         return (full,)
 
     return _op(a.data[index].copy(), (a,), vjp)
@@ -352,39 +343,32 @@ def glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
 
 @dataclass
 class GruDirection:
-    """Single-direction GRU parameters; see the module docstring for the gating."""
+    """Single-direction GRU parameters, gate blocks fused as the op reads
+    them: ``w`` = [Wz|Wr|Wh] (D, 3H), ``u_zr`` = [Uz|Ur] (H, 2H), ``u_h``
+    (H, H) and ``b`` = [bz|br|bh] (3H,); see the module docstring for the
+    gating."""
 
-    wz: Tensor
-    wr: Tensor
-    wh: Tensor
-    uz: Tensor
-    ur: Tensor
-    uh: Tensor
-    bz: Tensor
-    br: Tensor
-    bh: Tensor
+    w: Tensor
+    u_zr: Tensor
+    u_h: Tensor
+    b: Tensor
 
     @property
     def hidden_dim(self) -> int:
-        return self.wz.data.shape[1]
+        return self.u_h.data.shape[0]
 
     def named(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.{k}": getattr(self, k)
-                for k in ("wz", "wr", "wh", "uz", "ur", "uh", "bz", "br", "bh")}
+        return {f"{prefix}.{k}": getattr(self, k) for k in ("w", "u_zr", "u_h", "b")}
 
 
 def init_gru_direction(rng: np.random.Generator, input_dim: int, hidden: int) -> GruDirection:
-    def w() -> Tensor:
-        return parameter(glorot(rng, (input_dim, hidden)))
-
-    def u() -> Tensor:
-        return parameter(glorot(rng, (hidden, hidden)))
-
-    def b() -> Tensor:
-        return parameter(np.zeros(hidden))
-
-    return GruDirection(wz=w(), wr=w(), wh=w(), uz=u(), ur=u(), uh=u(),
-                        bz=b(), br=b(), bh=b())
+    """Each gate block drawn with its own Glorot fan, in the order Wz, Wr,
+    Wh, Uz, Ur, Uh; zero biases."""
+    w = [glorot(rng, (input_dim, hidden)) for _ in range(3)]
+    u = [glorot(rng, (hidden, hidden)) for _ in range(3)]
+    return GruDirection(w=parameter(np.concatenate(w, axis=1)),
+                        u_zr=parameter(np.concatenate(u[:2], axis=1)),
+                        u_h=parameter(u[2]), b=parameter(np.zeros(3 * hidden)))
 
 
 @dataclass
@@ -418,15 +402,10 @@ def gru_direction(xs: Tensor, p: GruDirection, lengths, reverse: bool = False
     x = xs.data
     n, t_max, d = x.shape
     h_dim = p.hidden_dim
-    params = (p.wz, p.wr, p.wh, p.uz, p.ur, p.uh, p.bz, p.br, p.bh)
-    if d != p.wz.data.shape[0]:
-        raise ShapeMismatch(f"gru_direction: input {x.shape} vs Wz {p.wz.data.shape}")
-    gates_x = (x.reshape(-1, d)
-               @ np.concatenate([p.wz.data, p.wr.data, p.wh.data], axis=1)
-               + np.concatenate([p.bz.data, p.br.data, p.bh.data])
-               ).reshape(n, t_max, 3 * h_dim)
-    u_zr = np.concatenate([p.uz.data, p.ur.data], axis=1)
-    uh = p.uh.data
+    w, u_zr, uh = p.w.data, p.u_zr.data, p.u_h.data
+    if d != w.shape[0]:
+        raise ShapeMismatch(f"gru_direction: input {x.shape} vs W {w.shape}")
+    gates_x = (x.reshape(-1, d) @ w + p.b.data).reshape(n, t_max, 3 * h_dim)
     # per step: the state read (h_prev), the gates and the candidate
     h_prev = np.empty((n, t_max, h_dim))
     zr = np.empty((n, t_max, 2 * h_dim))
@@ -446,10 +425,6 @@ def gru_direction(xs: Tensor, p: GruDirection, lengths, reverse: bool = False
     def vjp(g: np.ndarray) -> tuple:
         z, r = zr[..., :h_dim], zr[..., h_dim:]
         d_gates = np.empty((n, t_max, 3 * h_dim))  # pre-activation grads
-        # rebuilt rather than kept from the forward pass, so that a node
-        # waiting for backward holds no copy of the weights
-        u_zr = np.concatenate([p.uz.data, p.ur.data], axis=1)
-        uh = p.uh.data
         dh = np.zeros((n, h_dim))
         for t in reversed(steps):
             m = mask[:, t]
@@ -469,16 +444,10 @@ def gru_direction(xs: Tensor, p: GruDirection, lengths, reverse: bool = False
             -1, 2 * h_dim)
         d_uh = (r * h_prev).reshape(-1, h_dim).T @ flat[:, 2 * h_dim:]
         d_b = flat.sum(axis=0)
-        d_x = None
-        if xs.requires_grad:
-            w = np.concatenate([p.wz.data, p.wr.data, p.wh.data], axis=1)
-            d_x = (flat @ w.T).reshape(x.shape)
-        thirds = [slice(0, h_dim), slice(h_dim, 2 * h_dim),
-                  slice(2 * h_dim, 3 * h_dim)]
-        return (d_x, *(d_w[:, k] for k in thirds), d_u_zr[:, thirds[0]],
-                d_u_zr[:, thirds[1]], d_uh, *(d_b[k] for k in thirds))
+        d_x = (flat @ w.T).reshape(x.shape) if xs.requires_grad else None
+        return (d_x, d_w, d_u_zr, d_uh, d_b)
 
-    return _op(out, (xs, *params), vjp)
+    return _op(out, (xs, p.w, p.u_zr, p.u_h, p.b), vjp)
 
 
 def bi_gru(xs: Tensor, p: BiGru, lengths) -> Tensor:
@@ -604,7 +573,7 @@ class Adam:
 
     def zero_grad(self) -> None:
         for t in self.params.values():
-            t.zero_grad()
+            t.grad = None
 
     def step(self) -> None:
         self.step_count += 1

@@ -275,8 +275,9 @@ def _load_for_evaluation(args: argparse.Namespace):
         raise DataError("loglines checkpoint but no loglines available; "
                         "pass --loglines")
     active = set(taxonomy.active_tags())
+    scored = {s.key for s in samples}
     gold = {it.title: set(it.tags.get(taxonomy.attribute, ())) & active
-            for it in items if any(s.key == it.title for s in samples)}
+            for it in items if it.title in scored}
     preds = predictions(model, samples, taxonomy, threshold=args.threshold)
     return manifest, corpus, taxonomy, gold, preds
 

@@ -116,16 +116,9 @@ class WordEmbeddings:
                 table[token] = vec
         return cls(table, dim if dim is not None else expected_dim)
 
-    @property
-    def unk(self) -> np.ndarray:
-        return self.matrix[-1]
-
     def rows(self, tokens: list[str]) -> np.ndarray:
         """One row per token, unknown tokens taking the unknown vector."""
         return self.matrix[[self.index.get(t, -1) for t in tokens]]
-
-    def vector(self, token: str) -> np.ndarray:
-        return self.matrix[self.index.get(token, -1)]
 
     def __contains__(self, token: str) -> bool:
         return token in self.index

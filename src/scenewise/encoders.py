@@ -160,20 +160,19 @@ def encode_tokens(ids: np.ndarray, lengths, matrix: np.ndarray,
 
 
 class CharacterTable:
-    """Per-character trainable embeddings; unseen names share an UNK row."""
+    """Trainable character embeddings as one (n_names + 1, dim) parameter,
+    ``matrix``: row 0 is the UNK row that unseen names share, and the known
+    names follow in sorted order; ``index`` maps each name to its row."""
 
     UNK_NAME = "<unk-char>"
 
     def __init__(self, names: list[str], dim: int, rng: np.random.Generator):
-        self.dim = dim
-        self.embeddings = {name: ad.parameter(rng.normal(0.0, 0.1, size=dim))
-                           for name in [self.UNK_NAME] + sorted(set(names))}
-
-    def vector(self, name: str) -> Tensor:
-        return self.embeddings.get(name, self.embeddings[self.UNK_NAME])
+        self.index = {name: i for i, name
+                      in enumerate([self.UNK_NAME] + sorted(set(names)))}
+        self.matrix = ad.parameter(rng.normal(0.0, 0.1, size=(len(self.index), dim)))
 
     def named_params(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.{name}": t for name, t in self.embeddings.items()}
+        return {f"{prefix}.matrix": self.matrix}
 
 
 class Variant(Enum):
@@ -279,7 +278,9 @@ class HierarchicalModel:
         if not kept:
             return ad.constant(np.zeros((script.n_scenes, self.char_dim)))
         runs = [len(names[i]) for i in kept]
-        rows = ad.stack([self.char_table.vector(n) for i in kept for n in names[i]])
+        index = self.char_table.index
+        rows = ad.row(self.char_table.matrix,
+                      [index.get(n, 0) for i in kept for n in names[i]])
         return _scene_rows(ad.mean_rows(rows, runs), kept, script.n_scenes)
 
     def encode_scenes(self, script: CompiledScript | Screenplay) -> Tensor:
@@ -317,7 +318,7 @@ class HierarchicalModel:
             "hidden_per_direction": self.spec.hidden_per_direction,
             "attention_normalization": self.spec.attention_normalization,
             "char_dim": self.char_dim,
-            "characters": sorted(self.char_table.embeddings)
+            "characters": sorted(self.char_table.index)
             if self.char_table else [],
             "seed": self.seed,
         }

@@ -122,9 +122,6 @@ class Screenplay:
     title: str
     scenes: list[Scene]
 
-    def statement_count(self) -> int:
-        return sum(len(s.statements) for s in self.scenes)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Screenplay):
             return NotImplemented

@@ -59,7 +59,7 @@ from scenewise.evaluation import (
 )
 from scenewise.parser import StatementKind, parse_script, parse_table, script_lines, to_table
 
-from test_autodiff import dot, sigmoid, tanh
+from test_autodiff import dot, sigmoid, stack, tanh
 
 DATA = Path(__file__).parent / "data"
 GRAD_TOL = 1e-4
@@ -132,7 +132,7 @@ def _primitive_cases():
         "matmul_vm": (lambda: ad.total(ad.matmul(v3, m34)), [v3, m34]),
         "dot": (lambda: dot(a5, b5), [a5, b5]),
         "concat": (lambda: ad.total(sigmoid(ad.concat([v3, v4]))), [v3, v4]),
-        "stack": (lambda: ad.total(tanh(ad.stack([a5, b5]))), [a5, b5]),
+        "stack": (lambda: ad.total(tanh(stack([a5, b5]))), [a5, b5]),
         "row": (lambda: ad.total(sigmoid(ad.row(m34, 1))), [m34]),
         "mean_rows": (lambda: ad.total(tanh(ad.mean_rows(m34, [3]))), [m34]),
         "total": (lambda: ad.total(ad.mul(a5, a5)), [a5]),

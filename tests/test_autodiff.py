@@ -87,7 +87,7 @@ def test_primitive_gradients_match_finite_differences(name):
         params = [a, b]
     elif name == "stack":
         a, b = ad.parameter(vec(4)), ad.parameter(vec(4))
-        fn = lambda: ad.total(ad.mul(ad.stack([a, b]), ad.stack([a, b])))
+        fn = lambda: ad.total(ad.mul(stack([a, b]), stack([a, b])))
         params = [a, b]
     elif name == "row":
         a = ad.parameter(r.normal(size=(4, 3)))
@@ -162,6 +162,38 @@ def test_backward_zeroes_old_gradients():
     assert np.array_equal(a.grad, first)
 
 
+def test_backward_gradients_own_their_arrays():
+    # add hands the same array to both parents; each must get its own copy
+    a = ad.parameter(np.array([1.0, 2.0]))
+    b = ad.parameter(np.array([3.0, 4.0]))
+    ad.total(ad.mul(ad.add(a, b), ad.constant([5.0, 7.0]))).backward()
+    assert a.grad is not b.grad
+    a.grad += 1.0
+    assert np.array_equal(b.grad, [5.0, 7.0])
+
+
+def test_unreached_parameter_keeps_no_gradient():
+    a = ad.parameter(np.array([1.0, 2.0]))
+    spare = ad.parameter(np.array([3.0]))
+    opt = ad.Adam({"a": a, "spare": spare})
+    ad.total(ad.mul(a, a)).backward()
+    assert spare.grad is None and np.array_equal(a.grad, [2.0, 4.0])
+    opt.zero_grad()
+    assert a.grad is None and spare.grad is None
+
+
+def test_row_accumulates_repeated_indices():
+    a = ad.parameter(rng(31).normal(size=(4, 3)))
+    index = [2, 0, 2, 2, 3]
+    probe = rng(32).normal(size=(len(index), 3))
+    ad.total(ad.mul(ad.row(a, index), ad.constant(probe))).backward()
+    expected = np.zeros((4, 3))
+    for i, k in enumerate(index):
+        expected[k] += probe[i]
+    assert np.array_equal(a.grad, expected)
+    assert ad.gradcheck(lambda: ad.total(sigmoid(ad.row(a, index))), [a]) < 1e-6
+
+
 # Tensor ops that only tests use: the oracles and gradchecks here and in
 # other test files.
 
@@ -182,13 +214,46 @@ def tanh(a):
     return ad._op(y, (a,), lambda g: (g * (1.0 - y * y),))
 
 
+def stack(tensors):
+    """Stack 1-D tensors of equal length into a matrix of rows."""
+    width = tensors[0].data.shape
+    for t in tensors:
+        if t.data.ndim != 1 or t.data.shape != width:
+            raise ShapeMismatch(f"stack: {t.data.shape} vs {width}")
+    return ad._op(np.stack([t.data for t in tensors]), tuple(tensors),
+                  lambda g: tuple(g))
+
+
+def columns(a, k, width):
+    """Block ``k`` of ``width`` columns of a matrix, or entries of a vector:
+    one gate's block of a fused GRU array."""
+    cols = slice(k * width, (k + 1) * width)
+
+    def vjp(g):
+        full = np.zeros_like(a.data)
+        full[..., cols] = g
+        return (full,)
+
+    return ad._op(a.data[..., cols].copy(), (a,), vjp)
+
+
+def gates(p):
+    """The per-gate blocks (wz, wr, wh, uz, ur, uh, bz, br, bh) read out of
+    a direction's fused arrays, as tape nodes."""
+    h = p.hidden_dim
+    return (*(columns(p.w, k, h) for k in range(3)),
+            columns(p.u_zr, 0, h), columns(p.u_zr, 1, h), p.u_h,
+            *(columns(p.b, k, h) for k in range(3)))
+
+
 def gru_cell(x, h_prev, p):
     """One GRU step for a single input vector: the per-step oracle that the
     fused ``gru_direction`` op is checked against."""
-    z = sigmoid(ad.add(ad.add(ad.matmul(x, p.wz), ad.matmul(h_prev, p.uz)), p.bz))
-    r = sigmoid(ad.add(ad.add(ad.matmul(x, p.wr), ad.matmul(h_prev, p.ur)), p.br))
-    c = tanh(ad.add(ad.add(ad.matmul(x, p.wh),
-                           ad.matmul(ad.mul(r, h_prev), p.uh)), p.bh))
+    wz, wr, wh, uz, ur, uh, bz, br, bh = gates(p)
+    z = sigmoid(ad.add(ad.add(ad.matmul(x, wz), ad.matmul(h_prev, uz)), bz))
+    r = sigmoid(ad.add(ad.add(ad.matmul(x, wr), ad.matmul(h_prev, ur)), br))
+    c = tanh(ad.add(ad.add(ad.matmul(x, wh),
+                           ad.matmul(ad.mul(r, h_prev), uh)), bh))
     # h' = (1 - z) * h + z * c, written as h + z * (c - h)
     return ad.add(h_prev, ad.mul(z, ad.sub(c, h_prev)))
 
@@ -205,13 +270,13 @@ def oracle_direction(xs, b, length, p, reverse=False):
         states.append(h)
     if reverse:
         states.reverse()
-    return ad.stack(states)
+    return stack(states)
 
 
 def test_gru_cell_zero_params_zero_state():
     r = rng(3)
     p = ad.init_gru_direction(r, 4, 3)
-    for t in (p.wz, p.wr, p.wh, p.uz, p.ur, p.uh, p.bz, p.br, p.bh):
+    for t in p.named("gru").values():
         t.data[...] = 0.0
     x = ad.constant(r.normal(size=4))
     h = ad.constant(np.zeros(3))
@@ -221,11 +286,9 @@ def test_gru_cell_zero_params_zero_state():
 
 def test_gru_cell_hand_evaluated_gating():
     # scalar GRU with known weights, checked against direct arithmetic
-    p = ad.GruDirection(
-        wz=ad.parameter([[0.5]]), wr=ad.parameter([[-0.3]]), wh=ad.parameter([[0.8]]),
-        uz=ad.parameter([[0.1]]), ur=ad.parameter([[0.2]]), uh=ad.parameter([[-0.4]]),
-        bz=ad.parameter([0.05]), br=ad.parameter([-0.02]), bh=ad.parameter([0.07]),
-    )
+    p = ad.GruDirection(w=ad.parameter([[0.5, -0.3, 0.8]]),
+                        u_zr=ad.parameter([[0.1, 0.2]]), u_h=ad.parameter([[-0.4]]),
+                        b=ad.parameter([0.05, -0.02, 0.07]))
     x_val, h_val = 0.9, -0.6
 
     def sig(v):
@@ -238,6 +301,19 @@ def test_gru_cell_hand_evaluated_gating():
 
     out = gru_cell(ad.constant([x_val]), ad.constant([h_val]), p)
     assert abs(out.item() - expected) < 1e-12
+
+
+def test_fused_init_equals_per_gate_glorot_draws():
+    p = ad.init_gru_direction(rng(33), 5, 3)
+    r = rng(33)
+    wz, wr, wh = (ad.glorot(r, (5, 3)) for _ in range(3))
+    uz, ur, uh = (ad.glorot(r, (3, 3)) for _ in range(3))
+    assert np.array_equal(p.w.data, np.hstack([wz, wr, wh]))
+    assert np.array_equal(p.u_zr.data, np.hstack([uz, ur]))
+    assert np.array_equal(p.u_h.data, uh)
+    assert np.array_equal(p.b.data, np.zeros(9))
+    assert [t.data.shape for t in p.named("gru").values()] == \
+        [(5, 9), (3, 6), (3, 3), (9,)]
 
 
 def test_bi_gru_output_dims():

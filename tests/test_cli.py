@@ -6,6 +6,7 @@ import pytest
 
 from scenewise.checkpoint import load_checkpoint, save_checkpoint
 from scenewise.cli import main
+from scenewise.encoders import CharacterTable
 
 CORPUS_FLAGS = ["--min-count", "2", "--descriptor-min-movies", "2",
                 "--descriptor-top-exclude", "30", "--validation-fraction", "0.15"]
@@ -139,6 +140,48 @@ def test_evaluate_rejects_checkpoint_shape_mismatch(workspace, trained, tmp_path
                              lambda p: p.update({"head.b": np.zeros(1)}))
     assert run(["evaluate"] + corpus_args(synth)
                + ["--checkpoint", bad, "--out", str(tmp_path / "eval.json")]) == 1
+    assert last_error(capsys) == "ParameterMismatch"
+    assert not (tmp_path / "eval.json").exists()
+
+
+def per_gate_layout(params, characters):
+    """``params`` renamed to the layout that stored each GRU gate block and
+    each character as its own parameter, every value kept; ``characters``
+    are the character rows' names in order."""
+    gates = {"w": ["wz", "wr", "wh"], "u_zr": ["uz", "ur"], "u_h": ["uh"],
+             "b": ["bz", "br", "bh"]}
+    out = {}
+    for name, a in params.items():
+        prefix, _, leaf = name.rpartition(".")
+        if ".gru." in name:
+            out.update({f"{prefix}.{gate}": block for gate, block
+                        in zip(gates[leaf], np.split(a, len(gates[leaf]), axis=-1))})
+        elif name == "chars.matrix":
+            out.update({f"chars.{c}": row for c, row in zip(characters, a)})
+        else:
+            out[name] = a
+    return out
+
+
+def test_evaluate_refuses_per_gate_checkpoint(workspace, tmp_path, capsys):
+    _, synth = workspace
+    out = tmp_path / "run_gru"
+    assert run(["train"] + corpus_args(synth)
+               + ["--attribute", "genre", "--encoder", "gru_attn", "--hidden", "2",
+                  "--epochs", "1", "--seed", "7", "--out", str(out)]) == 0
+    ckpt = out / "checkpoint.swck"
+    assert run(["evaluate"] + corpus_args(synth)
+               + ["--checkpoint", str(ckpt), "--out", str(tmp_path / "ok.json")]) == 0
+    params, manifest = load_checkpoint(ckpt)
+    unk = CharacterTable.UNK_NAME
+    characters = [unk] + [c for c in manifest["model"]["characters"] if c != unk]
+    old = per_gate_layout(params, characters)
+    # 5 encoders x 2 directions, 9 arrays a direction instead of 4
+    assert len(old) == len(params) + 5 * 2 * 5 + len(characters) - 1
+    save_checkpoint(tmp_path / "old.swck", old, manifest)
+    assert run(["evaluate"] + corpus_args(synth)
+               + ["--checkpoint", str(tmp_path / "old.swck"),
+                  "--out", str(tmp_path / "eval.json")]) == 1
     assert last_error(capsys) == "ParameterMismatch"
     assert not (tmp_path / "eval.json").exists()
 

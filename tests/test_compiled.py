@@ -46,7 +46,7 @@ from scenewise.encoders import (
 from scenewise.errors import DataError, EmptyScript, EmptyStatement
 from scenewise.parser import Screenplay, parse_script
 
-from test_autodiff import dot
+from test_autodiff import dot, stack
 from test_encoders import action, dialogue, scene_of
 from test_parser import raw_scripts
 
@@ -105,7 +105,9 @@ def oracle_characters(model, scenes):
     if not kept:
         return ad.constant(np.zeros((len(scenes), model.char_dim)))
     runs = [len(names[i]) for i in kept]
-    rows = ad.stack([model.char_table.vector(n) for i in kept for n in names[i]])
+    table = model.char_table
+    rows = stack([ad.row(table.matrix, table.index.get(n, 0))
+                  for i in kept for n in names[i]])
     return _scene_rows(ad.mean_rows(rows, runs), kept, len(scenes))
 
 
@@ -330,8 +332,8 @@ def test_compiled_script_refuses_another_vocabulary(small_corpus):
     same_tokens = Vocabulary(small_corpus.vocabulary.tokens)
     for vectors in (TokenVectors(same_tokens, own.embeddings),
                     TokenVectors(own.vocabulary, WordEmbeddings(
-                        {t: own.embeddings.vector(t)
-                         for t in own.embeddings.index}, own.dim))):
+                        {t: own.embeddings.matrix[i]
+                         for t, i in own.embeddings.index.items()}, own.dim))):
         model = tag_model(vectors, EncoderKind.BOE, Variant.FULL)
         with pytest.raises(DataError, match=small_corpus.items[0].title):
             model.logits(script)

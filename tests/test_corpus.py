@@ -222,8 +222,8 @@ def test_embeddings_dim_mismatch(tmp_path):
         WordEmbeddings.load(path, expected_dim=100)
     emb = WordEmbeddings.load(path, expected_dim=3)
     assert emb.dim == 3
-    assert np.allclose(emb.vector("tok"), [0.1, 0.2, 0.3])
-    assert np.allclose(emb.vector("missing"), emb.unk)
+    assert np.allclose(emb.rows(["tok"]), [[0.1, 0.2, 0.3]])
+    assert np.allclose(emb.rows(["missing"]), emb.matrix[-1:])
 
 
 def test_token_below_min_count_maps_to_unk(synth_corpus):
@@ -234,7 +234,7 @@ def test_token_below_min_count_maps_to_unk(synth_corpus):
     play = parser.parse_script("t", "notarealtokenatall\n", cap=None)
     script = corpus.vectors().compiled(play)
     assert np.allclose(corpus.embeddings.matrix[script.ids[0]],
-                       corpus.embeddings.unk)
+                       corpus.embeddings.matrix[-1])
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -248,10 +248,9 @@ def test_embeddings_reject_non_finite_values(tmp_path, value):
 def test_embedding_rows_gather_one_matrix():
     table = {"a": np.array([1.0, 2.0]), "b": np.array([3.0, 5.0])}
     emb = WordEmbeddings(table, 2)
-    assert np.array_equal(emb.unk, [2.0, 3.5])
-    assert np.array_equal(emb.matrix[-1], emb.unk)
+    assert np.array_equal(emb.matrix[-1], [2.0, 3.5])
     rows = emb.rows(["b", "zzz", "a"])
-    assert np.array_equal(rows, np.stack([emb.vector("b"), emb.unk, emb.vector("a")]))
+    assert np.array_equal(rows, np.stack([table["b"], [2.0, 3.5], table["a"]]))
     assert emb.rows([]).shape == (0, 2)
     with_unk = WordEmbeddings({**table, cp.UNK_TOKEN: np.array([9.0, 9.0])}, 2)
     assert np.array_equal(with_unk.rows(["zzz"]), [[9.0, 9.0]])

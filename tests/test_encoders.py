@@ -187,7 +187,7 @@ def test_boe_single_token_identity(tiny_vectors):
     spec = EncoderSpec(EncoderKind.BOE, input_dim=4)
     encoder = SequenceEncoder(spec, rng())
     out = encode_sequences([["alpha"]], tiny_vectors, encoder)
-    assert np.allclose(out.data[0], tiny_vectors.embeddings.vector("alpha"))
+    assert np.allclose(out.data[0], tiny_vectors.embeddings.rows(["alpha"])[0])
 
 
 def test_boe_two_tokens_midpoint(tiny_vectors):
@@ -262,6 +262,12 @@ def small_model(vectors, variant=Variant.FULL, kind=EncoderKind.BOE, spec=None,
                              vectors=vectors, **kw)
 
 
+def char_vector(model, name):
+    """The embedding of character ``name``: its row of the character matrix."""
+    table = model.char_table
+    return table.matrix.data[table.index[name]]
+
+
 def block(model, scene_vecs, name):
     """The ``name`` block of the one scene encoded in ``scene_vecs``, located
     by ``block_layout``."""
@@ -281,8 +287,8 @@ def test_character_block_is_mean(tiny_vectors):
     model = small_model(tiny_vectors)
     scene = scene_of(dialogue("alpha beta", "ANNA"), dialogue("gamma", "BO"))
     emb = model.encode_scenes(play_of(scene))
-    e_a = model.char_table.vector("ANNA").data
-    e_b = model.char_table.vector("BO").data
+    e_a = char_vector(model, "ANNA")
+    e_b = char_vector(model, "BO")
     assert np.allclose(block(model, emb, "characters"), (e_a + e_b) / 2)
 
 
@@ -401,7 +407,18 @@ def test_unknown_character_maps_to_unk(tiny_vectors):
     scene = scene_of(dialogue("alpha", "STRANGER"))
     emb = model.encode_scenes(play_of(scene))
     assert np.allclose(block(model, emb, "characters"),
-                       model.char_table.vector(CharacterTable.UNK_NAME).data)
+                       char_vector(model, CharacterTable.UNK_NAME))
+
+
+def test_character_matrix_equals_per_name_draws():
+    table = CharacterTable(["BO", "ANNA", "BO", "CY"], dim=3,
+                           rng=np.random.default_rng(4))
+    r = np.random.default_rng(4)
+    names = [CharacterTable.UNK_NAME, "ANNA", "BO", "CY"]
+    assert list(table.index) == names
+    assert np.array_equal(table.matrix.data,
+                          np.stack([r.normal(0.0, 0.1, size=3) for _ in names]))
+    assert list(table.named_params("chars")) == ["chars.matrix"]
 
 
 def test_model_config_round_trip(tiny_vectors):
