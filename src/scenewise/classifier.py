@@ -1,5 +1,6 @@
-"""Multi-label tag classification: reweighted loss, prediction heads,
-training loop, and the loglines baseline.
+"""Multi-label tag classification: reweighted loss, prediction heads, the
+per-script optimizer loop every trainer drives, tag training, and the
+loglines baseline.
 
 The loss reweights each tag's negative term by the tag's ratio of positive
 to negative training samples, so rare tags are not drowned out::
@@ -15,8 +16,8 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -228,10 +229,7 @@ class TrainConfig:
     stop_at_train_f1: float | None = None
 
     def to_dict(self) -> dict:
-        return {"lr": self.lr, "max_norm": self.max_norm,
-                "max_epochs": self.max_epochs, "patience": self.patience,
-                "threshold": self.threshold, "seed": self.seed,
-                "stop_at_train_f1": self.stop_at_train_f1}
+        return asdict(self)
 
 
 @dataclass
@@ -295,6 +293,34 @@ def validation_ap(model, samples: Sequence[Sample], taxonomy: TagTaxonomy) -> fl
         return 0.0
 
 
+def optimizer_epochs(trainer: str, params: dict[str, Tensor],
+                     items: Sequence[tuple[str, Any]],
+                     loss_of: Callable[[Any], Tensor], rng: np.random.Generator,
+                     epochs: int, lr: float, max_norm: float) -> Iterator[float]:
+    """One Adam step per ``(key, item)`` in ``items``, in an order drawn
+    from ``rng`` each epoch, with the gradient norm clipped to ``max_norm``;
+    yields each epoch's mean ``loss_of(item)``.  Adam updates ``params`` in
+    place.  A non-finite loss raises :class:`NonFiniteLoss` naming
+    ``trainer``, the epoch and the key.
+    """
+    opt = Adam(params, lr=lr)
+    for epoch in range(1, epochs + 1):
+        losses = []
+        for i in rng.permutation(len(items)):
+            key, item = items[int(i)]
+            opt.zero_grad()
+            loss = loss_of(item)
+            value = loss.item()
+            if not math.isfinite(value):
+                raise NonFiniteLoss(
+                    f"{trainer} epoch {epoch}, script {key!r}: loss={value!r}")
+            loss.backward()
+            clip_grad_norm(params.values(), max_norm)
+            opt.step()
+            losses.append(value)
+        yield float(np.mean(losses)) if losses else 0.0
+
+
 def train(model, train_samples: Sequence[Sample], val_samples: Sequence[Sample],
           taxonomy: TagTaxonomy, config: TrainConfig = TrainConfig(),
           timing: bool = False) -> TrainResult:
@@ -310,8 +336,6 @@ def train(model, train_samples: Sequence[Sample], val_samples: Sequence[Sample],
     if not val_samples:
         log.warning("no validation samples; early stopping uses training AP")
     params = model.named_params()
-    opt = Adam(params, lr=config.lr)
-    rng = np.random.default_rng(config.seed)
     rows: list[LogRow] = []
     best_ap = -1.0
     best_epoch = 0
@@ -320,24 +344,17 @@ def train(model, train_samples: Sequence[Sample], val_samples: Sequence[Sample],
     train_gold = {s.key: taxonomy.tag_set(s.y) for s in train_samples}
     start = time.monotonic()
 
-    for epoch in range(1, config.max_epochs + 1):
-        order = rng.permutation(len(train_samples))
-        losses = []
-        for i in order:
-            sample = train_samples[int(i)]
-            opt.zero_grad()
-            z = model.logits(sample.x)
-            loss = reweighted_loss(sample.y, z, taxonomy.lam, taxonomy.active)
-            value = loss.item()
-            if not math.isfinite(value):
-                raise NonFiniteLoss(
-                    f"epoch {epoch}, script {sample.key!r}: loss={value!r}")
-            loss.backward()
-            clip_grad_norm(params.values(), config.max_norm)
-            opt.step()
-            losses.append(value)
+    def loss_of(sample: Sample) -> Tensor:
+        return reweighted_loss(sample.y, model.logits(sample.x), taxonomy.lam,
+                               taxonomy.active)
+
+    epochs = optimizer_epochs("tag training", params,
+                              [(s.key, s) for s in train_samples], loss_of,
+                              np.random.default_rng(config.seed),
+                              config.max_epochs, config.lr, config.max_norm)
+    for epoch, train_loss in enumerate(epochs, 1):
         val_ap = validation_ap(model, val_samples or train_samples, taxonomy)
-        rows.append(LogRow(epoch=epoch, train_loss=float(np.mean(losses)),
+        rows.append(LogRow(epoch=epoch, train_loss=train_loss,
                            val_ap=val_ap, lr=config.lr,
                            wallclock=time.monotonic() - start if timing else None))
         if val_ap > best_ap:

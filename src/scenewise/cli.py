@@ -174,6 +174,16 @@ def _build_tag_model(corpus: Corpus, taxonomy: TagTaxonomy,
     return model, model_config
 
 
+def _checkpoint_of_kind(path: str, kind: str) -> tuple[dict, dict]:
+    """A checkpoint's arrays and manifest; a ``DataError`` unless its kind
+    is ``kind``."""
+    params, manifest = load_checkpoint(path)
+    if manifest.get("kind") != kind:
+        raise DataError(f"{path} is a {manifest.get('kind')!r} checkpoint, "
+                        f"not a {kind!r} one")
+    return params, manifest
+
+
 def _rebuild_tag_model(manifest: dict, corpus: Corpus):
     taxonomy = TagTaxonomy.from_dict(manifest["taxonomy"])
     mc = manifest["model"]
@@ -259,7 +269,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_for_evaluation(args: argparse.Namespace):
-    params, manifest = load_checkpoint(args.checkpoint)
+    params, manifest = _checkpoint_of_kind(args.checkpoint, "tag_model")
     corpus, _ = _ingest_from_args(args)
     if corpus.vocabulary.hash() != manifest["vocabulary_hash"]:
         raise VocabularyMismatch(
@@ -381,9 +391,7 @@ def cmd_descriptors(args: argparse.Namespace) -> int:
 
 
 def cmd_trajectories(args: argparse.Namespace) -> int:
-    params, manifest = load_checkpoint(args.checkpoint)
-    if manifest.get("kind") != "descriptor_model":
-        raise DataError(f"{args.checkpoint} is not a descriptor checkpoint")
+    params, manifest = _checkpoint_of_kind(args.checkpoint, "descriptor_model")
     embeddings = WordEmbeddings.load(args.embeddings)
     config = DescriptorConfig(**manifest["config"])
     # the target encoder pools with p's array, which load_params fills

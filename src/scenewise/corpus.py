@@ -96,7 +96,7 @@ class WordEmbeddings:
         table: dict[str, np.ndarray] = {}
         dim: int | None = None
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
                 parts = line.rstrip("\n").split()
                 if not parts:
                     continue
@@ -109,7 +109,10 @@ class WordEmbeddings:
                 elif len(values) != dim:
                     raise EmbeddingDimMismatch(
                         f"{path}: inconsistent row width for {token!r}")
-                vec = np.asarray([float(v) for v in values])
+                try:
+                    vec = np.asarray([float(v) for v in values])
+                except ValueError as err:
+                    raise DataError(f"{path} line {number}: {err}") from None
                 if not np.isfinite(vec).all():
                     raise NonFiniteEmbedding(
                         f"{path}: non-finite value in the vector of {token!r}")

@@ -14,7 +14,8 @@ descriptor rows can be read off as their nearest vocabulary words.  The
 restricted (descriptor) vocabulary holds only tokens with a vector of their
 own in the embedding file: one without would pool, and be read out, as the
 shared unknown vector.  Each script's scenes are pooled as one batch,
-padded by ``encoders.pad_runs`` like every encoder tier's.
+padded by ``encoders.pad_runs`` like every encoder tier's.  Pretraining
+and training supply per-script losses to :func:`classifier.optimizer_epochs`.
 """
 
 from __future__ import annotations
@@ -22,22 +23,22 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Adam, Tensor, clip_grad_norm
-from .classifier import ClassifierHead, TagTaxonomy, reweighted_loss
+from .autodiff import Tensor
+from .classifier import (
+    ClassifierHead,
+    TagTaxonomy,
+    optimizer_epochs,
+    reweighted_loss,
+)
 from .corpus import Corpus, WordEmbeddings, scene_tokens
 from .encoders import attend, pad_runs
-from .errors import (
-    InsufficientVocab,
-    NonFiniteLoss,
-    ScriptTooSmall,
-    ZeroDocFrequency,
-)
+from .errors import InsufficientVocab, ScriptTooSmall, ZeroDocFrequency
 from .parser import Scene, Screenplay
 
 log = logging.getLogger(__name__)
@@ -63,14 +64,7 @@ class DescriptorConfig:
     top_words: int = 10
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k, "hidden": self.hidden, "recurrent": self.recurrent,
-            "alpha": self.alpha, "ortho_lambda": self.ortho_lambda,
-            "negatives": self.negatives, "lr": self.lr,
-            "max_norm": self.max_norm, "epochs": self.epochs,
-            "pretrain_epochs": self.pretrain_epochs, "init": self.init,
-            "seed": self.seed, "top_words": self.top_words,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -149,33 +143,28 @@ def pretrain_reconstruction_target(corpus: Corpus, attribute: str,
     train_items = corpus.train_items + corpus.validation_items
     taxonomy = TagTaxonomy.from_items(train_items, attribute)
     head = ClassifierHead(len(taxonomy), dim, rng)
-    params = {"target.p": p}
-    params.update(head.named_params())
-    opt = Adam(params, lr=config.lr)
+    params = {"target.p": p, **head.named_params()}
 
     # the target pools with p's own array, which Adam updates in place
     target = SceneBagEncoder(vocab, corpus.embeddings, p.data)
-    per_script: list[tuple[np.ndarray, Tensor, np.ndarray]] = []
+    per_script: list[tuple[str, tuple[np.ndarray, Tensor, np.ndarray]]] = []
     for it in train_items:
         padded, lengths, _ = target.script_batch(it.screenplay.scenes)
         if len(lengths):
             y = taxonomy.label_vector(it.tags.get(attribute, ()))
-            per_script.append((y, padded, lengths))
+            per_script.append((it.title, (y, padded, lengths)))
 
-    for epoch in range(config.pretrain_epochs):
-        order = rng.permutation(len(per_script))
-        for i in order:
-            y, padded, lengths = per_script[int(i)]
-            opt.zero_grad()
-            scene_vecs = attend(padded, p, lengths)
-            script_vec = ad.row(ad.mean_rows(scene_vecs, [len(lengths)]), 0)
-            loss = reweighted_loss(y, head.logits(script_vec), taxonomy.lam,
-                                   taxonomy.active)
-            if not math.isfinite(loss.item()):
-                raise NonFiniteLoss(f"target pretraining epoch {epoch + 1}")
-            loss.backward()
-            clip_grad_norm(params.values(), config.max_norm)
-            opt.step()
+    def loss_of(batch: tuple[np.ndarray, Tensor, np.ndarray]) -> Tensor:
+        y, padded, lengths = batch
+        scene_vecs = attend(padded, p, lengths)
+        script_vec = ad.row(ad.mean_rows(scene_vecs, [len(lengths)]), 0)
+        return reweighted_loss(y, head.logits(script_vec), taxonomy.lam,
+                               taxonomy.active)
+
+    for _ in optimizer_epochs("target pretraining", params, per_script, loss_of,
+                              rng, config.pretrain_epochs, config.lr,
+                              config.max_norm):
+        pass
     return target
 
 
@@ -465,43 +454,35 @@ def train_descriptors(corpus: Corpus, target: SceneBagEncoder,
     vocab_emb = target.vocab_matrix()
     r_init = init_descriptors(config.init, vocab_emb, k=config.k, seed=config.seed)
     model = DescriptorModel(r_init, target, config)
-    params = model.named_params()
-    opt = Adam(params, lr=config.lr)
     rng = np.random.default_rng(config.seed)
 
     items = corpus.train_items + corpus.validation_items
-    per_script: list[np.ndarray] = []
+    per_script: list[tuple[str, np.ndarray]] = []
     for it in items:
         vs, kept = target.encode_scenes(it.screenplay.scenes)
         if len(kept) < 2:
             log.warning("skipping %s: %s", it.title,
                         ScriptTooSmall(f"{len(kept)} usable scene(s)"))
             continue
-        per_script.append(vs[kept])
+        per_script.append((it.title, vs[kept]))
 
     stats = DescriptorStats(initial_fro=model.fro_distance(), final_fro=0.0,
                             fro_trace=[], epoch_losses=[],
                             simplex_max_deviation=0.0, simplex_min_entry=np.inf)
 
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(per_script))
-        losses = []
-        for si in order:
-            us = per_script[int(si)]
-            opt.zero_grad()
-            neg = draw_negatives(rng, len(us), config.negatives)
-            script_loss, o = model.script_loss(us, neg)
-            stats.simplex_max_deviation = max(
-                stats.simplex_max_deviation, float(np.abs(o.sum(axis=1) - 1.0).max()))
-            stats.simplex_min_entry = min(stats.simplex_min_entry, float(o.min()))
-            value = script_loss.item()
-            if not math.isfinite(value):
-                raise NonFiniteLoss(f"descriptor epoch {epoch + 1}")
-            script_loss.backward()
-            clip_grad_norm(params.values(), config.max_norm)
-            opt.step()
-            losses.append(value)
-        stats.epoch_losses.append(float(np.mean(losses)) if losses else 0.0)
+    def loss_of(us: np.ndarray) -> Tensor:
+        # negatives are drawn after the epoch's order, from the same generator
+        neg = draw_negatives(rng, len(us), config.negatives)
+        script_loss, o = model.script_loss(us, neg)
+        stats.simplex_max_deviation = max(
+            stats.simplex_max_deviation, float(np.abs(o.sum(axis=1) - 1.0).max()))
+        stats.simplex_min_entry = min(stats.simplex_min_entry, float(o.min()))
+        return script_loss
+
+    for loss in optimizer_epochs("descriptor training", model.named_params(),
+                                 per_script, loss_of, rng, config.epochs,
+                                 config.lr, config.max_norm):
+        stats.epoch_losses.append(loss)
         stats.fro_trace.append(model.fro_distance())
 
     stats.final_fro = model.fro_distance()

@@ -224,14 +224,10 @@ def pair_permutations(n: int) -> int:
 
 
 def merged_distribution(tag_counts: Mapping[str, float],
-                        classes: Sequence[Sequence[str]] | None = None
-                        ) -> np.ndarray:
-    """Probabilities over tags (or merged classes) from corpus counts."""
-    if classes is None:
-        counts = np.asarray([tag_counts[t] for t in sorted(tag_counts)], float)
-    else:
-        counts = np.asarray([sum(tag_counts.get(t, 0) for t in members)
-                             for members in classes], dtype=np.float64)
+                        classes: Sequence[Sequence[str]]) -> np.ndarray:
+    """Probabilities over merged tag classes from corpus counts."""
+    counts = np.asarray([sum(tag_counts.get(t, 0) for t in members)
+                         for members in classes], dtype=np.float64)
     total = counts.sum()
     if total <= 0:
         raise InvalidDistribution("no tag occurrences")

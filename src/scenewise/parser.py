@@ -110,22 +110,11 @@ class Scene:
         return {s.character for s in self.statements
                 if s.kind is StatementKind.DIALOGUE}
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Scene):
-            return NotImplemented
-        return (self.index, self.heading, self.statements) == \
-            (other.index, other.heading, other.statements)
-
 
 @dataclass
 class Screenplay:
     title: str
     scenes: list[Scene]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Screenplay):
-            return NotImplemented
-        return (self.title, self.scenes) == (other.title, other.scenes)
 
 
 def _indent(line: str, tab_width: int) -> int:

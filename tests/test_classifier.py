@@ -18,7 +18,7 @@ from scenewise.classifier import (
 )
 from scenewise.corpus import CorpusItem, logline_screenplay
 from scenewise.encoders import EncoderKind, EncoderSpec, HierarchicalModel, Variant
-from scenewise.errors import DataEmpty, NoPositives
+from scenewise.errors import DataEmpty, NonFiniteLoss, NoPositives
 from scenewise.parser import Scene, Screenplay, Statement, StatementKind
 
 from conftest import make_vectors
@@ -228,6 +228,16 @@ def test_train_empty_raises(tiny_vectors):
     model = _toy_model(tiny_vectors, len(taxonomy))
     with pytest.raises(DataEmpty):
         train(model, [], [], taxonomy, TrainConfig())
+
+
+def test_train_raises_on_non_finite_loss(tiny_vectors):
+    taxonomy = _toy_taxonomy()
+    model = _toy_model(tiny_vectors, len(taxonomy))
+    model.head.b.data[0] = np.nan
+    samples = _toy_samples(taxonomy)
+    with pytest.raises(NonFiniteLoss,
+                       match=r"^tag training epoch 1, script '[abc]': loss=nan$"):
+        train(model, samples[:3], samples[3:], taxonomy, TrainConfig(seed=0))
 
 
 def test_loglines_model_dims_and_determinism(tiny_vectors):

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from scenewise import cli
 from scenewise.checkpoint import load_checkpoint, save_checkpoint
 from scenewise.cli import main
 from scenewise.encoders import CharacterTable
@@ -306,6 +307,41 @@ def test_trajectories_rejects_annotation_outside_script(workspace, descriptor_ru
     assert run(trajectory_args(synth, out_desc / "descriptors.swck", out)
                + ["--annotate", annotate]) == 1
     assert last_error(capsys) == "DataError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "eval-sim"])
+def test_evaluation_refuses_descriptor_checkpoint(workspace, descriptor_run,
+                                                  tmp_path, capsys, monkeypatch,
+                                                  command):
+    _, synth = workspace
+    out_desc, _ = descriptor_run
+
+    def no_ingest(*args, **kwargs):
+        raise AssertionError("ingested before checking the checkpoint kind")
+
+    monkeypatch.setattr(cli, "ingest", no_ingest)
+    out = tmp_path / "report.json"
+    extra = (["--tag-embeddings", str(synth / "tag_embeddings.tsv")]
+             if command == "eval-sim" else [])
+    assert run([command] + corpus_args(synth) + extra
+               + ["--checkpoint", str(out_desc / "descriptors.swck"),
+                  "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "DataError"
+    assert "'descriptor_model' checkpoint" in err["message"]
+    assert not out.exists()
+
+
+def test_trajectories_refuses_tag_checkpoint(workspace, trained, tmp_path,
+                                             capsys):
+    _, synth = workspace
+    out_ckpt, _ = trained
+    out = tmp_path / "traj.svg"
+    assert run(trajectory_args(synth, out_ckpt / "checkpoint.swck", out)) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "DataError"
+    assert "'tag_model' checkpoint" in err["message"]
     assert not out.exists()
 
 

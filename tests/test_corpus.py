@@ -245,6 +245,15 @@ def test_embeddings_reject_non_finite_values(tmp_path, value):
         WordEmbeddings.load(path, expected_dim=3)
 
 
+def test_embeddings_reject_non_numeric_value_naming_file_and_line(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("a 0.1 0.2\n\nb 1.0 abc\n")
+    with pytest.raises(DataError) as err:
+        WordEmbeddings.load(path, expected_dim=2)
+    assert str(err.value) == (f"{path} line 3: could not convert string to "
+                              f"float: 'abc'")
+
+
 def test_embedding_rows_gather_one_matrix():
     table = {"a": np.array([1.0, 2.0]), "b": np.array([3.0, 5.0])}
     emb = WordEmbeddings(table, 2)

@@ -31,7 +31,12 @@ from scenewise.descriptors import (
     train_descriptors,
 )
 from scenewise.encoders import attend
-from scenewise.errors import InsufficientVocab, ScriptTooSmall, ZeroDocFrequency
+from scenewise.errors import (
+    InsufficientVocab,
+    NonFiniteLoss,
+    ScriptTooSmall,
+    ZeroDocFrequency,
+)
 from scenewise.parser import Scene, Statement, StatementKind
 
 from test_autodiff import dot
@@ -484,6 +489,27 @@ def test_large_lambda_fro_nonincreasing(desc_corpus):
     trace = [stats.initial_fro] + stats.fro_trace
     for prev, cur in zip(trace, trace[1:]):
         assert cur <= prev + 1e-3
+
+
+def test_pretrain_target_raises_on_non_finite_loss(desc_corpus, monkeypatch):
+    # the attention vector and the head start as NaN
+    monkeypatch.setattr(ad, "glorot", lambda rng_, shape: np.full(shape, np.nan))
+    config = DescriptorConfig(k=4, hidden=8, pretrain_epochs=2, seed=0)
+    with pytest.raises(NonFiniteLoss,
+                       match=r"^target pretraining epoch 1, script 'synth\d+': "
+                             r"loss=nan$"):
+        pretrain_reconstruction_target(desc_corpus, "genre", config)
+
+
+def test_train_descriptors_raises_on_non_finite_loss(desc_corpus):
+    config = DescriptorConfig(k=4, hidden=8, epochs=2, pretrain_epochs=1,
+                              negatives=2, seed=0)
+    target = pretrain_reconstruction_target(desc_corpus, "genre", config)
+    target.p[0] = np.nan  # every pooled target turns NaN
+    with pytest.raises(NonFiniteLoss,
+                       match=r"^descriptor training epoch 1, script 'synth\d+': "
+                             r"loss=nan$"):
+        train_descriptors(desc_corpus, target, config)
 
 
 def test_descriptor_report_structure(desc_corpus):
