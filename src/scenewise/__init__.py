@@ -1,7 +1,7 @@
 """Screenplay structure parsing, hierarchical scene encoders, and
 unsupervised scene-descriptor trajectories."""
 
-from .parser import ParserConfig, RawScript, Scene, Screenplay, parse_script
+from .parser import Scene, Screenplay, parse_script
 from .encoders import (
     EncoderKind,
     EncoderSpec,
@@ -22,8 +22,6 @@ __all__ = [
     "EncoderSpec",
     "HierarchicalModel",
     "IngestConfig",
-    "ParserConfig",
-    "RawScript",
     "Scene",
     "Screenplay",
     "SynthSpec",

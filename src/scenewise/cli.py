@@ -126,7 +126,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
     for path in paths:
         try:
             text = path.read_text(encoding="utf-8")
-            play = screenplay.parse_script(path.stem, text, cap=cap)
+            play, report = screenplay.scan_script(path.stem, text, cap=cap)
         except UnicodeDecodeError as err:
             log.warning("skipping %s: undecodable: %s", path.name, err)
             continue
@@ -134,8 +134,6 @@ def cmd_parse(args: argparse.Namespace) -> int:
             log.warning("skipping %s: empty: %s", path.name, err)
             continue
         atomic_write_text(out_dir / f"{path.stem}.tsv", screenplay.to_table(play))
-        raw = screenplay.RawScript.from_text(path.stem, text)
-        report = screenplay.quality_report(raw)
         report["config_hash"] = config_hash({"cap": cap})
         atomic_write_text(out_dir / f"{path.stem}.quality.json",
                           json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -101,21 +101,23 @@ class WordEmbeddings:
                 if not parts:
                     continue
                 token, values = parts[0], parts[1:]
+                where = f"{path} line {number}"
                 if dim is None:
                     dim = len(values)
                     if expected_dim is not None and dim != expected_dim:
                         raise EmbeddingDimMismatch(
-                            f"{path}: embedding dim {dim}, expected {expected_dim}")
+                            f"{where}: embedding dim {dim}, expected {expected_dim}")
                 elif len(values) != dim:
                     raise EmbeddingDimMismatch(
-                        f"{path}: inconsistent row width for {token!r}")
+                        f"{where}: {len(values)} values for {token!r}, "
+                        f"but the first row has {dim}")
                 try:
                     vec = np.asarray([float(v) for v in values])
                 except ValueError as err:
-                    raise DataError(f"{path} line {number}: {err}") from None
+                    raise DataError(f"{where}: {err}") from None
                 if not np.isfinite(vec).all():
                     raise NonFiniteEmbedding(
-                        f"{path}: non-finite value in the vector of {token!r}")
+                        f"{where}: non-finite value in the vector of {token!r}")
                 table[token] = vec
         return cls(table, dim if dim is not None else expected_dim)
 

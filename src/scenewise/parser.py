@@ -1,11 +1,13 @@
 """Screenplay structure parsing.
 
-Raw screenplay text is classified line by line using standard-format cues
-(capitalization and indentation), segmented into scenes at slug lines, and
-post-processed into an ordered statement representation that keeps action
-lines, dialogue lines (with their speaking character), and the scene
-heading.  Slug lines open scenes; parentheticals, transitions, and
-character-cue lines are structural and never become statements.
+One scan over the lines of a raw screenplay classifies each line by
+standard-format cues (capitalization and indentation), groups the
+statements into scenes at slug lines, and counts every line kind for the
+quality report.  The scan keeps one piece of state: the speaker of the
+previous non-blank line, which an indented line continues.  A statement is
+an action line, a dialogue line (with its speaking character), or the scene
+heading; parentheticals, transitions, character cues and lines without
+letters are structural and never become statements.
 """
 
 from __future__ import annotations
@@ -13,17 +15,20 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
 
 from .errors import EmptyScript
 
-DEFAULT_HEADING_PREFIXES = ("INT.", "EXT.", "INT/EXT", "EXT/INT", "I/E.")
+HEADING_PREFIXES = ("INT.", "EXT.", "INT/EXT", "EXT/INT", "I/E.")
+CUE_INDENT = 10        # a character cue starts at least this far in ...
+MAX_CUE_LENGTH = 40    # ... and is at most this long
+DIALOGUE_INDENT = 4    # dialogue bodies and parentheticals
+TAB_WIDTH = 8          # indentation is measured with tabs expanded
 DEFAULT_SCENE_CAP = 60
 
 _TRANSITION_RE = re.compile(r"(TO:|FADE IN:?|FADE OUT\.?|FADE TO BLACK\.?)$")
 _CUE_SUFFIX_RE = re.compile(r"\s*\((?:V\.?O\.?|O\.?S\.?|O\.?C\.?|CONT'?D\.?)\)\s*$",
                             re.IGNORECASE)
-_NO_LETTERS_RE = re.compile(r"^[^A-Za-z]*$")
+_LETTER_RE = re.compile(r"[A-Za-z]")
 
 
 class StatementKind(Enum):
@@ -34,42 +39,6 @@ class StatementKind(Enum):
     TRANSITION = "Trans."
     BLANK = "Blank"
     OTHER = "Other"
-
-
-@dataclass(frozen=True)
-class ParserConfig:
-    """Formatting thresholds; indentation is measured after expanding tabs to 8."""
-
-    heading_prefixes: tuple[str, ...] = DEFAULT_HEADING_PREFIXES
-    cue_indent: int = 10
-    dialogue_indent: int = 4
-    tab_width: int = 8
-    max_cue_length: int = 40
-
-
-@dataclass(frozen=True)
-class RawScript:
-    """Verbatim input: title plus raw lines, order and whitespace preserved."""
-
-    title: str
-    lines: tuple[str, ...]
-
-    @classmethod
-    def from_text(cls, title: str, text: str) -> "RawScript":
-        return cls(title=title, lines=tuple(text.splitlines()))
-
-
-@dataclass(frozen=True)
-class LineClass:
-    """Classification of one raw line.
-
-    ``is_character_cue`` marks the all-caps name line that opens a dialogue
-    block; cue lines never become statements themselves.
-    """
-
-    kind: StatementKind
-    character: str | None = None
-    is_character_cue: bool = False
 
 
 @dataclass(frozen=True)
@@ -117,15 +86,6 @@ class Screenplay:
     scenes: list[Scene]
 
 
-def _indent(line: str, tab_width: int) -> int:
-    expanded = line.expandtabs(tab_width)
-    return len(expanded) - len(expanded.lstrip(" "))
-
-
-def _normalize(line: str) -> str:
-    return line.strip().replace("\t", " ")
-
-
 def _strip_cue_markers(name: str) -> str:
     prev = None
     while prev != name:
@@ -134,100 +94,98 @@ def _strip_cue_markers(name: str) -> str:
     return name.strip()
 
 
-def classify_line(raw: str, previous: LineClass | None,
-                  config: ParserConfig = ParserConfig()) -> LineClass:
-    """Classify a single raw line given the previous line's classification.
+def scan_script(title: str, text: str, cap: int | None = DEFAULT_SCENE_CAP
+                ) -> tuple[Screenplay, dict]:
+    """Parse a raw screenplay and report its line counts, in one line scan.
 
-    Unrecognizable lines become OTHER; classification never aborts.
+    Each scene heading opens a scene; a script without any heading becomes
+    a single scene.  Scenes are then split at ``cap`` statements (none if
+    ``cap`` is None).  The report counts lines by kind (a character cue
+    counts as DIALOGUE) and scores the fraction of non-blank lines carrying
+    structure the model consumes (headings, action, dialogue, cues);
+    ingestion layers can threshold on it instead of a fixed error
+    criterion.  Unrecognizable lines count as OTHER; only a script without
+    a non-blank line raises (``EmptyScript``).
     """
-    stripped = raw.strip()
-    if not stripped:
-        return LineClass(StatementKind.BLANK)
-
-    indent = _indent(raw, config.tab_width)
-    upper = stripped == stripped.upper()
-
-    if upper and any(stripped.startswith(p) for p in config.heading_prefixes):
-        return LineClass(StatementKind.SCENE_HEADING)
-
-    if upper and _TRANSITION_RE.search(stripped):
-        return LineClass(StatementKind.TRANSITION)
-
-    has_letters = not _NO_LETTERS_RE.match(stripped)
-
-    if (upper and has_letters and indent >= config.cue_indent
-            and len(stripped) <= config.max_cue_length):
-        name = _strip_cue_markers(_normalize(stripped))
-        if name:
-            return LineClass(StatementKind.DIALOGUE, character=name,
-                             is_character_cue=True)
-
-    if stripped.startswith("(") and indent >= config.dialogue_indent:
-        character = previous.character if previous is not None else None
-        return LineClass(StatementKind.PARENTHETICAL, character=character)
-
-    in_dialogue = (previous is not None and previous.character is not None
-                   and previous.kind in (StatementKind.DIALOGUE,
-                                         StatementKind.PARENTHETICAL))
-    if indent >= config.dialogue_indent and in_dialogue:
-        return LineClass(StatementKind.DIALOGUE, character=previous.character)
-
-    if not has_letters:
-        return LineClass(StatementKind.OTHER)
-
-    return LineClass(StatementKind.ACTION)
-
-
-def classify_lines(raw: RawScript,
-                   config: ParserConfig = ParserConfig()) -> list[LineClass]:
-    """Classify every line of a raw script in order."""
-    context: LineClass | None = None
-    out: list[LineClass] = []
-    for line in raw.lines:
-        cls = classify_line(line, context, config)
-        out.append(cls)
-        if cls.kind is not StatementKind.BLANK:
-            context = cls
-    return out
-
-
-def segment_scenes(raw: RawScript, classes: Sequence[LineClass] | None = None,
-                   config: ParserConfig = ParserConfig()) -> Screenplay:
-    """Group classified lines into scenes.
-
-    Each scene heading opens a scene; slug lines, parentheticals,
-    transitions, and cue lines are dropped from the statement lists.  A
-    script without any heading becomes a single scene.
-    """
-    if classes is None:
-        classes = classify_lines(raw, config)
-    if all(not line.strip() for line in raw.lines):
-        raise EmptyScript(f"{raw.title}: no non-blank line")
-
+    lines = text.splitlines()
+    counts = {kind.name: 0 for kind in StatementKind}
+    cues = 0
+    speaker: str | None = None
     scenes: list[Scene] = []
     current: Scene | None = None
-    for line, cls in zip(raw.lines, classes):
-        if cls.kind is StatementKind.SCENE_HEADING:
-            current = Scene(index=len(scenes) + 1, heading=_normalize(line))
+    for line in lines:
+        stripped = line.strip()
+        if not stripped:
+            counts["BLANK"] += 1
+            continue
+        if "\t" in line:
+            line = line.expandtabs(TAB_WIDTH)
+        indent = len(line) - len(line.lstrip(" "))
+        upper = stripped == stripped.upper()
+        if upper and stripped.startswith(HEADING_PREFIXES):
+            counts["SCENE_HEADING"] += 1
+            speaker = None
+            current = Scene(index=len(scenes) + 1,
+                            heading=stripped.replace("\t", " "))
             scenes.append(current)
             continue
-        if cls.is_character_cue or cls.kind in (StatementKind.BLANK,
-                                                StatementKind.PARENTHETICAL,
-                                                StatementKind.TRANSITION,
-                                                StatementKind.OTHER):
+        if upper and _TRANSITION_RE.search(stripped):
+            counts["TRANSITION"] += 1
+            speaker = None
             continue
+        has_letters = _LETTER_RE.search(stripped) is not None
+        if (upper and has_letters and indent >= CUE_INDENT
+                and len(stripped) <= MAX_CUE_LENGTH):
+            name = _strip_cue_markers(stripped.replace("\t", " "))
+            if name:
+                counts["DIALOGUE"] += 1
+                cues += 1
+                speaker = name
+                continue
+        if stripped.startswith("(") and indent >= DIALOGUE_INDENT:
+            counts["PARENTHETICAL"] += 1  # the speaker carries on past it
+            continue
+        if indent >= DIALOGUE_INDENT and speaker is not None:
+            kind = StatementKind.DIALOGUE
+        elif has_letters:
+            kind = StatementKind.ACTION
+            speaker = None
+        else:
+            counts["OTHER"] += 1
+            speaker = None
+            continue
+        counts[kind.name] += 1
         if current is None:
-            current = Scene(index=1, heading=None)
+            current = Scene(index=1)
             scenes.append(current)
-        if cls.kind is StatementKind.ACTION:
-            current.statements.append(Statement(StatementKind.ACTION, _normalize(line)))
-        elif cls.kind is StatementKind.DIALOGUE:
-            current.statements.append(Statement(StatementKind.DIALOGUE, _normalize(line),
-                                                character=cls.character))
+        current.statements.append(Statement(kind, stripped.replace("\t", " "),
+                                            character=speaker))
+    if counts["BLANK"] == len(lines):
+        raise EmptyScript(f"{title}: no non-blank line")
     if not scenes:
         # only structural lines (e.g. transitions); keep one empty scene
-        scenes.append(Scene(index=1, heading=None))
-    return Screenplay(title=raw.title, scenes=scenes)
+        scenes.append(Scene(index=1))
+    play = Screenplay(title=title, scenes=scenes)
+    if cap is not None:
+        play = split_long_scenes(play, cap)
+
+    non_blank = len(lines) - counts["BLANK"]
+    usable = counts["SCENE_HEADING"] + counts["ACTION"] + counts["DIALOGUE"]
+    report = {
+        "title": title,
+        "line_count": len(lines),
+        "counts": counts,
+        "character_cues": cues,
+        "heading_count": counts["SCENE_HEADING"],
+        "quality_score": round(usable / non_blank, 6),
+    }
+    return play, report
+
+
+def parse_script(title: str, text: str,
+                 cap: int | None = DEFAULT_SCENE_CAP) -> Screenplay:
+    """The screenplay of ``scan_script`` without its report."""
+    return scan_script(title, text, cap)[0]
 
 
 def split_long_scenes(sp: Screenplay, cap: int = DEFAULT_SCENE_CAP) -> Screenplay:
@@ -250,16 +208,6 @@ def split_long_scenes(sp: Screenplay, cap: int = DEFAULT_SCENE_CAP) -> Screenpla
                                 heading=scene.heading if start == 0 else None,
                                 statements=piece))
     return Screenplay(title=sp.title, scenes=scenes)
-
-
-def parse_script(title: str, text: str, config: ParserConfig = ParserConfig(),
-                 cap: int | None = DEFAULT_SCENE_CAP) -> Screenplay:
-    """Full pipeline: classify, segment, and apply the scene cap."""
-    raw = RawScript.from_text(title, text)
-    sp = segment_scenes(raw, config=config)
-    if cap is not None:
-        sp = split_long_scenes(sp, cap)
-    return sp
 
 
 # ---------------------------------------------------------------------------
@@ -321,34 +269,3 @@ def parse_table(tsv: str) -> Screenplay:
             raise ValueError(f"row {lineno}: unknown row type {kind_s!r}")
     ordered = [scenes[i] for i in sorted(scenes)]
     return Screenplay(title=title, scenes=ordered)
-
-
-# ---------------------------------------------------------------------------
-# quality report
-
-
-def quality_report(raw: RawScript, config: ParserConfig = ParserConfig()) -> dict:
-    """Counts by line kind plus a [0, 1] score of how much content was usable.
-
-    The score is the fraction of non-blank lines carrying structure the
-    model consumes (headings, action, dialogue, cues); ingestion layers can
-    threshold on it instead of a fixed error criterion.
-    """
-    classes = classify_lines(raw, config)
-    counts = {kind.name: 0 for kind in StatementKind}
-    cue_count = 0
-    for cls in classes:
-        counts[cls.kind.name] += 1
-        if cls.is_character_cue:
-            cue_count += 1
-    non_blank = len(classes) - counts["BLANK"]
-    usable = counts["SCENE_HEADING"] + counts["ACTION"] + counts["DIALOGUE"]
-    score = usable / non_blank if non_blank else 0.0
-    return {
-        "title": raw.title,
-        "line_count": len(classes),
-        "counts": counts,
-        "character_cues": cue_count,
-        "heading_count": counts["SCENE_HEADING"],
-        "quality_score": round(score, 6),
-    }

@@ -9,6 +9,7 @@ from scenewise.checkpoint import load_checkpoint, save_checkpoint
 from scenewise.cli import main
 from scenewise.encoders import CharacterTable
 
+DATA = Path(__file__).parent / "data"
 CORPUS_FLAGS = ["--min-count", "2", "--descriptor-min-movies", "2",
                 "--descriptor-top-exclude", "30", "--validation-fraction", "0.15"]
 
@@ -54,6 +55,18 @@ def test_parse_command(workspace):
     quality = json.loads((out / "synth000.quality.json").read_text())
     assert quality["counts"]["OTHER"] == 0
     assert "config_hash" in quality
+
+
+def test_parse_output_matches_golden_bytes(tmp_path):
+    # parsed_golden holds the `parse` output of tests/data as checked in;
+    # a change to these bytes is a change to the parse format
+    golden = DATA / "parsed_golden"
+    out = tmp_path / "parsed"
+    assert run(["parse", "--scripts", str(DATA), "--out", str(out)]) == 0
+    names = sorted(p.name for p in golden.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == names
+    for name in names:
+        assert (out / name).read_bytes() == (golden / name).read_bytes(), name
 
 
 def test_ingest_command(workspace):

@@ -19,7 +19,6 @@ from scenewise.corpus import (
     tokenize,
 )
 from scenewise.errors import DataError
-from scenewise.parser import StatementKind
 
 
 def test_tokenize_basic():
@@ -81,10 +80,8 @@ def test_synthetic_corpus_well_formed(tmp_path):
     assert manifest["spec"]["n_scripts"] == 6
 
     for path in scripts:
-        raw = parser.RawScript.from_text(path.stem, path.read_text())
-        classes = parser.classify_lines(raw)
-        assert all(c.kind is not StatementKind.OTHER for c in classes)
-        play = parser.segment_scenes(raw, classes)
+        play, report = parser.scan_script(path.stem, path.read_text(), cap=None)
+        assert report["counts"]["OTHER"] == 0
         assigned = tags[path.stem]["genre"]
         for scene in play.scenes:
             toks = set(cp.scene_tokens(scene))
@@ -217,9 +214,10 @@ def test_ingest_skips_missing_tags(tmp_path, synth_corpus):
 
 def test_embeddings_dim_mismatch(tmp_path):
     path = tmp_path / "emb.txt"
-    path.write_text("tok 0.1 0.2 0.3\n")
-    with pytest.raises(cp.EmbeddingDimMismatch):
+    path.write_text("\ntok 0.1 0.2 0.3\n")
+    with pytest.raises(cp.EmbeddingDimMismatch) as err:
         WordEmbeddings.load(path, expected_dim=100)
+    assert str(err.value) == f"{path} line 2: embedding dim 3, expected 100"
     emb = WordEmbeddings.load(path, expected_dim=3)
     assert emb.dim == 3
     assert np.allclose(emb.rows(["tok"]), [[0.1, 0.2, 0.3]])
@@ -240,9 +238,20 @@ def test_token_below_min_count_maps_to_unk(synth_corpus):
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_embeddings_reject_non_finite_values(tmp_path, value):
     path = tmp_path / "emb.txt"
-    path.write_text(f"tok 0.1 0.2 0.3\nbad 0.1 {value} 0.3\n")
-    with pytest.raises(cp.NonFiniteEmbedding, match="'bad'"):
+    path.write_text(f"tok 0.1 0.2 0.3\n\nbad 0.1 {value} 0.3\n")
+    with pytest.raises(cp.NonFiniteEmbedding) as err:
         WordEmbeddings.load(path, expected_dim=3)
+    assert str(err.value) == (f"{path} line 3: non-finite value in the vector "
+                              f"of 'bad'")
+
+
+def test_embeddings_reject_row_of_another_width_naming_line(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("tok 0.1 0.2 0.3\nok 1 2 3\nshort 0.1 0.2\n")
+    with pytest.raises(cp.EmbeddingDimMismatch) as err:
+        WordEmbeddings.load(path, expected_dim=3)
+    assert str(err.value) == (f"{path} line 3: 2 values for 'short', but the "
+                              f"first row has 3")
 
 
 def test_embeddings_reject_non_numeric_value_naming_file_and_line(tmp_path):

@@ -4,25 +4,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenewise import parser as sp
+import parser_oracle as oracle
 from scenewise.errors import EmptyScript
 from scenewise.parser import (
-    ParserConfig,
-    RawScript,
     Scene,
     Screenplay,
     Statement,
     StatementKind,
-    classify_line,
-    classify_lines,
     parse_script,
     parse_table,
-    quality_report,
+    scan_script,
     script_lines,
-    segment_scenes,
     split_long_scenes,
     to_table,
 )
+
+ACTION, DIALOGUE = StatementKind.ACTION, StatementKind.DIALOGUE
 
 DATA = Path(__file__).parent / "data"
 
@@ -44,52 +41,62 @@ We TRACK alongside them toward one of the apartments.
 """
 
 
+def statements(text: str) -> list[tuple[StatementKind, str | None, str]]:
+    """(kind, character, text) of each statement of ``text``, in order."""
+    play = parse_script("t", text, cap=None)
+    return [(s.kind, s.character, s.text)
+            for scene in play.scenes for s in scene.statements]
+
+
 def test_classify_scene_heading():
-    cls = classify_line("EXT. APARTMENT BUILDING COURTYARD - MORNING", None)
-    assert cls.kind is StatementKind.SCENE_HEADING
+    text = "EXT. APARTMENT BUILDING COURTYARD - MORNING\nVincent and Jules.\n"
+    play = parse_script("t", text)
+    assert [s.heading for s in play.scenes] == [
+        "EXT. APARTMENT BUILDING COURTYARD - MORNING"]
+    assert statements(text) == [(ACTION, None, "Vincent and Jules.")]
 
 
 def test_classify_dialogue_inherits_character():
-    cue = classify_line("                         VINCENT", None)
-    assert cue.is_character_cue and cue.character == "VINCENT"
-    body = classify_line("               What's her name?", cue)
-    assert body.kind is StatementKind.DIALOGUE
-    assert body.character == "VINCENT"
-    assert not body.is_character_cue
+    text = "                         VINCENT\n               What's her name?\n"
+    assert statements(text) == [(DIALOGUE, "VINCENT", "What's her name?")]
+    _, report = scan_script("t", text)
+    assert report["character_cues"] == 1
+    assert report["counts"]["DIALOGUE"] == 2
 
 
 def test_classify_unindented_action():
-    assert classify_line("Vincent and Jules.", None).kind is StatementKind.ACTION
+    text = "                    JULES\nVincent and Jules.\n"
+    assert statements(text) == [(ACTION, None, "Vincent and Jules.")]
 
 
 def test_classify_blank_parenthetical_transition_other():
-    assert classify_line("   ", None).kind is StatementKind.BLANK
-    cue = classify_line("                    JULES", None)
-    paren = classify_line("          (quietly)", cue)
-    assert paren.kind is StatementKind.PARENTHETICAL
-    assert paren.character == "JULES"
-    assert classify_line("                                   CUT TO:", None).kind \
-        is StatementKind.TRANSITION
-    assert classify_line("        42.", None).kind is StatementKind.OTHER
+    text = ("   \n"
+            "                    JULES\n"
+            "          (quietly)\n"
+            "          Hi.\n"
+            "                                   CUT TO:\n"
+            "        42.\n")
+    assert statements(text) == [(DIALOGUE, "JULES", "Hi.")]
+    _, report = scan_script("t", text)
+    assert report["counts"] == {"SCENE_HEADING": 0, "ACTION": 0, "DIALOGUE": 2,
+                                "PARENTHETICAL": 1, "TRANSITION": 1, "BLANK": 1,
+                                "OTHER": 1}
 
 
 def test_classify_voice_over_marker_stripped():
-    cue = classify_line("                    JULES (V.O.)", None)
-    assert cue.character == "JULES"
-    cue2 = classify_line("                    MIA (CONT'D)", None)
-    assert cue2.character == "MIA"
+    text = ("                    JULES (V.O.)\n          Hello.\n"
+            "                    MIA (CONT'D)\n          Bye.\n")
+    assert statements(text) == [(DIALOGUE, "JULES", "Hello."),
+                                (DIALOGUE, "MIA", "Bye.")]
 
 
 def test_parenthetical_keeps_dialogue_open():
-    cue = classify_line("                    JULES", None)
-    paren = classify_line("          (calmly)", cue)
-    body = classify_line("          Mia.", paren)
-    assert body.kind is StatementKind.DIALOGUE and body.character == "JULES"
+    text = "                    JULES\n          (calmly)\n          Mia.\n"
+    assert statements(text) == [(DIALOGUE, "JULES", "Mia.")]
 
 
 def test_segment_fragment_matches_table_structure():
-    raw = RawScript.from_text("Pulp Fiction", FRAGMENT)
-    play = segment_scenes(raw)
+    play = parse_script("Pulp Fiction", FRAGMENT, cap=None)
     assert len(play.scenes) == 1
     scene = play.scenes[0]
     assert scene.heading == "EXT. APARTMENT BUILDING COURTYARD - MORNING"
@@ -120,7 +127,7 @@ def test_fixture_parses_to_scene_four():
 
 def test_no_headings_single_scene():
     text = "One line.\nTwo lines.\nThree.\nFour.\nFive.\n"
-    play = segment_scenes(RawScript.from_text("x", text))
+    play = parse_script("x", text, cap=None)
     assert len(play.scenes) == 1
     assert play.scenes[0].heading is None
     assert len(play.scenes[0].action_statements) == 5
@@ -128,7 +135,7 @@ def test_no_headings_single_scene():
 
 def test_adjacent_headings_keep_empty_scene():
     text = "INT. A - DAY\nINT. B - DAY\nSome action.\n"
-    play = segment_scenes(RawScript.from_text("x", text))
+    play = parse_script("x", text, cap=None)
     assert len(play.scenes) == 2
     assert play.scenes[0].statements == []
     assert play.scenes[1].action_statements == ["Some action."]
@@ -136,7 +143,7 @@ def test_adjacent_headings_keep_empty_scene():
 
 def test_empty_script_raises():
     with pytest.raises(EmptyScript):
-        segment_scenes(RawScript.from_text("x", "\n  \n\n"))
+        parse_script("x", "\n  \n\n")
 
 
 def _scene_with(n: int) -> Screenplay:
@@ -275,8 +282,7 @@ def test_messy_fragment_classification():
 
 
 def test_quality_report_counts():
-    raw = RawScript.from_text("Pulp Fiction", FRAGMENT)
-    report = quality_report(raw)
+    _, report = scan_script("Pulp Fiction", FRAGMENT)
     assert report["heading_count"] == 1
     assert report["counts"]["ACTION"] == 2
     assert report["counts"]["DIALOGUE"] == 6  # 3 cues + 3 bodies
@@ -284,12 +290,10 @@ def test_quality_report_counts():
     assert report["quality_score"] == 1.0
 
 
-def test_configurable_heading_prefixes():
-    config = ParserConfig(heading_prefixes=("SCENE:",))
-    cls = classify_line("SCENE: THE DOCKS", None, config)
-    assert cls.kind is StatementKind.SCENE_HEADING
-    default = classify_line("SCENE: THE DOCKS", None)
-    assert default.kind is not StatementKind.SCENE_HEADING
+def test_heading_needs_standard_prefix():
+    play = parse_script("t", "SCENE: THE DOCKS\n")
+    assert play.scenes[0].heading is None
+    assert statements("SCENE: THE DOCKS\n") == [(ACTION, None, "SCENE: THE DOCKS")]
 
 
 def test_cue_with_tab_keeps_table_round_trip():
@@ -303,7 +307,9 @@ RAW_BODIES = st.one_of(
     st.sampled_from(["INT. HOUSE - DAY", "EXT. ROAD - NIGHT", "I/E. CAR",
                      "CUT TO:", "FADE IN:", "(beat)", "(V.O.)", "BOB\tSMITH",
                      "ANNA (V.O.)", "MIA (CONT'D)", "Mia walks in.", "...", "",
-                     "int. lower slug"]),
+                     "int. lower slug", "FADE OUT.", "42.",
+                     "JULES\n\n          Mia.", "\t\t\tMIA\t(CONT'D)",
+                     "Q" * 40, "Q" * 41]),
     st.text(alphabet="abcXYZ \t.:()'-/", max_size=30),
     st.text(max_size=20),
 )
@@ -327,3 +333,18 @@ def test_parse_raw_text_fuzz(text, cap):
     except EmptyScript:
         return
     assert parse_table(to_table(play)) == play
+
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_scripts())
+def test_scan_matches_two_pass_oracle(text):
+    raw = oracle.RawScript.from_text("Fuzz Script", text)
+    try:
+        expected = oracle.segment_scenes(raw)
+    except EmptyScript:
+        with pytest.raises(EmptyScript):
+            scan_script("Fuzz Script", text, cap=None)
+        return
+    assert scan_script("Fuzz Script", text, cap=None) == (
+        expected, oracle.quality_report(raw))
