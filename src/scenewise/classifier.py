@@ -300,9 +300,12 @@ def optimizer_epochs(trainer: str, params: dict[str, Tensor],
     """One Adam step per ``(key, item)`` in ``items``, in an order drawn
     from ``rng`` each epoch, with the gradient norm clipped to ``max_norm``;
     yields each epoch's mean ``loss_of(item)``.  Adam updates ``params`` in
-    place.  A non-finite loss raises :class:`NonFiniteLoss` naming
-    ``trainer``, the epoch and the key.
+    place.  No items raise :class:`DataEmpty`, and a non-finite loss raises
+    :class:`NonFiniteLoss`, each naming ``trainer``; the latter also names
+    the epoch and the key.
     """
+    if not items:
+        raise DataEmpty(f"{trainer}: no script to train on")
     opt = Adam(params, lr=lr)
     for epoch in range(1, epochs + 1):
         losses = []
@@ -318,7 +321,7 @@ def optimizer_epochs(trainer: str, params: dict[str, Tensor],
             clip_grad_norm(params.values(), max_norm)
             opt.step()
             losses.append(value)
-        yield float(np.mean(losses)) if losses else 0.0
+        yield float(np.mean(losses))
 
 
 def train(model, train_samples: Sequence[Sample], val_samples: Sequence[Sample],
@@ -331,8 +334,6 @@ def train(model, train_samples: Sequence[Sample], val_samples: Sequence[Sample],
     fixed seed (the optional wallclock column is the one nondeterministic
     field and is off by default).
     """
-    if not train_samples:
-        raise DataEmpty("no training samples")
     if not val_samples:
         log.warning("no validation samples; early stopping uses training AP")
     params = model.named_params()

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import __version__
 from . import parser as screenplay
-from .autodiff import constant
 from .checkpoint import load_checkpoint, save_checkpoint
 from .classifier import (
     LoglinesModel,
@@ -35,10 +34,11 @@ from .corpus import (
     Corpus,
     IngestConfig,
     SynthSpec,
+    TokenVectors,
+    Vocabulary,
     WordEmbeddings,
     generate_synthetic_corpus,
     ingest,
-    scene_tokens,
 )
 from .descriptors import (
     DescriptorConfig,
@@ -335,9 +335,6 @@ def cmd_eval_sim(args: argparse.Namespace) -> int:
 
 def cmd_descriptors(args: argparse.Namespace) -> int:
     corpus, _ = _ingest_from_args(args)
-    if not corpus.descriptor_vocab:
-        raise DataError("descriptor vocabulary is empty; relax "
-                        "--descriptor-min-movies / --descriptor-top-exclude")
     config = DescriptorConfig(
         k=args.k, hidden=args.hidden, recurrent=args.recurrent,
         alpha=args.alpha, ortho_lambda=args.ortho_lambda,
@@ -346,9 +343,8 @@ def cmd_descriptors(args: argparse.Namespace) -> int:
         top_words=args.top_words)
     target = pretrain_reconstruction_target(corpus, args.attribute, config)
     model, stats = train_descriptors(corpus, target, config)
-    documents = [set(scene_tokens(s))
-                 for it in corpus.train_items + corpus.validation_items
-                 for s in it.screenplay.scenes]
+    documents = [words for it in corpus.train_items + corpus.validation_items
+                 for words in target.scene_words(it.script)]
     report = descriptor_report(model, documents)
 
     run_config = {"command": "descriptors", "attribute": args.attribute,
@@ -392,11 +388,11 @@ def cmd_trajectories(args: argparse.Namespace) -> int:
     params, manifest = _checkpoint_of_kind(args.checkpoint, "descriptor_model")
     embeddings = WordEmbeddings.load(args.embeddings)
     config = DescriptorConfig(**manifest["config"])
-    # the target encoder pools with p's array, which load_params fills
-    p = constant(np.zeros(embeddings.dim))
-    target = SceneBagEncoder(manifest["vocab"], embeddings, p.data)
+    # the play is compiled against the descriptor words; load_params sets p
+    vectors = TokenVectors(Vocabulary(manifest["vocab"]), embeddings)
+    target = SceneBagEncoder(manifest["vocab"], vectors, np.random.default_rng(0))
     model = DescriptorModel(np.zeros((config.k, embeddings.dim)), target, config)
-    load_params({"target.p": p, **model.named_params()}, params)
+    load_params({**target.named_params(), **model.named_params()}, params)
 
     script_path = Path(args.scripts) / f"{args.title}.txt"
     if not script_path.exists():

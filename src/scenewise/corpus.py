@@ -351,11 +351,8 @@ class Corpus:
 
     def characters(self) -> list[str]:
         """Distinct speaking characters over the training portion."""
-        names: set[str] = set()
-        for it in self.train_items + self.validation_items:
-            for scene in it.screenplay.scenes:
-                names.update(scene.characters)
-        return sorted(names)
+        return sorted({name for it in self.train_items + self.validation_items
+                       for cast in it.script.characters for name in cast})
 
 
 def split_titles(titles: list[str], heldout_fraction: float,
@@ -454,13 +451,14 @@ def ingest(scripts_dir: str | Path, tags_path: str | Path,
                          config.validation_fraction, config.seed)
     tokens = TokenPass([it.screenplay for it in parsed])
     vocabulary = tokens.vocabulary(config.min_count)
-    # a descriptor word must have its own vector: the ones the embedding
-    # file lacks would all pool, and rank, as the one unknown row
+    # a descriptor word needs a row of its own: a word outside the vocabulary
+    # or the embedding file compiles to, and would pool as, the unknown row
     desc_vocab = tuple(t for t in tokens.descriptor_vocabulary(
         [i for i, it in enumerate(parsed)
          if split[it.title] in ("train", "validation")],
         min_movies=config.descriptor_min_movies,
-        exclude_top=config.descriptor_top_exclude) if t in embeddings)
+        exclude_top=config.descriptor_top_exclude)
+        if t in vocabulary and t in embeddings)
     for it, script in zip(parsed, tokens.compile(vocabulary, embeddings)):
         it.script = script
         if it.logline is not None:

@@ -8,14 +8,13 @@ own target vector ``u_t`` (negatives drawn from other scenes of the same
 script) plus an orthogonality penalty ``lam * ||R R^T - I||_F`` that keeps
 descriptors distinct.
 
-Targets ``u_t`` come from a frozen attention-weighted bag-of-words scene
-encoder over a restricted vocabulary, pretrained on the tag task, so
-descriptor rows can be read off as their nearest vocabulary words.  The
-restricted (descriptor) vocabulary holds only tokens with a vector of their
-own in the embedding file: one without would pool, and be read out, as the
-shared unknown vector.  Each script's scenes are pooled as one batch,
-padded by ``encoders.pad_runs`` like every encoder tier's.  Pretraining
-and training supply per-script losses to :func:`classifier.optimizer_epochs`.
+Targets ``u_t`` come from a frozen attention-weighted bag of each scene's
+descriptor words, pretrained on the tag task, so descriptor rows can be
+read off as their nearest vocabulary words.  A descriptor word is a
+vocabulary word with a vector of its own: any other compiles to the shared
+unknown row.  The target and the coherence documents read the scripts
+compiled at ingest, not their text.  Pretraining and training supply
+per-script losses to :func:`classifier.optimizer_epochs`.
 """
 
 from __future__ import annotations
@@ -36,9 +35,9 @@ from .classifier import (
     optimizer_epochs,
     reweighted_loss,
 )
-from .corpus import Corpus, WordEmbeddings, scene_tokens
-from .encoders import attend, pad_runs
-from .errors import InsufficientVocab, ScriptTooSmall, ZeroDocFrequency
+from .corpus import CompiledScript, Corpus, TokenVectors
+from .encoders import EncoderKind, EncoderSpec, SequenceEncoder, encode_tokens
+from .errors import DataError, InsufficientVocab, ScriptTooSmall, ZeroDocFrequency
 from .parser import Scene, Screenplay
 
 log = logging.getLogger(__name__)
@@ -72,58 +71,72 @@ class DescriptorConfig:
 
 
 class SceneBagEncoder:
-    """Attention-weighted bag of a scene's restricted-vocabulary words.
-
-    Scenes are pooled with :func:`encoders.attend`, the pool the attention
-    vector ``p`` is pretrained through, one batch per script.  ``p``
-    is fixed after pretraining and pooling constants builds no graph, so the
-    targets are frozen.
+    """Attention-weighted bag of each scene's descriptor words: a boolean
+    table over the embedding rows picks them out of a compiled script's ids,
+    and one :func:`encoders.encode_tokens` call through a BoE+Attn encoder
+    pools them.  Pretraining trains its ``p``; then the targets are frozen.
     """
 
-    def __init__(self, vocab: Sequence[str], embeddings: WordEmbeddings,
-                 p: np.ndarray):
+    def __init__(self, vocab: Sequence[str], vectors: TokenVectors,
+                 rng: np.random.Generator):
         self.vocab = tuple(vocab)
-        self._vocab_set = frozenset(self.vocab)
-        self.embeddings = embeddings
-        self.p = np.asarray(p, dtype=np.float64)
-        self.dim = embeddings.dim
+        self.vectors = vectors
+        self.dim = vectors.dim
+        if missing := [w for w in self.vocab if w not in vectors.embeddings]:
+            raise DataError(f"descriptor words without a vector: {missing[:5]}")
+        self.rows = [vectors.embeddings.index[w] for w in self.vocab]
+        self.word_rows = np.zeros(len(vectors.embeddings.matrix), dtype=bool)
+        self.word_rows[self.rows] = True
+        self.encoder = SequenceEncoder(EncoderSpec(EncoderKind.BOE_ATTN, self.dim), rng)
 
-    def script_batch(self, scenes: Sequence[Scene]
-                     ) -> tuple[Tensor, np.ndarray, np.ndarray]:
-        """The scenes that hold restricted-vocabulary tokens, as a
-        right-padded (K, T, d) constant batch of their tokens' embedding
-        rows, the (K,) lengths, and their (K,) indices into ``scenes``."""
-        tokens, lengths, kept = [], [], []
-        for i, scene in enumerate(scenes):
-            words = [t for t in scene_tokens(scene) if t in self._vocab_set]
-            if words:
-                tokens += words
-                lengths.append(len(words))
-                kept.append(i)
-        lengths = np.array(lengths, dtype=np.int64)
-        padded = pad_runs(ad.constant(self.embeddings.rows(tokens)), lengths)
-        return padded, lengths, np.array(kept, dtype=np.intp)
+    @property
+    def p(self) -> np.ndarray:
+        return self.encoder.p.data
 
-    def encode_scenes(self, scenes: Sequence[Scene]
+    def named_params(self) -> dict[str, Tensor]:
+        return self.encoder.named_params("target")
+
+    def word_ids(self, script: CompiledScript) -> tuple[np.ndarray, np.ndarray]:
+        """Row ids and scenes of a compiled script's descriptor words, in order."""
+        script = self.vectors.compiled(script)  # refuses another table's ids
+        keep = self.word_rows[script.ids]
+        return script.ids[keep], np.repeat(script.scenes, script.lengths)[keep]
+
+    def pool(self, script: CompiledScript) -> tuple[Tensor | None, np.ndarray]:
+        """(K, d) pooled vectors of the K scenes holding descriptor words,
+        on the tape, and their indices; None when there are none."""
+        ids, scene_of = self.word_ids(script)
+        kept = np.flatnonzero(runs := np.bincount(scene_of))
+        if not kept.size:
+            return None, kept
+        matrix = self.vectors.embeddings.matrix
+        return encode_tokens(ids, runs[kept], matrix, self.encoder), kept
+
+    def encode_scenes(self, script: CompiledScript | Screenplay
                       ) -> tuple[np.ndarray, np.ndarray]:
         """(S, d) pooled scene vectors, zero rows for the scenes without
-        restricted-vocabulary tokens, and the indices of the other scenes.
-
-        One :func:`encoders.attend` call pools the script's batch.
-        """
-        padded, lengths, kept = self.script_batch(scenes)
-        vs = np.zeros((len(scenes), self.dim))
-        if len(kept):
-            vs[kept] = attend(padded, ad.constant(self.p), lengths).data
+        descriptor words, and the indices of the other scenes."""
+        script = self.vectors.compiled(script)
+        pooled, kept = self.pool(script)
+        vs = np.zeros((script.n_scenes, self.dim))
+        if pooled is not None:
+            vs[kept] = pooled.data
         return vs, kept
 
     def encode_scene(self, scene: Scene) -> np.ndarray | None:
-        """One scene's pooled vector, or None without restricted tokens."""
-        vs, kept = self.encode_scenes([scene])
+        """One scene's pooled vector, or None without descriptor words."""
+        vs, kept = self.encode_scenes(Screenplay("scene", [scene]))
         return vs[0] if len(kept) else None
 
+    def scene_words(self, script: CompiledScript) -> list[set[str]]:
+        """Each scene's set of descriptor words: a coherence document."""
+        ids, scene_of = self.word_ids(script)
+        word_of = dict(zip(self.rows, self.vocab))
+        return [{word_of[row] for row in ids[scene_of == s].tolist()}
+                for s in range(script.n_scenes)]
+
     def vocab_matrix(self) -> np.ndarray:
-        return self.embeddings.rows(list(self.vocab))
+        return self.vectors.embeddings.matrix[self.rows]
 
 
 def pretrain_reconstruction_target(corpus: Corpus, attribute: str,
@@ -134,30 +147,21 @@ def pretrain_reconstruction_target(corpus: Corpus, attribute: str,
     Scene vectors are aggregated with a plain mean into a script vector fed
     to a linear head; only the attention vector and head are learned.
     """
-    vocab = corpus.descriptor_vocab
-    if not vocab:
-        raise InsufficientVocab("descriptor vocabulary is empty")
     rng = np.random.default_rng(config.seed)
-    dim = corpus.embeddings.dim
-    p = ad.parameter(ad.glorot(rng, (dim,)))
+    target = SceneBagEncoder(corpus.descriptor_vocab, corpus.vectors(), rng)
     train_items = corpus.train_items + corpus.validation_items
     taxonomy = TagTaxonomy.from_items(train_items, attribute)
-    head = ClassifierHead(len(taxonomy), dim, rng)
-    params = {"target.p": p, **head.named_params()}
+    head = ClassifierHead(len(taxonomy), target.dim, rng)
+    params = {**target.named_params(), **head.named_params()}
 
-    # the target pools with p's own array, which Adam updates in place
-    target = SceneBagEncoder(vocab, corpus.embeddings, p.data)
-    per_script: list[tuple[str, tuple[np.ndarray, Tensor, np.ndarray]]] = []
-    for it in train_items:
-        padded, lengths, _ = target.script_batch(it.screenplay.scenes)
-        if len(lengths):
-            y = taxonomy.label_vector(it.tags.get(attribute, ()))
-            per_script.append((it.title, (y, padded, lengths)))
+    per_script = [(it.title, (taxonomy.label_vector(it.tags.get(attribute, ())),
+                              it.script))
+                  for it in train_items if target.word_rows[it.script.ids].any()]
 
-    def loss_of(batch: tuple[np.ndarray, Tensor, np.ndarray]) -> Tensor:
-        y, padded, lengths = batch
-        scene_vecs = attend(padded, p, lengths)
-        script_vec = ad.row(ad.mean_rows(scene_vecs, [len(lengths)]), 0)
+    def loss_of(batch: tuple[np.ndarray, CompiledScript]) -> Tensor:
+        y, script = batch
+        scene_vecs, kept = target.pool(script)
+        script_vec = ad.row(ad.mean_rows(scene_vecs, [len(kept)]), 0)
         return reweighted_loss(y, head.logits(script_vec), taxonomy.lam,
                                taxonomy.active)
 
@@ -431,13 +435,13 @@ class DescriptorModel:
                                self.config.ortho_lambda)
         return loss, o.data
 
-    def weights_for_script(self, screenplay: Screenplay) -> np.ndarray:
+    def weights_for_script(self, script: CompiledScript | Screenplay) -> np.ndarray:
         """(S, k) descriptor weights, one simplex row per scene.
 
-        Scenes without restricted-vocabulary tokens fall back to a zero
-        scene vector so the trajectory keeps one row per scene.
+        Scenes without descriptor words fall back to a zero scene vector
+        so the trajectory keeps one row per scene.
         """
-        vs, _ = self.target.encode_scenes(screenplay.scenes)
+        vs, _ = self.target.encode_scenes(script)
         return self.predictor.rollout(vs)
 
 
@@ -459,12 +463,12 @@ def train_descriptors(corpus: Corpus, target: SceneBagEncoder,
     items = corpus.train_items + corpus.validation_items
     per_script: list[tuple[str, np.ndarray]] = []
     for it in items:
-        vs, kept = target.encode_scenes(it.screenplay.scenes)
+        pooled, kept = target.pool(it.script)
         if len(kept) < 2:
             log.warning("skipping %s: %s", it.title,
                         ScriptTooSmall(f"{len(kept)} usable scene(s)"))
             continue
-        per_script.append((it.title, vs[kept]))
+        per_script.append((it.title, pooled.data))
 
     stats = DescriptorStats(initial_fro=model.fro_distance(), final_fro=0.0,
                             fro_trace=[], epoch_losses=[],

@@ -10,7 +10,7 @@ from pathlib import Path
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def sha256_hex(data: bytes | str) -> str:

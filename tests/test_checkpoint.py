@@ -5,6 +5,7 @@ import pytest
 
 from scenewise.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from scenewise.errors import CheckpointCorrupt
+from scenewise.ioutil import canonical_json
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -55,3 +56,14 @@ def test_checkpoint_rejects_damage(tmp_path, case):
     path.write_bytes(_damage(path.read_bytes(), case))
     with pytest.raises(CheckpointCorrupt):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_manifest_value_raises_and_writes_nothing(tmp_path, value):
+    # JSON has no form for these; json.dumps would write Infinity or NaN
+    with pytest.raises(ValueError):
+        canonical_json({"stats": {"simplex_min_entry": value}})
+    path = tmp_path / "model.swck"
+    with pytest.raises(ValueError):
+        save_checkpoint(path, {"w": np.zeros(2)}, {"stats": {"x": value}})
+    assert list(tmp_path.iterdir()) == []

@@ -226,7 +226,7 @@ def test_best_checkpoint_never_below_best_logged(tiny_vectors):
 def test_train_empty_raises(tiny_vectors):
     taxonomy = _toy_taxonomy()
     model = _toy_model(tiny_vectors, len(taxonomy))
-    with pytest.raises(DataEmpty):
+    with pytest.raises(DataEmpty, match="^tag training: no script to train on$"):
         train(model, [], [], taxonomy, TrainConfig())
 
 

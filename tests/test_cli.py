@@ -358,6 +358,21 @@ def test_trajectories_refuses_tag_checkpoint(workspace, trained, tmp_path,
     assert not out.exists()
 
 
+def test_descriptors_without_usable_script_is_data_error(tmp_path, capsys):
+    # every script is one scene, so none has the two scenes training needs
+    synth, out = tmp_path / "synth", tmp_path / "desc"
+    assert run(["synth", "--out", str(synth), "--scripts", "12",
+                "--scenes-min", "1", "--scenes-max", "1", "--seed", "3"]) == 0
+    assert run(["descriptors", "--scripts", str(synth / "scripts"),
+                "--tags", str(synth / "tags.json"),
+                "--embeddings", str(synth / "embeddings.txt"),
+                "--attribute", "genre", "--min-count", "2",
+                "--descriptor-min-movies", "2", "--descriptor-top-exclude", "3",
+                "--k", "3", "--out", str(out)]) == 1
+    assert last_error(capsys) == "DataEmpty"
+    assert not out.exists()
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["train"])  # missing required flags

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,6 +176,54 @@ def test_descriptor_vocabulary_keeps_only_embedded_tokens(tmp_path, synth_corpus
     assert set(corpus.descriptor_vocab) == set(full.descriptor_vocab) - dropped
     assert all(t in corpus.embeddings for t in corpus.descriptor_vocab)
     assert manifest["descriptor_vocabulary_size"] == len(corpus.descriptor_vocab)
+
+
+def test_descriptor_vocabulary_keeps_only_vocabulary_words(synth_corpus):
+    # a word below --min-count compiles to the unknown row, so it cannot be
+    # picked out of the compiled ids as a descriptor word
+    out, _ = synth_corpus
+    paths = (out / "scripts", out / "tags.json", out / "embeddings.txt")
+    loose = IngestConfig(min_count=2, descriptor_min_movies=2,
+                         descriptor_top_exclude=10)
+    strict = IngestConfig(min_count=8, descriptor_min_movies=2,
+                          descriptor_top_exclude=10)
+    full, _ = ingest(*paths, loose)
+    corpus, manifest = ingest(*paths, strict)
+    assert all(t in full.vocabulary for t in full.descriptor_vocab)
+    kept = tuple(t for t in full.descriptor_vocab if t in corpus.vocabulary)
+    assert corpus.descriptor_vocab == kept
+    assert 0 < len(kept) < len(full.descriptor_vocab)
+    assert manifest["descriptor_vocabulary_size"] == len(kept)
+
+
+def walked_characters(corpus):
+    """The training portion's speakers, read off the parsed scenes."""
+    names = set()
+    for it in corpus.train_items + corpus.validation_items:
+        for scene in it.screenplay.scenes:
+            names.update(scene.characters)
+    return sorted(names)
+
+
+def test_characters_match_walk_over_scenes(synth_corpus):
+    out, _ = synth_corpus
+    corpus, _ = ingest(out / "scripts", out / "tags.json", out / "embeddings.txt",
+                       IngestConfig(min_count=2, validation_fraction=0.2))
+    assert corpus.validation_items and corpus.heldout_items
+    assert corpus.characters() == walked_characters(corpus)
+    # the film fragments, cut into 3-statement scenes, change speakers
+    # from scene to scene
+    vocabulary, embeddings = Vocabulary([]), WordEmbeddings({}, 2)
+    items = []
+    for path in sorted((Path(__file__).parent / "data").glob("*.txt")):
+        play = parser.parse_script(path.stem, path.read_text(encoding="utf-8"),
+                                   cap=3)
+        items.append(cp.CorpusItem(path.stem, play, {}, script=cp.compile_script(
+            play, vocabulary, embeddings)))
+    fragments = cp.Corpus(items, {it.title: "train" for it in items},
+                          vocabulary, embeddings)
+    assert fragments.characters() == walked_characters(fragments)
+    assert len(fragments.characters()) >= 4
 
 
 def test_ingest_deterministic(synth_corpus):

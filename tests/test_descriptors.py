@@ -1,14 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from scenewise import autodiff as ad
 from scenewise import descriptors as dsc
+from scenewise import encoders
 from scenewise.corpus import (
     IngestConfig,
     SynthSpec,
+    TokenVectors,
+    Vocabulary,
     WordEmbeddings,
+    compile_script,
     generate_synthetic_corpus,
     ingest,
     scene_tokens,
@@ -30,14 +35,15 @@ from scenewise.descriptors import (
     semantic_coherence,
     train_descriptors,
 )
-from scenewise.encoders import attend
+from scenewise.encoders import attend, pad_runs
 from scenewise.errors import (
+    DataError,
     InsufficientVocab,
     NonFiniteLoss,
     ScriptTooSmall,
     ZeroDocFrequency,
 )
-from scenewise.parser import Scene, Statement, StatementKind
+from scenewise.parser import Scene, Screenplay, Statement, StatementKind
 
 from test_autodiff import dot
 
@@ -218,11 +224,19 @@ def oracle_negatives(rng_, n_scenes, negatives):
     return np.array(rows, dtype=np.intp)
 
 
+def bag_encoder(vocab, vectors, p):
+    """A target over ``vocab`` whose attention vector holds ``p``."""
+    target = SceneBagEncoder(vocab, vectors, rng(0))
+    target.p[:] = p
+    return target
+
+
 def tiny_model(recurrent, k=4, dim=6, seed=0):
-    emb = WordEmbeddings({f"w{i}": rng(seed + i).normal(size=dim) for i in range(8)},
-                         dim)
-    target = SceneBagEncoder([f"w{i}" for i in range(8)], emb,
-                             p=rng(seed).normal(size=dim))
+    vocab = [f"w{i}" for i in range(8)]
+    emb = WordEmbeddings({w: rng(seed + i).normal(size=dim)
+                          for i, w in enumerate(vocab)}, dim)
+    target = bag_encoder(vocab, TokenVectors(Vocabulary(vocab), emb),
+                         rng(seed).normal(size=dim))
     config = DescriptorConfig(k=k, hidden=5, recurrent=recurrent, negatives=3,
                               ortho_lambda=10.0, seed=seed)
     r_init = init_descriptors(dsc.RANDOM_GLOROT, emb.matrix, k=k, seed=seed)
@@ -295,8 +309,8 @@ def test_draw_negatives_matches_per_scene_loop(negatives):
 def test_weights_for_script_matches_per_scene_oracle(desc_corpus, recurrent):
     corpus = desc_corpus
     dim = corpus.embeddings.dim
-    target = SceneBagEncoder(corpus.descriptor_vocab, corpus.embeddings,
-                             p=rng(14).normal(size=dim) * 0.1)
+    target = bag_encoder(corpus.descriptor_vocab, corpus.vectors(),
+                         rng(14).normal(size=dim) * 0.1)
     config = DescriptorConfig(k=4, hidden=8, recurrent=recurrent, seed=2)
     model = DescriptorModel(init_descriptors(dsc.RANDOM_GLOROT,
                                              target.vocab_matrix(), k=4, seed=2),
@@ -304,6 +318,7 @@ def test_weights_for_script_matches_per_scene_oracle(desc_corpus, recurrent):
     for it in corpus.items:
         play = it.screenplay
         weights = model.weights_for_script(play)
+        assert np.array_equal(model.weights_for_script(it.script), weights)
         o_prev = None
         for t, scene in enumerate(play.scenes):
             u = target.encode_scene(scene)
@@ -387,24 +402,42 @@ def action_scene(index, text):
     return Scene(index=index, statements=[Statement(StatementKind.ACTION, text)])
 
 
+def padded_batch(target, script):
+    """The right-padded batch of descriptor-word rows the target pools for
+    ``script``, and its lengths."""
+    ids, scene_of = target.word_ids(script)
+    lengths = np.bincount(scene_of)
+    lengths = lengths[lengths > 0]
+    matrix = target.vectors.embeddings.matrix
+    return pad_runs(ad.constant(matrix[ids]), lengths), lengths
+
+
 def test_scene_bag_encoder_softmax_pool():
-    # restricted words x and y score 2 and 0 under p; z is outside the vocab
-    emb = WordEmbeddings({"x": np.array([1.0, 0.0]), "y": np.array([0.0, 1.0]),
-                          "z": np.array([3.0, 3.0])}, 2)
-    enc = SceneBagEncoder(["x", "y"], emb, p=np.array([2.0, 0.0]))
+    # descriptor words x and y score 2 and 0 under p; z is in the vocabulary
+    # but not a descriptor word
+    vectors = TokenVectors(
+        Vocabulary(["x", "y", "z"]),
+        WordEmbeddings({"x": np.array([1.0, 0.0]), "y": np.array([0.0, 1.0]),
+                        "z": np.array([3.0, 3.0])}, 2))
+    enc = bag_encoder(["x", "y"], vectors, [2.0, 0.0])
     scenes = [action_scene(1, "x y z"), action_scene(2, "z z"),
               action_scene(3, "y y x")]
-    padded, lengths, kept = enc.script_batch(scenes)
+    play = Screenplay("toy", scenes)
+    script = vectors.compiled(play)
+    padded, lengths = padded_batch(enc, script)
     assert padded.shape == (2, 3, 2) and lengths.tolist() == [2, 3]
     assert np.array_equal(padded.data[0], [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    vs, kept = enc.encode_scenes(scenes)
+    vs, kept = enc.encode_scenes(script)
     assert kept.tolist() == [0, 2]
     e2 = math.exp(2.0)
     assert np.allclose(vs[0], np.array([e2, 1.0]) / (e2 + 1.0), rtol=0, atol=1e-15)
-    assert np.array_equal(vs[1], [0.0, 0.0])  # no restricted token: a zero row
+    assert np.array_equal(vs[1], [0.0, 0.0])  # no descriptor word: a zero row
     assert np.allclose(vs[2], np.array([e2, 2.0]) / (e2 + 2.0), rtol=0, atol=1e-15)
+    raw, raw_kept = enc.encode_scenes(play)  # a raw play is compiled first
+    assert np.array_equal(raw, vs) and np.array_equal(raw_kept, kept)
     assert enc.encode_scene(scenes[1]) is None
     assert np.allclose(enc.encode_scene(scenes[2]), vs[2], rtol=0, atol=1e-15)
+    assert enc.scene_words(script) == [{"x", "y"}, set(), {"x", "y"}]
 
 
 def test_scene_bag_encoder_matches_tape_attention_bitwise(desc_corpus,
@@ -419,22 +452,98 @@ def test_scene_bag_encoder_matches_tape_attention_bitwise(desc_corpus,
         calls.append((outputs.data, p.data.copy(), pooled.data))
         return pooled
 
-    monkeypatch.setattr(dsc, "attend", recording_attend)
+    monkeypatch.setattr(encoders, "attend", recording_attend)
     config = DescriptorConfig(k=4, hidden=8, pretrain_epochs=1, seed=4)
     pretrain_reconstruction_target(desc_corpus, "genre", config)
     monkeypatch.undo()
 
-    plays = [it.screenplay
-             for it in desc_corpus.train_items + desc_corpus.validation_items]
-    assert len(calls) == len(plays)
+    scripts = [it.script
+               for it in desc_corpus.train_items + desc_corpus.validation_items]
+    assert len(calls) == len(scripts)
     for padded, p, pooled in calls:
-        enc = SceneBagEncoder(desc_corpus.descriptor_vocab,
-                              desc_corpus.embeddings, p)
-        play, = [play for play in plays if np.array_equal(
-            enc.script_batch(play.scenes)[0].data, padded)]
-        vs, kept = enc.encode_scenes(play.scenes)
+        enc = bag_encoder(desc_corpus.descriptor_vocab, desc_corpus.vectors(), p)
+        script, = [script for script in scripts if np.array_equal(
+            padded_batch(enc, script)[0].data, padded)]
+        vs, kept = enc.encode_scenes(script)
         assert np.array_equal(vs[kept], pooled)
         assert not np.delete(vs, kept, axis=0).any()
+
+
+def oracle_target(vocab, embeddings, p, scenes):
+    """The target as computed by tokenizing each scene again: its tokens
+    filtered by word, gathered by name, padded, and pooled at a constant p;
+    (S, d) vectors with zero rows, and the pooled scenes' indices."""
+    words = frozenset(vocab)
+    tokens, lengths, kept = [], [], []
+    for i, scene in enumerate(scenes):
+        bag = [t for t in scene_tokens(scene) if t in words]
+        if bag:
+            tokens += bag
+            lengths.append(len(bag))
+            kept.append(i)
+    vs = np.zeros((len(scenes), embeddings.dim))
+    if kept:
+        lengths = np.array(lengths, dtype=np.int64)
+        padded = pad_runs(ad.constant(embeddings.rows(tokens)), lengths)
+        vs[kept] = attend(padded, ad.constant(p), lengths).data
+    return vs, np.array(kept, dtype=np.intp)
+
+
+@pytest.mark.parametrize("p", ["random", "pretrained"])
+def test_compiled_target_matches_tokenizing_oracle_bitwise(desc_corpus, p):
+    if p == "random":
+        target = bag_encoder(desc_corpus.descriptor_vocab, desc_corpus.vectors(),
+                             rng(8).normal(size=desc_corpus.embeddings.dim))
+    else:
+        target = pretrain_reconstruction_target(
+            desc_corpus, "genre", DescriptorConfig(pretrain_epochs=2, seed=3))
+    pooled = 0
+    for it in desc_corpus.items:
+        expected, expected_kept = oracle_target(
+            desc_corpus.descriptor_vocab, desc_corpus.embeddings, target.p,
+            it.screenplay.scenes)
+        for source in (it.script, it.screenplay):
+            vs, kept = target.encode_scenes(source)
+            assert np.array_equal(vs, expected), it.title
+            assert np.array_equal(kept, expected_kept), it.title
+        pooled += len(expected_kept)
+    assert pooled > len(desc_corpus.items)
+
+
+def test_coherence_of_compiled_documents_matches_tokenized(desc_corpus):
+    config = DescriptorConfig(k=4, hidden=8, epochs=2, pretrain_epochs=1,
+                              negatives=2, seed=5, top_words=6)
+    target = pretrain_reconstruction_target(desc_corpus, "genre", config)
+    model, _ = train_descriptors(desc_corpus, target, config)
+    items = desc_corpus.train_items + desc_corpus.validation_items
+    compiled = [words for it in items for words in target.scene_words(it.script)]
+    tokenized = [set(scene_tokens(s)) for it in items
+                 for s in it.screenplay.scenes]
+    vocab = set(target.vocab)
+    assert compiled == [doc & vocab for doc in tokenized]
+    assert descriptor_report(model, compiled) == \
+        descriptor_report(model, tokenized)
+
+
+def test_target_refuses_script_compiled_against_other_vocabulary(desc_corpus):
+    target = bag_encoder(desc_corpus.descriptor_vocab, desc_corpus.vectors(),
+                         np.zeros(desc_corpus.embeddings.dim))
+    play = desc_corpus.items[0].screenplay
+    other = compile_script(play, Vocabulary(desc_corpus.vocabulary.tokens),
+                           desc_corpus.embeddings)
+    for use in (target.encode_scenes, target.pool, target.scene_words):
+        with pytest.raises(DataError, match="compiled against another"):
+            use(other)
+    model = DescriptorModel(np.zeros((4, target.dim)), target,
+                            DescriptorConfig(k=4, hidden=8))
+    with pytest.raises(DataError, match="compiled against another"):
+        model.weights_for_script(other)
+
+
+def test_target_refuses_descriptor_word_without_vector(desc_corpus):
+    with pytest.raises(DataError, match="descriptor words without a vector"):
+        SceneBagEncoder(desc_corpus.descriptor_vocab + ("notaword",),
+                        desc_corpus.vectors(), rng(0))
 
 
 @pytest.fixture(scope="module")
@@ -450,6 +559,39 @@ def desc_corpus(tmp_path_factory):
     corpus, _ = ingest(out / "scripts", out / "tags.json",
                        out / "embeddings.txt", config)
     return corpus
+
+
+@pytest.fixture(scope="module")
+def one_scene_corpus(tmp_path_factory):
+    # every script is a single scene: none gives a scene its negatives
+    out = tmp_path_factory.mktemp("one_scene_synth")
+    generate_synthetic_corpus(out, SynthSpec(n_scripts=12, seed=3,
+                                             scenes_range=(1, 1)))
+    config = IngestConfig(min_count=2, descriptor_min_movies=2,
+                          descriptor_top_exclude=3)
+    corpus, _ = ingest(out / "scripts", out / "tags.json",
+                       out / "embeddings.txt", config)
+    return corpus
+
+
+def test_train_descriptors_without_usable_script_raises(one_scene_corpus):
+    config = DescriptorConfig(k=3, hidden=8, epochs=2, pretrain_epochs=1, seed=0)
+    target = pretrain_reconstruction_target(one_scene_corpus, "genre", config)
+    with pytest.raises(DataError,
+                       match="^descriptor training: no script to train on$"):
+        train_descriptors(one_scene_corpus, target, config)
+
+
+def test_pretrain_without_descriptor_word_in_training_scripts_raises(desc_corpus):
+    # a word with a vector of its own, but outside the vocabulary, compiles
+    # to the unknown row everywhere, so no training script holds it
+    word = min(w for w in desc_corpus.embeddings.index
+               if w not in desc_corpus.vocabulary)
+    for vocab in [(word,), ()]:
+        corpus = replace(desc_corpus, descriptor_vocab=vocab)
+        with pytest.raises(DataError,
+                           match="^target pretraining: no script to train on$"):
+            pretrain_reconstruction_target(corpus, "genre", DescriptorConfig(seed=0))
 
 
 def test_pretrain_target_smoke(desc_corpus):
