@@ -4,6 +4,12 @@ Subcommands: parse, ingest, train, evaluate, eval-sim, descriptors,
 trajectories, synth.  Usage errors exit 2 (argparse); data errors exit 1
 with one machine-parsable JSON line on stderr.  Every artifact embeds the
 run's config hash except the fixed-format script TSV and trajectory CSV.
+
+The ingest settings (vocabulary and descriptor counts, scene cap, split
+fractions and seed) are flags of ``ingest``, ``train`` and
+``descriptors`` only.  A checkpoint records them, and ``evaluate``,
+``eval-sim`` and ``trajectories`` read them from it, so a model is always
+scored on the split and the scenes it was trained with.
 """
 
 from __future__ import annotations
@@ -65,12 +71,17 @@ def _default_out(value: str | None, name: str) -> Path:
     return Path(os.environ.get(OUT_ENV, ".")) / name
 
 
-def _add_corpus_flags(sp: argparse.ArgumentParser, loglines: bool = False) -> None:
+def _add_data_flags(sp: argparse.ArgumentParser, loglines: bool = False) -> None:
     sp.add_argument("--scripts", required=True, help="directory of *.txt scripts")
     sp.add_argument("--tags", required=True, help="tags JSON file")
     sp.add_argument("--embeddings", required=True, help="word embedding text file")
     if loglines:
         sp.add_argument("--loglines", default=None, help="loglines JSON file")
+
+
+def _add_corpus_flags(sp: argparse.ArgumentParser, loglines: bool = False) -> None:
+    """The data flags plus the ingest settings a checkpoint records."""
+    _add_data_flags(sp, loglines)
     sp.add_argument("--min-count", type=int, default=5)
     sp.add_argument("--cap", type=int, default=60)
     sp.add_argument("--heldout-fraction", type=float, default=0.2)
@@ -172,14 +183,20 @@ def _build_tag_model(corpus: Corpus, taxonomy: TagTaxonomy,
     return model, model_config
 
 
-def _checkpoint_of_kind(path: str, kind: str) -> tuple[dict, dict]:
-    """A checkpoint's arrays and manifest; a ``DataError`` unless its kind
-    is ``kind``."""
+def _checkpoint_of_kind(path: str, kind: str) -> tuple[dict, dict, IngestConfig]:
+    """A checkpoint's arrays, manifest and the ingest settings it was trained
+    with; a ``DataError`` unless its kind is ``kind`` and those settings
+    are readable."""
     params, manifest = load_checkpoint(path)
     if manifest.get("kind") != kind:
         raise DataError(f"{path} is a {manifest.get('kind')!r} checkpoint, "
                         f"not a {kind!r} one")
-    return params, manifest
+    try:
+        config = IngestConfig(**manifest["ingest"])
+    except (KeyError, TypeError) as err:
+        raise DataError(f"{path}: no readable ingest settings in the "
+                        f"manifest: {err}") from None
+    return params, manifest, config
 
 
 def _rebuild_tag_model(manifest: dict, corpus: Corpus):
@@ -267,12 +284,14 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_for_evaluation(args: argparse.Namespace):
-    params, manifest = _checkpoint_of_kind(args.checkpoint, "tag_model")
-    corpus, _ = _ingest_from_args(args)
+    params, manifest, ingest_config = _checkpoint_of_kind(args.checkpoint,
+                                                          "tag_model")
+    corpus, _ = ingest(args.scripts, args.tags, args.embeddings, ingest_config,
+                       loglines_path=args.loglines)
     if corpus.vocabulary.hash() != manifest["vocabulary_hash"]:
         raise VocabularyMismatch(
-            "checkpoint vocabulary hash does not match this corpus "
-            "(pass the ingestion flags used at training time)")
+            f"{args.checkpoint}: checkpoint vocabulary hash does not match "
+            f"the corpus under {args.scripts}")
     model, taxonomy, use_loglines = _rebuild_tag_model(manifest, corpus)
     load_params(model.named_params(), params)
     items = {"train": corpus.train_items, "validation": corpus.validation_items,
@@ -367,8 +386,8 @@ def cmd_descriptors(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "config_hash": cfg_hash,
     }
-    params = {name: t.data for name, t in model.named_params().items()}
-    params["target.p"] = target.p
+    params = {name: t.data for name, t
+              in {**target.named_params(), **model.named_params()}.items()}
     out_dir = _default_out(args.out, "descriptors")
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out_dir / "descriptors.swck", params, manifest)
@@ -385,7 +404,8 @@ def cmd_descriptors(args: argparse.Namespace) -> int:
 
 
 def cmd_trajectories(args: argparse.Namespace) -> int:
-    params, manifest = _checkpoint_of_kind(args.checkpoint, "descriptor_model")
+    params, manifest, ingest_config = _checkpoint_of_kind(args.checkpoint,
+                                                          "descriptor_model")
     embeddings = WordEmbeddings.load(args.embeddings)
     config = DescriptorConfig(**manifest["config"])
     # the play is compiled against the descriptor words; load_params sets p
@@ -399,7 +419,7 @@ def cmd_trajectories(args: argparse.Namespace) -> int:
         raise DataError(f"script not found: {script_path}")
     play = screenplay.parse_script(args.title,
                                    script_path.read_text(encoding="utf-8"),
-                                   cap=args.cap)
+                                   cap=ingest_config.cap)
     weights = model.weights_for_script(play)
     selection = select_descriptors(weights, args.descriptors)
     trajectories = build_trajectories(weights, selection, window=args.window)
@@ -486,7 +506,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_train)
 
     sp = sub.add_parser("evaluate", help="micro-F1 of a checkpoint on a split")
-    _add_corpus_flags(sp, loglines=True)
+    _add_data_flags(sp, loglines=True)
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--split", default="heldout",
                     choices=["train", "validation", "heldout", "all"])
@@ -495,7 +515,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_evaluate)
 
     sp = sub.add_parser("eval-sim", help="similarity-thresholded F-1 sweep")
-    _add_corpus_flags(sp, loglines=True)
+    _add_data_flags(sp, loglines=True)
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--tag-embeddings", required=True)
     sp.add_argument("--cutoffs", default="100,90,80,70")
@@ -534,7 +554,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("--window", type=_odd_window, default=5)
     sp.add_argument("--annotate", action="append", metavar="SCENE:LABEL")
     sp.add_argument("--format", default="svg", choices=["csv", "svg"])
-    sp.add_argument("--cap", type=int, default=60)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_trajectories)
 

@@ -121,10 +121,6 @@ class WordEmbeddings:
                 table[token] = vec
         return cls(table, dim if dim is not None else expected_dim)
 
-    def rows(self, tokens: list[str]) -> np.ndarray:
-        """One row per token, unknown tokens taking the unknown vector."""
-        return self.matrix[[self.index.get(t, -1) for t in tokens]]
-
     def __contains__(self, token: str) -> bool:
         return token in self.index
 
@@ -357,7 +353,12 @@ class Corpus:
 
 def split_titles(titles: list[str], heldout_fraction: float,
                  validation_fraction: float, seed: int) -> dict[str, str]:
-    """Deterministic seeded split, independent of input order."""
+    """Deterministic seeded split, independent of input order.  Each
+    fraction must lie in [0, 1)."""
+    for name, fraction in (("heldout", heldout_fraction),
+                           ("validation", validation_fraction)):
+        if not 0.0 <= fraction < 1.0:
+            raise DataError(f"{name} fraction {fraction!r} is outside [0, 1)")
     ordered = sorted(titles)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(ordered))

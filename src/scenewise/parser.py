@@ -99,14 +99,17 @@ def scan_script(title: str, text: str, cap: int | None = DEFAULT_SCENE_CAP
     """Parse a raw screenplay and report its line counts, in one line scan.
 
     Each scene heading opens a scene; a script without any heading becomes
-    a single scene.  Scenes are then split at ``cap`` statements (none if
-    ``cap`` is None).  The report counts lines by kind (a character cue
+    a single scene.  A scene that already holds ``cap`` statements is
+    continued by a new scene without a heading (no cap if ``cap`` is
+    None).  The report counts lines by kind (a character cue
     counts as DIALOGUE) and scores the fraction of non-blank lines carrying
     structure the model consumes (headings, action, dialogue, cues);
     ingestion layers can threshold on it instead of a fixed error
     criterion.  Unrecognizable lines count as OTHER; only a script without
     a non-blank line raises (``EmptyScript``).
     """
+    if cap is not None and cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
     lines = text.splitlines()
     counts = {kind.name: 0 for kind in StatementKind}
     cues = 0
@@ -155,8 +158,8 @@ def scan_script(title: str, text: str, cap: int | None = DEFAULT_SCENE_CAP
             speaker = None
             continue
         counts[kind.name] += 1
-        if current is None:
-            current = Scene(index=1)
+        if current is None or len(current.statements) == cap:
+            current = Scene(index=len(scenes) + 1)
             scenes.append(current)
         current.statements.append(Statement(kind, stripped.replace("\t", " "),
                                             character=speaker))
@@ -165,9 +168,6 @@ def scan_script(title: str, text: str, cap: int | None = DEFAULT_SCENE_CAP
     if not scenes:
         # only structural lines (e.g. transitions); keep one empty scene
         scenes.append(Scene(index=1))
-    play = Screenplay(title=title, scenes=scenes)
-    if cap is not None:
-        play = split_long_scenes(play, cap)
 
     non_blank = len(lines) - counts["BLANK"]
     usable = counts["SCENE_HEADING"] + counts["ACTION"] + counts["DIALOGUE"]
@@ -179,35 +179,13 @@ def scan_script(title: str, text: str, cap: int | None = DEFAULT_SCENE_CAP
         "heading_count": counts["SCENE_HEADING"],
         "quality_score": round(usable / non_blank, 6),
     }
-    return play, report
+    return Screenplay(title=title, scenes=scenes), report
 
 
 def parse_script(title: str, text: str,
                  cap: int | None = DEFAULT_SCENE_CAP) -> Screenplay:
     """The screenplay of ``scan_script`` without its report."""
     return scan_script(title, text, cap)[0]
-
-
-def split_long_scenes(sp: Screenplay, cap: int = DEFAULT_SCENE_CAP) -> Screenplay:
-    """Split scenes so no scene holds more than ``cap`` statements.
-
-    Cuts at statement boundaries, greedily filling each piece; pieces are
-    reindexed consecutively and only the first piece keeps the heading.
-    """
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
-    scenes: list[Scene] = []
-    for scene in sp.scenes:
-        if len(scene.statements) <= cap:
-            scenes.append(Scene(index=len(scenes) + 1, heading=scene.heading,
-                                statements=list(scene.statements)))
-            continue
-        for start in range(0, len(scene.statements), cap):
-            piece = scene.statements[start:start + cap]
-            scenes.append(Scene(index=len(scenes) + 1,
-                                heading=scene.heading if start == 0 else None,
-                                statements=piece))
-    return Screenplay(title=sp.title, scenes=scenes)
 
 
 # ---------------------------------------------------------------------------

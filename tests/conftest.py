@@ -11,6 +11,12 @@ def make_vectors(table: dict[str, np.ndarray]) -> TokenVectors:
                         WordEmbeddings(arrays, dim))
 
 
+def embedding_rows(embeddings: WordEmbeddings, tokens: list[str]) -> np.ndarray:
+    """One row per token, looked up by name; tokens the table lacks take the
+    unknown vector, the last row."""
+    return embeddings.matrix[[embeddings.index.get(t, -1) for t in tokens]]
+
+
 @pytest.fixture
 def tiny_vectors():
     rng = np.random.default_rng(42)

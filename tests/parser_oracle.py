@@ -1,9 +1,11 @@
 """The two-pass screenplay classifier, kept as the tests' oracle.
 
 ``classify_lines`` builds one ``LineClass`` per line; ``segment_scenes``
-walks that list into scenes and ``quality_report`` classifies the lines
-again for its counts.  ``scenewise.parser`` does both in one line scan;
-the fuzz test in ``test_parser.py`` checks that the two agree.  The
+walks that list into scenes, ``split_long_scenes`` copies them into
+pieces of at most ``cap`` statements, and ``quality_report`` classifies
+the lines again for its counts.  ``scenewise.parser`` does all three in
+one line scan; the fuzz test in ``test_parser.py`` checks that the two
+agree.  The
 formatting constants are restated here rather than imported, so the
 oracle does not share them with the code it checks.
 """
@@ -18,6 +20,7 @@ from scenewise.errors import EmptyScript
 from scenewise.parser import Scene, Screenplay, Statement, StatementKind
 
 DEFAULT_HEADING_PREFIXES = ("INT.", "EXT.", "INT/EXT", "EXT/INT", "I/E.")
+DEFAULT_SCENE_CAP = 60
 
 _TRANSITION_RE = re.compile(r"(TO:|FADE IN:?|FADE OUT\.?|FADE TO BLACK\.?)$")
 _CUE_SUFFIX_RE = re.compile(r"\s*\((?:V\.?O\.?|O\.?S\.?|O\.?C\.?|CONT'?D\.?)\)\s*$",
@@ -199,3 +202,25 @@ def quality_report(raw: RawScript, config: ParserConfig = ParserConfig()) -> dic
         "heading_count": counts["SCENE_HEADING"],
         "quality_score": round(score, 6),
     }
+
+
+def split_long_scenes(sp: Screenplay, cap: int = DEFAULT_SCENE_CAP) -> Screenplay:
+    """Split scenes so no scene holds more than ``cap`` statements.
+
+    Cuts at statement boundaries, greedily filling each piece; pieces are
+    reindexed consecutively and only the first piece keeps the heading.
+    """
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
+    scenes: list[Scene] = []
+    for scene in sp.scenes:
+        if len(scene.statements) <= cap:
+            scenes.append(Scene(index=len(scenes) + 1, heading=scene.heading,
+                                statements=list(scene.statements)))
+            continue
+        for start in range(0, len(scene.statements), cap):
+            piece = scene.statements[start:start + cap]
+            scenes.append(Scene(index=len(scenes) + 1,
+                                heading=scene.heading if start == 0 else None,
+                                statements=piece))
+    return Screenplay(title=sp.title, scenes=scenes)

@@ -470,9 +470,11 @@ def test_criterion_9_cli_determinism(tmp_path):
     synth_dir2 = tmp_path / "synth2"
     assert cli_main(synth_args(synth_dir2)) == 0
 
-    base = ["--scripts", str(synth_dir / "scripts"),
+    # evaluate and eval-sim read the ingest settings from the checkpoint
+    data = ["--scripts", str(synth_dir / "scripts"),
             "--tags", str(synth_dir / "tags.json"),
-            "--embeddings", str(synth_dir / "embeddings.txt")] + corpus_flags
+            "--embeddings", str(synth_dir / "embeddings.txt")]
+    base = data + corpus_flags
 
     def train_args(out, encoder="boe", chars="no"):
         return (["train"] + base
@@ -481,12 +483,12 @@ def test_criterion_9_cli_determinism(tmp_path):
                    "--epochs", "2", "--seed", "4", "--out", str(out)])
 
     def eval_args(out, run="run1"):
-        return (["evaluate"] + base
+        return (["evaluate"] + data
                 + ["--checkpoint", str(tmp_path / run / "checkpoint.swck"),
                    "--out", str(out)])
 
     def sim_args(out):
-        return (["eval-sim"] + base
+        return (["eval-sim"] + data
                 + ["--checkpoint", str(tmp_path / "run1" / "checkpoint.swck"),
                    "--tag-embeddings", str(synth_dir / "tag_embeddings.tsv"),
                    "--cutoffs", "100,90,80", "--out", str(out)])

@@ -8,6 +8,8 @@ from scenewise import cli
 from scenewise.checkpoint import load_checkpoint, save_checkpoint
 from scenewise.cli import main
 from scenewise.encoders import CharacterTable
+from scenewise.evaluation import micro_f1
+from scenewise.parser import parse_script
 
 DATA = Path(__file__).parent / "data"
 CORPUS_FLAGS = ["--min-count", "2", "--descriptor-min-movies", "2",
@@ -40,9 +42,13 @@ def workspace(tmp_path_factory):
     return root, synth
 
 
-def corpus_args(synth):
+def data_args(synth):
     return ["--scripts", str(synth / "scripts"), "--tags", str(synth / "tags.json"),
-            "--embeddings", str(synth / "embeddings.txt")] + CORPUS_FLAGS
+            "--embeddings", str(synth / "embeddings.txt")]
+
+
+def corpus_args(synth):
+    return data_args(synth) + CORPUS_FLAGS
 
 
 def test_parse_command(workspace):
@@ -120,7 +126,7 @@ def test_evaluate_command(workspace, trained):
     root, synth = workspace
     out_ckpt, _ = trained
     report_path = root / "eval.json"
-    assert run(["evaluate"] + corpus_args(synth)
+    assert run(["evaluate"] + data_args(synth)
                + ["--checkpoint", str(out_ckpt / "checkpoint.swck"),
                   "--split", "heldout", "--out", str(report_path)]) == 0
     report = json.loads(report_path.read_text())
@@ -129,21 +135,52 @@ def test_evaluate_command(workspace, trained):
     assert report["n_scripts"] > 0
 
 
-def test_evaluate_refuses_vocabulary_mismatch(workspace, trained, capsys):
-    root, synth = workspace
+def test_evaluate_refuses_vocabulary_mismatch(workspace, trained, tmp_path,
+                                              capsys):
+    _, synth = workspace
     out_ckpt, _ = trained
-    # different min-count changes the vocabulary hash
-    args = (["evaluate", "--scripts", str(synth / "scripts"),
-             "--tags", str(synth / "tags.json"),
-             "--embeddings", str(synth / "embeddings.txt"),
-             "--min-count", "4", "--descriptor-min-movies", "2",
-             "--descriptor-top-exclude", "30", "--validation-fraction", "0.15",
-             "--checkpoint", str(out_ckpt / "checkpoint.swck"),
-             "--out", str(root / "bad.json")])
-    assert run(args) == 1
+    # a script that gained a twice-seen word changes the vocabulary hash
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    for p in (synth / "scripts").glob("*.txt"):
+        (scripts / p.name).write_bytes(p.read_bytes())
+    with open(scripts / "synth000.txt", "a", encoding="utf-8") as fh:
+        fh.write("\nA quokka waits.\nThe quokka leaves.\n")
+    args = data_args(synth)
+    args[args.index("--scripts") + 1] = str(scripts)
+    out = tmp_path / "bad.json"
+    assert run(["evaluate"] + args
+               + ["--checkpoint", str(out_ckpt / "checkpoint.swck"),
+                  "--out", str(out)]) == 1
     err = capsys.readouterr().err.strip().splitlines()[-1]
     payload = json.loads(err)
     assert payload["error"] == "VocabularyMismatch"
+    assert str(out_ckpt / "checkpoint.swck") in payload["message"]
+    assert not out.exists()
+
+
+def test_evaluate_scores_the_checkpoint_split(workspace, tmp_path, monkeypatch):
+    _, synth = workspace
+    settings = corpus_args(synth) + ["--seed", "3", "--heldout-fraction", "0.3"]
+    assert run(["ingest"] + settings + ["--out", str(tmp_path / "m.json")]) == 0
+    heldout = json.loads((tmp_path / "m.json").read_text())["splits"]["heldout"]
+    assert run(["train"] + settings
+               + ["--attribute", "genre", "--encoder", "boe",
+                  "--include-chars", "no", "--epochs", "1",
+                  "--out", str(tmp_path / "run")]) == 0
+    scored = []
+
+    def recording_f1(preds, gold):
+        scored.extend(sorted(gold))
+        return micro_f1(preds, gold)
+
+    monkeypatch.setattr(cli, "micro_f1", recording_f1)
+    out = tmp_path / "eval.json"
+    assert run(["evaluate"] + data_args(synth)
+               + ["--checkpoint", str(tmp_path / "run" / "checkpoint.swck"),
+                  "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["n_scripts"] == len(heldout)
+    assert scored == heldout
 
 
 def test_evaluate_rejects_checkpoint_shape_mismatch(workspace, trained, tmp_path,
@@ -152,7 +189,7 @@ def test_evaluate_rejects_checkpoint_shape_mismatch(workspace, trained, tmp_path
     out_ckpt, _ = trained
     bad = altered_checkpoint(out_ckpt / "checkpoint.swck", tmp_path / "bad.swck",
                              lambda p: p.update({"head.b": np.zeros(1)}))
-    assert run(["evaluate"] + corpus_args(synth)
+    assert run(["evaluate"] + data_args(synth)
                + ["--checkpoint", bad, "--out", str(tmp_path / "eval.json")]) == 1
     assert last_error(capsys) == "ParameterMismatch"
     assert not (tmp_path / "eval.json").exists()
@@ -184,7 +221,7 @@ def test_evaluate_refuses_per_gate_checkpoint(workspace, tmp_path, capsys):
                + ["--attribute", "genre", "--encoder", "gru_attn", "--hidden", "2",
                   "--epochs", "1", "--seed", "7", "--out", str(out)]) == 0
     ckpt = out / "checkpoint.swck"
-    assert run(["evaluate"] + corpus_args(synth)
+    assert run(["evaluate"] + data_args(synth)
                + ["--checkpoint", str(ckpt), "--out", str(tmp_path / "ok.json")]) == 0
     params, manifest = load_checkpoint(ckpt)
     unk = CharacterTable.UNK_NAME
@@ -193,7 +230,7 @@ def test_evaluate_refuses_per_gate_checkpoint(workspace, tmp_path, capsys):
     # 5 encoders x 2 directions, 9 arrays a direction instead of 4
     assert len(old) == len(params) + 5 * 2 * 5 + len(characters) - 1
     save_checkpoint(tmp_path / "old.swck", old, manifest)
-    assert run(["evaluate"] + corpus_args(synth)
+    assert run(["evaluate"] + data_args(synth)
                + ["--checkpoint", str(tmp_path / "old.swck"),
                   "--out", str(tmp_path / "eval.json")]) == 1
     assert last_error(capsys) == "ParameterMismatch"
@@ -204,11 +241,11 @@ def test_eval_sim_cutoff_100_matches_evaluate(workspace, trained):
     root, synth = workspace
     out_ckpt, _ = trained
     eval_path = root / "eval2.json"
-    assert run(["evaluate"] + corpus_args(synth)
+    assert run(["evaluate"] + data_args(synth)
                + ["--checkpoint", str(out_ckpt / "checkpoint.swck"),
                   "--out", str(eval_path)]) == 0
     sim_path = root / "sim.json"
-    assert run(["eval-sim"] + corpus_args(synth)
+    assert run(["eval-sim"] + data_args(synth)
                + ["--checkpoint", str(out_ckpt / "checkpoint.swck"),
                   "--tag-embeddings", str(synth / "tag_embeddings.tsv"),
                   "--cutoffs", "100,90,80,70", "--out", str(sim_path)]) == 0
@@ -337,7 +374,7 @@ def test_evaluation_refuses_descriptor_checkpoint(workspace, descriptor_run,
     out = tmp_path / "report.json"
     extra = (["--tag-embeddings", str(synth / "tag_embeddings.tsv")]
              if command == "eval-sim" else [])
-    assert run([command] + corpus_args(synth) + extra
+    assert run([command] + data_args(synth) + extra
                + ["--checkpoint", str(out_desc / "descriptors.swck"),
                   "--out", str(out)]) == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -476,7 +513,7 @@ def test_evaluate_rejects_garbage_checkpoint(workspace, tmp_path, capsys):
     _, synth = workspace
     bad = tmp_path / "garbage.swck"
     bad.write_bytes(b"garbage")
-    assert run(["evaluate"] + corpus_args(synth)
+    assert run(["evaluate"] + data_args(synth)
                + ["--checkpoint", str(bad), "--out", str(tmp_path / "e.json")]) == 1
     assert last_error(capsys) == "CheckpointCorrupt"
     assert not (tmp_path / "e.json").exists()
@@ -488,7 +525,7 @@ def test_evaluate_rejects_truncated_checkpoint(workspace, trained, tmp_path,
     out_ckpt, _ = trained
     bad = tmp_path / "truncated.swck"
     bad.write_bytes((out_ckpt / "checkpoint.swck").read_bytes()[:-8])
-    assert run(["evaluate"] + corpus_args(synth)
+    assert run(["evaluate"] + data_args(synth)
                + ["--checkpoint", str(bad), "--out", str(tmp_path / "e.json")]) == 1
     assert last_error(capsys) == "CheckpointCorrupt"
     assert not (tmp_path / "e.json").exists()
@@ -519,7 +556,106 @@ def test_trajectories_window_even_or_below_one_is_usage_error(workspace, tmp_pat
 def test_threshold_outside_unit_interval_is_usage_error(workspace, tmp_path,
                                                         command, value):
     _, synth = workspace
+    data = corpus_args(synth) if command == "train" else data_args(synth)
     with pytest.raises(SystemExit) as exc:
-        main([command] + corpus_args(synth) + THRESHOLD_FLAGS[command]
+        main([command] + data + THRESHOLD_FLAGS[command]
              + ["--threshold", value, "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
+
+
+INGEST_FLAGS = {"--min-count": "2", "--cap": "60", "--heldout-fraction": "0.2",
+                "--validation-fraction": "0.15", "--descriptor-min-movies": "2",
+                "--descriptor-top-exclude": "30", "--seed": "0"}
+
+
+@pytest.mark.parametrize("command,flag",
+                         [(c, f) for c in ("evaluate", "eval-sim")
+                          for f in INGEST_FLAGS] + [("trajectories", "--cap")])
+def test_checkpoint_commands_take_no_ingest_flag(workspace, tmp_path, capsys,
+                                                 command, flag):
+    _, synth = workspace
+    out = tmp_path / "out"
+    if command == "trajectories":
+        argv = trajectory_args(synth, tmp_path / "missing.swck", out)
+    else:
+        argv = ([command] + data_args(synth) + THRESHOLD_FLAGS[command]
+                + ["--out", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, INGEST_FLAGS[flag]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def without_ingest(manifest):
+    manifest.pop("ingest")
+
+
+def with_unknown_ingest_key(manifest):
+    manifest["ingest"]["scene_cap"] = 60
+
+
+@pytest.mark.parametrize("change", [without_ingest, with_unknown_ingest_key])
+@pytest.mark.parametrize("command", ["evaluate", "eval-sim", "trajectories"])
+def test_checkpoint_without_readable_ingest_settings_is_data_error(
+        workspace, trained, descriptor_run, tmp_path, capsys, monkeypatch,
+        command, change):
+    _, synth = workspace
+    src = (descriptor_run[0] / "descriptors.swck" if command == "trajectories"
+           else trained[0] / "checkpoint.swck")
+    params, manifest = load_checkpoint(src)
+    change(manifest)
+    bad = tmp_path / "bad.swck"
+    save_checkpoint(bad, params, manifest)
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("read the corpus before the ingest settings")
+
+    monkeypatch.setattr(cli, "ingest", no_read)
+    monkeypatch.setattr(cli.WordEmbeddings, "load", no_read)
+    out = tmp_path / "out"
+    if command == "trajectories":
+        argv = trajectory_args(synth, bad, out)
+    else:
+        extra = (["--tag-embeddings", str(synth / "tag_embeddings.tsv")]
+                 if command == "eval-sim" else [])
+        argv = ([command] + data_args(synth) + extra
+                + ["--checkpoint", str(bad), "--out", str(out)])
+    assert run(argv) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "DataError"
+    assert str(bad) in err["message"] and "ingest settings" in err["message"]
+    assert not out.exists()
+
+
+def test_trajectories_cut_scenes_at_the_checkpoint_cap(workspace, tmp_path):
+    _, synth = workspace
+    desc = tmp_path / "desc"
+    assert run(["descriptors"] + corpus_args(synth)
+               + ["--cap", "2", "--attribute", "genre", "--k", "3",
+                  "--hidden", "8", "--epochs", "1", "--pretrain-epochs", "1",
+                  "--negatives", "2", "--seed", "2", "--out", str(desc)]) == 0
+    out = tmp_path / "traj.csv"
+    argv = trajectory_args(synth, desc / "descriptors.swck", out)
+    argv[argv.index("--format") + 1] = "csv"
+    assert run(argv + ["--descriptors", "top:2", "--window", "1"]) == 0
+    text = (synth / "scripts" / "synth000.txt").read_text(encoding="utf-8")
+    scenes = parse_script("synth000", text, cap=2).scenes
+    assert len(scenes) > len(parse_script("synth000", text).scenes)
+    rows = out.read_text().splitlines()[1:]
+    assert [int(r.split(",")[0]) for r in rows] == [s.index for s in scenes]
+
+
+@pytest.mark.parametrize("flag,value", [("--heldout-fraction", "-0.2"),
+                                        ("--validation-fraction", "-0.5"),
+                                        ("--heldout-fraction", "1.0")])
+def test_ingest_refuses_split_fraction_outside_unit_interval(
+        workspace, tmp_path, capsys, flag, value):
+    _, synth = workspace
+    out = tmp_path / "manifest.json"
+    assert run(["ingest"] + corpus_args(synth) + [flag, value,
+                                                  "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "DataError"
+    assert value in err["message"]
+    assert not out.exists()

@@ -46,6 +46,7 @@ from scenewise.encoders import (
 from scenewise.errors import DataError, EmptyScript, EmptyStatement
 from scenewise.parser import Screenplay, parse_script
 
+from conftest import embedding_rows
 from test_autodiff import dot, stack
 from test_encoders import action, dialogue, scene_of
 from test_parser import raw_scripts
@@ -59,8 +60,8 @@ def oracle_rows(vectors: TokenVectors, tokens: list[str]) -> np.ndarray:
     """One embedding row per token, looked up by name; tokens outside the
     vocabulary take the ``<unk>`` name."""
     vocabulary = vectors.vocabulary
-    return vectors.embeddings.rows(
-        [t if t in vocabulary else UNK_TOKEN for t in tokens])
+    return embedding_rows(
+        vectors.embeddings, [t if t in vocabulary else UNK_TOKEN for t in tokens])
 
 
 def oracle_encode_tokens(sequences, vectors, encoder):

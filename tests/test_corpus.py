@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import parser_oracle as oracle
 from scenewise import corpus as cp
 from scenewise import parser
 from scenewise.corpus import (
@@ -20,6 +21,8 @@ from scenewise.corpus import (
     tokenize,
 )
 from scenewise.errors import DataError
+
+from conftest import embedding_rows
 
 
 def test_tokenize_basic():
@@ -58,6 +61,17 @@ def test_split_deterministic_and_order_independent():
     s2 = split_titles(list(reversed(titles)), 0.2, 0.1, seed=7)
     assert s1 == s2
     assert sum(1 for v in s1.values() if v == "heldout") == 4
+
+
+@pytest.mark.parametrize("heldout,validation,named", [
+    (-0.2, 0.1, "heldout fraction -0.2"), (1.0, 0.1, "heldout fraction 1.0"),
+    (0.2, -0.5, "validation fraction -0.5"), (0.2, 1.0, "validation fraction 1.0"),
+    (float("nan"), 0.1, "heldout fraction nan")])
+def test_split_refuses_fraction_outside_unit_interval(heldout, validation, named):
+    with pytest.raises(DataError, match=named):
+        split_titles([f"t{i}" for i in range(20)], heldout, validation, seed=0)
+    assert split_titles(["a", "b"], 0.0, 0.0, seed=0) == {"a": "train",
+                                                          "b": "train"}
 
 
 def test_split_fractions_disjoint():
@@ -114,7 +128,7 @@ def test_synthetic_corpus_satisfies_parser_invariants(tmp_path, seed):
         for scene in play.scenes:
             assert len(scene.statements) <= 10
             assert scene.characters == {c for c, _ in scene.dialogue_statements}
-        split_again = parser.split_long_scenes(play, cap=10)
+        split_again = oracle.split_long_scenes(play, cap=10)
         assert split_again == play
         table = parser.to_table(play)
         assert parser.to_table(parser.parse_table(table)) == table
@@ -269,8 +283,8 @@ def test_embeddings_dim_mismatch(tmp_path):
     assert str(err.value) == f"{path} line 2: embedding dim 3, expected 100"
     emb = WordEmbeddings.load(path, expected_dim=3)
     assert emb.dim == 3
-    assert np.allclose(emb.rows(["tok"]), [[0.1, 0.2, 0.3]])
-    assert np.allclose(emb.rows(["missing"]), emb.matrix[-1:])
+    assert np.allclose(embedding_rows(emb, ["tok"]), [[0.1, 0.2, 0.3]])
+    assert np.allclose(embedding_rows(emb, ["missing"]), emb.matrix[-1:])
 
 
 def test_token_below_min_count_maps_to_unk(synth_corpus):
@@ -316,11 +330,11 @@ def test_embedding_rows_gather_one_matrix():
     table = {"a": np.array([1.0, 2.0]), "b": np.array([3.0, 5.0])}
     emb = WordEmbeddings(table, 2)
     assert np.array_equal(emb.matrix[-1], [2.0, 3.5])
-    rows = emb.rows(["b", "zzz", "a"])
+    rows = embedding_rows(emb, ["b", "zzz", "a"])
     assert np.array_equal(rows, np.stack([table["b"], [2.0, 3.5], table["a"]]))
-    assert emb.rows([]).shape == (0, 2)
+    assert embedding_rows(emb, []).shape == (0, 2)
     with_unk = WordEmbeddings({**table, cp.UNK_TOKEN: np.array([9.0, 9.0])}, 2)
-    assert np.array_equal(with_unk.rows(["zzz"]), [[9.0, 9.0]])
+    assert np.array_equal(embedding_rows(with_unk, ["zzz"]), [[9.0, 9.0]])
 
 
 

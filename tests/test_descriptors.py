@@ -45,6 +45,7 @@ from scenewise.errors import (
 )
 from scenewise.parser import Scene, Screenplay, Statement, StatementKind
 
+from conftest import embedding_rows
 from test_autodiff import dot
 
 
@@ -484,7 +485,7 @@ def oracle_target(vocab, embeddings, p, scenes):
     vs = np.zeros((len(scenes), embeddings.dim))
     if kept:
         lengths = np.array(lengths, dtype=np.int64)
-        padded = pad_runs(ad.constant(embeddings.rows(tokens)), lengths)
+        padded = pad_runs(ad.constant(embedding_rows(embeddings, tokens)), lengths)
         vs[kept] = attend(padded, ad.constant(p), lengths).data
     return vs, np.array(kept, dtype=np.intp)
 

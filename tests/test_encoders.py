@@ -16,7 +16,7 @@ from scenewise.encoders import (
 from scenewise.errors import DegenerateNormalizer, EmptyStatement
 from scenewise.parser import Scene, Screenplay, Statement, StatementKind
 
-from conftest import make_vectors
+from conftest import embedding_rows, make_vectors
 from test_autodiff import dot
 
 
@@ -187,14 +187,16 @@ def test_boe_single_token_identity(tiny_vectors):
     spec = EncoderSpec(EncoderKind.BOE, input_dim=4)
     encoder = SequenceEncoder(spec, rng())
     out = encode_sequences([["alpha"]], tiny_vectors, encoder)
-    assert np.allclose(out.data[0], tiny_vectors.embeddings.rows(["alpha"])[0])
+    assert np.allclose(out.data[0],
+                       embedding_rows(tiny_vectors.embeddings, ["alpha"])[0])
 
 
 def test_boe_two_tokens_midpoint(tiny_vectors):
     spec = EncoderSpec(EncoderKind.BOE, input_dim=4)
     encoder = SequenceEncoder(spec, rng())
     out = encode_sequences([["alpha", "beta"]], tiny_vectors, encoder)
-    expected = tiny_vectors.embeddings.rows(["alpha", "beta"]).mean(axis=0)
+    expected = embedding_rows(tiny_vectors.embeddings,
+                              ["alpha", "beta"]).mean(axis=0)
     assert np.allclose(out.data[0], expected)
 
 
@@ -209,8 +211,8 @@ def test_token_batch_matches_one_sequence_at_a_time(kind):
                  ["w5", "w4"]]
     batch = encode_sequences(sequences, vectors, encoder).data
     for row, tokens in zip(batch, sequences):
-        alone = encoder.encode(ad.constant(vectors.embeddings.rows(tokens)),
-                               [len(tokens)]).data[0]
+        rows = embedding_rows(vectors.embeddings, tokens)
+        alone = encoder.encode(ad.constant(rows), [len(tokens)]).data[0]
         assert np.max(np.abs(row - alone)) < 1e-12
 
 
@@ -228,7 +230,7 @@ def test_paper_linear_mode_through_encoder(tiny_vectors):
     spec = EncoderSpec(EncoderKind.BOE_ATTN, input_dim=4,
                        attention_normalization=enc.PAPER_LINEAR)
     encoder = SequenceEncoder(spec, rng(12))
-    rows = tiny_vectors.embeddings.rows(["alpha", "beta", "gamma"])
+    rows = embedding_rows(tiny_vectors.embeddings, ["alpha", "beta", "gamma"])
     out = encoder.encode(ad.constant(rows), [3])
     scores = rows @ encoder.p.data
     expected = (scores / scores.sum()) @ rows
@@ -371,7 +373,8 @@ def test_two_tier_concatenates_words(tiny_vectors):
     scene = scene_of(action("alpha beta"), action("gamma"))
     emb = model.encode_scenes(play_of(scene))
     # BoE over the concatenated word sequence = mean of all three words
-    expected = tiny_vectors.embeddings.rows(["alpha", "beta", "gamma"]).mean(axis=0)
+    expected = embedding_rows(tiny_vectors.embeddings,
+                              ["alpha", "beta", "gamma"]).mean(axis=0)
     assert np.allclose(block(model, emb, "action"), expected)
 
 

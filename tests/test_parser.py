@@ -15,7 +15,6 @@ from scenewise.parser import (
     parse_table,
     scan_script,
     script_lines,
-    split_long_scenes,
     to_table,
 )
 
@@ -146,37 +145,42 @@ def test_empty_script_raises():
         parse_script("x", "\n  \n\n")
 
 
-def _scene_with(n: int) -> Screenplay:
-    stmts = [Statement(StatementKind.ACTION, f"line {i}") for i in range(n)]
-    return Screenplay("x", [Scene(index=1, heading="INT. A - DAY", statements=stmts)])
+def _scene_with(n: int) -> str:
+    return "INT. A - DAY\n" + "".join(f"line {i}\n" for i in range(n))
 
 
 @pytest.mark.parametrize("n,expected", [(130, [60, 60, 10]), (60, [60]), (61, [60, 1])])
 def test_split_long_scenes_sizes(n, expected):
-    out = split_long_scenes(_scene_with(n), cap=60)
+    out = parse_script("x", _scene_with(n), cap=60)
     assert [len(s.statements) for s in out.scenes] == expected
     assert [s.index for s in out.scenes] == list(range(1, len(expected) + 1))
+    assert [s.heading for s in out.scenes] == ["INT. A - DAY"] + [None] * (len(expected) - 1)
 
 
 def test_split_preserves_order_and_count():
-    out = split_long_scenes(_scene_with(130), cap=60)
+    out = parse_script("x", _scene_with(130), cap=60)
     texts = [s.text for scene in out.scenes for s in scene.statements]
     assert texts == [f"line {i}" for i in range(130)]
 
 
 def test_split_idempotent():
-    once = split_long_scenes(_scene_with(130), cap=60)
-    twice = split_long_scenes(once, cap=60)
-    assert once == twice
+    # splitting the capped scan again, with the two-pass split, changes nothing
+    once = parse_script("x", _scene_with(130), cap=60)
+    assert oracle.split_long_scenes(once, cap=60) == once
 
 
 def test_split_recomputes_characters():
-    stmts = ([Statement(StatementKind.DIALOGUE, "hi", character="A")] * 2
-             + [Statement(StatementKind.DIALOGUE, "yo", character="B")] * 2)
-    play = Screenplay("x", [Scene(index=1, heading="INT. A", statements=stmts)])
-    out = split_long_scenes(play, cap=2)
+    text = ("INT. A\n" + " " * 10 + "A\n" + "    hi\n" * 2
+            + " " * 10 + "B\n" + "    yo\n" * 2)
+    out = parse_script("x", text, cap=2)
+    assert [len(s.statements) for s in out.scenes] == [2, 2]
     assert out.scenes[0].characters == {"A"}
     assert out.scenes[1].characters == {"B"}
+
+
+def test_cap_below_one_raises():
+    with pytest.raises(ValueError, match="cap must be >= 1"):
+        parse_script("x", _scene_with(3), cap=0)
 
 
 def test_to_table_round_trip_fragment():
@@ -232,16 +236,6 @@ def test_table_round_trip_property(play):
     rebuilt = parse_table(table)
     assert rebuilt == play
     assert to_table(rebuilt) == table
-
-
-@settings(max_examples=40, deadline=None)
-@given(screenplays(), st.integers(1, 7))
-def test_split_conserves_statements_property(play, cap):
-    out = split_long_scenes(play, cap=cap)
-    assert sum(len(s.statements) for s in out.scenes) == \
-        sum(len(s.statements) for s in play.scenes)
-    assert all(len(s.statements) <= cap for s in out.scenes)
-    assert split_long_scenes(out, cap=cap) == out
 
 
 def test_dialogue_kind_iff_character():
@@ -335,16 +329,31 @@ def test_parse_raw_text_fuzz(text, cap):
     assert parse_table(to_table(play)) == play
 
 
+@settings(max_examples=40, deadline=None)
+@given(raw_scripts(), st.integers(1, 7))
+def test_split_conserves_statements_property(text, cap):
+    try:
+        whole = parse_script("Prop Script", text, cap=None)
+    except EmptyScript:
+        return
+    out = parse_script("Prop Script", text, cap=cap)
+    assert [s for scene in out.scenes for s in scene.statements] == \
+        [s for scene in whole.scenes for s in scene.statements]
+    assert all(len(s.statements) <= cap for s in out.scenes)
+    assert oracle.split_long_scenes(out, cap=cap) == out
+
 
 @settings(max_examples=400, deadline=None)
-@given(raw_scripts())
-def test_scan_matches_two_pass_oracle(text):
+@given(raw_scripts(), st.sampled_from([None, 1, 2, 3, 60]))
+def test_scan_matches_two_pass_oracle(text, cap):
     raw = oracle.RawScript.from_text("Fuzz Script", text)
     try:
         expected = oracle.segment_scenes(raw)
     except EmptyScript:
         with pytest.raises(EmptyScript):
-            scan_script("Fuzz Script", text, cap=None)
+            scan_script("Fuzz Script", text, cap=cap)
         return
-    assert scan_script("Fuzz Script", text, cap=None) == (
+    if cap is not None:
+        expected = oracle.split_long_scenes(expected, cap)
+    assert scan_script("Fuzz Script", text, cap=cap) == (
         expected, oracle.quality_report(raw))
