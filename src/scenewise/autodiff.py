@@ -560,13 +560,13 @@ def clip_grad_norm(params: Iterable[Tensor], max_norm: float = 5.0) -> float:
 class Adam:
     """Adam with bias correction over a named parameter dict."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 5e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params: dict[str, Tensor], lr: float = 5e-3):
         self.params = dict(sorted(params.items()))
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {k: np.zeros_like(t.data) for k, t in self.params.items()}
         self.v = {k: np.zeros_like(t.data) for k, t in self.params.items()}
@@ -580,58 +580,9 @@ class Adam:
         t = self.step_count
         for name, p in self.params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[name] / (1.0 - self.beta1 ** t)
-            v_hat = self.v[name] / (1.0 - self.beta2 ** t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.m[name] = self.BETA1 * self.m[name] + (1.0 - self.BETA1) * g
+            self.v[name] = self.BETA2 * self.v[name] + (1.0 - self.BETA2) * (g * g)
+            m_hat = self.m[name] / (1.0 - self.BETA1 ** t)
+            v_hat = self.v[name] / (1.0 - self.BETA2 ** t)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-
-def finite_difference_grads(loss_fn: Callable[[], Tensor], tensors: Sequence[Tensor],
-                            h: float = 1e-5) -> list[np.ndarray]:
-    """Central finite differences of ``loss_fn`` w.r.t. each tensor's data.
-
-    ``loss_fn`` must rebuild the graph from the tensors' current data on
-    every call.
-    """
-    grads = []
-    for t in tensors:
-        g = np.zeros_like(t.data)
-        flat = t.data.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = loss_fn().item()
-            flat[i] = orig - h
-            down = loss_fn().item()
-            flat[i] = orig
-            gflat[i] = (up - down) / (2.0 * h)
-        grads.append(g)
-    return grads
-
-
-def max_relative_error(analytic: Sequence[np.ndarray], numeric: Sequence[np.ndarray],
-                       floor: float = 1e-6) -> float:
-    """Worst elementwise |a - n| / max(|a|, |n|, floor) over all arrays."""
-    worst = 0.0
-    for a, n in zip(analytic, numeric):
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
-        worst = max(worst, float(np.max(np.abs(a - n) / denom)))
-    return worst
-
-
-def gradcheck(loss_fn: Callable[[], Tensor], tensors: Sequence[Tensor],
-              h: float = 1e-5, floor: float = 1e-6) -> float:
-    """Max relative error between analytic and finite-difference gradients."""
-    loss = loss_fn()
-    backward(loss)
-    # parameters not reached by the graph have zero gradient
-    analytic = [t.grad.copy() if t.grad is not None else np.zeros_like(t.data)
-                for t in tensors]
-    numeric = finite_difference_grads(loss_fn, tensors, h=h)
-    return max_relative_error(analytic, numeric, floor=floor)

@@ -5,11 +5,14 @@ trajectories, synth.  Usage errors exit 2 (argparse); data errors exit 1
 with one machine-parsable JSON line on stderr.  Every artifact embeds the
 run's config hash except the fixed-format script TSV and trajectory CSV.
 
-The ingest settings (vocabulary and descriptor counts, scene cap, split
-fractions and seed) are flags of ``ingest``, ``train`` and
-``descriptors`` only.  A checkpoint records them, and ``evaluate``,
-``eval-sim`` and ``trajectories`` read them from it, so a model is always
-scored on the split and the scenes it was trained with.
+The ingest settings (vocabulary count, scene cap, split fractions and
+seed) are flags of ``ingest``, ``train`` and ``descriptors`` only, and the
+two descriptor-vocabulary counts of ``ingest`` and ``descriptors`` only.
+A checkpoint records them all (a tag checkpoint the counts' defaults), and
+``evaluate``, ``eval-sim`` and ``trajectories`` read them from it, so a
+model is always scored on the split and the scenes it was trained with.
+``train``'s ``--variant`` names only a structure; ``--encoder`` names the
+encoder kind.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ import json
 import logging
 import os
 import sys
+import typing
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -80,15 +85,19 @@ def _add_data_flags(sp: argparse.ArgumentParser, loglines: bool = False) -> None
 
 
 def _add_corpus_flags(sp: argparse.ArgumentParser, loglines: bool = False) -> None:
-    """The data flags plus the ingest settings a checkpoint records."""
+    """The data flags plus the ingest settings a tag model depends on."""
     _add_data_flags(sp, loglines)
     sp.add_argument("--min-count", type=int, default=5)
     sp.add_argument("--cap", type=int, default=60)
     sp.add_argument("--heldout-fraction", type=float, default=0.2)
     sp.add_argument("--validation-fraction", type=float, default=0.1)
+    sp.add_argument("--seed", type=int, default=0)
+
+
+def _add_descriptor_vocabulary_flags(sp: argparse.ArgumentParser) -> None:
+    """The two ingest settings only the descriptor vocabulary depends on."""
     sp.add_argument("--descriptor-min-movies", type=int, default=50)
     sp.add_argument("--descriptor-top-exclude", type=int, default=500)
-    sp.add_argument("--seed", type=int, default=0)
 
 
 def _probability(text: str) -> float:
@@ -109,12 +118,11 @@ def _odd_window(text: str) -> int:
 
 
 def _ingest_config(args: argparse.Namespace) -> IngestConfig:
-    return IngestConfig(
-        min_count=args.min_count, cap=args.cap,
-        heldout_fraction=args.heldout_fraction,
-        validation_fraction=args.validation_fraction, seed=args.seed,
-        descriptor_min_movies=args.descriptor_min_movies,
-        descriptor_top_exclude=args.descriptor_top_exclude)
+    """The ingest settings among the command's flags; the others keep
+    their defaults."""
+    flags = vars(args)
+    return IngestConfig(**{f.name: flags[f.name] for f in fields(IngestConfig)
+                           if f.name in flags})
 
 
 def _ingest_from_args(args: argparse.Namespace) -> tuple[Corpus, dict]:
@@ -183,6 +191,27 @@ def _build_tag_model(corpus: Corpus, taxonomy: TagTaxonomy,
     return model, model_config
 
 
+def _manifest_settings(path: str, manifest: dict, key: str, cls):
+    """``manifest[key]`` as a ``cls`` dataclass; a ``DataError`` naming
+    ``path`` and the key unless it holds exactly ``cls``'s fields, each of
+    its field's type (an int serves for a float, only a bool for a bool)."""
+    record = manifest.get(key)
+    if not isinstance(record, dict):
+        raise DataError(f"{path}: the manifest has no {key} settings")
+    hints = typing.get_type_hints(cls)
+    if unknown := sorted(record.keys() - hints.keys()):
+        raise DataError(f"{path}: the manifest's {key} settings have an "
+                        f"unknown key {unknown[0]!r}")
+    for name, hint in hints.items():
+        if name not in record:
+            raise DataError(f"{path}: the manifest's {key} settings lack {name!r}")
+        value = record[name]
+        if type(value) not in ((int, float) if hint is float else (hint,)):
+            raise DataError(f"{path}: the manifest's {key} settings hold "
+                            f"{value!r} for {name!r}; expected {hint.__name__}")
+    return cls(**record)
+
+
 def _checkpoint_of_kind(path: str, kind: str) -> tuple[dict, dict, IngestConfig]:
     """A checkpoint's arrays, manifest and the ingest settings it was trained
     with; a ``DataError`` unless its kind is ``kind`` and those settings
@@ -191,12 +220,8 @@ def _checkpoint_of_kind(path: str, kind: str) -> tuple[dict, dict, IngestConfig]
     if manifest.get("kind") != kind:
         raise DataError(f"{path} is a {manifest.get('kind')!r} checkpoint, "
                         f"not a {kind!r} one")
-    try:
-        config = IngestConfig(**manifest["ingest"])
-    except (KeyError, TypeError) as err:
-        raise DataError(f"{path}: no readable ingest settings in the "
-                        f"manifest: {err}") from None
-    return params, manifest, config
+    return params, manifest, _manifest_settings(path, manifest, "ingest",
+                                                IngestConfig)
 
 
 def _rebuild_tag_model(manifest: dict, corpus: Corpus):
@@ -228,10 +253,6 @@ def _descriptor_log_csv(stats, cfg_hash: str) -> str:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    # encoder kinds double as variant shorthand for the full architecture
-    if args.variant in {k.value for k in EncoderKind}:
-        args.encoder = args.variant
-        args.variant = "full"
     corpus, _ = _ingest_from_args(args)
     use_loglines = args.variant == "loglines"
     training_pool = corpus.train_items + corpus.validation_items
@@ -406,8 +427,9 @@ def cmd_descriptors(args: argparse.Namespace) -> int:
 def cmd_trajectories(args: argparse.Namespace) -> int:
     params, manifest, ingest_config = _checkpoint_of_kind(args.checkpoint,
                                                           "descriptor_model")
+    config = _manifest_settings(args.checkpoint, manifest, "config",
+                                DescriptorConfig)
     embeddings = WordEmbeddings.load(args.embeddings)
-    config = DescriptorConfig(**manifest["config"])
     # the play is compiled against the descriptor words; load_params sets p
     vectors = TokenVectors(Vocabulary(manifest["vocab"]), embeddings)
     target = SceneBagEncoder(manifest["vocab"], vectors, np.random.default_rng(0))
@@ -477,6 +499,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ingest", help="build and describe a corpus")
     _add_corpus_flags(sp, loglines=True)
+    _add_descriptor_vocabulary_flags(sp)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_ingest)
 
@@ -484,11 +507,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_corpus_flags(sp, loglines=True)
     sp.add_argument("--attribute", required=True)
     sp.add_argument("--variant", default="full",
-                    choices=["full", "plus_chars", "minus_action",
-                             "minus_dialogue", "two_tier", "han", "loglines"]
-                    + [k.value for k in EncoderKind],
-                    help="structural variant; an encoder kind selects the "
-                         "full architecture with that encoder")
+                    choices=[v.value for v in Variant] + ["loglines"],
+                    help="structural variant")
     sp.add_argument("--encoder", default="gru_attn",
                     choices=[k.value for k in EncoderKind])
     sp.add_argument("--include-chars", default="auto",
@@ -527,6 +547,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("descriptors", help="train the scene-descriptor model")
     _add_corpus_flags(sp)
+    _add_descriptor_vocabulary_flags(sp)
     sp.add_argument("--attribute", required=True)
     sp.add_argument("--k", type=int, default=25)
     sp.add_argument("--hidden", type=int, default=100)

@@ -435,9 +435,7 @@ def ingest(scripts_dir: str | Path, tags_path: str | Path,
         except EmptyScript as err:
             excluded.append({"title": title, "reason": f"empty: {err}"})
             continue
-        n_action = sum(len(s.action_statements) for s in play.scenes)
-        n_dialogue = sum(len(s.dialogue_statements) for s in play.scenes)
-        if n_action == 0 and n_dialogue == 0:
+        if not any(scene.statements for scene in play.scenes):
             excluded.append({"title": title, "reason": "no usable statements"})
             continue
         if title not in tags:

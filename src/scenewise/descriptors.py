@@ -44,6 +44,7 @@ log = logging.getLogger(__name__)
 
 RANDOM_GLOROT = "random_glorot"
 KMEANS = "kmeans"
+KMEANS_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -280,15 +281,14 @@ def descriptor_loss(w: Tensor, us: np.ndarray, neg: np.ndarray,
 # descriptor initialization
 
 
-def kmeans_lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
-                 max_iter: int = 100) -> np.ndarray:
+def kmeans_lloyd(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Standard Lloyd iterations with seeded random-point initialization."""
     n = points.shape[0]
     if n < k:
         raise InsufficientVocab(f"{n} points for {k} clusters")
     centroids = points[rng.choice(n, size=k, replace=False)].copy()
     assignment = np.full(n, -1)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         dists = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_assignment = dists.argmin(axis=1)
         for j in range(k):
@@ -493,12 +493,12 @@ def train_descriptors(corpus: Corpus, target: SceneBagEncoder,
     return model, stats
 
 
-def descriptor_report(model: DescriptorModel, documents: Iterable[set[str]],
-                      top_m: int | None = None) -> list[dict]:
+def descriptor_report(model: DescriptorModel,
+                      documents: Iterable[set[str]]) -> list[dict]:
     """Per-descriptor top words and coherence, JSON-serializable."""
-    top_m = top_m if top_m is not None else model.config.top_words
     vocab_emb = model.target.vocab_matrix()
-    clusters = nearest_words(model.r.data, model.target.vocab, vocab_emb, top_m)
+    clusters = nearest_words(model.r.data, model.target.vocab, vocab_emb,
+                             model.config.top_words)
     coherence = semantic_coherence(clusters, documents)
     return [{"index": i, "top_words": clusters[i], "coherence": coherence[i]}
             for i in range(len(clusters))]

@@ -23,7 +23,7 @@ The model reads a script compiled once to embedding-row ids
 channel's statements, and one gather per channel fetches their word rows.
 Structural variants replace or drop tiers:
 
-* ``full`` / ``plus_chars`` — both channels, character block included
+* ``full`` — both channels, character block included
 * ``minus_action`` / ``minus_dialogue`` — one channel dropped entirely
 * ``two_tier`` — per-channel word sequences go straight to scene encoders
 * ``han`` — one statement and one scene encoder over all statements in
@@ -177,7 +177,6 @@ class CharacterTable:
 
 class Variant(Enum):
     FULL = "full"
-    PLUS_CHARS = "plus_chars"
     MINUS_ACTION = "minus_action"
     MINUS_DIALOGUE = "minus_dialogue"
     TWO_TIER = "two_tier"
@@ -186,7 +185,6 @@ class Variant(Enum):
 
 _CHANNEL_VARIANTS = {
     Variant.FULL: ("action", "dialogue"),
-    Variant.PLUS_CHARS: ("action", "dialogue"),
     Variant.MINUS_ACTION: ("dialogue",),
     Variant.MINUS_DIALOGUE: ("action",),
     Variant.TWO_TIER: ("action", "dialogue"),
@@ -202,10 +200,7 @@ class HierarchicalModel:
                  include_chars: bool | None = None, char_dim: int = 10,
                  seed: int = 0):
         if include_chars is None:
-            include_chars = variant in (Variant.FULL, Variant.PLUS_CHARS)
-        if variant is Variant.PLUS_CHARS and not include_chars:
-            raise ValueError("variant plus_chars always includes characters; "
-                             "it cannot run with include_chars off")
+            include_chars = variant is Variant.FULL
         self.spec = spec
         self.variant = variant
         self.vectors = vectors

@@ -65,20 +65,6 @@ class Scene:
     heading: str | None = None
     statements: list[Statement] = field(default_factory=list)
 
-    @property
-    def action_statements(self) -> list[str]:
-        return [s.text for s in self.statements if s.kind is StatementKind.ACTION]
-
-    @property
-    def dialogue_statements(self) -> list[tuple[str, str]]:
-        return [(s.character, s.text) for s in self.statements
-                if s.kind is StatementKind.DIALOGUE]
-
-    @property
-    def characters(self) -> set[str]:
-        return {s.character for s in self.statements
-                if s.kind is StatementKind.DIALOGUE}
-
 
 @dataclass
 class Screenplay:

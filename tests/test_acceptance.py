@@ -59,7 +59,7 @@ from scenewise.evaluation import (
 )
 from scenewise.parser import StatementKind, parse_script, parse_table, script_lines, to_table
 
-from test_autodiff import dot, sigmoid, stack, tanh
+from test_autodiff import dot, gradcheck, sigmoid, stack, tanh
 
 DATA = Path(__file__).parent / "data"
 GRAD_TOL = 1e-4
@@ -155,7 +155,7 @@ def test_criterion_1_gradient_fidelity(tiny_vectors):
     worst = {}
 
     for name, (fn, params) in _primitive_cases().items():
-        worst[f"primitive:{name}"] = ad.gradcheck(fn, params, h=FD_H)
+        worst[f"primitive:{name}"] = gradcheck(fn, params, h=FD_H)
 
     from test_encoders import action, dialogue, scene_of
     from scenewise.parser import Screenplay
@@ -169,7 +169,7 @@ def test_criterion_1_gradient_fidelity(tiny_vectors):
         scene_of(dialogue("delta sun", "BO"), action("tide moon"), index=2),
     ])
     probe = ad.constant(np.linspace(0.5, 1.5, model.script_dim))
-    worst["hierarchical_gru_attn"] = ad.gradcheck(
+    worst["hierarchical_gru_attn"] = gradcheck(
         lambda: dot(model.encode_script(play), probe),
         list(model.named_params().values()), h=FD_H)
 
@@ -177,7 +177,7 @@ def test_criterion_1_gradient_fidelity(tiny_vectors):
     y = (r.random((3, 4)) < 0.4).astype(float)
     lam = r.uniform(0.2, 2.0, 4)
     z = ad.parameter(r.normal(size=(3, 4)))
-    worst["reweighted_loss"] = ad.gradcheck(
+    worst["reweighted_loss"] = gradcheck(
         lambda: reweighted_loss(y, z, lam), [z], h=FD_H)
 
     pred = DescriptorPredictor(input_dim=4, hidden=5, k=3,
@@ -187,7 +187,7 @@ def test_criterion_1_gradient_fidelity(tiny_vectors):
     us = r.normal(size=(3, 4))
     neg = np.array([[1, 2], [2, 0], [0, 1]])
     desc_params = [r_matrix] + list(pred.named_params().values())
-    worst["descriptor_loss"] = ad.gradcheck(
+    worst["descriptor_loss"] = gradcheck(
         lambda: descriptor_loss(reconstruct(pred.weights(vs), r_matrix),
                                 us, neg, r_matrix, lam=10.0),
         desc_params, h=FD_H)
@@ -455,9 +455,9 @@ def test_criterion_8_simplex_and_orthogonality(descriptor_recovery):
 
 
 def test_criterion_9_cli_determinism(tmp_path):
-    corpus_flags = ["--min-count", "2", "--descriptor-min-movies", "2",
-                    "--descriptor-top-exclude", "30",
-                    "--validation-fraction", "0.15"]
+    train_flags = ["--min-count", "2", "--validation-fraction", "0.15"]
+    corpus_flags = train_flags + ["--descriptor-min-movies", "2",
+                                  "--descriptor-top-exclude", "30"]
 
     def synth_args(out):
         return ["synth", "--out", str(out), "--scripts", "8", "--tags", "2",
@@ -474,10 +474,9 @@ def test_criterion_9_cli_determinism(tmp_path):
     data = ["--scripts", str(synth_dir / "scripts"),
             "--tags", str(synth_dir / "tags.json"),
             "--embeddings", str(synth_dir / "embeddings.txt")]
-    base = data + corpus_flags
 
     def train_args(out, encoder="boe", chars="no"):
-        return (["train"] + base
+        return (["train"] + data + train_flags
                 + ["--attribute", "genre", "--variant", "full",
                    "--encoder", encoder, "--include-chars", chars,
                    "--epochs", "2", "--seed", "4", "--out", str(out)])
@@ -494,7 +493,7 @@ def test_criterion_9_cli_determinism(tmp_path):
                    "--cutoffs", "100,90,80", "--out", str(out)])
 
     def desc_args(out):
-        return (["descriptors"] + base
+        return (["descriptors"] + data + corpus_flags
                 + ["--attribute", "genre", "--k", "3", "--hidden", "8",
                    "--epochs", "2", "--pretrain-epochs", "1",
                    "--negatives", "2", "--top-words", "3", "--seed", "6",

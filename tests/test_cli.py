@@ -6,14 +6,17 @@ import pytest
 
 from scenewise import cli
 from scenewise.checkpoint import load_checkpoint, save_checkpoint
+from scenewise.classifier import TagTaxonomy
 from scenewise.cli import main
+from scenewise.corpus import IngestConfig, ingest
 from scenewise.encoders import CharacterTable
 from scenewise.evaluation import micro_f1
 from scenewise.parser import parse_script
 
 DATA = Path(__file__).parent / "data"
-CORPUS_FLAGS = ["--min-count", "2", "--descriptor-min-movies", "2",
-                "--descriptor-top-exclude", "30", "--validation-fraction", "0.15"]
+TRAIN_FLAGS = ["--min-count", "2", "--validation-fraction", "0.15"]
+CORPUS_FLAGS = TRAIN_FLAGS + ["--descriptor-min-movies", "2",
+                              "--descriptor-top-exclude", "30"]
 
 
 def run(argv):
@@ -48,7 +51,14 @@ def data_args(synth):
 
 
 def corpus_args(synth):
+    """``ingest``'s and ``descriptors``' settings."""
     return data_args(synth) + CORPUS_FLAGS
+
+
+def train_args(synth):
+    """``train``'s settings: those of ``corpus_args`` but the descriptor
+    vocabulary counts."""
+    return data_args(synth) + TRAIN_FLAGS
 
 
 def test_parse_command(workspace):
@@ -91,7 +101,7 @@ def test_ingest_command(workspace):
 def trained(workspace):
     root, synth = workspace
     out = root / "run_boe"
-    args = (["train"] + corpus_args(synth)
+    args = (["train"] + train_args(synth)
             + ["--attribute", "genre", "--variant", "full", "--encoder", "boe",
                "--include-chars", "no", "--epochs", "3", "--seed", "7",
                "--out", str(out)])
@@ -161,7 +171,7 @@ def test_evaluate_refuses_vocabulary_mismatch(workspace, trained, tmp_path,
 
 def test_evaluate_scores_the_checkpoint_split(workspace, tmp_path, monkeypatch):
     _, synth = workspace
-    settings = corpus_args(synth) + ["--seed", "3", "--heldout-fraction", "0.3"]
+    settings = train_args(synth) + ["--seed", "3", "--heldout-fraction", "0.3"]
     assert run(["ingest"] + settings + ["--out", str(tmp_path / "m.json")]) == 0
     heldout = json.loads((tmp_path / "m.json").read_text())["splits"]["heldout"]
     assert run(["train"] + settings
@@ -217,7 +227,7 @@ def per_gate_layout(params, characters):
 def test_evaluate_refuses_per_gate_checkpoint(workspace, tmp_path, capsys):
     _, synth = workspace
     out = tmp_path / "run_gru"
-    assert run(["train"] + corpus_args(synth)
+    assert run(["train"] + train_args(synth)
                + ["--attribute", "genre", "--encoder", "gru_attn", "--hidden", "2",
                   "--epochs", "1", "--seed", "7", "--out", str(out)]) == 0
     ckpt = out / "checkpoint.swck"
@@ -429,31 +439,6 @@ def test_missing_scripts_dir_is_data_error(tmp_path, capsys):
     assert json.loads(err)["error"] == "DataError"
 
 
-def test_variant_accepts_encoder_kind_shorthand(workspace, tmp_path):
-    root, synth = workspace
-    out = tmp_path / "run_kind"
-    assert run(["train"] + corpus_args(synth)
-               + ["--attribute", "genre", "--variant", "boe",
-                  "--include-chars", "no", "--epochs", "1", "--seed", "7",
-                  "--out", str(out)]) == 0
-    from scenewise.checkpoint import load_checkpoint
-    _, manifest = load_checkpoint(out / "checkpoint.swck")
-    assert manifest["variant"] == "full"
-    assert manifest["model"]["kind"] == "boe"
-
-
-def test_plus_chars_refuses_include_chars_no(workspace, tmp_path, capsys):
-    _, synth = workspace
-    out = tmp_path / "run_plus"
-    assert run(["train"] + corpus_args(synth)
-               + ["--attribute", "genre", "--variant", "plus_chars",
-                  "--encoder", "boe", "--include-chars", "no", "--epochs", "1",
-                  "--out", str(out)]) == 1
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert "plus_chars" in err["message"]
-    assert not (out / "checkpoint.swck").exists()
-
-
 def test_default_out_uses_env_dir(workspace, tmp_path, monkeypatch):
     root, synth = workspace
     monkeypatch.setenv("SCENEWISE_OUT", str(tmp_path))
@@ -556,7 +541,7 @@ def test_trajectories_window_even_or_below_one_is_usage_error(workspace, tmp_pat
 def test_threshold_outside_unit_interval_is_usage_error(workspace, tmp_path,
                                                         command, value):
     _, synth = workspace
-    data = corpus_args(synth) if command == "train" else data_args(synth)
+    data = train_args(synth) if command == "train" else data_args(synth)
     with pytest.raises(SystemExit) as exc:
         main([command] + data + THRESHOLD_FLAGS[command]
              + ["--threshold", value, "--out", str(tmp_path / "out")])
@@ -589,13 +574,66 @@ def test_checkpoint_commands_take_no_ingest_flag(workspace, tmp_path, capsys,
 
 def without_ingest(manifest):
     manifest.pop("ingest")
+    return "ingest"
 
 
 def with_unknown_ingest_key(manifest):
     manifest["ingest"]["scene_cap"] = 60
+    return "scene_cap"
 
 
-@pytest.mark.parametrize("change", [without_ingest, with_unknown_ingest_key])
+def with_cap_as_string(manifest):
+    manifest["ingest"]["cap"] = "60"
+    return "cap"
+
+
+def with_seed_as_string(manifest):
+    manifest["ingest"]["seed"] = "0"
+    return "seed"
+
+
+def with_count_as_bool(manifest):
+    manifest["ingest"]["min_count"] = True
+    return "min_count"
+
+
+def with_fraction_as_string(manifest):
+    manifest["ingest"]["heldout_fraction"] = "0.2"
+    return "heldout_fraction"
+
+
+def rejected_checkpoint_argv(synth, command, bad, out):
+    """``command`` reading checkpoint ``bad`` and writing ``out``."""
+    if command == "trajectories":
+        return trajectory_args(synth, bad, out)
+    extra = (["--tag-embeddings", str(synth / "tag_embeddings.tsv")]
+             if command == "eval-sim" else [])
+    return ([command] + data_args(synth) + extra
+            + ["--checkpoint", str(bad), "--out", str(out)])
+
+
+def assert_refused_before_reading(argv, bad, key, out, capsys, monkeypatch):
+    """``argv`` exits 1 with one JSON ``DataError`` line naming checkpoint
+    ``bad`` and ``key``, having read neither corpus nor embeddings and
+    written nothing."""
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("read the corpus before the checkpoint settings")
+
+    monkeypatch.setattr(cli, "ingest", no_read)
+    monkeypatch.setattr(cli.WordEmbeddings, "load", no_read)
+    assert run(argv) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "DataError"
+    assert str(bad) in err["message"] and key in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("change", [without_ingest, with_unknown_ingest_key,
+                                    with_cap_as_string, with_seed_as_string,
+                                    with_count_as_bool, with_fraction_as_string])
 @pytest.mark.parametrize("command", ["evaluate", "eval-sim", "trajectories"])
 def test_checkpoint_without_readable_ingest_settings_is_data_error(
         workspace, trained, descriptor_run, tmp_path, capsys, monkeypatch,
@@ -604,28 +642,105 @@ def test_checkpoint_without_readable_ingest_settings_is_data_error(
     src = (descriptor_run[0] / "descriptors.swck" if command == "trajectories"
            else trained[0] / "checkpoint.swck")
     params, manifest = load_checkpoint(src)
-    change(manifest)
+    key = change(manifest)
     bad = tmp_path / "bad.swck"
     save_checkpoint(bad, params, manifest)
-
-    def no_read(*args, **kwargs):
-        raise AssertionError("read the corpus before the ingest settings")
-
-    monkeypatch.setattr(cli, "ingest", no_read)
-    monkeypatch.setattr(cli.WordEmbeddings, "load", no_read)
     out = tmp_path / "out"
-    if command == "trajectories":
-        argv = trajectory_args(synth, bad, out)
+    assert_refused_before_reading(rejected_checkpoint_argv(synth, command, bad, out),
+                                  bad, key, out, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("key,value", [("k", "5"), ("recurrent", 0),
+                                       ("alpha", None), ("init", 1),
+                                       ("bogus", 1), ("top_words", "missing")])
+def test_trajectories_refuses_unreadable_descriptor_config(
+        workspace, descriptor_run, tmp_path, capsys, monkeypatch, key, value):
+    _, synth = workspace
+    params, manifest = load_checkpoint(descriptor_run[0] / "descriptors.swck")
+    if value == "missing":
+        del manifest["config"][key]
     else:
-        extra = (["--tag-embeddings", str(synth / "tag_embeddings.tsv")]
-                 if command == "eval-sim" else [])
-        argv = ([command] + data_args(synth) + extra
-                + ["--checkpoint", str(bad), "--out", str(out)])
-    assert run(argv) == 1
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert err["error"] == "DataError"
-    assert str(bad) in err["message"] and "ingest settings" in err["message"]
+        manifest["config"][key] = value
+    bad = tmp_path / "bad.swck"
+    save_checkpoint(bad, params, manifest)
+    out = tmp_path / "traj.svg"
+    assert_refused_before_reading(trajectory_args(synth, bad, out), bad,
+                                  repr(key), out, capsys, monkeypatch)
+
+
+def test_trajectories_reads_an_int_for_a_float_setting(workspace, descriptor_run,
+                                                      tmp_path):
+    _, synth = workspace
+    src = descriptor_run[0] / "descriptors.swck"
+    params, manifest = load_checkpoint(src)
+    assert manifest["config"]["ortho_lambda"] == 10.0
+    manifest["config"]["ortho_lambda"] = 10
+    save_checkpoint(tmp_path / "int.swck", params, manifest)
+    assert run(trajectory_args(synth, src, tmp_path / "a.svg")) == 0
+    assert run(trajectory_args(synth, tmp_path / "int.swck", tmp_path / "b.svg")) == 0
+    assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
+
+
+def train_variant_action():
+    sub = cli.build_arg_parser()._subparsers._group_actions[0].choices["train"]
+    return next(a for a in sub._actions if a.dest == "variant")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--variant", "boe"], ["--variant", "boe_attn"], ["--variant", "gru"],
+    ["--variant", "gru_attn"], ["--variant", "plus_chars"],
+    ["--descriptor-min-movies", "3"], ["--descriptor-top-exclude", "25"],
+], ids=lambda argv: "=".join(argv))
+def test_train_refuses_removed_spellings(workspace, tmp_path, argv):
+    _, synth = workspace
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["train"] + train_args(synth)
+             + ["--attribute", "genre", "--epochs", "1", "--out", str(out)] + argv)
+    assert exc.value.code == 2
     assert not out.exists()
+
+
+def test_train_variant_choices_name_structures_only():
+    assert train_variant_action().choices == [
+        "full", "minus_action", "minus_dialogue", "two_tier", "han", "loglines"]
+
+
+def test_each_variant_builds_a_distinct_model(workspace):
+    _, synth = workspace
+    corpus, _ = ingest(synth / "scripts", synth / "tags.json",
+                       synth / "embeddings.txt", IngestConfig(min_count=2))
+    taxonomy = TagTaxonomy.from_items(corpus.items, "genre")
+    structures = {}
+    for variant in train_variant_action().choices:
+        model, _ = cli._build_tag_model(corpus, taxonomy, variant, "gru_attn",
+                                        "auto", hidden=2, seed=0)
+        shapes = sorted((name, t.data.shape)
+                        for name, t in model.named_params().items())
+        layout = getattr(model.encoder, "block_layout", None)
+        structures[variant] = (shapes, layout)
+    for i, a in enumerate(structures):
+        for b in list(structures)[i + 1:]:
+            assert structures[a] != structures[b], (a, b)
+
+
+def test_evaluate_refuses_plus_chars_checkpoint(workspace, tmp_path, capsys):
+    _, synth = workspace
+    out = tmp_path / "run"
+    assert run(["train"] + train_args(synth)
+               + ["--attribute", "genre", "--encoder", "boe", "--epochs", "1",
+                  "--out", str(out)]) == 0
+    params, manifest = load_checkpoint(out / "checkpoint.swck")
+    assert manifest["model"]["include_chars"] is True
+    manifest["variant"] = manifest["model"]["variant"] = "plus_chars"
+    save_checkpoint(tmp_path / "old.swck", params, manifest)
+    report = tmp_path / "eval.json"
+    assert run(["evaluate"] + data_args(synth)
+               + ["--checkpoint", str(tmp_path / "old.swck"),
+                  "--out", str(report)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert "plus_chars" in err["message"]
+    assert not report.exists()
 
 
 def test_trajectories_cut_scenes_at_the_checkpoint_cap(workspace, tmp_path):

@@ -46,7 +46,7 @@ from scenewise.encoders import (
 from scenewise.errors import DataError, EmptyScript, EmptyStatement
 from scenewise.parser import Screenplay, parse_script
 
-from conftest import embedding_rows
+from conftest import action_texts, dialogue_lines, embedding_rows, speakers
 from test_autodiff import dot, stack
 from test_encoders import action, dialogue, scene_of
 from test_parser import raw_scripts
@@ -74,9 +74,9 @@ def oracle_encode_tokens(sequences, vectors, encoder):
 
 def oracle_channel_statements(scene, channel):
     if channel == "action":
-        texts = scene.action_statements
+        texts = action_texts(scene)
     elif channel == "dialogue":
-        texts = [text for _, text in scene.dialogue_statements]
+        texts = [text for _, text in dialogue_lines(scene)]
     else:
         texts = [s.text for s in scene.statements]
     return [toks for toks in (tokenize(t) for t in texts) if toks]
@@ -101,7 +101,7 @@ def oracle_channel(model, scenes, channel):
 
 
 def oracle_characters(model, scenes):
-    names = [sorted(scene.characters) for scene in scenes]
+    names = [sorted(speakers(scene)) for scene in scenes]
     kept = [i for i, per in enumerate(names) if per]
     if not kept:
         return ad.constant(np.zeros((len(scenes), model.char_dim)))

@@ -22,7 +22,7 @@ from scenewise.corpus import (
 )
 from scenewise.errors import DataError
 
-from conftest import embedding_rows
+from conftest import dialogue_lines, embedding_rows, speakers
 
 
 def test_tokenize_basic():
@@ -127,7 +127,7 @@ def test_synthetic_corpus_satisfies_parser_invariants(tmp_path, seed):
         assert [s.index for s in play.scenes] == list(range(1, len(play.scenes) + 1))
         for scene in play.scenes:
             assert len(scene.statements) <= 10
-            assert scene.characters == {c for c, _ in scene.dialogue_statements}
+            assert speakers(scene) == {c for c, _ in dialogue_lines(scene)}
         split_again = oracle.split_long_scenes(play, cap=10)
         assert split_again == play
         table = parser.to_table(play)
@@ -215,7 +215,7 @@ def walked_characters(corpus):
     names = set()
     for it in corpus.train_items + corpus.validation_items:
         for scene in it.screenplay.scenes:
-            names.update(scene.characters)
+            names.update(speakers(scene))
     return sorted(names)
 
 

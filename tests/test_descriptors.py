@@ -46,7 +46,7 @@ from scenewise.errors import (
 from scenewise.parser import Scene, Screenplay, Statement, StatementKind
 
 from conftest import embedding_rows
-from test_autodiff import dot
+from test_autodiff import dot, gradcheck
 
 
 def rng(seed=0):
@@ -173,7 +173,7 @@ def test_descriptor_loss_gradients_match_finite_differences():
         w = reconstruct(o, r_matrix)
         return descriptor_loss(w, us, neg, r_matrix, lam=10.0)
 
-    assert ad.gradcheck(loss, list(params.values())) < 1e-4
+    assert gradcheck(loss, list(params.values())) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +285,7 @@ def test_hinge_terms_gradient_matches_finite_differences():
                + np.einsum("td,tjd->tj", w.data, us[neg]))
     assert np.abs(margins).min() > 0.1
     assert (margins > 0).any() and (margins < 0).any()
-    assert ad.gradcheck(lambda: hinge_terms(w, us, neg), [w]) < 1e-8
+    assert gradcheck(lambda: hinge_terms(w, us, neg), [w]) < 1e-8
     assert abs(hinge_terms(w, us, neg).item()
                - np.maximum(margins, 0.0).sum()) < 1e-12
 

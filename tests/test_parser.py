@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parser_oracle as oracle
+from conftest import action_texts, dialogue_lines, speakers
 from scenewise.errors import EmptyScript
 from scenewise.parser import (
     Scene,
@@ -99,16 +100,16 @@ def test_segment_fragment_matches_table_structure():
     assert len(play.scenes) == 1
     scene = play.scenes[0]
     assert scene.heading == "EXT. APARTMENT BUILDING COURTYARD - MORNING"
-    assert scene.action_statements == [
+    assert action_texts(scene) == [
         "Vincent and Jules.",
         "We TRACK alongside them toward one of the apartments.",
     ]
-    assert scene.dialogue_statements == [
+    assert dialogue_lines(scene) == [
         ("VINCENT", "What's her name?"),
         ("JULES", "Mia."),
         ("VINCENT", "How did Marsellus and her meet?"),
     ]
-    assert scene.characters == {"VINCENT", "JULES"}
+    assert speakers(scene) == {"VINCENT", "JULES"}
 
 
 def test_fixture_parses_to_scene_four():
@@ -129,7 +130,7 @@ def test_no_headings_single_scene():
     play = parse_script("x", text, cap=None)
     assert len(play.scenes) == 1
     assert play.scenes[0].heading is None
-    assert len(play.scenes[0].action_statements) == 5
+    assert len(action_texts(play.scenes[0])) == 5
 
 
 def test_adjacent_headings_keep_empty_scene():
@@ -137,7 +138,7 @@ def test_adjacent_headings_keep_empty_scene():
     play = parse_script("x", text, cap=None)
     assert len(play.scenes) == 2
     assert play.scenes[0].statements == []
-    assert play.scenes[1].action_statements == ["Some action."]
+    assert action_texts(play.scenes[1]) == ["Some action."]
 
 
 def test_empty_script_raises():
@@ -174,8 +175,8 @@ def test_split_recomputes_characters():
             + " " * 10 + "B\n" + "    yo\n" * 2)
     out = parse_script("x", text, cap=2)
     assert [len(s.statements) for s in out.scenes] == [2, 2]
-    assert out.scenes[0].characters == {"A"}
-    assert out.scenes[1].characters == {"B"}
+    assert speakers(out.scenes[0]) == {"A"}
+    assert speakers(out.scenes[1]) == {"B"}
 
 
 def test_cap_below_one_raises():
@@ -262,17 +263,17 @@ def test_messy_fragment_classification():
     assert not any("CUT TO" in t for t in texts)
     assert not any(t.startswith("(") for t in texts)
     # wrapped dialogue keeps per-line statements attributed to the cue
-    assert platform.dialogue_statements == [
+    assert dialogue_lines(platform) == [
         ("PORTER", "Last train out tonight, missus."),
         ("PORTER", "Best be quick about it."),
         ("WIDOW", "I'm in no hurry anymore."),
     ]
-    assert platform.characters == {"PORTER", "WIDOW"}
+    assert speakers(platform) == {"PORTER", "WIDOW"}
     bar = play.scenes[2]
-    assert bar.dialogue_statements == [("BARTENDER", "We're closed.")]
+    assert dialogue_lines(bar) == [("BARTENDER", "We're closed.")]
     # action paragraphs survive line by line
     assert "The porter shrugs and disappears into the fog." \
-        in platform.action_statements
+        in action_texts(platform)
 
 
 def test_quality_report_counts():
@@ -293,7 +294,7 @@ def test_heading_needs_standard_prefix():
 def test_cue_with_tab_keeps_table_round_trip():
     text = "INT. ROOM - DAY\n\n\t\t\tBOB\tSMITH\n\t\tHello there.\n"
     play = parse_script("t", text)
-    assert play.scenes[0].dialogue_statements == [("BOB SMITH", "Hello there.")]
+    assert dialogue_lines(play.scenes[0]) == [("BOB SMITH", "Hello there.")]
     assert parse_table(to_table(play)) == play
 
 
