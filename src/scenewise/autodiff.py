@@ -17,22 +17,25 @@ gate ``r`` and candidate state, which is normative for this package::
 A direction stores its gates fused, in the layout the op reads: the input
 weights ``[Wz|Wr|Wh]`` as one (input_dim, 3 hidden) array, the recurrent
 ``[Uz|Ur]`` as one (hidden, 2 hidden) array beside ``Uh`` (hidden, hidden),
-and the biases ``[bz|br|bh]`` as one vector.  ``gru_direction`` runs one
-direction over a batch of sequences as a single tape node.  The batch is
+and the biases ``[bz|br|bh]`` as one vector.  ``bi_gru`` runs both
+directions over a batch of sequences as a single tape node.  The batch is
 right-padded to ``(B, T, D)`` and ``lengths[b]`` says how many leading
 steps of row ``b`` are real; every row starts from a zero state, the
 forward direction reads steps ``0 .. L-1`` and the reverse direction
-``L-1 .. 0``.  It makes one ``x [Wz|Wr|Wh]`` product for all steps and
-one ``h [Uz|Ur]`` product per step.  A padded step leaves the state
+``L-1 .. 0``.  It makes one ``x [Wz|Wr|Wh]`` product per direction for all
+steps, lays the two directions side by side time-major with the reverse
+one's time axis flipped, and steps both in one loop with one stacked
+``h [Uz|Ur]`` product per step.  A padded step leaves the state
 unchanged, its output is exactly zero, and its input receives exactly zero
 gradient.  The VJP is hand-written backpropagation through time over the
-saved gate activations; it returns the input's gradient and each stored
-array's.
-``bi_gru`` concatenates the two directions.  ``attention_pool`` pools such
-a batch with one attention vector, masking the padded steps, also as a
-single node, and ``mean_rows`` averages runs of consecutive rows.  Every
-sequence op takes its batch's ``lengths`` and returns one tensor with a
-batch axis; a single sequence is a batch of one.  ``margin_hinge`` sums the
+saved gate activations, again both directions per step; the weight
+gradients sum each direction's steps in its batch order, so they are the
+sums one direction at a time would give.  It returns the input's gradient
+and each stored array's.  ``attention_pool`` pools such a batch with one
+attention vector, masking the padded steps, also as a single node, and
+``mean_rows`` averages runs of consecutive rows.  Every sequence op takes
+its batch's ``lengths`` and returns one tensor with a batch axis; a
+single sequence is a batch of one.  ``margin_hinge`` sums the
 max-margin hinge of every row of a matrix against its negatives as one
 node, with a hand-written VJP.
 """
@@ -279,7 +282,7 @@ def total(a: Tensor) -> Tensor:
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -391,74 +394,88 @@ def init_bi_gru(rng: np.random.Generator, input_dim: int, hidden_per_direction: 
                  bw=init_gru_direction(rng, input_dim, hidden_per_direction))
 
 
-def gru_direction(xs: Tensor, p: GruDirection, lengths, reverse: bool = False
-                  ) -> Tensor:
-    """One GRU direction over a right-padded (B, T, D) batch, as one tape node.
+def _time_major(fw: np.ndarray, bw: np.ndarray) -> np.ndarray:
+    """(T, 2, B, F) from two (B, T, F) arrays, the second's time axis flipped,
+    so step ``t`` of both directions is one contiguous slice."""
+    return np.stack([fw.transpose(1, 0, 2), bw[:, ::-1].transpose(1, 0, 2)], axis=1)
 
-    Returns the (B, T, H) hidden states, exactly zero at padded steps; see
-    the module docstring for the masking and the backward pass.
+
+def bi_gru(xs: Tensor, p: BiGru, lengths) -> Tensor:
+    """Both GRU directions over a right-padded (B, T, D) batch, as one tape node.
+
+    Returns the (B, T, 2H) per-step outputs ``c_1 .. c_L`` of each sequence,
+    each the forward hidden state at that step beside the backward one, and
+    exactly zero at padded steps; see the module docstring for the masking
+    and the backward pass.
     """
     mask = _step_mask(xs.data.shape, np.asarray(lengths))
     x = xs.data
     n, t_max, d = x.shape
-    h_dim = p.hidden_dim
-    w, u_zr, uh = p.w.data, p.u_zr.data, p.u_h.data
-    if d != w.shape[0]:
-        raise ShapeMismatch(f"gru_direction: input {x.shape} vs W {w.shape}")
-    gates_x = (x.reshape(-1, d) @ w + p.b.data).reshape(n, t_max, 3 * h_dim)
-    # per step: the state read (h_prev), the gates and the candidate
-    h_prev = np.empty((n, t_max, h_dim))
-    zr = np.empty((n, t_max, 2 * h_dim))
-    cand = np.empty((n, t_max, h_dim))
-    out = np.empty((n, t_max, h_dim))
-    steps = range(t_max - 1, -1, -1) if reverse else range(t_max)
-    h = np.zeros((n, h_dim))
-    for t in steps:
-        h_prev[:, t] = h
-        zr[:, t] = gate = _sigmoid(gates_x[:, t, :2 * h_dim] + h @ u_zr)
-        z, r = gate[:, :h_dim], gate[:, h_dim:]
-        cand[:, t] = c = np.tanh(gates_x[:, t, 2 * h_dim:] + (r * h) @ uh)
-        h = h + mask[:, t] * (z * (c - h))
-        out[:, t] = h
+    dirs = (p.fw, p.bw)
+    h_dim = p.fw.hidden_dim
+    for q in dirs:
+        if d != q.w.data.shape[0]:
+            raise ShapeMismatch(f"bi_gru: input {x.shape} vs W {q.w.data.shape}")
+    flat_x = x.reshape(-1, d)
+    u_zr = np.stack([q.u_zr.data for q in dirs])
+    uh = np.stack([q.u_h.data for q in dirs])
+    gates_x = _time_major(*((flat_x @ q.w.data + q.b.data).reshape(n, t_max, -1)
+                            for q in dirs))
+    live_steps = _time_major(mask, mask)
+    # states[t] is the state step t reads, states[t + 1] the one it writes
+    states = np.zeros((t_max + 1, 2, n, h_dim))
+    zr = np.empty((t_max, 2, n, 2 * h_dim))
+    cand = np.empty((t_max, 2, n, h_dim))
+    h = states[0]
+    for t in range(t_max):
+        zr[t] = gate = _sigmoid(gates_x[t, ..., :2 * h_dim] + h @ u_zr)
+        z, r = gate[..., :h_dim], gate[..., h_dim:]
+        cand[t] = c = np.tanh(gates_x[t, ..., 2 * h_dim:] + (r * h) @ uh)
+        states[t + 1] = h = h + live_steps[t] * (z * (c - h))
+    h_prev = states[:-1]
+    out = np.concatenate([states[1:, 0].transpose(1, 0, 2),
+                          states[:0:-1, 1].transpose(1, 0, 2)], axis=-1)
     out *= mask
 
+    def batch_major(a: np.ndarray, k: int) -> np.ndarray:
+        """Direction ``k`` of a (T, 2, B, F) array as (B * T, F) rows in the
+        batch's own step order, so reductions over them sum as one
+        direction at a time would."""
+        a = a[:, 0] if k == 0 else a[::-1, 1]
+        return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(n * t_max, -1)
+
     def vjp(g: np.ndarray) -> tuple:
+        g = _time_major(g[..., :h_dim], g[..., h_dim:])
         z, r = zr[..., :h_dim], zr[..., h_dim:]
-        d_gates = np.empty((n, t_max, 3 * h_dim))  # pre-activation grads
-        dh = np.zeros((n, h_dim))
-        for t in reversed(steps):
-            m = mask[:, t]
-            dh = dh + m * g[:, t]
-            hp, zt, rt, ct = h_prev[:, t], z[:, t], r[:, t], cand[:, t]
+        u_zr_t, uh_t = u_zr.transpose(0, 2, 1), uh.transpose(0, 2, 1)
+        d_gates = np.empty((t_max, 2, n, 3 * h_dim))  # pre-activation grads
+        dh = np.zeros((2, n, h_dim))
+        for t in range(t_max - 1, -1, -1):
+            m = live_steps[t]
+            dh = dh + m * g[t]
+            hp, zt, rt, ct = h_prev[t], z[t], r[t], cand[t]
             live = m * dh
             d_c = live * zt * (1.0 - ct * ct)
-            d_rh = d_c @ uh.T
-            d_zr = d_gates[:, t, :2 * h_dim]
-            d_zr[:, :h_dim] = live * (ct - hp) * zt * (1.0 - zt)
-            d_zr[:, h_dim:] = d_rh * hp * rt * (1.0 - rt)
-            d_gates[:, t, 2 * h_dim:] = d_c
-            dh = dh * (1.0 - m * zt) + d_rh * rt + d_zr @ u_zr.T
-        flat = d_gates.reshape(-1, 3 * h_dim)
-        d_w = x.reshape(-1, d).T @ flat
-        d_u_zr = h_prev.reshape(-1, h_dim).T @ d_gates[..., :2 * h_dim].reshape(
-            -1, 2 * h_dim)
-        d_uh = (r * h_prev).reshape(-1, h_dim).T @ flat[:, 2 * h_dim:]
-        d_b = flat.sum(axis=0)
-        d_x = (flat @ w.T).reshape(x.shape) if xs.requires_grad else None
-        return (d_x, d_w, d_u_zr, d_uh, d_b)
+            d_rh = d_c @ uh_t
+            d_zr = d_gates[t, ..., :2 * h_dim]
+            d_zr[..., :h_dim] = live * (ct - hp) * zt * (1.0 - zt)
+            d_zr[..., h_dim:] = d_rh * hp * rt * (1.0 - rt)
+            d_gates[t, ..., 2 * h_dim:] = d_c
+            dh = dh * (1.0 - m * zt) + d_rh * rt + d_zr @ u_zr_t
+        grads, d_x = [], None
+        for k, q in enumerate(dirs):
+            flat = batch_major(d_gates, k)
+            hp = batch_major(h_prev, k)
+            grads += [flat_x.T @ flat, hp.T @ flat[:, :2 * h_dim],
+                      (batch_major(r, k) * hp).T @ flat[:, 2 * h_dim:],
+                      flat.sum(axis=0)]
+            if xs.requires_grad:
+                d_k = (flat @ q.w.data.T).reshape(x.shape)
+                d_x = d_k if d_x is None else d_x + d_k
+        return (d_x, *grads)
 
-    return _op(out, (xs, p.w, p.u_zr, p.u_h, p.b), vjp)
-
-
-def bi_gru(xs: Tensor, p: BiGru, lengths) -> Tensor:
-    """Both directions over a right-padded (B, T, D) batch.
-
-    Returns the (B, T, 2H) per-step outputs ``c_1 .. c_L`` of each sequence,
-    each the concatenation of the forward and backward hidden states at
-    that step, and zero at padded steps.
-    """
-    return concat([gru_direction(xs, p.fw, lengths),
-                   gru_direction(xs, p.bw, lengths, reverse=True)])
+    return _op(out, (xs, *(t for q in dirs for t in (q.w, q.u_zr, q.u_h, q.b))),
+               vjp)
 
 
 # the smallest |sum| that linear attention divides by
@@ -558,7 +575,14 @@ def clip_grad_norm(params: Iterable[Tensor], max_norm: float = 5.0) -> float:
 
 
 class Adam:
-    """Adam with bias correction over a named parameter dict."""
+    """Adam with bias correction over a named parameter dict.
+
+    The moments are updated in place and each step's terms are computed in
+    one scratch buffer pair sized for the largest parameter, in the
+    textbook formula's order of operations, so the values are those of
+    ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
+    ``p -= lr m_hat / (sqrt(v_hat) + eps)`` to the bit.
+    """
 
     BETA1 = 0.9
     BETA2 = 0.999
@@ -570,6 +594,8 @@ class Adam:
         self.step_count = 0
         self.m = {k: np.zeros_like(t.data) for k, t in self.params.items()}
         self.v = {k: np.zeros_like(t.data) for k, t in self.params.items()}
+        self._scratch = np.empty(
+            (2, max((t.data.size for t in self.params.values()), default=0)))
 
     def zero_grad(self) -> None:
         for t in self.params.values():
@@ -578,11 +604,21 @@ class Adam:
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
+        m_scale, v_scale = 1.0 - self.BETA1 ** t, 1.0 - self.BETA2 ** t
         for name, p in self.params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.m[name] = self.BETA1 * self.m[name] + (1.0 - self.BETA1) * g
-            self.v[name] = self.BETA2 * self.v[name] + (1.0 - self.BETA2) * (g * g)
-            m_hat = self.m[name] / (1.0 - self.BETA1 ** t)
-            v_hat = self.v[name] / (1.0 - self.BETA2 ** t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
-
+            m, v = self.m[name], self.v[name]
+            a, b = (buf[:p.data.size].reshape(p.data.shape) for buf in self._scratch)
+            m *= self.BETA1
+            m += np.multiply(1.0 - self.BETA1, g, out=a)
+            v *= self.BETA2
+            np.multiply(g, g, out=a)
+            a *= 1.0 - self.BETA2
+            v += a
+            np.divide(m, m_scale, out=a)
+            a *= self.lr
+            np.divide(v, v_scale, out=b)
+            np.sqrt(b, out=b)
+            b += self.EPS
+            a /= b
+            p.data -= a

@@ -21,9 +21,10 @@ import argparse
 import json
 import logging
 import os
+import reprlib
 import sys
 import typing
-from dataclasses import fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +60,14 @@ from .descriptors import (
     pretrain_reconstruction_target,
     train_descriptors,
 )
-from .encoders import EncoderKind, EncoderSpec, HierarchicalModel, Variant
+from .encoders import (
+    PAPER_LINEAR,
+    SOFTMAX,
+    EncoderKind,
+    EncoderSpec,
+    HierarchicalModel,
+    Variant,
+)
 from .errors import DataError, EmptyScript, ScenewiseError, VocabularyMismatch
 from .evaluation import load_tag_embeddings, micro_f1, similarity_report
 from .ioutil import atomic_write_text, config_hash
@@ -191,10 +199,61 @@ def _build_tag_model(corpus: Corpus, taxonomy: TagTaxonomy,
     return model, model_config
 
 
+@dataclass(frozen=True)
+class _ScriptModelSettings:
+    """A tag checkpoint's record of its ``HierarchicalModel``."""
+
+    type: str
+    variant: typing.Literal[tuple(v.value for v in Variant)]
+    include_chars: bool
+    kind: typing.Literal[tuple(k.value for k in EncoderKind)]
+    input_dim: int
+    hidden_per_direction: int
+    attention_normalization: typing.Literal[SOFTMAX, PAPER_LINEAR]
+    char_dim: int
+    characters: list[str]
+    seed: int
+
+
+@dataclass(frozen=True)
+class _LoglinesModelSettings:
+    """A tag checkpoint's record of its ``LoglinesModel``."""
+
+    type: str
+    hidden_per_direction: int
+    seed: int
+
+
+_MODEL_SETTINGS = {"script": _ScriptModelSettings,
+                   "loglines": _LoglinesModelSettings}
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value is of type ``hint``: an int serves for a float,
+    only a bool for a bool, a ``Literal`` names the strings allowed, and
+    ``list[item]`` is a list of ``item``."""
+    origin = typing.get_origin(hint)
+    if origin is typing.Literal:
+        return type(value) is str and value in typing.get_args(hint)
+    if origin is list:
+        return type(value) is list and all(_fits(v, typing.get_args(hint)[0])
+                                           for v in value)
+    return type(value) in ((int, float) if hint is float else (hint,))
+
+
+def _expected(hint) -> str:
+    origin = typing.get_origin(hint)
+    if origin is typing.Literal:
+        return "one of " + ", ".join(map(repr, typing.get_args(hint)))
+    if origin is list:
+        return f"a list of {_expected(typing.get_args(hint)[0])}"
+    return hint.__name__
+
+
 def _manifest_settings(path: str, manifest: dict, key: str, cls):
     """``manifest[key]`` as a ``cls`` dataclass; a ``DataError`` naming
     ``path`` and the key unless it holds exactly ``cls``'s fields, each of
-    its field's type (an int serves for a float, only a bool for a bool)."""
+    its field's type (see ``_fits``)."""
     record = manifest.get(key)
     if not isinstance(record, dict):
         raise DataError(f"{path}: the manifest has no {key} settings")
@@ -205,10 +264,10 @@ def _manifest_settings(path: str, manifest: dict, key: str, cls):
     for name, hint in hints.items():
         if name not in record:
             raise DataError(f"{path}: the manifest's {key} settings lack {name!r}")
-        value = record[name]
-        if type(value) not in ((int, float) if hint is float else (hint,)):
+        if not _fits(record[name], hint):
             raise DataError(f"{path}: the manifest's {key} settings hold "
-                            f"{value!r} for {name!r}; expected {hint.__name__}")
+                            f"{reprlib.repr(record[name])} for {name!r}; "
+                            f"expected {_expected(hint)}")
     return cls(**record)
 
 
@@ -224,16 +283,29 @@ def _checkpoint_of_kind(path: str, kind: str) -> tuple[dict, dict, IngestConfig]
                                                 IngestConfig)
 
 
-def _rebuild_tag_model(manifest: dict, corpus: Corpus):
+def _tag_model_settings(path: str, manifest: dict):
+    """A tag checkpoint's model record, read before anything is ingested; a
+    ``DataError`` naming ``path`` and the key unless it is a script or a
+    loglines model's record of the right keys, types and values."""
+    record = manifest.get("model")
+    model_type = record.get("type") if isinstance(record, dict) else None
+    if isinstance(record, dict) and model_type not in tuple(_MODEL_SETTINGS):
+        raise DataError(f"{path}: the manifest's model settings hold "
+                        f"{reprlib.repr(model_type)} for 'type'; expected one "
+                        f"of {', '.join(map(repr, _MODEL_SETTINGS))}")
+    return _manifest_settings(path, manifest, "model",
+                              _MODEL_SETTINGS.get(model_type, _ScriptModelSettings))
+
+
+def _rebuild_tag_model(settings, manifest: dict, corpus: Corpus):
     taxonomy = TagTaxonomy.from_dict(manifest["taxonomy"])
-    mc = manifest["model"]
-    if mc["type"] == "loglines":
+    if isinstance(settings, _LoglinesModelSettings):
         model = LoglinesModel(corpus.vectors(), len(taxonomy),
-                              hidden_per_direction=mc["hidden_per_direction"],
-                              seed=mc["seed"])
+                              hidden_per_direction=settings.hidden_per_direction,
+                              seed=settings.seed)
         return model, taxonomy, True
-    encoder = HierarchicalModel.from_config(mc, corpus.vectors())
-    model = ScriptTagModel(encoder, len(taxonomy), seed=mc["seed"])
+    encoder = HierarchicalModel.from_config(asdict(settings), corpus.vectors())
+    model = ScriptTagModel(encoder, len(taxonomy), seed=settings.seed)
     return model, taxonomy, False
 
 
@@ -307,13 +379,14 @@ def cmd_train(args: argparse.Namespace) -> int:
 def _load_for_evaluation(args: argparse.Namespace):
     params, manifest, ingest_config = _checkpoint_of_kind(args.checkpoint,
                                                           "tag_model")
+    settings = _tag_model_settings(args.checkpoint, manifest)
     corpus, _ = ingest(args.scripts, args.tags, args.embeddings, ingest_config,
                        loglines_path=args.loglines)
     if corpus.vocabulary.hash() != manifest["vocabulary_hash"]:
         raise VocabularyMismatch(
             f"{args.checkpoint}: checkpoint vocabulary hash does not match "
             f"the corpus under {args.scripts}")
-    model, taxonomy, use_loglines = _rebuild_tag_model(manifest, corpus)
+    model, taxonomy, use_loglines = _rebuild_tag_model(settings, manifest, corpus)
     load_params(model.named_params(), params)
     items = {"train": corpus.train_items, "validation": corpus.validation_items,
              "heldout": corpus.heldout_items,

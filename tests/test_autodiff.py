@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import gru_oracle
 from scenewise import autodiff as ad
 from scenewise.errors import EmptySequence, ShapeMismatch
 
@@ -290,8 +291,8 @@ def gates(p):
 
 
 def gru_cell(x, h_prev, p):
-    """One GRU step for a single input vector: the per-step oracle that the
-    fused ``gru_direction`` op is checked against."""
+    """One GRU step for a single input vector: the per-step oracle that each
+    direction of the fused ``bi_gru`` op is checked against."""
     wz, wr, wh, uz, ur, uh, bz, br, bh = gates(p)
     z = sigmoid(ad.add(ad.add(ad.matmul(x, wz), ad.matmul(h_prev, uz)), bz))
     r = sigmoid(ad.add(ad.add(ad.matmul(x, wr), ad.matmul(h_prev, ur)), br))
@@ -314,6 +315,15 @@ def oracle_direction(xs, b, length, p, reverse=False):
     if reverse:
         states.reverse()
     return stack(states)
+
+
+def bi_gru_half(xs, p, lengths, reverse=False):
+    """The (B, T, H) half of ``bi_gru``'s output that direction ``p``
+    computes, as a tape node: ``p`` runs as the backward direction with
+    ``reverse`` and as the forward one otherwise, beside a fresh draw."""
+    other = ad.init_gru_direction(rng(99), p.w.data.shape[0], p.hidden_dim)
+    pair = ad.BiGru(fw=other, bw=p) if reverse else ad.BiGru(fw=p, bw=other)
+    return columns(ad.bi_gru(xs, pair, lengths), int(reverse), p.hidden_dim)
 
 
 def test_gru_cell_zero_params_zero_state():
@@ -393,7 +403,7 @@ def test_gru_cell_matches_sequence_path():
     h = ad.constant(np.zeros(2))
     for t in range(5):
         h = gru_cell(ad.constant(xs_data[t]), h, p)
-    outputs = ad.gru_direction(ad.constant(xs_data[None]), p, [5])
+    outputs = bi_gru_half(ad.constant(xs_data[None]), p, [5])
     assert np.allclose(h.data, outputs.data[0, -1], atol=1e-12)
 
 
@@ -411,7 +421,7 @@ def ragged_batch(seed, dim=3):
 def test_fused_gru_forward_matches_oracle(reverse):
     p = ad.init_gru_direction(rng(21), 3, 4)
     xs = ad.constant(ragged_batch(22))
-    out = ad.gru_direction(xs, p, RAGGED_LENGTHS, reverse).data
+    out = bi_gru_half(xs, p, RAGGED_LENGTHS, reverse).data
     for b, length in enumerate(RAGGED_LENGTHS):
         expected = oracle_direction(xs, b, length, p, reverse).data
         assert np.max(np.abs(out[b, :length] - expected)) < 1e-12
@@ -430,7 +440,7 @@ def test_fused_gru_gradients_match_oracle(reverse):
         loss.backward()
         return [t.grad.copy() for t in params + [xs]]
 
-    fused = grads(ad.total(ad.mul(ad.gru_direction(xs, p, RAGGED_LENGTHS, reverse),
+    fused = grads(ad.total(ad.mul(bi_gru_half(xs, p, RAGGED_LENGTHS, reverse),
                                   ad.constant(probe))))
     oracle = grads(functools.reduce(ad.add, [
         ad.total(ad.mul(oracle_direction(xs, b, length, p, reverse),
@@ -453,6 +463,51 @@ def test_fused_gru_gradcheck_on_ragged_batch():
         return ad.total(ad.mul(ad.bi_gru(xs, p, RAGGED_LENGTHS), probe))
 
     assert gradcheck(fn, list(p.named("gru").values()) + [xs]) < 1e-4
+
+
+def test_bi_gru_is_one_tape_node_over_input_and_both_directions():
+    p = ad.init_bi_gru(rng(40), 3, 2)
+    xs = ad.constant(ragged_batch(41))
+    out = ad.bi_gru(xs, p, RAGGED_LENGTHS)
+    assert len(out._parents) == 9
+    assert out._parents[0] is xs
+    assert list(out._parents[1:]) == list(p.named("gru").values())
+
+
+# (lengths, input dim, hidden): ragged batches with length-1 rows, and B = 1
+BITWISE_CASES = [([3, 1, 5, 2, 4], 3, 4), ([1], 4, 3), ([6], 5, 2),
+                 ([1, 1, 1], 2, 3), ([9, 1, 4, 9, 2, 7, 1], 6, 5),
+                 ([2, 17, 1, 11], 20, 8)]
+
+
+@pytest.mark.parametrize("trainable_input", [False, True],
+                         ids=["constant_input", "trainable_input"])
+@pytest.mark.parametrize("lengths,dim,hidden", BITWISE_CASES)
+def test_bi_gru_matches_two_direction_oracle_bitwise(lengths, dim, hidden,
+                                                     trainable_input):
+    lengths = np.array(lengths)
+    data = rng(42).normal(size=(len(lengths), lengths.max(), dim))
+    probe = ad.constant(rng(43).normal(size=(len(lengths), lengths.max(),
+                                             2 * hidden)))
+    results = []
+    for op in (ad.bi_gru, gru_oracle.bi_gru):
+        p = ad.init_bi_gru(rng(44), dim, hidden)
+        for t in p.named("gru").values():  # nonzero biases too
+            t.data += rng(45).normal(scale=0.3, size=t.data.shape)
+        xs = (ad.parameter if trainable_input else ad.constant)(data.copy())
+        out = op(xs, p, lengths)
+        ad.total(ad.mul(out, probe)).backward()
+        results.append((out.data, xs.grad,
+                        [t.grad for t in p.named("gru").values()]))
+    (out, d_x, grads), (want, want_d_x, want_grads) = results
+    assert np.array_equal(out, want)
+    if trainable_input:
+        assert np.array_equal(d_x, want_d_x)
+    else:
+        assert d_x is None and want_d_x is None
+    assert len(grads) == len(want_grads) == 8
+    for got, expected in zip(grads, want_grads):
+        assert np.array_equal(got, expected)
 
 
 def test_mean_rows_runs_match_each_run_alone_bitwise():
@@ -523,3 +578,32 @@ def test_adam_deterministic():
         return p.data.copy()
 
     assert np.array_equal(run(), run())
+
+
+def test_adam_matches_textbook_update_bitwise():
+    shapes = [(4, 3), (5,), (2, 3, 4), (), (1,), (6, 2)]
+    params = {f"p{i}": ad.parameter(rng(50 + i).normal(size=shape))
+              for i, shape in enumerate(shapes)}
+    opt = ad.Adam(params, lr=5e-3)
+    values = {k: t.data.copy() for k, t in params.items()}
+    m = {k: np.zeros_like(v) for k, v in values.items()}
+    v = {k: np.zeros_like(x) for k, x in values.items()}
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, 5e-3
+    for step in range(1, 21):
+        grads = {k: rng(100 * step + i).normal(size=shape)
+                 for i, (k, shape) in enumerate(zip(params, shapes))}
+        if step % 3 == 0:  # a step no contribution reached this parameter
+            grads["p1"] = None
+        for k, t in params.items():
+            t.grad = None if grads[k] is None else grads[k].copy()
+        opt.step()
+        for k in values:
+            g = grads[k] if grads[k] is not None else np.zeros_like(values[k])
+            m[k] = b1 * m[k] + (1.0 - b1) * g
+            v[k] = b2 * v[k] + (1.0 - b2) * (g * g)
+            m_hat = m[k] / (1.0 - b1 ** step)
+            v_hat = v[k] / (1.0 - b2 ** step)
+            values[k] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            assert np.array_equal(params[k].data, values[k])
+            assert np.array_equal(opt.m[k], m[k])
+            assert np.array_equal(opt.v[k], v[k])

@@ -743,6 +743,69 @@ def test_evaluate_refuses_plus_chars_checkpoint(workspace, tmp_path, capsys):
     assert not report.exists()
 
 
+MISSING = object()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("hidden_per_direction", "50"), ("variant", "plus_chars"), ("kind", "lstm"),
+    ("attention_normalization", "linear"), ("include_chars", 1),
+    ("characters", ["A", 3]), ("seed", None), ("type", "lstm"),
+    ("char_dim", MISSING), ("bogus", 1),
+], ids=lambda v: "missing" if v is MISSING else str(v))
+@pytest.mark.parametrize("command", ["evaluate", "eval-sim"])
+def test_tag_checkpoint_model_settings_are_checked_before_ingest(
+        workspace, trained, tmp_path, capsys, monkeypatch, command, key, value):
+    _, synth = workspace
+    params, manifest = load_checkpoint(trained[0] / "checkpoint.swck")
+    if value is MISSING:
+        del manifest["model"][key]
+    else:
+        manifest["model"][key] = value
+    bad = tmp_path / "bad.swck"
+    save_checkpoint(bad, params, manifest)
+    out = tmp_path / "out"
+    assert_refused_before_reading(rejected_checkpoint_argv(synth, command, bad, out),
+                                  bad, repr(key), out, capsys, monkeypatch)
+
+
+def test_tag_checkpoint_without_model_settings_is_data_error(
+        workspace, trained, tmp_path, capsys, monkeypatch):
+    _, synth = workspace
+    params, manifest = load_checkpoint(trained[0] / "checkpoint.swck")
+    manifest["model"] = ["script"]
+    bad = tmp_path / "bad.swck"
+    save_checkpoint(bad, params, manifest)
+    out = tmp_path / "out"
+    assert_refused_before_reading(rejected_checkpoint_argv(synth, "evaluate", bad, out),
+                                  bad, "model", out, capsys, monkeypatch)
+
+
+def test_loglines_checkpoint_settings_are_checked_before_ingest(
+        workspace, tmp_path, capsys, monkeypatch):
+    _, synth = workspace
+    loglines = ["--loglines", str(synth / "loglines.json")]
+    run_dir = tmp_path / "run"
+    assert run(["train"] + train_args(synth) + loglines
+               + ["--attribute", "genre", "--variant", "loglines", "--hidden", "3",
+                  "--epochs", "1", "--out", str(run_dir)]) == 0
+    report = tmp_path / "eval.json"
+    assert run(["evaluate"] + data_args(synth) + loglines
+               + ["--checkpoint", str(run_dir / "checkpoint.swck"),
+                  "--out", str(report)]) == 0
+    assert report.exists()
+    params, manifest = load_checkpoint(run_dir / "checkpoint.swck")
+    assert manifest["model"] == {"type": "loglines", "hidden_per_direction": 3,
+                                 "seed": 0}
+    manifest["model"]["hidden_per_direction"] = "3"
+    bad = tmp_path / "bad.swck"
+    save_checkpoint(bad, params, manifest)
+    out = tmp_path / "out"
+    assert_refused_before_reading(
+        ["evaluate"] + data_args(synth) + loglines
+        + ["--checkpoint", str(bad), "--out", str(out)],
+        bad, "'hidden_per_direction'", out, capsys, monkeypatch)
+
+
 def test_trajectories_cut_scenes_at_the_checkpoint_cap(workspace, tmp_path):
     _, synth = workspace
     desc = tmp_path / "desc"
