@@ -2,15 +2,17 @@
 
 Layout: magic, little-endian uint64 header length, canonical-JSON header,
 then the parameters' float64 little-endian data concatenated in the
-header's order (names sorted).  The header carries the caller's manifest
-(model config, vocabulary hash, seed, config hash) alongside each
-parameter's name and shape, so a checkpoint is self-describing and
-byte-deterministic for identical inputs.
+header's order (names sorted).  The header carries the format number, the
+caller's manifest (a JSON object: model config, vocabulary hash, config
+hash) and each parameter's name and shape, so a checkpoint is
+self-describing and byte-deterministic for identical inputs.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import reprlib
 import struct
 from pathlib import Path
 
@@ -20,13 +22,14 @@ from .errors import CheckpointCorrupt
 from .ioutil import atomic_write_bytes, canonical_json
 
 MAGIC = b"SWCKPT1\n"
+FORMAT = 1
 
 
 def save_checkpoint(path: str | Path, params: dict[str, np.ndarray],
                     manifest: dict) -> None:
     names = sorted(params)
     header = {
-        "format": 1,
+        "format": FORMAT,
         "manifest": manifest,
         "params": [{"name": n, "shape": list(params[n].shape)} for n in names],
     }
@@ -42,7 +45,9 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray],
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint, checking the magic bytes, that the header parses
-    and that the payload holds exactly the listed parameters' bytes."""
+    as format ``FORMAT`` with a JSON-object manifest and shapes of
+    non-negative ints, and that the payload holds exactly the listed
+    parameters' bytes."""
     raw = Path(path).read_bytes()
     if not raw.startswith(MAGIC):
         raise CheckpointCorrupt(f"{path}: not a scenewise checkpoint")
@@ -55,11 +60,22 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
                                 f"truncated at {len(raw) - offset}")
     try:
         header = json.loads(raw[offset:offset + header_len].decode("utf-8"))
-        entries = [(e["name"], tuple(e["shape"])) for e in header["params"]]
-        counts = [int(np.prod(shape, dtype=np.int64)) for _, shape in entries]
-        manifest = header["manifest"]
+        version, manifest = header["format"], header["manifest"]
+        entries = [(e["name"], e["shape"]) for e in header["params"]]
     except (ValueError, KeyError, TypeError) as err:
         raise CheckpointCorrupt(f"{path}: unreadable header: {err}") from err
+    if type(version) is not int or version != FORMAT:
+        raise CheckpointCorrupt(f"{path}: header format {reprlib.repr(version)}, "
+                                f"not {FORMAT}")
+    if type(manifest) is not dict:
+        raise CheckpointCorrupt(f"{path}: the manifest is not a JSON object")
+    for name, shape in entries:
+        if type(shape) is not list or not all(type(n) is int and n >= 0
+                                              for n in shape):
+            raise CheckpointCorrupt(f"{path}: parameter {reprlib.repr(name)} has "
+                                    f"shape {reprlib.repr(shape)}, not a list "
+                                    f"of non-negative ints")
+    counts = [math.prod(shape) for _, shape in entries]
     offset += header_len
     expected = 8 * sum(counts)
     if len(raw) - offset != expected:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
@@ -227,9 +227,6 @@ class TrainConfig:
     threshold: float = 0.5
     seed: int = 0
     stop_at_train_f1: float | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass

@@ -12,7 +12,10 @@ A checkpoint records them all (a tag checkpoint the counts' defaults), and
 ``evaluate``, ``eval-sim`` and ``trajectories`` read them from it, so a
 model is always scored on the split and the scenes it was trained with.
 ``train``'s ``--variant`` names only a structure; ``--encoder`` names the
-encoder kind.
+encoder kind.  Each checkpoint kind's manifest is one declared record
+(``_TagModelRecord``, ``_DescriptorModelRecord``): the training command
+writes it with ``asdict``, and ``_checkpoint_of_kind`` checks all of it
+before anything is ingested or loaded.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ import logging
 import os
 import reprlib
 import sys
+import types
 import typing
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +121,27 @@ def _probability(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    """argparse type for a count of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
+    return value
+
+
+def _cutoffs(text: str) -> list[float]:
+    """argparse type for similarity cutoffs: comma-separated percentiles,
+    each finite, within [0, 100] and naming its own report entry."""
+    values = [float(c) for c in text.split(",")]
+    for value in values:
+        if not 0.0 <= value <= 100.0:
+            raise argparse.ArgumentTypeError(f"each cutoff must lie in "
+                                             f"[0, 100], got {value:g}")
+    if len({f"{v:g}" for v in values}) < len(values):
+        raise argparse.ArgumentTypeError(f"a cutoff repeats in {text}")
+    return values
+
+
 def _odd_window(text: str) -> int:
     """argparse type for a smoothing window: an odd integer >= 1."""
     value = int(text)
@@ -185,9 +210,8 @@ def _build_tag_model(corpus: Corpus, taxonomy: TagTaxonomy,
     if variant == "loglines":
         model = LoglinesModel(vectors, len(taxonomy),
                               hidden_per_direction=hidden, seed=seed)
-        model_config = {"type": "loglines", "hidden_per_direction": hidden,
-                        "seed": seed}
-        return model, model_config
+        return model, _LoglinesModelSettings(
+            type="loglines", hidden_per_direction=hidden, seed=seed)
     chars_flag = {"auto": None, "yes": True, "no": False}[include_chars]
     spec = EncoderSpec(kind=EncoderKind(encoder_kind), input_dim=vectors.dim,
                        hidden_per_direction=hidden)
@@ -195,15 +219,14 @@ def _build_tag_model(corpus: Corpus, taxonomy: TagTaxonomy,
                                 vectors=vectors, characters=corpus.characters(),
                                 include_chars=chars_flag, seed=seed)
     model = ScriptTagModel(encoder, len(taxonomy), seed=seed)
-    model_config = {"type": "script", **encoder.to_config()}
-    return model, model_config
+    return model, _ScriptModelSettings(type="script", **encoder.to_config())
 
 
 @dataclass(frozen=True)
 class _ScriptModelSettings:
     """A tag checkpoint's record of its ``HierarchicalModel``."""
 
-    type: str
+    type: typing.Literal["script"]
     variant: typing.Literal[tuple(v.value for v in Variant)]
     include_chars: bool
     kind: typing.Literal[tuple(k.value for k in EncoderKind)]
@@ -219,25 +242,87 @@ class _ScriptModelSettings:
 class _LoglinesModelSettings:
     """A tag checkpoint's record of its ``LoglinesModel``."""
 
-    type: str
+    type: typing.Literal["loglines"]
     hidden_per_direction: int
     seed: int
 
+    @property
+    def variant(self) -> str:
+        """The name ``train --variant`` gives this model."""
+        return "loglines"
 
-_MODEL_SETTINGS = {"script": _ScriptModelSettings,
-                   "loglines": _LoglinesModelSettings}
+
+@dataclass(frozen=True)
+class _TaxonomyRecord:
+    """A tag checkpoint's record of its ``TagTaxonomy``."""
+
+    attribute: str
+    tags: list[str]
+    lam: list[float]
+    active: list[bool]
+
+    def __post_init__(self):
+        if not len(self.tags) == len(self.lam) == len(self.active):
+            raise ValueError(f"the manifest's taxonomy has {len(self.tags)} "
+                             f"'tags', {len(self.lam)} 'lam' and "
+                             f"{len(self.active)} 'active' entries; it needs "
+                             f"as many of each")
+
+
+@dataclass(frozen=True)
+class _TagModelRecord:
+    """The manifest of a ``train`` checkpoint."""
+
+    model: _ScriptModelSettings | _LoglinesModelSettings
+    taxonomy: _TaxonomyRecord
+    vocabulary_hash: str
+    ingest: IngestConfig
+    train: TrainConfig
+    best_epoch: int
+    best_val_ap: float
+    config_hash: str
+    kind: typing.Literal["tag_model"] = "tag_model"
+
+
+@dataclass(frozen=True)
+class _DescriptorStatsRecord:
+    """A descriptor checkpoint's summary of its training."""
+
+    initial_fro: float
+    final_fro: float
+    simplex_max_deviation: float
+    simplex_min_entry: float
+
+
+@dataclass(frozen=True)
+class _DescriptorModelRecord:
+    """The manifest of a ``descriptors`` checkpoint."""
+
+    attribute: str
+    config: DescriptorConfig
+    vocab: list[str]
+    vocabulary_hash: str
+    ingest: IngestConfig
+    stats: _DescriptorStatsRecord
+    config_hash: str
+    kind: typing.Literal["descriptor_model"] = "descriptor_model"
 
 
 def _fits(value, hint) -> bool:
     """Whether a JSON value is of type ``hint``: an int serves for a float,
-    only a bool for a bool, a ``Literal`` names the strings allowed, and
-    ``list[item]`` is a list of ``item``."""
+    only a bool for a bool, a ``Literal`` names the strings allowed,
+    ``list[item]`` is a list of ``item``, a union takes any member's values
+    (``None`` is null) and a record (a dataclass) is an object."""
     origin = typing.get_origin(hint)
     if origin is typing.Literal:
         return type(value) is str and value in typing.get_args(hint)
     if origin is list:
         return type(value) is list and all(_fits(v, typing.get_args(hint)[0])
                                            for v in value)
+    if origin in (typing.Union, types.UnionType):
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if is_dataclass(hint):
+        return type(value) is dict
     return type(value) in ((int, float) if hint is float else (hint,))
 
 
@@ -247,58 +332,64 @@ def _expected(hint) -> str:
         return "one of " + ", ".join(map(repr, typing.get_args(hint)))
     if origin is list:
         return f"a list of {_expected(typing.get_args(hint)[0])}"
-    return hint.__name__
+    if origin in (typing.Union, types.UnionType):
+        return " or ".join(dict.fromkeys(map(_expected, typing.get_args(hint))))
+    if is_dataclass(hint):
+        return "an object"
+    return "null" if hint is type(None) else hint.__name__
 
 
-def _manifest_settings(path: str, manifest: dict, key: str, cls):
-    """``manifest[key]`` as a ``cls`` dataclass; a ``DataError`` naming
-    ``path`` and the key unless it holds exactly ``cls``'s fields, each of
-    its field's type (see ``_fits``)."""
-    record = manifest.get(key)
-    if not isinstance(record, dict):
-        raise DataError(f"{path}: the manifest has no {key} settings")
+def _record(value: dict, cls, where: str):
+    """JSON object ``value`` as a ``cls`` record; a ``ValueError`` saying
+    what is wrong ``where`` unless it holds exactly ``cls``'s fields, each
+    of its field's type (see ``_fits``), a nested record read alike."""
     hints = typing.get_type_hints(cls)
-    if unknown := sorted(record.keys() - hints.keys()):
-        raise DataError(f"{path}: the manifest's {key} settings have an "
-                        f"unknown key {unknown[0]!r}")
+    if unknown := sorted(value.keys() - hints.keys()):
+        raise ValueError(f"{where} has an unknown key {unknown[0]!r}")
     for name, hint in hints.items():
-        if name not in record:
-            raise DataError(f"{path}: the manifest's {key} settings lack {name!r}")
-        if not _fits(record[name], hint):
-            raise DataError(f"{path}: the manifest's {key} settings hold "
-                            f"{reprlib.repr(record[name])} for {name!r}; "
-                            f"expected {_expected(hint)}")
-    return cls(**record)
+        if name not in value:
+            raise ValueError(f"{where} lacks {name!r}")
+        if not _fits(value[name], hint):
+            raise ValueError(f"{where} holds {reprlib.repr(value[name])} for "
+                             f"{name!r}; expected {_expected(hint)}")
+    return cls(**{name: _nested(value[name], hint, f"{where}'s {name}")
+                  for name, hint in hints.items()})
 
 
-def _checkpoint_of_kind(path: str, kind: str) -> tuple[dict, dict, IngestConfig]:
-    """A checkpoint's arrays, manifest and the ingest settings it was trained
-    with; a ``DataError`` unless its kind is ``kind`` and those settings
-    are readable."""
+def _nested(value, hint, where: str):
+    """A field's ``value`` as is, or as the record ``hint`` declares: one
+    record class, or the member of a union of them whose ``type`` the
+    object holds."""
+    records = [h for h in typing.get_args(hint) or (hint,) if is_dataclass(h)]
+    if len(records) > 1:
+        by_type = {typing.get_args(typing.get_type_hints(r)["type"])[0]: r
+                   for r in records}
+        if not _fits(value.get("type"), typing.Literal[tuple(by_type)]):
+            raise ValueError(f"{where} holds {reprlib.repr(value.get('type'))} "
+                             f"for 'type'; expected one of "
+                             f"{', '.join(map(repr, by_type))}")
+        records = [by_type[value["type"]]]
+    return _record(value, records[0], where) if records else value
+
+
+def _checkpoint_of_kind(path: str, cls):
+    """A checkpoint's arrays and its manifest as a ``cls`` record, read
+    before anything is ingested or loaded; a ``DataError`` naming ``path``
+    and the key unless the manifest is of ``cls``'s kind and holds exactly
+    its keys, each of its type (see ``_record``)."""
     params, manifest = load_checkpoint(path)
-    if manifest.get("kind") != kind:
-        raise DataError(f"{path} is a {manifest.get('kind')!r} checkpoint, "
-                        f"not a {kind!r} one")
-    return params, manifest, _manifest_settings(path, manifest, "ingest",
-                                                IngestConfig)
+    if manifest.get("kind") != cls.kind:
+        raise DataError(f"{path} is a {reprlib.repr(manifest.get('kind'))} "
+                        f"checkpoint by its 'kind', not a {cls.kind!r} one")
+    try:
+        return params, _record(manifest, cls, "the manifest")
+    except ValueError as err:
+        raise DataError(f"{path}: {err}") from None
 
 
-def _tag_model_settings(path: str, manifest: dict):
-    """A tag checkpoint's model record, read before anything is ingested; a
-    ``DataError`` naming ``path`` and the key unless it is a script or a
-    loglines model's record of the right keys, types and values."""
-    record = manifest.get("model")
-    model_type = record.get("type") if isinstance(record, dict) else None
-    if isinstance(record, dict) and model_type not in tuple(_MODEL_SETTINGS):
-        raise DataError(f"{path}: the manifest's model settings hold "
-                        f"{reprlib.repr(model_type)} for 'type'; expected one "
-                        f"of {', '.join(map(repr, _MODEL_SETTINGS))}")
-    return _manifest_settings(path, manifest, "model",
-                              _MODEL_SETTINGS.get(model_type, _ScriptModelSettings))
-
-
-def _rebuild_tag_model(settings, manifest: dict, corpus: Corpus):
-    taxonomy = TagTaxonomy.from_dict(manifest["taxonomy"])
+def _rebuild_tag_model(record: _TagModelRecord, corpus: Corpus):
+    taxonomy = TagTaxonomy.from_dict(asdict(record.taxonomy))
+    settings = record.model
     if isinstance(settings, _LoglinesModelSettings):
         model = LoglinesModel(corpus.vectors(), len(taxonomy),
                               hidden_per_direction=settings.hidden_per_direction,
@@ -333,7 +424,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     taxonomy = TagTaxonomy.from_items(training_pool, args.attribute)
     if not len(taxonomy):
         raise DataError(f"no tags for attribute {args.attribute!r}")
-    model, model_config = _build_tag_model(
+    model, settings = _build_tag_model(
         corpus, taxonomy, args.variant, args.encoder, args.include_chars,
         args.hidden, args.seed)
     train_samples = make_samples(corpus.train_items, taxonomy, use_loglines)
@@ -345,29 +436,21 @@ def cmd_train(args: argparse.Namespace) -> int:
     result = train(model, train_samples, val_samples, taxonomy, train_config,
                    timing=args.timing)
 
+    ingest_config = _ingest_config(args)
     run_config = {"command": "train", "attribute": args.attribute,
                   "variant": args.variant, "encoder": args.encoder,
                   "include_chars": args.include_chars, "hidden": args.hidden,
-                  "ingest": _ingest_config(args).to_dict(),
-                  "train": train_config.to_dict()}
+                  "ingest": asdict(ingest_config), "train": asdict(train_config)}
     cfg_hash = config_hash(run_config)
-    manifest = {
-        "kind": "tag_model",
-        "attribute": args.attribute,
-        "variant": args.variant,
-        "model": model_config,
-        "taxonomy": taxonomy.to_dict(),
-        "vocabulary_hash": corpus.vocabulary.hash(),
-        "ingest": _ingest_config(args).to_dict(),
-        "train": train_config.to_dict(),
-        "best_epoch": result.best_epoch,
-        "best_val_ap": result.best_val_ap,
-        "seed": args.seed,
-        "config_hash": cfg_hash,
-    }
+    record = _TagModelRecord(
+        model=settings, taxonomy=_TaxonomyRecord(**taxonomy.to_dict()),
+        vocabulary_hash=corpus.vocabulary.hash(), ingest=ingest_config,
+        train=train_config, best_epoch=result.best_epoch,
+        best_val_ap=result.best_val_ap, config_hash=cfg_hash)
     out_dir = _default_out(args.out, "run")
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out_dir / "checkpoint.swck", result.best_params, manifest)
+    save_checkpoint(out_dir / "checkpoint.swck", result.best_params,
+                    asdict(record))
     atomic_write_text(out_dir / "train_log.csv",
                       _train_log_csv(result.rows, cfg_hash))
     print(f"trained {args.variant} on {args.attribute}: best val AP "
@@ -377,16 +460,14 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_for_evaluation(args: argparse.Namespace):
-    params, manifest, ingest_config = _checkpoint_of_kind(args.checkpoint,
-                                                          "tag_model")
-    settings = _tag_model_settings(args.checkpoint, manifest)
-    corpus, _ = ingest(args.scripts, args.tags, args.embeddings, ingest_config,
+    params, record = _checkpoint_of_kind(args.checkpoint, _TagModelRecord)
+    corpus, _ = ingest(args.scripts, args.tags, args.embeddings, record.ingest,
                        loglines_path=args.loglines)
-    if corpus.vocabulary.hash() != manifest["vocabulary_hash"]:
+    if corpus.vocabulary.hash() != record.vocabulary_hash:
         raise VocabularyMismatch(
             f"{args.checkpoint}: checkpoint vocabulary hash does not match "
             f"the corpus under {args.scripts}")
-    model, taxonomy, use_loglines = _rebuild_tag_model(settings, manifest, corpus)
+    model, taxonomy, use_loglines = _rebuild_tag_model(record, corpus)
     load_params(model.named_params(), params)
     items = {"train": corpus.train_items, "validation": corpus.validation_items,
              "heldout": corpus.heldout_items,
@@ -400,19 +481,19 @@ def _load_for_evaluation(args: argparse.Namespace):
     gold = {it.title: set(it.tags.get(taxonomy.attribute, ())) & active
             for it in items if it.title in scored}
     preds = predictions(model, samples, taxonomy, threshold=args.threshold)
-    return manifest, corpus, taxonomy, gold, preds
+    return record, corpus, taxonomy, gold, preds
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    manifest, _, taxonomy, gold, preds = _load_for_evaluation(args)
+    record, _, taxonomy, gold, preds = _load_for_evaluation(args)
     f1 = micro_f1(preds, gold)
     report = {
         "attribute": taxonomy.attribute,
-        "variant": manifest["variant"],
+        "variant": record.model.variant,
         "split": args.split,
         "n_scripts": len(gold),
         "micro_f1": f1,
-        "config_hash": manifest["config_hash"],
+        "config_hash": record.config_hash,
     }
     out = _default_out(args.out, "evaluation.json")
     atomic_write_text(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -422,25 +503,24 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_eval_sim(args: argparse.Namespace) -> int:
-    manifest, corpus, taxonomy, gold, preds = _load_for_evaluation(args)
+    record, corpus, taxonomy, gold, preds = _load_for_evaluation(args)
     spaces = load_tag_embeddings(args.tag_embeddings)
     if taxonomy.attribute not in spaces:
         raise DataError(f"no tag embeddings for attribute "
                         f"{taxonomy.attribute!r} in {args.tag_embeddings}")
     space = spaces[taxonomy.attribute]
-    cutoffs = [float(c) for c in args.cutoffs.split(",")]
     tag_counts: dict[str, int] = {t: 0 for t in space.tags}
     for it in corpus.items:
         for t in it.tags.get(taxonomy.attribute, ()):
             if t in tag_counts:
                 tag_counts[t] += 1
-    report = similarity_report(preds, gold, space, cutoffs, tag_counts)
+    report = similarity_report(preds, gold, space, args.cutoffs, tag_counts)
     report["split"] = args.split
-    report["config_hash"] = manifest["config_hash"]
+    report["config_hash"] = record.config_hash
     out = _default_out(args.out, "similarity_evaluation.json")
     atomic_write_text(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
     rows = ", ".join(f"{c}: {report['cutoffs'][f'{c:g}']['f1']:.4f}"
-                     for c in cutoffs)
+                     for c in args.cutoffs)
     print(f"{taxonomy.attribute} similarity F-1 by cutoff ({args.split}): {rows}; "
           f"report at {out}")
     return 0
@@ -460,31 +540,23 @@ def cmd_descriptors(args: argparse.Namespace) -> int:
                  for words in target.scene_words(it.script)]
     report = descriptor_report(model, documents)
 
+    ingest_config = _ingest_config(args)
     run_config = {"command": "descriptors", "attribute": args.attribute,
-                  "descriptor": config.to_dict(),
-                  "ingest": _ingest_config(args).to_dict()}
+                  "descriptor": asdict(config), "ingest": asdict(ingest_config)}
     cfg_hash = config_hash(run_config)
-    manifest = {
-        "kind": "descriptor_model",
-        "attribute": args.attribute,
-        "config": config.to_dict(),
-        "vocab": list(target.vocab),
-        "vocabulary_hash": corpus.vocabulary.hash(),
-        "ingest": _ingest_config(args).to_dict(),
-        "stats": {
-            "initial_fro": stats.initial_fro,
-            "final_fro": stats.final_fro,
-            "simplex_max_deviation": stats.simplex_max_deviation,
-            "simplex_min_entry": stats.simplex_min_entry,
-        },
-        "seed": args.seed,
-        "config_hash": cfg_hash,
-    }
+    record = _DescriptorModelRecord(
+        attribute=args.attribute, config=config, vocab=list(target.vocab),
+        vocabulary_hash=corpus.vocabulary.hash(), ingest=ingest_config,
+        stats=_DescriptorStatsRecord(
+            initial_fro=stats.initial_fro, final_fro=stats.final_fro,
+            simplex_max_deviation=stats.simplex_max_deviation,
+            simplex_min_entry=stats.simplex_min_entry),
+        config_hash=cfg_hash)
     params = {name: t.data for name, t
               in {**target.named_params(), **model.named_params()}.items()}
     out_dir = _default_out(args.out, "descriptors")
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out_dir / "descriptors.swck", params, manifest)
+    save_checkpoint(out_dir / "descriptors.swck", params, asdict(record))
     atomic_write_text(out_dir / "descriptor_report.json",
                       json.dumps({"descriptors": report,
                                   "config_hash": cfg_hash},
@@ -498,15 +570,13 @@ def cmd_descriptors(args: argparse.Namespace) -> int:
 
 
 def cmd_trajectories(args: argparse.Namespace) -> int:
-    params, manifest, ingest_config = _checkpoint_of_kind(args.checkpoint,
-                                                          "descriptor_model")
-    config = _manifest_settings(args.checkpoint, manifest, "config",
-                                DescriptorConfig)
+    params, record = _checkpoint_of_kind(args.checkpoint, _DescriptorModelRecord)
     embeddings = WordEmbeddings.load(args.embeddings)
     # the play is compiled against the descriptor words; load_params sets p
-    vectors = TokenVectors(Vocabulary(manifest["vocab"]), embeddings)
-    target = SceneBagEncoder(manifest["vocab"], vectors, np.random.default_rng(0))
-    model = DescriptorModel(np.zeros((config.k, embeddings.dim)), target, config)
+    vectors = TokenVectors(Vocabulary(record.vocab), embeddings)
+    target = SceneBagEncoder(record.vocab, vectors, np.random.default_rng(0))
+    model = DescriptorModel(np.zeros((record.config.k, embeddings.dim)), target,
+                            record.config)
     load_params({**target.named_params(), **model.named_params()}, params)
 
     script_path = Path(args.scripts) / f"{args.title}.txt"
@@ -514,7 +584,7 @@ def cmd_trajectories(args: argparse.Namespace) -> int:
         raise DataError(f"script not found: {script_path}")
     play = screenplay.parse_script(args.title,
                                    script_path.read_text(encoding="utf-8"),
-                                   cap=ingest_config.cap)
+                                   cap=record.ingest.cap)
     weights = model.weights_for_script(play)
     selection = select_descriptors(weights, args.descriptors)
     trajectories = build_trajectories(weights, selection, window=args.window)
@@ -586,11 +656,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     choices=[k.value for k in EncoderKind])
     sp.add_argument("--include-chars", default="auto",
                     choices=["auto", "yes", "no"])
-    sp.add_argument("--hidden", type=int, default=50)
+    sp.add_argument("--hidden", type=_count, default=50)
     sp.add_argument("--lr", type=float, default=5e-3)
     sp.add_argument("--max-norm", type=float, default=5.0)
-    sp.add_argument("--epochs", type=int, default=20)
-    sp.add_argument("--patience", type=int, default=5)
+    sp.add_argument("--epochs", type=_count, default=20)
+    sp.add_argument("--patience", type=_count, default=5)
     sp.add_argument("--threshold", type=_probability, default=0.5)
     sp.add_argument("--stop-at-train-f1", type=float, default=None)
     sp.add_argument("--timing", action="store_true",
@@ -611,7 +681,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_data_flags(sp, loglines=True)
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--tag-embeddings", required=True)
-    sp.add_argument("--cutoffs", default="100,90,80,70")
+    sp.add_argument("--cutoffs", type=_cutoffs, default="100,90,80,70")
     sp.add_argument("--split", default="heldout",
                     choices=["train", "validation", "heldout", "all"])
     sp.add_argument("--threshold", type=_probability, default=0.5)
@@ -622,16 +692,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_corpus_flags(sp)
     _add_descriptor_vocabulary_flags(sp)
     sp.add_argument("--attribute", required=True)
-    sp.add_argument("--k", type=int, default=25)
-    sp.add_argument("--hidden", type=int, default=100)
+    sp.add_argument("--k", type=_count, default=25)
+    sp.add_argument("--hidden", type=_count, default=100)
     sp.add_argument("--init", default="random_glorot",
                     choices=["random_glorot", "kmeans"])
     sp.add_argument("--recurrent", action="store_true")
     sp.add_argument("--alpha", type=float, default=0.5)
     sp.add_argument("--ortho-lambda", type=float, default=10.0)
-    sp.add_argument("--negatives", type=int, default=5)
+    sp.add_argument("--negatives", type=_count, default=5)
     sp.add_argument("--lr", type=float, default=5e-3)
-    sp.add_argument("--epochs", type=int, default=15)
+    sp.add_argument("--epochs", type=_count, default=15)
     sp.add_argument("--pretrain-epochs", type=int, default=10)
     sp.add_argument("--top-words", type=int, default=10)
     sp.add_argument("--out", default=None)

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -41,15 +42,52 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(path)
 
 
+def _rewritten(raw: bytes, change, keep_payload: bool = True) -> bytes:
+    """``raw`` with its header JSON passed through ``change``."""
+    start = len(MAGIC) + 8
+    header_end = start + struct.unpack_from("<Q", raw, len(MAGIC))[0]
+    header = json.loads(raw[start:header_end])
+    change(header)
+    header_bytes = canonical_json(header).encode("utf-8")
+    return (MAGIC + struct.pack("<Q", len(header_bytes)) + header_bytes
+            + (raw[header_end:] if keep_payload else b""))
+
+
+def _set(key, value):
+    return lambda header: header.__setitem__(key, value)
+
+
+def _set_shapes(*shapes):
+    def change(header):
+        for entry, shape in zip(header["params"], shapes):
+            entry["shape"] = shape
+    return change
+
+
 def _damage(raw: bytes, case: str) -> bytes:
     header_end = len(MAGIC) + 8 + struct.unpack_from("<Q", raw, len(MAGIC))[0]
-    return {"trailing_bytes": raw + bytes(8),
-            "truncated_payload": raw[:-8],
-            "truncated_header": raw[:header_end - 5]}[case]
+    return {
+        "trailing_bytes": lambda: raw + bytes(8),
+        "truncated_payload": lambda: raw[:-8],
+        "truncated_header": lambda: raw[:header_end - 5],
+        "format_2": lambda: _rewritten(raw, _set("format", 2)),
+        "format_true": lambda: _rewritten(raw, _set("format", True)),
+        "no_format": lambda: _rewritten(raw, lambda header: header.pop("format")),
+        # the element counts of shapes [-1] and [1] sum to the empty payload
+        "negative_shape": lambda: _rewritten(raw, _set_shapes([-1], [1]),
+                                             keep_payload=False),
+        "float_shape": lambda: _rewritten(raw, _set_shapes([3.0], [2, 3])),
+        "shape_not_list": lambda: _rewritten(raw, _set_shapes(3, [2, 3])),
+        "manifest_7": lambda: _rewritten(raw, _set("manifest", 7)),
+        "manifest_list": lambda: _rewritten(raw, _set("manifest", [1])),
+    }[case]()
 
 
 @pytest.mark.parametrize("case", ["trailing_bytes", "truncated_payload",
-                                  "truncated_header"])
+                                  "truncated_header", "format_2", "format_true",
+                                  "no_format", "negative_shape", "float_shape",
+                                  "shape_not_list", "manifest_7",
+                                  "manifest_list"])
 def test_checkpoint_rejects_damage(tmp_path, case):
     path = tmp_path / "model.swck"
     save_checkpoint(path, {"w": np.ones((2, 3)), "b": np.zeros(3)}, {"seed": 1})

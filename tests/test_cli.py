@@ -141,6 +141,7 @@ def test_evaluate_command(workspace, trained):
                   "--split", "heldout", "--out", str(report_path)]) == 0
     report = json.loads(report_path.read_text())
     assert report["attribute"] == "genre"
+    assert report["variant"] == "full"
     assert 0.0 <= report["micro_f1"] <= 1.0
     assert report["n_scripts"] > 0
 
@@ -732,7 +733,7 @@ def test_evaluate_refuses_plus_chars_checkpoint(workspace, tmp_path, capsys):
                   "--out", str(out)]) == 0
     params, manifest = load_checkpoint(out / "checkpoint.swck")
     assert manifest["model"]["include_chars"] is True
-    manifest["variant"] = manifest["model"]["variant"] = "plus_chars"
+    manifest["model"]["variant"] = "plus_chars"
     save_checkpoint(tmp_path / "old.swck", params, manifest)
     report = tmp_path / "eval.json"
     assert run(["evaluate"] + data_args(synth)
@@ -792,7 +793,7 @@ def test_loglines_checkpoint_settings_are_checked_before_ingest(
     assert run(["evaluate"] + data_args(synth) + loglines
                + ["--checkpoint", str(run_dir / "checkpoint.swck"),
                   "--out", str(report)]) == 0
-    assert report.exists()
+    assert json.loads(report.read_text())["variant"] == "loglines"
     params, manifest = load_checkpoint(run_dir / "checkpoint.swck")
     assert manifest["model"] == {"type": "loglines", "hidden_per_direction": 3,
                                  "seed": 0}
@@ -837,3 +838,113 @@ def test_ingest_refuses_split_fraction_outside_unit_interval(
     assert err["error"] == "DataError"
     assert value in err["message"]
     assert not out.exists()
+
+
+TAG_MODEL_KEYS = ["best_epoch", "best_val_ap", "config_hash", "ingest", "kind",
+                  "model", "taxonomy", "train", "vocabulary_hash"]
+DESCRIPTOR_MODEL_KEYS = ["attribute", "config", "config_hash", "ingest", "kind",
+                         "stats", "vocab", "vocabulary_hash"]
+READERS = {"tag_model": ("evaluate", "eval-sim"),
+           "descriptor_model": ("trajectories",)}
+
+
+def test_checkpoints_hold_exactly_their_declared_keys(trained, descriptor_run):
+    _, tag = load_checkpoint(trained[0] / "checkpoint.swck")
+    _, descriptor = load_checkpoint(descriptor_run[0] / "descriptors.swck")
+    assert sorted(tag) == TAG_MODEL_KEYS
+    assert sorted(descriptor) == DESCRIPTOR_MODEL_KEYS
+
+
+def damaged_manifests():
+    """(command, checkpoint kind, key, damage) for each declared key deleted
+    or set to 7, a retired key added back, and a taxonomy whose lam is one
+    entry short."""
+    cases = [(command, kind, key, damage)
+             for kind, keys in [("tag_model", TAG_MODEL_KEYS),
+                                ("descriptor_model", DESCRIPTOR_MODEL_KEYS)]
+             for command in READERS[kind]
+             for key in keys for damage in ("deleted", "7")]
+    cases += [(command, "tag_model", "variant", "added")
+              for command in READERS["tag_model"]]
+    cases += [("trajectories", "descriptor_model", "seed", "added")]
+    return cases + [(command, "tag_model", "lam", "short")
+                    for command in READERS["tag_model"]]
+
+
+def damage_manifest(manifest, key, damage):
+    if damage == "deleted":
+        del manifest[key]
+    elif damage == "7":
+        # where 7 is a valid value (an int, or a float an int serves for),
+        # the string "7"
+        manifest[key] = "7" if key in ("best_epoch", "best_val_ap") else 7
+    elif damage == "added":
+        manifest[key] = 0
+    else:
+        manifest["taxonomy"][key].pop()
+
+
+@pytest.mark.parametrize("command,kind,key,damage", damaged_manifests())
+def test_damaged_manifest_is_refused_before_reading(
+        workspace, trained, descriptor_run, tmp_path, capsys, monkeypatch,
+        command, kind, key, damage):
+    _, synth = workspace
+    src = (trained[0] / "checkpoint.swck" if kind == "tag_model"
+           else descriptor_run[0] / "descriptors.swck")
+    params, manifest = load_checkpoint(src)
+    damage_manifest(manifest, key, damage)
+    bad = tmp_path / "bad.swck"
+    save_checkpoint(bad, params, manifest)
+    out = tmp_path / "out"
+    assert_refused_before_reading(rejected_checkpoint_argv(synth, command, bad, out),
+                                  bad, repr(key), out, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("cutoffs", ["90,nan,150,90,-5", "nan", "inf", "-inf",
+                                     "150", "-5", "100.5", "100,90,90",
+                                     "90,90.0", "90,", "ninety"])
+def test_eval_sim_refuses_bad_cutoffs(workspace, tmp_path, capsys, cutoffs):
+    _, synth = workspace
+    out = tmp_path / "sim.json"
+    # the checkpoint does not exist: the cutoffs are refused before it is read
+    with pytest.raises(SystemExit) as exc:
+        main(["eval-sim"] + data_args(synth)
+             + ["--checkpoint", str(tmp_path / "missing.swck"),
+                "--tag-embeddings", str(synth / "tag_embeddings.tsv"),
+                "--cutoffs", cutoffs, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --cutoffs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_sim_takes_the_percentile_range_ends():
+    args = cli.build_arg_parser().parse_args(
+        ["eval-sim", "--scripts", "s", "--tags", "t", "--embeddings", "e",
+         "--checkpoint", "c", "--tag-embeddings", "g", "--cutoffs", "0,100"])
+    assert args.cutoffs == [0.0, 100.0]
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command,flag", [
+    ("train", "--epochs"), ("train", "--patience"), ("train", "--hidden"),
+    ("descriptors", "--k"), ("descriptors", "--hidden"),
+    ("descriptors", "--epochs"), ("descriptors", "--negatives"),
+])
+def test_counts_below_one_are_usage_errors(workspace, tmp_path, capsys,
+                                           command, flag, value):
+    _, synth = workspace
+    out = tmp_path / "out"
+    data = train_args(synth) if command == "train" else corpus_args(synth)
+    with pytest.raises(SystemExit) as exc:
+        main([command] + data + ["--attribute", "genre", "--out", str(out),
+                                 flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_descriptors_take_zero_pretrain_epochs():
+    args = cli.build_arg_parser().parse_args(
+        ["descriptors", "--scripts", "s", "--tags", "t", "--embeddings", "e",
+         "--attribute", "genre", "--pretrain-epochs", "0"])
+    assert args.pretrain_epochs == 0
