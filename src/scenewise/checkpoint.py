@@ -45,9 +45,9 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray],
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint, checking the magic bytes, that the header parses
-    as format ``FORMAT`` with a JSON-object manifest and shapes of
-    non-negative ints, and that the payload holds exactly the listed
-    parameters' bytes."""
+    as format ``FORMAT`` with a JSON-object manifest, distinct string
+    parameter names and shapes of non-negative ints, and that the payload
+    holds exactly the listed parameters' bytes."""
     raw = Path(path).read_bytes()
     if not raw.startswith(MAGIC):
         raise CheckpointCorrupt(f"{path}: not a scenewise checkpoint")
@@ -69,7 +69,14 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
                                 f"not {FORMAT}")
     if type(manifest) is not dict:
         raise CheckpointCorrupt(f"{path}: the manifest is not a JSON object")
+    seen: set[str] = set()
     for name, shape in entries:
+        if type(name) is not str:
+            raise CheckpointCorrupt(f"{path}: parameter name {reprlib.repr(name)} "
+                                    f"is not a string")
+        if name in seen:
+            raise CheckpointCorrupt(f"{path}: parameter {name!r} is listed twice")
+        seen.add(name)
         if type(shape) is not list or not all(type(n) is int and n >= 0
                                               for n in shape):
             raise CheckpointCorrupt(f"{path}: parameter {reprlib.repr(name)} has "

@@ -21,6 +21,9 @@ masked (B, T, D) batch with ``pad_runs``.  Every encode returns one
 The model reads a script compiled once to embedding-row ids
 (``corpus.CompiledScript``): numpy masks over its statement table pick each
 channel's statements, and one gather per channel fetches their word rows.
+Under BoE the script vector is the concatenation of each block's mean over
+the scenes.  Only the character block has a parameter, so the other
+blocks' means are computed once per compiled script and kept on the model.
 Structural variants replace or drop tiers:
 
 * ``full`` — both channels, character block included
@@ -145,6 +148,12 @@ def _scene_rows(vecs: Tensor, kept, n_scenes: int) -> Tensor:
     return ad.place(vecs, np.asarray(kept), (n_scenes, vecs.data.shape[1]))
 
 
+def _scene_mean(scenes: Tensor) -> Tensor:
+    """(F,): the mean of an (n_scenes, F) block's rows, as the BoE script
+    encoder takes it."""
+    return ad.row(ad.mean_rows(scenes, [scenes.data.shape[0]]), 0)
+
+
 def encode_tokens(ids: np.ndarray, lengths, matrix: np.ndarray,
                   encoder: SequenceEncoder) -> Tensor:
     """Encode token sequences as one batch: (len(lengths), output_dim).
@@ -234,6 +243,8 @@ class HierarchicalModel:
 
         self.script_encoder = SequenceEncoder(
             replace(spec, input_dim=self.scene_dim), rng)
+        # BoE only: each compiled script's (F,) channel means, by identity
+        self._channel_means: dict[CompiledScript, dict[str, np.ndarray]] = {}
 
     @property
     def scene_dim(self) -> int:
@@ -287,11 +298,31 @@ class HierarchicalModel:
                           for name, _ in self.block_layout])
 
     def encode_script(self, script: CompiledScript | Screenplay) -> Tensor:
+        """(script_dim,): the script encoder over the scene sequence.
+
+        Under BoE that is each block's mean over the scenes, concatenated
+        in ``block_layout`` order.  A compiled script's channel means hold
+        no parameter, so they are computed on its first encode and kept;
+        a raw screenplay, compiled here, is not kept.
+        """
+        raw = isinstance(script, Screenplay)
         script = self.vectors.compiled(script)
         if not script.n_scenes:
             raise EmptyScript(f"{script.title}: no scenes to encode")
-        return ad.row(self.script_encoder.encode(self.encode_scenes(script),
-                                                 [script.n_scenes]), 0)
+        if self.spec.kind is not EncoderKind.BOE:
+            return ad.row(self.script_encoder.encode(self.encode_scenes(script),
+                                                     [script.n_scenes]), 0)
+        means = self._channel_means.get(script)
+        if means is None:
+            means = {name: _scene_mean(self._encode_channel(script, name)).data
+                     for name, _ in self.block_layout if name != "characters"}
+            for mean in means.values():
+                mean.flags.writeable = False
+            if not raw:
+                self._channel_means[script] = means
+        return ad.concat([_scene_mean(self._encode_characters(script))
+                          if name == "characters" else ad.constant(means[name])
+                          for name, _ in self.block_layout])
 
     def named_params(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}

@@ -64,6 +64,13 @@ def _set_shapes(*shapes):
     return change
 
 
+def _set_names(*names):
+    def change(header):
+        for entry, name in zip(header["params"], names):
+            entry["name"] = name
+    return change
+
+
 def _damage(raw: bytes, case: str) -> bytes:
     header_end = len(MAGIC) + 8 + struct.unpack_from("<Q", raw, len(MAGIC))[0]
     return {
@@ -80,6 +87,9 @@ def _damage(raw: bytes, case: str) -> bytes:
         "shape_not_list": lambda: _rewritten(raw, _set_shapes(3, [2, 3])),
         "manifest_7": lambda: _rewritten(raw, _set("manifest", 7)),
         "manifest_list": lambda: _rewritten(raw, _set("manifest", [1])),
+        # the second array would silently replace the first
+        "duplicate_name": lambda: _rewritten(raw, _set_names("w", "w")),
+        "int_name": lambda: _rewritten(raw, _set_names(7, "w")),
     }[case]()
 
 
@@ -87,12 +97,14 @@ def _damage(raw: bytes, case: str) -> bytes:
                                   "truncated_header", "format_2", "format_true",
                                   "no_format", "negative_shape", "float_shape",
                                   "shape_not_list", "manifest_7",
-                                  "manifest_list"])
+                                  "manifest_list", "duplicate_name",
+                                  "int_name"])
 def test_checkpoint_rejects_damage(tmp_path, case):
     path = tmp_path / "model.swck"
     save_checkpoint(path, {"w": np.ones((2, 3)), "b": np.zeros(3)}, {"seed": 1})
     path.write_bytes(_damage(path.read_bytes(), case))
-    with pytest.raises(CheckpointCorrupt):
+    named = {"duplicate_name": "parameter 'w'", "int_name": "name 7"}
+    with pytest.raises(CheckpointCorrupt, match=named.get(case)):
         load_checkpoint(path)
 
 
