@@ -55,6 +55,7 @@ from .corpus import (
     WordEmbeddings,
     generate_synthetic_corpus,
     ingest,
+    script_files,
 )
 from .descriptors import (
     DescriptorConfig,
@@ -171,11 +172,11 @@ def cmd_parse(args: argparse.Namespace) -> int:
     out_dir = _default_out(args.out, "parsed")
     out_dir.mkdir(parents=True, exist_ok=True)
     cap = None if args.no_split else args.cap
-    paths = sorted(Path(args.scripts).glob("*.txt"))
-    if not paths:
-        raise DataError(f"no *.txt scripts under {args.scripts}")
     parsed = 0
-    for path in paths:
+    for path, problem in script_files(args.scripts):
+        if problem is not None:
+            log.warning("skipping %s: %s", path.name, problem)
+            continue
         try:
             text = path.read_text(encoding="utf-8")
             play, report = screenplay.scan_script(path.stem, text, cap=cap)

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import json
 import logging
-import re
+from collections import defaultdict
 from dataclasses import asdict, dataclass
+from itertools import chain, count
 from pathlib import Path
 from typing import Sequence
 
@@ -33,14 +34,19 @@ from .parser import Scene, Screenplay, Statement, StatementKind
 
 log = logging.getLogger(__name__)
 
-_TOKEN_RE = re.compile(r"[a-z0-9']+")
+# A token is a maximal run of [a-z0-9'] in the lowercased text.  Every other
+# byte of its UTF-8 form becomes a space; each byte of a non-ASCII character
+# is 0x80 or above, so such a character separates tokens as any other does.
+_TOKEN_BYTES = bytes(b if chr(b) in "abcdefghijklmnopqrstuvwxyz0123456789'"
+                     else 0x20 for b in range(256))
 
 UNK_TOKEN = "<unk>"
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase whitespace/punctuation tokenization."""
-    return _TOKEN_RE.findall(text.lower())
+    """The maximal runs of ``[a-z0-9']`` in the lowercased text."""
+    return (text.lower().encode("utf-8", "surrogatepass")
+            .translate(_TOKEN_BYTES).decode("ascii").split())
 
 
 def scene_tokens(scene: Scene) -> list[str]:
@@ -94,6 +100,7 @@ class WordEmbeddings:
     @classmethod
     def load(cls, path: str | Path, expected_dim: int = 100) -> "WordEmbeddings":
         table: dict[str, np.ndarray] = {}
+        first_line: dict[str, int] = {}
         dim: int | None = None
         with open(path, encoding="utf-8") as fh:
             for number, line in enumerate(fh, 1):
@@ -102,6 +109,10 @@ class WordEmbeddings:
                     continue
                 token, values = parts[0], parts[1:]
                 where = f"{path} line {number}"
+                first = first_line.setdefault(token, number)
+                if first != number:
+                    raise DataError(f"{where}: {token!r} is listed again; its "
+                                    f"first row is line {first}")
                 if dim is None:
                     dim = len(values)
                     if expected_dim is not None and dim != expected_dim:
@@ -169,33 +180,32 @@ class TokenPass:
     """
 
     def __init__(self, screenplays: Sequence[Screenplay]):
-        index: dict[str, int] = {}
+        # a token the index lacks takes the next type number as it is looked up
+        index: defaultdict[str, int] = defaultdict(count().__next__)
         casts: dict[tuple[str, ...], tuple[str, ...]] = {}
         self.type_ids: list[np.ndarray] = []   # per play, int32
         self.layouts = []   # per play: title, lengths, scenes, kinds, characters
         for play in screenplays:
-            tokens: list[str] = []
-            lengths, scenes, kinds, characters = [], [], [], []
-            for s, scene in enumerate(play.scenes):
-                speakers = set()
-                for stmt in scene.statements:
-                    toks = tokenize(stmt.text)
-                    tokens += toks
-                    lengths.append(len(toks))
-                    scenes.append(s)
-                    if stmt.kind is StatementKind.DIALOGUE:
-                        kinds.append(DIALOGUE)
-                        speakers.add(stmt.character)
-                    else:
-                        kinds.append(ACTION)
-                cast = tuple(sorted(speakers))
+            statements = [stmt for scene in play.scenes
+                          for stmt in scene.statements]
+            n = len(statements)
+            per_statement = list(map(tokenize, [stmt.text for stmt in statements]))
+            lengths = np.fromiter(map(len, per_statement), np.int32, n)
+            self.type_ids.append(np.fromiter(
+                map(index.__getitem__, chain.from_iterable(per_statement)),
+                np.int32, int(lengths.sum())))
+            characters = []
+            for scene in play.scenes:
+                cast = tuple(sorted({stmt.character for stmt in scene.statements
+                                     if stmt.kind is StatementKind.DIALOGUE}))
                 characters.append(casts.setdefault(cast, cast))
-            self.type_ids.append(np.array(
-                [index.setdefault(t, len(index)) for t in tokens], dtype=np.int32))
-            self.layouts.append((play.title, np.array(lengths, dtype=np.int32),
-                                 np.array(scenes, dtype=np.int32),
-                                 np.array(kinds, dtype=np.int32),
-                                 tuple(characters)))
+            self.layouts.append((
+                play.title, lengths,
+                np.repeat(np.arange(len(play.scenes), dtype=np.int32),
+                          [len(scene.statements) for scene in play.scenes]),
+                np.fromiter((DIALOGUE if stmt.kind is StatementKind.DIALOGUE
+                             else ACTION for stmt in statements), np.int32, n),
+                tuple(characters)))
         self.types = list(index)
 
     def _counts(self, which: Sequence[int] | None = None
@@ -407,6 +417,17 @@ def load_loglines(path: str | Path) -> dict[str, str | None]:
     return raw
 
 
+def script_files(scripts_dir: str | Path) -> list[tuple[Path, str | None]]:
+    """The ``*.txt`` entries of ``scripts_dir`` in name order, each with the
+    reason it is not a script (None for a regular file).  A directory
+    without any ``*.txt`` entry is a DataError."""
+    paths = sorted(Path(scripts_dir).glob("*.txt"))
+    if not paths:
+        raise DataError(f"no *.txt scripts under {scripts_dir}")
+    return [(path, None if path.is_file() else "not a regular file")
+            for path in paths]
+
+
 def ingest(scripts_dir: str | Path, tags_path: str | Path,
            embeddings_path: str | Path, config: IngestConfig = IngestConfig(),
            loglines_path: str | Path | None = None) -> tuple[Corpus, dict]:
@@ -417,15 +438,18 @@ def ingest(scripts_dir: str | Path, tags_path: str | Path,
     logline).  Returns the corpus plus a manifest recording the split assignment and
     every exclusion with its reason.
     """
-    scripts_dir = Path(scripts_dir)
+    scripts = script_files(scripts_dir)
     tags = load_tags(tags_path)
     loglines = load_loglines(loglines_path) if loglines_path else {}
     embeddings = WordEmbeddings.load(embeddings_path, expected_dim=config.expected_dim)
 
     excluded: list[dict] = []
     parsed: list[CorpusItem] = []
-    for path in sorted(scripts_dir.glob("*.txt")):
+    for path, problem in scripts:
         title = path.stem
+        if problem is not None:
+            excluded.append({"title": title, "reason": problem})
+            continue
         try:
             play = parser.parse_script(title, path.read_text(encoding="utf-8"),
                                        cap=config.cap)

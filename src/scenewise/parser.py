@@ -52,7 +52,7 @@ class ScriptLine:
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Statement:
     kind: StatementKind  # ACTION or DIALOGUE
     text: str
@@ -74,7 +74,7 @@ class Screenplay:
 
 def _strip_cue_markers(name: str) -> str:
     prev = None
-    while prev != name:
+    while prev != name and ")" in name:
         prev = name
         name = _CUE_SUFFIX_RE.sub("", name)
     return name.strip()
@@ -87,83 +87,84 @@ def scan_script(title: str, text: str, cap: int | None = DEFAULT_SCENE_CAP
     Each scene heading opens a scene; a script without any heading becomes
     a single scene.  A scene that already holds ``cap`` statements is
     continued by a new scene without a heading (no cap if ``cap`` is
-    None).  The report counts lines by kind (a character cue
-    counts as DIALOGUE) and scores the fraction of non-blank lines carrying
-    structure the model consumes (headings, action, dialogue, cues);
-    ingestion layers can threshold on it instead of a fixed error
-    criterion.  Unrecognizable lines count as OTHER; only a script without
-    a non-blank line raises (``EmptyScript``).
+    None).  The report counts lines by kind (a character cue counts as
+    DIALOGUE) and scores the fraction of non-blank lines carrying structure
+    the model consumes (headings, action, dialogue, cues).  Unrecognizable
+    lines count as OTHER; only a script without a non-blank line raises
+    (``EmptyScript``).
     """
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     lines = text.splitlines()
-    counts = {kind.name: 0 for kind in StatementKind}
-    cues = 0
+    blank = headings = actions = dialogue = parentheticals = transitions = 0
+    other = cues = 0
     speaker: str | None = None
     scenes: list[Scene] = []
     current: Scene | None = None
     for line in lines:
         stripped = line.strip()
         if not stripped:
-            counts["BLANK"] += 1
+            blank += 1
             continue
         if "\t" in line:
             line = line.expandtabs(TAB_WIDTH)
         indent = len(line) - len(line.lstrip(" "))
-        upper = stripped == stripped.upper()
-        if upper and stripped.startswith(HEADING_PREFIXES):
-            counts["SCENE_HEADING"] += 1
-            speaker = None
-            current = Scene(index=len(scenes) + 1,
-                            heading=stripped.replace("\t", " "))
-            scenes.append(current)
-            continue
-        if upper and _TRANSITION_RE.search(stripped):
-            counts["TRANSITION"] += 1
-            speaker = None
-            continue
-        has_letters = _LETTER_RE.search(stripped) is not None
-        if (upper and has_letters and indent >= CUE_INDENT
-                and len(stripped) <= MAX_CUE_LENGTH):
-            name = _strip_cue_markers(stripped.replace("\t", " "))
-            if name:
-                counts["DIALOGUE"] += 1
-                cues += 1
-                speaker = name
+        if stripped == stripped.upper():
+            if stripped.startswith(HEADING_PREFIXES):
+                headings += 1
+                speaker = None
+                current = Scene(index=len(scenes) + 1,
+                                heading=stripped.replace("\t", " "))
+                scenes.append(current)
                 continue
+            if _TRANSITION_RE.search(stripped):
+                transitions += 1
+                speaker = None
+                continue
+            if (indent >= CUE_INDENT and len(stripped) <= MAX_CUE_LENGTH
+                    and _LETTER_RE.search(stripped)):
+                name = _strip_cue_markers(stripped.replace("\t", " "))
+                if name:
+                    dialogue += 1
+                    cues += 1
+                    speaker = name
+                    continue
         if stripped.startswith("(") and indent >= DIALOGUE_INDENT:
-            counts["PARENTHETICAL"] += 1  # the speaker carries on past it
+            parentheticals += 1  # the speaker carries on past it
             continue
         if indent >= DIALOGUE_INDENT and speaker is not None:
             kind = StatementKind.DIALOGUE
-        elif has_letters:
+            dialogue += 1
+        elif _LETTER_RE.search(stripped):
             kind = StatementKind.ACTION
+            actions += 1
             speaker = None
         else:
-            counts["OTHER"] += 1
+            other += 1
             speaker = None
             continue
-        counts[kind.name] += 1
         if current is None or len(current.statements) == cap:
             current = Scene(index=len(scenes) + 1)
             scenes.append(current)
         current.statements.append(Statement(kind, stripped.replace("\t", " "),
                                             character=speaker))
-    if counts["BLANK"] == len(lines):
+    if blank == len(lines):
         raise EmptyScript(f"{title}: no non-blank line")
     if not scenes:
         # only structural lines (e.g. transitions); keep one empty scene
         scenes.append(Scene(index=1))
 
-    non_blank = len(lines) - counts["BLANK"]
-    usable = counts["SCENE_HEADING"] + counts["ACTION"] + counts["DIALOGUE"]
+    counts = {"SCENE_HEADING": headings, "ACTION": actions,
+              "DIALOGUE": dialogue, "PARENTHETICAL": parentheticals,
+              "TRANSITION": transitions, "BLANK": blank, "OTHER": other}
     report = {
         "title": title,
         "line_count": len(lines),
         "counts": counts,
         "character_cues": cues,
-        "heading_count": counts["SCENE_HEADING"],
-        "quality_score": round(usable / non_blank, 6),
+        "heading_count": headings,
+        "quality_score": round((headings + actions + dialogue)
+                               / (len(lines) - blank), 6),
     }
     return Screenplay(title=title, scenes=scenes), report
 

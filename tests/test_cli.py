@@ -440,6 +440,19 @@ def test_missing_scripts_dir_is_data_error(tmp_path, capsys):
     assert json.loads(err)["error"] == "DataError"
 
 
+def test_ingest_without_scripts_is_data_error(workspace, tmp_path, capsys):
+    _, synth = workspace
+    args = corpus_args(synth)
+    args[args.index("--scripts") + 1] = str(tmp_path / "nowhere")
+    out = tmp_path / "manifest.json"
+    assert main(["ingest"] + args + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    error = json.loads(captured.err.strip().splitlines()[-1])
+    assert error == {"error": "DataError", "message":
+                     f"no *.txt scripts under {tmp_path / 'nowhere'}"}
+    assert captured.out == "" and not out.exists()
+
+
 def test_default_out_uses_env_dir(workspace, tmp_path, monkeypatch):
     root, synth = workspace
     monkeypatch.setenv("SCENEWISE_OUT", str(tmp_path))
@@ -478,6 +491,29 @@ def test_parse_skips_undecodable_script(workspace, tmp_path, caplog):
         ["synth000", "synth001", "synth002"]
     assert not (out / "zzbinary.quality.json").exists()
     assert "zzbinary.txt: undecodable: " in caplog.text
+
+
+def test_ingest_and_parse_skip_directory_named_like_a_script(
+        workspace, tmp_path, caplog):
+    _, synth = workspace
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    for p in sorted((synth / "scripts").glob("*.txt")):
+        (scripts / p.name).write_bytes(p.read_bytes())
+    (scripts / "zdir.txt").mkdir()
+    out = tmp_path / "manifest.json"
+    args = corpus_args(synth)
+    args[args.index("--scripts") + 1] = str(scripts)
+    assert run(["ingest"] + args + ["--out", str(out)]) == 0
+    manifest = json.loads(out.read_text())
+    assert sum(len(v) for v in manifest["splits"].values()) == 8
+    assert manifest["excluded"] == [{"title": "zdir",
+                                     "reason": "not a regular file"}]
+    parsed = tmp_path / "parsed"
+    with caplog.at_level("WARNING"):
+        assert run(["parse", "--scripts", str(scripts), "--out", str(parsed)]) == 0
+    assert len(list(parsed.glob("*.tsv"))) == 8
+    assert "zdir.txt: not a regular file" in caplog.text
 
 
 def test_parse_skips_empty_script(workspace, tmp_path, caplog):

@@ -7,6 +7,7 @@ The compiled path must give bitwise the same logits and gradients, and the
 single tokenize pass must give the vocabularies that per-token Counters give.
 """
 
+import gc
 from collections import Counter
 
 import numpy as np
@@ -44,8 +45,15 @@ from scenewise.encoders import (
     _scene_rows,
 )
 from scenewise.errors import DataError, EmptyScript, EmptyStatement
-from scenewise.parser import Screenplay, parse_script
+from scenewise.parser import (
+    Scene,
+    Screenplay,
+    Statement,
+    StatementKind,
+    parse_script,
+)
 
+import tokenpass_oracle
 from conftest import action_texts, dialogue_lines, embedding_rows, speakers
 from test_autodiff import dot, stack
 from test_encoders import action, dialogue, scene_of
@@ -412,3 +420,77 @@ def test_token_pass_matches_counter_oracle_on_fuzzed_scripts(
         flat = [t for scene in play.scenes for t in scene_tokens(scene)]
         assert np.array_equal(vectors.embeddings.matrix[script.ids],
                               oracle_rows(vectors, flat))
+
+
+# ---------------------------------------------------------------------------
+# the tokenize pass against the per-statement oracle
+
+# text that str.lower maps to ASCII (dotted capital I, the Kelvin sign),
+# apostrophes, tabs and newlines, other non-ASCII letters, and any text
+TEXTS = st.one_of(
+    st.text(alphabet=st.sampled_from(list("abzAKZ09' \t\n.,-")
+                                     + ["\u0130", "\u212a", "\u00e9", "\u00df",
+                                        "\u01c5", "\u0301"]), max_size=24),
+    st.text(max_size=12))
+STATEMENTS = st.builds(
+    lambda dialogue, text, who: Statement(StatementKind.DIALOGUE, text, who)
+    if dialogue else Statement(StatementKind.ACTION, text),
+    st.booleans(), TEXTS, st.sampled_from(["MIA", "JULES", "VINCENT"]))
+# scenes and statements may be empty; a logline may hold a newline
+PLAYS = st.one_of(
+    st.builds(lambda title, scenes: Screenplay(title, [
+        Scene(index=i + 1, statements=stmts) for i, stmts in enumerate(scenes)]),
+        st.sampled_from(["a", "b"]),
+        st.lists(st.lists(STATEMENTS, max_size=5), max_size=4)),
+    st.builds(logline_screenplay, st.just("log"), TEXTS))
+
+
+def assert_pass_matches_oracle(plays):
+    tokens, expected = TokenPass(plays), tokenpass_oracle.TokenPass(plays)
+    assert tokens.types == expected.types
+    assert len(tokens.type_ids) == len(expected.type_ids) == len(plays)
+    for ids, want in zip(tokens.type_ids, expected.type_ids):
+        assert ids.dtype == want.dtype and np.array_equal(ids, want)
+    assert len(tokens.layouts) == len(plays)
+    for layout, want in zip(tokens.layouts, expected.layouts):
+        assert layout[0] == want[0] and layout[4] == want[4]
+        for got, arr in zip(layout[1:4], want[1:4]):
+            assert got.dtype == arr.dtype and np.array_equal(got, arr)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(PLAYS, max_size=5), st.lists(raw_scripts(), max_size=3))
+def test_token_pass_matches_per_statement_oracle(plays, texts):
+    assert_pass_matches_oracle(plays + _fuzz_plays(texts))
+
+
+def test_token_pass_leaves_no_reference_cycle(small_corpus):
+    # a pass runs for every raw play compiled at inference; a cycle would
+    # keep its token index alive until the cyclic collector next runs
+    plays = [it.screenplay for it in small_corpus.items]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        TokenPass(plays)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_token_pass_matches_per_statement_oracle_on_synthetic_corpus(
+        small_corpus):
+    assert_pass_matches_oracle([it.screenplay for it in small_corpus.items])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.characters(exclude_categories=())))
+def test_tokenize_matches_regex_oracle(text):
+    # any code point, lone surrogates included
+    assert tokenize(text) == tokenpass_oracle.tokenize(text)
+
+
+def test_tokenize_lowercases_before_splitting():
+    assert tokenize("\u0130STANBUL, 5\u212a run\tisn't caf\u00e9s\nend") == \
+        ["i", "stanbul", "5k", "run", "isn't", "caf", "s", "end"]

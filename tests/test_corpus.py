@@ -261,6 +261,34 @@ def test_ingest_excludes_malformed(tmp_path, synth_corpus):
     assert {e["title"] for e in manifest["excluded"]} == {"zzbroken"}
 
 
+@pytest.mark.parametrize("make", [False, True])
+def test_ingest_refuses_directory_without_scripts(tmp_path, synth_corpus, make):
+    out, _ = synth_corpus
+    scripts = tmp_path / "scripts"
+    if make:
+        scripts.mkdir()
+        (scripts / "notes.md").write_text("INT. ROOM - DAY\n")
+    with pytest.raises(DataError) as err:
+        ingest(scripts, out / "tags.json", out / "embeddings.txt",
+               IngestConfig(min_count=2))
+    assert str(err.value) == f"no *.txt scripts under {scripts}"
+
+
+def test_ingest_excludes_entry_that_is_not_a_regular_file(tmp_path,
+                                                          synth_corpus):
+    out, _ = synth_corpus
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    for p in (out / "scripts").glob("*.txt"):
+        (scripts / p.name).write_text(p.read_text())
+    (scripts / "zdir.txt").mkdir()
+    corpus, manifest = ingest(scripts, out / "tags.json", out / "embeddings.txt",
+                              IngestConfig(min_count=2))
+    assert len(corpus.items) == 10
+    assert manifest["excluded"] == [{"title": "zdir",
+                                     "reason": "not a regular file"}]
+
+
 def test_ingest_skips_missing_tags(tmp_path, synth_corpus):
     out, _ = synth_corpus
     tags = json.loads((out / "tags.json").read_text())
@@ -324,6 +352,15 @@ def test_embeddings_reject_non_numeric_value_naming_file_and_line(tmp_path):
         WordEmbeddings.load(path, expected_dim=2)
     assert str(err.value) == (f"{path} line 3: could not convert string to "
                               f"float: 'abc'")
+
+
+def test_embeddings_reject_token_listed_twice_naming_both_lines(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("a 0.1 0.2\nb 1.0 2.0\n\na 0.3 0.4\n")
+    with pytest.raises(DataError) as err:
+        WordEmbeddings.load(path, expected_dim=2)
+    assert str(err.value) == (f"{path} line 4: 'a' is listed again; its first "
+                              f"row is line 1")
 
 
 def test_embedding_rows_gather_one_matrix():

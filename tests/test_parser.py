@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -144,6 +145,15 @@ def test_adjacent_headings_keep_empty_scene():
 def test_empty_script_raises():
     with pytest.raises(EmptyScript):
         parse_script("x", "\n  \n\n")
+
+
+def test_statement_is_frozen_slotted_and_hashable():
+    stmt = Statement(DIALOGUE, "Mia.", "JULES")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stmt.text = "Vincent."
+    assert not hasattr(stmt, "__dict__")
+    assert hash(stmt) == hash(Statement(DIALOGUE, "Mia.", "JULES"))
+    assert {stmt, Statement(DIALOGUE, "Mia.", "JULES")} == {stmt}
 
 
 def _scene_with(n: int) -> str:
@@ -357,4 +367,19 @@ def test_scan_matches_two_pass_oracle(text, cap):
     if cap is not None:
         expected = oracle.split_long_scenes(expected, cap)
     assert scan_script("Fuzz Script", text, cap=cap) == (
+        expected, oracle.quality_report(raw))
+
+
+@pytest.mark.parametrize("text", [
+    "INT. ROOM - DAY\n\nFADE\tIN:\n\t\tFADE\tTO BLACK.\nCUT\tTO:\n",
+    "          ANNA (V.O.) (CONT'D)\n          Hi.\n          BOB (2)\n    Yo.\n",
+    "          1234\n    (beat)\n          MIA\t(O.S.)\n\tWait.\n    42.\n",
+    "INT.\tHALL\n" + " " * 10 + "Q" * 41 + "\n    after\n" + " " * 10 + "Q" * 40,
+])
+def test_scan_matches_two_pass_oracle_on_tabs_and_cue_markers(text):
+    # cases the fuzz alphabet does not reach: a tab inside a transition,
+    # stacked or unknown cue markers, and cue-like lines without letters
+    raw = oracle.RawScript.from_text("Cases", text)
+    expected = oracle.split_long_scenes(oracle.segment_scenes(raw), 2)
+    assert scan_script("Cases", text, cap=2) == (
         expected, oracle.quality_report(raw))
