@@ -37,7 +37,11 @@ attention vector, masking the padded steps, also as a single node, and
 its batch's ``lengths`` and returns one tensor with a batch axis; a
 single sequence is a batch of one.  ``margin_hinge`` sums the
 max-margin hinge of every row of a matrix against its negatives as one
-node, with a hand-written VJP.
+node, with a hand-written VJP.  So do ``logistic_loss``, the weighted
+log-sigmoid sum of the reweighted tag loss, and ``mean_of_run_means``,
+the BoE character block's mean over scenes of per-scene mean rows; each
+keeps the order of operations of the primitive ops it replaces, so its
+value and gradient are theirs to the bit.
 """
 
 from __future__ import annotations
@@ -48,7 +52,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateNormalizer, EmptySequence, ShapeMismatch
+from .errors import (DegenerateNormalizer, EmptySequence, NonFiniteLoss,
+                     ShapeMismatch)
 
 Vjp = Callable[[np.ndarray], tuple]
 
@@ -186,10 +191,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _op(a.data * c, (a,), lambda g: (g * c,))
 
 
-def neg(a: Tensor) -> Tensor:
-    return scale(a, -1.0)
-
-
 def add_bias(m: Tensor, v: Tensor) -> Tensor:
     """Add a vector to every row of a matrix."""
     if m.data.ndim != 2 or v.data.ndim != 1 or m.data.shape[1] != v.data.shape[0]:
@@ -273,6 +274,32 @@ def mean_rows(a: Tensor, lengths) -> Tensor:
     return _op(means, (a,), vjp)
 
 
+def mean_of_run_means(a: Tensor, index, runs, at, n: int) -> Tensor:
+    """(D,): the mean row of an (n, D) matrix whose row ``at[j]`` is the
+    mean of run ``j`` of the gathered rows ``a.data[index]``, ``runs[j]``
+    consecutive rows each, and whose other rows are zero; one tape node.
+
+    It is ``row``, ``mean_rows``, ``place``, ``mean_rows`` over all ``n``
+    rows and ``row`` in one, in their order of operations, so the value
+    and the gradient are that composition's to the bit.
+    """
+    if a.data.ndim != 2:
+        raise ShapeMismatch(f"mean_of_run_means: expected matrix, got {a.data.shape}")
+    runs = np.asarray(runs)
+    counts = runs[:, None].astype(np.float64)
+    scenes = np.zeros((n, a.data.shape[1]))
+    scenes[at] = np.add.reduceat(a.data[index], np.cumsum(runs) - runs,
+                                 axis=0) / counts
+    mean = np.add.reduceat(scenes, [0], axis=0)[0] / float(n)
+
+    def vjp(g: np.ndarray) -> tuple:
+        full = np.zeros_like(a.data)
+        np.add.at(full, index, np.repeat(g / float(n) / counts, runs, axis=0))
+        return (full,)
+
+    return _op(mean, (a,), vjp)
+
+
 def total(a: Tensor) -> Tensor:
     def vjp(g: np.ndarray) -> tuple:
         return (np.full_like(a.data, float(g)),)
@@ -301,20 +328,6 @@ def softmax(a: Tensor) -> Tensor:
     y = e / e.sum(axis=-1, keepdims=True)
     return _op(y, (a,),
                lambda g: (y * (g - (g * y).sum(axis=-1, keepdims=True)),))
-
-
-def logsigmoid(a: Tensor) -> Tensor:
-    """Numerically stable log(sigmoid(x)) = -softplus(-x)."""
-    x = a.data
-    y = np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))),
-                 x - np.log1p(np.exp(-np.abs(x))))
-
-    def vjp(g: np.ndarray) -> tuple:
-        sneg = np.where(x >= 0, np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))),
-                        1.0 / (1.0 + np.exp(-np.abs(x))))
-        return (g * sneg,)
-
-    return _op(y, (a,), vjp)
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -554,6 +567,36 @@ def margin_hinge(w: Tensor, targets: np.ndarray, neg: np.ndarray) -> Tensor:
     return _op(np.asarray(np.maximum(margins, 0.0).sum()), (w,), vjp)
 
 
+def logistic_loss(z: Tensor, w_pos: np.ndarray, w_neg: np.ndarray, c: float
+                  ) -> Tensor:
+    """``c * sum(w_pos * log s(z) + w_neg * log s(-z))``, ``s`` the logistic
+    sigmoid, as one tape node; the weights are constants of ``z``'s shape.
+
+    Each log-sigmoid takes the stable form ``-softplus(-x)``.  The value
+    and the gradient keep the order of operations of that sum built from
+    primitive ops, so they are its to the bit.
+    """
+    x = z.data
+    if w_pos.shape != x.shape or w_neg.shape != x.shape:
+        raise ShapeMismatch(f"logistic_loss: logits {x.shape}, weights "
+                            f"{w_pos.shape} and {w_neg.shape}")
+    c = float(c)
+    nx = x * -1.0
+    e = np.exp(-np.abs(x))  # the same for x and -x
+    soft = np.log1p(e)
+    terms = (w_pos * np.where(x >= 0, -soft, x - soft)
+             + w_neg * np.where(nx >= 0, -soft, nx - soft))
+
+    def vjp(g: np.ndarray) -> tuple:
+        # the sigmoid of minus each log-sigmoid's input, on each side of 0
+        s_pos, s_neg = e / (1.0 + e), 1.0 / (1.0 + e)
+        v = float(g * c)
+        d_neg = v * w_neg * np.where(nx >= 0, s_pos, s_neg) * -1.0
+        return (d_neg + v * w_pos * np.where(x >= 0, s_pos, s_neg),)
+
+    return _op(np.asarray(terms.sum()) * c, (z,), vjp)
+
+
 # ---------------------------------------------------------------------------
 # optimization
 
@@ -562,10 +605,14 @@ def clip_grad_norm(params: Iterable[Tensor], max_norm: float = 5.0) -> float:
     """Scale gradients in place so their global L2 norm is at most ``max_norm``.
 
     Returns the scaling factor applied (1.0 when no clipping was needed).
+    A NaN or infinite norm raises :class:`NonFiniteLoss` naming it, and no
+    gradient is scaled.
     """
     tensors = [p for p in params if p.grad is not None]
     sq = sum(float(np.sum(p.grad * p.grad)) for p in tensors)
     norm = math.sqrt(sq)
+    if not math.isfinite(norm):
+        raise NonFiniteLoss(f"gradient norm={norm!r}")
     if norm <= max_norm or norm == 0.0:
         return 1.0
     factor = max_norm / norm

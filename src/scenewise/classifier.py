@@ -8,7 +8,8 @@ to negative training samples, so rare tags are not drowned out::
     L(y, z) = -(1/(N*L)) sum_ij [ y_ij log s(z_ij)
                                   + lam_j (1 - y_ij) log(1 - s(z_ij)) ]
 
-computed via the stable log-sigmoid.
+computed via the stable log-sigmoid, as one tape node
+(:func:`autodiff.logistic_loss`).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .errors import (
     NonFiniteLoss,
     NoPositives,
     ParameterMismatch,
+    ShapeMismatch,
 )
 from .evaluation import micro_f1
 from .parser import Screenplay
@@ -103,26 +105,29 @@ class TagTaxonomy:
 
 def reweighted_loss(y: np.ndarray, z: Tensor, lam: np.ndarray,
                     active: np.ndarray | None = None) -> Tensor:
-    """Reweighted multi-label loss over labels ``y`` and logits ``z``.
+    """Reweighted multi-label loss over labels ``y`` and logits ``z``, as
+    one tape node.
 
     ``y`` may be (L,) for a single script or (N, L) for a batch; ``z`` must
-    match.  With every ``lam`` equal to 1 it reduces exactly to mean binary
+    match, and ``lam`` and ``active`` must be (L,): nothing is broadcast.
+    With every ``lam`` equal to 1 it reduces exactly to mean binary
     cross-entropy.
     """
     y = np.asarray(y, dtype=np.float64)
-    if y.shape != z.data.shape:
-        raise ValueError(f"labels {y.shape} vs logits {z.data.shape}")
     lam = np.asarray(lam, dtype=np.float64)
+    tags = y.shape[-1:]
+    if y.ndim not in (1, 2) or y.shape != z.data.shape or lam.shape != tags \
+            or (active is not None and np.shape(active) != tags):
+        raise ShapeMismatch(
+            f"reweighted_loss: labels {y.shape}, logits {z.data.shape}, "
+            f"lam {lam.shape}, active "
+            f"{None if active is None else np.shape(active)}")
     mask = np.ones_like(y) if active is None else \
         np.broadcast_to(np.asarray(active, dtype=np.float64), y.shape)
     denom = float(mask.sum())
     if denom == 0:
         raise DataEmpty("no active tags in the loss")
-    c_pos = y * mask
-    c_neg = (1.0 - y) * lam * mask
-    pos = ad.mul(ad.constant(c_pos), ad.logsigmoid(z))
-    neg = ad.mul(ad.constant(c_neg), ad.logsigmoid(ad.neg(z)))
-    return ad.scale(ad.total(ad.add(pos, neg)), -1.0 / denom)
+    return ad.logistic_loss(z, y * mask, (1.0 - y) * lam * mask, -1.0 / denom)
 
 
 def predict_tags(logits: np.ndarray | Tensor, threshold: float = 0.5) -> np.ndarray:
@@ -297,9 +302,10 @@ def optimizer_epochs(trainer: str, params: dict[str, Tensor],
     """One Adam step per ``(key, item)`` in ``items``, in an order drawn
     from ``rng`` each epoch, with the gradient norm clipped to ``max_norm``;
     yields each epoch's mean ``loss_of(item)``.  Adam updates ``params`` in
-    place.  No items raise :class:`DataEmpty`, and a non-finite loss raises
-    :class:`NonFiniteLoss`, each naming ``trainer``; the latter also names
-    the epoch and the key.
+    place.  No items raise :class:`DataEmpty`, and a non-finite loss or
+    gradient norm raises :class:`NonFiniteLoss`, each naming ``trainer``;
+    the latter also names the epoch, the key and the value, and is raised
+    before Adam touches a parameter.
     """
     if not items:
         raise DataEmpty(f"{trainer}: no script to train on")
@@ -315,7 +321,11 @@ def optimizer_epochs(trainer: str, params: dict[str, Tensor],
                 raise NonFiniteLoss(
                     f"{trainer} epoch {epoch}, script {key!r}: loss={value!r}")
             loss.backward()
-            clip_grad_norm(params.values(), max_norm)
+            try:
+                clip_grad_norm(params.values(), max_norm)
+            except NonFiniteLoss as err:
+                raise NonFiniteLoss(
+                    f"{trainer} epoch {epoch}, script {key!r}: {err}") from None
             opt.step()
             losses.append(value)
         yield float(np.mean(losses))

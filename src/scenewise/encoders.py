@@ -23,7 +23,9 @@ The model reads a script compiled once to embedding-row ids
 channel's statements, and one gather per channel fetches their word rows.
 Under BoE the script vector is the concatenation of each block's mean over
 the scenes.  Only the character block has a parameter, so the other
-blocks' means are computed once per compiled script and kept on the model.
+blocks' means are computed once per compiled script and kept on the model;
+the character block's mean over the scenes of each scene's mean speaker
+row is one tape node (``autodiff.mean_of_run_means``).
 Structural variants replace or drop tiers:
 
 * ``full`` — both channels, character block included
@@ -278,16 +280,34 @@ class HierarchicalModel:
             vecs = scene_enc.encode(stmt_vecs, runs)
         return _scene_rows(vecs, kept, script.n_scenes)
 
-    def _encode_characters(self, script: CompiledScript) -> Tensor:
+    def _speakers(self, script: CompiledScript
+                  ) -> tuple[list[int], list[int], list[int]]:
+        """The scenes with speakers, each one's number of speakers, and the
+        speakers' ``char_table`` rows scene by scene (UNK for an unseen
+        name)."""
         names = script.characters
         kept = [i for i, per in enumerate(names) if per]
+        index = self.char_table.index
+        return (kept, [len(names[i]) for i in kept],
+                [index.get(n, 0) for i in kept for n in names[i]])
+
+    def _encode_characters(self, script: CompiledScript) -> Tensor:
+        """(n_scenes, char_dim): each scene's mean speaker row; zero rows
+        for scenes without speakers."""
+        kept, runs, rows = self._speakers(script)
         if not kept:
             return ad.constant(np.zeros((script.n_scenes, self.char_dim)))
-        runs = [len(names[i]) for i in kept]
-        index = self.char_table.index
-        rows = ad.row(self.char_table.matrix,
-                      [index.get(n, 0) for i in kept for n in names[i]])
-        return _scene_rows(ad.mean_rows(rows, runs), kept, script.n_scenes)
+        return _scene_rows(ad.mean_rows(ad.row(self.char_table.matrix, rows),
+                                        runs), kept, script.n_scenes)
+
+    def _characters_mean(self, script: CompiledScript) -> Tensor:
+        """(char_dim,): the mean over the scenes of
+        ``_encode_characters(script)``, as one tape node."""
+        kept, runs, rows = self._speakers(script)
+        if not kept:
+            return ad.constant(np.zeros(self.char_dim))
+        return ad.mean_of_run_means(self.char_table.matrix, rows, runs, kept,
+                                    script.n_scenes)
 
     def encode_scenes(self, script: CompiledScript | Screenplay) -> Tensor:
         """(n_scenes, scene_dim): each scene's blocks concatenated in
@@ -303,7 +323,8 @@ class HierarchicalModel:
         Under BoE that is each block's mean over the scenes, concatenated
         in ``block_layout`` order.  A compiled script's channel means hold
         no parameter, so they are computed on its first encode and kept;
-        a raw screenplay, compiled here, is not kept.
+        a raw screenplay, compiled here, is not kept.  The character block
+        is one tape node over the character table.
         """
         raw = isinstance(script, Screenplay)
         script = self.vectors.compiled(script)
@@ -320,7 +341,7 @@ class HierarchicalModel:
                 mean.flags.writeable = False
             if not raw:
                 self._channel_means[script] = means
-        return ad.concat([_scene_mean(self._encode_characters(script))
+        return ad.concat([self._characters_mean(script)
                           if name == "characters" else ad.constant(means[name])
                           for name, _ in self.block_layout])
 

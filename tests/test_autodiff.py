@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import gru_oracle
+import loss_oracle
 from scenewise import autodiff as ad
-from scenewise.errors import EmptySequence, ShapeMismatch
+from scenewise.errors import EmptySequence, NonFiniteLoss, ShapeMismatch
 
 
 def rng(seed=0):
@@ -52,7 +53,7 @@ def test_shape_mismatch_messages_carry_both_shapes():
     "add", "sub", "mul", "matmul_mm", "matmul_mv", "matmul_vm", "dot",
     "concat", "stack", "row", "mean_rows", "total",
     "sigmoid", "tanh", "relu", "softmax", "logsigmoid", "sqrt",
-    "transpose", "add_bias", "scale",
+    "transpose", "add_bias", "scale", "mean_of_run_means", "logistic_loss",
 ])
 def test_primitive_gradients_match_finite_differences(name):
     r = rng(hash(name) % 2**32)
@@ -105,7 +106,7 @@ def test_primitive_gradients_match_finite_differences(name):
     elif name in ("sigmoid", "tanh", "relu", "logsigmoid"):
         a = ad.parameter(vec(6))
         op = {"sigmoid": sigmoid, "tanh": tanh, "relu": ad.relu,
-              "logsigmoid": ad.logsigmoid}[name]
+              "logsigmoid": loss_oracle.logsigmoid}[name]
         fn = lambda: ad.total(op(a))
         params = [a]
     elif name == "softmax":
@@ -129,6 +130,16 @@ def test_primitive_gradients_match_finite_differences(name):
     elif name == "scale":
         a = ad.parameter(vec(5))
         fn = lambda: ad.total(ad.scale(a, 2.5))
+        params = [a]
+    elif name == "mean_of_run_means":
+        a = ad.parameter(r.normal(size=(4, 3)))
+        fn = lambda: ad.total(tanh(ad.mean_of_run_means(
+            a, [2, 0, 3, 2, 1], [2, 3], [1, 3], 5)))
+        params = [a]
+    elif name == "logistic_loss":
+        a = ad.parameter(r.normal(size=(2, 3)) * 3)
+        w_pos, w_neg = r.uniform(0, 2, (2, 3)), r.uniform(0, 2, (2, 3))
+        fn = lambda: ad.logistic_loss(a, w_pos, w_neg, -0.4)
         params = [a]
     else:  # pragma: no cover
         raise AssertionError(name)
@@ -545,6 +556,15 @@ def test_clip_grad_norm_zero_grads():
     a = ad.parameter(np.zeros(3))
     a.grad = np.zeros(3)
     assert ad.clip_grad_norm([a], 5.0) == 1.0
+
+
+@pytest.mark.parametrize("bad,norm", [(np.nan, "nan"), (np.inf, "inf")])
+def test_clip_grad_norm_refuses_non_finite_norm(bad, norm):
+    a, b = ad.parameter(np.zeros(2)), ad.parameter(np.zeros(1))
+    a.grad, b.grad = np.array([30.0, 40.0]), np.array([bad])
+    with pytest.raises(NonFiniteLoss, match=f"^gradient norm={norm}$"):
+        ad.clip_grad_norm([a, b], 5.0)
+    assert np.array_equal(a.grad, [30.0, 40.0])
 
 
 def test_adam_first_step_magnitude():

@@ -1,17 +1,20 @@
 """The BoE script vector against the composition it replaces.
 
 Under BoE, ``HierarchicalModel.encode_script`` concatenates each block's
-mean over the scenes and keeps a compiled script's parameter-free channel
-means.  The reference below is the composition it replaced: the script
-encoder over the whole (n_scenes, scene_dim) scene matrix.  Logits, loss
-gradients and trained parameters must equal the reference's bit for bit,
-on the first encode and on every repeat.
+mean over the scenes, keeps a compiled script's parameter-free channel
+means and builds the character block as one tape node.  The reference
+below is the composition it replaced: the script encoder over the whole
+(n_scenes, scene_dim) scene matrix, trained through the composed loss of
+``loss_oracle``.  Logits, loss gradients and trained parameters must equal
+the reference's bit for bit, on the first encode and on every repeat.
 """
 
 import numpy as np
 import pytest
 
+import loss_oracle
 from scenewise import autodiff as ad
+from scenewise import classifier
 from scenewise.classifier import (
     ScriptTagModel,
     TagTaxonomy,
@@ -32,6 +35,7 @@ from scenewise.corpus import (
 from scenewise.encoders import EncoderKind, EncoderSpec, HierarchicalModel, Variant
 from scenewise.errors import DataError
 
+from test_autodiff import gradcheck
 from test_compiled import assert_bitwise, edge_plays, logits_and_grads, vectors_for
 
 CONFIGS = [(variant, chars) for variant in Variant for chars in (False, True)]
@@ -79,13 +83,17 @@ def loss_and_grads(params, fn):
                               for name, t in params.items()}
 
 
+def script_sets(corpus):
+    """(vectors, compiled scripts) of the edge plays and of ``corpus``."""
+    edge_vectors = vectors_for(with_unk=True)
+    return [(edge_vectors, [edge_vectors.compiled(p) for p in edge_plays()]),
+            (corpus.vectors(), [it.script for it in corpus.items])]
+
+
 @pytest.mark.parametrize("variant,include_chars", CONFIGS)
 def test_logits_and_loss_gradients_match_composition(small_corpus, variant,
                                                      include_chars):
-    edge_vectors = vectors_for(with_unk=True)
-    for vectors, scripts in [
-            (edge_vectors, [edge_vectors.compiled(p) for p in edge_plays()]),
-            (small_corpus.vectors(), [it.script for it in small_corpus.items])]:
+    for vectors, scripts in script_sets(small_corpus):
         assert_matches_composition(vectors, scripts, variant, include_chars)
 
 
@@ -100,8 +108,9 @@ def assert_matches_composition(vectors, scripts, variant, include_chars):
                              lambda: reference.logits(script)),
             logits_and_grads(model.named_params(), lambda: model.logits(script)))
         assert_bitwise(
-            loss_and_grads(reference.named_params(), lambda: reweighted_loss(
-                y, reference.logits(script), lam, active)),
+            loss_and_grads(reference.named_params(),
+                           lambda: loss_oracle.reweighted_loss(
+                               y, reference.logits(script), lam, active)),
             loss_and_grads(model.named_params(), lambda: reweighted_loss(
                 y, model.logits(script), lam, active)))
     assert len(stored(model)) == len(scripts)
@@ -109,15 +118,17 @@ def assert_matches_composition(vectors, scripts, variant, include_chars):
 
 @pytest.mark.parametrize("variant,include_chars", CONFIGS)
 def test_trained_parameters_match_composition(small_corpus, variant,
-                                              include_chars):
+                                              include_chars, monkeypatch):
     vectors = small_corpus.vectors()
     taxonomy = TagTaxonomy.from_items(small_corpus.items, "genre")
     samples = make_samples(small_corpus.items, taxonomy)
     config = TrainConfig(max_epochs=2, patience=5, seed=3)
     models = [tag_model(vectors, variant, include_chars, len(taxonomy), cls=cls)
               for cls in (ComposedModel, HierarchicalModel)]
-    reference, got = [train(m, samples[:8], samples[8:], taxonomy, config)
-                      for m in models]
+    with monkeypatch.context() as patch:
+        patch.setattr(classifier, "reweighted_loss", loss_oracle.reweighted_loss)
+        reference = train(models[0], samples[:8], samples[8:], taxonomy, config)
+    got = train(models[1], samples[:8], samples[8:], taxonomy, config)
     assert got.rows == reference.rows
     assert got.best_epoch == reference.best_epoch
     last = [{k: t.data for k, t in m.named_params().items()} for m in models]
@@ -198,3 +209,33 @@ def test_other_kinds_store_nothing(kind):
     model.logits(script)
     model.logits(script)
     assert not stored(model)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_character_block_is_one_node_equal_to_composition(small_corpus, variant):
+    for vectors, scripts in script_sets(small_corpus):
+        encoder = tag_model(vectors, variant, True).encoder
+        params = {"chars.matrix": encoder.char_table.matrix}
+        for script in scripts + scripts:
+            block = encoder._characters_mean(script)
+            if any(script.characters):
+                assert block._parents == (encoder.char_table.matrix,)
+            assert_bitwise(
+                logits_and_grads(params, lambda: loss_oracle.characters_mean(
+                    encoder, script)),
+                logits_and_grads(params, lambda: encoder._characters_mean(script)))
+
+
+def test_boe_full_gradients_match_finite_differences(small_corpus):
+    """End to end: from the characters and the head through the logits of a
+    BoE ``full`` model to the fused loss."""
+    y = np.array([1.0, 0.0, 1.0])
+    lam, active = np.array([0.5, 2.0, 1.0]), np.array([True, True, False])
+    for vectors, scripts in script_sets(small_corpus):
+        model = tag_model(vectors, Variant.FULL, True)
+        params = [model.encoder.char_table.matrix, model.head.w, model.head.b]
+        assert list(model.named_params().values()) == params
+        for script in scripts[:3]:
+            err = gradcheck(lambda: reweighted_loss(y, model.logits(script), lam,
+                                                    active), params)
+            assert err < 1e-4, script.title

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import loss_oracle
 from scenewise import autodiff as ad
 from scenewise.classifier import (
     LoglinesModel,
@@ -12,13 +13,21 @@ from scenewise.classifier import (
     TrainConfig,
     average_precision,
     make_samples,
+    optimizer_epochs,
     predict_tags,
     reweighted_loss,
     train,
 )
-from scenewise.corpus import CorpusItem, logline_screenplay
+from scenewise.corpus import (
+    CorpusItem,
+    IngestConfig,
+    SynthSpec,
+    generate_synthetic_corpus,
+    ingest,
+    logline_screenplay,
+)
 from scenewise.encoders import EncoderKind, EncoderSpec, HierarchicalModel, Variant
-from scenewise.errors import DataEmpty, NonFiniteLoss, NoPositives
+from scenewise.errors import DataEmpty, NonFiniteLoss, NoPositives, ShapeMismatch
 from scenewise.parser import Scene, Screenplay, Statement, StatementKind
 
 from conftest import make_vectors
@@ -94,6 +103,134 @@ def test_inactive_tags_excluded_from_loss():
     active = np.array([True, False])
     loss = reweighted_loss(y, z, np.ones(2), active=active).item()
     assert abs(loss - math.log(2)) < 1e-12
+
+
+def _loss_cases():
+    """Labels, logits, lam and active of (L,) and (N, L) shapes, with and
+    without ``active``, over random logits and the values 0 and +-40."""
+    r = rng(5)
+    special = np.array([0.0, -0.0, 40.0, -40.0])
+    for case in range(400):
+        shape = (int(r.integers(1, 7)),) if case % 2 else \
+            (int(r.integers(1, 4)), int(r.integers(1, 7)))
+        z = r.normal(size=shape) * r.choice([0.5, 4.0, 30.0])
+        picks = r.random(shape) < 0.3
+        z[picks] = r.choice(special, size=int(picks.sum()))
+        y = (r.random(shape) < 0.5).astype(float)
+        lam = r.uniform(0.0, 3.0, shape[-1])
+        active = None
+        if case % 4 >= 2:
+            active = r.random(shape[-1]) < 0.7
+            active[int(r.integers(shape[-1]))] = True
+        yield y, z, lam, active
+
+
+def test_fused_loss_matches_composition_bitwise():
+    for y, zd, lam, active in _loss_cases():
+        got, want = ad.parameter(zd.copy()), ad.parameter(zd.copy())
+        loss = reweighted_loss(y, got, lam, active)
+        reference = loss_oracle.reweighted_loss(y, want, lam, active)
+        assert np.array_equal(loss.data, reference.data), (y, zd, lam, active)
+        loss.backward()
+        reference.backward()
+        assert np.array_equal(got.grad, want.grad), (y, zd, lam, active)
+        assert np.array_equal(np.signbit(got.grad), np.signbit(want.grad))
+
+
+@pytest.mark.parametrize("lam,active", [
+    (np.array([2.0]), np.array([True])),
+    (np.array([2.0]), None),
+    (np.ones(4), np.array([True])),
+    (np.ones((1, 4)), None),
+    (np.ones(4), np.ones((1, 4), dtype=bool)),
+    (np.ones(5), np.ones(5, dtype=bool)),
+])
+def test_loss_refuses_tag_vectors_of_another_shape(lam, active):
+    z = ad.parameter(np.zeros(4))
+    with pytest.raises(ShapeMismatch) as err:
+        reweighted_loss(np.array([1.0, 0, 0, 1]), z, lam=lam, active=active)
+    message = str(err.value)
+    assert "(4,)" in message and str(lam.shape) in message
+    if active is not None:
+        assert str(active.shape) in message
+
+
+def test_loss_refuses_labels_unlike_the_logits():
+    for y, z in [(np.zeros(3), np.zeros(4)), (np.zeros((2, 3)), np.zeros(3)),
+                 (np.zeros((1, 2, 3)), np.zeros((1, 2, 3)))]:
+        with pytest.raises(ShapeMismatch, match=r"labels \(.*logits \("):
+            reweighted_loss(y, ad.parameter(z), np.ones(3))
+
+
+def test_non_finite_gradient_norm_stops_before_the_step():
+    w = ad.parameter(np.zeros(3))
+    other = ad.parameter(np.ones(2))
+    params = {"w": w, "other": other}
+    before = {k: t.data.copy() for k, t in params.items()}
+
+    def loss_of(_):
+        # sqrt at 0: the loss is 0.0, its gradient infinite times zero
+        return ad.add(ad.sqrt(ad.total(ad.mul(w, w))),
+                      ad.total(ad.mul(other, other)))
+
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            pytest.raises(NonFiniteLoss, match=r"^toy training epoch 1, "
+                          r"script 'only': gradient norm=nan$"):
+        list(optimizer_epochs("toy training", params, [("only", None)], loss_of,
+                              rng(0), epochs=2, lr=0.1, max_norm=5.0))
+    for name, value in before.items():
+        assert np.array_equal(params[name].data, value), name
+
+
+def test_infinite_gradient_norm_is_named():
+    w = ad.parameter(np.array([0.0, 1.0]))
+    # the loss is 1.0; sqrt's gradient at 0 is infinite
+    with np.errstate(divide="ignore"), \
+            pytest.raises(NonFiniteLoss, match=r"^toy training epoch 1, "
+                          r"script 'edge': gradient norm=inf$"):
+        list(optimizer_epochs("toy training", {"w": w}, [("edge", None)],
+                              lambda _: ad.total(ad.sqrt(w)), rng(0),
+                              epochs=1, lr=0.1, max_norm=5.0))
+    assert np.array_equal(w.data, [0.0, 1.0])
+
+
+def tape_nodes(root) -> int:
+    """Nodes ``backward`` visits from ``root``, the parameters included."""
+    seen = {id(root)}
+    todo = [root]
+    while todo:
+        for parent in todo.pop()._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                seen.add(id(parent))
+                todo.append(parent)
+    return len(seen)
+
+
+@pytest.mark.parametrize("kind,nodes", [
+    # the head's matmul and add, its two parameters and the loss, plus
+    # the concat, the character node and the character table under BoE
+    (EncoderKind.BOE, 8),
+    # 78 with the eight-node composed loss
+    (EncoderKind.GRU_ATTN, 71),
+])
+def test_tag_step_tape_size_on_the_pinned_script(tmp_path, kind, nodes):
+    """A ``full`` model with characters, on a 6-scene script of 5 statements
+    per scene."""
+    generate_synthetic_corpus(tmp_path, SynthSpec(
+        n_scripts=1, seed=7, scenes_range=(6, 6), statements_range=(5, 5)))
+    data, _ = ingest(tmp_path / "scripts", tmp_path / "tags.json",
+                     tmp_path / "embeddings.txt",
+                     IngestConfig(min_count=1, heldout_fraction=0.0,
+                                  validation_fraction=0.0,
+                                  descriptor_min_movies=1,
+                                  descriptor_top_exclude=0))
+    vectors = data.vectors()
+    encoder = HierarchicalModel(EncoderSpec(kind, vectors.dim, 2), Variant.FULL,
+                                vectors, data.characters())
+    model = ScriptTagModel(encoder, 3)
+    loss = reweighted_loss(np.zeros(3), model.logits(data.items[0].script),
+                           np.ones(3))
+    assert tape_nodes(loss) == nodes
 
 
 def test_predict_tags_thresholding():

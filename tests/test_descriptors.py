@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import loss_oracle
 from scenewise import autodiff as ad
 from scenewise import descriptors as dsc
 from scenewise import encoders
@@ -632,6 +633,15 @@ def test_large_lambda_fro_nonincreasing(desc_corpus):
     trace = [stats.initial_fro] + stats.fro_trace
     for prev, cur in zip(trace, trace[1:]):
         assert cur <= prev + 1e-3
+
+
+def test_pretrained_target_matches_composed_loss(desc_corpus, monkeypatch):
+    config = DescriptorConfig(k=4, hidden=8, pretrain_epochs=3, seed=2)
+    with monkeypatch.context() as patch:
+        patch.setattr(dsc, "reweighted_loss", loss_oracle.reweighted_loss)
+        reference = pretrain_reconstruction_target(desc_corpus, "genre", config)
+    target = pretrain_reconstruction_target(desc_corpus, "genre", config)
+    assert np.array_equal(target.p, reference.p)
 
 
 def test_pretrain_target_raises_on_non_finite_loss(desc_corpus, monkeypatch):
