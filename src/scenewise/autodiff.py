@@ -605,17 +605,26 @@ def clip_grad_norm(params: Iterable[Tensor], max_norm: float = 5.0) -> float:
     """Scale gradients in place so their global L2 norm is at most ``max_norm``.
 
     Returns the scaling factor applied (1.0 when no clipping was needed).
-    A NaN or infinite norm raises :class:`NonFiniteLoss` naming it, and no
-    gradient is scaled.
+    When the sum of squares overflows although every entry is finite, the
+    norm is taken again with each entry divided by the largest |entry|.
+    A NaN or infinite entry raises :class:`NonFiniteLoss` naming the norm,
+    and no gradient is scaled.
     """
     tensors = [p for p in params if p.grad is not None]
-    sq = sum(float(np.sum(p.grad * p.grad)) for p in tensors)
+    with np.errstate(over="ignore"):
+        sq = sum(float(np.sum(p.grad * p.grad)) for p in tensors)
     norm = math.sqrt(sq)
-    if not math.isfinite(norm):
-        raise NonFiniteLoss(f"gradient norm={norm!r}")
-    if norm <= max_norm or norm == 0.0:
-        return 1.0
-    factor = max_norm / norm
+    if math.isfinite(norm):
+        if norm <= max_norm or norm == 0.0:
+            return 1.0
+        factor = max_norm / norm
+    else:
+        peaks = [float(np.max(np.abs(p.grad))) for p in tensors if p.grad.size]
+        if not all(map(math.isfinite, peaks)):
+            raise NonFiniteLoss(f"gradient norm={norm!r}")
+        peak = max(peaks)
+        factor = min(1.0, max_norm / peak / math.sqrt(
+            sum(float(np.sum(np.square(p.grad / peak))) for p in tensors)))
     for p in tensors:
         p.grad *= factor
     return factor

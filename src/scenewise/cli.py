@@ -1,16 +1,18 @@
 """Command-line surface.
 
-Subcommands: parse, ingest, train, evaluate, eval-sim, descriptors,
-trajectories, synth.  Usage errors exit 2 (argparse); data errors exit 1
-with one machine-parsable JSON line on stderr.  Every artifact embeds the
-run's config hash except the fixed-format script TSV and trajectory CSV.
+Subcommands: parse, ingest, train, evaluate, descriptors, trajectories,
+synth.  Usage errors exit 2 (argparse); data errors exit 1 with one
+machine-parsable JSON line on stderr.  Every artifact embeds the run's
+config hash except the fixed-format script TSV and trajectory CSV.
 
 The ingest settings (vocabulary count, scene cap, split fractions and
 seed) are flags of ``ingest``, ``train`` and ``descriptors`` only, and the
 two descriptor-vocabulary counts of ``ingest`` and ``descriptors`` only.
 A checkpoint records them all (a tag checkpoint the counts' defaults), and
-``evaluate``, ``eval-sim`` and ``trajectories`` read them from it, so a
-model is always scored on the split and the scenes it was trained with.
+``evaluate`` and ``trajectories`` read them from it, so a model is always
+scored on the split and the scenes it was trained with.  ``evaluate``
+writes one report: micro-F1, and with ``--tag-embeddings`` the
+similarity F-1 sweep over ``--cutoffs`` as well.
 ``train``'s ``--variant`` names only a structure; ``--encoder`` names the
 encoder kind.  Each checkpoint kind's manifest is one declared record
 (``_TagModelRecord``, ``_DescriptorModelRecord``): the training command
@@ -28,6 +30,7 @@ import reprlib
 import sys
 import types
 import typing
+from collections import Counter
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 
@@ -128,6 +131,9 @@ def _count(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
     return value
+
+
+DEFAULT_CUTOFFS = "100,90,80,70"
 
 
 def _cutoffs(text: str) -> list[float]:
@@ -460,8 +466,18 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_for_evaluation(args: argparse.Namespace):
+def cmd_evaluate(args: argparse.Namespace) -> int:
     params, record = _checkpoint_of_kind(args.checkpoint, _TagModelRecord)
+    attribute = record.taxonomy.attribute
+    space = None
+    if args.tag_embeddings is not None:
+        space = load_tag_embeddings(args.tag_embeddings).get(attribute)
+        if space is None:
+            raise DataError(f"no tag embeddings for attribute {attribute!r} "
+                            f"in {args.tag_embeddings}")
+        if missing := [t for t in record.taxonomy.tags if t not in space]:
+            raise DataError(f"{args.tag_embeddings} has no vector for the "
+                            f"{attribute!r} tag(s) {', '.join(map(repr, missing))}")
     corpus, _ = ingest(args.scripts, args.tags, args.embeddings, record.ingest,
                        loglines_path=args.loglines)
     if corpus.vocabulary.hash() != record.vocabulary_hash:
@@ -473,57 +489,38 @@ def _load_for_evaluation(args: argparse.Namespace):
     items = {"train": corpus.train_items, "validation": corpus.validation_items,
              "heldout": corpus.heldout_items,
              "all": corpus.items}[args.split]
+    if not items:
+        raise DataError(f"no script to score in the {args.split!r} split")
     samples = make_samples(items, taxonomy, use_loglines)
-    if use_loglines and not samples:
+    if not samples:
         raise DataError("loglines checkpoint but no loglines available; "
                         "pass --loglines")
     active = set(taxonomy.active_tags())
     scored = {s.key for s in samples}
-    gold = {it.title: set(it.tags.get(taxonomy.attribute, ())) & active
+    gold = {it.title: set(it.tags.get(attribute, ())) & active
             for it in items if it.title in scored}
     preds = predictions(model, samples, taxonomy, threshold=args.threshold)
-    return record, corpus, taxonomy, gold, preds
-
-
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    record, _, taxonomy, gold, preds = _load_for_evaluation(args)
     f1 = micro_f1(preds, gold)
     report = {
-        "attribute": taxonomy.attribute,
+        "attribute": attribute,
         "variant": record.model.variant,
         "split": args.split,
         "n_scripts": len(gold),
         "micro_f1": f1,
         "config_hash": record.config_hash,
     }
+    summary = f"{attribute} micro-F1 on {args.split}: {f1:.4f} ({len(gold)} scripts)"
+    if space is not None:
+        tag_counts = Counter(t for it in corpus.items
+                             for t in it.tags.get(attribute, ()))
+        cutoffs = _cutoffs(DEFAULT_CUTOFFS) if args.cutoffs is None else args.cutoffs
+        report["cutoffs"] = similarity_report(preds, gold, space, cutoffs,
+                                              tag_counts)["cutoffs"]
+        summary += "; similarity F-1 by cutoff: " + ", ".join(
+            f"{c}: {entry['f1']:.4f}" for c, entry in report["cutoffs"].items())
     out = _default_out(args.out, "evaluation.json")
     atomic_write_text(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(f"{taxonomy.attribute} micro-F1 on {args.split}: {f1:.4f} "
-          f"({len(gold)} scripts); report at {out}")
-    return 0
-
-
-def cmd_eval_sim(args: argparse.Namespace) -> int:
-    record, corpus, taxonomy, gold, preds = _load_for_evaluation(args)
-    spaces = load_tag_embeddings(args.tag_embeddings)
-    if taxonomy.attribute not in spaces:
-        raise DataError(f"no tag embeddings for attribute "
-                        f"{taxonomy.attribute!r} in {args.tag_embeddings}")
-    space = spaces[taxonomy.attribute]
-    tag_counts: dict[str, int] = {t: 0 for t in space.tags}
-    for it in corpus.items:
-        for t in it.tags.get(taxonomy.attribute, ()):
-            if t in tag_counts:
-                tag_counts[t] += 1
-    report = similarity_report(preds, gold, space, args.cutoffs, tag_counts)
-    report["split"] = args.split
-    report["config_hash"] = record.config_hash
-    out = _default_out(args.out, "similarity_evaluation.json")
-    atomic_write_text(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
-    rows = ", ".join(f"{c}: {report['cutoffs'][f'{c:g}']['f1']:.4f}"
-                     for c in args.cutoffs)
-    print(f"{taxonomy.attribute} similarity F-1 by cutoff ({args.split}): {rows}; "
-          f"report at {out}")
+    print(f"{summary}; report at {out}")
     return 0
 
 
@@ -669,25 +666,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_train)
 
-    sp = sub.add_parser("evaluate", help="micro-F1 of a checkpoint on a split")
+    sp = sub.add_parser("evaluate", help="micro-F1 and similarity F-1 on a split")
     _add_data_flags(sp, loglines=True)
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--split", default="heldout",
                     choices=["train", "validation", "heldout", "all"])
     sp.add_argument("--threshold", type=_probability, default=0.5)
+    sp.add_argument("--tag-embeddings", default=None)
+    sp.add_argument("--cutoffs", type=_cutoffs, default=None,
+                    help=f"default {DEFAULT_CUTOFFS}; needs --tag-embeddings")
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_evaluate)
-
-    sp = sub.add_parser("eval-sim", help="similarity-thresholded F-1 sweep")
-    _add_data_flags(sp, loglines=True)
-    sp.add_argument("--checkpoint", required=True)
-    sp.add_argument("--tag-embeddings", required=True)
-    sp.add_argument("--cutoffs", type=_cutoffs, default="100,90,80,70")
-    sp.add_argument("--split", default="heldout",
-                    choices=["train", "validation", "heldout", "all"])
-    sp.add_argument("--threshold", type=_probability, default=0.5)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=cmd_eval_sim)
 
     sp = sub.add_parser("descriptors", help="train the scene-descriptor model")
     _add_corpus_flags(sp)
@@ -743,7 +732,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    args = build_arg_parser().parse_args(argv)
+    ap = build_arg_parser()
+    args = ap.parse_args(argv)
+    if getattr(args, "cutoffs", None) is not None and args.tag_embeddings is None:
+        ap.error("evaluate: argument --cutoffs: needs --tag-embeddings")
     try:
         return args.fn(args)
     except (ScenewiseError, OSError, ValueError) as err:

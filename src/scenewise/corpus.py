@@ -325,9 +325,6 @@ class IngestConfig:
     descriptor_top_exclude: int = 500
     expected_dim: int = 100
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class Corpus:
@@ -490,8 +487,8 @@ def ingest(scripts_dir: str | Path, tags_path: str | Path,
     corpus = Corpus(items=parsed, split=split, vocabulary=vocabulary,
                     embeddings=embeddings, descriptor_vocab=desc_vocab)
     manifest = {
-        "config": config.to_dict(),
-        "config_hash": config_hash(config.to_dict()),
+        "config": asdict(config),
+        "config_hash": config_hash(asdict(config)),
         "splits": {name: sorted(it.title for it in corpus._by_split(name))
                    for name in ("train", "validation", "heldout")},
         "excluded": excluded,

@@ -471,7 +471,7 @@ def test_criterion_9_cli_determinism(tmp_path):
     synth_dir2 = tmp_path / "synth2"
     assert cli_main(synth_args(synth_dir2)) == 0
 
-    # evaluate and eval-sim read the ingest settings from the checkpoint
+    # evaluate reads the ingest settings from the checkpoint
     data = ["--scripts", str(synth_dir / "scripts"),
             "--tags", str(synth_dir / "tags.json"),
             "--embeddings", str(synth_dir / "embeddings.txt")]
@@ -488,7 +488,7 @@ def test_criterion_9_cli_determinism(tmp_path):
                    "--out", str(out)])
 
     def sim_args(out):
-        return (["eval-sim"] + data
+        return (["evaluate"] + data
                 + ["--checkpoint", str(tmp_path / "run1" / "checkpoint.swck"),
                    "--tag-embeddings", str(synth_dir / "tag_embeddings.tsv"),
                    "--cutoffs", "100,90,80", "--out", str(out)])

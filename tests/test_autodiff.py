@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -565,6 +566,27 @@ def test_clip_grad_norm_refuses_non_finite_norm(bad, norm):
     with pytest.raises(NonFiniteLoss, match=f"^gradient norm={norm}$"):
         ad.clip_grad_norm([a, b], 5.0)
     assert np.array_equal(a.grad, [30.0, 40.0])
+
+
+def test_clip_grad_norm_takes_a_finite_gradient_whose_square_overflows():
+    a = ad.parameter(np.zeros(1))
+    a.grad = np.array([1e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        factor = ad.clip_grad_norm([a], 5.0)
+    assert factor == 5.0 / 1e200
+    assert np.array_equal(a.grad, [1e200 * factor])
+
+
+def test_clip_grad_norm_spreads_an_overflowed_norm_over_every_gradient():
+    a, b = ad.parameter(np.zeros(2)), ad.parameter(np.zeros(1))
+    a.grad, b.grad = np.array([3e200, -4e200]), np.array([0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        factor = ad.clip_grad_norm([a, b], 5.0)
+    assert factor == pytest.approx(1e-200, rel=1e-15)
+    assert np.allclose(a.grad, [3.0, -4.0], rtol=1e-15)
+    assert np.array_equal(b.grad, [0.0])
 
 
 def test_adam_first_step_magnitude():

@@ -132,6 +132,10 @@ def test_train_rerun_byte_identical(trained, tmp_path):
         (out / "train_log.csv").read_bytes()
 
 
+EVALUATION_KEYS = ["attribute", "config_hash", "micro_f1", "n_scripts", "split",
+                   "variant"]
+
+
 def test_evaluate_command(workspace, trained):
     root, synth = workspace
     out_ckpt, _ = trained
@@ -140,6 +144,7 @@ def test_evaluate_command(workspace, trained):
                + ["--checkpoint", str(out_ckpt / "checkpoint.swck"),
                   "--split", "heldout", "--out", str(report_path)]) == 0
     report = json.loads(report_path.read_text())
+    assert sorted(report) == EVALUATION_KEYS
     assert report["attribute"] == "genre"
     assert report["variant"] == "full"
     assert 0.0 <= report["micro_f1"] <= 1.0
@@ -248,23 +253,111 @@ def test_evaluate_refuses_per_gate_checkpoint(workspace, tmp_path, capsys):
     assert not (tmp_path / "eval.json").exists()
 
 
-def test_eval_sim_cutoff_100_matches_evaluate(workspace, trained):
+def test_evaluate_cutoff_100_matches_micro_f1(workspace, trained):
     root, synth = workspace
     out_ckpt, _ = trained
-    eval_path = root / "eval2.json"
+    report_path = root / "eval_sim.json"
+    # no --cutoffs: the default sweep, 100,90,80,70
     assert run(["evaluate"] + data_args(synth)
                + ["--checkpoint", str(out_ckpt / "checkpoint.swck"),
-                  "--out", str(eval_path)]) == 0
-    sim_path = root / "sim.json"
-    assert run(["eval-sim"] + data_args(synth)
-               + ["--checkpoint", str(out_ckpt / "checkpoint.swck"),
                   "--tag-embeddings", str(synth / "tag_embeddings.tsv"),
-                  "--cutoffs", "100,90,80,70", "--out", str(sim_path)]) == 0
-    sim = json.loads(sim_path.read_text())
-    exact = json.loads(eval_path.read_text())["micro_f1"]
-    assert sim["cutoffs"]["100"]["f1"] == exact
-    values = [sim["cutoffs"][c]["f1"] for c in ("100", "90", "80", "70")]
+                  "--out", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    assert sorted(report) == sorted(EVALUATION_KEYS + ["cutoffs"])
+    assert sorted(report["cutoffs"]) == ["100", "70", "80", "90"]
+    assert report["cutoffs"]["100"]["f1"] == report["micro_f1"]
+    values = [report["cutoffs"][c]["f1"] for c in ("100", "90", "80", "70")]
     assert values == sorted(values)
+
+
+def test_evaluate_prints_the_cutoffs_as_the_report_keys_them(
+        workspace, trained, tmp_path, capsys):
+    _, synth = workspace
+    out = tmp_path / "eval.json"
+    assert run(["evaluate"] + data_args(synth)
+               + ["--checkpoint", str(trained[0] / "checkpoint.swck"),
+                  "--tag-embeddings", str(synth / "tag_embeddings.tsv"),
+                  "--cutoffs", "100,90.0,85.5", "--out", str(out)]) == 0
+    assert sorted(json.loads(out.read_text())["cutoffs"]) == ["100", "85.5", "90"]
+    summary = capsys.readouterr().out
+    assert "by cutoff: 100: " in summary and ", 90: " in summary
+    assert ", 85.5: " in summary and "100.0" not in summary
+
+
+def test_eval_sim_is_no_command(workspace, tmp_path):
+    _, synth = workspace
+    out = tmp_path / "sim.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["eval-sim"] + data_args(synth)
+             + ["--checkpoint", str(tmp_path / "missing.swck"),
+                "--tag-embeddings", str(synth / "tag_embeddings.tsv"),
+                "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_evaluate_cutoffs_without_tag_embeddings_is_usage_error(
+        workspace, trained, tmp_path, capsys):
+    _, synth = workspace
+    out = tmp_path / "eval.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate"] + data_args(synth)
+             + ["--checkpoint", str(trained[0] / "checkpoint.swck"),
+                "--cutoffs", "100,90", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--cutoffs: needs --tag-embeddings" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def genre_tags_but(synth, dropped):
+    """The synthetic tag embeddings' lines for attribute genre but tag
+    ``dropped``, and one line of another attribute."""
+    lines = (synth / "tag_embeddings.tsv").read_text().splitlines(keepends=True)
+    return "".join(line for line in lines if line.startswith("genre\t")
+                   and line.split("\t")[1] != dropped) + "mood\tgrim\t1 0\n"
+
+
+@pytest.mark.parametrize("dropped,named", [
+    (None, "attribute 'genre'"), ("frost", "tag(s) 'frost'")])
+def test_evaluate_refuses_tag_embeddings_without_the_attribute_before_ingest(
+        workspace, trained, tmp_path, capsys, monkeypatch, dropped, named):
+    _, synth = workspace
+    tag_embeddings = tmp_path / "tag_embeddings.tsv"
+    tag_embeddings.write_text(genre_tags_but(synth, dropped) if dropped
+                              else "mood\tgrim\t1 0\nmood\tsunny\t0 1\n")
+
+    def no_ingest(*args, **kwargs):
+        raise AssertionError("ingested before checking the tag embeddings")
+
+    monkeypatch.setattr(cli, "ingest", no_ingest)
+    out = tmp_path / "eval.json"
+    assert run(["evaluate"] + data_args(synth)
+               + ["--checkpoint", str(trained[0] / "checkpoint.swck"),
+                  "--tag-embeddings", str(tag_embeddings),
+                  "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "DataError"
+    assert named in err["message"] and str(tag_embeddings) in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("similarity", [False, True], ids=["exact", "similarity"])
+def test_evaluate_refuses_an_empty_split(workspace, tmp_path, capsys, similarity):
+    _, synth = workspace
+    run_dir = tmp_path / "run"
+    assert run(["train"] + train_args(synth)
+               + ["--heldout-fraction", "0", "--attribute", "genre",
+                  "--encoder", "boe", "--epochs", "1", "--out", str(run_dir)]) == 0
+    out = tmp_path / "eval.json"
+    extra = (["--tag-embeddings", str(synth / "tag_embeddings.tsv")]
+             if similarity else [])
+    assert run(["evaluate"] + data_args(synth) + extra
+               + ["--checkpoint", str(run_dir / "checkpoint.swck"),
+                  "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "DataError",
+                   "message": "no script to score in the 'heldout' split"}
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -371,23 +464,19 @@ def test_trajectories_rejects_annotation_outside_script(workspace, descriptor_ru
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["evaluate", "eval-sim"])
 def test_evaluation_refuses_descriptor_checkpoint(workspace, descriptor_run,
-                                                  tmp_path, capsys, monkeypatch,
-                                                  command):
+                                                  tmp_path, capsys, monkeypatch):
     _, synth = workspace
     out_desc, _ = descriptor_run
 
-    def no_ingest(*args, **kwargs):
-        raise AssertionError("ingested before checking the checkpoint kind")
+    def no_read(*args, **kwargs):
+        raise AssertionError("read data before checking the checkpoint kind")
 
-    monkeypatch.setattr(cli, "ingest", no_ingest)
+    monkeypatch.setattr(cli, "ingest", no_read)
+    monkeypatch.setattr(cli, "load_tag_embeddings", no_read)
     out = tmp_path / "report.json"
-    extra = (["--tag-embeddings", str(synth / "tag_embeddings.tsv")]
-             if command == "eval-sim" else [])
-    assert run([command] + data_args(synth) + extra
-               + ["--checkpoint", str(out_desc / "descriptors.swck"),
-                  "--out", str(out)]) == 1
+    assert run(rejected_checkpoint_argv(synth, "evaluate",
+                                        out_desc / "descriptors.swck", out)) == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "DataError"
     assert "'descriptor_model' checkpoint" in err["message"]
@@ -556,8 +645,7 @@ def test_evaluate_rejects_truncated_checkpoint(workspace, trained, tmp_path,
 THRESHOLD_FLAGS = {
     "train": ["--attribute", "genre", "--epochs", "1",
               "--stop-at-train-f1", "0.1"],
-    "evaluate": ["--checkpoint", "model.swck"],
-    "eval-sim": ["--checkpoint", "model.swck", "--tag-embeddings", "tags.tsv"],
+    "evaluate": ["--checkpoint", "model.swck", "--tag-embeddings", "tags.tsv"],
 }
 
 
@@ -591,8 +679,8 @@ INGEST_FLAGS = {"--min-count": "2", "--cap": "60", "--heldout-fraction": "0.2",
 
 
 @pytest.mark.parametrize("command,flag",
-                         [(c, f) for c in ("evaluate", "eval-sim")
-                          for f in INGEST_FLAGS] + [("trajectories", "--cap")])
+                         [("evaluate", f) for f in INGEST_FLAGS]
+                         + [("trajectories", "--cap")])
 def test_checkpoint_commands_take_no_ingest_flag(workspace, tmp_path, capsys,
                                                  command, flag):
     _, synth = workspace
@@ -640,25 +728,26 @@ def with_fraction_as_string(manifest):
 
 
 def rejected_checkpoint_argv(synth, command, bad, out):
-    """``command`` reading checkpoint ``bad`` and writing ``out``."""
+    """``command`` reading checkpoint ``bad`` and writing ``out``;
+    ``evaluate`` also reads tag embeddings."""
     if command == "trajectories":
         return trajectory_args(synth, bad, out)
-    extra = (["--tag-embeddings", str(synth / "tag_embeddings.tsv")]
-             if command == "eval-sim" else [])
-    return ([command] + data_args(synth) + extra
-            + ["--checkpoint", str(bad), "--out", str(out)])
+    return ([command] + data_args(synth)
+            + ["--tag-embeddings", str(synth / "tag_embeddings.tsv"),
+               "--checkpoint", str(bad), "--out", str(out)])
 
 
 def assert_refused_before_reading(argv, bad, key, out, capsys, monkeypatch):
     """``argv`` exits 1 with one JSON ``DataError`` line naming checkpoint
-    ``bad`` and ``key``, having read neither corpus nor embeddings and
-    written nothing."""
+    ``bad`` and ``key``, having read neither corpus nor embeddings (word or
+    tag) and written nothing."""
 
     def no_read(*args, **kwargs):
         raise AssertionError("read the corpus before the checkpoint settings")
 
     monkeypatch.setattr(cli, "ingest", no_read)
     monkeypatch.setattr(cli.WordEmbeddings, "load", no_read)
+    monkeypatch.setattr(cli, "load_tag_embeddings", no_read)
     assert run(argv) == 1
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
@@ -671,7 +760,7 @@ def assert_refused_before_reading(argv, bad, key, out, capsys, monkeypatch):
 @pytest.mark.parametrize("change", [without_ingest, with_unknown_ingest_key,
                                     with_cap_as_string, with_seed_as_string,
                                     with_count_as_bool, with_fraction_as_string])
-@pytest.mark.parametrize("command", ["evaluate", "eval-sim", "trajectories"])
+@pytest.mark.parametrize("command", ["evaluate", "trajectories"])
 def test_checkpoint_without_readable_ingest_settings_is_data_error(
         workspace, trained, descriptor_run, tmp_path, capsys, monkeypatch,
         command, change):
@@ -789,9 +878,8 @@ MISSING = object()
     ("characters", ["A", 3]), ("seed", None), ("type", "lstm"),
     ("char_dim", MISSING), ("bogus", 1),
 ], ids=lambda v: "missing" if v is MISSING else str(v))
-@pytest.mark.parametrize("command", ["evaluate", "eval-sim"])
 def test_tag_checkpoint_model_settings_are_checked_before_ingest(
-        workspace, trained, tmp_path, capsys, monkeypatch, command, key, value):
+        workspace, trained, tmp_path, capsys, monkeypatch, key, value):
     _, synth = workspace
     params, manifest = load_checkpoint(trained[0] / "checkpoint.swck")
     if value is MISSING:
@@ -801,7 +889,7 @@ def test_tag_checkpoint_model_settings_are_checked_before_ingest(
     bad = tmp_path / "bad.swck"
     save_checkpoint(bad, params, manifest)
     out = tmp_path / "out"
-    assert_refused_before_reading(rejected_checkpoint_argv(synth, command, bad, out),
+    assert_refused_before_reading(rejected_checkpoint_argv(synth, "evaluate", bad, out),
                                   bad, repr(key), out, capsys, monkeypatch)
 
 
@@ -880,7 +968,7 @@ TAG_MODEL_KEYS = ["best_epoch", "best_val_ap", "config_hash", "ingest", "kind",
                   "model", "taxonomy", "train", "vocabulary_hash"]
 DESCRIPTOR_MODEL_KEYS = ["attribute", "config", "config_hash", "ingest", "kind",
                          "stats", "vocab", "vocabulary_hash"]
-READERS = {"tag_model": ("evaluate", "eval-sim"),
+READERS = {"tag_model": ("evaluate",),
            "descriptor_model": ("trajectories",)}
 
 
@@ -939,12 +1027,12 @@ def test_damaged_manifest_is_refused_before_reading(
 @pytest.mark.parametrize("cutoffs", ["90,nan,150,90,-5", "nan", "inf", "-inf",
                                      "150", "-5", "100.5", "100,90,90",
                                      "90,90.0", "90,", "ninety"])
-def test_eval_sim_refuses_bad_cutoffs(workspace, tmp_path, capsys, cutoffs):
+def test_evaluate_refuses_bad_cutoffs(workspace, tmp_path, capsys, cutoffs):
     _, synth = workspace
-    out = tmp_path / "sim.json"
+    out = tmp_path / "eval.json"
     # the checkpoint does not exist: the cutoffs are refused before it is read
     with pytest.raises(SystemExit) as exc:
-        main(["eval-sim"] + data_args(synth)
+        main(["evaluate"] + data_args(synth)
              + ["--checkpoint", str(tmp_path / "missing.swck"),
                 "--tag-embeddings", str(synth / "tag_embeddings.tsv"),
                 "--cutoffs", cutoffs, "--out", str(out)])
@@ -953,9 +1041,9 @@ def test_eval_sim_refuses_bad_cutoffs(workspace, tmp_path, capsys, cutoffs):
     assert not out.exists()
 
 
-def test_eval_sim_takes_the_percentile_range_ends():
+def test_evaluate_takes_the_percentile_range_ends():
     args = cli.build_arg_parser().parse_args(
-        ["eval-sim", "--scripts", "s", "--tags", "t", "--embeddings", "e",
+        ["evaluate", "--scripts", "s", "--tags", "t", "--embeddings", "e",
          "--checkpoint", "c", "--tag-embeddings", "g", "--cutoffs", "0,100"])
     assert args.cutoffs == [0.0, 100.0]
 
