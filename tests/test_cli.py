@@ -464,8 +464,20 @@ def test_trajectories_rejects_annotation_outside_script(workspace, descriptor_ru
     assert not out.exists()
 
 
+# evaluate's two paths: exact micro-F1 alone, and with the similarity sweep
+TAG_READERS = ("evaluate", "evaluate --tag-embeddings")
+
+
+def command_of(reader):
+    """The command that ``reader`` runs: ``evaluate --tag-embeddings`` runs
+    ``evaluate``."""
+    return reader.split()[0]
+
+
+@pytest.mark.parametrize("command", TAG_READERS)
 def test_evaluation_refuses_descriptor_checkpoint(workspace, descriptor_run,
-                                                  tmp_path, capsys, monkeypatch):
+                                                  tmp_path, capsys, monkeypatch,
+                                                  command):
     _, synth = workspace
     out_desc, _ = descriptor_run
 
@@ -475,7 +487,7 @@ def test_evaluation_refuses_descriptor_checkpoint(workspace, descriptor_run,
     monkeypatch.setattr(cli, "ingest", no_read)
     monkeypatch.setattr(cli, "load_tag_embeddings", no_read)
     out = tmp_path / "report.json"
-    assert run(rejected_checkpoint_argv(synth, "evaluate",
+    assert run(rejected_checkpoint_argv(synth, command,
                                         out_desc / "descriptors.swck", out)) == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "DataError"
@@ -645,7 +657,9 @@ def test_evaluate_rejects_truncated_checkpoint(workspace, trained, tmp_path,
 THRESHOLD_FLAGS = {
     "train": ["--attribute", "genre", "--epochs", "1",
               "--stop-at-train-f1", "0.1"],
-    "evaluate": ["--checkpoint", "model.swck", "--tag-embeddings", "tags.tsv"],
+    "evaluate": ["--checkpoint", "model.swck"],
+    "evaluate --tag-embeddings": ["--checkpoint", "model.swck",
+                                  "--tag-embeddings", "tags.tsv"],
 }
 
 
@@ -668,7 +682,7 @@ def test_threshold_outside_unit_interval_is_usage_error(workspace, tmp_path,
     _, synth = workspace
     data = train_args(synth) if command == "train" else data_args(synth)
     with pytest.raises(SystemExit) as exc:
-        main([command] + data + THRESHOLD_FLAGS[command]
+        main([command_of(command)] + data + THRESHOLD_FLAGS[command]
              + ["--threshold", value, "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
 
@@ -679,7 +693,7 @@ INGEST_FLAGS = {"--min-count": "2", "--cap": "60", "--heldout-fraction": "0.2",
 
 
 @pytest.mark.parametrize("command,flag",
-                         [("evaluate", f) for f in INGEST_FLAGS]
+                         [(c, f) for c in TAG_READERS for f in INGEST_FLAGS]
                          + [("trajectories", "--cap")])
 def test_checkpoint_commands_take_no_ingest_flag(workspace, tmp_path, capsys,
                                                  command, flag):
@@ -688,8 +702,8 @@ def test_checkpoint_commands_take_no_ingest_flag(workspace, tmp_path, capsys,
     if command == "trajectories":
         argv = trajectory_args(synth, tmp_path / "missing.swck", out)
     else:
-        argv = ([command] + data_args(synth) + THRESHOLD_FLAGS[command]
-                + ["--out", str(out)])
+        argv = ([command_of(command)] + data_args(synth)
+                + THRESHOLD_FLAGS[command] + ["--out", str(out)])
     with pytest.raises(SystemExit) as exc:
         main(argv + [flag, INGEST_FLAGS[flag]])
     assert exc.value.code == 2
@@ -729,12 +743,13 @@ def with_fraction_as_string(manifest):
 
 def rejected_checkpoint_argv(synth, command, bad, out):
     """``command`` reading checkpoint ``bad`` and writing ``out``;
-    ``evaluate`` also reads tag embeddings."""
+    ``evaluate --tag-embeddings`` also reads tag embeddings."""
     if command == "trajectories":
         return trajectory_args(synth, bad, out)
-    return ([command] + data_args(synth)
-            + ["--tag-embeddings", str(synth / "tag_embeddings.tsv"),
-               "--checkpoint", str(bad), "--out", str(out)])
+    extra = (["--tag-embeddings", str(synth / "tag_embeddings.tsv")]
+             if command == "evaluate --tag-embeddings" else [])
+    return ([command_of(command)] + data_args(synth) + extra
+            + ["--checkpoint", str(bad), "--out", str(out)])
 
 
 def assert_refused_before_reading(argv, bad, key, out, capsys, monkeypatch):
@@ -760,7 +775,7 @@ def assert_refused_before_reading(argv, bad, key, out, capsys, monkeypatch):
 @pytest.mark.parametrize("change", [without_ingest, with_unknown_ingest_key,
                                     with_cap_as_string, with_seed_as_string,
                                     with_count_as_bool, with_fraction_as_string])
-@pytest.mark.parametrize("command", ["evaluate", "trajectories"])
+@pytest.mark.parametrize("command", TAG_READERS + ("trajectories",))
 def test_checkpoint_without_readable_ingest_settings_is_data_error(
         workspace, trained, descriptor_run, tmp_path, capsys, monkeypatch,
         command, change):
@@ -878,8 +893,9 @@ MISSING = object()
     ("characters", ["A", 3]), ("seed", None), ("type", "lstm"),
     ("char_dim", MISSING), ("bogus", 1),
 ], ids=lambda v: "missing" if v is MISSING else str(v))
+@pytest.mark.parametrize("command", TAG_READERS)
 def test_tag_checkpoint_model_settings_are_checked_before_ingest(
-        workspace, trained, tmp_path, capsys, monkeypatch, key, value):
+        workspace, trained, tmp_path, capsys, monkeypatch, command, key, value):
     _, synth = workspace
     params, manifest = load_checkpoint(trained[0] / "checkpoint.swck")
     if value is MISSING:
@@ -889,7 +905,7 @@ def test_tag_checkpoint_model_settings_are_checked_before_ingest(
     bad = tmp_path / "bad.swck"
     save_checkpoint(bad, params, manifest)
     out = tmp_path / "out"
-    assert_refused_before_reading(rejected_checkpoint_argv(synth, "evaluate", bad, out),
+    assert_refused_before_reading(rejected_checkpoint_argv(synth, command, bad, out),
                                   bad, repr(key), out, capsys, monkeypatch)
 
 
@@ -968,7 +984,7 @@ TAG_MODEL_KEYS = ["best_epoch", "best_val_ap", "config_hash", "ingest", "kind",
                   "model", "taxonomy", "train", "vocabulary_hash"]
 DESCRIPTOR_MODEL_KEYS = ["attribute", "config", "config_hash", "ingest", "kind",
                          "stats", "vocab", "vocabulary_hash"]
-READERS = {"tag_model": ("evaluate",),
+READERS = {"tag_model": TAG_READERS,
            "descriptor_model": ("trajectories",)}
 
 
