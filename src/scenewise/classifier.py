@@ -130,11 +130,10 @@ def reweighted_loss(y: np.ndarray, z: Tensor, lam: np.ndarray,
     return ad.logistic_loss(z, y * mask, (1.0 - y) * lam * mask, -1.0 / denom)
 
 
-def predict_tags(logits: np.ndarray | Tensor, threshold: float = 0.5) -> np.ndarray:
+def predict_tags(logits: np.ndarray, threshold: float = 0.5) -> np.ndarray:
     """Binary predictions: tag on iff sigmoid(z) > threshold (strict)."""
-    z = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
     cut = math.log(threshold / (1.0 - threshold))
-    return (z > cut).astype(np.int64)
+    return (np.asarray(logits) > cut).astype(np.int64)
 
 
 def average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -274,19 +273,15 @@ def make_samples(items: Sequence[CorpusItem], taxonomy: TagTaxonomy,
     return samples
 
 
-def scores_for(model, samples: Sequence[Sample]) -> np.ndarray:
-    """Sigmoid scores, one row per sample."""
-    rows = []
-    for s in samples:
-        z = model.logits(s.x).data
-        rows.append(1.0 / (1.0 + np.exp(-z)))
-    return np.stack(rows)
+def logits_of(model, samples: Sequence[Sample]) -> np.ndarray:
+    """The one scoring pass: ``model``'s logits, one row per sample."""
+    return np.array([model.logits(s.x).data for s in samples])
 
 
 def validation_ap(model, samples: Sequence[Sample], taxonomy: TagTaxonomy) -> float:
     if not samples:
         return 0.0
-    scores = scores_for(model, samples)
+    scores = 1.0 / (1.0 + np.exp(-logits_of(model, samples)))
     labels = np.stack([s.y for s in samples])
     keep = taxonomy.active.astype(bool)
     try:
@@ -305,8 +300,13 @@ def optimizer_epochs(trainer: str, params: dict[str, Tensor],
     place.  No items raise :class:`DataEmpty`, and a non-finite loss or
     gradient norm raises :class:`NonFiniteLoss`, each naming ``trainer``;
     the latter also names the epoch, the key and the value, and is raised
-    before Adam touches a parameter.
+    before Adam touches a parameter.  A non-finite or non-positive ``lr`` or
+    ``max_norm`` raises ``ValueError`` naming ``trainer`` before any step.
     """
+    for name, value in (("lr", lr), ("max_norm", max_norm)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{trainer}: {name} must be finite and > 0, "
+                             f"got {value!r}")
     if not items:
         raise DataEmpty(f"{trainer}: no script to train on")
     opt = Adam(params, lr=lr)
@@ -405,8 +405,5 @@ def load_params(params: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> Non
 def predictions(model, samples: Sequence[Sample], taxonomy: TagTaxonomy,
                 threshold: float = 0.5) -> dict[str, set[str]]:
     """Thresholded tag-name predictions per script key."""
-    out: dict[str, set[str]] = {}
-    for s in samples:
-        binary = predict_tags(model.logits(s.x), threshold)
-        out[s.key] = taxonomy.tag_set(binary)
-    return out
+    binary = predict_tags(logits_of(model, samples), threshold)
+    return {s.key: taxonomy.tag_set(row) for s, row in zip(samples, binary)}

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import reprlib
 import sys
@@ -32,6 +33,7 @@ import types
 import typing
 from collections import Counter
 from dataclasses import asdict, dataclass, fields, is_dataclass
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -116,21 +118,28 @@ def _add_descriptor_vocabulary_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--descriptor-top-exclude", type=int, default=500)
 
 
-def _probability(text: str) -> float:
-    """argparse type for a threshold strictly inside (0, 1)."""
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, "
-                                         f"got {text}")
-    return value
+def _number(interval: str, kind: type = float):
+    """argparse type for a finite ``kind`` (float or int) within
+    ``interval``, written as in mathematics: ``(0, 1]`` takes 1 but not 0,
+    ``[1, inf)`` every value from 1 up."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+
+    def parse(text: str):
+        value = kind(text)
+        above = low < value if interval[0] == "(" else low <= value
+        below = value < high if interval[-1] == ")" else value <= high
+        if not (math.isfinite(value) and above and below):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite {kind.__name__} in {interval}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it when kind() fails
+    return parse
 
 
-def _count(text: str) -> int:
-    """argparse type for a count of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
-    return value
+_probability = _number("(0, 1)")
+_count = _number("[1, inf)", int)
+_positive = _number("(0, inf)")
 
 
 DEFAULT_CUTOFFS = "100,90,80,70"
@@ -407,18 +416,11 @@ def _rebuild_tag_model(record: _TagModelRecord, corpus: Corpus):
     return model, taxonomy, False
 
 
-def _train_log_csv(rows, cfg_hash: str) -> str:
-    lines = [f"# config_hash {cfg_hash}", "epoch,train_loss,val_ap,lr,wallclock"]
-    for r in rows:
-        wallclock = "" if r.wallclock is None else repr(r.wallclock)
-        lines.append(f"{r.epoch},{r.train_loss!r},{r.val_ap!r},{r.lr!r},{wallclock}")
-    return "\n".join(lines) + "\n"
-
-
-def _descriptor_log_csv(stats, cfg_hash: str) -> str:
-    lines = [f"# config_hash {cfg_hash}", "epoch,train_loss,fro_distance"]
-    for epoch, (loss, fro) in enumerate(zip(stats.epoch_losses, stats.fro_trace), 1):
-        lines.append(f"{epoch},{loss!r},{fro!r}")
+def _run_log_csv(cfg_hash: str, header: str, rows) -> str:
+    """A training log: the config hash, the ``header`` row, then one row
+    per epoch, each value as its ``repr`` and ``None`` as an empty cell."""
+    lines = [f"# config_hash {cfg_hash}", header]
+    lines += [",".join("" if v is None else repr(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -458,8 +460,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out_dir / "checkpoint.swck", result.best_params,
                     asdict(record))
-    atomic_write_text(out_dir / "train_log.csv",
-                      _train_log_csv(result.rows, cfg_hash))
+    atomic_write_text(out_dir / "train_log.csv", _run_log_csv(
+        cfg_hash, "epoch,train_loss,val_ap,lr,wallclock",
+        [(r.epoch, r.train_loss, r.val_ap, r.lr, r.wallclock) for r in result.rows]))
     print(f"trained {args.variant} on {args.attribute}: best val AP "
           f"{result.best_val_ap:.4f} at epoch {result.best_epoch}; "
           f"artifacts in {out_dir}")
@@ -559,8 +562,9 @@ def cmd_descriptors(args: argparse.Namespace) -> int:
                       json.dumps({"descriptors": report,
                                   "config_hash": cfg_hash},
                                  indent=2, sort_keys=True) + "\n")
-    atomic_write_text(out_dir / "descriptor_log.csv",
-                      _descriptor_log_csv(stats, cfg_hash))
+    atomic_write_text(out_dir / "descriptor_log.csv", _run_log_csv(
+        cfg_hash, "epoch,train_loss,fro_distance",
+        zip(count(1), stats.epoch_losses, stats.fro_trace)))
     print(f"trained {config.k} descriptors; ||RR^T - I||_F "
           f"{stats.initial_fro:.4f} -> {stats.final_fro:.4f}; "
           f"artifacts in {out_dir}")
@@ -655,12 +659,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("--include-chars", default="auto",
                     choices=["auto", "yes", "no"])
     sp.add_argument("--hidden", type=_count, default=50)
-    sp.add_argument("--lr", type=float, default=5e-3)
-    sp.add_argument("--max-norm", type=float, default=5.0)
+    sp.add_argument("--lr", type=_positive, default=5e-3)
+    sp.add_argument("--max-norm", type=_positive, default=5.0)
     sp.add_argument("--epochs", type=_count, default=20)
     sp.add_argument("--patience", type=_count, default=5)
     sp.add_argument("--threshold", type=_probability, default=0.5)
-    sp.add_argument("--stop-at-train-f1", type=float, default=None)
+    sp.add_argument("--stop-at-train-f1", type=_number("(0, 1]"), default=None)
     sp.add_argument("--timing", action="store_true",
                     help="record wallclock in the train log (nondeterministic)")
     sp.add_argument("--out", default=None)
@@ -687,12 +691,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("--init", default="random_glorot",
                     choices=["random_glorot", "kmeans"])
     sp.add_argument("--recurrent", action="store_true")
-    sp.add_argument("--alpha", type=float, default=0.5)
-    sp.add_argument("--ortho-lambda", type=float, default=10.0)
+    sp.add_argument("--alpha", type=_number("[0, 1]"), default=0.5)
+    sp.add_argument("--ortho-lambda", type=_number("[0, inf)"), default=10.0)
     sp.add_argument("--negatives", type=_count, default=5)
-    sp.add_argument("--lr", type=float, default=5e-3)
+    sp.add_argument("--lr", type=_positive, default=5e-3)
     sp.add_argument("--epochs", type=_count, default=15)
-    sp.add_argument("--pretrain-epochs", type=int, default=10)
+    sp.add_argument("--pretrain-epochs", type=_number("[0, inf)", int), default=10)
     sp.add_argument("--top-words", type=int, default=10)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_descriptors)

@@ -1,6 +1,10 @@
 """Narrative descriptor trajectories: smoothing, per-scene rescaling, and
 deterministic CSV / streamgraph-SVG export.
 
+A script's trajectories are one record: the selected descriptor indices and
+their (S, m) matrix of per-scene shares, which goes unsplit from
+``build_trajectories`` to the CSV's rows and the streamgraph's layers.
+
 The streamgraph uses a symmetric (silhouette) baseline with inside-out
 layer ordering; within a scene the layer widths are the rescaled descriptor
 shares, so the band has constant total thickness and the internal flows
@@ -21,10 +25,13 @@ PALETTE = ("#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f", "#edc948",
            "#b07aa1", "#ff9da7", "#9c755f", "#bab0ac", "#86bcb6", "#d37295")
 
 
-@dataclass
-class Trajectory:
-    descriptor: int
-    rescaled: np.ndarray
+@dataclass(frozen=True)
+class Trajectories:
+    """The selected ``descriptors`` and their (S, m) per-scene ``shares``:
+    column j holds descriptor ``descriptors[j]``, and each row sums to 1."""
+
+    descriptors: tuple[int, ...]
+    shares: np.ndarray
 
 
 def smooth(values, window: int = 5) -> np.ndarray:
@@ -88,55 +95,49 @@ def select_descriptors(weights: np.ndarray, selection: str) -> list[int]:
 
 
 def build_trajectories(weights: np.ndarray, selection: Sequence[int],
-                       window: int = 5) -> list[Trajectory]:
+                       window: int = 5) -> Trajectories:
     """Smooth and rescale the selected descriptor columns of (S, k) weights."""
     weights = np.asarray(weights, dtype=np.float64)
-    shares = rescale(smooth(weights[:, list(selection)], window))
-    return [Trajectory(descriptor=idx, rescaled=shares[:, j])
-            for j, idx in enumerate(selection)]
+    return Trajectories(tuple(selection),
+                        rescale(smooth(weights[:, list(selection)], window)))
 
 
 # ---------------------------------------------------------------------------
 # export
 
 
-def export_csv(trajectories: Sequence[Trajectory]) -> str:
-    header = "scene," + ",".join(f"descriptor_{t.descriptor}"
-                                 for t in trajectories)
-    lines = [header]
-    n_scenes = trajectories[0].rescaled.size
-    for s in range(n_scenes):
-        cells = [str(s + 1)] + [repr(float(t.rescaled[s])) for t in trajectories]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def export_csv(trajectories: Trajectories) -> str:
+    header = "scene," + ",".join(f"descriptor_{d}" for d in trajectories.descriptors)
+    rows = [f"{s}," + ",".join(map(repr, shares))
+            for s, shares in enumerate(trajectories.shares.tolist(), 1)]
+    return "\n".join([header, *rows]) + "\n"
 
 
-def parse_csv(text: str) -> dict[int, np.ndarray]:
+def parse_csv(text: str) -> Trajectories:
     lines = [l for l in text.splitlines() if l]
-    names = lines[0].split(",")[1:]
-    indices = [int(n.split("_", 1)[1]) for n in names]
+    descriptors = tuple(int(n.split("_", 1)[1]) for n in lines[0].split(",")[1:])
     rows = [[float(c) for c in line.split(",")[1:]] for line in lines[1:]]
-    data = np.asarray(rows)
-    return {idx: data[:, j] for j, idx in enumerate(indices)}
+    return Trajectories(descriptors, np.asarray(rows, dtype=np.float64)
+                        .reshape(len(rows), len(descriptors)))
 
 
-def _inside_out_order(trajectories: Sequence[Trajectory]) -> list[int]:
-    by_volume = sorted(range(len(trajectories)),
-                       key=lambda j: (-float(trajectories[j].rescaled.sum()), j))
-    order: list[int] = []
-    for pos, j in enumerate(by_volume):
-        if pos % 2 == 0:
-            order.append(j)
-        else:
-            order.insert(0, j)
-    return order
+def _inside_out_order(shares: np.ndarray) -> np.ndarray:
+    """Column indices from the bottom layer up: the largest column volume
+    in the middle, the next ones alternately above and below it, ties by
+    index."""
+    # each column summed on its own, as a 1-D sum does, so that near-equal
+    # volumes keep their order however the matrix is laid out
+    volumes = np.ascontiguousarray(shares.T).sum(axis=1)
+    by_volume = np.argsort(-volumes, kind="stable")
+    return np.concatenate([by_volume[1::2][::-1], by_volume[::2]])
 
 
-def export_svg(trajectories: Sequence[Trajectory],
+def export_svg(trajectories: Trajectories,
                annotations: Sequence[tuple[int, str]] = (),
                title: str = "") -> str:
     """Streamgraph with symmetric baseline; byte-deterministic output."""
-    n_scenes = trajectories[0].rescaled.size
+    shares = trajectories.shares
+    n_scenes = shares.shape[0]
     width, height = 800.0, 360.0
     margin_x, margin_top, margin_bottom = 50.0, 40.0, 30.0
     plot_w = width - 2 * margin_x
@@ -147,21 +148,21 @@ def export_svg(trajectories: Sequence[Trajectory],
             return margin_x + plot_w / 2
         return margin_x + plot_w * scene / (n_scenes - 1)
 
-    shares = np.stack([t.rescaled for t in trajectories], axis=1)
-    order = _inside_out_order(trajectories)
-    totals = shares.sum(axis=1)
-    baseline = -totals / 2.0
-    bottoms = np.empty_like(shares)
-    tops = np.empty_like(shares)
-    level = baseline.copy()
-    for j in order:
-        bottoms[:, j] = level
-        level = level + shares[:, j]
-        tops[:, j] = level
-
-    def y_of(value: float) -> float:
+    def y_of(value):
         # value in [-0.5, 0.5] maps into the plot box, positive up
         return margin_top + plot_h * (0.5 - value)
+
+    # the layers stack up from the silhouette baseline in inside-out order:
+    # the layer at stack position p lies between edges[:, p] and
+    # edges[:, p + 1], and column j sits at position level[j]
+    order = _inside_out_order(shares)
+    level = np.argsort(order)
+    edges = np.cumsum(np.column_stack([-shares.sum(axis=1) / 2.0,
+                                       shares[:, order]]), axis=1)
+    edge_ys = y_of(edges).T.tolist()
+    widest = shares.argmax(axis=0)
+    label_ys = y_of((edges[widest, level] + edges[widest, level + 1]) / 2.0).tolist()
+    xs = [f"{x_of(s):.3f}" for s in range(n_scenes)]
 
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" '
@@ -172,19 +173,17 @@ def export_svg(trajectories: Sequence[Trajectory],
     if title:
         parts.append(f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="14">{_esc(title)}</text>')
-    for j, traj in enumerate(trajectories):
-        color = PALETTE[traj.descriptor % len(PALETTE)]
-        points = [f"{x_of(s):.3f},{y_of(bottoms[s, j]):.3f}" for s in range(n_scenes)]
-        points += [f"{x_of(s):.3f},{y_of(tops[s, j]):.3f}"
-                   for s in range(n_scenes - 1, -1, -1)]
+    for j, descriptor in enumerate(trajectories.descriptors):
+        color = PALETTE[descriptor % len(PALETTE)]
+        bottom, top = edge_ys[level[j]], edge_ys[level[j] + 1]
+        points = [f"{x},{y:.3f}" for x, y in zip(xs, bottom)]
+        points += [f"{x},{y:.3f}" for x, y in zip(xs[::-1], top[::-1])]
         parts.append(f'<polygon points="{" ".join(points)}" fill="{color}" '
                      f'fill-opacity="0.85" stroke="none">'
-                     f'<title>descriptor_{traj.descriptor}</title></polygon>')
-        widest = int(np.argmax(shares[:, j]))
-        label_y = y_of((bottoms[widest, j] + tops[widest, j]) / 2.0)
-        parts.append(f'<text x="{x_of(widest):.3f}" y="{label_y:.3f}" '
+                     f'<title>descriptor_{descriptor}</title></polygon>')
+        parts.append(f'<text x="{xs[widest[j]]}" y="{label_ys[j]:.3f}" '
                      'text-anchor="middle" font-family="sans-serif" '
-                     f'font-size="11" fill="#222">d{traj.descriptor}</text>')
+                     f'font-size="11" fill="#222">d{descriptor}</text>')
     for scene_no, label in annotations:
         x = x_of(scene_no - 1)
         parts.append(f'<line x1="{x:.3f}" y1="{margin_top:.1f}" x2="{x:.3f}" '
@@ -207,7 +206,7 @@ def _esc(text: str) -> str:
     return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
 
 
-def export(trajectories: Sequence[Trajectory], fmt: str,
+def export(trajectories: Trajectories, fmt: str,
            annotations: Sequence[tuple[int, str]] = (), title: str = "") -> str:
     if fmt == "csv":
         return export_csv(trajectories)

@@ -12,11 +12,14 @@ from scenewise.classifier import (
     TagTaxonomy,
     TrainConfig,
     average_precision,
+    logits_of,
     make_samples,
     optimizer_epochs,
     predict_tags,
+    predictions,
     reweighted_loss,
     train,
+    validation_ap,
 )
 from scenewise.corpus import (
     CorpusItem,
@@ -242,7 +245,54 @@ def test_predict_tags_length(tiny_vectors):
     taxonomy = _toy_taxonomy()
     model = _toy_model(tiny_vectors, len(taxonomy))
     z = model.logits(_toy_play())
-    assert predict_tags(z).shape == (len(taxonomy),)
+    assert predict_tags(z.data).shape == (len(taxonomy),)
+
+
+def test_one_scoring_pass_gives_the_per_sample_scores(tiny_vectors):
+    taxonomy = _toy_taxonomy()
+    model = _toy_model(tiny_vectors, len(taxonomy), seed=3)
+    samples = _toy_samples(taxonomy)
+    rows = [model.logits(s.x).data for s in samples]
+    z = logits_of(model, samples)
+    assert z.shape == (len(samples), len(taxonomy))
+    assert np.array_equal(z, np.stack(rows))
+    for threshold in (0.3, 0.5, 0.7):
+        assert predictions(model, samples, taxonomy, threshold) == {
+            s.key: taxonomy.tag_set(predict_tags(row, threshold))
+            for s, row in zip(samples, rows)}
+    scores = np.stack([1.0 / (1.0 + np.exp(-row)) for row in rows])
+    labels = np.stack([s.y for s in samples])
+    assert validation_ap(model, samples, taxonomy) == \
+        average_precision(scores, labels)
+
+
+def test_no_samples_score_nothing(tiny_vectors):
+    taxonomy = _toy_taxonomy()
+    model = _toy_model(tiny_vectors, len(taxonomy))
+    assert validation_ap(model, [], taxonomy) == 0.0
+    assert predictions(model, [], taxonomy) == {}
+
+
+@pytest.mark.parametrize("name,value", [
+    ("lr", -0.01), ("lr", 0.0), ("lr", math.nan), ("lr", math.inf),
+    ("max_norm", -1.0), ("max_norm", 0.0), ("max_norm", math.nan),
+    ("max_norm", math.inf),
+])
+def test_optimizer_epochs_refuses_a_bad_step_setting(name, value):
+    w = ad.parameter(np.array([1.0, -2.0]))
+    calls = []
+
+    def loss_of(_):
+        calls.append(1)
+        return ad.total(ad.mul(w, w))
+
+    settings = {"lr": 0.1, "max_norm": 5.0, name: value}
+    with pytest.raises(ValueError, match=rf"^toy training: {name} must be "
+                                         rf"finite and > 0, got {value!r}$"):
+        list(optimizer_epochs("toy training", {"w": w}, [("only", None)],
+                              loss_of, rng(0), epochs=2, **settings))
+    assert calls == []
+    assert np.array_equal(w.data, [1.0, -2.0])
 
 
 def test_average_precision_perfect_ranking():
@@ -346,7 +396,8 @@ def test_frozen_model_stops_after_patience(tiny_vectors):
     taxonomy = _toy_taxonomy()
     model = _toy_model(tiny_vectors, len(taxonomy))
     samples = _toy_samples(taxonomy)
-    config = TrainConfig(lr=0.0, max_epochs=20, patience=5, seed=0)
+    # steps of about 1e-300 leave every logit as it was; a zero rate is refused
+    config = TrainConfig(lr=1e-300, max_epochs=20, patience=5, seed=0)
     result = train(model, samples[:3], samples[3:], taxonomy, config)
     assert result.rows[-1].epoch == 6
     assert result.best_epoch == 1

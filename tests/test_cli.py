@@ -1,4 +1,6 @@
+import argparse
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -6,12 +8,13 @@ import pytest
 
 from scenewise import cli
 from scenewise.checkpoint import load_checkpoint, save_checkpoint
-from scenewise.classifier import TagTaxonomy
+from scenewise.classifier import TagTaxonomy, TrainConfig
 from scenewise.cli import main
-from scenewise.corpus import IngestConfig, ingest
+from scenewise.corpus import IngestConfig, SynthSpec, ingest
+from scenewise.descriptors import DescriptorConfig
 from scenewise.encoders import CharacterTable
 from scenewise.evaluation import micro_f1
-from scenewise.parser import parse_script
+from scenewise.parser import DEFAULT_SCENE_CAP, parse_script
 
 DATA = Path(__file__).parent / "data"
 TRAIN_FLAGS = ["--min-count", "2", "--validation-fraction", "0.15"]
@@ -1088,3 +1091,96 @@ def test_descriptors_take_zero_pretrain_epochs():
         ["descriptors", "--scripts", "s", "--tags", "t", "--embeddings", "e",
          "--attribute", "genre", "--pretrain-epochs", "0"])
     assert args.pretrain_epochs == 0
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("train", "--lr", "-0.01"), ("train", "--lr", "0"), ("train", "--lr", "nan"),
+    ("train", "--lr", "inf"),
+    ("train", "--max-norm", "-1"), ("train", "--max-norm", "0"),
+    ("train", "--max-norm", "nan"), ("train", "--max-norm", "inf"),
+    ("train", "--stop-at-train-f1", "-1"), ("train", "--stop-at-train-f1", "0"),
+    ("train", "--stop-at-train-f1", "1.5"), ("train", "--stop-at-train-f1", "nan"),
+    ("descriptors", "--lr", "0"), ("descriptors", "--lr", "-0.01"),
+    ("descriptors", "--lr", "inf"),
+    ("descriptors", "--ortho-lambda", "-3"), ("descriptors", "--ortho-lambda", "nan"),
+    ("descriptors", "--ortho-lambda", "inf"),
+    ("descriptors", "--alpha", "1.5"), ("descriptors", "--alpha", "-0.1"),
+    ("descriptors", "--alpha", "nan"),
+    ("descriptors", "--pretrain-epochs", "-2"),
+])
+def test_numeric_training_flags_outside_their_range_are_usage_errors(
+        workspace, tmp_path, capsys, command, flag, value):
+    _, synth = workspace
+    out = tmp_path / "out"
+    # a short run, so that a value let through trains and writes quickly
+    data = (train_args(synth) + ["--epochs", "1"] if command == "train"
+            else corpus_args(synth) + ["--k", "2", "--epochs", "1",
+                                       "--pretrain-epochs", "1", "--recurrent"])
+    with pytest.raises(SystemExit) as exc:
+        main([command] + data + ["--attribute", "genre", "--out", str(out),
+                                 flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_numeric_training_flags_take_their_closed_range_ends():
+    parse = cli.build_arg_parser().parse_args
+    data = ["--scripts", "s", "--tags", "t", "--embeddings", "e",
+            "--attribute", "genre"]
+    assert parse(["train", *data, "--stop-at-train-f1", "1"]).stop_at_train_f1 == 1.0
+    for alpha in ("0", "1"):
+        assert parse(["descriptors", *data, "--alpha", alpha]).alpha == float(alpha)
+    assert parse(["descriptors", *data, "--ortho-lambda", "0"]).ortho_lambda == 0.0
+
+
+def _subcommands():
+    ap = cli.build_arg_parser()
+    return next(a for a in ap._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _field_defaults(config):
+    """{flag dest: default} for each field of ``config``, under the names
+    of the flags that set it."""
+    default = config()
+    out = {f.name: getattr(default, f.name) for f in fields(config)}
+    if config is TrainConfig:
+        out["epochs"] = default.max_epochs
+    if config is SynthSpec:
+        out.update(scripts=default.n_scripts, tags=default.n_tags,
+                   scenes_min=default.scenes_range[0],
+                   scenes_max=default.scenes_range[1],
+                   statements_min=default.statements_range[0],
+                   statements_max=default.statements_range[1])
+    return out
+
+
+TAG_INGEST = "min_count cap heldout_fraction validation_fraction seed"
+ALL_INGEST = TAG_INGEST + " descriptor_min_movies descriptor_top_exclude"
+
+
+@pytest.mark.parametrize("command,config,dests", [
+    ("ingest", IngestConfig, ALL_INGEST),
+    ("train", IngestConfig, TAG_INGEST),
+    ("train", TrainConfig,
+     "lr max_norm epochs patience threshold seed stop_at_train_f1"),
+    ("descriptors", IngestConfig, ALL_INGEST),
+    ("descriptors", DescriptorConfig,
+     "k hidden recurrent alpha ortho_lambda negatives lr epochs "
+     "pretrain_epochs init seed top_words"),
+    ("synth", SynthSpec,
+     "scripts tags signal seed order_sensitive attribute scenes_min "
+     "scenes_max statements_min statements_max markers_per_tag"),
+])
+def test_each_flag_default_is_its_config_field_default(command, config, dests):
+    defaults = _field_defaults(config)
+    actions = {a.dest: a for a in _subcommands()[command]._actions}
+    assert {dest for dest in actions if dest in defaults} == set(dests.split())
+    for dest in dests.split():
+        assert actions[dest].default == defaults[dest], dest
+
+
+def test_parse_cap_default_is_the_parser_scene_cap():
+    cap = next(a for a in _subcommands()["parse"]._actions if a.dest == "cap")
+    assert cap.default == DEFAULT_SCENE_CAP

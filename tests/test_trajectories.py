@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trajectories_oracle as oracle
 from scenewise.errors import UnknownFormat
 from scenewise.trajectories import (
-    Trajectory,
+    Trajectories,
     build_trajectories,
     export,
     export_csv,
@@ -78,9 +79,10 @@ def test_rescaled_shares_form_simplex():
     rng = np.random.default_rng(5)
     weights = rng.random((10, 6))
     trajs = build_trajectories(weights, [0, 2, 5], window=3)
-    shares = np.stack([t.rescaled for t in trajs], axis=1)
-    assert np.allclose(shares.sum(axis=1), 1.0)
-    assert np.all(shares >= 0)
+    assert trajs.descriptors == (0, 2, 5)
+    assert trajs.shares.shape == (10, 3)
+    assert np.allclose(trajs.shares.sum(axis=1), 1.0)
+    assert np.all(trajs.shares >= 0)
 
 
 def test_select_descriptors_top_m():
@@ -139,8 +141,9 @@ def test_export_csv_shape_and_round_trip():
     assert len(lines) == 4
     assert lines[0] == "scene,descriptor_0,descriptor_1"
     parsed = parse_csv(text)
-    for t in trajs:
-        assert np.array_equal(parsed[t.descriptor], t.rescaled)
+    assert isinstance(parsed, Trajectories)
+    assert parsed.descriptors == trajs.descriptors == (0, 1)
+    assert np.array_equal(parsed.shares, trajs.shares)
 
 
 def test_export_svg_deterministic():
@@ -175,3 +178,57 @@ def test_export_dispatch():
     trajs = build_trajectories(np.ones((2, 2)) * 0.5, [0, 1], window=1)
     assert export(trajs, "csv").startswith("scene,")
     assert export(trajs, "svg").startswith("<svg")
+
+
+def _oracle_case(rng, i):
+    """Weights, selection, window, annotations and title for case ``i``:
+    the forms below hold one scene, one descriptor, tied column volumes,
+    all-zero scenes and markup in the labels."""
+    n_scenes = 1 if i % 25 == 0 else int(rng.integers(1, 40))
+    k = int(rng.integers(1, 10))
+    m = 1 if i % 20 == 1 else int(rng.integers(1, k + 1))
+    if i % 4 == 0:
+        # few distinct values: equal columns, tied volumes and zero rows
+        weights = rng.integers(0, 3, (n_scenes, k)) / 2.0
+    else:
+        weights = rng.dirichlet(np.ones(k), size=n_scenes)
+        if i % 4 == 1:
+            weights = np.round(weights, 1)
+    if i % 5 == 3:
+        weights[rng.random(n_scenes) < 0.4] = 0.0
+    selection = [int(d) for d in rng.permutation(k)[:m]]
+    window = int(rng.choice([1, 3, 5, 7]))
+    annotations = [(int(rng.integers(1, n_scenes + 1)), label)
+                   for label in ["A&<b>", "x > y", ""][:int(rng.integers(0, 4))]]
+    title = ["", "T&<i>", "plain"][i % 3]
+    return weights, selection, window, annotations, title
+
+
+def test_exports_match_the_per_column_oracle():
+    rng = np.random.default_rng(2201)
+    for i in range(3000):
+        weights, selection, window, annotations, title = _oracle_case(rng, i)
+        new = build_trajectories(weights, selection, window)
+        old = oracle.build_trajectories(weights, selection, window)
+        pairs = [(new, old)]
+        if i % 2 and len(selection) > 1:
+            # two columns of one volume, summed in two scene orders
+            shares = new.shares.copy()
+            shares[:, 1] = rng.permutation(shares[:, 0])
+            pairs.append((Trajectories(new.descriptors, shares),
+                          [oracle.Trajectory(d, shares[:, j])
+                           for j, d in enumerate(selection)]))
+        for new, old in pairs:
+            assert export_csv(new) == oracle.export_csv(old), i
+            assert export_svg(new, annotations, title) == \
+                oracle.export_svg(old, annotations, title), i
+
+
+def test_svg_layers_stack_inside_out():
+    # column 0 has the largest volume and lies in the middle, column 1
+    # below it and column 2 above it
+    trajs = Trajectories((0, 1, 2), np.array([[0.5, 1 / 3, 1 / 6]] * 4))
+    label_y = {d: float(y) for y, d in
+               re.findall(r'y="([0-9.]+)"[^>]*>d(\d)</text>', export_svg(trajs))}
+    # the SVG's y grows downwards
+    assert label_y["1"] > label_y["0"] > label_y["2"]
