@@ -35,13 +35,16 @@ and each stored array's.  ``attention_pool`` pools such a batch with one
 attention vector, masking the padded steps, also as a single node, and
 ``mean_rows`` averages runs of consecutive rows.  Every sequence op takes
 its batch's ``lengths`` and returns one tensor with a batch axis; a
-single sequence is a batch of one.  ``margin_hinge`` sums the
-max-margin hinge of every row of a matrix against its negatives as one
-node, with a hand-written VJP.  So do ``logistic_loss``, the weighted
+single sequence is a batch of one.  ``mixture_hinge_loss`` is one
+script's whole descriptor loss as one node: the predictor
+(``predictor_pass``, which inference calls on plain arrays), the
+reconstructions, their max-margin hinge against the negatives and the
+orthogonality penalty.  So are ``logistic_loss``, the weighted
 log-sigmoid sum of the reweighted tag loss, and ``mean_of_run_means``,
-the BoE character block's mean over scenes of per-scene mean rows; each
-keeps the order of operations of the primitive ops it replaces, so its
-value and gradient are theirs to the bit.
+the BoE character block's mean over scenes of per-scene mean rows.  Each
+has a hand-written VJP and keeps the order of operations of the
+primitive ops it replaces, so its value and gradient are theirs to the
+bit.
 """
 
 from __future__ import annotations
@@ -186,11 +189,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _op(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return _op(a.data * c, (a,), lambda g: (g * c,))
-
-
 def add_bias(m: Tensor, v: Tensor) -> Tensor:
     """Add a vector to every row of a matrix."""
     if m.data.ndim != 2 or v.data.ndim != 1 or m.data.shape[1] != v.data.shape[0]:
@@ -310,12 +308,6 @@ def total(a: Tensor) -> Tensor:
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def relu(a: Tensor) -> Tensor:
-    y = np.maximum(a.data, 0.0)
-    mask = (a.data > 0).astype(np.float64)
-    return _op(y, (a,), lambda g: (g * mask,))
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -505,7 +497,8 @@ def attention_pool(outputs: Tensor, p: Tensor, lengths, linear: bool = False
     over each sequence's real steps or, with ``linear``, each score over
     the sum of its sequence's scores, which raises
     :class:`DegenerateNormalizer` for a sequence whose sum is below
-    ``_MIN_NORMALIZER`` in magnitude.  Padded steps get weight zero.
+    ``_MIN_NORMALIZER`` in magnitude.  Padded steps get weight zero.  When
+    ``outputs`` takes no gradient, the VJP computes none for it.
     """
     o = outputs.data
     if o.ndim != 3 or p.data.shape != o.shape[2:]:
@@ -532,39 +525,109 @@ def attention_pool(outputs: Tensor, p: Tensor, lengths, linear: bool = False
         d_w = (o @ g[:, :, None])[:, :, 0]
         centred = d_w - (weights * d_w).sum(axis=1, keepdims=True)
         d_s = np.where(valid, centred / sums, 0.0) if linear else weights * centred
-        d_o = weights[:, :, None] * g[:, None, :] + d_s[:, :, None] * p.data
         d_p = d_s.reshape(-1) @ o.reshape(-1, o.shape[2])
-        return (d_o, d_p)
+        if not outputs.requires_grad:
+            return (None, d_p)
+        return (weights[:, :, None] * g[:, None, :] + d_s[:, :, None] * p.data, d_p)
 
     return _op(pooled, (outputs, p), vjp)
 
 
-def margin_hinge(w: Tensor, targets: np.ndarray, neg: np.ndarray) -> Tensor:
-    """sum_t sum_j max(0, 1 - w_t.u_t + w_t.u_neg[t, j]), as one tape node.
+def predictor_pass(vs: np.ndarray, w1: np.ndarray, b1: np.ndarray,
+                   w2: np.ndarray, b2: np.ndarray, o_prev: np.ndarray | None = None,
+                   alpha: float = 0.5) -> tuple[np.ndarray, ...]:
+    """The descriptor predictor on plain arrays: a rectifier layer, a
+    softmax over the ``k`` descriptors, and, given ``o_prev``, the mix
+    ``(1 - alpha) softmax + alpha o_prev``.
 
-    ``w`` and the constant ``targets`` are (S, d), row ``t`` of each
-    belonging to item ``t``; ``neg`` is an (S, J) array of indices into
-    ``targets``, distinct within a row.  The gradient flows to ``w`` only;
-    a margin of exactly zero takes none, as with :func:`relu`.
+    ``vs`` is (S, d); when ``o_prev`` (S, k) is given, row ``t`` of the
+    input is ``vs[t]`` beside ``o_prev[t]``.  Returns the input, the
+    rectifier's pre-activation and output, the softmax and the (S, k)
+    weights, which are the softmax itself without ``o_prev``.
     """
+    x = np.asarray(vs, dtype=np.float64)
+    if o_prev is not None:
+        x = np.concatenate([x, o_prev], axis=1)
+    z1 = x @ w1 + b1
+    h = np.maximum(z1, 0.0)
+    z2 = h @ w2 + b2
+    e = np.exp(z2 - z2.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    o = y if o_prev is None else y * float(1.0 - alpha) + alpha * o_prev
+    return x, z1, h, y, o
+
+
+def mixture_hinge_loss(params: Sequence[Tensor], targets: np.ndarray,
+                       neg: np.ndarray, lam: float,
+                       o_prev: np.ndarray | None = None, alpha: float = 0.5
+                       ) -> tuple[Tensor, np.ndarray]:
+    """One script's descriptor loss as one tape node, and its (S, k) weights.
+
+    ``params`` are the predictor's ``w1, b1, w2, b2`` and the (k, d)
+    descriptor matrix ``R``.  The weights ``o`` are :func:`predictor_pass`
+    over the constant (S, d) ``targets`` ``u``; the reconstructions are
+    ``w = o R``.  The loss is ``sum_t sum_j max(0, 1 - w_t.u_t +
+    w_t.u_neg[t, j])`` over the (S, J) index array ``neg``, distinct
+    within a row, plus ``lam * ||R R^T - I||_F``.  A margin of exactly
+    zero takes no gradient, nor does a rectifier input of exactly zero.
+
+    It keeps the order of operations of that loss built from one tape op
+    per step (matrix products, bias additions, a rectifier, a softmax
+    and the recurrent mix for the predictor, a hinge node, and a
+    transpose, difference, square, sum, square root and scaling for the
+    penalty), so the value and every gradient are that composition's to
+    the bit.  ``R`` gets three contributions, summed in the order
+    :func:`backward` visits them: through the reconstructions, then the
+    Gram matrix's left factor, then its transpose.
+    """
+    w1, b1, w2, b2, r = params
     u = np.asarray(targets, dtype=np.float64)
     neg = np.asarray(neg)
-    if w.data.ndim != 2 or u.shape != w.data.shape or neg.ndim != 2 \
-            or neg.shape[0] != u.shape[0]:
-        raise ShapeMismatch(f"margin_hinge: w {w.data.shape}, targets {u.shape}, "
-                            f"negatives {neg.shape}")
-    scores = w.data @ u.T  # scores[t, s] = w_t . u_s
+    mat = r.data
+    n_in = u.shape[-1] + (0 if o_prev is None else mat.shape[0])
+    if u.ndim != 2 or mat.ndim != 2 or u.shape[1] != mat.shape[1] \
+            or w1.data.shape != (n_in, b1.data.shape[0]) \
+            or w2.data.shape != (b1.data.shape[0], mat.shape[0]) \
+            or b2.data.shape != mat.shape[:1] \
+            or neg.ndim != 2 or neg.shape[0] != u.shape[0] \
+            or (o_prev is not None and o_prev.shape != (u.shape[0], mat.shape[0])):
+        raise ShapeMismatch(
+            f"mixture_hinge_loss: targets {u.shape}, R {mat.shape}, w1 "
+            f"{w1.data.shape}, b1 {b1.data.shape}, w2 {w2.data.shape}, b2 "
+            f"{b2.data.shape}, negatives {neg.shape}"
+            + ("" if o_prev is None else f", o_prev {o_prev.shape}"))
+    x, z1, h, y, o = predictor_pass(u, w1.data, b1.data, w2.data, b2.data,
+                                    o_prev, alpha)
+    scores = (o @ mat) @ u.T  # scores[t, s] = w_t . u_s
     margins = (1.0 - np.diagonal(scores)[:, None]
                + np.take_along_axis(scores, neg, axis=1))
     active = (margins > 0).astype(np.float64)
+    mat_t = mat.T.copy()
+    diff = mat @ mat_t - np.eye(mat.shape[0])
+    norm = np.sqrt(np.asarray((diff * diff).sum()))
+    lam = float(lam)
+    loss = np.asarray(np.maximum(margins, 0.0).sum()) + norm * lam
 
     def vjp(g: np.ndarray) -> tuple:
-        # d/dw_t = g * sum over active j of (u_neg[t, j] - u_t)
+        # the hinge: d/dw_t = g * sum over active j of (u_neg[t, j] - u_t)
         hits = np.zeros_like(scores)
         np.put_along_axis(hits, neg, active, axis=1)
-        return (float(g) * (hits @ u - active.sum(axis=1)[:, None] * u),)
+        d_w = float(g) * (hits @ u - active.sum(axis=1)[:, None] * u)
+        d_r = o.T @ d_w
+        d_y = d_w @ mat.T
+        if o_prev is not None:
+            d_y = d_y * float(1.0 - alpha)
+        d_z2 = y * (d_y - (d_y * y).sum(axis=-1, keepdims=True))
+        d_z1 = (d_z2 @ w2.data.T) * (z1 > 0).astype(np.float64)
+        # the penalty: d/dR of lam * sqrt(sum(D * D)), D = R R^T - I
+        d_sq = np.full_like(diff, float(g * lam * 0.5 / norm))
+        d_gram = d_sq * diff
+        d_gram += d_sq * diff
+        d_r += d_gram @ mat_t.T
+        d_r += (mat.T @ d_gram).T
+        return (x.T @ d_z1, d_z1.sum(axis=0), h.T @ d_z2, d_z2.sum(axis=0), d_r)
 
-    return _op(np.asarray(np.maximum(margins, 0.0).sum()), (w,), vjp)
+    return _op(loss, (w1, b1, w2, b2, r), vjp), o
 
 
 def logistic_loss(z: Tensor, w_pos: np.ndarray, w_neg: np.ndarray, c: float
@@ -637,7 +700,9 @@ class Adam:
     one scratch buffer pair sized for the largest parameter, in the
     textbook formula's order of operations, so the values are those of
     ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
-    ``p -= lr m_hat / (sqrt(v_hat) + eps)`` to the bit.
+    ``p -= lr m_hat / (sqrt(v_hat) + eps)`` to the bit.  Each parameter's
+    moments and its views of the scratch pair are bound once, at
+    construction.
     """
 
     BETA1 = 0.9
@@ -650,8 +715,11 @@ class Adam:
         self.step_count = 0
         self.m = {k: np.zeros_like(t.data) for k, t in self.params.items()}
         self.v = {k: np.zeros_like(t.data) for k, t in self.params.items()}
-        self._scratch = np.empty(
+        scratch = np.empty(
             (2, max((t.data.size for t in self.params.values()), default=0)))
+        self._slots = [(p, self.m[k], self.v[k],
+                        *(buf[:p.data.size].reshape(p.data.shape) for buf in scratch))
+                       for k, p in self.params.items()]
 
     def zero_grad(self) -> None:
         for t in self.params.values():
@@ -661,10 +729,8 @@ class Adam:
         self.step_count += 1
         t = self.step_count
         m_scale, v_scale = 1.0 - self.BETA1 ** t, 1.0 - self.BETA2 ** t
-        for name, p in self.params.items():
+        for p, m, v, a, b in self._slots:
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m, v = self.m[name], self.v[name]
-            a, b = (buf[:p.data.size].reshape(p.data.shape) for buf in self._scratch)
             m *= self.BETA1
             m += np.multiply(1.0 - self.BETA1, g, out=a)
             v *= self.BETA2

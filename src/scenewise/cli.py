@@ -52,6 +52,7 @@ from .classifier import (
     train,
 )
 from .corpus import (
+    TOPIC_NAMES,
     Corpus,
     IngestConfig,
     SynthSpec,
@@ -697,7 +698,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lr", type=_positive, default=5e-3)
     sp.add_argument("--epochs", type=_count, default=15)
     sp.add_argument("--pretrain-epochs", type=_number("[0, inf)", int), default=10)
-    sp.add_argument("--top-words", type=int, default=10)
+    sp.add_argument("--top-words", type=_count, default=10)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_descriptors)
 
@@ -717,16 +718,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("synth", help="generate a synthetic corpus")
     sp.add_argument("--out", default=None)
-    sp.add_argument("--scripts", type=int, default=40)
-    sp.add_argument("--tags", type=int, default=3)
+    sp.add_argument("--scripts", type=_count, default=40)
+    # each tag has a topic name of its own
+    sp.add_argument("--tags", type=_number(f"[2, {len(TOPIC_NAMES)}]", int),
+                    default=3)
     sp.add_argument("--signal", type=float, default=0.8)
     sp.add_argument("--order-sensitive", action="store_true")
     sp.add_argument("--attribute", default="genre")
-    sp.add_argument("--scenes-min", type=int, default=5)
-    sp.add_argument("--scenes-max", type=int, default=8)
-    sp.add_argument("--statements-min", type=int, default=4)
-    sp.add_argument("--statements-max", type=int, default=7)
-    sp.add_argument("--markers-per-tag", type=int, default=12)
+    sp.add_argument("--scenes-min", type=_count, default=5)
+    sp.add_argument("--scenes-max", type=_count, default=8)
+    sp.add_argument("--statements-min", type=_count, default=4)
+    sp.add_argument("--statements-max", type=_count, default=7)
+    # a planted marker run draws up to 4 distinct markers of its tag
+    sp.add_argument("--markers-per-tag", type=_number("[4, inf)", int), default=12)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_synth)
 
@@ -740,6 +744,12 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     if getattr(args, "cutoffs", None) is not None and args.tag_embeddings is None:
         ap.error("evaluate: argument --cutoffs: needs --tag-embeddings")
+    if args.command == "synth":
+        for count in ("scenes", "statements"):
+            low, high = getattr(args, f"{count}_min"), getattr(args, f"{count}_max")
+            if low > high:
+                ap.error(f"synth: argument --{count}-max: must be at least "
+                         f"--{count}-min {low}, got {high}")
     try:
         return args.fn(args)
     except (ScenewiseError, OSError, ValueError) as err:

@@ -8,13 +8,20 @@ own target vector ``u_t`` (negatives drawn from other scenes of the same
 script) plus an orthogonality penalty ``lam * ||R R^T - I||_F`` that keeps
 descriptors distinct.
 
+One script's loss, predictor to penalty, is one tape node
+(:func:`autodiff.mixture_hinge_loss`), and inference runs the same
+predictor forward on plain arrays (:func:`autodiff.predictor_pass`),
+building no tape.
+
 Targets ``u_t`` come from a frozen attention-weighted bag of each scene's
 descriptor words, pretrained on the tag task, so descriptor rows can be
 read off as their nearest vocabulary words.  A descriptor word is a
 vocabulary word with a vector of its own: any other compiles to the shared
 unknown row.  The target and the coherence documents read the scripts
-compiled at ingest, not their text.  Pretraining and training supply
-per-script losses to :func:`classifier.optimizer_epochs`.
+compiled at ingest, not their text; pretraining gathers and pads each
+script's descriptor-word rows once, since only the attention vector
+changes from step to step.  Pretraining and training supply per-script
+losses to :func:`classifier.optimizer_epochs`.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from .classifier import (
     reweighted_loss,
 )
 from .corpus import CompiledScript, Corpus, TokenVectors
-from .encoders import EncoderKind, EncoderSpec, SequenceEncoder, encode_tokens
+from .encoders import EncoderKind, EncoderSpec, SequenceEncoder, pad_runs
 from .errors import DataError, InsufficientVocab, ScriptTooSmall, ZeroDocFrequency
 from .parser import Scene, Screenplay
 
@@ -74,8 +81,8 @@ class DescriptorConfig:
 class SceneBagEncoder:
     """Attention-weighted bag of each scene's descriptor words: a boolean
     table over the embedding rows picks them out of a compiled script's ids,
-    and one :func:`encoders.encode_tokens` call through a BoE+Attn encoder
-    pools them.  Pretraining trains its ``p``; then the targets are frozen.
+    and a BoE+Attn encoder pools their padded batch in one call.
+    Pretraining trains its ``p``; then the targets are frozen.
     """
 
     def __init__(self, vocab: Sequence[str], vectors: TokenVectors,
@@ -103,15 +110,23 @@ class SceneBagEncoder:
         keep = self.word_rows[script.ids]
         return script.ids[keep], np.repeat(script.scenes, script.lengths)[keep]
 
+    def batch(self, script: CompiledScript
+              ) -> tuple[Tensor, np.ndarray, np.ndarray]:
+        """The right-padded (K, T, d) batch of descriptor-word rows of the K
+        scenes holding any, its run lengths, and those scenes' indices."""
+        ids, scene_of = self.word_ids(script)
+        kept = np.flatnonzero(runs := np.bincount(scene_of))
+        lengths = runs[kept]
+        rows = ad.constant(self.vectors.embeddings.matrix[ids])
+        return pad_runs(rows, lengths), lengths, kept
+
     def pool(self, script: CompiledScript) -> tuple[Tensor | None, np.ndarray]:
         """(K, d) pooled vectors of the K scenes holding descriptor words,
         on the tape, and their indices; None when there are none."""
-        ids, scene_of = self.word_ids(script)
-        kept = np.flatnonzero(runs := np.bincount(scene_of))
+        padded, lengths, kept = self.batch(script)
         if not kept.size:
             return None, kept
-        matrix = self.vectors.embeddings.matrix
-        return encode_tokens(ids, runs[kept], matrix, self.encoder), kept
+        return self.encoder.encode_padded(padded, lengths), kept
 
     def encode_scenes(self, script: CompiledScript | Screenplay
                       ) -> tuple[np.ndarray, np.ndarray]:
@@ -155,14 +170,15 @@ def pretrain_reconstruction_target(corpus: Corpus, attribute: str,
     head = ClassifierHead(len(taxonomy), target.dim, rng)
     params = {**target.named_params(), **head.named_params()}
 
+    # each script's padded word rows, gathered once: only p changes
     per_script = [(it.title, (taxonomy.label_vector(it.tags.get(attribute, ())),
-                              it.script))
+                              *target.batch(it.script)[:2]))
                   for it in train_items if target.word_rows[it.script.ids].any()]
 
-    def loss_of(batch: tuple[np.ndarray, CompiledScript]) -> Tensor:
-        y, script = batch
-        scene_vecs, kept = target.pool(script)
-        script_vec = ad.row(ad.mean_rows(scene_vecs, [len(kept)]), 0)
+    def loss_of(item: tuple[np.ndarray, Tensor, np.ndarray]) -> Tensor:
+        y, padded, lengths = item
+        scene_vecs = target.encoder.encode_padded(padded, lengths)
+        script_vec = ad.row(ad.mean_rows(scene_vecs, [len(lengths)]), 0)
         return reweighted_loss(y, head.logits(script_vec), taxonomy.lam,
                                taxonomy.active)
 
@@ -192,56 +208,27 @@ class DescriptorPredictor:
         self.w2 = ad.parameter(ad.glorot(rng, (hidden, k)))
         self.b2 = ad.parameter(np.zeros(k))
 
-    def ffnn(self, x: Tensor) -> Tensor:
-        """(S, in) rows to (S, k) softmax rows."""
-        h = ad.relu(ad.add_bias(ad.matmul(x, self.w1), self.b1))
-        return ad.softmax(ad.add_bias(ad.matmul(h, self.w2), self.b2))
-
-    def weights(self, vs: np.ndarray, o_prev: np.ndarray | None = None) -> Tensor:
-        """(S, k) descriptor weights for (S, d) scene vectors, one graph for
-        all S; ``.data`` holds one simplex row per scene.
-
-        When recurrent, row ``t`` of the (S, k) ``o_prev`` is the weights
-        entering scene ``t``, a constant (no backpropagation across scenes);
-        without it every scene enters with uniform weights.
-        """
-        if not self.recurrent:
-            return self.ffnn(ad.constant(vs))
-        if o_prev is None:
-            o_prev = np.full((len(vs), self.k), 1.0 / self.k)
-        x = ad.constant(np.concatenate([vs, o_prev], axis=1))
-        return ad.add(ad.scale(self.ffnn(x), 1.0 - self.alpha),
-                      ad.constant(self.alpha * o_prev))
-
     def rollout(self, vs: np.ndarray) -> np.ndarray:
-        """(S, k) weights of a script's scenes in order, as plain arrays.
+        """(S, k) weights of a script's (S, d) scene vectors in order, on
+        plain arrays (:func:`autodiff.predictor_pass`); one simplex row per
+        scene.
 
         One batched call; when recurrent, one scene at a time, each
         entering with the weights of the scene before it (the first with
         uniform weights).
         """
+        arrays = [t.data for t in self.named_params().values()]
         if not self.recurrent:
-            return self.weights(vs).data
+            return ad.predictor_pass(vs, *arrays)[-1]
         out = np.empty((len(vs), self.k))
+        o = np.full((1, self.k), 1.0 / self.k)
         for t in range(len(vs)):
-            out[t] = self.weights(vs[t:t + 1], out[t - 1:t] if t else None).data[0]
+            out[t] = o = ad.predictor_pass(vs[t:t + 1], *arrays, o, self.alpha)[-1]
         return out
 
     def named_params(self, prefix: str = "predictor") -> dict[str, Tensor]:
         return {f"{prefix}.w1": self.w1, f"{prefix}.b1": self.b1,
                 f"{prefix}.w2": self.w2, f"{prefix}.b2": self.b2}
-
-
-def reconstruct(o: Tensor, r_matrix: Tensor) -> Tensor:
-    """w = R^T o: the o-weighted combination of descriptor rows."""
-    return ad.matmul(o, r_matrix)
-
-
-def orthogonality_penalty(r_matrix: Tensor, lam: float) -> Tensor:
-    """lam * ||R R^T - I||_F (Frobenius norm)."""
-    gram = ad.matmul(r_matrix, ad.transpose(r_matrix))
-    diff = ad.sub(gram, ad.constant(np.eye(r_matrix.data.shape[0])))
-    return ad.scale(ad.sqrt(ad.total(ad.mul(diff, diff))), lam)
 
 
 def draw_negatives(rng: np.random.Generator, n_scenes: int,
@@ -257,24 +244,6 @@ def draw_negatives(rng: np.random.Generator, n_scenes: int,
         picks = rng.choice(n_scenes - 1, size=n_eff, replace=False)
         neg[t] = picks + (picks >= t)  # position among the other scenes
     return neg
-
-
-def hinge_terms(w: Tensor, us: np.ndarray, neg: np.ndarray) -> Tensor:
-    """sum_t sum_j max(0, 1 - w_t.u_t + w_t.u_neg[t, j]) over a script's
-    scenes, as one tape node (:func:`autodiff.margin_hinge`).
-
-    ``w`` and ``us`` are (S, d): each scene's reconstruction and target;
-    ``neg`` is the (S, n_eff) index array of each scene's negatives.
-    """
-    if neg.size == 0:
-        raise ScriptTooSmall("no negative samples available")
-    return ad.margin_hinge(w, us, neg)
-
-
-def descriptor_loss(w: Tensor, us: np.ndarray, neg: np.ndarray,
-                    r_matrix: Tensor, lam: float = 10.0) -> Tensor:
-    """One script's loss: its hinge terms plus the orthogonality penalty."""
-    return ad.add(hinge_terms(w, us, neg), orthogonality_penalty(r_matrix, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -419,21 +388,23 @@ class DescriptorModel:
     def script_loss(self, us: np.ndarray, neg: np.ndarray
                     ) -> tuple[Tensor, np.ndarray]:
         """One script's training loss over its (S, d) scene targets ``us``
-        and (S, n_eff) negatives ``neg``, built as one graph, and its (S, k)
-        weights.
+        and (S, n_eff) negatives ``neg``: the hinge terms summed over its
+        scenes plus the orthogonality penalty, as one tape node
+        (:func:`autodiff.mixture_hinge_loss`); and its (S, k) weights.
 
         When recurrent, the weights entering each scene come from a
-        forward-only rollout and enter the graph as constants.
+        forward-only rollout and enter the node as constants.
         """
+        if neg.size == 0:
+            raise ScriptTooSmall("no negative samples available")
+        pred = self.predictor
         o_prev = None
-        if self.predictor.recurrent:
-            k = self.predictor.k
-            o_prev = np.concatenate([np.full((1, k), 1.0 / k),
-                                     self.predictor.rollout(us[:-1])])
-        o = self.predictor.weights(us, o_prev)
-        loss = descriptor_loss(reconstruct(o, self.r), us, neg, self.r,
-                               self.config.ortho_lambda)
-        return loss, o.data
+        if pred.recurrent:
+            o_prev = np.concatenate([np.full((1, pred.k), 1.0 / pred.k),
+                                     pred.rollout(us[:-1])])
+        params = (*pred.named_params().values(), self.r)
+        return ad.mixture_hinge_loss(params, us, neg, self.config.ortho_lambda,
+                                     o_prev, pred.alpha)
 
     def weights_for_script(self, script: CompiledScript | Screenplay) -> np.ndarray:
         """(S, k) descriptor weights, one simplex row per scene.
@@ -451,7 +422,7 @@ def train_descriptors(corpus: Corpus, target: SceneBagEncoder,
     """Fit descriptors and predictor against the frozen target encoder.
 
     One optimizer step per script: hinge terms summed over its scenes plus
-    one orthogonality penalty, built as one graph over all its scenes.  The
+    one orthogonality penalty, one tape node over all its scenes.  The
     recurrent state entering each scene is treated as a constant (no
     backpropagation across scenes).
     """

@@ -111,10 +111,15 @@ class SequenceEncoder:
         sequence ``b`` taking the next ``lengths[b]`` rows: (B, output_dim).
         """
         lengths = np.asarray(lengths)
-        kind = self.spec.kind
-        if kind is EncoderKind.BOE:
+        if self.spec.kind is EncoderKind.BOE:
             return ad.mean_rows(xs, lengths)
-        padded = pad_runs(xs, lengths)
+        return self.encode_padded(pad_runs(xs, lengths), lengths)
+
+    def encode_padded(self, padded: Tensor, lengths: np.ndarray) -> Tensor:
+        """Encode a right-padded (B, T, D) batch whose row ``b`` holds
+        ``lengths[b]`` real steps, as :func:`pad_runs` lays it out: (B,
+        output_dim).  Not for BoE, which reads the rows unpadded."""
+        kind = self.spec.kind
         if kind is EncoderKind.BOE_ATTN:
             return attend(padded, self.p, lengths,
                           self.spec.attention_normalization)

@@ -3,7 +3,8 @@ oracles.
 
 ``reweighted_loss`` builds the loss from primitive tape ops: two
 ``logsigmoid`` nodes, a ``neg``, two ``mul``, an ``add``, a ``total`` and a
-``scale``.  ``characters_mean`` is the BoE character block as ``row``,
+``scale``; ``scale``, a constant factor, is also a primitive of the
+descriptor oracle.  ``characters_mean`` is the BoE character block as ``row``,
 ``mean_rows``, ``place``, ``mean_rows`` and ``row``.
 ``scenewise.classifier.reweighted_loss`` and the BoE
 ``HierarchicalModel.encode_script`` each make one node instead; the tests
@@ -35,8 +36,13 @@ def logsigmoid(a: Tensor) -> Tensor:
     return _op(y, (a,), vjp)
 
 
+def scale(a: Tensor, c: float) -> Tensor:
+    c = float(c)
+    return _op(a.data * c, (a,), lambda g: (g * c,))
+
+
 def neg(a: Tensor) -> Tensor:
-    return ad.scale(a, -1.0)
+    return scale(a, -1.0)
 
 
 def reweighted_loss(y: np.ndarray, z: Tensor, lam: np.ndarray,
@@ -55,7 +61,7 @@ def reweighted_loss(y: np.ndarray, z: Tensor, lam: np.ndarray,
     c_neg = (1.0 - y) * lam * mask
     pos = ad.mul(ad.constant(c_pos), logsigmoid(z))
     negative = ad.mul(ad.constant(c_neg), logsigmoid(neg(z)))
-    return ad.scale(ad.total(ad.add(pos, negative)), -1.0 / denom)
+    return scale(ad.total(ad.add(pos, negative)), -1.0 / denom)
 
 
 def characters_mean(model, script) -> Tensor:

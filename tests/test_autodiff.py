@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import descriptor_oracle
 import gru_oracle
 import loss_oracle
 from scenewise import autodiff as ad
@@ -106,7 +107,7 @@ def test_primitive_gradients_match_finite_differences(name):
         params = [a]
     elif name in ("sigmoid", "tanh", "relu", "logsigmoid"):
         a = ad.parameter(vec(6))
-        op = {"sigmoid": sigmoid, "tanh": tanh, "relu": ad.relu,
+        op = {"sigmoid": sigmoid, "tanh": tanh, "relu": descriptor_oracle.relu,
               "logsigmoid": loss_oracle.logsigmoid}[name]
         fn = lambda: ad.total(op(a))
         params = [a]
@@ -130,7 +131,7 @@ def test_primitive_gradients_match_finite_differences(name):
         params = [a, b]
     elif name == "scale":
         a = ad.parameter(vec(5))
-        fn = lambda: ad.total(ad.scale(a, 2.5))
+        fn = lambda: ad.total(loss_oracle.scale(a, 2.5))
         params = [a]
     elif name == "mean_of_run_means":
         a = ad.parameter(r.normal(size=(4, 3)))
@@ -649,3 +650,23 @@ def test_adam_matches_textbook_update_bitwise():
             assert np.array_equal(params[k].data, values[k])
             assert np.array_equal(opt.m[k], m[k])
             assert np.array_equal(opt.v[k], v[k])
+
+
+@pytest.mark.parametrize("linear", [False, True], ids=["softmax", "linear"])
+def test_attention_pool_gives_constant_outputs_no_gradient(linear):
+    # positive outputs and p keep the linear normalizer away from zero
+    r = rng(61)
+    lengths = np.array([3, 1, 2])
+    live = (np.arange(3) < lengths[:, None])[..., None]
+    rows = r.uniform(0.5, 1.5, size=(3, 3, 4)) * live
+    p_data = r.uniform(0.5, 1.5, size=4)
+    probe = ad.constant(r.normal(size=(3, 4)))
+    d_p = {}
+    for takes_grad in (True, False):
+        outputs = ad.Tensor(rows, requires_grad=takes_grad)
+        p = ad.parameter(p_data)
+        pooled = ad.attention_pool(outputs, p, lengths, linear=linear)
+        ad.backward(ad.total(ad.mul(pooled, probe)))
+        d_p[takes_grad] = p.grad
+        assert (outputs.grad is not None) == takes_grad
+    assert np.array_equal(d_p[False], d_p[True])

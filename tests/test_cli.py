@@ -396,16 +396,21 @@ def test_descriptors_log(descriptor_run):
     assert float(rows[-1][2]) == manifest["stats"]["final_fro"]
 
 
-def test_descriptors_rerun_byte_identical(descriptor_run, tmp_path):
-    out, args = descriptor_run
+@pytest.mark.parametrize("recurrent", [False, True], ids=["plain", "recurrent"])
+def test_descriptors_rerun_byte_identical(descriptor_run, tmp_path, recurrent):
+    plain, args = descriptor_run
+    settings = args[:-2] + (["--recurrent"] if recurrent else [])
+    out = plain
+    if recurrent:
+        out = tmp_path / "desc1"
+        assert run(settings + ["--out", str(out)]) == 0
+        assert (out / "descriptors.swck").read_bytes() != \
+            (plain / "descriptors.swck").read_bytes()
     other = tmp_path / "desc2"
-    assert run(args[:-1] + [str(other)]) == 0
-    assert (other / "descriptors.swck").read_bytes() == \
-        (out / "descriptors.swck").read_bytes()
-    assert (other / "descriptor_report.json").read_bytes() == \
-        (out / "descriptor_report.json").read_bytes()
-    assert (other / "descriptor_log.csv").read_bytes() == \
-        (out / "descriptor_log.csv").read_bytes()
+    assert run(settings + ["--out", str(other)]) == 0
+    for name in ("descriptors.swck", "descriptor_report.json",
+                 "descriptor_log.csv"):
+        assert (other / name).read_bytes() == (out / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("fmt", ["csv", "svg"])
@@ -1072,6 +1077,7 @@ def test_evaluate_takes_the_percentile_range_ends():
     ("train", "--epochs"), ("train", "--patience"), ("train", "--hidden"),
     ("descriptors", "--k"), ("descriptors", "--hidden"),
     ("descriptors", "--epochs"), ("descriptors", "--negatives"),
+    ("descriptors", "--top-words"),
 ])
 def test_counts_below_one_are_usage_errors(workspace, tmp_path, capsys,
                                            command, flag, value):
@@ -1084,6 +1090,43 @@ def test_counts_below_one_are_usage_errors(workspace, tmp_path, capsys,
     assert exc.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--scripts", "0"), ("--scripts", "-3"), ("--tags", "1"), ("--tags", "9"),
+    ("--markers-per-tag", "3"), ("--markers-per-tag", "-2"),
+    ("--scenes-min", "0"), ("--scenes-max", "0"), ("--statements-min", "-1"),
+    ("--statements-max", "0"), ("--scripts", "2.5"),
+])
+def test_synth_counts_out_of_range_are_usage_errors(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--out", str(out), flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", ["scenes", "statements"])
+def test_synth_minimum_above_maximum_is_usage_error(tmp_path, capsys, count):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--out", str(out), f"--{count}-min", "5",
+              f"--{count}-max", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --{count}-max: must be at least --{count}-min 5, got 2" in err
+    assert not out.exists()
+
+
+def test_synth_takes_its_range_ends(tmp_path):
+    out = tmp_path / "out"
+    assert run(["synth", "--out", str(out), "--scripts", "1", "--tags", "2",
+                "--markers-per-tag", "4", "--scenes-min", "1", "--scenes-max", "1",
+                "--statements-min", "3", "--statements-max", "3"]) == 0
+    assert [p.name for p in (out / "scripts").glob("*.txt")] == ["synth000.txt"]
+    args = cli.build_arg_parser().parse_args(["synth", "--tags", "8"])
+    assert args.tags == 8
 
 
 def test_descriptors_take_zero_pretrain_epochs():
@@ -1132,6 +1175,7 @@ def test_numeric_training_flags_take_their_closed_range_ends():
     for alpha in ("0", "1"):
         assert parse(["descriptors", *data, "--alpha", alpha]).alpha == float(alpha)
     assert parse(["descriptors", *data, "--ortho-lambda", "0"]).ortho_lambda == 0.0
+    assert parse(["descriptors", *data, "--top-words", "1"]).top_words == 1
 
 
 def _subcommands():

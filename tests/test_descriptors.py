@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import descriptor_oracle as oracle
 import loss_oracle
 from scenewise import autodiff as ad
 from scenewise import descriptors as dsc
@@ -24,15 +25,11 @@ from scenewise.descriptors import (
     DescriptorModel,
     DescriptorPredictor,
     SceneBagEncoder,
-    descriptor_loss,
     descriptor_report,
-    hinge_terms,
     init_descriptors,
     kmeans_lloyd,
     nearest_words,
-    orthogonality_penalty,
     pretrain_reconstruction_target,
-    reconstruct,
     semantic_coherence,
     train_descriptors,
 )
@@ -42,6 +39,7 @@ from scenewise.errors import (
     InsufficientVocab,
     NonFiniteLoss,
     ScriptTooSmall,
+    ShapeMismatch,
     ZeroDocFrequency,
 )
 from scenewise.parser import Scene, Screenplay, Statement, StatementKind
@@ -59,10 +57,16 @@ def make_predictor(recurrent=False, k=4, dim=6, seed=0, alpha=0.5):
                                recurrent=recurrent, alpha=alpha)
 
 
+def forward(pred, vs, o_prev=None):
+    """The predictor's (S, k) weights on plain arrays."""
+    arrays = [t.data for t in pred.named_params().values()]
+    return ad.predictor_pass(vs, *arrays, o_prev, pred.alpha)[-1]
+
+
 def test_weights_on_simplex():
     pred = make_predictor()
     for seed in range(5):
-        o = pred.weights(rng(seed).normal(size=(4, 6)) * 3).data
+        o = pred.rollout(rng(seed).normal(size=(4, 6)) * 3)
         assert o.shape == (4, 4)
         assert np.all(o >= 0)
         assert np.abs(o.sum(axis=1) - 1.0).max() < 1e-12
@@ -70,18 +74,15 @@ def test_weights_on_simplex():
 
 def test_recurrent_weights_stay_on_simplex_over_many_steps():
     pred = make_predictor(recurrent=True)
-    o = None
-    r = rng(9)
-    for _ in range(50):
-        o = pred.weights(r.normal(size=(1, 6)), o).data
-        assert np.all(o >= -1e-15)
-        assert abs(o.sum() - 1.0) < 1e-9
+    o = pred.rollout(rng(9).normal(size=(50, 6)))
+    assert np.all(o >= -1e-15)
+    assert np.abs(o.sum(axis=1) - 1.0).max() < 1e-9
 
 
 def test_alpha_one_returns_previous_weights():
     pred = make_predictor(recurrent=True, alpha=1.0)
     o_prev = np.array([[0.1, 0.2, 0.3, 0.4]])
-    o = pred.weights(rng(1).normal(size=(1, 6)), o_prev).data
+    o = forward(pred, rng(1).normal(size=(1, 6)), o_prev)
     assert np.allclose(o, o_prev)
 
 
@@ -89,10 +90,10 @@ def test_recurrence_fixed_point():
     # if the network output equals o_prev, the convex mix leaves it unchanged
     o_prev = np.array([[0.25, 0.25, 0.25, 0.25]])
     pred = make_predictor(recurrent=True)
-    ff = pred.ffnn(ad.constant(np.concatenate([np.zeros((1, 6)), o_prev],
-                                              axis=1))).data
+    ff = oracle.ffnn(pred, ad.constant(np.concatenate([np.zeros((1, 6)), o_prev],
+                                                      axis=1))).data
     mixed = 0.5 * ff + 0.5 * o_prev
-    out = pred.weights(np.zeros((1, 6)), o_prev).data
+    out = forward(pred, np.zeros((1, 6)), o_prev)
     assert np.allclose(out, mixed)
     assert abs(out.sum() - 1.0) < 1e-12
 
@@ -101,14 +102,14 @@ def test_reconstruct_one_hot_selects_row():
     r_matrix = rng(2).normal(size=(4, 6))
     o = np.zeros(4)
     o[2] = 1.0
-    assert np.allclose(reconstruct(ad.constant(o), ad.constant(r_matrix)).data,
+    assert np.allclose(oracle.reconstruct(ad.constant(o), ad.constant(r_matrix)).data,
                        r_matrix[2])
 
 
 def test_reconstruct_uniform_is_row_mean():
     r_matrix = rng(3).normal(size=(5, 4))
     o = np.full(5, 0.2)
-    assert np.allclose(reconstruct(ad.constant(o), ad.constant(r_matrix)).data,
+    assert np.allclose(oracle.reconstruct(ad.constant(o), ad.constant(r_matrix)).data,
                        r_matrix.mean(axis=0))
 
 
@@ -116,14 +117,14 @@ def test_reconstruct_matches_direct_arithmetic():
     r = rng(4)
     r_matrix = r.normal(size=(3, 7))
     o = r.dirichlet(np.ones(3))
-    assert np.allclose(reconstruct(ad.constant(o), ad.constant(r_matrix)).data,
+    assert np.allclose(oracle.reconstruct(ad.constant(o), ad.constant(r_matrix)).data,
                        r_matrix.T @ o)
 
 
 def test_orthonormal_rows_zero_penalty():
     q, _ = np.linalg.qr(rng(5).normal(size=(6, 6)))
     r_matrix = ad.parameter(q[:3])  # 3 orthonormal rows
-    assert orthogonality_penalty(r_matrix, 10.0).item() < 1e-12
+    assert oracle.orthogonality_penalty(r_matrix, 10.0).item() < 1e-12
 
 
 def test_satisfied_margins_zero_loss():
@@ -133,7 +134,7 @@ def test_satisfied_margins_zero_loss():
     w = ad.constant(3.0 * us)
     neg = np.array([[1, 2], [0, 2], [0, 1]])
     # w_t.u_t = 3, w_t.u_j = 0 -> every margin satisfied by 2
-    loss = descriptor_loss(w, us, neg, r_matrix, lam=10.0)
+    loss = oracle.descriptor_loss(w, us, neg, r_matrix, lam=10.0)
     assert loss.item() < 1e-12
 
 
@@ -147,8 +148,8 @@ def test_descriptor_loss_matches_direct_evaluation():
     lam = 10.0
 
     r_matrix = ad.parameter(r_data)
-    w = reconstruct(ad.constant(o), r_matrix)
-    loss = descriptor_loss(w, us, neg, r_matrix, lam).item()
+    w = oracle.reconstruct(ad.constant(o), r_matrix)
+    loss = oracle.descriptor_loss(w, us, neg, r_matrix, lam).item()
 
     hinge = 0.0
     for t in range(4):
@@ -170,9 +171,9 @@ def test_descriptor_loss_gradients_match_finite_differences():
     params.update(pred.named_params())
 
     def loss():
-        o = pred.weights(vs)
-        w = reconstruct(o, r_matrix)
-        return descriptor_loss(w, us, neg, r_matrix, lam=10.0)
+        o = oracle.weights(pred, vs)
+        w = oracle.reconstruct(o, r_matrix)
+        return oracle.descriptor_loss(w, us, neg, r_matrix, lam=10.0)
 
     assert gradcheck(loss, list(params.values())) < 1e-4
 
@@ -188,11 +189,12 @@ def oracle_weights(pred, v, o_prev=None):
     if pred.recurrent:
         o_prev = np.full(pred.k, 1.0 / pred.k) if o_prev is None else o_prev
         x = np.concatenate([v, o_prev])
-    h = ad.relu(ad.add(ad.matmul(ad.constant(x), pred.w1), pred.b1))
+    h = oracle.relu(ad.add(ad.matmul(ad.constant(x), pred.w1), pred.b1))
     o = ad.softmax(ad.add(ad.matmul(h, pred.w2), pred.b2))
     if not pred.recurrent:
         return o
-    return ad.add(ad.scale(o, 1.0 - pred.alpha), ad.constant(pred.alpha * o_prev))
+    return ad.add(loss_oracle.scale(o, 1.0 - pred.alpha),
+                  ad.constant(pred.alpha * o_prev))
 
 
 def oracle_hinge(w, u_t, negatives):
@@ -201,7 +203,8 @@ def oracle_hinge(w, u_t, negatives):
     for u_j in negatives:
         margin = ad.add(ad.sub(ad.constant(np.asarray(1.0)), pos),
                         dot(w, ad.constant(u_j)))
-        out = ad.relu(margin) if out is None else ad.add(out, ad.relu(margin))
+        out = oracle.relu(margin) if out is None \
+            else ad.add(out, oracle.relu(margin))
     return out
 
 
@@ -212,7 +215,7 @@ def oracle_script_loss(pred, r_matrix, us, neg, lam):
         term = oracle_hinge(ad.matmul(o, r_matrix), u_t, [us[j] for j in neg[t]])
         loss = term if loss is None else ad.add(loss, term)
         o_prev = o.data
-    return ad.add(loss, orthogonality_penalty(r_matrix, lam))
+    return ad.add(loss, oracle.orthogonality_penalty(r_matrix, lam))
 
 
 def oracle_negatives(rng_, n_scenes, negatives):
@@ -233,14 +236,14 @@ def bag_encoder(vocab, vectors, p):
     return target
 
 
-def tiny_model(recurrent, k=4, dim=6, seed=0):
+def tiny_model(recurrent, k=4, dim=6, seed=0, negatives=3, lam=10.0):
     vocab = [f"w{i}" for i in range(8)]
     emb = WordEmbeddings({w: rng(seed + i).normal(size=dim)
                           for i, w in enumerate(vocab)}, dim)
     target = bag_encoder(vocab, TokenVectors(Vocabulary(vocab), emb),
                          rng(seed).normal(size=dim))
-    config = DescriptorConfig(k=k, hidden=5, recurrent=recurrent, negatives=3,
-                              ortho_lambda=10.0, seed=seed)
+    config = DescriptorConfig(k=k, hidden=5, recurrent=recurrent,
+                              negatives=negatives, ortho_lambda=lam, seed=seed)
     r_init = init_descriptors(dsc.RANDOM_GLOROT, emb.matrix, k=k, seed=seed)
     return DescriptorModel(r_init, target, config)
 
@@ -286,15 +289,109 @@ def test_hinge_terms_gradient_matches_finite_differences():
                + np.einsum("td,tjd->tj", w.data, us[neg]))
     assert np.abs(margins).min() > 0.1
     assert (margins > 0).any() and (margins < 0).any()
-    assert gradcheck(lambda: hinge_terms(w, us, neg), [w]) < 1e-8
-    assert abs(hinge_terms(w, us, neg).item()
+    assert gradcheck(lambda: oracle.hinge_terms(w, us, neg), [w]) < 1e-8
+    assert abs(oracle.hinge_terms(w, us, neg).item()
                - np.maximum(margins, 0.0).sum()) < 1e-12
 
 
 def test_hinge_terms_without_negatives_raise():
     w = ad.parameter(np.zeros((1, 3)))
     with pytest.raises(ScriptTooSmall):
-        hinge_terms(w, np.zeros((1, 3)), dsc.draw_negatives(rng(0), 1, 5))
+        oracle.hinge_terms(w, np.zeros((1, 3)), dsc.draw_negatives(rng(0), 1, 5))
+
+
+# ---------------------------------------------------------------------------
+# the one-node loss against its composition (descriptor_oracle.py)
+
+
+@pytest.mark.parametrize("lam", [10.0, 0.0])
+@pytest.mark.parametrize("negatives", [1, 3, 9])
+@pytest.mark.parametrize("recurrent", [False, True], ids=["plain", "recurrent"])
+def test_one_node_loss_equals_the_composition_bitwise(recurrent, negatives, lam):
+    # one negative is below S - 1 for every S here, nine above it (so each
+    # scene takes all the others), and three is either
+    for n_scenes in range(2, 9):
+        model = tiny_model(recurrent, seed=n_scenes, negatives=negatives, lam=lam)
+        params = model.named_params()
+        r = rng(200 + n_scenes)
+        us = r.normal(size=(n_scenes, 6))
+        neg = dsc.draw_negatives(r, n_scenes, negatives)
+
+        loss, o = model.script_loss(us, neg)
+        assert {id(t) for t in loss._parents} == {id(t) for t in params.values()}
+        fused = grads_of(loss, params)
+        expected, expected_o = oracle.script_loss(model, us, neg)
+        composed = grads_of(expected, params)
+
+        assert np.array_equal(loss.data, expected.data)
+        assert np.array_equal(o, expected_o)
+        for name in params:
+            assert np.array_equal(fused[name], composed[name]), name
+
+
+@pytest.mark.parametrize("recurrent", [False, True], ids=["plain", "recurrent"])
+def test_one_node_loss_gradients_match_finite_differences(recurrent):
+    model = tiny_model(recurrent, seed=8)
+    params = [*model.predictor.named_params().values(), model.r]
+    r = rng(18)
+    us = r.normal(size=(5, 6))
+    neg = dsc.draw_negatives(r, 5, 3)
+    # the weights entering each scene are constants of the loss
+    o_prev = r.dirichlet(np.ones(4), size=5) if recurrent else None
+
+    def loss():
+        return ad.mixture_hinge_loss(params, us, neg, 10.0, o_prev,
+                                     model.predictor.alpha)[0]
+
+    assert gradcheck(loss, params) < 1e-4
+
+
+def test_one_node_loss_checks_its_shapes():
+    model = tiny_model(True)
+    params = [*model.predictor.named_params().values(), model.r]
+    us = rng(1).normal(size=(3, 6))
+    neg = dsc.draw_negatives(rng(1), 3, 2)
+    o_prev = np.full((3, 4), 0.25)
+    for bad in [dict(targets=us[:, :5]), dict(neg=neg[:2]),
+                dict(o_prev=o_prev[:2]), dict(o_prev=None)]:
+        args = dict(targets=us, neg=neg, o_prev=o_prev) | bad
+        with pytest.raises(ShapeMismatch, match="^mixture_hinge_loss: "):
+            ad.mixture_hinge_loss(params, args["targets"], args["neg"], 10.0,
+                                  args["o_prev"])
+
+
+def test_script_loss_without_negatives_raises():
+    model = tiny_model(False)
+    with pytest.raises(ScriptTooSmall, match="no negative samples"):
+        model.script_loss(np.zeros((1, 6)), dsc.draw_negatives(rng(0), 1, 5))
+
+
+@pytest.mark.parametrize("recurrent", [False, True], ids=["plain", "recurrent"])
+def test_training_on_the_composition_leaves_the_same_parameters(
+        desc_corpus, monkeypatch, recurrent):
+    config = DescriptorConfig(k=4, hidden=8, epochs=3, pretrain_epochs=1,
+                              negatives=3, seed=7, recurrent=recurrent)
+    target = pretrain_reconstruction_target(desc_corpus, "genre", config)
+    model, stats = train_descriptors(desc_corpus, target, config)
+    weights = [model.weights_for_script(it.script) for it in desc_corpus.items]
+    with monkeypatch.context() as patch:
+        patch.setattr(DescriptorModel, "script_loss", oracle.script_loss)
+        patch.setattr(DescriptorPredictor, "rollout", oracle.rollout)
+        reference, expected = train_descriptors(desc_corpus, target, config)
+        expected_weights = [reference.weights_for_script(it.script)
+                            for it in desc_corpus.items]
+    for name, t in reference.named_params().items():
+        assert np.array_equal(model.named_params()[name].data, t.data), name
+    assert stats == expected
+    for got, want in zip(weights, expected_weights):
+        assert np.array_equal(got, want)
+
+
+def test_pretraining_on_gathered_batches_matches_pooling_every_step(desc_corpus):
+    config = DescriptorConfig(k=4, hidden=8, pretrain_epochs=3, seed=2)
+    target = pretrain_reconstruction_target(desc_corpus, "genre", config)
+    reference = oracle.pretrain_reconstruction_target(desc_corpus, "genre", config)
+    assert np.array_equal(target.p, reference.p)
 
 
 @pytest.mark.parametrize("negatives", [1, 3, 5, 9])
