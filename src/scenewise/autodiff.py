@@ -4,7 +4,11 @@ The graph is built eagerly: every operation returns a :class:`Tensor` holding
 its forward value and, when any input participates in differentiation, a
 closure mapping the output gradient to per-parent contributions.
 ``backward`` assigns each reachable node's first gradient contribution and
-adds later ones, so repeated backward passes never double-count.
+adds later ones, so repeated backward passes never double-count.  The
+module holds only the ops the models run: a few fused nodes and the
+structural ops around them (``add``, ``matmul``, ``concat``, ``row``,
+``place``, ``mean_rows``).  The elementwise and reduction ops that only the
+tests' oracles and gradchecks compose live in ``tests/tape_ops.py``.
 
 The GRU implemented here is the gated unit with update gate ``z``, reset
 gate ``r`` and candidate state, which is normative for this package::
@@ -179,23 +183,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _op(a.data + b.data, (a, b), lambda g: (g, g))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "sub")
-    return _op(a.data - b.data, (a, b), lambda g: (g, -g))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "mul")
-    return _op(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
-
-
-def add_bias(m: Tensor, v: Tensor) -> Tensor:
-    """Add a vector to every row of a matrix."""
-    if m.data.ndim != 2 or v.data.ndim != 1 or m.data.shape[1] != v.data.shape[0]:
-        raise ShapeMismatch(f"add_bias: {m.data.shape} vs {v.data.shape}")
-    return _op(m.data + v.data, (m, v), lambda g: (g, g.sum(axis=0)))
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     A, B = a.data, b.data
     if A.ndim == 2 and B.ndim == 2:
@@ -298,39 +285,9 @@ def mean_of_run_means(a: Tensor, index, runs, at, n: int) -> Tensor:
     return _op(mean, (a,), vjp)
 
 
-def total(a: Tensor) -> Tensor:
-    def vjp(g: np.ndarray) -> tuple:
-        return (np.full_like(a.data, float(g)),)
-
-    return _op(np.asarray(a.data.sum()), (a,), vjp)
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis: each vector along it becomes a
-    probability simplex, so a (S, k) matrix gives S simplex rows."""
-    if a.data.ndim == 0:
-        raise ShapeMismatch("softmax: expected at least one axis, got a scalar")
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-    return _op(y, (a,),
-               lambda g: (y * (g - (g * y).sum(axis=-1, keepdims=True)),))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    y = np.sqrt(a.data)
-    return _op(y, (a,), lambda g: (g * 0.5 / y,))
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeMismatch(f"transpose: expected matrix, got {a.data.shape}")
-    return _op(a.data.T.copy(), (a,), lambda g: (g.T,))
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +340,6 @@ def init_gru_direction(rng: np.random.Generator, input_dim: int, hidden: int) ->
 class BiGru:
     fw: GruDirection
     bw: GruDirection
-
-    @property
-    def output_dim(self) -> int:
-        return self.fw.hidden_dim + self.bw.hidden_dim
 
     def named(self, prefix: str) -> dict[str, Tensor]:
         out = self.fw.named(f"{prefix}.fw")

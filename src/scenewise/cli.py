@@ -52,6 +52,7 @@ from .classifier import (
     train,
 )
 from .corpus import (
+    PLANTED_RUN_MAX,
     TOPIC_NAMES,
     Corpus,
     IngestConfig,
@@ -107,10 +108,10 @@ def _add_corpus_flags(sp: argparse.ArgumentParser, loglines: bool = False) -> No
     """The data flags plus the ingest settings a tag model depends on."""
     _add_data_flags(sp, loglines)
     sp.add_argument("--min-count", type=int, default=5)
-    sp.add_argument("--cap", type=int, default=60)
+    sp.add_argument("--cap", type=_count, default=60)
     sp.add_argument("--heldout-fraction", type=float, default=0.2)
     sp.add_argument("--validation-fraction", type=float, default=0.1)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
 
 
 def _add_descriptor_vocabulary_flags(sp: argparse.ArgumentParser) -> None:
@@ -140,6 +141,7 @@ def _number(interval: str, kind: type = float):
 
 _probability = _number("(0, 1)")
 _count = _number("[1, inf)", int)
+_seed = _number("[0, inf)", int)
 _positive = _number("(0, inf)")
 
 
@@ -638,7 +640,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("parse", help="parse scripts to TSV + quality reports")
     sp.add_argument("--scripts", required=True)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--cap", type=int, default=60)
+    sp.add_argument("--cap", type=_count, default=60)
     sp.add_argument("--no-split", action="store_true",
                     help="do not split long scenes")
     sp.set_defaults(fn=cmd_parse)
@@ -729,9 +731,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scenes-max", type=_count, default=8)
     sp.add_argument("--statements-min", type=_count, default=4)
     sp.add_argument("--statements-max", type=_count, default=7)
-    # a planted marker run draws up to 4 distinct markers of its tag
-    sp.add_argument("--markers-per-tag", type=_number("[4, inf)", int), default=12)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--markers-per-tag",
+                    type=_number(f"[{PLANTED_RUN_MAX}, inf)", int), default=12)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.set_defaults(fn=cmd_synth)
 
     return ap

@@ -514,6 +514,9 @@ CHARACTER_POOL = ("ALEX", "BLAKE", "CASEY", "DEVON", "EMERY", "FINLEY",
 
 ORDER_TOKENS = ("riddlea", "riddleb", "riddlec")
 
+# a planted marker run draws 2 to this many distinct markers of its tag
+PLANTED_RUN_MAX = 4
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -529,12 +532,6 @@ class SynthSpec:
     marker_spread: float = 0.25
     noise_vocab: int = 30
     embedding_dim: int = 100
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["scenes_range"] = list(self.scenes_range)
-        d["statements_range"] = list(self.statements_range)
-        return d
 
 
 def _topic_markers(spec: SynthSpec) -> dict[str, list[str]]:
@@ -575,9 +572,27 @@ def _sentence(rng: np.random.Generator, n_words: int) -> list[str]:
 
 def generate_synthetic_corpus(out_dir: str | Path, spec: SynthSpec = SynthSpec()) -> dict:
     """Write a synthetic corpus: scripts, tags, loglines, embeddings, tag
-    embeddings, and a ground-truth record of the planted topics."""
-    if spec.n_tags < 2:
-        raise ValueError("need at least 2 tags")
+    embeddings, and a ground-truth record of the planted topics.
+
+    A count out of range raises ``ValueError`` naming its ``SynthSpec``
+    field, before anything is written.
+    """
+    scenes, statements = spec.scenes_range, spec.statements_range
+    for name, ok, rule in (
+            ("n_scripts", spec.n_scripts >= 1, "at least 1"),
+            ("n_tags", 2 <= spec.n_tags <= len(TOPIC_NAMES),
+             f"within [2, {len(TOPIC_NAMES)}], one topic name per tag"),
+            ("scenes_range", 1 <= scenes[0] <= scenes[1],
+             "(min, max) with 1 <= min <= max"),
+            ("statements_range", 1 <= statements[0] <= statements[1],
+             "(min, max) with 1 <= min <= max"),
+            ("markers_per_tag", spec.markers_per_tag >= PLANTED_RUN_MAX,
+             f"at least {PLANTED_RUN_MAX}, the most markers a planted run draws"),
+            ("noise_vocab", spec.noise_vocab >= 0, "at least 0"),
+            ("embedding_dim", spec.embedding_dim >= 1, "at least 1")):
+        if not ok:
+            raise ValueError(f"SynthSpec.{name} must be {rule}, "
+                             f"got {getattr(spec, name)!r}")
     out = Path(out_dir)
     scripts_dir = out / "scripts"
     scripts_dir.mkdir(parents=True, exist_ok=True)
@@ -630,8 +645,10 @@ def generate_synthetic_corpus(out_dir: str | Path, spec: SynthSpec = SynthSpec()
                     seq = list(ORDER_TOKENS[shift:] + ORDER_TOKENS[:shift])
                     statements[target][pos:pos] = seq
                 else:
-                    picks = rng.choice(spec.markers_per_tag,
-                                       size=int(rng.integers(2, 5)), replace=False)
+                    picks = rng.choice(
+                        spec.markers_per_tag,
+                        size=int(rng.integers(2, PLANTED_RUN_MAX + 1)),
+                        replace=False)
                     statements[target][pos:pos] = [markers[tag][p] for p in sorted(picks)]
             for words, kind in zip(statements, kinds):
                 text = " ".join(words)
@@ -673,7 +690,7 @@ def generate_synthetic_corpus(out_dir: str | Path, spec: SynthSpec = SynthSpec()
         "order_tokens": list(ORDER_TOKENS) if spec.order_sensitive else [],
         "noise_vocab": [f"drift{j:02d}" for j in range(spec.noise_vocab)],
         "filler_count": len(FILLER_WORDS),
-        "spec": spec.to_dict(),
+        "spec": asdict(spec),
     }
     atomic_write_text(out / "truth.json",
                       json.dumps(truth, indent=2, sort_keys=True) + "\n")
@@ -684,8 +701,8 @@ def generate_synthetic_corpus(out_dir: str | Path, spec: SynthSpec = SynthSpec()
         "embeddings": str(out / "embeddings.txt"),
         "tag_embeddings": str(out / "tag_embeddings.tsv"),
         "truth": str(out / "truth.json"),
-        "spec": spec.to_dict(),
-        "spec_hash": config_hash(spec.to_dict()),
+        "spec": asdict(spec),
+        "spec_hash": config_hash(asdict(spec)),
     }
     atomic_write_text(out / "synth_manifest.json",
                       canonical_json(manifest) + "\n")

@@ -3,9 +3,11 @@
 Four encoder kinds share one interface: a bag-of-embeddings mean (BoE), an
 attention-weighted bag (BoE+Attn), a bidirectional GRU taking its final
 output (GRU), and an attention pooling over GRU outputs (GRU+Attn).
-Attention scores one vector per input with a learned vector ``p``; the
-default normalization is a softmax over the scores, and a strictly linear
+Attention scores one vector per input with a learned vector ``p`` and
+pools the batch with ``autodiff.attention_pool``; the default
+normalization is a softmax over the scores, and a strictly linear
 normalization ``a_i = s_i / sum_j s_j`` is available as ``paper_linear``.
+``EncoderSpec`` refuses any other normalization when it is built.
 
 The hierarchical composition encodes action statements and dialogue
 statements through separate statement and scene encoders, optionally
@@ -67,27 +69,16 @@ class EncoderSpec:
     hidden_per_direction: int = 50
     attention_normalization: str = SOFTMAX
 
+    def __post_init__(self):
+        if self.attention_normalization not in (SOFTMAX, PAPER_LINEAR):
+            raise ValueError(f"unknown attention normalization "
+                             f"{self.attention_normalization!r}")
+
     @property
     def output_dim(self) -> int:
         if self.kind in (EncoderKind.BOE, EncoderKind.BOE_ATTN):
             return self.input_dim
         return 2 * self.hidden_per_direction
-
-
-def attend(outputs: Tensor, p: Tensor, lengths,
-           normalization: str = SOFTMAX) -> Tensor:
-    """Pool a right-padded (B, T, H) batch of outputs, row ``b`` holding
-    ``lengths[b]`` real steps, with attention vector ``p``: (B, H).
-
-    ``softmax`` normalizes scores with a softmax; ``paper_linear`` divides
-    each score by the sum of its sequence's scores, exactly as a linear
-    normalization (weights may then be negative and the sum may be
-    degenerate).
-    """
-    if normalization not in (SOFTMAX, PAPER_LINEAR):
-        raise ValueError(f"unknown attention normalization {normalization!r}")
-    return ad.attention_pool(outputs, p, lengths,
-                             linear=normalization == PAPER_LINEAR)
 
 
 class SequenceEncoder:
@@ -120,13 +111,13 @@ class SequenceEncoder:
         ``lengths[b]`` real steps, as :func:`pad_runs` lays it out: (B,
         output_dim).  Not for BoE, which reads the rows unpadded."""
         kind = self.spec.kind
-        if kind is EncoderKind.BOE_ATTN:
-            return attend(padded, self.p, lengths,
-                          self.spec.attention_normalization)
-        outputs = ad.bi_gru(padded, self.gru, lengths)
+        outputs = padded if kind is EncoderKind.BOE_ATTN \
+            else ad.bi_gru(padded, self.gru, lengths)
         if kind is EncoderKind.GRU:
             return ad.row(outputs, (np.arange(len(lengths)), lengths - 1))
-        return attend(outputs, self.p, lengths, self.spec.attention_normalization)
+        return ad.attention_pool(
+            outputs, self.p, lengths,
+            linear=self.spec.attention_normalization == PAPER_LINEAR)
 
     def named_params(self, prefix: str) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}

@@ -1,8 +1,9 @@
 """The composed descriptor predictor and loss, kept as the tests' oracles.
 
-``weights`` builds the predictor from primitive tape ops (``matmul``,
-``add_bias``, ``relu``, ``softmax``, and ``scale`` and ``add`` for the
-recurrent mix), and ``rollout`` runs it scene by scene on the tape.
+``weights`` builds the predictor from primitive tape ops, most of them
+from ``tape_ops`` (``matmul``, ``add_bias``, ``relu``, ``softmax``, and
+``scale`` and ``add`` for the recurrent mix), and ``rollout`` runs it
+scene by scene on the tape.
 ``descriptor_loss`` adds ``hinge_terms``, one ``margin_hinge`` node over
 the reconstructions ``reconstruct`` makes, to ``orthogonality_penalty``,
 which is ``matmul``, ``transpose``, ``sub``, ``mul``, ``total``, ``sqrt``
@@ -32,19 +33,14 @@ from scenewise.descriptors import DescriptorConfig, SceneBagEncoder
 from scenewise.encoders import encode_tokens
 from scenewise.errors import ScriptTooSmall, ShapeMismatch
 
-from loss_oracle import scale
-
-
-def relu(a: Tensor) -> Tensor:
-    y = np.maximum(a.data, 0.0)
-    mask = (a.data > 0).astype(np.float64)
-    return _op(y, (a,), lambda g: (g * mask,))
+from tape_ops import (add_bias, mul, relu, scale, softmax, sqrt, sub, total,
+                      transpose)
 
 
 def ffnn(pred, x: Tensor) -> Tensor:
     """(S, in) rows to (S, k) softmax rows."""
-    h = relu(ad.add_bias(ad.matmul(x, pred.w1), pred.b1))
-    return ad.softmax(ad.add_bias(ad.matmul(h, pred.w2), pred.b2))
+    h = relu(add_bias(ad.matmul(x, pred.w1), pred.b1))
+    return softmax(add_bias(ad.matmul(h, pred.w2), pred.b2))
 
 
 def weights(pred, vs: np.ndarray, o_prev: np.ndarray | None = None) -> Tensor:
@@ -78,9 +74,9 @@ def reconstruct(o: Tensor, r_matrix: Tensor) -> Tensor:
 
 def orthogonality_penalty(r_matrix: Tensor, lam: float) -> Tensor:
     """lam * ||R R^T - I||_F (Frobenius norm)."""
-    gram = ad.matmul(r_matrix, ad.transpose(r_matrix))
-    diff = ad.sub(gram, ad.constant(np.eye(r_matrix.data.shape[0])))
-    return scale(ad.sqrt(ad.total(ad.mul(diff, diff))), lam)
+    gram = ad.matmul(r_matrix, transpose(r_matrix))
+    diff = sub(gram, ad.constant(np.eye(r_matrix.data.shape[0])))
+    return scale(sqrt(total(mul(diff, diff))), lam)
 
 
 def margin_hinge(w: Tensor, targets: np.ndarray, neg: np.ndarray) -> Tensor:

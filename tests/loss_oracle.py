@@ -1,11 +1,11 @@
 """The composed reweighted loss and BoE character mean, kept as the tests'
 oracles.
 
-``reweighted_loss`` builds the loss from primitive tape ops: two
-``logsigmoid`` nodes, a ``neg``, two ``mul``, an ``add``, a ``total`` and a
-``scale``; ``scale``, a constant factor, is also a primitive of the
-descriptor oracle.  ``characters_mean`` is the BoE character block as ``row``,
-``mean_rows``, ``place``, ``mean_rows`` and ``row``.
+``reweighted_loss`` builds the loss from primitive tape ops, most of them
+from ``tape_ops``: two ``logsigmoid`` nodes, a ``neg``, two ``mul``, an
+``add``, a ``total`` and a ``scale``.  ``characters_mean`` is the BoE
+character block as ``row``, ``mean_rows``, ``place``, ``mean_rows`` and
+``row``.
 ``scenewise.classifier.reweighted_loss`` and the BoE
 ``HierarchicalModel.encode_script`` each make one node instead; the tests
 check that their values and gradients equal these compositions' bit for
@@ -17,32 +17,11 @@ from __future__ import annotations
 import numpy as np
 
 from scenewise import autodiff as ad
-from scenewise.autodiff import Tensor, _op
+from scenewise.autodiff import Tensor
 from scenewise.encoders import _scene_mean
 from scenewise.errors import DataEmpty
 
-
-def logsigmoid(a: Tensor) -> Tensor:
-    """Numerically stable log(sigmoid(x)) = -softplus(-x)."""
-    x = a.data
-    y = np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))),
-                 x - np.log1p(np.exp(-np.abs(x))))
-
-    def vjp(g: np.ndarray) -> tuple:
-        sneg = np.where(x >= 0, np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))),
-                        1.0 / (1.0 + np.exp(-np.abs(x))))
-        return (g * sneg,)
-
-    return _op(y, (a,), vjp)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return _op(a.data * c, (a,), lambda g: (g * c,))
-
-
-def neg(a: Tensor) -> Tensor:
-    return scale(a, -1.0)
+from tape_ops import logsigmoid, mul, neg, scale, total
 
 
 def reweighted_loss(y: np.ndarray, z: Tensor, lam: np.ndarray,
@@ -59,9 +38,9 @@ def reweighted_loss(y: np.ndarray, z: Tensor, lam: np.ndarray,
         raise DataEmpty("no active tags in the loss")
     c_pos = y * mask
     c_neg = (1.0 - y) * lam * mask
-    pos = ad.mul(ad.constant(c_pos), logsigmoid(z))
-    negative = ad.mul(ad.constant(c_neg), logsigmoid(neg(z)))
-    return scale(ad.total(ad.add(pos, negative)), -1.0 / denom)
+    pos = mul(ad.constant(c_pos), logsigmoid(z))
+    negative = mul(ad.constant(c_neg), logsigmoid(neg(z)))
+    return scale(total(ad.add(pos, negative)), -1.0 / denom)
 
 
 def characters_mean(model, script) -> Tensor:

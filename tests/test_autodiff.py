@@ -5,11 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-import descriptor_oracle
 import gru_oracle
-import loss_oracle
 from scenewise import autodiff as ad
 from scenewise.errors import EmptySequence, NonFiniteLoss, ShapeMismatch
+from tape_ops import (add_bias, columns, dot, logsigmoid, mul, relu, scale,
+                      sigmoid, softmax, sqrt, stack, sub, tanh, total,
+                      transpose)
 
 
 def rng(seed=0):
@@ -21,26 +22,26 @@ def test_sigmoid_at_zero():
 
 
 def test_softmax_symmetry():
-    y = ad.softmax(ad.constant([0.0, 0.0, 0.0]))
+    y = softmax(ad.constant([0.0, 0.0, 0.0]))
     assert np.allclose(y.data, [1 / 3, 1 / 3, 1 / 3])
 
 
 def test_softmax_simplex_random():
     for seed in range(5):
         x = ad.constant(rng(seed).normal(size=7) * 10)
-        y = ad.softmax(x).data
+        y = softmax(x).data
         assert np.all(y >= 0)
         assert abs(y.sum() - 1.0) < 1e-12
 
 
 def test_softmax_normalizes_each_row():
     a = ad.parameter(rng(3).normal(size=(4, 5)))
-    y = ad.softmax(a).data
+    y = softmax(a).data
     for i in range(4):
-        assert np.allclose(y[i], ad.softmax(ad.constant(a.data[i])).data,
+        assert np.allclose(y[i], softmax(ad.constant(a.data[i])).data,
                            rtol=0, atol=1e-15)
     probe = ad.constant(rng(4).normal(size=(4, 5)))
-    assert gradcheck(lambda: ad.total(ad.mul(ad.softmax(a), probe)), [a]) < 1e-6
+    assert gradcheck(lambda: total(mul(softmax(a), probe)), [a]) < 1e-6
 
 
 def test_shape_mismatch_messages_carry_both_shapes():
@@ -67,19 +68,20 @@ def test_primitive_gradients_match_finite_differences(name):
 
     if name in ("add", "sub", "mul"):
         a, b = ad.parameter(vec(5)), ad.parameter(vec(5))
-        fn = lambda: ad.total(getattr(ad, name)(a, b))
+        op = {"add": ad.add, "sub": sub, "mul": mul}[name]
+        fn = lambda: total(op(a, b))
         params = [a, b]
     elif name == "matmul_mm":
         a, b = ad.parameter(r.normal(size=(3, 4))), ad.parameter(r.normal(size=(4, 2)))
-        fn = lambda: ad.total(ad.matmul(a, b))
+        fn = lambda: total(ad.matmul(a, b))
         params = [a, b]
     elif name == "matmul_mv":
         a, b = ad.parameter(r.normal(size=(3, 4))), ad.parameter(vec(4))
-        fn = lambda: ad.total(ad.matmul(a, b))
+        fn = lambda: total(ad.matmul(a, b))
         params = [a, b]
     elif name == "matmul_vm":
         a, b = ad.parameter(vec(3)), ad.parameter(r.normal(size=(3, 4)))
-        fn = lambda: ad.total(ad.matmul(a, b))
+        fn = lambda: total(ad.matmul(a, b))
         params = [a, b]
     elif name == "dot":
         a, b = ad.parameter(vec(6)), ad.parameter(vec(6))
@@ -87,55 +89,55 @@ def test_primitive_gradients_match_finite_differences(name):
         params = [a, b]
     elif name == "concat":
         a, b = ad.parameter(vec(3)), ad.parameter(vec(4))
-        fn = lambda: ad.total(ad.mul(ad.concat([a, b]), ad.concat([a, b])))
+        fn = lambda: total(mul(ad.concat([a, b]), ad.concat([a, b])))
         params = [a, b]
     elif name == "stack":
         a, b = ad.parameter(vec(4)), ad.parameter(vec(4))
-        fn = lambda: ad.total(ad.mul(stack([a, b]), stack([a, b])))
+        fn = lambda: total(mul(stack([a, b]), stack([a, b])))
         params = [a, b]
     elif name == "row":
         a = ad.parameter(r.normal(size=(4, 3)))
-        fn = lambda: ad.total(sigmoid(ad.row(a, 2)))
+        fn = lambda: total(sigmoid(ad.row(a, 2)))
         params = [a]
     elif name == "mean_rows":
         a = ad.parameter(r.normal(size=(5, 3)))
-        fn = lambda: ad.total(tanh(ad.mean_rows(a, [5])))
+        fn = lambda: total(tanh(ad.mean_rows(a, [5])))
         params = [a]
     elif name == "total":
         a = ad.parameter(vec(5))
-        fn = lambda: ad.total(ad.mul(a, a))
+        fn = lambda: total(mul(a, a))
         params = [a]
     elif name in ("sigmoid", "tanh", "relu", "logsigmoid"):
         a = ad.parameter(vec(6))
-        op = {"sigmoid": sigmoid, "tanh": tanh, "relu": descriptor_oracle.relu,
-              "logsigmoid": loss_oracle.logsigmoid}[name]
-        fn = lambda: ad.total(op(a))
+        op = {"sigmoid": sigmoid, "tanh": tanh, "relu": relu,
+              "logsigmoid": logsigmoid}[name]
+        fn = lambda: total(op(a))
         params = [a]
     elif name == "softmax":
         a = ad.parameter(vec(5))
         w = ad.constant(r.normal(size=5))
-        fn = lambda: dot(ad.softmax(a), w)
+        fn = lambda: dot(softmax(a), w)
         params = [a]
     elif name == "sqrt":
         a = ad.parameter(np.abs(vec(5)) + 0.5)
-        fn = lambda: ad.total(ad.sqrt(a))
+        fn = lambda: total(sqrt(a))
         params = [a]
     elif name == "transpose":
         a = ad.parameter(r.normal(size=(3, 4)))
-        fn = lambda: ad.total(ad.mul(ad.transpose(a), ad.transpose(a)))
+        fn = lambda: total(mul(transpose(a), transpose(a)))
         params = [a]
     elif name == "add_bias":
         a = ad.parameter(r.normal(size=(4, 3)))
         b = ad.parameter(vec(3))
-        fn = lambda: ad.total(sigmoid(ad.add_bias(a, b)))
+        fn = lambda: total(sigmoid(add_bias(a, b)))
         params = [a, b]
     elif name == "scale":
         a = ad.parameter(vec(5))
-        fn = lambda: ad.total(loss_oracle.scale(a, 2.5))
+        fn = lambda: total(scale(a, 2.5))
         params = [a]
     elif name == "mean_of_run_means":
         a = ad.parameter(r.normal(size=(4, 3)))
-        fn = lambda: ad.total(tanh(ad.mean_of_run_means(
+        fn = lambda: total(tanh(ad.mean_of_run_means(
             a, [2, 0, 3, 2, 1], [2, 3], [1, 3], 5)))
         params = [a]
     elif name == "logistic_loss":
@@ -151,9 +153,9 @@ def test_primitive_gradients_match_finite_differences(name):
 
 def test_tape_topological_and_unique():
     a = ad.parameter(np.array([1.0, 2.0]))
-    b = ad.mul(a, a)
+    b = mul(a, a)
     c = ad.add(b, b)  # diamond: b used twice
-    loss = ad.total(c)
+    loss = total(c)
     order = ad._toposort(loss)
     ids = [id(n) for n in order]
     assert len(ids) == len(set(ids))  # each node exactly once
@@ -169,7 +171,7 @@ def test_tape_topological_and_unique():
 
 def test_backward_zeroes_old_gradients():
     a = ad.parameter(np.array([1.0, 2.0]))
-    loss = ad.total(ad.mul(a, a))
+    loss = total(mul(a, a))
     loss.backward()
     first = a.grad.copy()
     loss.backward()
@@ -180,7 +182,7 @@ def test_backward_gradients_own_their_arrays():
     # add hands the same array to both parents; each must get its own copy
     a = ad.parameter(np.array([1.0, 2.0]))
     b = ad.parameter(np.array([3.0, 4.0]))
-    ad.total(ad.mul(ad.add(a, b), ad.constant([5.0, 7.0]))).backward()
+    total(mul(ad.add(a, b), ad.constant([5.0, 7.0]))).backward()
     assert a.grad is not b.grad
     a.grad += 1.0
     assert np.array_equal(b.grad, [5.0, 7.0])
@@ -190,7 +192,7 @@ def test_unreached_parameter_keeps_no_gradient():
     a = ad.parameter(np.array([1.0, 2.0]))
     spare = ad.parameter(np.array([3.0]))
     opt = ad.Adam({"a": a, "spare": spare})
-    ad.total(ad.mul(a, a)).backward()
+    total(mul(a, a)).backward()
     assert spare.grad is None and np.array_equal(a.grad, [2.0, 4.0])
     opt.zero_grad()
     assert a.grad is None and spare.grad is None
@@ -200,42 +202,12 @@ def test_row_accumulates_repeated_indices():
     a = ad.parameter(rng(31).normal(size=(4, 3)))
     index = [2, 0, 2, 2, 3]
     probe = rng(32).normal(size=(len(index), 3))
-    ad.total(ad.mul(ad.row(a, index), ad.constant(probe))).backward()
+    total(mul(ad.row(a, index), ad.constant(probe))).backward()
     expected = np.zeros((4, 3))
     for i, k in enumerate(index):
         expected[k] += probe[i]
     assert np.array_equal(a.grad, expected)
-    assert gradcheck(lambda: ad.total(sigmoid(ad.row(a, index))), [a]) < 1e-6
-
-
-# Tensor ops that only tests use: the oracles and gradchecks here and in
-# other test files.
-
-
-def dot(a, b):
-    if a.data.ndim != 1 or b.data.ndim != 1 or a.data.shape != b.data.shape:
-        raise ShapeMismatch(f"dot: {a.data.shape} vs {b.data.shape}")
-    return ad._op(a.data @ b.data, (a, b), lambda g: (g * b.data, g * a.data))
-
-
-def sigmoid(a):
-    s = ad._sigmoid(a.data)
-    return ad._op(s, (a,), lambda g: (g * s * (1.0 - s),))
-
-
-def tanh(a):
-    y = np.tanh(a.data)
-    return ad._op(y, (a,), lambda g: (g * (1.0 - y * y),))
-
-
-def stack(tensors):
-    """Stack 1-D tensors of equal length into a matrix of rows."""
-    width = tensors[0].data.shape
-    for t in tensors:
-        if t.data.ndim != 1 or t.data.shape != width:
-            raise ShapeMismatch(f"stack: {t.data.shape} vs {width}")
-    return ad._op(np.stack([t.data for t in tensors]), tuple(tensors),
-                  lambda g: tuple(g))
+    assert gradcheck(lambda: total(sigmoid(ad.row(a, index))), [a]) < 1e-6
 
 
 def finite_difference_grads(loss_fn, tensors, h=1e-5):
@@ -281,19 +253,6 @@ def gradcheck(loss_fn, tensors, h=1e-5, floor=1e-6):
     return max_relative_error(analytic, numeric, floor=floor)
 
 
-def columns(a, k, width):
-    """Block ``k`` of ``width`` columns of a matrix, or entries of a vector:
-    one gate's block of a fused GRU array."""
-    cols = slice(k * width, (k + 1) * width)
-
-    def vjp(g):
-        full = np.zeros_like(a.data)
-        full[..., cols] = g
-        return (full,)
-
-    return ad._op(a.data[..., cols].copy(), (a,), vjp)
-
-
 def gates(p):
     """The per-gate blocks (wz, wr, wh, uz, ur, uh, bz, br, bh) read out of
     a direction's fused arrays, as tape nodes."""
@@ -310,9 +269,9 @@ def gru_cell(x, h_prev, p):
     z = sigmoid(ad.add(ad.add(ad.matmul(x, wz), ad.matmul(h_prev, uz)), bz))
     r = sigmoid(ad.add(ad.add(ad.matmul(x, wr), ad.matmul(h_prev, ur)), br))
     c = tanh(ad.add(ad.add(ad.matmul(x, wh),
-                           ad.matmul(ad.mul(r, h_prev), uh)), bh))
+                           ad.matmul(mul(r, h_prev), uh)), bh))
     # h' = (1 - z) * h + z * c, written as h + z * (c - h)
-    return ad.add(h_prev, ad.mul(z, ad.sub(c, h_prev)))
+    return ad.add(h_prev, mul(z, sub(c, h_prev)))
 
 
 def oracle_direction(xs, b, length, p, reverse=False):
@@ -403,7 +362,7 @@ def test_bi_gru_gradients_match_finite_differences():
     params = list(p.named("gru").values())
 
     def fn():
-        return ad.total(ad.bi_gru(ad.constant(xs_data), p, [4]))
+        return total(ad.bi_gru(ad.constant(xs_data), p, [4]))
 
     assert gradcheck(fn, params) < 1e-4
 
@@ -453,11 +412,11 @@ def test_fused_gru_gradients_match_oracle(reverse):
         loss.backward()
         return [t.grad.copy() for t in params + [xs]]
 
-    fused = grads(ad.total(ad.mul(bi_gru_half(xs, p, RAGGED_LENGTHS, reverse),
-                                  ad.constant(probe))))
+    fused = grads(total(mul(bi_gru_half(xs, p, RAGGED_LENGTHS, reverse),
+                            ad.constant(probe))))
     oracle = grads(functools.reduce(ad.add, [
-        ad.total(ad.mul(oracle_direction(xs, b, length, p, reverse),
-                        ad.constant(probe[b, :length])))
+        total(mul(oracle_direction(xs, b, length, p, reverse),
+                  ad.constant(probe[b, :length])))
         for b, length in enumerate(RAGGED_LENGTHS)]))
     for got, want in zip(fused, oracle):
         assert np.max(np.abs(got - want)) < 1e-10
@@ -473,7 +432,7 @@ def test_fused_gru_gradcheck_on_ragged_batch():
                                              RAGGED_LENGTHS.max(), 4)))
 
     def fn():
-        return ad.total(ad.mul(ad.bi_gru(xs, p, RAGGED_LENGTHS), probe))
+        return total(mul(ad.bi_gru(xs, p, RAGGED_LENGTHS), probe))
 
     assert gradcheck(fn, list(p.named("gru").values()) + [xs]) < 1e-4
 
@@ -509,7 +468,7 @@ def test_bi_gru_matches_two_direction_oracle_bitwise(lengths, dim, hidden,
             t.data += rng(45).normal(scale=0.3, size=t.data.shape)
         xs = (ad.parameter if trainable_input else ad.constant)(data.copy())
         out = op(xs, p, lengths)
-        ad.total(ad.mul(out, probe)).backward()
+        total(mul(out, probe)).backward()
         results.append((out.data, xs.grad,
                         [t.grad for t in p.named("gru").values()]))
     (out, d_x, grads), (want, want_d_x, want_grads) = results
@@ -535,7 +494,7 @@ def test_mean_rows_runs_match_each_run_alone_bitwise():
         assert np.allclose(alone.data, a.data[start:start + length].mean(axis=0),
                            rtol=1e-15, atol=1e-15)
     probe = rng(30).normal(size=runs.data.shape)
-    ad.total(ad.mul(runs, ad.constant(probe))).backward()
+    total(mul(runs, ad.constant(probe))).backward()
     assert np.array_equal(a.grad, np.repeat(probe / lengths[:, None], lengths, axis=0))
 
 
@@ -666,7 +625,7 @@ def test_attention_pool_gives_constant_outputs_no_gradient(linear):
         outputs = ad.Tensor(rows, requires_grad=takes_grad)
         p = ad.parameter(p_data)
         pooled = ad.attention_pool(outputs, p, lengths, linear=linear)
-        ad.backward(ad.total(ad.mul(pooled, probe)))
+        ad.backward(total(mul(pooled, probe)))
         d_p[takes_grad] = p.grad
         assert (outputs.grad is not None) == takes_grad
     assert np.array_equal(d_p[False], d_p[True])

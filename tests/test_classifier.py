@@ -34,6 +34,7 @@ from scenewise.errors import DataEmpty, NonFiniteLoss, NoPositives, ShapeMismatc
 from scenewise.parser import Scene, Screenplay, Statement, StatementKind
 
 from conftest import make_vectors
+from tape_ops import mul, sqrt, total
 from test_autodiff import gradcheck
 
 
@@ -173,8 +174,8 @@ def test_non_finite_gradient_norm_stops_before_the_step():
 
     def loss_of(_):
         # sqrt at 0: the loss is 0.0, its gradient infinite times zero
-        return ad.add(ad.sqrt(ad.total(ad.mul(w, w))),
-                      ad.total(ad.mul(other, other)))
+        return ad.add(sqrt(total(mul(w, w))),
+                      total(mul(other, other)))
 
     with np.errstate(divide="ignore", invalid="ignore"), \
             pytest.raises(NonFiniteLoss, match=r"^toy training epoch 1, "
@@ -192,7 +193,7 @@ def test_infinite_gradient_norm_is_named():
             pytest.raises(NonFiniteLoss, match=r"^toy training epoch 1, "
                           r"script 'edge': gradient norm=inf$"):
         list(optimizer_epochs("toy training", {"w": w}, [("edge", None)],
-                              lambda _: ad.total(ad.sqrt(w)), rng(0),
+                              lambda _: total(sqrt(w)), rng(0),
                               epochs=1, lr=0.1, max_norm=5.0))
     assert np.array_equal(w.data, [0.0, 1.0])
 
@@ -284,7 +285,7 @@ def test_optimizer_epochs_refuses_a_bad_step_setting(name, value):
 
     def loss_of(_):
         calls.append(1)
-        return ad.total(ad.mul(w, w))
+        return total(mul(w, w))
 
     settings = {"lr": 0.1, "max_norm": 5.0, name: value}
     with pytest.raises(ValueError, match=rf"^toy training: {name} must be "

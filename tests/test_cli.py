@@ -1072,23 +1072,47 @@ def test_evaluate_takes_the_percentile_range_ends():
     assert args.cutoffs == [0.0, 100.0]
 
 
+def command_args(command, synth):
+    """The data flags ``command`` needs, and ``--attribute`` where it
+    takes one."""
+    if command == "parse":
+        return ["--scripts", str(synth / "scripts")]
+    if command == "ingest":
+        return corpus_args(synth)
+    data = train_args(synth) if command == "train" else corpus_args(synth)
+    return data + ["--attribute", "genre"]
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 @pytest.mark.parametrize("command,flag", [
     ("train", "--epochs"), ("train", "--patience"), ("train", "--hidden"),
     ("descriptors", "--k"), ("descriptors", "--hidden"),
     ("descriptors", "--epochs"), ("descriptors", "--negatives"),
-    ("descriptors", "--top-words"),
+    ("descriptors", "--top-words"), ("parse", "--cap"), ("ingest", "--cap"),
+    ("train", "--cap"), ("descriptors", "--cap"),
 ])
 def test_counts_below_one_are_usage_errors(workspace, tmp_path, capsys,
                                            command, flag, value):
     _, synth = workspace
     out = tmp_path / "out"
-    data = train_args(synth) if command == "train" else corpus_args(synth)
     with pytest.raises(SystemExit) as exc:
-        main([command] + data + ["--attribute", "genre", "--out", str(out),
-                                 flag, value])
+        main([command] + command_args(command, synth)
+             + ["--out", str(out), flag, value])
     assert exc.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "train", "descriptors", "synth"])
+def test_negative_seed_is_a_usage_error(workspace, tmp_path, capsys, command):
+    _, synth = workspace
+    out = tmp_path / "out"
+    data = [] if command == "synth" else command_args(command, synth)
+    with pytest.raises(SystemExit) as exc:
+        main([command] + data + ["--out", str(out), "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be a finite int in [0, inf), got -1" \
+        in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1176,6 +1200,8 @@ def test_numeric_training_flags_take_their_closed_range_ends():
         assert parse(["descriptors", *data, "--alpha", alpha]).alpha == float(alpha)
     assert parse(["descriptors", *data, "--ortho-lambda", "0"]).ortho_lambda == 0.0
     assert parse(["descriptors", *data, "--top-words", "1"]).top_words == 1
+    assert parse(["descriptors", *data, "--cap", "1", "--seed", "0"]).cap == 1
+    assert parse(["parse", "--scripts", "s", "--cap", "1"]).cap == 1
 
 
 def _subcommands():

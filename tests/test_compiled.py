@@ -55,7 +55,7 @@ from scenewise.parser import (
 
 import tokenpass_oracle
 from conftest import action_texts, dialogue_lines, embedding_rows, speakers
-from test_autodiff import dot, stack
+from tape_ops import dot, stack
 from test_encoders import action, dialogue, scene_of
 from test_parser import raw_scripts
 

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from scenewise.corpus import (
     tokenize,
 )
 from scenewise.errors import DataError
+from scenewise.ioutil import sha256_hex
 
 from conftest import dialogue_lines, embedding_rows, speakers
 
@@ -144,6 +146,42 @@ def test_synthetic_corpus_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
     for pa in sorted((a / "scripts").glob("*.txt")):
         assert pa.read_bytes() == (b / "scripts" / pa.name).read_bytes()
+
+
+def test_synthetic_spec_record_keeps_its_bytes(tmp_path):
+    # the spec is written with asdict: its range tuples become JSON lists,
+    # so the hash and the truth file are those of the old list-making record
+    spec = SynthSpec(n_scripts=2, n_tags=2, seed=3)
+    manifest = generate_synthetic_corpus(tmp_path, spec)
+    written = json.loads((tmp_path / "synth_manifest.json").read_text())
+    assert written["spec"]["scenes_range"] == [5, 8]
+    assert written["spec_hash"] == manifest["spec_hash"] == \
+        "0fac8c0434909f689b93cd6501e69f13bb0c079bdd47bcb7831a8a100216e127"
+    assert sha256_hex((tmp_path / "truth.json").read_bytes()) == \
+        "529650aac3267b83b38868453427653ec66231bd16b547df0e9565dd76e553fa"
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n_scripts", 0), ("n_tags", 1), ("n_tags", 9), ("markers_per_tag", 3),
+    ("scenes_range", (5, 2)), ("scenes_range", (0, 3)),
+    ("statements_range", (0, 0)), ("noise_vocab", -1), ("embedding_dim", 0),
+])
+def test_synthetic_counts_out_of_range_raise_before_writing(tmp_path, field,
+                                                            value):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=rf"^SynthSpec\.{field} must be .*, "
+                       rf"got {re.escape(repr(value))}$"):
+        generate_synthetic_corpus(out, SynthSpec(**{field: value}))
+    assert not out.exists()
+
+
+def test_synthetic_counts_take_their_range_ends(tmp_path):
+    spec = SynthSpec(n_scripts=1, n_tags=len(cp.TOPIC_NAMES),
+                     markers_per_tag=cp.PLANTED_RUN_MAX, scenes_range=(1, 1),
+                     statements_range=(1, 1), noise_vocab=0)
+    manifest = generate_synthetic_corpus(tmp_path, spec)
+    truth = json.loads((tmp_path / "truth.json").read_text())
+    assert len(truth["topics"]) == manifest["spec"]["n_tags"] == 8
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,6 @@ import descriptor_oracle as oracle
 import loss_oracle
 from scenewise import autodiff as ad
 from scenewise import descriptors as dsc
-from scenewise import encoders
 from scenewise.corpus import (
     IngestConfig,
     SynthSpec,
@@ -33,7 +32,7 @@ from scenewise.descriptors import (
     semantic_coherence,
     train_descriptors,
 )
-from scenewise.encoders import attend, pad_runs
+from scenewise.encoders import pad_runs
 from scenewise.errors import (
     DataError,
     InsufficientVocab,
@@ -45,7 +44,8 @@ from scenewise.errors import (
 from scenewise.parser import Scene, Screenplay, Statement, StatementKind
 
 from conftest import embedding_rows
-from test_autodiff import dot, gradcheck
+from tape_ops import dot, relu, scale, softmax, sub
+from test_autodiff import gradcheck
 
 
 def rng(seed=0):
@@ -189,11 +189,11 @@ def oracle_weights(pred, v, o_prev=None):
     if pred.recurrent:
         o_prev = np.full(pred.k, 1.0 / pred.k) if o_prev is None else o_prev
         x = np.concatenate([v, o_prev])
-    h = oracle.relu(ad.add(ad.matmul(ad.constant(x), pred.w1), pred.b1))
-    o = ad.softmax(ad.add(ad.matmul(h, pred.w2), pred.b2))
+    h = relu(ad.add(ad.matmul(ad.constant(x), pred.w1), pred.b1))
+    o = softmax(ad.add(ad.matmul(h, pred.w2), pred.b2))
     if not pred.recurrent:
         return o
-    return ad.add(loss_oracle.scale(o, 1.0 - pred.alpha),
+    return ad.add(scale(o, 1.0 - pred.alpha),
                   ad.constant(pred.alpha * o_prev))
 
 
@@ -201,10 +201,10 @@ def oracle_hinge(w, u_t, negatives):
     pos = dot(w, ad.constant(u_t))
     out = None
     for u_j in negatives:
-        margin = ad.add(ad.sub(ad.constant(np.asarray(1.0)), pos),
+        margin = ad.add(sub(ad.constant(np.asarray(1.0)), pos),
                         dot(w, ad.constant(u_j)))
-        out = oracle.relu(margin) if out is None \
-            else ad.add(out, oracle.relu(margin))
+        out = relu(margin) if out is None \
+            else ad.add(out, relu(margin))
     return out
 
 
@@ -541,17 +541,18 @@ def test_scene_bag_encoder_softmax_pool():
 
 def test_scene_bag_encoder_matches_tape_attention_bitwise(desc_corpus,
                                                           monkeypatch):
-    # pretraining pools each script's batch through one attend call on the
-    # tape; the frozen target pools the same batch, so at the same p the
-    # vectors agree bitwise
+    # pretraining pools each script's batch through one attention_pool call
+    # on the tape; the frozen target pools the same batch, so at the same p
+    # the vectors agree bitwise
     calls = []
+    attention_pool = ad.attention_pool
 
-    def recording_attend(outputs, p, *args, **kwargs):
-        pooled = attend(outputs, p, *args, **kwargs)
+    def recording_pool(outputs, p, *args, **kwargs):
+        pooled = attention_pool(outputs, p, *args, **kwargs)
         calls.append((outputs.data, p.data.copy(), pooled.data))
         return pooled
 
-    monkeypatch.setattr(encoders, "attend", recording_attend)
+    monkeypatch.setattr(ad, "attention_pool", recording_pool)
     config = DescriptorConfig(k=4, hidden=8, pretrain_epochs=1, seed=4)
     pretrain_reconstruction_target(desc_corpus, "genre", config)
     monkeypatch.undo()
@@ -584,7 +585,7 @@ def oracle_target(vocab, embeddings, p, scenes):
     if kept:
         lengths = np.array(lengths, dtype=np.int64)
         padded = pad_runs(ad.constant(embedding_rows(embeddings, tokens)), lengths)
-        vs[kept] = attend(padded, ad.constant(p), lengths).data
+        vs[kept] = ad.attention_pool(padded, ad.constant(p), lengths).data
     return vs, np.array(kept, dtype=np.intp)
 
 

@@ -10,14 +10,14 @@ from scenewise.encoders import (
     HierarchicalModel,
     SequenceEncoder,
     Variant,
-    attend,
     encode_tokens,
 )
 from scenewise.errors import DegenerateNormalizer, EmptyStatement
 from scenewise.parser import Scene, Screenplay, Statement, StatementKind
 
 from conftest import embedding_rows, make_vectors
-from test_autodiff import dot, gradcheck
+from tape_ops import dot, mul, total
+from test_autodiff import gradcheck
 
 
 def rng(seed=0):
@@ -57,16 +57,18 @@ def encode_sequences(sequences, vectors, encoder):
 # attention
 
 
-def pooled_weights(scores, lengths, mode=enc.SOFTMAX):
-    """The (B, T) weights that ``attend`` gives a (B, T) batch of scores,
-    read through the pooled output: step ``t`` of row ``b`` is the one-hot
-    output e_{bT+t}, so it scores p[bT+t] = scores[b, t], and row ``b``'s
-    pooled vector holds its weights at bT .. bT+T-1 and zeros elsewhere."""
+def pooled_weights(scores, lengths, linear=False):
+    """The (B, T) weights that ``attention_pool`` gives a (B, T) batch of
+    scores, read through the pooled output: step ``t`` of row ``b`` is the
+    one-hot output e_{bT+t}, so it scores p[bT+t] = scores[b, t], and row
+    ``b``'s pooled vector holds its weights at bT .. bT+T-1 and zeros
+    elsewhere."""
     scores = np.asarray(scores, dtype=np.float64)
     b, t = scores.shape
     outputs = np.eye(b * t).reshape(b, t, b * t)
-    pooled = attend(ad.constant(outputs), ad.constant(scores.reshape(-1)),
-                    lengths, mode).data.reshape(b, b, t)
+    pooled = ad.attention_pool(ad.constant(outputs),
+                               ad.constant(scores.reshape(-1)), lengths,
+                               linear=linear).data.reshape(b, b, t)
     weights = pooled[np.arange(b), np.arange(b)].copy()
     pooled[np.arange(b), np.arange(b)] = 0.0
     assert not pooled.any()
@@ -76,17 +78,19 @@ def pooled_weights(scores, lengths, mode=enc.SOFTMAX):
 def test_attend_identical_outputs_softmax_uniform():
     c = np.tile(rng(1).normal(size=5), (4, 1))
     p = rng(2).normal(size=5)
-    pooled = attend(ad.constant(c[None]), ad.constant(p), [4])
+    pooled = ad.attention_pool(ad.constant(c[None]), ad.constant(p), [4])
     assert np.allclose(pooled.data, c[:1])
     assert np.allclose(pooled_weights((c @ p)[None], [4]), 0.25)
 
 
-@pytest.mark.parametrize("mode", [enc.SOFTMAX, enc.PAPER_LINEAR])
-def test_attend_single_step(mode):
+@pytest.mark.parametrize("linear", [False, True],
+                         ids=[enc.SOFTMAX, enc.PAPER_LINEAR])
+def test_attend_single_step(linear):
     c = rng(3).normal(size=(1, 1, 4))
     p = rng(4).normal(size=4)
-    pooled = attend(ad.constant(c), ad.constant(p), [1], mode)
-    assert np.allclose(pooled_weights(c @ p, [1], mode), [[1.0]])
+    pooled = ad.attention_pool(ad.constant(c), ad.constant(p), [1],
+                               linear=linear)
+    assert np.allclose(pooled_weights(c @ p, [1], linear), [[1.0]])
     assert np.allclose(pooled.data, c[:, 0])
 
 
@@ -97,8 +101,9 @@ def test_attend_paper_linear_matches_direct_formula():
     scores = c @ p
     expected_weights = scores / scores.sum()
     expected_pooled = expected_weights @ c
-    pooled = attend(ad.constant(c[None]), ad.constant(p), [4], enc.PAPER_LINEAR)
-    assert np.allclose(pooled_weights(scores[None], [4], enc.PAPER_LINEAR),
+    pooled = ad.attention_pool(ad.constant(c[None]), ad.constant(p), [4],
+                               linear=True)
+    assert np.allclose(pooled_weights(scores[None], [4], linear=True),
                        [expected_weights])
     assert np.allclose(pooled.data, [expected_pooled])
 
@@ -107,7 +112,7 @@ def test_attend_paper_linear_degenerate_sum():
     c = np.array([[[1.0, 0.0], [-1.0, 0.0]]])
     p = np.array([1.0, 0.0])  # scores +1 and -1 sum to 0
     with pytest.raises(DegenerateNormalizer):
-        attend(ad.constant(c), ad.constant(p), [2], enc.PAPER_LINEAR)
+        ad.attention_pool(ad.constant(c), ad.constant(p), [2], linear=True)
 
 
 RAGGED_LENGTHS = np.array([2, 4, 1, 3])
@@ -120,29 +125,34 @@ def ragged_outputs(seed, width=3):
                                   width))
 
 
-@pytest.mark.parametrize("mode", [enc.SOFTMAX, enc.PAPER_LINEAR])
-def test_masked_attend_matches_each_sequence_alone(mode):
+@pytest.mark.parametrize("linear", [False, True],
+                         ids=[enc.SOFTMAX, enc.PAPER_LINEAR])
+def test_masked_attend_matches_each_sequence_alone(linear):
     outputs = ragged_outputs(13) + 2.0  # positive scores: no degenerate sum
     p = ad.constant(np.abs(rng(14).normal(size=3)))
-    pooled = attend(ad.constant(outputs), p, RAGGED_LENGTHS, mode)
+    pooled = ad.attention_pool(ad.constant(outputs), p, RAGGED_LENGTHS,
+                               linear=linear)
     scores = outputs @ p.data
-    weights = pooled_weights(scores, RAGGED_LENGTHS, mode)
+    weights = pooled_weights(scores, RAGGED_LENGTHS, linear)
     for b, length in enumerate(RAGGED_LENGTHS):
-        alone = attend(ad.constant(outputs[b:b + 1, :length]), p, [length], mode)
-        alone_weights = pooled_weights(scores[b:b + 1, :length], [length], mode)
+        alone = ad.attention_pool(ad.constant(outputs[b:b + 1, :length]), p,
+                                  [length], linear=linear)
+        alone_weights = pooled_weights(scores[b:b + 1, :length], [length], linear)
         assert np.max(np.abs(pooled.data[b] - alone.data[0])) < 1e-12
         assert np.max(np.abs(weights[b, :length] - alone_weights[0])) < 1e-12
         assert np.all(weights[b, length:] == 0.0)
 
 
-@pytest.mark.parametrize("mode", [enc.SOFTMAX, enc.PAPER_LINEAR])
-def test_masked_attend_gradcheck(mode):
+@pytest.mark.parametrize("linear", [False, True],
+                         ids=[enc.SOFTMAX, enc.PAPER_LINEAR])
+def test_masked_attend_gradcheck(linear):
     outputs = ad.parameter(np.abs(ragged_outputs(15)) + 0.5)
     p = ad.parameter(np.abs(rng(16).normal(size=3)) + 0.1)
     probe = ad.constant(rng(17).normal(size=(len(RAGGED_LENGTHS), 3)))
 
     def fn():
-        return ad.total(ad.mul(attend(outputs, p, RAGGED_LENGTHS, mode), probe))
+        return total(mul(ad.attention_pool(outputs, p, RAGGED_LENGTHS,
+                                           linear=linear), probe))
 
     assert gradcheck(fn, [outputs, p]) < 1e-4
     # padded outputs get exactly zero gradient
@@ -154,15 +164,22 @@ def test_masked_attend_paper_linear_normalizes_each_row():
     p = np.array([1.0, 0.0])
     # row 0: real scores 1 and 2 sum to 3; its padded score -3 is ignored
     ok = np.array([[[1.0, 0.0], [2.0, 0.0], [-3.0, 0.0]]])
-    pooled = attend(ad.constant(ok), ad.constant(p), [2], enc.PAPER_LINEAR)
+    pooled = ad.attention_pool(ad.constant(ok), ad.constant(p), [2],
+                               linear=True)
     assert np.allclose(pooled.data, [[1 / 3 + 4 / 3, 0.0]])
-    assert np.allclose(pooled_weights(ok @ p, [2], enc.PAPER_LINEAR),
+    assert np.allclose(pooled_weights(ok @ p, [2], linear=True),
                        [[1 / 3, 2 / 3, 0.0]])
     # row 1: real scores +1 and -1 sum to 0, though its padded score does not
     bad = np.array([[[1.0, 0.0], [2.0, 0.0], [0.0, 0.0]],
                     [[1.0, 0.0], [-1.0, 0.0], [5.0, 0.0]]])
     with pytest.raises(DegenerateNormalizer):
-        attend(ad.constant(bad), ad.constant(p), [2, 2], enc.PAPER_LINEAR)
+        ad.attention_pool(ad.constant(bad), ad.constant(p), [2, 2],
+                          linear=True)
+
+
+def test_spec_refuses_an_unknown_attention_normalization():
+    with pytest.raises(ValueError, match="unknown attention normalization 'bogus'"):
+        EncoderSpec(EncoderKind.GRU_ATTN, attention_normalization="bogus")
 
 
 def test_attention_weights_form_simplex():
