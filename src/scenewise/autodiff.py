@@ -36,7 +36,9 @@ saved gate activations, again both directions per step; the weight
 gradients sum each direction's steps in its batch order, so they are the
 sums one direction at a time would give.  It returns the input's gradient
 and each stored array's.  ``attention_pool`` pools such a batch with one
-attention vector, masking the padded steps, also as a single node, and
+attention vector, masking the padded steps, also as a single node (its
+forward, ``attention_pass``, is what the frozen descriptor target calls
+on plain arrays), and
 ``mean_rows`` averages runs of consecutive rows.  Every sequence op takes
 its batch's ``lengths`` and returns one tensor with a batch axis; a
 single sequence is a batch of one.  ``mixture_hinge_loss`` is one
@@ -440,24 +442,25 @@ def bi_gru(xs: Tensor, p: BiGru, lengths) -> Tensor:
 _MIN_NORMALIZER = 1e-9
 
 
-def attention_pool(outputs: Tensor, p: Tensor, lengths, linear: bool = False
-                   ) -> Tensor:
-    """Attention-weighted sum of each sequence's outputs, (B, T, H) -> (B, H),
-    as one tape node.
+def attention_pass(o: np.ndarray, p: np.ndarray, lengths, linear: bool = False
+                   ) -> tuple[np.ndarray, ...]:
+    """Attention pooling on plain arrays: each sequence of a right-padded
+    (B, T, H) batch ``o``, row ``b`` holding ``lengths[b]`` real steps,
+    pooled to its attention-weighted sum, (B, H).
 
-    ``outputs`` is a right-padded batch whose row ``b`` holds ``lengths[b]``
-    real steps.  Scores are ``outputs @ p``; the weights are their softmax
-    over each sequence's real steps or, with ``linear``, each score over
-    the sum of its sequence's scores, which raises
-    :class:`DegenerateNormalizer` for a sequence whose sum is below
-    ``_MIN_NORMALIZER`` in magnitude.  Padded steps get weight zero.  When
-    ``outputs`` takes no gradient, the VJP computes none for it.
+    Scores are ``o @ p``; the weights are their softmax over each
+    sequence's real steps or, with ``linear``, each score over the sum of
+    its sequence's scores, which raises :class:`DegenerateNormalizer` for
+    a sequence whose sum is below ``_MIN_NORMALIZER`` in magnitude.
+    Padded steps get weight zero.  Returns the (B, T) mask of real steps,
+    the (B, T) weights, the (B, 1) linear normalizers (None under the
+    softmax) and the (B, H) pooled vectors.
     """
-    o = outputs.data
-    if o.ndim != 3 or p.data.shape != o.shape[2:]:
-        raise ShapeMismatch(f"attention_pool: {o.shape} vs {p.data.shape}")
+    if o.ndim != 3 or p.shape != o.shape[2:]:
+        raise ShapeMismatch(f"attention_pool: {o.shape} vs {p.shape}")
     valid = _step_mask(o.shape, np.asarray(lengths))[..., 0] > 0
-    scores = o @ p.data
+    scores = o @ p
+    sums = None
     if linear:
         scores = np.where(valid, scores, 0.0)
         sums = scores.sum(axis=1, keepdims=True)
@@ -472,7 +475,17 @@ def attention_pool(outputs: Tensor, p: Tensor, lengths, linear: bool = False
                          - scores.max(axis=1, keepdims=True, where=valid,
                                       initial=-np.inf))
         weights = shifted / shifted.sum(axis=1, keepdims=True)
-    pooled = (weights[:, None, :] @ o)[:, 0]
+    return valid, weights, sums, (weights[:, None, :] @ o)[:, 0]
+
+
+def attention_pool(outputs: Tensor, p: Tensor, lengths, linear: bool = False
+                   ) -> Tensor:
+    """:func:`attention_pass` over ``outputs`` and ``p`` as one tape node,
+    (B, T, H) -> (B, H).  When ``outputs`` takes no gradient, the VJP
+    computes none for it.
+    """
+    o = outputs.data
+    valid, weights, sums, pooled = attention_pass(o, p.data, lengths, linear)
 
     def vjp(g: np.ndarray) -> tuple:
         d_w = (o @ g[:, :, None])[:, :, 0]

@@ -52,6 +52,7 @@ from .classifier import (
     train,
 )
 from .corpus import (
+    ORDER_TOKENS,
     PLANTED_RUN_MAX,
     TOPIC_NAMES,
     Corpus,
@@ -107,7 +108,7 @@ def _add_data_flags(sp: argparse.ArgumentParser, loglines: bool = False) -> None
 def _add_corpus_flags(sp: argparse.ArgumentParser, loglines: bool = False) -> None:
     """The data flags plus the ingest settings a tag model depends on."""
     _add_data_flags(sp, loglines)
-    sp.add_argument("--min-count", type=int, default=5)
+    sp.add_argument("--min-count", type=_count, default=5)
     sp.add_argument("--cap", type=_count, default=60)
     sp.add_argument("--heldout-fraction", type=float, default=0.2)
     sp.add_argument("--validation-fraction", type=float, default=0.1)
@@ -116,8 +117,9 @@ def _add_corpus_flags(sp: argparse.ArgumentParser, loglines: bool = False) -> No
 
 def _add_descriptor_vocabulary_flags(sp: argparse.ArgumentParser) -> None:
     """The two ingest settings only the descriptor vocabulary depends on."""
-    sp.add_argument("--descriptor-min-movies", type=int, default=50)
-    sp.add_argument("--descriptor-top-exclude", type=int, default=500)
+    sp.add_argument("--descriptor-min-movies", type=_count, default=50)
+    sp.add_argument("--descriptor-top-exclude", type=_number("[0, inf)", int),
+                    default=500)
 
 
 def _number(interval: str, kind: type = float):
@@ -747,6 +749,9 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "cutoffs", None) is not None and args.tag_embeddings is None:
         ap.error("evaluate: argument --cutoffs: needs --tag-embeddings")
     if args.command == "synth":
+        if args.order_sensitive and args.tags > len(ORDER_TOKENS):
+            ap.error(f"synth: argument --tags: must be at most "
+                     f"{len(ORDER_TOKENS)} with --order-sensitive, got {args.tags}")
         for count in ("scenes", "statements"):
             low, high = getattr(args, f"{count}_min"), getattr(args, f"{count}_max")
             if low > high:

@@ -231,7 +231,10 @@ class TokenPass:
                               exclude_top: int = 500) -> tuple[str, ...]:
         """Tokens occurring in at least ``min_movies`` of the plays at
         ``which`` (default all), outside their ``exclude_top`` most frequent
-        tokens (ties broken by the token)."""
+        tokens (ties broken by the token).  A negative ``exclude_top``
+        raises ``ValueError``."""
+        if exclude_top < 0:
+            raise ValueError(f"exclude_top must be at least 0, got {exclude_top}")
         total, doc_freq = self._counts(which)
         total = total.tolist()
         present = [i for i, n in enumerate(total) if n]
@@ -582,6 +585,9 @@ def generate_synthetic_corpus(out_dir: str | Path, spec: SynthSpec = SynthSpec()
             ("n_scripts", spec.n_scripts >= 1, "at least 1"),
             ("n_tags", 2 <= spec.n_tags <= len(TOPIC_NAMES),
              f"within [2, {len(TOPIC_NAMES)}], one topic name per tag"),
+            ("n_tags", not spec.order_sensitive or spec.n_tags <= len(ORDER_TOKENS),
+             f"at most {len(ORDER_TOKENS)} with order_sensitive, one rotation "
+             "of the order tokens per tag"),
             ("scenes_range", 1 <= scenes[0] <= scenes[1],
              "(min, max) with 1 <= min <= max"),
             ("statements_range", 1 <= statements[0] <= statements[1],

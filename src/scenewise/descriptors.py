@@ -20,8 +20,14 @@ vocabulary word with a vector of its own: any other compiles to the shared
 unknown row.  The target and the coherence documents read the scripts
 compiled at ingest, not their text; pretraining gathers and pads each
 script's descriptor-word rows once, since only the attention vector
-changes from step to step.  Pretraining and training supply per-script
-losses to :func:`classifier.optimizer_epochs`.
+changes from step to step, and pools them on the tape.  Once frozen, the
+target pads and pools on plain arrays (:func:`autodiff.attention_pass`,
+the forward of the pool's tape node), both for the training targets and
+at inference, so trajectory inference builds no tape at all.
+Pretraining and training supply per-script losses to
+:func:`classifier.optimizer_epochs`.  A training step draws all of its
+script's negatives with one ``rng.integers`` call and replays from those
+draws what one ``rng.choice`` call per scene would pick.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from .classifier import (
     reweighted_loss,
 )
 from .corpus import CompiledScript, Corpus, TokenVectors
-from .encoders import EncoderKind, EncoderSpec, SequenceEncoder, pad_runs
+from .encoders import EncoderKind, EncoderSpec, SequenceEncoder, pad_rows
 from .errors import DataError, InsufficientVocab, ScriptTooSmall, ZeroDocFrequency
 from .parser import Scene, Screenplay
 
@@ -82,7 +88,8 @@ class SceneBagEncoder:
     """Attention-weighted bag of each scene's descriptor words: a boolean
     table over the embedding rows picks them out of a compiled script's ids,
     and a BoE+Attn encoder pools their padded batch in one call.
-    Pretraining trains its ``p``; then the targets are frozen.
+    Pretraining trains its ``p`` on the tape; then the targets are frozen
+    and :meth:`encode_scenes` pools on plain arrays.
     """
 
     def __init__(self, vocab: Sequence[str], vectors: TokenVectors,
@@ -111,32 +118,24 @@ class SceneBagEncoder:
         return script.ids[keep], np.repeat(script.scenes, script.lengths)[keep]
 
     def batch(self, script: CompiledScript
-              ) -> tuple[Tensor, np.ndarray, np.ndarray]:
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The right-padded (K, T, d) batch of descriptor-word rows of the K
         scenes holding any, its run lengths, and those scenes' indices."""
         ids, scene_of = self.word_ids(script)
         kept = np.flatnonzero(runs := np.bincount(scene_of))
         lengths = runs[kept]
-        rows = ad.constant(self.vectors.embeddings.matrix[ids])
-        return pad_runs(rows, lengths), lengths, kept
-
-    def pool(self, script: CompiledScript) -> tuple[Tensor | None, np.ndarray]:
-        """(K, d) pooled vectors of the K scenes holding descriptor words,
-        on the tape, and their indices; None when there are none."""
-        padded, lengths, kept = self.batch(script)
-        if not kept.size:
-            return None, kept
-        return self.encoder.encode_padded(padded, lengths), kept
+        return pad_rows(self.vectors.embeddings.matrix[ids], lengths), lengths, kept
 
     def encode_scenes(self, script: CompiledScript | Screenplay
                       ) -> tuple[np.ndarray, np.ndarray]:
         """(S, d) pooled scene vectors, zero rows for the scenes without
-        descriptor words, and the indices of the other scenes."""
+        descriptor words, and the indices of the other scenes; on plain
+        arrays (:func:`autodiff.attention_pass`), building no tape."""
         script = self.vectors.compiled(script)
-        pooled, kept = self.pool(script)
+        padded, lengths, kept = self.batch(script)
         vs = np.zeros((script.n_scenes, self.dim))
-        if pooled is not None:
-            vs[kept] = pooled.data
+        if kept.size:
+            vs[kept] = ad.attention_pass(padded, self.p, lengths)[-1]
         return vs, kept
 
     def encode_scene(self, scene: Scene) -> np.ndarray | None:
@@ -175,9 +174,9 @@ def pretrain_reconstruction_target(corpus: Corpus, attribute: str,
                               *target.batch(it.script)[:2]))
                   for it in train_items if target.word_rows[it.script.ids].any()]
 
-    def loss_of(item: tuple[np.ndarray, Tensor, np.ndarray]) -> Tensor:
+    def loss_of(item: tuple[np.ndarray, np.ndarray, np.ndarray]) -> Tensor:
         y, padded, lengths = item
-        scene_vecs = target.encoder.encode_padded(padded, lengths)
+        scene_vecs = target.encoder.encode_padded(ad.constant(padded), lengths)
         script_vec = ad.row(ad.mean_rows(scene_vecs, [len(lengths)]), 0)
         return reweighted_loss(y, head.logits(script_vec), taxonomy.lam,
                                taxonomy.active)
@@ -231,19 +230,54 @@ class DescriptorPredictor:
                 f"{prefix}.w2": self.w2, f"{prefix}.b2": self.b2}
 
 
+# ``Generator.choice(n, size, replace=False)`` runs Floyd's algorithm and
+# then shuffles, except above this population, where it takes the tail of a
+# partial Fisher-Yates shuffle once size exceeds population // 50
+_CHOICE_TAIL_POPULATION = 10_000
+_CHOICE_TAIL_CUTOFF = 50
+
+
 def draw_negatives(rng: np.random.Generator, n_scenes: int,
                    negatives: int) -> np.ndarray:
     """(S, n_eff) negative-scene indices, n_eff = min(negatives, S - 1).
 
-    Row ``t`` holds distinct scenes other than ``t``, drawn scene by scene
-    with one ``rng.choice`` over the other scenes each.
+    Row ``t`` holds distinct scenes other than ``t``: those that
+    ``rng.choice(S - 1, n_eff, replace=False)`` picks among the other
+    scenes, one call per scene, with the generator left in the same state.
+    All the bounded draws those calls would make are made by one
+    ``rng.integers`` call over each row's bounds, and each row's picks
+    are replayed from them on Python ints.
     """
     n_eff = min(negatives, n_scenes - 1)
-    neg = np.empty((n_scenes, n_eff), dtype=np.intp)
-    for t in range(n_scenes):
-        picks = rng.choice(n_scenes - 1, size=n_eff, replace=False)
-        neg[t] = picks + (picks >= t)  # position among the other scenes
-    return neg
+    pop = n_scenes - 1
+    tail = pop > _CHOICE_TAIL_POPULATION and n_eff > pop // _CHOICE_TAIL_CUTOFF
+    if tail:  # swap position i with a draw in [0, i], from the top down
+        swaps = range(pop - 1, max(pop - n_eff, 1) - 1, -1)
+        bounds = list(swaps)
+    else:  # Floyd's draws in [0, j], then the shuffle's swaps
+        floyd = range(pop - n_eff, pop)
+        swaps = range(n_eff - 1, 0, -1)
+        bounds = [*floyd, *swaps]
+    draws = rng.integers(0, np.array(bounds, dtype=np.int64) + 1,
+                         size=(n_scenes, len(bounds)))
+    picks = []
+    for row in map(np.ndarray.tolist, draws):
+        if tail:  # the top n_eff positions of the partly shuffled range
+            moved: dict[int, int] = {}
+            for i, j in zip(swaps, row):
+                moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+            row = [moved.get(i, i) for i in range(pop - n_eff, pop)]
+        else:
+            seen: set[int] = set()
+            for n, j in enumerate(floyd):
+                if row[n] in seen:  # Floyd's rule: take j, above all so far
+                    row[n] = j
+                seen.add(row[n])
+            for i, j in zip(swaps, row[n_eff:]):
+                row[i], row[j] = row[j], row[i]
+        picks.append(row[:n_eff])
+    neg = np.array(picks, dtype=np.intp).reshape(n_scenes, n_eff)
+    return neg + (neg >= np.arange(n_scenes)[:, None])  # skip scene t itself
 
 
 # ---------------------------------------------------------------------------
@@ -434,12 +468,12 @@ def train_descriptors(corpus: Corpus, target: SceneBagEncoder,
     items = corpus.train_items + corpus.validation_items
     per_script: list[tuple[str, np.ndarray]] = []
     for it in items:
-        pooled, kept = target.pool(it.script)
+        vs, kept = target.encode_scenes(it.script)
         if len(kept) < 2:
             log.warning("skipping %s: %s", it.title,
                         ScriptTooSmall(f"{len(kept)} usable scene(s)"))
             continue
-        per_script.append((it.title, pooled.data))
+        per_script.append((it.title, vs[kept]))
 
     stats = DescriptorStats(initial_fro=model.fro_distance(), final_fro=0.0,
                             fro_trace=[], epoch_losses=[],

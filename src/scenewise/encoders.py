@@ -18,8 +18,9 @@ statement-tier batch, the channel's per-scene sequences of statement
 vectors are one scene-tier batch, and the script is a batch of one.  A
 batch reaches an encoder as its sequences' rows laid end to end plus their
 lengths, which are always given; the GRU and attention kinds pad it into a
-masked (B, T, D) batch with ``pad_runs``.  Every encode returns one
-(B, output_dim) tensor; attention weights are not returned.
+masked (B, T, D) batch with ``pad_runs`` (``pad_rows`` lays out the same
+batch on plain arrays, for the frozen descriptor target).  Every encode
+returns one (B, output_dim) tensor; attention weights are not returned.
 The model reads a script compiled once to embedding-row ids
 (``corpus.CompiledScript``): numpy masks over its statement table pick each
 channel's statements, and one gather per channel fetches their word rows.
@@ -138,6 +139,13 @@ def pad_runs(rows: Tensor, lengths: np.ndarray) -> Tensor:
     step = np.arange(len(seq)) - np.repeat(starts, lengths)
     return ad.place(rows, (seq, step),
                     (len(lengths), lengths.max(initial=0), rows.data.shape[1]))
+
+
+def pad_rows(rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """:func:`pad_runs` on plain arrays, building no tape."""
+    padded = np.zeros((len(lengths), lengths.max(initial=0), rows.shape[1]))
+    padded[np.arange(padded.shape[1]) < lengths[:, None]] = rows
+    return padded
 
 
 def _scene_rows(vecs: Tensor, kept, n_scenes: int) -> Tensor:

@@ -5,10 +5,15 @@ A script's trajectories are one record: the selected descriptor indices and
 their (S, m) matrix of per-scene shares, which goes unsplit from
 ``build_trajectories`` to the CSV's rows and the streamgraph's layers.
 
+Smoothing sums one strided view of the zero-padded weights, laid out as
+numpy's ``sliding_window_view`` would lay it out, without building one.
+
 The streamgraph uses a symmetric (silhouette) baseline with inside-out
 layer ordering; within a scene the layer widths are the rescaled descriptor
 shares, so the band has constant total thickness and the internal flows
-show how descriptor weight moves across the script.
+show how descriptor weight moves across the script.  The m layers stack
+between m + 1 edges, and each edge's points are formatted once: the top
+of one layer is the bottom of the next.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import UnknownFormat
 
@@ -39,20 +43,22 @@ def smooth(values, window: int = 5) -> np.ndarray:
     the edges; the columns of a (S, m) array are smoothed independently.
 
     Each window's sum runs over the zero-padded input and is divided by the
-    number of real entries in the window.  (One spare zero row keeps an
-    empty input at least one window long.)
+    number of real entries in the window.  The windows are one strided
+    view of the padded input, laid out as numpy's ``sliding_window_view``
+    lays them out (the window axis last), so the sums add in its order.
     """
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be odd and >= 1, got {window}")
     x = np.asarray(values, dtype=np.float64)
     half = window // 2
     n = x.shape[0]
-    padded = np.zeros((n + window,) + x.shape[1:])
+    padded = np.zeros((n + window - 1,) + x.shape[1:])
     padded[half:half + n] = x
-    sums = sliding_window_view(padded, window, axis=0)[:n].sum(axis=-1)
+    windows = np.ndarray(x.shape + (window,), buffer=padded,
+                         strides=padded.strides + padded.strides[:1])
     step = np.arange(n)
     counts = np.minimum(step + half + 1, n) - np.maximum(step - half, 0)
-    return sums / counts.reshape((n,) + (1,) * (x.ndim - 1))
+    return windows.sum(axis=-1) / counts.reshape((n,) + (1,) * (x.ndim - 1))
 
 
 def rescale(rows: np.ndarray) -> np.ndarray:
@@ -173,11 +179,12 @@ def export_svg(trajectories: Trajectories,
     if title:
         parts.append(f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="14">{_esc(title)}</text>')
+    # each stack edge formatted once: the top of one layer is the bottom
+    # of the next
+    edge_points = [[f"{x},{y:.3f}" for x, y in zip(xs, ys)] for ys in edge_ys]
     for j, descriptor in enumerate(trajectories.descriptors):
         color = PALETTE[descriptor % len(PALETTE)]
-        bottom, top = edge_ys[level[j]], edge_ys[level[j] + 1]
-        points = [f"{x},{y:.3f}" for x, y in zip(xs, bottom)]
-        points += [f"{x},{y:.3f}" for x, y in zip(xs[::-1], top[::-1])]
+        points = edge_points[level[j]] + edge_points[level[j] + 1][::-1]
         parts.append(f'<polygon points="{" ".join(points)}" fill="{color}" '
                      f'fill-opacity="0.85" stroke="none">'
                      f'<title>descriptor_{descriptor}</title></polygon>')

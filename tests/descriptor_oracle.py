@@ -1,4 +1,5 @@
-"""The composed descriptor predictor and loss, kept as the tests' oracles.
+"""The composed descriptor predictor and loss, the tape-built target pool
+and the per-scene negative draw, kept as the tests' oracles.
 
 ``weights`` builds the predictor from primitive tape ops, most of them
 from ``tape_ops`` (``matmul``, ``add_bias``, ``relu``, ``softmax``, and
@@ -15,6 +16,11 @@ arrays; the tests check that their values and gradients equal these
 compositions' bit for bit.  ``pretrain_reconstruction_target`` gathers
 and pads each script's descriptor-word rows again at every step, as
 pretraining once did.
+``pool`` pads a script's descriptor-word rows with ``pad_runs`` and pools
+them through the target encoder's ``attention_pool`` node, and
+``encode_scenes`` scatters that into one row per scene, as
+``SceneBagEncoder`` once did on the tape; ``draw_negatives`` makes one
+``rng.choice`` call per scene.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from scenewise.classifier import (
     reweighted_loss,
 )
 from scenewise.descriptors import DescriptorConfig, SceneBagEncoder
-from scenewise.encoders import encode_tokens
+from scenewise.encoders import encode_tokens, pad_runs
 from scenewise.errors import ScriptTooSmall, ShapeMismatch
 
 from tape_ops import (add_bias, mul, relu, scale, softmax, sqrt, sub, total,
@@ -158,3 +164,41 @@ def pretrain_reconstruction_target(corpus, attribute: str,
                               config.max_norm):
         pass
     return target
+
+
+def pool(target: SceneBagEncoder, script) -> tuple[Tensor | None, np.ndarray]:
+    """(K, d) pooled vectors of the K scenes of a compiled script holding
+    descriptor words, on the tape, and their indices; None when there are
+    none."""
+    ids, scene_of = target.word_ids(script)
+    kept = np.flatnonzero(runs := np.bincount(scene_of))
+    if not kept.size:
+        return None, kept
+    lengths = runs[kept]
+    rows = ad.constant(target.vectors.embeddings.matrix[ids])
+    padded = pad_runs(rows, lengths)
+    return target.encoder.encode_padded(padded, lengths), kept
+
+
+def encode_scenes(target: SceneBagEncoder, script
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(S, d) scene vectors from ``pool``, zero rows for the scenes without
+    descriptor words, and the indices of the other scenes."""
+    script = target.vectors.compiled(script)
+    pooled, kept = pool(target, script)
+    vs = np.zeros((script.n_scenes, target.dim))
+    if pooled is not None:
+        vs[kept] = pooled.data
+    return vs, kept
+
+
+def draw_negatives(rng: np.random.Generator, n_scenes: int,
+                   negatives: int) -> np.ndarray:
+    """(S, n_eff) negative-scene indices, scene by scene: one
+    ``rng.choice`` over the other scenes each."""
+    n_eff = min(negatives, n_scenes - 1)
+    neg = np.empty((n_scenes, n_eff), dtype=np.intp)
+    for t in range(n_scenes):
+        picks = rng.choice(n_scenes - 1, size=n_eff, replace=False)
+        neg[t] = picks + (picks >= t)  # position among the other scenes
+    return neg

@@ -52,14 +52,18 @@ def test_shape_mismatch_messages_carry_both_shapes():
     assert "(2, 3)" in str(err.value) and "(4, 5)" in str(err.value)
 
 
-@pytest.mark.parametrize("name", [
+PRIMITIVE_CASES = (
     "add", "sub", "mul", "matmul_mm", "matmul_mv", "matmul_vm", "dot",
     "concat", "stack", "row", "mean_rows", "total",
     "sigmoid", "tanh", "relu", "softmax", "logsigmoid", "sqrt",
     "transpose", "add_bias", "scale", "mean_of_run_means", "logistic_loss",
-])
+)
+
+
+@pytest.mark.parametrize("name", PRIMITIVE_CASES)
 def test_primitive_gradients_match_finite_differences(name):
-    r = rng(hash(name) % 2**32)
+    # seeded by the case's index, so that every run draws the same inputs
+    r = rng(PRIMITIVE_CASES.index(name))
 
     def vec(n):
         # keep relu inputs away from the kink at 0

@@ -1089,7 +1089,9 @@ def command_args(command, synth):
     ("descriptors", "--k"), ("descriptors", "--hidden"),
     ("descriptors", "--epochs"), ("descriptors", "--negatives"),
     ("descriptors", "--top-words"), ("parse", "--cap"), ("ingest", "--cap"),
-    ("train", "--cap"), ("descriptors", "--cap"),
+    ("train", "--cap"), ("descriptors", "--cap"), ("ingest", "--min-count"),
+    ("train", "--min-count"), ("descriptors", "--min-count"),
+    ("ingest", "--descriptor-min-movies"), ("descriptors", "--descriptor-min-movies"),
 ])
 def test_counts_below_one_are_usage_errors(workspace, tmp_path, capsys,
                                            command, flag, value):
@@ -1101,6 +1103,29 @@ def test_counts_below_one_are_usage_errors(workspace, tmp_path, capsys,
     assert exc.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "descriptors"])
+def test_negative_descriptor_top_exclude_is_a_usage_error(workspace, tmp_path,
+                                                          capsys, command):
+    _, synth = workspace
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command] + command_args(command, synth)
+             + ["--out", str(out), "--descriptor-top-exclude", "-1"])
+    assert exc.value.code == 2
+    assert "argument --descriptor-top-exclude: must be a finite int in [0, inf), " \
+        "got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_vocabulary_flags_take_their_range_ends():
+    args = cli.build_arg_parser().parse_args(
+        ["ingest", "--scripts", "s", "--tags", "t", "--embeddings", "e",
+         "--min-count", "1", "--descriptor-min-movies", "1",
+         "--descriptor-top-exclude", "0"])
+    assert (args.min_count, args.descriptor_min_movies,
+            args.descriptor_top_exclude) == (1, 1, 0)
 
 
 @pytest.mark.parametrize("command", ["ingest", "train", "descriptors", "synth"])
@@ -1141,6 +1166,19 @@ def test_synth_minimum_above_maximum_is_usage_error(tmp_path, capsys, count):
     err = capsys.readouterr().err
     assert f"argument --{count}-max: must be at least --{count}-min 5, got 2" in err
     assert not out.exists()
+
+
+def test_synth_order_sensitive_with_more_tags_than_orders_is_usage_error(
+        tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--out", str(out), "--tags", "4", "--order-sensitive"])
+    assert exc.value.code == 2
+    assert "argument --tags: must be at most 3 with --order-sensitive, got 4" \
+        in capsys.readouterr().err
+    assert not out.exists()
+    assert run(["synth", "--out", str(out), "--scripts", "2", "--tags", "3",
+                "--order-sensitive"]) == 0
 
 
 def test_synth_takes_its_range_ends(tmp_path):

@@ -57,6 +57,16 @@ def test_descriptor_vocabulary_filters():
     assert not any(v.startswith("special") for v in vocab)  # below min_movies
 
 
+def test_descriptor_vocabulary_refuses_negative_exclusion():
+    plays = [parser.parse_script("s", "common words here\n", cap=None)]
+    tokens = TokenPass(plays)
+    # a negative count would slice away every token but the rarest
+    with pytest.raises(ValueError, match="exclude_top must be at least 0, got -1"):
+        tokens.descriptor_vocabulary(min_movies=1, exclude_top=-1)
+    assert tokens.descriptor_vocabulary(min_movies=1, exclude_top=0) == \
+        ("common", "here", "words")
+
+
 def test_split_deterministic_and_order_independent():
     titles = [f"t{i}" for i in range(20)]
     s1 = split_titles(titles, 0.2, 0.1, seed=7)
@@ -173,6 +183,31 @@ def test_synthetic_counts_out_of_range_raise_before_writing(tmp_path, field,
                        rf"got {re.escape(repr(value))}$"):
         generate_synthetic_corpus(out, SynthSpec(**{field: value}))
     assert not out.exists()
+
+
+def test_order_sensitive_corpus_refuses_more_tags_than_orders(tmp_path):
+    # a fourth tag would get the first tag's rotation of the order tokens
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=r"^SynthSpec\.n_tags must be at most 3 "
+                       r"with order_sensitive, .*, got 4$"):
+        generate_synthetic_corpus(out, SynthSpec(n_tags=4, order_sensitive=True))
+    assert not out.exists()
+    generate_synthetic_corpus(out, SynthSpec(n_scripts=1, n_tags=4))
+
+
+def test_order_sensitive_corpus_keeps_its_bytes(tmp_path):
+    spec = SynthSpec(n_scripts=3, n_tags=len(cp.ORDER_TOKENS),
+                     order_sensitive=True, seed=4)
+    assert generate_synthetic_corpus(tmp_path, spec)["spec_hash"] == \
+        "f37549b40ac41ada91ede4dbeb1c883b55cd25e8091728d3361a2561f41ba998"
+    for name, digest in [
+            ("truth.json",
+             "59445e1e40f33f0edb0f911bc8bfb2d31bab21b47a8b27593c8745e34f4850ff"),
+            ("loglines.json",
+             "36c6ad46f6fa8ad663f09b6a2029dc18b3f9a6423fea83fc56e00d80333d3eea"),
+            ("scripts/synth002.txt",
+             "d396c8270a8609e3fccde01fef04c9a9fbb39d0a9c27f37b228bbe948e05f2e3")]:
+        assert sha256_hex((tmp_path / name).read_bytes()) == digest, name
 
 
 def test_synthetic_counts_take_their_range_ends(tmp_path):

@@ -32,7 +32,15 @@ from scenewise.descriptors import (
     semantic_coherence,
     train_descriptors,
 )
-from scenewise.encoders import pad_runs
+from scenewise.encoders import (
+    PAPER_LINEAR,
+    SOFTMAX,
+    EncoderKind,
+    EncoderSpec,
+    SequenceEncoder,
+    pad_rows,
+    pad_runs,
+)
 from scenewise.errors import (
     DataError,
     InsufficientVocab,
@@ -218,17 +226,6 @@ def oracle_script_loss(pred, r_matrix, us, neg, lam):
     return ad.add(loss, oracle.orthogonality_penalty(r_matrix, lam))
 
 
-def oracle_negatives(rng_, n_scenes, negatives):
-    """The per-scene draw: one ``rng.choice`` over the other scenes each."""
-    rows = []
-    for t in range(n_scenes):
-        others = [j for j in range(n_scenes) if j != t]
-        picks = rng_.choice(len(others), size=min(negatives, n_scenes - 1),
-                            replace=False)
-        rows.append([others[int(j)] for j in picks])
-    return np.array(rows, dtype=np.intp)
-
-
 def bag_encoder(vocab, vectors, p):
     """A target over ``vocab`` whose attention vector holds ``p``."""
     target = SceneBagEncoder(vocab, vectors, rng(0))
@@ -377,6 +374,8 @@ def test_training_on_the_composition_leaves_the_same_parameters(
     with monkeypatch.context() as patch:
         patch.setattr(DescriptorModel, "script_loss", oracle.script_loss)
         patch.setattr(DescriptorPredictor, "rollout", oracle.rollout)
+        patch.setattr(SceneBagEncoder, "encode_scenes", oracle.encode_scenes)
+        patch.setattr(dsc, "draw_negatives", oracle.draw_negatives)
         reference, expected = train_descriptors(desc_corpus, target, config)
         expected_weights = [reference.weights_for_script(it.script)
                             for it in desc_corpus.items]
@@ -394,14 +393,32 @@ def test_pretraining_on_gathered_batches_matches_pooling_every_step(desc_corpus)
     assert np.array_equal(target.p, reference.p)
 
 
-@pytest.mark.parametrize("negatives", [1, 3, 5, 9])
+def same_draws(n_scenes, negatives, seed):
+    """Whether one call and the per-scene loop draw the same negatives and
+    leave their generators in the same state."""
+    ours, theirs = rng(seed), rng(seed)
+    drawn = dsc.draw_negatives(ours, n_scenes, negatives)
+    expected = oracle.draw_negatives(theirs, n_scenes, negatives)
+    return (drawn.dtype == expected.dtype and np.array_equal(drawn, expected)
+            and ours.bit_generator.state == theirs.bit_generator.state)
+
+
+@pytest.mark.parametrize("negatives", [1, 3, 5, 8, 9])
 def test_draw_negatives_matches_per_scene_loop(negatives):
-    for n_scenes in range(2, 9):
+    for n_scenes in [*range(1, 40), 64, 101, 150]:
+        for seed in range(3):
+            assert same_draws(n_scenes, negatives, seed), (n_scenes, seed)
         drawn = dsc.draw_negatives(rng(n_scenes), n_scenes, negatives)
-        assert np.array_equal(drawn, oracle_negatives(rng(n_scenes), n_scenes,
-                                                      negatives))
+        assert drawn.shape == (n_scenes, min(negatives, n_scenes - 1))
         for t, row in enumerate(drawn):
             assert t not in row and len(set(row)) == len(row)
+
+
+@pytest.mark.parametrize("negatives", [200, 201])
+def test_draw_negatives_matches_choice_past_its_tail_shuffle_cutoff(negatives):
+    # with more than 10,000 other scenes, choice shuffles the tail of the
+    # population once it picks more than a fiftieth of it (201 here)
+    assert same_draws(10_002, negatives, 5)
 
 
 @pytest.mark.parametrize("recurrent", [False, True], ids=["plain", "recurrent"])
@@ -569,6 +586,28 @@ def test_scene_bag_encoder_matches_tape_attention_bitwise(desc_corpus,
         assert not np.delete(vs, kept, axis=0).any()
 
 
+@pytest.mark.parametrize("normalization", [SOFTMAX, PAPER_LINEAR])
+def test_plain_pool_matches_tape_pool_on_seeded_batches(normalization):
+    linear = normalization == PAPER_LINEAR
+    for seed in range(40):
+        r = rng(seed)
+        dim = int(r.integers(1, 9))
+        lengths = r.integers(1, 12, size=int(r.integers(1, 7)))
+        rows = r.normal(size=(int(lengths.sum()), dim))
+        spec = EncoderSpec(EncoderKind.BOE_ATTN, dim,
+                           attention_normalization=normalization)
+        encoder = SequenceEncoder(spec, r)
+        if linear:  # positive scores keep the normalizers away from zero
+            rows = np.abs(rows) + 0.1
+            encoder.p.data[:] = np.abs(encoder.p.data)
+        padded = pad_rows(rows, lengths)
+        on_tape = pad_runs(ad.constant(rows), lengths)
+        assert np.array_equal(padded, on_tape.data), seed
+        got = ad.attention_pass(padded, encoder.p.data, lengths, linear)[-1]
+        expected = encoder.encode_padded(on_tape, lengths)
+        assert np.array_equal(got, expected.data), seed
+
+
 def oracle_target(vocab, embeddings, p, scenes):
     """The target as computed by tokenizing each scene again: its tokens
     filtered by word, gathered by name, padded, and pooled at a constant p;
@@ -602,6 +641,9 @@ def test_compiled_target_matches_tokenizing_oracle_bitwise(desc_corpus, p):
         expected, expected_kept = oracle_target(
             desc_corpus.descriptor_vocab, desc_corpus.embeddings, target.p,
             it.screenplay.scenes)
+        # the tape-built pool over the compiled ids gives the same bits
+        assert np.array_equal(oracle.encode_scenes(target, it.script)[0],
+                              expected), it.title
         for source in (it.script, it.screenplay):
             vs, kept = target.encode_scenes(source)
             assert np.array_equal(vs, expected), it.title
@@ -631,7 +673,7 @@ def test_target_refuses_script_compiled_against_other_vocabulary(desc_corpus):
     play = desc_corpus.items[0].screenplay
     other = compile_script(play, Vocabulary(desc_corpus.vocabulary.tokens),
                            desc_corpus.embeddings)
-    for use in (target.encode_scenes, target.pool, target.scene_words):
+    for use in (target.encode_scenes, target.batch, target.scene_words):
         with pytest.raises(DataError, match="compiled against another"):
             use(other)
     model = DescriptorModel(np.zeros((4, target.dim)), target,

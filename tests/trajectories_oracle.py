@@ -1,12 +1,18 @@
-"""The per-descriptor trajectory export, kept as the tests' oracle.
+"""The per-descriptor trajectory export and the window-view smoothing,
+kept as the tests' oracles.
 
 ``build_trajectories`` cuts the rescaled (scenes x descriptors) shares into
 one ``Trajectory`` column per descriptor; ``export_csv`` walks them scene
-by scene, and ``export_svg`` stacks them back into a matrix and sums each
-column again for the inside-out layer order.
+by scene, and ``export_svg`` stacks them back into a matrix, sums each
+column again for the inside-out layer order, and formats every layer's
+two edges.
 ``scenewise.trajectories`` carries the one (S, m) share matrix from the
-build to the written bytes instead; ``test_trajectories.py`` checks that
-both write the same CSV and SVG strings.
+build to the written bytes instead, and formats each stack edge once;
+``test_trajectories.py`` checks that both write the same CSV and SVG
+strings.
+``smooth`` sums numpy's ``sliding_window_view`` of the padded input;
+``scenewise.trajectories.smooth`` sums a strided view of its own, and the
+tests check that both give the same bits.
 """
 
 from __future__ import annotations
@@ -15,11 +21,28 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from scenewise.trajectories import rescale, smooth
+from scenewise.trajectories import rescale
 
 PALETTE = ("#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f", "#edc948",
            "#b07aa1", "#ff9da7", "#9c755f", "#bab0ac", "#86bcb6", "#d37295")
+
+
+def smooth(values, window: int = 5) -> np.ndarray:
+    """Centered moving average down the first axis, with shorter windows at
+    the edges: each window's sum over the zero-padded input, divided by
+    the number of real entries in the window.  (One spare zero row keeps
+    an empty input at least one window long.)"""
+    x = np.asarray(values, dtype=np.float64)
+    half = window // 2
+    n = x.shape[0]
+    padded = np.zeros((n + window,) + x.shape[1:])
+    padded[half:half + n] = x
+    sums = sliding_window_view(padded, window, axis=0)[:n].sum(axis=-1)
+    step = np.arange(n)
+    counts = np.minimum(step + half + 1, n) - np.maximum(step - half, 0)
+    return sums / counts.reshape((n,) + (1,) * (x.ndim - 1))
 
 
 @dataclass
