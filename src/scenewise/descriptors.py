@@ -27,7 +27,8 @@ at inference, so trajectory inference builds no tape at all.
 Pretraining and training supply per-script losses to
 :func:`classifier.optimizer_epochs`.  A training step draws all of its
 script's negatives with one ``rng.integers`` call and replays from those
-draws what one ``rng.choice`` call per scene would pick.
+draws what one ``rng.choice`` call per scene would pick (past 10,000 other
+scenes, where ``choice`` may leave Floyd's algorithm, it makes the calls).
 """
 
 from __future__ import annotations
@@ -49,7 +50,13 @@ from .classifier import (
     reweighted_loss,
 )
 from .corpus import CompiledScript, Corpus, TokenVectors
-from .encoders import EncoderKind, EncoderSpec, SequenceEncoder, pad_rows
+from .encoders import (
+    PAPER_LINEAR,
+    EncoderKind,
+    EncoderSpec,
+    SequenceEncoder,
+    pad_rows,
+)
 from .errors import DataError, InsufficientVocab, ScriptTooSmall, ZeroDocFrequency
 from .parser import Scene, Screenplay
 
@@ -135,7 +142,8 @@ class SceneBagEncoder:
         padded, lengths, kept = self.batch(script)
         vs = np.zeros((script.n_scenes, self.dim))
         if kept.size:
-            vs[kept] = ad.attention_pass(padded, self.p, lengths)[-1]
+            linear = self.encoder.spec.attention_normalization == PAPER_LINEAR
+            vs[kept] = ad.attention_pass(padded, self.p, lengths, linear)[-1]
         return vs, kept
 
     def encode_scene(self, scene: Scene) -> np.ndarray | None:
@@ -231,10 +239,9 @@ class DescriptorPredictor:
 
 
 # ``Generator.choice(n, size, replace=False)`` runs Floyd's algorithm and
-# then shuffles, except above this population, where it takes the tail of a
-# partial Fisher-Yates shuffle once size exceeds population // 50
-_CHOICE_TAIL_POPULATION = 10_000
-_CHOICE_TAIL_CUTOFF = 50
+# then shuffles for populations up to this one; above it, it may take
+# another path, which ``draw_negatives`` leaves to ``choice`` itself
+_CHOICE_FLOYD_MAX = 10_000
 
 
 def draw_negatives(rng: np.random.Generator, n_scenes: int,
@@ -244,30 +251,22 @@ def draw_negatives(rng: np.random.Generator, n_scenes: int,
     Row ``t`` holds distinct scenes other than ``t``: those that
     ``rng.choice(S - 1, n_eff, replace=False)`` picks among the other
     scenes, one call per scene, with the generator left in the same state.
-    All the bounded draws those calls would make are made by one
-    ``rng.integers`` call over each row's bounds, and each row's picks
-    are replayed from them on Python ints.
+    Up to ``_CHOICE_FLOYD_MAX`` other scenes, all the bounded draws those
+    calls would make are made by one ``rng.integers`` call over each row's
+    bounds, and each row's picks are replayed from them on Python ints.
     """
     n_eff = min(negatives, n_scenes - 1)
     pop = n_scenes - 1
-    tail = pop > _CHOICE_TAIL_POPULATION and n_eff > pop // _CHOICE_TAIL_CUTOFF
-    if tail:  # swap position i with a draw in [0, i], from the top down
-        swaps = range(pop - 1, max(pop - n_eff, 1) - 1, -1)
-        bounds = list(swaps)
+    if pop > _CHOICE_FLOYD_MAX:
+        picks = [rng.choice(pop, size=n_eff, replace=False)
+                 for _ in range(n_scenes)]
     else:  # Floyd's draws in [0, j], then the shuffle's swaps
         floyd = range(pop - n_eff, pop)
         swaps = range(n_eff - 1, 0, -1)
-        bounds = [*floyd, *swaps]
-    draws = rng.integers(0, np.array(bounds, dtype=np.int64) + 1,
-                         size=(n_scenes, len(bounds)))
-    picks = []
-    for row in map(np.ndarray.tolist, draws):
-        if tail:  # the top n_eff positions of the partly shuffled range
-            moved: dict[int, int] = {}
-            for i, j in zip(swaps, row):
-                moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
-            row = [moved.get(i, i) for i in range(pop - n_eff, pop)]
-        else:
+        draws = rng.integers(0, np.array([*floyd, *swaps], dtype=np.int64) + 1,
+                             size=(n_scenes, len(floyd) + len(swaps)))
+        picks = []
+        for row in map(np.ndarray.tolist, draws):
             seen: set[int] = set()
             for n, j in enumerate(floyd):
                 if row[n] in seen:  # Floyd's rule: take j, above all so far
@@ -275,7 +274,7 @@ def draw_negatives(rng: np.random.Generator, n_scenes: int,
                 seen.add(row[n])
             for i, j in zip(swaps, row[n_eff:]):
                 row[i], row[j] = row[j], row[i]
-        picks.append(row[:n_eff])
+            picks.append(row[:n_eff])
     neg = np.array(picks, dtype=np.intp).reshape(n_scenes, n_eff)
     return neg + (neg >= np.arange(n_scenes)[:, None])  # skip scene t itself
 

@@ -129,22 +129,27 @@ class SequenceEncoder:
         return out
 
 
+def _run_mask(lengths: np.ndarray) -> np.ndarray:
+    """(len(lengths), max(lengths)) mask of the real steps of a right-padded
+    batch of consecutive runs; its True cells in C order are the runs' rows
+    in order."""
+    return np.arange(lengths.max(initial=0)) < lengths[:, None]
+
+
 def pad_runs(rows: Tensor, lengths: np.ndarray) -> Tensor:
     """Consecutive runs of ``lengths[b]`` rows as a right-padded
     (len(lengths), max(lengths), F) batch; no runs give a (0, 0, F) one."""
     if rows.data.ndim != 2 or lengths.sum() != rows.data.shape[0]:
         raise ShapeMismatch(f"runs {lengths} vs rows {rows.data.shape}")
-    seq = np.repeat(np.arange(len(lengths)), lengths)
-    starts = np.cumsum(lengths) - lengths
-    step = np.arange(len(seq)) - np.repeat(starts, lengths)
-    return ad.place(rows, (seq, step),
-                    (len(lengths), lengths.max(initial=0), rows.data.shape[1]))
+    mask = _run_mask(lengths)
+    return ad.place(rows, np.nonzero(mask), (*mask.shape, rows.data.shape[1]))
 
 
 def pad_rows(rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """:func:`pad_runs` on plain arrays, building no tape."""
-    padded = np.zeros((len(lengths), lengths.max(initial=0), rows.shape[1]))
-    padded[np.arange(padded.shape[1]) < lengths[:, None]] = rows
+    mask = _run_mask(lengths)
+    padded = np.zeros((*mask.shape, rows.shape[1]))
+    padded[mask] = rows
     return padded
 
 

@@ -414,11 +414,12 @@ def test_draw_negatives_matches_per_scene_loop(negatives):
             assert t not in row and len(set(row)) == len(row)
 
 
-@pytest.mark.parametrize("negatives", [200, 201])
-def test_draw_negatives_matches_choice_past_its_tail_shuffle_cutoff(negatives):
-    # with more than 10,000 other scenes, choice shuffles the tail of the
-    # population once it picks more than a fiftieth of it (201 here)
-    assert same_draws(10_002, negatives, 5)
+@pytest.mark.parametrize("n_scenes", [10_001, 10_002])
+def test_draw_negatives_matches_choice_either_side_of_its_floyd_range(n_scenes):
+    # choice runs Floyd's algorithm up to 10,000 other scenes (replayed
+    # here) and may take another path past it (its own calls here), which
+    # it does once it picks more than a fiftieth of the population
+    assert same_draws(n_scenes, 201, 5)
 
 
 @pytest.mark.parametrize("recurrent", [False, True], ids=["plain", "recurrent"])
@@ -554,6 +555,25 @@ def test_scene_bag_encoder_softmax_pool():
     assert enc.encode_scene(scenes[1]) is None
     assert np.allclose(enc.encode_scene(scenes[2]), vs[2], rtol=0, atol=1e-15)
     assert enc.scene_words(script) == [{"x", "y"}, set(), {"x", "y"}]
+
+
+@pytest.mark.parametrize("normalization", [SOFTMAX, PAPER_LINEAR])
+def test_frozen_target_reads_its_normalization_from_its_spec(normalization):
+    # x and y score 2 and 1 under p: linear weights 2/3 and 1/3
+    vectors = TokenVectors(
+        Vocabulary(["x", "y"]),
+        WordEmbeddings({"x": np.array([1.0, 0.0]), "y": np.array([0.0, 1.0])}, 2))
+    enc = bag_encoder(["x", "y"], vectors, [2.0, 1.0])
+    enc.encoder.spec = replace(enc.encoder.spec,
+                               attention_normalization=normalization)
+    script = vectors.compiled(Screenplay("toy", [action_scene(1, "x y")]))
+    vs, _ = enc.encode_scenes(script)
+    expected, _ = oracle.encode_scenes(enc, script)  # the spec's pool on the tape
+    assert np.array_equal(vs, expected)
+    e = math.exp(1.0)
+    weights = ([2 / 3, 1 / 3] if normalization == PAPER_LINEAR
+               else [e / (e + 1), 1 / (e + 1)])
+    assert np.allclose(vs[0], weights, rtol=0, atol=1e-15)
 
 
 def test_scene_bag_encoder_matches_tape_attention_bitwise(desc_corpus,
