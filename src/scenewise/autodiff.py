@@ -4,11 +4,13 @@ The graph is built eagerly: every operation returns a :class:`Tensor` holding
 its forward value and, when any input participates in differentiation, a
 closure mapping the output gradient to per-parent contributions.
 ``backward`` assigns each reachable node's first gradient contribution and
-adds later ones, so repeated backward passes never double-count.  The
-module holds only the ops the models run: a few fused nodes and the
-structural ops around them (``add``, ``matmul``, ``concat``, ``row``,
-``place``, ``mean_rows``).  The elementwise and reduction ops that only the
-tests' oracles and gradchecks compose live in ``tests/tape_ops.py``.
+adds later ones, so repeated backward passes never double-count; a
+parameter that an ``Adam`` store holds gets it in its slice of the store's
+gradient buffer.  The module holds only the ops the models run: a few
+fused nodes and the structural ops around them (``add``, ``matmul``,
+``concat``, ``row``, ``place``, ``mean_rows``).  The elementwise and
+reduction ops that only the tests' oracles and gradchecks compose live in
+``tests/tape_ops.py``.
 
 The GRU implemented here is the gated unit with update gate ``z``, reset
 gate ``r`` and candidate state, which is normative for this package::
@@ -51,13 +53,24 @@ the BoE character block's mean over scenes of per-scene mean rows.  Each
 has a hand-written VJP and keeps the order of operations of the
 primitive ops it replaces, so its value and gradient are theirs to the
 bit.
+
+``Adam`` keeps a trainer's parameters in one flat store: four aligned
+float64 buffers (values, gradients, first and second moments) with each
+array's slice on its own 64-byte line, in the order the trainer lists its
+parameters, and each ``Tensor.data`` a view of its slice.  Its update runs
+the textbook formula's operations once per block of the buffers rather
+than once per array, and ``clip_grad_norm`` squares the flat gradient
+once, sums each array's slice and scales the buffer with one multiply.
+Elementwise arithmetic does not depend on the layout and each slice sums
+as its array did, so parameters and norms are the per-array optimizer's
+to the bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -70,7 +83,8 @@ Vjp = Callable[[np.ndarray], tuple]
 class Tensor:
     """A dense float64 array plus its place on the differentiation tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp",
+                 "_grad_slice")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -78,6 +92,8 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._vjp: Vjp | None = None
+        # the gradient slice of the Adam store that holds this parameter
+        self._grad_slice: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -155,7 +171,11 @@ def backward(root: Tensor) -> None:
     A node's gradient starts as a copy of its first contribution (which
     may be a view of another gradient) and later ones are added to it, so
     calling backward twice on the same graph yields the same gradients as
-    calling it once.  A node no contribution reaches keeps ``None``.
+    calling it once.  A node no contribution reaches keeps ``None``.  A
+    parameter that an :class:`Adam` store holds keeps that store's
+    gradient slice: its first contribution is copied into the slice and
+    ``.grad`` is the slice itself, so each backward pass overwrites the
+    last one's gradient there instead of allocating a new array.
     """
     if not root.requires_grad:
         raise ValueError("backward() on a tensor with no graph attached")
@@ -171,7 +191,11 @@ def backward(root: Tensor) -> None:
             if not par.requires_grad or contribution is None:
                 continue
             if par.grad is None:
-                par.grad = np.array(contribution, dtype=np.float64)
+                if par._grad_slice is None:
+                    par.grad = np.array(contribution, dtype=np.float64)
+                else:
+                    np.copyto(par._grad_slice, contribution)
+                    par.grad = par._grad_slice
             else:
                 par.grad += contribution
 
@@ -630,73 +654,160 @@ def logistic_loss(z: Tensor, w_pos: np.ndarray, w_neg: np.ndarray, c: float
 # optimization
 
 
-def clip_grad_norm(params: Iterable[Tensor], max_norm: float = 5.0) -> float:
-    """Scale gradients in place so their global L2 norm is at most ``max_norm``.
+def clip_grad_norm(opt: Adam, max_norm: float = 5.0) -> float:
+    """Scale the gradients of ``opt``'s parameters in place so their global
+    L2 norm is at most ``max_norm``.
 
     Returns the scaling factor applied (1.0 when no clipping was needed).
-    When the sum of squares overflows although every entry is finite, the
-    norm is taken again with each entry divided by the largest |entry|.
-    A NaN or infinite entry raises :class:`NonFiniteLoss` naming the norm,
-    and no gradient is scaled.
+    Each block of the store's gradient is squared once into the block's
+    scratch, and each parameter's sum of squares is the ``.sum()`` of its
+    slice there; the sums are added as floats in ``opt``'s parameter
+    order, so the norm is the per-array one to the bit.  A parameter whose
+    ``.grad`` is ``None`` adds nothing and stays zero.  One multiply
+    scales the whole gradient buffer.  When the sum of squares overflows
+    although every entry is finite, the norm is taken again with each
+    entry divided by the largest |entry|.  A NaN or infinite entry raises
+    :class:`NonFiniteLoss` naming the norm, and no gradient is scaled.
     """
-    tensors = [p for p in params if p.grad is not None]
+    present = opt._gather()
+
+    def sum_of_squares(peak: float | None = None) -> float:
+        total = 0
+        for _, g, _, _, sq, _, members in opt._blocks:
+            if peak is None:
+                np.multiply(g, g, out=sq)
+            else:
+                np.square(np.divide(g, peak, out=sq), out=sq)
+            for k, lo, hi in members:
+                if present[k]:
+                    total += float(sq[lo:hi].sum())
+        return total
+
     with np.errstate(over="ignore"):
-        sq = sum(float(np.sum(p.grad * p.grad)) for p in tensors)
-    norm = math.sqrt(sq)
+        norm = math.sqrt(sum_of_squares())
     if math.isfinite(norm):
         if norm <= max_norm or norm == 0.0:
             return 1.0
         factor = max_norm / norm
     else:
-        peaks = [float(np.max(np.abs(p.grad))) for p in tensors if p.grad.size]
-        if not all(map(math.isfinite, peaks)):
+        peak = float(np.max(np.abs(opt.grad)))
+        if not math.isfinite(peak):
             raise NonFiniteLoss(f"gradient norm={norm!r}")
-        peak = max(peaks)
-        factor = min(1.0, max_norm / peak / math.sqrt(
-            sum(float(np.sum(np.square(p.grad / peak))) for p in tensors)))
-    for p in tensors:
-        p.grad *= factor
+        factor = min(1.0, max_norm / peak / math.sqrt(sum_of_squares(peak)))
+    opt.grad *= factor
     return factor
 
 
-class Adam:
-    """Adam with bias correction over a named parameter dict.
+# float64 entries per 64-byte cache line; each parameter's slice of an Adam
+# store starts on one
+_LINE = 8
 
-    The moments are updated in place and each step's terms are computed in
-    one scratch buffer pair sized for the largest parameter, in the
-    textbook formula's order of operations, so the values are those of
-    ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
-    ``p -= lr m_hat / (sqrt(v_hat) + eps)`` to the bit.  Each parameter's
-    moments and its views of the scratch pair are bound once, at
-    construction.
+
+def _aligned_zeros(n: int) -> np.ndarray:
+    """``n`` float64 zeros whose first entry starts a 64-byte line."""
+    raw = np.zeros(n + _LINE)
+    skip = -raw.ctypes.data % (8 * _LINE) // 8
+    return raw[skip:skip + n]
+
+
+class Adam:
+    """Adam with bias correction over a named parameter dict, on one flat
+    store.
+
+    The store is four float64 buffers of one layout: parameters, gradients
+    and the two moments.  Each parameter's slice starts on a 64-byte line,
+    in the dict's order.  At construction each parameter's values are
+    copied into the store and its ``Tensor.data`` becomes its reshaped
+    slice; :func:`backward` writes its gradient into its gradient slice.
+    A ``.grad`` assigned by hand is copied into the slice at the next
+    :meth:`step` or :func:`clip_grad_norm`, and a ``.grad`` of ``None``
+    steps as zero.  A tensor handed to a later ``Adam`` moves to that
+    store, with its current values; this one then refuses to step or clip
+    it, with a ``RuntimeError`` naming it.
+
+    The store is cut into blocks of whole arrays of at most ``BLOCK``
+    entries (an array longer than that is a block of its own), so that a
+    block's buffers stay in cache.  ``step`` runs the update once per
+    block, in a scratch buffer pair, in the textbook formula's order of
+    operations, so the values are those of ``m = b1 m + (1 - b1) g``,
+    ``v = b2 v + (1 - b2) g g`` and ``p -= lr m_hat / (sqrt(v_hat) + eps)``
+    to the bit, as elementwise arithmetic does not depend on the layout.
+    ``m`` and ``v`` map each name to its moment slice.
     """
 
     BETA1 = 0.9
     BETA2 = 0.999
     EPS = 1e-8
+    # the most entries of a block of several arrays: 256 KiB of each buffer
+    BLOCK = 32768
 
     def __init__(self, params: dict[str, Tensor], lr: float = 5e-3):
-        self.params = dict(sorted(params.items()))
+        self.params = dict(params)
+        tensors = list(self.params.values())
+        if len({id(t) for t in tensors}) < len(tensors):
+            raise ValueError("Adam: one tensor under two names")
         self.lr = lr
         self.step_count = 0
-        self.m = {k: np.zeros_like(t.data) for k, t in self.params.items()}
-        self.v = {k: np.zeros_like(t.data) for k, t in self.params.items()}
-        scratch = np.empty(
-            (2, max((t.data.size for t in self.params.values()), default=0)))
-        self._slots = [(p, self.m[k], self.v[k],
-                        *(buf[:p.data.size].reshape(p.data.shape) for buf in scratch))
-                       for k, p in self.params.items()]
+        starts, end = [], 0
+        for t in tensors:
+            starts.append(end)
+            end += -(-t.data.size // _LINE) * _LINE
+        flat, self.grad, m, v = (_aligned_zeros(end) for _ in range(4))
+
+        def views(buf: np.ndarray) -> list[np.ndarray]:
+            return [buf[a:a + t.data.size].reshape(t.data.shape)
+                    for a, t in zip(starts, tensors)]
+
+        self.m, self.v = (dict(zip(self.params, views(buf))) for buf in (m, v))
+        self._slots = list(zip(self.params, tensors, views(self.grad)))
+        for (_, t, grad), data in zip(self._slots, views(flat)):
+            data[...] = t.data
+            t.data, t._grad_slice = data, grad
+        cuts = [0]
+        for a, next_start in zip(starts, starts[1:] + [end]):
+            if a > cuts[-1] and next_start - cuts[-1] > self.BLOCK:
+                cuts.append(a)
+        cuts.append(end)
+        scratch = np.empty((2, max(hi - lo for lo, hi in zip(cuts, cuts[1:]))))
+        self._blocks = [
+            (*(buf[lo:hi] for buf in (flat, self.grad, m, v)),
+             *(row[:hi - lo] for row in scratch),
+             [(k, a - lo, a - lo + t.data.size)
+              for k, (a, t) in enumerate(zip(starts, tensors)) if lo <= a < hi])
+            for lo, hi in zip(cuts, cuts[1:])]
+
+    def _gather(self) -> list[bool]:
+        """Copy each hand-assigned ``.grad`` into its slice and zero the
+        slice of each ``None`` one; whether each parameter has a gradient,
+        in parameter order."""
+        present = []
+        for name, t, grad in self._slots:
+            if t.grad is not grad:
+                if t._grad_slice is not grad:
+                    raise RuntimeError(f"Adam: parameter {name!r} moved to a "
+                                       f"later Adam's store")
+                if t.grad is None:
+                    grad.fill(0.0)
+                    present.append(False)
+                    continue
+                if t.grad.shape != grad.shape:
+                    raise ShapeMismatch(f"Adam: {name} gradient {t.grad.shape} "
+                                        f"vs parameter {grad.shape}")
+                np.copyto(grad, t.grad)
+                t.grad = grad
+            present.append(True)
+        return present
 
     def zero_grad(self) -> None:
         for t in self.params.values():
             t.grad = None
 
     def step(self) -> None:
+        self._gather()
         self.step_count += 1
         t = self.step_count
         m_scale, v_scale = 1.0 - self.BETA1 ** t, 1.0 - self.BETA2 ** t
-        for p, m, v, a, b in self._slots:
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        for p, g, m, v, a, b, _ in self._blocks:
             m *= self.BETA1
             m += np.multiply(1.0 - self.BETA1, g, out=a)
             v *= self.BETA2
@@ -709,4 +820,4 @@ class Adam:
             np.sqrt(b, out=b)
             b += self.EPS
             a /= b
-            p.data -= a
+            p -= a

@@ -322,7 +322,7 @@ def optimizer_epochs(trainer: str, params: dict[str, Tensor],
                     f"{trainer} epoch {epoch}, script {key!r}: loss={value!r}")
             loss.backward()
             try:
-                clip_grad_norm(params.values(), max_norm)
+                clip_grad_norm(opt, max_norm)
             except NonFiniteLoss as err:
                 raise NonFiniteLoss(
                     f"{trainer} epoch {epoch}, script {key!r}: {err}") from None

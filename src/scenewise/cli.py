@@ -84,7 +84,12 @@ from .encoders import (
 from .errors import DataError, EmptyScript, ScenewiseError, VocabularyMismatch
 from .evaluation import load_tag_embeddings, micro_f1, similarity_report
 from .ioutil import atomic_write_text, config_hash
-from .trajectories import build_trajectories, export, select_descriptors
+from .trajectories import (
+    build_trajectories,
+    export,
+    parse_selection,
+    select_descriptors,
+)
 
 log = logging.getLogger(__name__)
 
@@ -169,6 +174,31 @@ def _odd_window(text: str) -> int:
     if value < 1 or value % 2 == 0:
         raise argparse.ArgumentTypeError(f"must be an odd integer >= 1, got {text}")
     return value
+
+
+def _selection(text: str) -> str:
+    """argparse type for a descriptor selection: ``top:m`` or a comma list
+    of distinct indices (:func:`trajectories.parse_selection`); the model's
+    ``k`` is checked once the checkpoint is read."""
+    try:
+        parse_selection(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+    return text
+
+
+def _annotation(text: str) -> tuple[int, str]:
+    """argparse type for a scene annotation: ``SCENE:LABEL``, an integer
+    scene and a label that is not empty; the scene is checked against the
+    play once it is read."""
+    number, colon, label = text.partition(":")
+    if colon and label:
+        try:
+            return int(number), label
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(
+        f"must be SCENE:LABEL with an integer SCENE, got {text!r}")
 
 
 def _ingest_config(args: argparse.Namespace) -> IngestConfig:
@@ -593,17 +623,15 @@ def cmd_trajectories(args: argparse.Namespace) -> int:
                                    script_path.read_text(encoding="utf-8"),
                                    cap=record.ingest.cap)
     weights = model.weights_for_script(play)
-    selection = select_descriptors(weights, args.descriptors)
+    selection = select_descriptors(
+        weights, args.descriptors or f"top:{min(4, record.config.k)}")
     trajectories = build_trajectories(weights, selection, window=args.window)
     n_scenes = weights.shape[0]
-    annotations = []
-    for spec in args.annotate or []:
-        number, _, label = spec.partition(":")
-        scene_no = int(number)
+    annotations = args.annotate or []
+    for scene_no, label in annotations:
         if not 1 <= scene_no <= n_scenes:
-            raise DataError(f"--annotate {spec!r}: scene {scene_no} is outside "
-                            f"1..{n_scenes}")
-        annotations.append((scene_no, label))
+            raise DataError(f"--annotate {scene_no}:{label}: scene {scene_no} "
+                            f"is outside 1..{n_scenes}")
     text = export(trajectories, args.format, annotations, title=args.title)
     out = _default_out(args.out, f"{args.title}.{args.format}")
     atomic_write_text(out, text)
@@ -712,10 +740,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scripts", required=True)
     sp.add_argument("--embeddings", required=True)
     sp.add_argument("--title", required=True)
-    sp.add_argument("--descriptors", default="top:4",
-                    help="'top:m' or comma-separated indices")
+    sp.add_argument("--descriptors", type=_selection, default=None,
+                    help="'top:m' or comma-separated indices (default: top:4, "
+                         "or every descriptor of a model with fewer)")
     sp.add_argument("--window", type=_odd_window, default=5)
-    sp.add_argument("--annotate", action="append", metavar="SCENE:LABEL")
+    sp.add_argument("--annotate", type=_annotation, action="append",
+                    metavar="SCENE:LABEL")
     sp.add_argument("--format", default="svg", choices=["csv", "svg"])
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_trajectories)

@@ -84,6 +84,11 @@ class UnknownFormat(ScenewiseError):
     """Unsupported export format."""
 
 
+class DescriptorOutOfRange(DataError, ValueError):
+    """A descriptor selection names more descriptors, or an index beyond
+    those, that the model has."""
+
+
 # corpus / CLI
 class MissingTags(DataError):
     """No tag entry for a script title."""

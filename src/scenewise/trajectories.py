@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import UnknownFormat
+from .errors import DescriptorOutOfRange, UnknownFormat
 
 PALETTE = ("#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f", "#edc948",
            "#b07aa1", "#ff9da7", "#9c755f", "#bab0ac", "#86bcb6", "#d37295")
@@ -77,27 +77,50 @@ def rescale(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def select_descriptors(weights: np.ndarray, selection: str) -> list[int]:
-    """Parse ``top:m`` (by mean weight) or a comma list of distinct
-    indices."""
-    k = weights.shape[1]
+def parse_selection(selection: str) -> int | list[int]:
+    """The syntax of a descriptor selection: ``top:m`` gives the integer
+    ``m`` >= 1, a comma list of distinct integers gives the list; anything
+    else raises ``ValueError`` naming ``selection``."""
     if selection.startswith("top:"):
-        m = int(selection.split(":", 1)[1])
+        try:
+            m = int(selection[4:])
+        except ValueError:
+            m = 0
         if m < 1:
-            raise ValueError("top:m needs m >= 1")
-        means = weights.mean(axis=0)
-        order = sorted(range(k), key=lambda i: (-means[i], i))
-        return sorted(order[:m])
+            raise ValueError(f"top:m needs an integer m >= 1, got {selection!r}")
+        return m
     items = selection.split(",")
     if not selection.strip() or any(not tok.strip() for tok in items):
         raise ValueError(f"empty item in descriptor selection {selection!r}")
-    indices = [int(tok) for tok in items]
+    try:
+        indices = [int(tok) for tok in items]
+    except ValueError:
+        raise ValueError(f"descriptor selection {selection!r} is neither top:m "
+                         f"nor a comma list of integers") from None
     if len(set(indices)) != len(indices):
         raise ValueError(f"duplicate index in descriptor selection {selection!r}")
-    for i in indices:
-        if not 0 <= i < k:
-            raise ValueError(f"descriptor index {i} out of range [0, {k})")
     return indices
+
+
+def select_descriptors(weights: np.ndarray, selection: str) -> list[int]:
+    """The descriptors that ``selection`` (:func:`parse_selection`) picks
+    from (S, k) ``weights``: the ``m`` of highest mean weight, in index
+    order, or the listed indices.  Asking for more than ``k`` descriptors,
+    or for an index outside ``[0, k)``, raises
+    :class:`DescriptorOutOfRange`."""
+    k = weights.shape[1]
+    chosen = parse_selection(selection)
+    if isinstance(chosen, int):
+        if chosen > k:
+            raise DescriptorOutOfRange(
+                f"{selection!r} asks for more than the model's {k} descriptors")
+        means = weights.mean(axis=0)
+        order = sorted(range(k), key=lambda i: (-means[i], i))
+        return sorted(order[:chosen])
+    for i in chosen:
+        if not 0 <= i < k:
+            raise DescriptorOutOfRange(f"descriptor index {i} out of range [0, {k})")
+    return chosen
 
 
 def build_trajectories(weights: np.ndarray, selection: Sequence[int],

@@ -472,6 +472,41 @@ def test_trajectories_rejects_annotation_outside_script(workspace, descriptor_ru
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--descriptors", "top:x"), ("--descriptors", "top:0"),
+    ("--descriptors", "top:"), ("--descriptors", "1,a"),
+    ("--descriptors", "1,,2"), ("--descriptors", "2,2"),
+    ("--annotate", "x:A"), ("--annotate", ":A"), ("--annotate", "3"),
+    ("--annotate", "3:"),
+])
+def test_trajectories_selection_and_annotation_syntax_is_usage_error(
+        workspace, tmp_path, capsys, flag, value):
+    _, synth = workspace
+    # the checkpoint does not exist: the flag is refused before it is read
+    with pytest.raises(SystemExit) as exc:
+        main(trajectory_args(synth, tmp_path / "missing.swck", tmp_path / "t.svg")
+             + [flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: " in err and repr(value) in err
+    assert "invalid literal" not in err
+    assert not (tmp_path / "t.svg").exists()
+
+
+@pytest.mark.parametrize("selection", ["top:4", "top:9", "3", "0,5"])
+def test_trajectories_refuses_more_descriptors_than_the_model_has(
+        workspace, descriptor_run, tmp_path, capsys, selection):
+    _, synth = workspace
+    out_desc, _ = descriptor_run  # k = 3
+    out = tmp_path / "traj.svg"
+    assert run(trajectory_args(synth, out_desc / "descriptors.swck", out)
+               + ["--descriptors", selection]) == 1
+    assert last_error(capsys) == "DescriptorOutOfRange"
+    assert not out.exists()
+    assert run(trajectory_args(synth, out_desc / "descriptors.swck", out)
+               + ["--descriptors", "top:3", "--annotate", "1:A"]) == 0
+
+
 # evaluate's two paths: exact micro-F1 alone, and with the similarity sweep
 TAG_READERS = ("evaluate", "evaluate --tag-embeddings")
 

@@ -386,6 +386,48 @@ def test_training_on_the_composition_leaves_the_same_parameters(
         assert np.array_equal(got, want)
 
 
+@pytest.fixture(scope="module")
+def long_corpus(tmp_path_factory):
+    # plays as long as screenplays: 150 to 170 scenes each
+    out = tmp_path_factory.mktemp("long_synth")
+    generate_synthetic_corpus(out, SynthSpec(
+        n_scripts=5, n_tags=3, signal=1.0, seed=5, scenes_range=(150, 170),
+        statements_range=(2, 3)))
+    config = IngestConfig(min_count=2, heldout_fraction=0.2,
+                          validation_fraction=0.0, seed=1,
+                          descriptor_min_movies=2, descriptor_top_exclude=30)
+    corpus, _ = ingest(out / "scripts", out / "tags.json",
+                       out / "embeddings.txt", config)
+    return corpus
+
+
+@pytest.mark.parametrize("recurrent", [False, True], ids=["plain", "recurrent"])
+def test_descriptors_train_at_screenplay_length(long_corpus, recurrent):
+    config = DescriptorConfig(k=5, hidden=16, epochs=3, pretrain_epochs=1,
+                              negatives=5, seed=3, recurrent=recurrent)
+    plays = [it.script for it in long_corpus.items]
+    assert min(play.n_scenes for play in plays) >= 150
+
+    def fit():
+        target = pretrain_reconstruction_target(long_corpus, "genre", config)
+        model, stats = train_descriptors(long_corpus, target, config)
+        params = {k: t.data.copy() for k, t in model.named_params().items()}
+        return params, stats, [model.weights_for_script(play) for play in plays]
+
+    params, stats, weights = fit()
+    assert len(stats.epoch_losses) == 3
+    assert all(math.isfinite(loss) for loss in stats.epoch_losses)
+    for play, w in zip(plays, weights):
+        assert w.shape == (play.n_scenes, 5)
+        assert np.all(w >= 0) and np.allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    again = fit()
+    for key, value in params.items():
+        assert np.array_equal(again[0][key], value), key
+    assert again[1] == stats
+    for got, want in zip(again[2], weights):
+        assert np.array_equal(got, want)
+
+
 def test_pretraining_on_gathered_batches_matches_pooling_every_step(desc_corpus):
     config = DescriptorConfig(k=4, hidden=8, pretrain_epochs=3, seed=2)
     target = pretrain_reconstruction_target(desc_corpus, "genre", config)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trajectories_oracle as oracle
-from scenewise.errors import UnknownFormat
+from scenewise.errors import DescriptorOutOfRange, UnknownFormat
 from scenewise.trajectories import (
     Trajectories,
     build_trajectories,
@@ -14,6 +14,7 @@ from scenewise.trajectories import (
     export_csv,
     export_svg,
     parse_csv,
+    parse_selection,
     rescale,
     select_descriptors,
     smooth,
@@ -105,6 +106,22 @@ def test_select_descriptors_rejects_empty_item(selection):
     weights = np.full((2, 3), 1 / 3)
     with pytest.raises(ValueError, match=f"empty item.*{selection!r}"):
         select_descriptors(weights, selection)
+
+
+@pytest.mark.parametrize("selection", ["top:x", "top:0", "top:-1", "top:",
+                                       "a", "1,b"])
+def test_select_descriptors_rejects_malformed_selection(selection):
+    with pytest.raises(ValueError, match=repr(selection)):
+        parse_selection(selection)
+    with pytest.raises(ValueError, match=repr(selection)):
+        select_descriptors(np.full((2, 3), 1 / 3), selection)
+
+
+@pytest.mark.parametrize("selection", ["top:4", "3", "-1", "0,3"])
+def test_select_descriptors_refuses_more_than_k_as_data_error(selection):
+    with pytest.raises(DescriptorOutOfRange):
+        select_descriptors(np.full((2, 3), 1 / 3), selection)
+    assert select_descriptors(np.full((2, 3), 1 / 3), "top:3") == [0, 1, 2]
 
 
 def _smooth_per_scene(values, window):
