@@ -663,13 +663,14 @@ def clip_grad_norm(opt: Adam, max_norm: float = 5.0) -> float:
     scratch, and each parameter's sum of squares is the ``.sum()`` of its
     slice there; the sums are added as floats in ``opt``'s parameter
     order, so the norm is the per-array one to the bit.  A parameter whose
-    ``.grad`` is ``None`` adds nothing and stays zero.  One multiply
+    ``.grad`` is ``None`` has a zeroed slice, whose sum of squares is
+    +0.0: it leaves the sum unchanged and stays zero.  One multiply
     scales the whole gradient buffer.  When the sum of squares overflows
     although every entry is finite, the norm is taken again with each
     entry divided by the largest |entry|.  A NaN or infinite entry raises
     :class:`NonFiniteLoss` naming the norm, and no gradient is scaled.
     """
-    present = opt._gather()
+    opt._gather()
 
     def sum_of_squares(peak: float | None = None) -> float:
         total = 0
@@ -678,9 +679,8 @@ def clip_grad_norm(opt: Adam, max_norm: float = 5.0) -> float:
                 np.multiply(g, g, out=sq)
             else:
                 np.square(np.divide(g, peak, out=sq), out=sq)
-            for k, lo, hi in members:
-                if present[k]:
-                    total += float(sq[lo:hi].sum())
+            for _, lo, hi in members:
+                total += float(sq[lo:hi].sum())
         return total
 
     with np.errstate(over="ignore"):
@@ -776,11 +776,9 @@ class Adam:
               for k, (a, t) in enumerate(zip(starts, tensors)) if lo <= a < hi])
             for lo, hi in zip(cuts, cuts[1:])]
 
-    def _gather(self) -> list[bool]:
+    def _gather(self) -> None:
         """Copy each hand-assigned ``.grad`` into its slice and zero the
-        slice of each ``None`` one; whether each parameter has a gradient,
-        in parameter order."""
-        present = []
+        slice of each ``None`` one."""
         for name, t, grad in self._slots:
             if t.grad is not grad:
                 if t._grad_slice is not grad:
@@ -788,15 +786,12 @@ class Adam:
                                        f"later Adam's store")
                 if t.grad is None:
                     grad.fill(0.0)
-                    present.append(False)
                     continue
                 if t.grad.shape != grad.shape:
                     raise ShapeMismatch(f"Adam: {name} gradient {t.grad.shape} "
                                         f"vs parameter {grad.shape}")
                 np.copyto(grad, t.grad)
                 t.grad = grad
-            present.append(True)
-        return present
 
     def zero_grad(self) -> None:
         for t in self.params.values():

@@ -756,7 +756,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     # each tag has a topic name of its own
     sp.add_argument("--tags", type=_number(f"[2, {len(TOPIC_NAMES)}]", int),
                     default=3)
-    sp.add_argument("--signal", type=float, default=0.8)
+    sp.add_argument("--signal", type=_number("[0, 1]"), default=0.8)
     sp.add_argument("--order-sensitive", action="store_true")
     sp.add_argument("--attribute", default="genre")
     sp.add_argument("--scenes-min", type=_count, default=5)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from collections import defaultdict
 from dataclasses import asdict, dataclass
 from itertools import chain, count
@@ -577,8 +578,9 @@ def generate_synthetic_corpus(out_dir: str | Path, spec: SynthSpec = SynthSpec()
     """Write a synthetic corpus: scripts, tags, loglines, embeddings, tag
     embeddings, and a ground-truth record of the planted topics.
 
-    A count out of range raises ``ValueError`` naming its ``SynthSpec``
-    field, before anything is written.
+    A count, the signal share or the marker spread out of range raises
+    ``ValueError`` naming its ``SynthSpec`` field, before anything is
+    written.
     """
     scenes, statements = spec.scenes_range, spec.statements_range
     for name, ok, rule in (
@@ -595,7 +597,11 @@ def generate_synthetic_corpus(out_dir: str | Path, spec: SynthSpec = SynthSpec()
             ("markers_per_tag", spec.markers_per_tag >= PLANTED_RUN_MAX,
              f"at least {PLANTED_RUN_MAX}, the most markers a planted run draws"),
             ("noise_vocab", spec.noise_vocab >= 0, "at least 0"),
-            ("embedding_dim", spec.embedding_dim >= 1, "at least 1")):
+            ("embedding_dim", spec.embedding_dim >= 1, "at least 1"),
+            ("signal", 0.0 <= spec.signal <= 1.0, "within [0, 1]"),
+            ("marker_spread",
+             math.isfinite(spec.marker_spread) and spec.marker_spread >= 0.0,
+             "finite and at least 0")):
         if not ok:
             raise ValueError(f"SynthSpec.{name} must be {rule}, "
                              f"got {getattr(spec, name)!r}")

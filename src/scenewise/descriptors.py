@@ -14,10 +14,11 @@ predictor forward on plain arrays (:func:`autodiff.predictor_pass`),
 building no tape.
 
 Targets ``u_t`` come from a frozen attention-weighted bag of each scene's
-descriptor words, pretrained on the tag task, so descriptor rows can be
-read off as their nearest vocabulary words.  A descriptor word is a
-vocabulary word with a vector of its own: any other compiles to the shared
-unknown row.  The target and the coherence documents read the scripts
+descriptor words: a softmax attention pool whose one attention vector,
+the target's only parameter, is pretrained on the tag task, so descriptor
+rows can be read off as their nearest vocabulary words.  A descriptor
+word is a vocabulary word with a vector of its own: any other compiles to
+the shared unknown row.  The target and the coherence documents read the scripts
 compiled at ingest, not their text; pretraining gathers and pads each
 script's descriptor-word rows once, since only the attention vector
 changes from step to step, and pools them on the tape.  Once frozen, the
@@ -50,13 +51,7 @@ from .classifier import (
     reweighted_loss,
 )
 from .corpus import CompiledScript, Corpus, TokenVectors
-from .encoders import (
-    PAPER_LINEAR,
-    EncoderKind,
-    EncoderSpec,
-    SequenceEncoder,
-    pad_rows,
-)
+from .encoders import pad_rows
 from .errors import DataError, InsufficientVocab, ScriptTooSmall, ZeroDocFrequency
 from .parser import Scene, Screenplay
 
@@ -94,9 +89,11 @@ class DescriptorConfig:
 class SceneBagEncoder:
     """Attention-weighted bag of each scene's descriptor words: a boolean
     table over the embedding rows picks them out of a compiled script's ids,
-    and a BoE+Attn encoder pools their padded batch in one call.
-    Pretraining trains its ``p`` on the tape; then the targets are frozen
-    and :meth:`encode_scenes` pools on plain arrays.
+    and one softmax attention pool over their padded batch weighs them by
+    the attention vector ``p``, a Glorot draw of ``dim`` entries and the
+    target's only parameter.  Pretraining trains ``p`` on the tape
+    (:func:`autodiff.attention_pool`); then the targets are frozen and
+    :meth:`encode_scenes` pools on plain arrays.
     """
 
     def __init__(self, vocab: Sequence[str], vectors: TokenVectors,
@@ -109,14 +106,14 @@ class SceneBagEncoder:
         self.rows = [vectors.embeddings.index[w] for w in self.vocab]
         self.word_rows = np.zeros(len(vectors.embeddings.matrix), dtype=bool)
         self.word_rows[self.rows] = True
-        self.encoder = SequenceEncoder(EncoderSpec(EncoderKind.BOE_ATTN, self.dim), rng)
+        self.attention = ad.parameter(ad.glorot(rng, (self.dim,)))
 
     @property
     def p(self) -> np.ndarray:
-        return self.encoder.p.data
+        return self.attention.data
 
     def named_params(self) -> dict[str, Tensor]:
-        return self.encoder.named_params("target")
+        return {"target.p": self.attention}
 
     def word_ids(self, script: CompiledScript) -> tuple[np.ndarray, np.ndarray]:
         """Row ids and scenes of a compiled script's descriptor words, in order."""
@@ -142,8 +139,7 @@ class SceneBagEncoder:
         padded, lengths, kept = self.batch(script)
         vs = np.zeros((script.n_scenes, self.dim))
         if kept.size:
-            linear = self.encoder.spec.attention_normalization == PAPER_LINEAR
-            vs[kept] = ad.attention_pass(padded, self.p, lengths, linear)[-1]
+            vs[kept] = ad.attention_pass(padded, self.p, lengths)[-1]
         return vs, kept
 
     def encode_scene(self, scene: Scene) -> np.ndarray | None:
@@ -184,7 +180,8 @@ def pretrain_reconstruction_target(corpus: Corpus, attribute: str,
 
     def loss_of(item: tuple[np.ndarray, np.ndarray, np.ndarray]) -> Tensor:
         y, padded, lengths = item
-        scene_vecs = target.encoder.encode_padded(ad.constant(padded), lengths)
+        scene_vecs = ad.attention_pool(ad.constant(padded), target.attention,
+                                       lengths)
         script_vec = ad.row(ad.mean_rows(scene_vecs, [len(lengths)]), 0)
         return reweighted_loss(y, head.logits(script_vec), taxonomy.lam,
                                taxonomy.active)

@@ -101,17 +101,15 @@ class SequenceEncoder:
     def encode(self, xs: Tensor, lengths) -> Tensor:
         """Encode a batch of sequences laid end to end in the rows of ``xs``,
         sequence ``b`` taking the next ``lengths[b]`` rows: (B, output_dim).
+        BoE takes each run's mean of the rows; the other kinds read the
+        batch right-padded by :func:`pad_runs`, and the attention kinds pool
+        it with the spec's normalization.
         """
         lengths = np.asarray(lengths)
-        if self.spec.kind is EncoderKind.BOE:
-            return ad.mean_rows(xs, lengths)
-        return self.encode_padded(pad_runs(xs, lengths), lengths)
-
-    def encode_padded(self, padded: Tensor, lengths: np.ndarray) -> Tensor:
-        """Encode a right-padded (B, T, D) batch whose row ``b`` holds
-        ``lengths[b]`` real steps, as :func:`pad_runs` lays it out: (B,
-        output_dim).  Not for BoE, which reads the rows unpadded."""
         kind = self.spec.kind
+        if kind is EncoderKind.BOE:
+            return ad.mean_rows(xs, lengths)
+        padded = pad_runs(xs, lengths)
         outputs = padded if kind is EncoderKind.BOE_ATTN \
             else ad.bi_gru(padded, self.gru, lengths)
         if kind is EncoderKind.GRU:

@@ -83,11 +83,13 @@ class TagEmbeddingSpace:
 def load_tag_embeddings(path: str | Path) -> dict[str, TagEmbeddingSpace]:
     """Read ``attribute<TAB>tag<TAB>floats`` lines into per-attribute spaces.
 
-    A line without three tab-separated fields, without values, with a value
-    that is not a finite number, or with another width than its attribute's
-    first vector is a data error that names the file and line.
+    A line without three tab-separated fields, listing a tag of its
+    attribute again, without values, with a value that is not a finite
+    number, or with another width than its attribute's first vector is a
+    data error that names the file and line.
     """
     groups: dict[str, list[tuple[str, np.ndarray]]] = {}
+    first_line: dict[tuple[str, str], int] = {}
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -99,6 +101,10 @@ def load_tag_embeddings(path: str | Path) -> dict[str, TagEmbeddingSpace]:
                 raise DataError(f"{where}: {len(fields)} tab-separated field(s), "
                                 f"expected attribute, tag and values")
             attribute, tag, values = fields
+            first = first_line.setdefault((attribute, tag), number)
+            if first != number:
+                raise DataError(f"{where}: {tag!r} of {attribute!r} is listed "
+                                f"again; its first row is line {first}")
             try:
                 vec = np.asarray([float(v) for v in values.split()])
             except ValueError as err:

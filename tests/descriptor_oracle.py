@@ -17,7 +17,7 @@ compositions' bit for bit.  ``pretrain_reconstruction_target`` gathers
 and pads each script's descriptor-word rows again at every step, as
 pretraining once did.
 ``pool`` pads a script's descriptor-word rows with ``pad_runs`` and pools
-them through the target encoder's ``attention_pool`` node, and
+them through one ``attention_pool`` node at the target's ``p``, and
 ``encode_scenes`` scatters that into one row per scene, as
 ``SceneBagEncoder`` once did on the tape; ``draw_negatives`` makes one
 ``rng.choice`` call per scene.
@@ -36,7 +36,7 @@ from scenewise.classifier import (
     reweighted_loss,
 )
 from scenewise.descriptors import DescriptorConfig, SceneBagEncoder
-from scenewise.encoders import encode_tokens, pad_runs
+from scenewise.encoders import pad_runs
 from scenewise.errors import ScriptTooSmall, ShapeMismatch
 
 from tape_ops import (add_bias, mul, relu, scale, softmax, sqrt, sub, total,
@@ -151,10 +151,7 @@ def pretrain_reconstruction_target(corpus, attribute: str,
 
     def loss_of(item) -> Tensor:
         y, script = item
-        ids, scene_of = target.word_ids(script)
-        kept = np.flatnonzero(runs := np.bincount(scene_of))
-        scene_vecs = encode_tokens(ids, runs[kept], target.vectors.embeddings.matrix,
-                                   target.encoder)
+        scene_vecs, kept = pool(target, script)
         script_vec = ad.row(ad.mean_rows(scene_vecs, [len(kept)]), 0)
         return reweighted_loss(y, head.logits(script_vec), taxonomy.lam,
                                taxonomy.active)
@@ -177,7 +174,7 @@ def pool(target: SceneBagEncoder, script) -> tuple[Tensor | None, np.ndarray]:
     lengths = runs[kept]
     rows = ad.constant(target.vectors.embeddings.matrix[ids])
     padded = pad_runs(rows, lengths)
-    return target.encoder.encode_padded(padded, lengths), kept
+    return ad.attention_pool(padded, target.attention, lengths), kept
 
 
 def encode_scenes(target: SceneBagEncoder, script

@@ -344,6 +344,24 @@ def test_evaluate_refuses_tag_embeddings_without_the_attribute_before_ingest(
     assert not out.exists()
 
 
+def test_evaluate_refuses_a_tag_listed_twice(workspace, trained, tmp_path,
+                                              capsys):
+    _, synth = workspace
+    lines = (synth / "tag_embeddings.tsv").read_text().splitlines(keepends=True)
+    tag_embeddings = tmp_path / "tag_embeddings.tsv"
+    tag_embeddings.write_text("".join(lines + lines[:1]))
+    out = tmp_path / "eval.json"
+    assert run(["evaluate"] + data_args(synth)
+               + ["--checkpoint", str(trained[0] / "checkpoint.swck"),
+                  "--tag-embeddings", str(tag_embeddings),
+                  "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "DataError"
+    assert f"{tag_embeddings} line {len(lines) + 1}: " in err["message"]
+    assert "its first row is line 1" in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("similarity", [False, True], ids=["exact", "similarity"])
 def test_evaluate_refuses_an_empty_split(workspace, tmp_path, capsys, similarity):
     _, synth = workspace
@@ -394,6 +412,13 @@ def test_descriptors_log(descriptor_run):
     assert [int(r[0]) for r in rows] == [1, 2]
     assert all(np.isfinite(float(r[1])) for r in rows)
     assert float(rows[-1][2]) == manifest["stats"]["final_fro"]
+
+
+def test_descriptors_checkpoint_lists_its_parameters(descriptor_run):
+    params, _ = load_checkpoint(descriptor_run[0] / "descriptors.swck")
+    assert set(params) == {"target.p", "descriptors.r", "predictor.w1",
+                           "predictor.b1", "predictor.w2", "predictor.b2"}
+    assert params["target.p"].shape == (params["descriptors.r"].shape[1],)
 
 
 @pytest.mark.parametrize("recurrent", [False, True], ids=["plain", "recurrent"])
@@ -1180,7 +1205,8 @@ def test_negative_seed_is_a_usage_error(workspace, tmp_path, capsys, command):
     ("--scripts", "0"), ("--scripts", "-3"), ("--tags", "1"), ("--tags", "9"),
     ("--markers-per-tag", "3"), ("--markers-per-tag", "-2"),
     ("--scenes-min", "0"), ("--scenes-max", "0"), ("--statements-min", "-1"),
-    ("--statements-max", "0"), ("--scripts", "2.5"),
+    ("--statements-max", "0"), ("--scripts", "2.5"), ("--signal", "nan"),
+    ("--signal", "7"), ("--signal", "-5"), ("--signal", "1.01"),
 ])
 def test_synth_counts_out_of_range_are_usage_errors(tmp_path, capsys, flag, value):
     out = tmp_path / "out"
@@ -1224,6 +1250,9 @@ def test_synth_takes_its_range_ends(tmp_path):
     assert [p.name for p in (out / "scripts").glob("*.txt")] == ["synth000.txt"]
     args = cli.build_arg_parser().parse_args(["synth", "--tags", "8"])
     assert args.tags == 8
+    for signal in ("0", "1"):
+        args = cli.build_arg_parser().parse_args(["synth", "--signal", signal])
+        assert args.signal == float(signal)
 
 
 def test_descriptors_take_zero_pretrain_epochs():

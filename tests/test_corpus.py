@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -175,6 +176,9 @@ def test_synthetic_spec_record_keeps_its_bytes(tmp_path):
     ("n_scripts", 0), ("n_tags", 1), ("n_tags", 9), ("markers_per_tag", 3),
     ("scenes_range", (5, 2)), ("scenes_range", (0, 3)),
     ("statements_range", (0, 0)), ("noise_vocab", -1), ("embedding_dim", 0),
+    ("signal", 7.0), ("signal", -5.0), ("signal", math.nan),
+    ("marker_spread", -1.0), ("marker_spread", math.inf),
+    ("marker_spread", math.nan),
 ])
 def test_synthetic_counts_out_of_range_raise_before_writing(tmp_path, field,
                                                             value):
@@ -213,7 +217,8 @@ def test_order_sensitive_corpus_keeps_its_bytes(tmp_path):
 def test_synthetic_counts_take_their_range_ends(tmp_path):
     spec = SynthSpec(n_scripts=1, n_tags=len(cp.TOPIC_NAMES),
                      markers_per_tag=cp.PLANTED_RUN_MAX, scenes_range=(1, 1),
-                     statements_range=(1, 1), noise_vocab=0)
+                     statements_range=(1, 1), noise_vocab=0, signal=0.0,
+                     marker_spread=0.0)
     manifest = generate_synthetic_corpus(tmp_path, spec)
     truth = json.loads((tmp_path / "truth.json").read_text())
     assert len(truth["topics"]) == manifest["spec"]["n_tags"] == 8

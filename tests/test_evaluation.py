@@ -283,7 +283,10 @@ def test_load_tag_embeddings_round_trip(tmp_path):
     ("genre\theist\n", DataError, "2 tab-separated field"),
     ("genre\theist\t\n", DataError, "no values"),
     ("genre\theist\t0.9 x\n", DataError, "could not convert"),
-], ids=["nan", "inf", "ragged", "spaces", "two-fields", "empty", "text"])
+    ("genre\tcrime\t0.9 0.1\n", DataError,
+     "'crime' of 'genre' is listed again; its first row is line 1"),
+], ids=["nan", "inf", "ragged", "spaces", "two-fields", "empty", "text",
+        "repeated"])
 def test_load_tag_embeddings_rejects_bad_line(tmp_path, bad, error, message):
     path = tmp_path / "tags.tsv"
     path.write_text("genre\tcrime\t1.0 0.0\n" + bad)
