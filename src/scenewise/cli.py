@@ -63,6 +63,7 @@ from .corpus import (
     WordEmbeddings,
     generate_synthetic_corpus,
     ingest,
+    read_script,
     script_files,
 )
 from .descriptors import (
@@ -83,7 +84,7 @@ from .encoders import (
 )
 from .errors import DataError, EmptyScript, ScenewiseError, VocabularyMismatch
 from .evaluation import load_tag_embeddings, micro_f1, similarity_report
-from .ioutil import atomic_write_text, config_hash
+from .ioutil import atomic_write_text, config_hash, write_json
 from .trajectories import (
     build_trajectories,
     export,
@@ -113,18 +114,21 @@ def _add_data_flags(sp: argparse.ArgumentParser, loglines: bool = False) -> None
 def _add_corpus_flags(sp: argparse.ArgumentParser, loglines: bool = False) -> None:
     """The data flags plus the ingest settings a tag model depends on."""
     _add_data_flags(sp, loglines)
-    sp.add_argument("--min-count", type=_count, default=5)
-    sp.add_argument("--cap", type=_count, default=60)
-    sp.add_argument("--heldout-fraction", type=float, default=0.2)
-    sp.add_argument("--validation-fraction", type=float, default=0.1)
-    sp.add_argument("--seed", type=_seed, default=0)
+    sp.add_argument("--min-count", type=_count, default=IngestConfig.min_count)
+    sp.add_argument("--cap", type=_count, default=IngestConfig.cap)
+    sp.add_argument("--heldout-fraction", type=float,
+                    default=IngestConfig.heldout_fraction)
+    sp.add_argument("--validation-fraction", type=float,
+                    default=IngestConfig.validation_fraction)
+    sp.add_argument("--seed", type=_seed, default=IngestConfig.seed)
 
 
 def _add_descriptor_vocabulary_flags(sp: argparse.ArgumentParser) -> None:
     """The two ingest settings only the descriptor vocabulary depends on."""
-    sp.add_argument("--descriptor-min-movies", type=_count, default=50)
+    sp.add_argument("--descriptor-min-movies", type=_count,
+                    default=IngestConfig.descriptor_min_movies)
     sp.add_argument("--descriptor-top-exclude", type=_number("[0, inf)", int),
-                    default=500)
+                    default=IngestConfig.descriptor_top_exclude)
 
 
 def _number(interval: str, kind: type = float):
@@ -201,16 +205,18 @@ def _annotation(text: str) -> tuple[int, str]:
         f"must be SCENE:LABEL with an integer SCENE, got {text!r}")
 
 
-def _ingest_config(args: argparse.Namespace) -> IngestConfig:
-    """The ingest settings among the command's flags; the others keep
-    their defaults."""
+def _config(cls, args: argparse.Namespace, **named):
+    """A ``cls`` config of the fields that the command's flags name (a
+    flag's dest is its field's name), then of ``named``; every other field
+    keeps its default."""
     flags = vars(args)
-    return IngestConfig(**{f.name: flags[f.name] for f in fields(IngestConfig)
-                           if f.name in flags})
+    return cls(**{f.name: flags[f.name] for f in fields(cls) if f.name in flags},
+               **named)
 
 
 def _ingest_from_args(args: argparse.Namespace) -> tuple[Corpus, dict]:
-    return ingest(args.scripts, args.tags, args.embeddings, _ingest_config(args),
+    return ingest(args.scripts, args.tags, args.embeddings,
+                  _config(IngestConfig, args),
                   loglines_path=getattr(args, "loglines", None))
 
 
@@ -223,23 +229,19 @@ def cmd_parse(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     cap = None if args.no_split else args.cap
     parsed = 0
-    for path, problem in script_files(args.scripts):
+    for path in script_files(args.scripts):
+        text, problem = read_script(path)
         if problem is not None:
             log.warning("skipping %s: %s", path.name, problem)
             continue
         try:
-            text = path.read_text(encoding="utf-8")
             play, report = screenplay.scan_script(path.stem, text, cap=cap)
-        except UnicodeDecodeError as err:
-            log.warning("skipping %s: undecodable: %s", path.name, err)
-            continue
         except EmptyScript as err:
             log.warning("skipping %s: empty: %s", path.name, err)
             continue
         atomic_write_text(out_dir / f"{path.stem}.tsv", screenplay.to_table(play))
         report["config_hash"] = config_hash({"cap": cap})
-        atomic_write_text(out_dir / f"{path.stem}.quality.json",
-                          json.dumps(report, indent=2, sort_keys=True) + "\n")
+        write_json(out_dir / f"{path.stem}.quality.json", report)
         parsed += 1
     print(f"parsed {parsed} script(s) into {out_dir}")
     return 0
@@ -248,7 +250,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
 def cmd_ingest(args: argparse.Namespace) -> int:
     _, manifest = _ingest_from_args(args)
     out = _default_out(args.out, "corpus_manifest.json")
-    atomic_write_text(out, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(out, manifest)
     print(f"ingested {sum(len(v) for v in manifest['splits'].values())} script(s); "
           f"manifest at {out}")
     return 0
@@ -473,14 +475,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         args.hidden, args.seed)
     train_samples = make_samples(corpus.train_items, taxonomy, use_loglines)
     val_samples = make_samples(corpus.validation_items, taxonomy, use_loglines)
-    train_config = TrainConfig(
-        lr=args.lr, max_norm=args.max_norm, max_epochs=args.epochs,
-        patience=args.patience, threshold=args.threshold, seed=args.seed,
-        stop_at_train_f1=args.stop_at_train_f1)
+    train_config = _config(TrainConfig, args, max_epochs=args.epochs)
     result = train(model, train_samples, val_samples, taxonomy, train_config,
                    timing=args.timing)
 
-    ingest_config = _ingest_config(args)
+    ingest_config = _config(IngestConfig, args)
     run_config = {"command": "train", "attribute": args.attribute,
                   "variant": args.variant, "encoder": args.encoder,
                   "include_chars": args.include_chars, "hidden": args.hidden,
@@ -557,26 +556,21 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         summary += "; similarity F-1 by cutoff: " + ", ".join(
             f"{c}: {entry['f1']:.4f}" for c, entry in report["cutoffs"].items())
     out = _default_out(args.out, "evaluation.json")
-    atomic_write_text(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_json(out, report)
     print(f"{summary}; report at {out}")
     return 0
 
 
 def cmd_descriptors(args: argparse.Namespace) -> int:
     corpus, _ = _ingest_from_args(args)
-    config = DescriptorConfig(
-        k=args.k, hidden=args.hidden, recurrent=args.recurrent,
-        alpha=args.alpha, ortho_lambda=args.ortho_lambda,
-        negatives=args.negatives, lr=args.lr, epochs=args.epochs,
-        pretrain_epochs=args.pretrain_epochs, init=args.init, seed=args.seed,
-        top_words=args.top_words)
+    config = _config(DescriptorConfig, args)
     target = pretrain_reconstruction_target(corpus, args.attribute, config)
     model, stats = train_descriptors(corpus, target, config)
     documents = [words for it in corpus.train_items + corpus.validation_items
                  for words in target.scene_words(it.script)]
     report = descriptor_report(model, documents)
 
-    ingest_config = _ingest_config(args)
+    ingest_config = _config(IngestConfig, args)
     run_config = {"command": "descriptors", "attribute": args.attribute,
                   "descriptor": asdict(config), "ingest": asdict(ingest_config)}
     cfg_hash = config_hash(run_config)
@@ -593,10 +587,8 @@ def cmd_descriptors(args: argparse.Namespace) -> int:
     out_dir = _default_out(args.out, "descriptors")
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out_dir / "descriptors.swck", params, asdict(record))
-    atomic_write_text(out_dir / "descriptor_report.json",
-                      json.dumps({"descriptors": report,
-                                  "config_hash": cfg_hash},
-                                 indent=2, sort_keys=True) + "\n")
+    write_json(out_dir / "descriptor_report.json",
+               {"descriptors": report, "config_hash": cfg_hash})
     atomic_write_text(out_dir / "descriptor_log.csv", _run_log_csv(
         cfg_hash, "epoch,train_loss,fro_distance",
         zip(count(1), stats.epoch_losses, stats.fro_trace)))
@@ -619,9 +611,10 @@ def cmd_trajectories(args: argparse.Namespace) -> int:
     script_path = Path(args.scripts) / f"{args.title}.txt"
     if not script_path.exists():
         raise DataError(f"script not found: {script_path}")
-    play = screenplay.parse_script(args.title,
-                                   script_path.read_text(encoding="utf-8"),
-                                   cap=record.ingest.cap)
+    text, problem = read_script(script_path)
+    if problem is not None:
+        raise DataError(f"{script_path}: {problem}")
+    play = screenplay.parse_script(args.title, text, cap=record.ingest.cap)
     weights = model.weights_for_script(play)
     selection = select_descriptors(
         weights, args.descriptors or f"top:{min(4, record.config.k)}")
@@ -641,13 +634,9 @@ def cmd_trajectories(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    spec = SynthSpec(
-        n_scripts=args.scripts, n_tags=args.tags, signal=args.signal,
-        seed=args.seed, order_sensitive=args.order_sensitive,
-        attribute=args.attribute,
-        scenes_range=(args.scenes_min, args.scenes_max),
-        statements_range=(args.statements_min, args.statements_max),
-        markers_per_tag=args.markers_per_tag)
+    spec = _config(SynthSpec, args, n_scripts=args.scripts, n_tags=args.tags,
+                   scenes_range=(args.scenes_min, args.scenes_max),
+                   statements_range=(args.statements_min, args.statements_max))
     out_dir = _default_out(args.out, "synth")
     manifest = generate_synthetic_corpus(out_dir, spec)
     print(f"generated {spec.n_scripts} synthetic script(s) in {out_dir} "
@@ -670,7 +659,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("parse", help="parse scripts to TSV + quality reports")
     sp.add_argument("--scripts", required=True)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--cap", type=_count, default=60)
+    sp.add_argument("--cap", type=_count, default=screenplay.DEFAULT_SCENE_CAP)
     sp.add_argument("--no-split", action="store_true",
                     help="do not split long scenes")
     sp.set_defaults(fn=cmd_parse)
@@ -691,13 +680,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     choices=[k.value for k in EncoderKind])
     sp.add_argument("--include-chars", default="auto",
                     choices=["auto", "yes", "no"])
-    sp.add_argument("--hidden", type=_count, default=50)
-    sp.add_argument("--lr", type=_positive, default=5e-3)
-    sp.add_argument("--max-norm", type=_positive, default=5.0)
-    sp.add_argument("--epochs", type=_count, default=20)
-    sp.add_argument("--patience", type=_count, default=5)
-    sp.add_argument("--threshold", type=_probability, default=0.5)
-    sp.add_argument("--stop-at-train-f1", type=_number("(0, 1]"), default=None)
+    sp.add_argument("--hidden", type=_count,
+                    default=EncoderSpec.hidden_per_direction)
+    sp.add_argument("--lr", type=_positive, default=TrainConfig.lr)
+    sp.add_argument("--max-norm", type=_positive, default=TrainConfig.max_norm)
+    sp.add_argument("--epochs", type=_count, default=TrainConfig.max_epochs)
+    sp.add_argument("--patience", type=_count, default=TrainConfig.patience)
+    sp.add_argument("--threshold", type=_probability, default=TrainConfig.threshold)
+    sp.add_argument("--stop-at-train-f1", type=_number("(0, 1]"),
+                    default=TrainConfig.stop_at_train_f1)
     sp.add_argument("--timing", action="store_true",
                     help="record wallclock in the train log (nondeterministic)")
     sp.add_argument("--out", default=None)
@@ -708,7 +699,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--split", default="heldout",
                     choices=["train", "validation", "heldout", "all"])
-    sp.add_argument("--threshold", type=_probability, default=0.5)
+    sp.add_argument("--threshold", type=_probability, default=TrainConfig.threshold)
     sp.add_argument("--tag-embeddings", default=None)
     sp.add_argument("--cutoffs", type=_cutoffs, default=None,
                     help=f"default {DEFAULT_CUTOFFS}; needs --tag-embeddings")
@@ -719,18 +710,20 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_corpus_flags(sp)
     _add_descriptor_vocabulary_flags(sp)
     sp.add_argument("--attribute", required=True)
-    sp.add_argument("--k", type=_count, default=25)
-    sp.add_argument("--hidden", type=_count, default=100)
-    sp.add_argument("--init", default="random_glorot",
+    sp.add_argument("--k", type=_count, default=DescriptorConfig.k)
+    sp.add_argument("--hidden", type=_count, default=DescriptorConfig.hidden)
+    sp.add_argument("--init", default=DescriptorConfig.init,
                     choices=["random_glorot", "kmeans"])
     sp.add_argument("--recurrent", action="store_true")
-    sp.add_argument("--alpha", type=_number("[0, 1]"), default=0.5)
-    sp.add_argument("--ortho-lambda", type=_number("[0, inf)"), default=10.0)
-    sp.add_argument("--negatives", type=_count, default=5)
-    sp.add_argument("--lr", type=_positive, default=5e-3)
-    sp.add_argument("--epochs", type=_count, default=15)
-    sp.add_argument("--pretrain-epochs", type=_number("[0, inf)", int), default=10)
-    sp.add_argument("--top-words", type=_count, default=10)
+    sp.add_argument("--alpha", type=_number("[0, 1]"), default=DescriptorConfig.alpha)
+    sp.add_argument("--ortho-lambda", type=_number("[0, inf)"),
+                    default=DescriptorConfig.ortho_lambda)
+    sp.add_argument("--negatives", type=_count, default=DescriptorConfig.negatives)
+    sp.add_argument("--lr", type=_positive, default=DescriptorConfig.lr)
+    sp.add_argument("--epochs", type=_count, default=DescriptorConfig.epochs)
+    sp.add_argument("--pretrain-epochs", type=_number("[0, inf)", int),
+                    default=DescriptorConfig.pretrain_epochs)
+    sp.add_argument("--top-words", type=_count, default=DescriptorConfig.top_words)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_descriptors)
 
@@ -752,20 +745,22 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("synth", help="generate a synthetic corpus")
     sp.add_argument("--out", default=None)
-    sp.add_argument("--scripts", type=_count, default=40)
+    sp.add_argument("--scripts", type=_count, default=SynthSpec.n_scripts)
     # each tag has a topic name of its own
     sp.add_argument("--tags", type=_number(f"[2, {len(TOPIC_NAMES)}]", int),
-                    default=3)
-    sp.add_argument("--signal", type=_number("[0, 1]"), default=0.8)
+                    default=SynthSpec.n_tags)
+    sp.add_argument("--signal", type=_number("[0, 1]"), default=SynthSpec.signal)
     sp.add_argument("--order-sensitive", action="store_true")
-    sp.add_argument("--attribute", default="genre")
-    sp.add_argument("--scenes-min", type=_count, default=5)
-    sp.add_argument("--scenes-max", type=_count, default=8)
-    sp.add_argument("--statements-min", type=_count, default=4)
-    sp.add_argument("--statements-max", type=_count, default=7)
+    sp.add_argument("--attribute", default=SynthSpec.attribute)
+    scenes, statements = SynthSpec.scenes_range, SynthSpec.statements_range
+    sp.add_argument("--scenes-min", type=_count, default=scenes[0])
+    sp.add_argument("--scenes-max", type=_count, default=scenes[1])
+    sp.add_argument("--statements-min", type=_count, default=statements[0])
+    sp.add_argument("--statements-max", type=_count, default=statements[1])
     sp.add_argument("--markers-per-tag",
-                    type=_number(f"[{PLANTED_RUN_MAX}, inf)", int), default=12)
-    sp.add_argument("--seed", type=_seed, default=0)
+                    type=_number(f"[{PLANTED_RUN_MAX}, inf)", int),
+                    default=SynthSpec.markers_per_tag)
+    sp.add_argument("--seed", type=_seed, default=SynthSpec.seed)
     sp.set_defaults(fn=cmd_synth)
 
     return ap

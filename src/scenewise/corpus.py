@@ -30,7 +30,13 @@ from .errors import (
     MissingTags,
     NonFiniteEmbedding,
 )
-from .ioutil import atomic_write_text, canonical_json, config_hash, sha256_hex
+from .ioutil import (
+    atomic_write_text,
+    canonical_json,
+    config_hash,
+    sha256_hex,
+    write_json,
+)
 from .parser import Scene, Screenplay, Statement, StatementKind
 
 log = logging.getLogger(__name__)
@@ -131,7 +137,9 @@ class WordEmbeddings:
                     raise NonFiniteEmbedding(
                         f"{where}: non-finite value in the vector of {token!r}")
                 table[token] = vec
-        return cls(table, dim if dim is not None else expected_dim)
+        if dim is None:
+            raise DataError(f"{path}: no vector row")
+        return cls(table, dim)
 
     def __contains__(self, token: str) -> bool:
         return token in self.index
@@ -321,7 +329,7 @@ class CorpusItem:
 @dataclass(frozen=True)
 class IngestConfig:
     min_count: int = 5
-    cap: int = 60
+    cap: int = parser.DEFAULT_SCENE_CAP
     heldout_fraction: float = 0.2
     validation_fraction: float = 0.1
     seed: int = 0
@@ -418,15 +426,25 @@ def load_loglines(path: str | Path) -> dict[str, str | None]:
     return raw
 
 
-def script_files(scripts_dir: str | Path) -> list[tuple[Path, str | None]]:
-    """The ``*.txt`` entries of ``scripts_dir`` in name order, each with the
-    reason it is not a script (None for a regular file).  A directory
+def script_files(scripts_dir: str | Path) -> list[Path]:
+    """The ``*.txt`` entries of ``scripts_dir`` in name order.  A directory
     without any ``*.txt`` entry is a DataError."""
     paths = sorted(Path(scripts_dir).glob("*.txt"))
     if not paths:
         raise DataError(f"no *.txt scripts under {scripts_dir}")
-    return [(path, None if path.is_file() else "not a regular file")
-            for path in paths]
+    return paths
+
+
+def read_script(path: Path) -> tuple[str | None, str | None]:
+    """The UTF-8 text of script entry ``path`` and None, or None and the
+    reason it is not a script: ``not a regular file`` (such as a
+    directory) or ``undecodable: ...``."""
+    if not path.is_file():
+        return None, "not a regular file"
+    try:
+        return path.read_text(encoding="utf-8"), None
+    except UnicodeDecodeError as err:
+        return None, f"undecodable: {err}"
 
 
 def ingest(scripts_dir: str | Path, tags_path: str | Path,
@@ -446,17 +464,14 @@ def ingest(scripts_dir: str | Path, tags_path: str | Path,
 
     excluded: list[dict] = []
     parsed: list[CorpusItem] = []
-    for path, problem in scripts:
+    for path in scripts:
         title = path.stem
+        text, problem = read_script(path)
         if problem is not None:
             excluded.append({"title": title, "reason": problem})
             continue
         try:
-            play = parser.parse_script(title, path.read_text(encoding="utf-8"),
-                                       cap=config.cap)
-        except UnicodeDecodeError as err:
-            excluded.append({"title": title, "reason": f"undecodable: {err}"})
-            continue
+            play = parser.parse_script(title, text, cap=config.cap)
         except EmptyScript as err:
             excluded.append({"title": title, "reason": f"empty: {err}"})
             continue
@@ -578,13 +593,14 @@ def generate_synthetic_corpus(out_dir: str | Path, spec: SynthSpec = SynthSpec()
     """Write a synthetic corpus: scripts, tags, loglines, embeddings, tag
     embeddings, and a ground-truth record of the planted topics.
 
-    A count, the signal share or the marker spread out of range raises
-    ``ValueError`` naming its ``SynthSpec`` field, before anything is
-    written.
+    A count, the seed, the signal share or the marker spread out of range
+    raises ``ValueError`` naming its ``SynthSpec`` field, before anything
+    is written.
     """
     scenes, statements = spec.scenes_range, spec.statements_range
     for name, ok, rule in (
             ("n_scripts", spec.n_scripts >= 1, "at least 1"),
+            ("seed", spec.seed >= 0, "at least 0"),
             ("n_tags", 2 <= spec.n_tags <= len(TOPIC_NAMES),
              f"within [2, {len(TOPIC_NAMES)}], one topic name per tag"),
             ("n_tags", not spec.order_sensitive or spec.n_tags <= len(ORDER_TOKENS),
@@ -684,10 +700,8 @@ def generate_synthetic_corpus(out_dir: str | Path, spec: SynthSpec = SynthSpec()
     emb_lines = [f"{tok} " + " ".join(f"{v:.6f}" for v in vec)
                  for tok, vec in sorted(table.items())]
     atomic_write_text(out / "embeddings.txt", "\n".join(emb_lines) + "\n")
-    atomic_write_text(out / "tags.json",
-                      json.dumps(tags_json, indent=2, sort_keys=True) + "\n")
-    atomic_write_text(out / "loglines.json",
-                      json.dumps(loglines_json, indent=2, sort_keys=True) + "\n")
+    write_json(out / "tags.json", tags_json)
+    write_json(out / "loglines.json", loglines_json)
 
     tag_emb_lines = []
     for topic in topic_list:
@@ -704,8 +718,7 @@ def generate_synthetic_corpus(out_dir: str | Path, spec: SynthSpec = SynthSpec()
         "filler_count": len(FILLER_WORDS),
         "spec": asdict(spec),
     }
-    atomic_write_text(out / "truth.json",
-                      json.dumps(truth, indent=2, sort_keys=True) + "\n")
+    write_json(out / "truth.json", truth)
     manifest = {
         "scripts_dir": str(scripts_dir),
         "tags": str(out / "tags.json"),

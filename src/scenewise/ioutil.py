@@ -1,4 +1,4 @@
-"""Small IO helpers: atomic writes, canonical JSON, hashing."""
+"""Small IO helpers: atomic writes, JSON artifacts, canonical JSON, hashing."""
 
 from __future__ import annotations
 
@@ -40,3 +40,11 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def write_json(path: str | Path, obj) -> None:
+    """A JSON artifact: indented, keys sorted, one trailing newline; a
+    non-finite float is a ``ValueError`` rather than ``NaN`` or
+    ``Infinity`` in the file."""
+    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True,
+                                       allow_nan=False) + "\n")

@@ -6,7 +6,7 @@ import pytest
 
 from scenewise.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from scenewise.errors import CheckpointCorrupt
-from scenewise.ioutil import canonical_json
+from scenewise.ioutil import canonical_json, write_json
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -116,4 +116,7 @@ def test_non_finite_manifest_value_raises_and_writes_nothing(tmp_path, value):
     path = tmp_path / "model.swck"
     with pytest.raises(ValueError):
         save_checkpoint(path, {"w": np.zeros(2)}, {"stats": {"x": value}})
+    # every JSON artifact (reports, manifests, synth's files) refuses them too
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "report.json", {"cutoffs": {"100": {"f1": value}}})
     assert list(tmp_path.iterdir()) == []

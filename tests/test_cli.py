@@ -1,6 +1,6 @@
 import argparse
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -572,6 +572,32 @@ def test_trajectories_refuses_tag_checkpoint(workspace, trained, tmp_path,
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "DataError"
     assert "'tag_model' checkpoint" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry,reason", [
+    (None, "script not found: "),
+    ("directory", ": not a regular file"),
+    (b"INT. ROOM - DAY\n\xff\n", ": undecodable: "),
+], ids=["missing", "directory", "undecodable"])
+def test_trajectories_refuses_a_script_ingest_would_exclude(
+        workspace, descriptor_run, tmp_path, capsys, entry, reason):
+    _, synth = workspace
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    path = scripts / "synth000.txt"
+    if entry == "directory":
+        path.mkdir()
+    elif entry is not None:
+        path.write_bytes(entry)
+    out = tmp_path / "traj.svg"
+    argv = trajectory_args(synth, descriptor_run[0] / "descriptors.swck", out)
+    argv[argv.index("--scripts") + 1] = str(scripts)
+    assert run(argv) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "DataError"
+    assert err["message"].startswith(f"script not found: {path}" if entry is None
+                                     else f"{path}{reason}")
     assert not out.exists()
 
 
@@ -1356,3 +1382,67 @@ def test_each_flag_default_is_its_config_field_default(command, config, dests):
 def test_parse_cap_default_is_the_parser_scene_cap():
     cap = next(a for a in _subcommands()["parse"]._actions if a.dest == "cap")
     assert cap.default == DEFAULT_SCENE_CAP
+
+
+def _set_flags(command, values):
+    """argv setting each flag dest of ``values`` to a value other than the
+    flag's default; True is a bare switch."""
+    defaults = {a.dest: a.default for a in _subcommands()[command]._actions}
+    argv = []
+    for dest, value in values.items():
+        assert value != defaults[dest], dest
+        flag = "--" + dest.replace("_", "-")
+        argv += [flag] if value is True else [flag, str(value)]
+    return argv
+
+
+def test_every_config_flag_reaches_its_record(workspace, tmp_path):
+    _, synth = workspace
+    tag_ingest = {"min_count": 2, "cap": 50, "heldout_fraction": 0.25,
+                  "validation_fraction": 0.2, "seed": 3}
+    all_ingest = {**tag_ingest, "descriptor_min_movies": 2,
+                  "descriptor_top_exclude": 30}
+    training = {"lr": 0.01, "max_norm": 3.0, "epochs": 2, "patience": 1,
+                "threshold": 0.4, "stop_at_train_f1": 0.99}
+    descriptor = {"k": 3, "hidden": 8, "recurrent": True, "alpha": 0.3,
+                  "ortho_lambda": 2.0, "negatives": 2, "lr": 0.01, "epochs": 1,
+                  "pretrain_epochs": 1, "init": "kmeans", "top_words": 4}
+    spec = {"scripts": 3, "tags": 2, "signal": 0.5, "seed": 5,
+            "order_sensitive": True, "attribute": "mood", "scenes_min": 2,
+            "scenes_max": 3, "statements_min": 2, "statements_max": 3,
+            "markers_per_tag": 5}
+    # every flag that names a config field is set (see the parametrize table
+    # of test_each_flag_default_is_its_config_field_default)
+    assert set(tag_ingest) == set(TAG_INGEST.split())
+    assert set(all_ingest) == set(ALL_INGEST.split())
+    assert set(training) | {"seed"} == set(
+        "lr max_norm epochs patience threshold seed stop_at_train_f1".split())
+    assert set(descriptor) | {"seed"} == {f.name for f in fields(DescriptorConfig)
+                                          if f.name != "max_norm"}
+
+    run_dir = tmp_path / "run"
+    assert run(["train", *data_args(synth), "--attribute", "genre",
+                "--encoder", "boe", *_set_flags("train", tag_ingest),
+                *_set_flags("train", training), "--out", str(run_dir)]) == 0
+    _, record = load_checkpoint(run_dir / "checkpoint.swck")
+    assert record["ingest"] == asdict(IngestConfig(**tag_ingest))
+    assert record["train"] == asdict(TrainConfig(
+        lr=0.01, max_norm=3.0, max_epochs=2, patience=1, threshold=0.4, seed=3,
+        stop_at_train_f1=0.99))
+
+    desc_dir = tmp_path / "desc"
+    assert run(["descriptors", *data_args(synth), "--attribute", "genre",
+                *_set_flags("descriptors", all_ingest),
+                *_set_flags("descriptors", descriptor),
+                "--out", str(desc_dir)]) == 0
+    _, record = load_checkpoint(desc_dir / "descriptors.swck")
+    assert record["ingest"] == asdict(IngestConfig(**all_ingest))
+    assert record["config"] == asdict(DescriptorConfig(**descriptor, seed=3))
+
+    synth_dir = tmp_path / "synth"
+    assert run(["synth", *_set_flags("synth", spec), "--out", str(synth_dir)]) == 0
+    written = json.loads((synth_dir / "synth_manifest.json").read_text())
+    assert written["spec"] == json.loads(json.dumps(asdict(SynthSpec(
+        n_scripts=3, n_tags=2, signal=0.5, seed=5, order_sensitive=True,
+        attribute="mood", scenes_range=(2, 3), statements_range=(2, 3),
+        markers_per_tag=5))))

@@ -178,7 +178,7 @@ def test_synthetic_spec_record_keeps_its_bytes(tmp_path):
     ("statements_range", (0, 0)), ("noise_vocab", -1), ("embedding_dim", 0),
     ("signal", 7.0), ("signal", -5.0), ("signal", math.nan),
     ("marker_spread", -1.0), ("marker_spread", math.inf),
-    ("marker_spread", math.nan),
+    ("marker_spread", math.nan), ("seed", -1),
 ])
 def test_synthetic_counts_out_of_range_raise_before_writing(tmp_path, field,
                                                             value):
@@ -439,6 +439,15 @@ def test_embeddings_reject_token_listed_twice_naming_both_lines(tmp_path):
         WordEmbeddings.load(path, expected_dim=2)
     assert str(err.value) == (f"{path} line 4: 'a' is listed again; its first "
                               f"row is line 1")
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n\t\n"], ids=["empty", "blank"])
+def test_embeddings_reject_a_file_without_a_vector_row(tmp_path, text):
+    path = tmp_path / "emb.txt"
+    path.write_text(text)
+    with pytest.raises(DataError) as err:
+        WordEmbeddings.load(path, expected_dim=3)
+    assert str(err.value) == f"{path}: no vector row"
 
 
 def test_embedding_rows_gather_one_matrix():
