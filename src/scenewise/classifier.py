@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
@@ -46,22 +46,30 @@ from .parser import Screenplay
 log = logging.getLogger(__name__)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TagTaxonomy:
-    """Per-attribute tag inventory with positive/negative reweighting ratios.
+    """Per-attribute tag inventory with positive/negative reweighting ratios,
+    and a tag checkpoint's record of it.
 
     Tags without at least one positive and one negative training script are
     deactivated: they contribute neither to the loss nor to evaluation.
     """
 
     attribute: str
-    tags: tuple[str, ...]
-    lam: np.ndarray
-    active: np.ndarray
+    tags: list[str]
+    lam: list[float]
+    active: list[bool]
+
+    def __post_init__(self):
+        if not len(self.tags) == len(self.lam) == len(self.active):
+            raise ValueError(f"the manifest's taxonomy has {len(self.tags)} "
+                             f"'tags', {len(self.lam)} 'lam' and "
+                             f"{len(self.active)} 'active' entries; it needs "
+                             f"as many of each")
 
     @classmethod
     def from_items(cls, items: Sequence[CorpusItem], attribute: str) -> "TagTaxonomy":
-        tags = tuple(sorted({t for it in items for t in it.tags.get(attribute, ())}))
+        tags = sorted({t for it in items for t in it.tags.get(attribute, ())})
         n = len(items)
         pos = np.zeros(len(tags))
         for it in items:
@@ -77,7 +85,8 @@ class TagTaxonomy:
                 log.warning("tag %r (%s) excluded: %d positive / %d negative "
                             "training scripts", tag, attribute, int(pos[j]),
                             int(neg[j]))
-        return cls(attribute=attribute, tags=tags, lam=lam, active=active)
+        return cls(attribute=attribute, tags=tags, lam=lam.tolist(),
+                   active=active.tolist())
 
     def __len__(self) -> int:
         return len(self.tags)
@@ -93,14 +102,7 @@ class TagTaxonomy:
         return {t for t, b, a in zip(self.tags, binary, self.active) if b and a}
 
     def to_dict(self) -> dict:
-        return {"attribute": self.attribute, "tags": list(self.tags),
-                "lam": [float(v) for v in self.lam],
-                "active": [bool(v) for v in self.active]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TagTaxonomy":
-        return cls(attribute=d["attribute"], tags=tuple(d["tags"]),
-                   lam=np.asarray(d["lam"]), active=np.asarray(d["active"]))
+        return asdict(self)
 
 
 def reweighted_loss(y: np.ndarray, z: Tensor, lam: np.ndarray,
@@ -267,7 +269,7 @@ def make_samples(items: Sequence[CorpusItem], taxonomy: TagTaxonomy,
         x = it.logline_script if use_loglines else it.script
         # a logline with no tokens is as missing as an absent one
         if use_loglines and (x is None or not x.ids.size):
-            log.warning("skipping %s: %s", it.title, MissingLogline(it.title))
+            log.warning("skipping %s: no logline", it.title)
             continue
         samples.append(Sample(it.title, x, y))
     return samples
@@ -283,7 +285,7 @@ def validation_ap(model, samples: Sequence[Sample], taxonomy: TagTaxonomy) -> fl
         return 0.0
     scores = 1.0 / (1.0 + np.exp(-logits_of(model, samples)))
     labels = np.stack([s.y for s in samples])
-    keep = taxonomy.active.astype(bool)
+    keep = np.asarray(taxonomy.active, dtype=bool)
     try:
         return average_precision(scores[:, keep], labels[:, keep])
     except NoPositives:

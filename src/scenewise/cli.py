@@ -17,7 +17,11 @@ similarity F-1 sweep over ``--cutoffs`` as well.
 encoder kind.  Each checkpoint kind's manifest is one declared record
 (``_TagModelRecord``, ``_DescriptorModelRecord``): the training command
 writes it with ``asdict``, and ``_checkpoint_of_kind`` checks all of it
-before anything is ingested or loaded.
+before anything is ingested or loaded.  The records they nest are the
+library's own where one exists (``IngestConfig``, ``TrainConfig``,
+``DescriptorConfig`` and the classifier's ``TagTaxonomy``), and the model
+settings and descriptor statistics (``_ScriptModelSettings``,
+``_LoglinesModelSettings``, ``_DescriptorStatsRecord``) otherwise.
 """
 
 from __future__ import annotations
@@ -306,28 +310,11 @@ class _LoglinesModelSettings:
 
 
 @dataclass(frozen=True)
-class _TaxonomyRecord:
-    """A tag checkpoint's record of its ``TagTaxonomy``."""
-
-    attribute: str
-    tags: list[str]
-    lam: list[float]
-    active: list[bool]
-
-    def __post_init__(self):
-        if not len(self.tags) == len(self.lam) == len(self.active):
-            raise ValueError(f"the manifest's taxonomy has {len(self.tags)} "
-                             f"'tags', {len(self.lam)} 'lam' and "
-                             f"{len(self.active)} 'active' entries; it needs "
-                             f"as many of each")
-
-
-@dataclass(frozen=True)
 class _TagModelRecord:
     """The manifest of a ``train`` checkpoint."""
 
     model: _ScriptModelSettings | _LoglinesModelSettings
-    taxonomy: _TaxonomyRecord
+    taxonomy: TagTaxonomy
     vocabulary_hash: str
     ingest: IngestConfig
     train: TrainConfig
@@ -441,16 +428,14 @@ def _checkpoint_of_kind(path: str, cls):
 
 
 def _rebuild_tag_model(record: _TagModelRecord, corpus: Corpus):
-    taxonomy = TagTaxonomy.from_dict(asdict(record.taxonomy))
     settings = record.model
+    n_tags = len(record.taxonomy)
     if isinstance(settings, _LoglinesModelSettings):
-        model = LoglinesModel(corpus.vectors(), len(taxonomy),
-                              hidden_per_direction=settings.hidden_per_direction,
-                              seed=settings.seed)
-        return model, taxonomy, True
+        return LoglinesModel(corpus.vectors(), n_tags,
+                             hidden_per_direction=settings.hidden_per_direction,
+                             seed=settings.seed)
     encoder = HierarchicalModel.from_config(asdict(settings), corpus.vectors())
-    model = ScriptTagModel(encoder, len(taxonomy), seed=settings.seed)
-    return model, taxonomy, False
+    return ScriptTagModel(encoder, n_tags, seed=settings.seed)
 
 
 def _run_log_csv(cfg_hash: str, header: str, rows) -> str:
@@ -486,7 +471,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                   "ingest": asdict(ingest_config), "train": asdict(train_config)}
     cfg_hash = config_hash(run_config)
     record = _TagModelRecord(
-        model=settings, taxonomy=_TaxonomyRecord(**taxonomy.to_dict()),
+        model=settings, taxonomy=taxonomy,
         vocabulary_hash=corpus.vocabulary.hash(), ingest=ingest_config,
         train=train_config, best_epoch=result.best_epoch,
         best_val_ap=result.best_val_ap, config_hash=cfg_hash)
@@ -505,14 +490,15 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     params, record = _checkpoint_of_kind(args.checkpoint, _TagModelRecord)
-    attribute = record.taxonomy.attribute
+    taxonomy = record.taxonomy
+    attribute = taxonomy.attribute
     space = None
     if args.tag_embeddings is not None:
         space = load_tag_embeddings(args.tag_embeddings).get(attribute)
         if space is None:
             raise DataError(f"no tag embeddings for attribute {attribute!r} "
                             f"in {args.tag_embeddings}")
-        if missing := [t for t in record.taxonomy.tags if t not in space]:
+        if missing := [t for t in taxonomy.tags if t not in space]:
             raise DataError(f"{args.tag_embeddings} has no vector for the "
                             f"{attribute!r} tag(s) {', '.join(map(repr, missing))}")
     corpus, _ = ingest(args.scripts, args.tags, args.embeddings, record.ingest,
@@ -521,14 +507,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise VocabularyMismatch(
             f"{args.checkpoint}: checkpoint vocabulary hash does not match "
             f"the corpus under {args.scripts}")
-    model, taxonomy, use_loglines = _rebuild_tag_model(record, corpus)
+    model = _rebuild_tag_model(record, corpus)
     load_params(model.named_params(), params)
     items = {"train": corpus.train_items, "validation": corpus.validation_items,
              "heldout": corpus.heldout_items,
              "all": corpus.items}[args.split]
     if not items:
         raise DataError(f"no script to score in the {args.split!r} split")
-    samples = make_samples(items, taxonomy, use_loglines)
+    samples = make_samples(items, taxonomy, isinstance(model, LoglinesModel))
     if not samples:
         raise DataError("loglines checkpoint but no loglines available; "
                         "pass --loglines")

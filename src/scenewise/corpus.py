@@ -27,7 +27,6 @@ from .errors import (
     DataError,
     EmbeddingDimMismatch,
     EmptyScript,
-    MissingTags,
     NonFiniteEmbedding,
 )
 from .ioutil import (
@@ -480,7 +479,7 @@ def ingest(scripts_dir: str | Path, tags_path: str | Path,
             continue
         if title not in tags:
             excluded.append({"title": title, "reason": "missing tags"})
-            log.warning("skipping %s: %s", title, MissingTags(title))
+            log.warning("skipping %s: missing tags", title)
             continue
         parsed.append(CorpusItem(title=title, screenplay=play, tags=tags[title],
                                  logline=loglines.get(title)))

@@ -90,10 +90,6 @@ class DescriptorOutOfRange(DataError, ValueError):
 
 
 # corpus / CLI
-class MissingTags(DataError):
-    """No tag entry for a script title."""
-
-
 class EmbeddingDimMismatch(DataError):
     """Embedding file dimensionality differs from the expected dimension."""
 

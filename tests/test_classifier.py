@@ -323,9 +323,17 @@ def _toy_taxonomy():
 
 def test_taxonomy_ratios():
     tax = _toy_taxonomy()
-    assert tax.tags == ("x", "y")
+    assert tax.tags == ["x", "y"]
     assert np.allclose(tax.lam, [2 / 2, 2 / 2])
-    assert tax.active.all()
+    assert all(tax.active)
+
+
+@pytest.mark.parametrize("lengths", [(2, 1, 2), (2, 2, 3), (0, 1, 0)])
+def test_taxonomy_of_unequally_long_lists_raises(lengths):
+    tags, lam, active = lengths
+    with pytest.raises(ValueError, match="needs as many of each"):
+        TagTaxonomy("genre", ["x", "y", "z"][:tags], [1.0] * lam,
+                    [True] * active)
 
 
 def test_taxonomy_deactivates_all_positive_tag():
@@ -462,6 +470,35 @@ def test_make_samples_skips_missing_loglines(tiny_vectors):
              _logline_item("b", {"genre": ("y",)}, None, tiny_vectors)]
     samples = make_samples(items, taxonomy, use_loglines=True)
     assert [s.key for s in samples] == ["a"]
+
+
+def test_make_samples_says_why_it_skips_a_script(caplog, tiny_vectors):
+    taxonomy = _toy_taxonomy()
+    items = [_logline_item("a", {"genre": ("x",)}, "...", tiny_vectors),
+             _logline_item("b", {"genre": ("y",)}, None, tiny_vectors)]
+    with caplog.at_level("WARNING"):
+        assert make_samples(items, taxonomy, use_loglines=True) == []
+    assert [r.getMessage() for r in caplog.records] == [
+        "skipping a: no logline", "skipping b: no logline"]
+
+
+def test_loglines_gradients_match_finite_differences(tiny_vectors):
+    """End to end: from the logline biGRU and the head through the logits
+    of a ``LoglinesModel`` to the fused loss, with the list-typed lam and
+    mask that ``TagTaxonomy.from_items`` builds."""
+    taxonomy = _toy_taxonomy()
+    assert isinstance(taxonomy.lam, list) and isinstance(taxonomy.active, list)
+    model = LoglinesModel(tiny_vectors, len(taxonomy), hidden_per_direction=2,
+                          seed=3)
+    logline = tiny_vectors.compiled(logline_screenplay("t", "alpha beta gamma"))
+    y = taxonomy.label_vector(("x",))
+
+    def loss():
+        return reweighted_loss(y, model.logits(logline), taxonomy.lam,
+                               taxonomy.active)
+
+    err = gradcheck(loss, list(model.named_params().values()))
+    assert err < 1e-4, err
 
 
 def test_make_samples_skips_logline_without_tokens(caplog, tiny_vectors):

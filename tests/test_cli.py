@@ -1089,10 +1089,14 @@ def test_checkpoints_hold_exactly_their_declared_keys(trained, descriptor_run):
     assert sorted(descriptor) == DESCRIPTOR_MODEL_KEYS
 
 
+TAXONOMY_KEYS = ["active", "attribute", "lam", "tags"]
+
+
 def damaged_manifests():
     """(command, checkpoint kind, key, damage) for each declared key deleted
     or set to 7, a retired key added back, and a taxonomy whose lam is one
-    entry short."""
+    entry short; and inside the taxonomy, each key deleted or set to 7, an
+    unknown key added, and an active mask of 1/0 for its booleans."""
     cases = [(command, kind, key, damage)
              for kind, keys in [("tag_model", TAG_MODEL_KEYS),
                                 ("descriptor_model", DESCRIPTOR_MODEL_KEYS)]
@@ -1101,6 +1105,13 @@ def damaged_manifests():
     cases += [(command, "tag_model", "variant", "added")
               for command in READERS["tag_model"]]
     cases += [("trajectories", "descriptor_model", "seed", "added")]
+    cases += [(command, "tag_model", key, f"taxonomy-{damage}")
+              for command in READERS["tag_model"]
+              for key in TAXONOMY_KEYS for damage in ("deleted", "7")]
+    cases += [(command, "tag_model", key, damage)
+              for command in READERS["tag_model"]
+              for key, damage in [("positives", "taxonomy-added"),
+                                  ("active", "ints")]]
     return cases + [(command, "tag_model", "lam", "short")
                     for command in READERS["tag_model"]]
 
@@ -1114,6 +1125,10 @@ def damage_manifest(manifest, key, damage):
         manifest[key] = "7" if key in ("best_epoch", "best_val_ap") else 7
     elif damage == "added":
         manifest[key] = 0
+    elif damage.startswith("taxonomy-"):
+        damage_manifest(manifest["taxonomy"], key, damage.split("-")[1])
+    elif damage == "ints":
+        manifest["taxonomy"][key] = [int(v) for v in manifest["taxonomy"][key]]
     else:
         manifest["taxonomy"][key].pop()
 

@@ -381,6 +381,21 @@ def test_ingest_skips_missing_tags(tmp_path, synth_corpus):
                for e in manifest["excluded"])
 
 
+def test_ingest_says_why_it_skips_a_script_without_tags(tmp_path, synth_corpus,
+                                                        caplog):
+    out, _ = synth_corpus
+    tags = json.loads((out / "tags.json").read_text())
+    first = sorted(tags)[0]
+    del tags[first]
+    tags_path = tmp_path / "tags.json"
+    tags_path.write_text(json.dumps(tags))
+    with caplog.at_level("WARNING", logger="scenewise.corpus"):
+        ingest(out / "scripts", tags_path, out / "embeddings.txt",
+               IngestConfig(min_count=2))
+    assert f"skipping {first}: missing tags" in [r.getMessage()
+                                                 for r in caplog.records]
+
+
 def test_embeddings_dim_mismatch(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("\ntok 0.1 0.2 0.3\n")
