@@ -6,7 +6,12 @@ File formats owned here:
 * scripts: one UTF-8 plain-text screenplay per ``*.txt`` file, title = stem
 * tags: JSON ``{title: {attribute: [tag, ...]}}``
 * loglines: JSON ``{title: text}``
-* embeddings: text lines ``token v1 .. v100`` (GloVe textual layout)
+* embeddings: UTF-8 text lines ``token v1 .. v100`` (GloVe textual layout)
+
+A leading UTF-8 byte-order mark of a script or the embeddings file is
+dropped as it is read.  Ingest tokenizes each play in one call: its
+statements' texts joined by line feeds are lowercased, encoded, translated
+and decoded once, then split back into statements.
 """
 
 from __future__ import annotations
@@ -46,6 +51,10 @@ log = logging.getLogger(__name__)
 _TOKEN_BYTES = bytes(b if chr(b) in "abcdefghijklmnopqrstuvwxyz0123456789'"
                      else 0x20 for b in range(256))
 
+# The same table keeping the line feed, so that a play's statements, joined
+# by line feeds, are tokenized in one call and split back apart.
+_LINE_TOKEN_BYTES = _TOKEN_BYTES[:0x0A] + b"\n" + _TOKEN_BYTES[0x0B:]
+
 UNK_TOKEN = "<unk>"
 
 
@@ -53,6 +62,20 @@ def tokenize(text: str) -> list[str]:
     """The maximal runs of ``[a-z0-9']`` in the lowercased text."""
     return (text.lower().encode("utf-8", "surrogatepass")
             .translate(_TOKEN_BYTES).decode("ascii").split())
+
+
+def _statement_tokens(texts: list[str]) -> list[list[str]]:
+    """``tokenize`` of each text, from one lowercase, encode, translate and
+    decode of their join by line feeds; a line feed inside a text is a
+    space first, as ``tokenize`` reads it."""
+    if not texts:
+        return []
+    joined = "\n".join(texts)
+    if joined.count("\n") != len(texts) - 1:
+        joined = "\n".join([text.replace("\n", " ") for text in texts])
+    lines = (joined.lower().encode("utf-8", "surrogatepass")
+             .translate(_LINE_TOKEN_BYTES).decode("ascii").split("\n"))
+    return list(map(str.split, lines))
 
 
 def scene_tokens(scene: Scene) -> list[str]:
@@ -108,7 +131,7 @@ class WordEmbeddings:
         table: dict[str, np.ndarray] = {}
         first_line: dict[str, int] = {}
         dim: int | None = None
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for number, line in enumerate(fh, 1):
                 parts = line.rstrip("\n").split()
                 if not parts:
@@ -180,24 +203,25 @@ class CompiledScript:
 class TokenPass:
     """One tokenize pass over screenplays.
 
-    Each statement is tokenized once.  Each distinct token gets a type
-    number in first-seen order, and each screenplay keeps its tokens' type
-    numbers end to end with its statements' lengths, scenes and kinds.  The
-    vocabulary, the descriptor vocabulary and the compiled scripts are all
-    read from this one pass.
+    Each play's statements are tokenized together, in one call.  Each
+    distinct token gets a type number in first-seen order, and each
+    screenplay keeps its tokens' type numbers end to end with its
+    statements' lengths, scenes and kinds.  The vocabulary, the descriptor
+    vocabulary and the compiled scripts are all read from this one pass.
     """
 
     def __init__(self, screenplays: Sequence[Screenplay]):
         # a token the index lacks takes the next type number as it is looked up
         index: defaultdict[str, int] = defaultdict(count().__next__)
         casts: dict[tuple[str, ...], tuple[str, ...]] = {}
+        dialogue_kind = StatementKind.DIALOGUE
         self.type_ids: list[np.ndarray] = []   # per play, int32
         self.layouts = []   # per play: title, lengths, scenes, kinds, characters
         for play in screenplays:
             statements = [stmt for scene in play.scenes
                           for stmt in scene.statements]
             n = len(statements)
-            per_statement = list(map(tokenize, [stmt.text for stmt in statements]))
+            per_statement = _statement_tokens([stmt.text for stmt in statements])
             lengths = np.fromiter(map(len, per_statement), np.int32, n)
             self.type_ids.append(np.fromiter(
                 map(index.__getitem__, chain.from_iterable(per_statement)),
@@ -205,14 +229,14 @@ class TokenPass:
             characters = []
             for scene in play.scenes:
                 cast = tuple(sorted({stmt.character for stmt in scene.statements
-                                     if stmt.kind is StatementKind.DIALOGUE}))
+                                     if stmt.kind is dialogue_kind}))
                 characters.append(casts.setdefault(cast, cast))
             self.layouts.append((
                 play.title, lengths,
                 np.repeat(np.arange(len(play.scenes), dtype=np.int32),
                           [len(scene.statements) for scene in play.scenes]),
-                np.fromiter((DIALOGUE if stmt.kind is StatementKind.DIALOGUE
-                             else ACTION for stmt in statements), np.int32, n),
+                np.fromiter((DIALOGUE if stmt.kind is dialogue_kind else ACTION
+                             for stmt in statements), np.int32, n),
                 tuple(characters)))
         self.types = list(index)
 
@@ -435,13 +459,13 @@ def script_files(scripts_dir: str | Path) -> list[Path]:
 
 
 def read_script(path: Path) -> tuple[str | None, str | None]:
-    """The UTF-8 text of script entry ``path`` and None, or None and the
-    reason it is not a script: ``not a regular file`` (such as a
-    directory) or ``undecodable: ...``."""
+    """The UTF-8 text of script entry ``path`` (less a leading byte-order
+    mark) and None, or None and the reason it is not a script: ``not a
+    regular file`` (such as a directory) or ``undecodable: ...``."""
     if not path.is_file():
         return None, "not a regular file"
     try:
-        return path.read_text(encoding="utf-8"), None
+        return path.read_text(encoding="utf-8-sig"), None
     except UnicodeDecodeError as err:
         return None, f"undecodable: {err}"
 

@@ -157,12 +157,6 @@ def _scene_rows(vecs: Tensor, kept, n_scenes: int) -> Tensor:
     return ad.place(vecs, np.asarray(kept), (n_scenes, vecs.data.shape[1]))
 
 
-def _scene_mean(scenes: Tensor) -> Tensor:
-    """(F,): the mean of an (n_scenes, F) block's rows, as the BoE script
-    encoder takes it."""
-    return ad.row(ad.mean_rows(scenes, [scenes.data.shape[0]]), 0)
-
-
 def encode_tokens(ids: np.ndarray, lengths, matrix: np.ndarray,
                   encoder: SequenceEncoder) -> Tensor:
     """Encode token sequences as one batch: (len(lengths), output_dim).
@@ -342,7 +336,8 @@ class HierarchicalModel:
                                                      [script.n_scenes]), 0)
         means = self._channel_means.get(script)
         if means is None:
-            means = {name: _scene_mean(self._encode_channel(script, name)).data
+            means = {name: ad.mean_rows(self._encode_channel(script, name),
+                                        [script.n_scenes]).data[0]
                      for name, _ in self.block_layout if name != "characters"}
             for mean in means.values():
                 mean.flags.writeable = False

@@ -7,7 +7,10 @@ quality report.  The scan keeps one piece of state: the speaker of the
 previous non-blank line, which an indented line continues.  A statement is
 an action line, a dialogue line (with its speaking character), or the scene
 heading; parentheticals, transitions, character cues and lines without
-letters are structural and never become statements.
+letters are structural and never become statements.  A line's indent is
+measured only when it starts with a space, and a line holding tabs has
+them replaced by spaces once, for the text it keeps; the transition
+pattern alone reads the tabs as written.
 """
 
 from __future__ import annotations
@@ -101,20 +104,25 @@ def scan_script(title: str, text: str, cap: int | None = DEFAULT_SCENE_CAP
     speaker: str | None = None
     scenes: list[Scene] = []
     current: Scene | None = None
+    action_kind, dialogue_kind = StatementKind.ACTION, StatementKind.DIALOGUE
+    has_letter = _LETTER_RE.search
     for line in lines:
         stripped = line.strip()
         if not stripped:
             blank += 1
             continue
+        # the text a heading, cue or statement keeps; every test but the
+        # transition pattern reads a tab as it reads a space
+        plain = stripped
         if "\t" in line:
             line = line.expandtabs(TAB_WIDTH)
-        indent = len(line) - len(line.lstrip(" "))
+            plain = stripped.replace("\t", " ")
+        indent = len(line) - len(line.lstrip(" ")) if line[0] == " " else 0
         if stripped == stripped.upper():
             if stripped.startswith(HEADING_PREFIXES):
                 headings += 1
                 speaker = None
-                current = Scene(index=len(scenes) + 1,
-                                heading=stripped.replace("\t", " "))
+                current = Scene(index=len(scenes) + 1, heading=plain)
                 scenes.append(current)
                 continue
             if _TRANSITION_RE.search(stripped):
@@ -122,21 +130,23 @@ def scan_script(title: str, text: str, cap: int | None = DEFAULT_SCENE_CAP
                 speaker = None
                 continue
             if (indent >= CUE_INDENT and len(stripped) <= MAX_CUE_LENGTH
-                    and _LETTER_RE.search(stripped)):
-                name = _strip_cue_markers(stripped.replace("\t", " "))
+                    and has_letter(stripped)):
+                name = _strip_cue_markers(plain)
                 if name:
                     dialogue += 1
                     cues += 1
                     speaker = name
                     continue
-        if stripped.startswith("(") and indent >= DIALOGUE_INDENT:
-            parentheticals += 1  # the speaker carries on past it
-            continue
-        if indent >= DIALOGUE_INDENT and speaker is not None:
-            kind = StatementKind.DIALOGUE
+        kind = action_kind
+        if indent >= DIALOGUE_INDENT:
+            if stripped[0] == "(":
+                parentheticals += 1  # the speaker carries on past it
+                continue
+            if speaker is not None:
+                kind = dialogue_kind
+        if kind is dialogue_kind:
             dialogue += 1
-        elif _LETTER_RE.search(stripped):
-            kind = StatementKind.ACTION
+        elif has_letter(stripped):
             actions += 1
             speaker = None
         else:
@@ -146,8 +156,7 @@ def scan_script(title: str, text: str, cap: int | None = DEFAULT_SCENE_CAP
         if current is None or len(current.statements) == cap:
             current = Scene(index=len(scenes) + 1)
             scenes.append(current)
-        current.statements.append(Statement(kind, stripped.replace("\t", " "),
-                                            character=speaker))
+        current.statements.append(Statement(kind, plain, speaker))
     if blank == len(lines):
         raise EmptyScript(f"{title}: no non-blank line")
     if not scenes:

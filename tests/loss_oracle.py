@@ -18,7 +18,6 @@ import numpy as np
 
 from scenewise import autodiff as ad
 from scenewise.autodiff import Tensor
-from scenewise.encoders import _scene_mean
 from scenewise.errors import DataEmpty
 
 from tape_ops import logsigmoid, mul, neg, scale, total
@@ -46,4 +45,5 @@ def reweighted_loss(y: np.ndarray, z: Tensor, lam: np.ndarray,
 def characters_mean(model, script) -> Tensor:
     """A BoE ``HierarchicalModel``'s character block over a compiled
     script: the mean over the scenes of each scene's mean speaker row."""
-    return _scene_mean(model._encode_characters(script))
+    scenes = model._encode_characters(script)
+    return ad.row(ad.mean_rows(scenes, [scenes.data.shape[0]]), 0)

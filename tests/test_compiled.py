@@ -464,6 +464,39 @@ def test_token_pass_matches_per_statement_oracle(plays, texts):
     assert_pass_matches_oracle(plays + _fuzz_plays(texts))
 
 
+# each play's statements are joined by line feeds and tokenized in one call
+JOIN_EDGES = {
+    "no scenes": Screenplay("none", []),
+    "no statements": Screenplay("empty", [scene_of(index=1), scene_of(index=2)]),
+    "empty first and last": Screenplay("ends", [
+        scene_of(action("..."), dialogue("alpha beta", "ANNA"), index=1),
+        scene_of(index=2),
+        scene_of(action("gamma"), dialogue("", "BO"), index=3)]),
+    "line feed only": Screenplay("feed", [scene_of(
+        action("sun"), action("\n"), dialogue("\n", "ANNA"), action("moon"))]),
+    "other breaks": Screenplay("breaks", [scene_of(
+        action("alpha\r\nbeta"), action("gamma\rdelta"),
+        dialogue("sun\x0bmoon", "ANNA"), action(" "), action("tide dust"))]),
+    "feeds inside": Screenplay("inside", [scene_of(
+        action("alpha\nbeta\n"), action("\ngamma"), action("delta"))]),
+    "logline": logline_screenplay("log", "a story\nabout ember\n"),
+}
+
+
+@pytest.mark.parametrize("play", JOIN_EDGES.values(), ids=JOIN_EDGES)
+def test_token_pass_matches_per_statement_oracle_at_join_edges(play):
+    assert_pass_matches_oracle([play])
+
+
+def test_token_pass_keeps_each_break_inside_its_statement():
+    assert_pass_matches_oracle(list(JOIN_EDGES.values()))
+    tokens = TokenPass([JOIN_EDGES["other breaks"], JOIN_EDGES["feeds inside"],
+                        JOIN_EDGES["no statements"], JOIN_EDGES["logline"]])
+    assert [layout[1].tolist() for layout in tokens.layouts] == [
+        [2, 2, 2, 0, 2], [2, 1, 1], [], [4]]
+    assert all(layout[1].dtype == np.int32 for layout in tokens.layouts)
+
+
 def test_token_pass_leaves_no_reference_cycle(small_corpus):
     # a pass runs for every raw play compiled at inference; a cycle would
     # keep its token index alive until the cyclic collector next runs

@@ -19,6 +19,7 @@ from scenewise.corpus import (
     ingest,
     load_loglines,
     load_tags,
+    read_script,
     split_titles,
     tokenize,
 )
@@ -463,6 +464,39 @@ def test_embeddings_reject_a_file_without_a_vector_row(tmp_path, text):
     with pytest.raises(DataError) as err:
         WordEmbeddings.load(path, expected_dim=3)
     assert str(err.value) == f"{path}: no vector row"
+
+
+BOM = "\ufeff"
+BOM_SCRIPTS = [
+    "INT. ROOM - DAY\n\nShe waits.\n" + " " * 20 + "ANNA\n" + " " * 10
+    + "Hello.\n",
+    (Path(__file__).parent / "data" / "pulp_fiction_fragment.txt").read_text(
+        encoding="utf-8"),
+    (Path(__file__).parent / "data" / "messy_fragment.txt").read_text(
+        encoding="utf-8"),
+]
+
+
+@pytest.mark.parametrize("text", BOM_SCRIPTS, ids=["room", "pulp", "messy"])
+def test_script_with_byte_order_mark_reads_as_without(tmp_path, text):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(BOM + text, encoding="utf-8")
+    assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+    assert read_script(marked) == read_script(plain) == (text, None)
+    play, report = parser.scan_script("t", read_script(marked)[0])
+    assert (play, report) == parser.scan_script("t", text)
+    assert report["counts"]["SCENE_HEADING"] >= 1
+
+
+def test_embeddings_with_byte_order_mark_load_as_without(tmp_path):
+    text = "a 0.1 0.2\nb 1.0 2.0\n<unk> 0.5 0.5\n"
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(BOM + text, encoding="utf-8")
+    want, got = (WordEmbeddings.load(p, expected_dim=2) for p in (plain, marked))
+    assert got.index == want.index == {"a": 0, "b": 1, "<unk>": 2}
+    assert got.matrix.tobytes() == want.matrix.tobytes()
 
 
 def test_embedding_rows_gather_one_matrix():
