@@ -49,7 +49,8 @@ script's whole descriptor loss as one node: the predictor
 reconstructions, their max-margin hinge against the negatives and the
 orthogonality penalty.  So are ``logistic_loss``, the weighted
 log-sigmoid sum of the reweighted tag loss, and ``mean_of_run_means``,
-the BoE character block's mean over scenes of per-scene mean rows.  Each
+the BoE character block's mean over scenes of per-scene mean rows, which
+reads its gather and its runs from a ``RunLayout`` built once.  Each
 has a hand-written VJP and keeps the order of operations of the
 primitive ops it replaces, so its value and gradient are theirs to the
 bit.
@@ -70,6 +71,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, pairwise
 from typing import Callable, Sequence
 
 import numpy as np
@@ -234,11 +236,10 @@ def concat(tensors: Sequence[Tensor]) -> Tensor:
     for t in tensors:
         if t.data.ndim == 0 or t.data.shape[:-1] != lead:
             raise ShapeMismatch(f"concat: {t.data.shape} vs {lead} leading axes")
-    sizes = [t.data.shape[-1] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = list(accumulate((t.data.shape[-1] for t in tensors), initial=0))
 
     def vjp(g: np.ndarray) -> tuple:
-        return tuple(g[..., offsets[i]:offsets[i + 1]] for i in range(len(sizes)))
+        return tuple(g[..., start:end] for start, end in pairwise(offsets))
 
     return _op(np.concatenate([t.data for t in tensors], axis=-1), tuple(tensors),
                vjp)
@@ -285,10 +286,32 @@ def mean_rows(a: Tensor, lengths) -> Tensor:
     return _op(means, (a,), vjp)
 
 
-def mean_of_run_means(a: Tensor, index, runs, at, n: int) -> Tensor:
-    """(D,): the mean row of an (n, D) matrix whose row ``at[j]`` is the
-    mean of run ``j`` of the gathered rows ``a.data[index]``, ``runs[j]``
-    consecutive rows each, and whose other rows are zero; one tape node.
+class RunLayout:
+    """Where :func:`mean_of_run_means` reads and writes, as arrays built
+    once: run ``j`` is ``runs[j]`` consecutive rows of the gathered rows
+    ``a.data[index]``, from row ``starts[j]``, and its mean lands on row
+    ``at[j]`` of an (n, D) matrix; ``counts`` is ``runs`` as a float
+    column.  It holds no parameter, so a layout serves every call."""
+
+    __slots__ = ("index", "runs", "starts", "counts", "at", "n")
+
+    def __init__(self, index, runs, at, n: int):
+        self.index = np.asarray(index)
+        self.runs = np.asarray(runs)
+        self.starts = np.cumsum(self.runs) - self.runs
+        self.counts = self.runs[:, None].astype(np.float64)
+        self.at = np.asarray(at)
+        self.n = n
+
+
+# np.add.reduceat's indices for one run over all the rows
+_ALL_ROWS = np.zeros(1, dtype=np.intp)
+
+
+def mean_of_run_means(a: Tensor, layout: RunLayout) -> Tensor:
+    """(D,): the mean row of the (n, D) matrix of ``layout``, whose row
+    ``at[j]`` is the mean of run ``j`` of the gathered rows
+    ``a.data[index]`` and whose other rows are zero; one tape node.
 
     It is ``row``, ``mean_rows``, ``place``, ``mean_rows`` over all ``n``
     rows and ``row`` in one, in their order of operations, so the value
@@ -296,16 +319,15 @@ def mean_of_run_means(a: Tensor, index, runs, at, n: int) -> Tensor:
     """
     if a.data.ndim != 2:
         raise ShapeMismatch(f"mean_of_run_means: expected matrix, got {a.data.shape}")
-    runs = np.asarray(runs)
-    counts = runs[:, None].astype(np.float64)
-    scenes = np.zeros((n, a.data.shape[1]))
-    scenes[at] = np.add.reduceat(a.data[index], np.cumsum(runs) - runs,
-                                 axis=0) / counts
-    mean = np.add.reduceat(scenes, [0], axis=0)[0] / float(n)
+    index, counts, n = layout.index, layout.counts, float(layout.n)
+    scenes = np.zeros((layout.n, a.data.shape[1]))
+    scenes[layout.at] = np.add.reduceat(a.data[index], layout.starts,
+                                        axis=0) / counts
+    mean = np.add.reduceat(scenes, _ALL_ROWS, axis=0)[0] / n
 
     def vjp(g: np.ndarray) -> tuple:
         full = np.zeros_like(a.data)
-        np.add.at(full, index, np.repeat(g / float(n) / counts, runs, axis=0))
+        np.add.at(full, index, np.repeat(g / n / counts, layout.runs, axis=0))
         return (full,)
 
     return _op(mean, (a,), vjp)

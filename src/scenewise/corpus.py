@@ -38,6 +38,8 @@ from .ioutil import (
     atomic_write_text,
     canonical_json,
     config_hash,
+    decode_error,
+    numbered_lines,
     sha256_hex,
     write_json,
 )
@@ -131,34 +133,33 @@ class WordEmbeddings:
         table: dict[str, np.ndarray] = {}
         first_line: dict[str, int] = {}
         dim: int | None = None
-        with open(path, encoding="utf-8-sig") as fh:
-            for number, line in enumerate(fh, 1):
-                parts = line.rstrip("\n").split()
-                if not parts:
-                    continue
-                token, values = parts[0], parts[1:]
-                where = f"{path} line {number}"
-                first = first_line.setdefault(token, number)
-                if first != number:
-                    raise DataError(f"{where}: {token!r} is listed again; its "
-                                    f"first row is line {first}")
-                if dim is None:
-                    dim = len(values)
-                    if expected_dim is not None and dim != expected_dim:
-                        raise EmbeddingDimMismatch(
-                            f"{where}: embedding dim {dim}, expected {expected_dim}")
-                elif len(values) != dim:
+        for number, line in numbered_lines(path, "utf-8-sig"):
+            parts = line.rstrip("\n").split()
+            if not parts:
+                continue
+            token, values = parts[0], parts[1:]
+            where = f"{path} line {number}"
+            first = first_line.setdefault(token, number)
+            if first != number:
+                raise DataError(f"{where}: {token!r} is listed again; its "
+                                f"first row is line {first}")
+            if dim is None:
+                dim = len(values)
+                if expected_dim is not None and dim != expected_dim:
                     raise EmbeddingDimMismatch(
-                        f"{where}: {len(values)} values for {token!r}, "
-                        f"but the first row has {dim}")
-                try:
-                    vec = np.asarray([float(v) for v in values])
-                except ValueError as err:
-                    raise DataError(f"{where}: {err}") from None
-                if not np.isfinite(vec).all():
-                    raise NonFiniteEmbedding(
-                        f"{where}: non-finite value in the vector of {token!r}")
-                table[token] = vec
+                        f"{where}: embedding dim {dim}, expected {expected_dim}")
+            elif len(values) != dim:
+                raise EmbeddingDimMismatch(
+                    f"{where}: {len(values)} values for {token!r}, "
+                    f"but the first row has {dim}")
+            try:
+                vec = np.asarray([float(v) for v in values])
+            except ValueError as err:
+                raise DataError(f"{where}: {err}") from None
+            if not np.isfinite(vec).all():
+                raise NonFiniteEmbedding(
+                    f"{where}: non-finite value in the vector of {token!r}")
+            table[token] = vec
         if dim is None:
             raise DataError(f"{path}: no vector row")
         return cls(table, dim)
@@ -421,8 +422,11 @@ def split_titles(titles: list[str], heldout_fraction: float,
 
 
 def _load_by_title(path: str | Path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except UnicodeDecodeError:
+        raise decode_error(path) from None
     if not isinstance(raw, dict):
         raise DataError(f"{path}: expected a JSON object keyed by title")
     return raw

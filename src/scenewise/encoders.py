@@ -28,7 +28,9 @@ Under BoE the script vector is the concatenation of each block's mean over
 the scenes.  Only the character block has a parameter, so the other
 blocks' means are computed once per compiled script and kept on the model;
 the character block's mean over the scenes of each scene's mean speaker
-row is one tape node (``autodiff.mean_of_run_means``).
+row is one tape node (``autodiff.mean_of_run_means``).  Where a script's
+speakers sit (``autodiff.RunLayout``) holds no parameter either, so it is
+kept beside the channel means.  A raw screenplay keeps neither.
 Structural variants replace or drop tiers:
 
 * ``full`` — both channels, character block included
@@ -246,7 +248,9 @@ class HierarchicalModel:
 
         self.script_encoder = SequenceEncoder(
             replace(spec, input_dim=self.scene_dim), rng)
-        # BoE only: each compiled script's (F,) channel means, by identity
+        # BoE only, by identity: each compiled script's speaker layout
+        # (None without a speaker) and its (F,) channel means
+        self._speaker_layouts: dict[CompiledScript, ad.RunLayout | None] = {}
         self._channel_means: dict[CompiledScript, dict[str, np.ndarray]] = {}
 
     @property
@@ -281,34 +285,43 @@ class HierarchicalModel:
             vecs = scene_enc.encode(stmt_vecs, runs)
         return _scene_rows(vecs, kept, script.n_scenes)
 
-    def _speakers(self, script: CompiledScript
-                  ) -> tuple[list[int], list[int], list[int]]:
-        """The scenes with speakers, each one's number of speakers, and the
-        speakers' ``char_table`` rows scene by scene (UNK for an unseen
-        name)."""
+    def _speakers(self, script: CompiledScript) -> ad.RunLayout | None:
+        """Where ``script``'s speakers sit, or None without one: the scenes
+        with speakers, each one's number of speakers, and the speakers'
+        ``char_table`` rows scene by scene (UNK for an unseen name)."""
         names = script.characters
         kept = [i for i, per in enumerate(names) if per]
+        if not kept:
+            return None
         index = self.char_table.index
-        return (kept, [len(names[i]) for i in kept],
-                [index.get(n, 0) for i in kept for n in names[i]])
+        return ad.RunLayout([index.get(n, 0) for i in kept for n in names[i]],
+                            [len(names[i]) for i in kept], kept, script.n_scenes)
 
     def _encode_characters(self, script: CompiledScript) -> Tensor:
         """(n_scenes, char_dim): each scene's mean speaker row; zero rows
         for scenes without speakers."""
-        kept, runs, rows = self._speakers(script)
-        if not kept:
+        layout = self._speakers(script)
+        if layout is None:
             return ad.constant(np.zeros((script.n_scenes, self.char_dim)))
-        return _scene_rows(ad.mean_rows(ad.row(self.char_table.matrix, rows),
-                                        runs), kept, script.n_scenes)
+        return _scene_rows(ad.mean_rows(ad.row(self.char_table.matrix,
+                                               layout.index), layout.runs),
+                           layout.at, script.n_scenes)
 
-    def _characters_mean(self, script: CompiledScript) -> Tensor:
+    def _characters_mean(self, script: CompiledScript,
+                         keep: bool = True) -> Tensor:
         """(char_dim,): the mean over the scenes of
-        ``_encode_characters(script)``, as one tape node."""
-        kept, runs, rows = self._speakers(script)
-        if not kept:
+        ``_encode_characters(script)``, as one tape node.  The speaker
+        layout holds no parameter, so it is built on the script's first
+        call and kept, unless ``keep`` is false."""
+        if script in self._speaker_layouts:
+            layout = self._speaker_layouts[script]
+        else:
+            layout = self._speakers(script)
+            if keep:
+                self._speaker_layouts[script] = layout
+        if layout is None:
             return ad.constant(np.zeros(self.char_dim))
-        return ad.mean_of_run_means(self.char_table.matrix, rows, runs, kept,
-                                    script.n_scenes)
+        return ad.mean_of_run_means(self.char_table.matrix, layout)
 
     def encode_scenes(self, script: CompiledScript | Screenplay) -> Tensor:
         """(n_scenes, scene_dim): each scene's blocks concatenated in
@@ -322,10 +335,11 @@ class HierarchicalModel:
         """(script_dim,): the script encoder over the scene sequence.
 
         Under BoE that is each block's mean over the scenes, concatenated
-        in ``block_layout`` order.  A compiled script's channel means hold
-        no parameter, so they are computed on its first encode and kept;
-        a raw screenplay, compiled here, is not kept.  The character block
-        is one tape node over the character table.
+        in ``block_layout`` order.  A compiled script's channel means and
+        speaker layout hold no parameter, so they are computed on its
+        first encode and kept; a raw screenplay, compiled here, is not
+        kept.  The character block is one tape node over the character
+        table.
         """
         raw = isinstance(script, Screenplay)
         script = self.vectors.compiled(script)
@@ -343,7 +357,7 @@ class HierarchicalModel:
                 mean.flags.writeable = False
             if not raw:
                 self._channel_means[script] = means
-        return ad.concat([self._characters_mean(script)
+        return ad.concat([self._characters_mean(script, not raw)
                           if name == "characters" else ad.constant(means[name])
                           for name, _ in self.block_layout])
 

@@ -8,6 +8,17 @@ pairs strictly less similar, and a tag paired with itself is the 100th
 percentile.  Under this convention no distinct pair reaches 100, so a
 cutoff of 100 reproduces exact matching; percentiles are monotone in
 similarity, so similarity F-1 is nondecreasing as the cutoff drops.
+
+A ``TagEmbeddingSpace`` computes every ordered pair's percentile once, when
+it is built: one ``np.searchsorted`` of the whole similarity matrix in the
+sorted distinct-pair similarities, with 100 on the diagonal.
+``percentile``, ``similarity_f1`` and ``merge_equivalents`` read that
+table.  ``similarity_f1`` still resolves a script's tags only when it
+pairs them, in the order the pairs reach them, so an unknown tag raises
+``UnknownTag`` where a per-pair lookup would.
+
+The tag embeddings file is read a line at a time; a byte that is not UTF-8
+is a data error naming the file and the line of the first such byte.
 """
 
 from __future__ import annotations
@@ -26,17 +37,27 @@ from .errors import (
     NonFiniteEmbedding,
     UnknownTag,
 )
+from .ioutil import numbered_lines
 
 
 @dataclass
 class TagEmbeddingSpace:
-    """Embeddings for one attribute's tags plus the pair-similarity distribution."""
+    """Embeddings for one attribute's tags plus the pair-similarity
+    distribution.
+
+    ``similarities`` holds every ordered pair's cosine and ``percentiles``
+    its percentile, both (n, n) and built once; ``_similarity_rows`` and
+    ``_percentile_rows`` hold them as nested lists of floats, for per-pair
+    reads.
+    """
 
     attribute: str
     tags: tuple[str, ...]
     vectors: np.ndarray
     similarities: np.ndarray = field(init=False)
-    _pair_sims: np.ndarray = field(init=False)
+    percentiles: np.ndarray = field(init=False)
+    _similarity_rows: list[list[float]] = field(init=False)
+    _percentile_rows: list[list[float]] = field(init=False)
     _index: dict = field(init=False)
 
     def __post_init__(self):
@@ -46,16 +67,16 @@ class TagEmbeddingSpace:
         unit = self.vectors / safe[:, None]
         self.similarities = unit @ unit.T
         n = len(self.tags)
-        iu = np.triu_indices(n, k=1)
-        self._pair_sims = np.sort(self.similarities[iu])
+        pair_sims = np.sort(self.similarities[np.triu_indices(n, k=1)])
+        below = np.searchsorted(pair_sims, self.similarities, side="left")
+        self.percentiles = 100.0 * below / max(pair_sims.size, 1)
+        np.fill_diagonal(self.percentiles, 100.0)
+        self._similarity_rows = self.similarities.tolist()
+        self._percentile_rows = self.percentiles.tolist()
         self._index = {t: i for i, t in enumerate(self.tags)}
 
     def __contains__(self, tag: str) -> bool:
         return tag in self._index
-
-    def similarity(self, a: str, b: str) -> float:
-        ia, ib = self._require(a), self._require(b)
-        return float(self.similarities[ia, ib])
 
     def _require(self, tag: str) -> int:
         if tag not in self._index:
@@ -64,20 +85,7 @@ class TagEmbeddingSpace:
 
     def percentile(self, a: str, b: str) -> float:
         """Percentile of the pair's similarity within this attribute's pairs."""
-        self._require(a)
-        self._require(b)
-        if a == b:
-            return 100.0
-        if self._pair_sims.size == 0:
-            return 0.0
-        s = self.similarity(a, b)
-        below = int(np.searchsorted(self._pair_sims, s, side="left"))
-        return 100.0 * below / self._pair_sims.size
-
-    def pairs(self) -> list[tuple[str, str]]:
-        n = len(self.tags)
-        return [(self.tags[i], self.tags[j])
-                for i in range(n) for j in range(i + 1, n)]
+        return self._percentile_rows[self._require(a)][self._require(b)]
 
 
 def load_tag_embeddings(path: str | Path) -> dict[str, TagEmbeddingSpace]:
@@ -90,36 +98,35 @@ def load_tag_embeddings(path: str | Path) -> dict[str, TagEmbeddingSpace]:
     """
     groups: dict[str, list[tuple[str, np.ndarray]]] = {}
     first_line: dict[tuple[str, str], int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            where = f"{path} line {number}"
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise DataError(f"{where}: {len(fields)} tab-separated field(s), "
-                                f"expected attribute, tag and values")
-            attribute, tag, values = fields
-            first = first_line.setdefault((attribute, tag), number)
-            if first != number:
-                raise DataError(f"{where}: {tag!r} of {attribute!r} is listed "
-                                f"again; its first row is line {first}")
-            try:
-                vec = np.asarray([float(v) for v in values.split()])
-            except ValueError as err:
-                raise DataError(f"{where}: {err}") from None
-            if not vec.size:
-                raise DataError(f"{where}: no values for {tag!r}")
-            if not np.isfinite(vec).all():
-                raise NonFiniteEmbedding(
-                    f"{where}: non-finite value in the vector of {tag!r}")
-            rows = groups.setdefault(attribute, [])
-            if rows and vec.size != rows[0][1].size:
-                raise EmbeddingDimMismatch(
-                    f"{where}: {vec.size} values for {tag!r}, but {attribute!r} "
-                    f"vectors have {rows[0][1].size}")
-            rows.append((tag, vec))
+    for number, line in numbered_lines(path):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        where = f"{path} line {number}"
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise DataError(f"{where}: {len(fields)} tab-separated field(s), "
+                            f"expected attribute, tag and values")
+        attribute, tag, values = fields
+        first = first_line.setdefault((attribute, tag), number)
+        if first != number:
+            raise DataError(f"{where}: {tag!r} of {attribute!r} is listed "
+                            f"again; its first row is line {first}")
+        try:
+            vec = np.asarray([float(v) for v in values.split()])
+        except ValueError as err:
+            raise DataError(f"{where}: {err}") from None
+        if not vec.size:
+            raise DataError(f"{where}: no values for {tag!r}")
+        if not np.isfinite(vec).all():
+            raise NonFiniteEmbedding(
+                f"{where}: non-finite value in the vector of {tag!r}")
+        rows = groups.setdefault(attribute, [])
+        if rows and vec.size != rows[0][1].size:
+            raise EmbeddingDimMismatch(
+                f"{where}: {vec.size} values for {tag!r}, but {attribute!r} "
+                f"vectors have {rows[0][1].size}")
+        rows.append((tag, vec))
     spaces = {}
     for attribute, rows in groups.items():
         rows.sort(key=lambda kv: kv[0])
@@ -163,23 +170,34 @@ def similarity_f1(predictions: Mapping[str, set], gold: Mapping[str, set],
     At cutoff 100 only exact matches qualify, reproducing ``micro_f1``.
     """
     _check_aligned(predictions, gold)
+    sims, percentiles = space._similarity_rows, space._percentile_rows
+    require = space._require
     tp = fp = fn = 0
     for key in sorted(gold):
         p, g = sorted(set(predictions[key])), sorted(set(gold[key]))
-        candidates = sorted(
-            ((space.similarity(a, b), a, b) for a in p for b in g),
-            key=lambda t: (-t[0], t[1] != t[2], t[1], t[2]))
+        fp += len(p)
+        fn += len(g)
+        if not (p and g):  # no pair, so no tag to resolve
+            continue
+        # tags resolve in the order the pairs first reach them, so an
+        # unknown one raises as a per-pair lookup would
+        first = require(p[0])
+        cols = [require(b) for b in g]
+        rows =[first] + [require(a) for a in p[1:]]
+        # by descending similarity, exact matches first on ties
+        candidates = sorted((-sims[i][j], a != b, a, b, percentiles[i][j])
+                            for a, i in zip(p, rows) for b, j in zip(g, cols))
         matched_p: set[str] = set()
         matched_g: set[str] = set()
-        for _, a, b in candidates:
+        for _, _, a, b, percentile in candidates:
             if a in matched_p or b in matched_g:
                 continue
-            if space.percentile(a, b) >= cutoff:
+            if percentile >= cutoff:
                 matched_p.add(a)
                 matched_g.add(b)
                 tp += 1
-        fp += len(p) - len(matched_p)
-        fn += len(g) - len(matched_g)
+        fp -= len(matched_p)
+        fn -= len(matched_g)
     if 2 * tp + fp + fn == 0:
         return 0.0
     return 2 * tp / (2 * tp + fp + fn)
@@ -200,11 +218,10 @@ def merge_equivalents(space: TagEmbeddingSpace,
             t = parent[t]
         return t
 
-    for a, b in space.pairs():
-        if space.percentile(a, b) >= cutoff:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
+    for i, j in zip(*np.nonzero(np.triu(space.percentiles >= cutoff, k=1))):
+        ra, rb = find(space.tags[i]), find(space.tags[j])
+        if ra != rb:
+            parent[rb] = ra
     classes: dict[str, list[str]] = {}
     for t in space.tags:
         classes.setdefault(find(t), []).append(t)

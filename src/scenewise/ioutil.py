@@ -1,4 +1,5 @@
-"""Small IO helpers: atomic writes, JSON artifacts, canonical JSON, hashing."""
+"""Small IO helpers: atomic writes, JSON artifacts, canonical JSON, hashing,
+and the error for a text file that is not UTF-8."""
 
 from __future__ import annotations
 
@@ -7,6 +8,9 @@ import json
 import os
 import tempfile
 from pathlib import Path
+from typing import Iterator
+
+from .errors import DataError
 
 
 def canonical_json(obj) -> str:
@@ -48,3 +52,39 @@ def write_json(path: str | Path, obj) -> None:
     ``Infinity`` in the file."""
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True,
                                        allow_nan=False) + "\n")
+
+
+def _line_breaks(data: bytes) -> int:
+    """The line breaks in ``data`` as text mode counts them: ``\\r\\n``,
+    a lone ``\\r`` and a lone ``\\n`` are one each."""
+    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+
+
+def decode_error(path: str | Path) -> DataError:
+    """The DataError for a file that is not UTF-8 text, naming ``path`` and
+    the line of its first bad byte as text mode numbers lines.  It reads
+    the file again in binary, a line at a time; a reader calls it only
+    once decoding has failed."""
+    number = 1
+    with open(path, "rb") as fh:
+        for raw in fh:
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as err:
+                number += _line_breaks(raw[:err.start])
+                return DataError(f"{path} line {number}: byte "
+                                 f"0x{raw[err.start]:02x} is not UTF-8 text "
+                                 f"({err.reason})")
+            number += _line_breaks(raw)
+    return DataError(f"{path}: not UTF-8 text")
+
+
+def numbered_lines(path: str | Path, encoding: str = "utf-8"
+                   ) -> Iterator[tuple[int, str]]:
+    """``(number, line)`` for each line of the text file ``path``, read as
+    it is iterated; a byte that does not decode is :func:`decode_error`."""
+    with open(path, encoding=encoding) as fh:
+        try:
+            yield from enumerate(fh, 1)
+        except UnicodeDecodeError:
+            raise decode_error(path) from None

@@ -142,7 +142,7 @@ def test_primitive_gradients_match_finite_differences(name):
     elif name == "mean_of_run_means":
         a = ad.parameter(r.normal(size=(4, 3)))
         fn = lambda: total(tanh(ad.mean_of_run_means(
-            a, [2, 0, 3, 2, 1], [2, 3], [1, 3], 5)))
+            a, ad.RunLayout([2, 0, 3, 2, 1], [2, 3], [1, 3], 5))))
         params = [a]
     elif name == "logistic_loss":
         a = ad.parameter(r.normal(size=(2, 3)) * 3)

@@ -5,6 +5,7 @@ import pytest
 
 import loss_oracle
 from scenewise import autodiff as ad
+from scenewise import classifier
 from scenewise.classifier import (
     LoglinesModel,
     Sample,
@@ -508,3 +509,58 @@ def test_make_samples_skips_logline_without_tokens(caplog, tiny_vectors):
     samples = make_samples(items, taxonomy, use_loglines=True)
     assert [s.key for s in samples] == ["b"]
     assert "skipping a" in caplog.text
+
+
+@pytest.fixture(scope="module")
+def long_tag_corpus(tmp_path_factory):
+    # plays as long as screenplays: 150 to 170 scenes each
+    out = tmp_path_factory.mktemp("long_tags")
+    generate_synthetic_corpus(out, SynthSpec(
+        n_scripts=4, n_tags=3, signal=1.0, seed=6, scenes_range=(150, 170),
+        statements_range=(2, 3)))
+    corpus, _ = ingest(out / "scripts", out / "tags.json", out / "embeddings.txt",
+                       IngestConfig(min_count=2, heldout_fraction=0.0,
+                                    validation_fraction=0.25, seed=1))
+    return corpus
+
+
+def test_gru_attn_trains_at_screenplay_length(long_tag_corpus, monkeypatch):
+    """Two epochs of the full GRU+Attn model on plays of 150 to 170 scenes:
+    every loss and pre-clipping gradient norm is finite, and a rerun gives
+    the same losses, norms, validation APs and parameters to the bit."""
+    corpus = long_tag_corpus
+    assert min(it.script.n_scenes for it in corpus.items) >= 150
+    taxonomy = TagTaxonomy.from_items(corpus.items, "genre")
+    train_samples = make_samples(corpus.train_items, taxonomy)
+    val_samples = make_samples(corpus.validation_items, taxonomy)
+    assert len(train_samples) == 3 and len(val_samples) == 1
+    clip = classifier.clip_grad_norm
+
+    def fit():
+        norms = []
+
+        def recorded_clip(opt, max_norm):
+            norms.append(clip(opt, max_norm))
+            return norms[-1]
+
+        monkeypatch.setattr(classifier, "clip_grad_norm", recorded_clip)
+        vectors = corpus.vectors()
+        spec = EncoderSpec(EncoderKind.GRU_ATTN, input_dim=vectors.dim,
+                           hidden_per_direction=10)
+        encoder = HierarchicalModel(spec, Variant.FULL, vectors,
+                                    corpus.characters(), seed=2)
+        model = ScriptTagModel(encoder, len(taxonomy), seed=2)
+        result = train(model, train_samples, val_samples, taxonomy,
+                       TrainConfig(max_epochs=2, patience=3, seed=4))
+        params = {k: t.data.copy() for k, t in model.named_params().items()}
+        return result.rows, norms, params
+
+    rows, norms, params = fit()
+    assert len(rows) == 2 and len(norms) == 2 * len(train_samples)
+    assert all(math.isfinite(v) for r in rows for v in (r.train_loss, r.val_ap))
+    assert all(math.isfinite(n) and n > 0 for n in norms)
+    again = fit()
+    assert again[0] == rows and again[1] == norms
+    assert again[2].keys() == params.keys()
+    for name, value in params.items():
+        assert np.array_equal(again[2][name], value), name

@@ -14,6 +14,7 @@ from scenewise.corpus import IngestConfig, SynthSpec, ingest
 from scenewise.descriptors import DescriptorConfig
 from scenewise.encoders import CharacterTable
 from scenewise.evaluation import micro_f1
+from scenewise.ioutil import decode_error
 from scenewise.parser import DEFAULT_SCENE_CAP, parse_script
 
 DATA = Path(__file__).parent / "data"
@@ -686,6 +687,59 @@ def test_parse_skips_undecodable_script(workspace, tmp_path, caplog):
         ["synth000", "synth001", "synth002"]
     assert not (out / "zzbinary.quality.json").exists()
     assert "zzbinary.txt: undecodable: " in caplog.text
+
+
+def with_bad_byte(src: Path, dst: Path, line: int) -> Path:
+    """A copy of ``src`` with the byte 0xff put into line ``line``."""
+    lines = src.read_bytes().splitlines(keepends=True)
+    lines[line - 1] = lines[line - 1][:2] + b"\xff" + lines[line - 1][2:]
+    dst.write_bytes(b"".join(lines))
+    return dst
+
+
+@pytest.mark.parametrize("reader, line", [
+    ("embeddings", 3), ("tags", 4), ("loglines", 2), ("tag_embeddings", 2),
+])
+def test_undecodable_input_file_is_data_error_naming_its_line(
+        workspace, trained, tmp_path, capsys, reader, line):
+    _, synth = workspace
+    source = {"embeddings": synth / "embeddings.txt",
+              "tags": synth / "tags.json",
+              "loglines": synth / "loglines.json",
+              "tag_embeddings": synth / "tag_embeddings.tsv"}[reader]
+    bad = with_bad_byte(source, tmp_path / source.name, line)
+    out = tmp_path / "out.json"
+    args = data_args(synth)
+    if reader == "tag_embeddings":
+        argv = ["evaluate"] + args + [
+            "--checkpoint", str(trained[0] / "checkpoint.swck"),
+            "--tag-embeddings", str(bad)]
+    else:
+        argv = ["ingest"] + args + CORPUS_FLAGS + [
+            "--loglines", str(synth / "loglines.json")]
+        argv[argv.index(f"--{reader}") + 1] = str(bad)
+    assert run(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    errors = [json.loads(text) for text in captured.err.splitlines()
+              if text.startswith("{")]
+    assert errors == [{"error": "DataError", "message":
+                       f"{bad} line {line}: byte 0xff is not UTF-8 text "
+                       f"(invalid start byte)"}]
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"a\r\nb\rc\nd\xff\n", 4),        # each break kind counts once
+    (b"\xef\xbb\xbfa 1\n\xff", 2),      # a byte-order mark is no line
+    (b"ok\n\n\xc3(\n", 3),               # a bad continuation byte
+    (b"\xff", 1),
+])
+def test_decode_error_numbers_lines_as_text_mode_does(tmp_path, data, line):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError):
+        path.read_text(encoding="utf-8")
+    assert str(decode_error(path)).startswith(f"{path} line {line}: byte 0x")
 
 
 def test_ingest_and_parse_skip_directory_named_like_a_script(

@@ -245,6 +245,34 @@ def test_compiled_logits_and_gradients_match_oracle(kind, variant, with_unk):
             params, lambda: model.logits(play)))
 
 
+@pytest.mark.parametrize("kind", list(EncoderKind))
+def test_speaker_layout_is_kept_per_compiled_script(kind):
+    """BoE keeps a compiled script's speaker layout (None for a play
+    without speakers) from its first encode; a repeat encode reads it and
+    still equals the oracle.  A raw screenplay keeps nothing, and the
+    other kinds keep no layout at all."""
+    vectors = vectors_for(with_unk=True)
+    model = tag_model(vectors, kind, Variant.FULL)
+    params = model.named_params()
+    plays = edge_plays() + [Screenplay("silent", [scene_of(action("sun dust"),
+                                                           index=1)])]
+    for play in plays:
+        model.logits(play)
+    assert not model.encoder._speaker_layouts
+    scripts = [vectors.compiled(play) for play in plays]
+    for play, script in list(zip(plays, scripts)) * 2:
+        expected = logits_and_grads(
+            params, lambda: model.head.logits(oracle_script(model.encoder, play)))
+        assert_bitwise(expected, logits_and_grads(
+            params, lambda: model.logits(script)))
+    layouts = model.encoder._speaker_layouts
+    if kind is not EncoderKind.BOE:
+        assert not layouts
+        return
+    assert list(layouts) == scripts
+    assert [layouts[s] is None for s in scripts] == [False, False, True]
+
+
 @pytest.mark.parametrize("with_unk", [False, True])
 @pytest.mark.parametrize("text", ["alpha beta", "zzz tide ghost alpha", "sun"])
 def test_compiled_logline_matches_oracle(with_unk, text):

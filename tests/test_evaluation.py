@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evaluation_oracle
 from scenewise.errors import (
     DataError,
     DomainError,
@@ -79,15 +80,15 @@ def test_percentile_identical_tag_is_100():
 
 def test_percentile_distinct_pairs_below_100():
     s = random_space(1)
-    for a, b in s.pairs():
+    for a, b in evaluation_oracle.pairs(s):
         assert s.percentile(a, b) < 100.0
 
 
 def test_percentile_most_dissimilar_pair_lowest():
     s = random_space(2)
-    pairs = s.pairs()
+    pairs = evaluation_oracle.pairs(s)
     percentiles = {p: s.percentile(*p) for p in pairs}
-    sims = {p: s.similarity(*p) for p in pairs}
+    sims = {p: evaluation_oracle.similarity(s, *p) for p in pairs}
     worst = min(pairs, key=lambda p: sims[p])
     assert percentiles[worst] == min(percentiles.values())
     assert percentiles[worst] == 0.0
@@ -171,6 +172,105 @@ def test_similarity_f1_one_to_one_consumption():
     f1 = similarity_f1(pred, gold, space, 0.0)
     # TP=1, FP=1, FN=0
     assert f1 == pytest.approx(2 / 3)
+
+
+# ---------------------------------------------------------------------------
+# the percentile table against the per-pair oracle
+
+
+def oracle_spaces():
+    """Random spaces of 0 to 9 tags, with repeated and zero vectors, so
+    that pair similarities tie and percentiles share values."""
+    spaces = []
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = seed % 10
+        vectors = rng.normal(size=(n, 4))
+        if n >= 3:
+            vectors[rng.integers(n)] = vectors[rng.integers(n)]
+            vectors[rng.integers(n)] = 0.0
+        if seed % 4 == 0:
+            vectors = np.round(vectors)  # coarse vectors: many tied cosines
+        spaces.append(space_of([f"t{i}" for i in range(n)], vectors))
+    return spaces
+
+
+def oracle_cutoffs(space):
+    """Fixed cutoffs and every percentile the space reaches, so a pair
+    sits exactly on a cutoff."""
+    return sorted({100.0, 90.0, 80.0, 70.0, 50.0, 0.0}
+                  | set(space.percentiles.ravel().tolist()))
+
+
+def test_percentile_table_matches_per_pair_oracle():
+    for space in oracle_spaces():
+        n = len(space.tags)
+        assert space.percentiles.shape == (n, n)
+        for a in space.tags:
+            for b in space.tags:
+                want = evaluation_oracle.percentile(space, a, b)
+                got = space.percentile(a, b)
+                assert type(got) is float and got == want, (space.tags, a, b)
+
+
+def test_similarity_f1_and_merge_match_per_pair_oracle():
+    for seed, space in enumerate(oracle_spaces()):
+        rng = np.random.default_rng(seed + 500)
+        tags = list(space.tags)
+        pred, gold = {}, {}
+        for i in range(12):
+            pred[f"s{i}"] = {t for t in tags if rng.random() < 0.35}
+            gold[f"s{i}"] = {t for t in tags if rng.random() < 0.35}
+        for cutoff in oracle_cutoffs(space):
+            assert similarity_f1(pred, gold, space, cutoff) == \
+                evaluation_oracle.similarity_f1(pred, gold, space, cutoff)
+            assert merge_equivalents(space, cutoff) == \
+                evaluation_oracle.merge_equivalents(space, cutoff)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except UnknownTag as err:
+        return f"UnknownTag: {err}"
+
+
+@pytest.mark.parametrize("pred, gold", [
+    ({"s": {"x"}}, {"s": set()}),               # no pair: nothing resolved
+    ({"s": set()}, {"s": {"x", "tag0"}}),
+    ({"s": {"x"}}, {"s": {"tag0"}}),
+    ({"s": {"tag0"}}, {"s": {"tag1", "y"}}),
+    ({"s": {"tag0", "x"}}, {"s": {"tag1", "y"}}),  # y is reached first
+    ({"s": {"tag2", "x"}}, {"s": {"tag1"}}),
+    ({"s": {"x", "y"}}, {"s": {"z"}}),
+    ({"a": {"tag0"}, "b": {"x"}}, {"a": {"tag0"}, "b": set()}),
+    ({"a": {"tag0"}, "b": {"x"}}, {"a": {"y"}, "b": {"tag1"}}),
+])
+def test_similarity_f1_unknown_tags_raise_as_oracle(pred, gold):
+    space = random_space(8, n_tags=3)
+    for cutoff in (100.0, 0.0):
+        assert outcome(similarity_f1, pred, gold, space, cutoff) == \
+            outcome(evaluation_oracle.similarity_f1, pred, gold, space, cutoff)
+
+
+def test_similarity_f1_unknown_tags_fuzz_against_oracle():
+    space = random_space(9, n_tags=4)
+    names = list(space.tags) + ["u0", "u1"]
+    odds = [0.35] * len(space.tags) + [0.06, 0.06]
+    rng = np.random.default_rng(3)
+    raised = 0
+
+    def draw():
+        return {f"s{i}": {t for t, p in zip(names, odds) if rng.random() < p}
+                for i in range(3)}
+
+    for _ in range(300):
+        pred, gold = draw(), draw()
+        cutoff = float(rng.choice([100.0, 80.0, 0.0]))
+        want = outcome(evaluation_oracle.similarity_f1, pred, gold, space, cutoff)
+        assert outcome(similarity_f1, pred, gold, space, cutoff) == want
+        raised += isinstance(want, str)
+    assert 50 < raised < 250  # both outcomes are exercised
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +372,8 @@ def test_load_tag_embeddings_round_trip(tmp_path):
     spaces = load_tag_embeddings(path)
     assert set(spaces) == {"genre", "mood"}
     assert spaces["genre"].tags == ("crime", "heist")
-    assert spaces["genre"].similarity("crime", "crime") == pytest.approx(1.0)
+    assert evaluation_oracle.similarity(spaces["genre"], "crime", "crime") \
+        == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("bad, error, message", [

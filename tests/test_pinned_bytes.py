@@ -1,12 +1,20 @@
-"""The bytes of ``parse`` and ``ingest`` on a wide synthetic corpus, pinned.
+"""The bytes of ``parse``, ``ingest`` and ``evaluate`` on synthetic
+corpora, pinned.
 
-The corpus has the shape of the ``boe_wide`` benchmark workload (10 to 20
-scenes of 6 to 12 statements each).  The digests cover the TSV and quality
-files of ``scenewise parse``, the manifest of ``scenewise ingest`` and every
-compiled script's and logline's row ids, lengths, scenes, kinds and casts.
-None of these outputs holds floating-point arithmetic, so the digests hold
-on any platform; a change to the line scan or the tokenizer that moves one
-bit of them fails here.
+The wide corpus has the shape of the ``boe_wide`` benchmark workload (10 to
+20 scenes of 6 to 12 statements each).  Its digests cover the TSV and
+quality files of ``scenewise parse``, the manifest of ``scenewise ingest``
+and every compiled script's and logline's row ids, lengths, scenes, kinds
+and casts.  None of these outputs holds floating-point arithmetic, so the
+digests hold on any platform; a change to the line scan or the tokenizer
+that moves one bit of them fails here.
+
+The tagged corpus has 8 tags, so 28 tag pairs, and cutoffs 90 to 70 match
+tags that cutoff 100 does not.  Its digests cover ``scenewise evaluate``'s
+report with ``--tag-embeddings`` and four cutoffs, for a BoE and a GRU+Attn
+checkpoint trained on it: each F-1 there rests on thresholded logits and on
+the percentiles of the tag space, so a change that moves a prediction or a
+percentile fails here.
 """
 
 import hashlib
@@ -26,6 +34,13 @@ MANIFEST_SHA256 = ("1024a062b210e803e497a0e0d8b62f25"
                    "89db18443c14aabb8c218e2ee5dbf03a")
 COMPILED_SHA256 = ("f405d0beab7feada610e525bcb4ec038"
                    "b94182d7680c893cb5cfa7ab56dc8f6d")
+# evaluate's report on the 8-tag corpus, after training with each encoder
+EVALUATE_SHA256 = {
+    "boe": ("03be20e94f4669d736397255fb31d422"
+            "1060714bd6d763a526420ff915961d1a"),
+    "gru_attn": ("c0381414c25e8d0fc4393b05a852e12c"
+                 "9fe0d2ed54c67af1b95f12c77da355f3"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -75,3 +90,32 @@ def test_compiled_scripts_keep_their_bytes(wide_corpus):
                 digest.update(array.tobytes())
             digest.update(json.dumps(script.characters).encode() + b"\0")
     assert digest.hexdigest() == COMPILED_SHA256
+
+
+
+@pytest.fixture(scope="module")
+def tagged_corpus(tmp_path_factory):
+    synth = tmp_path_factory.mktemp("tagged") / "synth"
+    assert main(["synth", "--out", str(synth), "--scripts", "24", "--tags", "8",
+                 "--signal", "0.6", "--seed", "5"]) == 0
+    return synth
+
+
+@pytest.mark.parametrize("encoder, flags", [
+    ("boe", ["--epochs", "3"]),
+    ("gru_attn", ["--epochs", "2", "--hidden", "10"]),
+], ids=["boe", "gru_attn"])
+def test_evaluate_report_keeps_its_bytes(tagged_corpus, tmp_path, encoder, flags):
+    common = ["--scripts", str(tagged_corpus / "scripts"),
+              "--tags", str(tagged_corpus / "tags.json"),
+              "--embeddings", str(tagged_corpus / "embeddings.txt")]
+    run = tmp_path / "run"
+    assert main(["train", *common, "--attribute", "genre", "--encoder", encoder,
+                 "--min-count", "2", "--seed", "4", *flags,
+                 "--out", str(run)]) == 0
+    out = run / "eval.json"
+    assert main(["evaluate", *common, "--checkpoint", str(run / "checkpoint.swck"),
+                 "--split", "all",
+                 "--tag-embeddings", str(tagged_corpus / "tag_embeddings.tsv"),
+                 "--cutoffs", "100,90,80,70", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EVALUATE_SHA256[encoder]
