@@ -38,7 +38,8 @@ saved gate activations, again both directions per step; the weight
 gradients sum each direction's steps in its batch order, so they are the
 sums one direction at a time would give.  It returns the input's gradient
 and each stored array's.  ``attention_pool`` pools such a batch with one
-attention vector, masking the padded steps, also as a single node (its
+attention vector, weighting each sequence's real steps by the softmax of
+their scores and the padded steps by zero, also as a single node (its
 forward, ``attention_pass``, is what the frozen descriptor target calls
 on plain arrays), and
 ``mean_rows`` averages runs of consecutive rows.  Every sequence op takes
@@ -76,8 +77,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (DegenerateNormalizer, EmptySequence, NonFiniteLoss,
-                     ShapeMismatch)
+from .errors import EmptySequence, NonFiniteLoss, ShapeMismatch
 
 Vjp = Callable[[np.ndarray], tuple]
 
@@ -484,59 +484,38 @@ def bi_gru(xs: Tensor, p: BiGru, lengths) -> Tensor:
                vjp)
 
 
-# the smallest |sum| that linear attention divides by
-_MIN_NORMALIZER = 1e-9
-
-
-def attention_pass(o: np.ndarray, p: np.ndarray, lengths, linear: bool = False
+def attention_pass(o: np.ndarray, p: np.ndarray, lengths
                    ) -> tuple[np.ndarray, ...]:
     """Attention pooling on plain arrays: each sequence of a right-padded
     (B, T, H) batch ``o``, row ``b`` holding ``lengths[b]`` real steps,
     pooled to its attention-weighted sum, (B, H).
 
     Scores are ``o @ p``; the weights are their softmax over each
-    sequence's real steps or, with ``linear``, each score over the sum of
-    its sequence's scores, which raises :class:`DegenerateNormalizer` for
-    a sequence whose sum is below ``_MIN_NORMALIZER`` in magnitude.
-    Padded steps get weight zero.  Returns the (B, T) mask of real steps,
-    the (B, T) weights, the (B, 1) linear normalizers (None under the
-    softmax) and the (B, H) pooled vectors.
+    sequence's real steps, and padded steps get weight zero.  Returns the
+    (B, T) weights and the (B, H) pooled vectors.
     """
     if o.ndim != 3 or p.shape != o.shape[2:]:
         raise ShapeMismatch(f"attention_pool: {o.shape} vs {p.shape}")
     valid = _step_mask(o.shape, np.asarray(lengths))[..., 0] > 0
     scores = o @ p
-    sums = None
-    if linear:
-        scores = np.where(valid, scores, 0.0)
-        sums = scores.sum(axis=1, keepdims=True)
-        low = np.abs(sums[:, 0]) < _MIN_NORMALIZER
-        if low.any():
-            raise DegenerateNormalizer(
-                f"normalizer sum {float(sums[low][0, 0])!r} of sequence "
-                f"{int(np.argmax(low))} below {_MIN_NORMALIZER}")
-        weights = scores / sums
-    else:
-        shifted = np.exp(np.where(valid, scores, -np.inf)
-                         - scores.max(axis=1, keepdims=True, where=valid,
-                                      initial=-np.inf))
-        weights = shifted / shifted.sum(axis=1, keepdims=True)
-    return valid, weights, sums, (weights[:, None, :] @ o)[:, 0]
+    shifted = np.exp(np.where(valid, scores, -np.inf)
+                     - scores.max(axis=1, keepdims=True, where=valid,
+                                  initial=-np.inf))
+    weights = shifted / shifted.sum(axis=1, keepdims=True)
+    return weights, (weights[:, None, :] @ o)[:, 0]
 
 
-def attention_pool(outputs: Tensor, p: Tensor, lengths, linear: bool = False
-                   ) -> Tensor:
+def attention_pool(outputs: Tensor, p: Tensor, lengths) -> Tensor:
     """:func:`attention_pass` over ``outputs`` and ``p`` as one tape node,
     (B, T, H) -> (B, H).  When ``outputs`` takes no gradient, the VJP
     computes none for it.
     """
     o = outputs.data
-    valid, weights, sums, pooled = attention_pass(o, p.data, lengths, linear)
+    weights, pooled = attention_pass(o, p.data, lengths)
 
     def vjp(g: np.ndarray) -> tuple:
         d_w = (o @ g[:, :, None])[:, :, 0]
-        centred = d_w - (weights * d_w).sum(axis=1, keepdims=True)
-        d_s = np.where(valid, centred / sums, 0.0) if linear else weights * centred
+        d_s = weights * (d_w - (weights * d_w).sum(axis=1, keepdims=True))
         d_p = d_s.reshape(-1) @ o.reshape(-1, o.shape[2])
         if not outputs.requires_grad:
             return (None, d_p)

@@ -79,8 +79,6 @@ from .descriptors import (
     train_descriptors,
 )
 from .encoders import (
-    PAPER_LINEAR,
-    SOFTMAX,
     EncoderKind,
     EncoderSpec,
     HierarchicalModel,
@@ -289,7 +287,6 @@ class _ScriptModelSettings:
     kind: typing.Literal[tuple(k.value for k in EncoderKind)]
     input_dim: int
     hidden_per_direction: int
-    attention_normalization: typing.Literal[SOFTMAX, PAPER_LINEAR]
     char_dim: int
     characters: list[str]
     seed: int

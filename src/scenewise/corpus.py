@@ -133,7 +133,7 @@ class WordEmbeddings:
         table: dict[str, np.ndarray] = {}
         first_line: dict[str, int] = {}
         dim: int | None = None
-        for number, line in numbered_lines(path, "utf-8-sig"):
+        for number, line in numbered_lines(path):
             parts = line.rstrip("\n").split()
             if not parts:
                 continue

@@ -4,10 +4,8 @@ Four encoder kinds share one interface: a bag-of-embeddings mean (BoE), an
 attention-weighted bag (BoE+Attn), a bidirectional GRU taking its final
 output (GRU), and an attention pooling over GRU outputs (GRU+Attn).
 Attention scores one vector per input with a learned vector ``p`` and
-pools the batch with ``autodiff.attention_pool``; the default
-normalization is a softmax over the scores, and a strictly linear
-normalization ``a_i = s_i / sum_j s_j`` is available as ``paper_linear``.
-``EncoderSpec`` refuses any other normalization when it is built.
+pools the batch with ``autodiff.attention_pool``, whose weights are the
+softmax of the scores over each sequence's real steps.
 
 The hierarchical composition encodes action statements and dialogue
 statements through separate statement and scene encoders, optionally
@@ -61,21 +59,11 @@ class EncoderKind(Enum):
     GRU_ATTN = "gru_attn"
 
 
-SOFTMAX = "softmax"
-PAPER_LINEAR = "paper_linear"
-
-
 @dataclass(frozen=True)
 class EncoderSpec:
     kind: EncoderKind
     input_dim: int = 100
     hidden_per_direction: int = 50
-    attention_normalization: str = SOFTMAX
-
-    def __post_init__(self):
-        if self.attention_normalization not in (SOFTMAX, PAPER_LINEAR):
-            raise ValueError(f"unknown attention normalization "
-                             f"{self.attention_normalization!r}")
 
     @property
     def output_dim(self) -> int:
@@ -105,7 +93,7 @@ class SequenceEncoder:
         sequence ``b`` taking the next ``lengths[b]`` rows: (B, output_dim).
         BoE takes each run's mean of the rows; the other kinds read the
         batch right-padded by :func:`pad_runs`, and the attention kinds pool
-        it with the spec's normalization.
+        it with :func:`autodiff.attention_pool`.
         """
         lengths = np.asarray(lengths)
         kind = self.spec.kind
@@ -116,9 +104,7 @@ class SequenceEncoder:
             else ad.bi_gru(padded, self.gru, lengths)
         if kind is EncoderKind.GRU:
             return ad.row(outputs, (np.arange(len(lengths)), lengths - 1))
-        return ad.attention_pool(
-            outputs, self.p, lengths,
-            linear=self.spec.attention_normalization == PAPER_LINEAR)
+        return ad.attention_pool(outputs, self.p, lengths)
 
     def named_params(self, prefix: str) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -379,7 +365,6 @@ class HierarchicalModel:
             "kind": self.spec.kind.value,
             "input_dim": self.spec.input_dim,
             "hidden_per_direction": self.spec.hidden_per_direction,
-            "attention_normalization": self.spec.attention_normalization,
             "char_dim": self.char_dim,
             "characters": sorted(self.char_table.index)
             if self.char_table else [],
@@ -392,7 +377,6 @@ class HierarchicalModel:
             kind=EncoderKind(config["kind"]),
             input_dim=config["input_dim"],
             hidden_per_direction=config["hidden_per_direction"],
-            attention_normalization=config["attention_normalization"],
         )
         names = [n for n in config["characters"] if n != CharacterTable.UNK_NAME]
         return cls(spec=spec, variant=Variant(config["variant"]), vectors=vectors,

@@ -32,10 +32,6 @@ class EmptyStatement(ScenewiseError):
     """A statement had no tokens after vocabulary mapping."""
 
 
-class DegenerateNormalizer(ScenewiseError):
-    """Linear attention normalizer is too close to zero."""
-
-
 # classifier
 class NoPositives(DataError):
     """Average precision is undefined without a positive label."""

@@ -12,13 +12,14 @@ similarity, so similarity F-1 is nondecreasing as the cutoff drops.
 A ``TagEmbeddingSpace`` computes every ordered pair's percentile once, when
 it is built: one ``np.searchsorted`` of the whole similarity matrix in the
 sorted distinct-pair similarities, with 100 on the diagonal.
-``percentile``, ``similarity_f1`` and ``merge_equivalents`` read that
-table.  ``similarity_f1`` still resolves a script's tags only when it
-pairs them, in the order the pairs reach them, so an unknown tag raises
-``UnknownTag`` where a per-pair lookup would.
+``similarity_f1`` and ``merge_equivalents`` read that table.
+``similarity_f1`` still resolves a script's tags only when it pairs them,
+in the order the pairs reach them, so an unknown tag raises ``UnknownTag``
+where a per-pair lookup would.
 
-The tag embeddings file is read a line at a time; a byte that is not UTF-8
-is a data error naming the file and the line of the first such byte.
+The tag embeddings file is read a line at a time, dropping a leading
+byte-order mark; a byte that is not UTF-8 is a data error naming the file
+and the line of the first such byte.
 """
 
 from __future__ import annotations
@@ -82,10 +83,6 @@ class TagEmbeddingSpace:
         if tag not in self._index:
             raise UnknownTag(f"{tag!r} not in attribute {self.attribute!r}")
         return self._index[tag]
-
-    def percentile(self, a: str, b: str) -> float:
-        """Percentile of the pair's similarity within this attribute's pairs."""
-        return self._percentile_rows[self._require(a)][self._require(b)]
 
 
 def load_tag_embeddings(path: str | Path) -> dict[str, TagEmbeddingSpace]:

@@ -79,11 +79,11 @@ def decode_error(path: str | Path) -> DataError:
     return DataError(f"{path}: not UTF-8 text")
 
 
-def numbered_lines(path: str | Path, encoding: str = "utf-8"
-                   ) -> Iterator[tuple[int, str]]:
-    """``(number, line)`` for each line of the text file ``path``, read as
-    it is iterated; a byte that does not decode is :func:`decode_error`."""
-    with open(path, encoding=encoding) as fh:
+def numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """``(number, line)`` for each line of the UTF-8 text file ``path``, less
+    a leading byte-order mark, read as it is iterated; a byte that does not
+    decode is :func:`decode_error`."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             yield from enumerate(fh, 1)
         except UnicodeDecodeError:

@@ -564,3 +564,44 @@ def test_gru_attn_trains_at_screenplay_length(long_tag_corpus, monkeypatch):
     assert again[2].keys() == params.keys()
     for name, value in params.items():
         assert np.array_equal(again[2][name], value), name
+
+
+def test_gru_attn_directional_gradient_at_screenplay_length(long_tag_corpus):
+    """The full GRU+Attn model's loss on a play of 150 or more scenes, so
+    the script tier back-propagates through every scene: along seeded
+    unit directions ``v`` over all parameters, ``<grad f, v>`` equals the
+    central difference ``(f(theta + h v) - f(theta - h v)) / 2h``."""
+    corpus = long_tag_corpus
+    taxonomy = TagTaxonomy.from_items(corpus.items, "genre")
+    sample = make_samples(corpus.train_items, taxonomy)[0]
+    assert sample.x.n_scenes >= 150
+    vectors = corpus.vectors()
+    spec = EncoderSpec(EncoderKind.GRU_ATTN, input_dim=vectors.dim,
+                       hidden_per_direction=10)
+    model = ScriptTagModel(HierarchicalModel(spec, Variant.FULL, vectors,
+                                             corpus.characters(), seed=2),
+                           len(taxonomy), seed=2)
+    params = list(model.named_params().values())
+
+    def loss():
+        return reweighted_loss(sample.y, model.logits(sample.x), taxonomy.lam,
+                               taxonomy.active)
+
+    ad.backward(loss())
+    grads = [t.grad.copy() for t in params]
+    theta = [t.data.copy() for t in params]
+    h = 1e-5
+    for seed in range(3):
+        r = rng(100 + seed)
+        v = [r.normal(size=t.data.shape) for t in params]
+        scale = 1.0 / math.sqrt(sum(float(np.sum(d * d)) for d in v))
+        v = [d * scale for d in v]
+        analytic = sum(float(np.sum(g * d)) for g, d in zip(grads, v))
+        values = []
+        for step in (h, -h):
+            for t, t0, d in zip(params, theta, v):
+                t.data[...] = t0 + step * d
+            values.append(loss().item())
+        numeric = (values[0] - values[1]) / (2 * h)
+        assert abs(analytic - numeric) <= 1e-6 * max(abs(analytic), 1e-3), \
+            (seed, analytic, numeric)

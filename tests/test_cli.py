@@ -1149,8 +1149,10 @@ TAXONOMY_KEYS = ["active", "attribute", "lam", "tags"]
 def damaged_manifests():
     """(command, checkpoint kind, key, damage) for each declared key deleted
     or set to 7, a retired key added back, and a taxonomy whose lam is one
-    entry short; and inside the taxonomy, each key deleted or set to 7, an
-    unknown key added, and an active mask of 1/0 for its booleans."""
+    entry short; inside the taxonomy, each key deleted or set to 7, an
+    unknown key added, and an active mask of 1/0 for its booleans; and a
+    model record holding the retired attention normalization, as earlier
+    checkpoints do."""
     cases = [(command, kind, key, damage)
              for kind, keys in [("tag_model", TAG_MODEL_KEYS),
                                 ("descriptor_model", DESCRIPTOR_MODEL_KEYS)]
@@ -1166,6 +1168,8 @@ def damaged_manifests():
               for command in READERS["tag_model"]
               for key, damage in [("positives", "taxonomy-added"),
                                   ("active", "ints")]]
+    cases += [(command, "tag_model", "attention_normalization", "model-softmax")
+              for command in READERS["tag_model"]]
     return cases + [(command, "tag_model", "lam", "short")
                     for command in READERS["tag_model"]]
 
@@ -1181,6 +1185,8 @@ def damage_manifest(manifest, key, damage):
         manifest[key] = 0
     elif damage.startswith("taxonomy-"):
         damage_manifest(manifest["taxonomy"], key, damage.split("-")[1])
+    elif damage == "model-softmax":
+        manifest["model"][key] = "softmax"
     elif damage == "ints":
         manifest["taxonomy"][key] = [int(v) for v in manifest["taxonomy"][key]]
     else:

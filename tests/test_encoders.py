@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from scenewise import autodiff as ad
-from scenewise import encoders as enc
 from scenewise.encoders import (
     CharacterTable,
     EncoderKind,
@@ -12,7 +11,7 @@ from scenewise.encoders import (
     Variant,
     encode_tokens,
 )
-from scenewise.errors import DegenerateNormalizer, EmptyStatement
+from scenewise.errors import EmptyStatement
 from scenewise.parser import Scene, Screenplay, Statement, StatementKind
 
 from conftest import embedding_rows, make_vectors
@@ -57,7 +56,7 @@ def encode_sequences(sequences, vectors, encoder):
 # attention
 
 
-def pooled_weights(scores, lengths, linear=False):
+def pooled_weights(scores, lengths):
     """The (B, T) weights that ``attention_pool`` gives a (B, T) batch of
     scores, read through the pooled output: step ``t`` of row ``b`` is the
     one-hot output e_{bT+t}, so it scores p[bT+t] = scores[b, t], and row
@@ -67,8 +66,8 @@ def pooled_weights(scores, lengths, linear=False):
     b, t = scores.shape
     outputs = np.eye(b * t).reshape(b, t, b * t)
     pooled = ad.attention_pool(ad.constant(outputs),
-                               ad.constant(scores.reshape(-1)), lengths,
-                               linear=linear).data.reshape(b, b, t)
+                               ad.constant(scores.reshape(-1)),
+                               lengths).data.reshape(b, b, t)
     weights = pooled[np.arange(b), np.arange(b)].copy()
     pooled[np.arange(b), np.arange(b)] = 0.0
     assert not pooled.any()
@@ -83,36 +82,58 @@ def test_attend_identical_outputs_softmax_uniform():
     assert np.allclose(pooled_weights((c @ p)[None], [4]), 0.25)
 
 
-@pytest.mark.parametrize("linear", [False, True],
-                         ids=[enc.SOFTMAX, enc.PAPER_LINEAR])
-def test_attend_single_step(linear):
+def test_attend_single_step():
     c = rng(3).normal(size=(1, 1, 4))
     p = rng(4).normal(size=4)
-    pooled = ad.attention_pool(ad.constant(c), ad.constant(p), [1],
-                               linear=linear)
-    assert np.allclose(pooled_weights(c @ p, [1], linear), [[1.0]])
+    pooled = ad.attention_pool(ad.constant(c), ad.constant(p), [1])
+    assert np.allclose(pooled_weights(c @ p, [1]), [[1.0]])
     assert np.allclose(pooled.data, c[:, 0])
 
 
-def test_attend_paper_linear_matches_direct_formula():
+def softmax(scores):
+    e = np.exp(scores - scores.max())
+    return e / e.sum()
+
+
+def test_attend_softmax_matches_direct_formula():
     r = rng(5)
     c = r.normal(size=(4, 3))
     p = r.normal(size=3)
     scores = c @ p
-    expected_weights = scores / scores.sum()
-    expected_pooled = expected_weights @ c
-    pooled = ad.attention_pool(ad.constant(c[None]), ad.constant(p), [4],
-                               linear=True)
-    assert np.allclose(pooled_weights(scores[None], [4], linear=True),
-                       [expected_weights])
-    assert np.allclose(pooled.data, [expected_pooled])
+    expected_weights = np.exp(scores) / np.exp(scores).sum()
+    pooled = ad.attention_pool(ad.constant(c[None]), ad.constant(p), [4])
+    assert np.allclose(pooled_weights(scores[None], [4]), [expected_weights])
+    assert np.allclose(pooled.data, [expected_weights @ c])
 
 
-def test_attend_paper_linear_degenerate_sum():
-    c = np.array([[[1.0, 0.0], [-1.0, 0.0]]])
-    p = np.array([1.0, 0.0])  # scores +1 and -1 sum to 0
-    with pytest.raises(DegenerateNormalizer):
-        ad.attention_pool(ad.constant(c), ad.constant(p), [2], linear=True)
+def test_attend_softmax_large_scores_stay_finite():
+    # exp(1000) overflows: the pool shifts each row's scores by their max
+    c = np.array([[[1000.0, 0.0], [-1000.0, 0.0]],
+                  [[1000.0, 1.0], [1000.0, 3.0]]])
+    p = np.array([1.0, 0.0])
+    pooled = ad.attention_pool(ad.constant(c), ad.constant(p), [2, 2])
+    assert np.array_equal(pooled_weights(c @ p, [2, 2]),
+                          [[1.0, 0.0], [0.5, 0.5]])
+    assert np.array_equal(pooled.data, [[1000.0, 0.0], [1000.0, 2.0]])
+
+
+def test_attend_softmax_ignores_a_shared_score_offset():
+    scores = rng(8).normal(size=(2, 5))
+    lengths = [5, 3]
+    weights = pooled_weights(scores, lengths)
+    for offset in (-40.0, 3.5, 40.0):
+        shifted = pooled_weights(scores + offset, lengths)
+        assert np.max(np.abs(shifted - weights)) < 1e-12, offset
+
+
+def test_attend_ignores_the_order_of_steps():
+    outputs = rng(9).normal(size=(1, 5, 3))
+    p = ad.constant(rng(10).normal(size=3))
+    pooled = ad.attention_pool(ad.constant(outputs), p, [5]).data
+    for seed in range(4):
+        order = rng(20 + seed).permutation(5)
+        again = ad.attention_pool(ad.constant(outputs[:, order]), p, [5]).data
+        assert np.max(np.abs(again - pooled)) < 1e-12, order
 
 
 RAGGED_LENGTHS = np.array([2, 4, 1, 3])
@@ -125,61 +146,63 @@ def ragged_outputs(seed, width=3):
                                   width))
 
 
-@pytest.mark.parametrize("linear", [False, True],
-                         ids=[enc.SOFTMAX, enc.PAPER_LINEAR])
-def test_masked_attend_matches_each_sequence_alone(linear):
-    outputs = ragged_outputs(13) + 2.0  # positive scores: no degenerate sum
+def test_masked_attend_matches_each_sequence_alone():
+    outputs = ragged_outputs(13) + 2.0
     p = ad.constant(np.abs(rng(14).normal(size=3)))
-    pooled = ad.attention_pool(ad.constant(outputs), p, RAGGED_LENGTHS,
-                               linear=linear)
+    pooled = ad.attention_pool(ad.constant(outputs), p, RAGGED_LENGTHS)
     scores = outputs @ p.data
-    weights = pooled_weights(scores, RAGGED_LENGTHS, linear)
+    weights = pooled_weights(scores, RAGGED_LENGTHS)
     for b, length in enumerate(RAGGED_LENGTHS):
         alone = ad.attention_pool(ad.constant(outputs[b:b + 1, :length]), p,
-                                  [length], linear=linear)
-        alone_weights = pooled_weights(scores[b:b + 1, :length], [length], linear)
+                                  [length])
+        alone_weights = pooled_weights(scores[b:b + 1, :length], [length])
         assert np.max(np.abs(pooled.data[b] - alone.data[0])) < 1e-12
         assert np.max(np.abs(weights[b, :length] - alone_weights[0])) < 1e-12
         assert np.all(weights[b, length:] == 0.0)
 
 
-@pytest.mark.parametrize("linear", [False, True],
-                         ids=[enc.SOFTMAX, enc.PAPER_LINEAR])
-def test_masked_attend_gradcheck(linear):
+def test_masked_attend_softmax_normalizes_each_row():
+    p = np.array([1.0, 0.0])
+    # real scores 1, 2 and -1, 1; the padded scores 50 and 5 are ignored
+    outputs = np.array([[[1.0, 0.0], [2.0, 0.0], [50.0, 0.0]],
+                        [[-1.0, 0.0], [1.0, 0.0], [5.0, 0.0]]])
+    weights = pooled_weights(outputs @ p, [2, 2])
+    assert np.allclose(weights[:, :2], [softmax(np.array([1.0, 2.0])),
+                                        softmax(np.array([-1.0, 1.0]))])
+    assert np.all(weights[:, 2] == 0.0)
+    assert np.allclose(weights.sum(axis=1), 1.0)
+    pooled = ad.attention_pool(ad.constant(outputs), ad.constant(p), [2, 2])
+    assert np.allclose(pooled.data[:, 0], (weights * outputs[..., 0]).sum(axis=1))
+
+
+def test_attention_pass_weights_match_the_tape_pool():
+    outputs = ragged_outputs(11)
+    p = rng(12).normal(size=3)
+    weights, pooled = ad.attention_pass(outputs, p, RAGGED_LENGTHS)
+    on_tape = ad.attention_pool(ad.constant(outputs), ad.constant(p),
+                                RAGGED_LENGTHS)
+    assert np.array_equal(pooled, on_tape.data)
+    assert np.max(np.abs(weights - pooled_weights(outputs @ p,
+                                                  RAGGED_LENGTHS))) < 1e-12
+    for b, length in enumerate(RAGGED_LENGTHS):
+        assert np.all(weights[b, length:] == 0.0)
+        assert np.allclose(weights[b, :length],
+                           softmax(outputs[b, :length] @ p))
+        assert np.allclose(pooled[b], weights[b] @ outputs[b])
+
+
+def test_masked_attend_gradcheck():
     outputs = ad.parameter(np.abs(ragged_outputs(15)) + 0.5)
     p = ad.parameter(np.abs(rng(16).normal(size=3)) + 0.1)
     probe = ad.constant(rng(17).normal(size=(len(RAGGED_LENGTHS), 3)))
 
     def fn():
-        return total(mul(ad.attention_pool(outputs, p, RAGGED_LENGTHS,
-                                           linear=linear), probe))
+        return total(mul(ad.attention_pool(outputs, p, RAGGED_LENGTHS), probe))
 
     assert gradcheck(fn, [outputs, p]) < 1e-4
     # padded outputs get exactly zero gradient
     for b, length in enumerate(RAGGED_LENGTHS):
         assert np.all(outputs.grad[b, length:] == 0.0)
-
-
-def test_masked_attend_paper_linear_normalizes_each_row():
-    p = np.array([1.0, 0.0])
-    # row 0: real scores 1 and 2 sum to 3; its padded score -3 is ignored
-    ok = np.array([[[1.0, 0.0], [2.0, 0.0], [-3.0, 0.0]]])
-    pooled = ad.attention_pool(ad.constant(ok), ad.constant(p), [2],
-                               linear=True)
-    assert np.allclose(pooled.data, [[1 / 3 + 4 / 3, 0.0]])
-    assert np.allclose(pooled_weights(ok @ p, [2], linear=True),
-                       [[1 / 3, 2 / 3, 0.0]])
-    # row 1: real scores +1 and -1 sum to 0, though its padded score does not
-    bad = np.array([[[1.0, 0.0], [2.0, 0.0], [0.0, 0.0]],
-                    [[1.0, 0.0], [-1.0, 0.0], [5.0, 0.0]]])
-    with pytest.raises(DegenerateNormalizer):
-        ad.attention_pool(ad.constant(bad), ad.constant(p), [2, 2],
-                          linear=True)
-
-
-def test_spec_refuses_an_unknown_attention_normalization():
-    with pytest.raises(ValueError, match="unknown attention normalization 'bogus'"):
-        EncoderSpec(EncoderKind.GRU_ATTN, attention_normalization="bogus")
 
 
 def test_attention_weights_form_simplex():
@@ -243,19 +266,15 @@ def test_gru_attn_statement_output_dim_100():
         assert out.data.shape == (1, 100)
 
 
-def test_paper_linear_mode_through_encoder(tiny_vectors):
-    spec = EncoderSpec(EncoderKind.BOE_ATTN, input_dim=4,
-                       attention_normalization=enc.PAPER_LINEAR)
+def test_softmax_pool_through_encoder(tiny_vectors):
+    spec = EncoderSpec(EncoderKind.BOE_ATTN, input_dim=4)
     encoder = SequenceEncoder(spec, rng(12))
     rows = embedding_rows(tiny_vectors.embeddings, ["alpha", "beta", "gamma"])
     out = encoder.encode(ad.constant(rows), [3])
-    scores = rows @ encoder.p.data
-    expected = (scores / scores.sum()) @ rows
-    assert np.allclose(out.data, [expected])
+    assert np.allclose(out.data, [softmax(rows @ encoder.p.data) @ rows])
     # one-hot inputs: a BoE+Attn encoder's output is then its weights
     weights = encoder.encode(ad.constant(np.eye(4)[:3]), [3]).data[0]
-    assert np.allclose(weights, np.append(encoder.p.data[:3]
-                                          / encoder.p.data[:3].sum(), 0.0))
+    assert np.allclose(weights, np.append(softmax(encoder.p.data[:3]), 0.0))
     assert np.allclose(weights.sum(), 1.0)
 
 

@@ -38,6 +38,11 @@ def random_space(seed, n_tags=5, dim=6, attribute="genre"):
     return space_of(tags, rng.normal(size=(n_tags, dim)), attribute)
 
 
+def pct(space, a, b):
+    """The space's percentile table at the pair ``(a, b)``."""
+    return float(space.percentiles[space.tags.index(a), space.tags.index(b)])
+
+
 # ---------------------------------------------------------------------------
 # micro F1
 
@@ -75,19 +80,19 @@ def test_micro_f1_symmetric_under_tag_permutation():
 
 def test_percentile_identical_tag_is_100():
     s = random_space(0)
-    assert s.percentile("tag0", "tag0") == 100.0
+    assert pct(s, "tag0", "tag0") == 100.0
 
 
 def test_percentile_distinct_pairs_below_100():
     s = random_space(1)
     for a, b in evaluation_oracle.pairs(s):
-        assert s.percentile(a, b) < 100.0
+        assert pct(s, a, b) < 100.0
 
 
 def test_percentile_most_dissimilar_pair_lowest():
     s = random_space(2)
     pairs = evaluation_oracle.pairs(s)
-    percentiles = {p: s.percentile(*p) for p in pairs}
+    percentiles = {p: pct(s, *p) for p in pairs}
     sims = {p: evaluation_oracle.similarity(s, *p) for p in pairs}
     worst = min(pairs, key=lambda p: sims[p])
     assert percentiles[worst] == min(percentiles.values())
@@ -99,15 +104,9 @@ def test_percentile_four_tag_hand_computed():
     vectors = [[1, 0], [1, 0], [0, 1], [-1, 0]]
     s = space_of(["a", "b", "c", "d"], vectors)
     # pair sims: ab=1, ac=0, ad=-1, bc=0, bd=-1, cd=0  -> sorted [-1,-1,0,0,0,1]
-    assert s.percentile("a", "b") == pytest.approx(100 * 5 / 6)
-    assert s.percentile("a", "c") == pytest.approx(100 * 2 / 6)
-    assert s.percentile("a", "d") == 0.0
-
-
-def test_percentile_unknown_tag():
-    s = random_space(3)
-    with pytest.raises(UnknownTag):
-        s.percentile("tag0", "nope")
+    assert pct(s, "a", "b") == pytest.approx(100 * 5 / 6)
+    assert pct(s, "a", "c") == pytest.approx(100 * 2 / 6)
+    assert pct(s, "a", "d") == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +157,8 @@ def test_similarity_f1_crime_heist_style_pair():
     space = space_of(["crime", "heist", "pastoral", "romance"], vectors)
     pred = {"s": {"crime"}}
     gold = {"s": {"heist"}}
-    pct = space.percentile("crime", "heist")
-    assert similarity_f1(pred, gold, space, pct) == 1.0  # TP at its percentile
+    cutoff = pct(space, "crime", "heist")
+    assert similarity_f1(pred, gold, space, cutoff) == 1.0  # TP at its percentile
     assert similarity_f1(pred, gold, space, 100.0) == 0.0  # FP above it
 
 
@@ -206,10 +205,12 @@ def test_percentile_table_matches_per_pair_oracle():
     for space in oracle_spaces():
         n = len(space.tags)
         assert space.percentiles.shape == (n, n)
-        for a in space.tags:
-            for b in space.tags:
+        for i, a in enumerate(space.tags):
+            for j, b in enumerate(space.tags):
                 want = evaluation_oracle.percentile(space, a, b)
-                got = space.percentile(a, b)
+                assert space.percentiles[i, j] == want, (space.tags, a, b)
+                # the per-pair reads of similarity_f1 are the same floats
+                got = space._percentile_rows[i][j]
                 assert type(got) is float and got == want, (space.tags, a, b)
 
 
@@ -294,9 +295,9 @@ def test_merge_transitive_chain():
     # a~b and b~c highly similar; a~c less so, still one class via transitivity
     vectors = [[1.0, 0.0], [0.95, 0.31], [0.81, 0.59], [-1.0, 0.0], [0.0, -1.0]]
     s = space_of(["a", "b", "c", "x", "y"], vectors)
-    pct_ab = s.percentile("a", "b")
-    pct_bc = s.percentile("b", "c")
-    pct_ac = s.percentile("a", "c")
+    pct_ab = pct(s, "a", "b")
+    pct_bc = pct(s, "b", "c")
+    pct_ac = pct(s, "a", "c")
     cutoff = min(pct_ab, pct_bc)
     assert pct_ac < cutoff
     classes = merge_equivalents(s, cutoff)
@@ -374,6 +375,34 @@ def test_load_tag_embeddings_round_trip(tmp_path):
     assert spaces["genre"].tags == ("crime", "heist")
     assert evaluation_oracle.similarity(spaces["genre"], "crime", "crime") \
         == pytest.approx(1.0)
+
+
+def test_load_tag_embeddings_drops_a_byte_order_mark(tmp_path):
+    text = ("genre\tcrime\t1.0 0.0\ngenre\theist\t0.9 0.1\n"
+            "mood\tdark\t0.0 1.0\n")
+    plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    want, got = load_tag_embeddings(plain), load_tag_embeddings(marked)
+    assert list(got) == list(want) == ["genre", "mood"]
+    for attribute, space in want.items():
+        assert got[attribute].tags == space.tags
+        assert np.array_equal(got[attribute].vectors, space.vectors)
+        assert np.array_equal(got[attribute].percentiles, space.percentiles)
+
+
+@pytest.mark.parametrize("second, message", [
+    (b"genre\theist\t0.9 x\n", "could not convert"),
+    (b"genre\theist\t0.9 \xff\n", "byte 0xff is not UTF-8 text"),
+], ids=["text", "byte"])
+def test_load_tag_embeddings_numbers_lines_after_a_mark(tmp_path, second,
+                                                        message):
+    # the mark is no line, and the error still names the file and line
+    path = tmp_path / "tags.tsv"
+    path.write_bytes(b"\xef\xbb\xbfgenre\tcrime\t1.0 0.0\n" + second)
+    with pytest.raises(DataError, match=message) as err:
+        load_tag_embeddings(path)
+    assert str(err.value).startswith(f"{path} line 2: ")
 
 
 @pytest.mark.parametrize("bad, error, message", [
