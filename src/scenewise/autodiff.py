@@ -136,16 +136,22 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
         raise ShapeMismatch(f"{op}: {a.data.shape} vs {b.data.shape}")
 
 
-def _step_mask(shape: tuple[int, ...], lengths: np.ndarray) -> np.ndarray:
-    """(B, T, 1) mask, 1.0 on the real steps of a right-padded (B, T, ...)
-    batch of ``shape`` whose row ``b`` holds ``lengths[b]`` steps."""
+def _live(shape: tuple[int, ...], lengths: np.ndarray) -> np.ndarray:
+    """(B, T) boolean mask, True on the real steps of a right-padded
+    (B, T, ...) batch of ``shape`` whose row ``b`` holds ``lengths[b]``
+    steps."""
     if len(shape) != 3 or lengths.shape != shape[:1]:
         raise ShapeMismatch(f"batch {shape} vs lengths {lengths.shape}")
     if shape[0] == 0 or lengths.min() < 1:
         raise EmptySequence(f"batch {shape} holds an empty sequence: {lengths}")
     if lengths.max() > shape[1]:
         raise ShapeMismatch(f"lengths {lengths} exceed the batch's {shape[1]} steps")
-    return (np.arange(shape[1]) < lengths[:, None])[:, :, None].astype(np.float64)
+    return np.arange(shape[1]) < lengths[:, None]
+
+
+def _step_mask(shape: tuple[int, ...], lengths: np.ndarray) -> np.ndarray:
+    """:func:`_live` as a (B, T, 1) mask, 1.0 on the real steps."""
+    return _live(shape, lengths)[:, :, None].astype(np.float64)
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -496,7 +502,7 @@ def attention_pass(o: np.ndarray, p: np.ndarray, lengths
     """
     if o.ndim != 3 or p.shape != o.shape[2:]:
         raise ShapeMismatch(f"attention_pool: {o.shape} vs {p.shape}")
-    valid = _step_mask(o.shape, np.asarray(lengths))[..., 0] > 0
+    valid = _live(o.shape, np.asarray(lengths))
     scores = o @ p
     shifted = np.exp(np.where(valid, scores, -np.inf)
                      - scores.max(axis=1, keepdims=True, where=valid,

@@ -8,8 +8,9 @@ File formats owned here:
 * loglines: JSON ``{title: text}``
 * embeddings: UTF-8 text lines ``token v1 .. v100`` (GloVe textual layout)
 
-A leading UTF-8 byte-order mark of a script or the embeddings file is
-dropped as it is read.  Ingest tokenizes each play in one call: its
+A leading UTF-8 byte-order mark of any of these files is dropped as it is
+read, and a tags or loglines file that is not JSON is a ``DataError``
+naming its line and column.  Ingest tokenizes each play in one call: its
 statements' texts joined by line feeds are lowercased, encoded, translated
 and decoded once, then split back into statements.
 """
@@ -97,10 +98,10 @@ class Vocabulary:
 
     def __init__(self, tokens: list[str] | tuple[str, ...]):
         self.tokens = tuple(sorted(tokens))
-        self._set = frozenset(self.tokens)
+        self.words = frozenset(self.tokens)
 
     def __contains__(self, token: str) -> bool:
-        return token in self._set
+        return token in self.words
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -219,25 +220,25 @@ class TokenPass:
         self.type_ids: list[np.ndarray] = []   # per play, int32
         self.layouts = []   # per play: title, lengths, scenes, kinds, characters
         for play in screenplays:
-            statements = [stmt for scene in play.scenes
-                          for stmt in scene.statements]
-            n = len(statements)
-            per_statement = _statement_tokens([stmt.text for stmt in statements])
-            lengths = np.fromiter(map(len, per_statement), np.int32, n)
-            self.type_ids.append(np.fromiter(
-                map(index.__getitem__, chain.from_iterable(per_statement)),
-                np.int32, int(lengths.sum())))
-            characters = []
+            statements: list[Statement] = []
+            sizes, characters = [], []
             for scene in play.scenes:
+                statements += scene.statements
+                sizes.append(len(scene.statements))
                 cast = tuple(sorted({stmt.character for stmt in scene.statements
                                      if stmt.kind is dialogue_kind}))
                 characters.append(casts.setdefault(cast, cast))
+            per_statement = _statement_tokens([stmt.text for stmt in statements])
+            token_counts = list(map(len, per_statement))
+            self.type_ids.append(np.fromiter(
+                map(index.__getitem__, chain.from_iterable(per_statement)),
+                np.int32, sum(token_counts)))
             self.layouts.append((
-                play.title, lengths,
-                np.repeat(np.arange(len(play.scenes), dtype=np.int32),
-                          [len(scene.statements) for scene in play.scenes]),
-                np.fromiter((DIALOGUE if stmt.kind is dialogue_kind else ACTION
-                             for stmt in statements), np.int32, n),
+                play.title, np.array(token_counts, np.int32),
+                np.repeat(np.arange(len(sizes), dtype=np.int32), sizes),
+                # a dialogue statement is 1 (DIALOGUE), an action 0 (ACTION)
+                np.array([stmt.kind is dialogue_kind for stmt in statements],
+                         np.int32),
                 tuple(characters)))
         self.types = list(index)
 
@@ -284,8 +285,9 @@ class TokenPass:
         ids take no second copy; the pass is spent afterwards.
         """
         unknown = len(embeddings.matrix) - 1
-        rows = np.array([embeddings.index.get(t, unknown) if t in vocabulary
-                         else unknown for t in self.types], dtype=np.int32)
+        words, row_of = vocabulary.words, embeddings.index.get
+        rows = np.array([row_of(t, unknown) if t in words else unknown
+                         for t in self.types], dtype=np.int32)
         scripts = []
         for ids, (title, lengths, scenes, kinds, characters) in zip(
                 self.type_ids, self.layouts):
@@ -423,10 +425,13 @@ def split_titles(titles: list[str], heldout_fraction: float,
 
 def _load_by_title(path: str | Path) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             raw = json.load(fh)
     except UnicodeDecodeError:
         raise decode_error(path) from None
+    except json.JSONDecodeError as err:
+        raise DataError(f"{path} line {err.lineno} column {err.colno}: "
+                        f"{err.msg}") from None
     if not isinstance(raw, dict):
         raise DataError(f"{path}: expected a JSON object keyed by title")
     return raw

@@ -21,10 +21,14 @@ word is a vocabulary word with a vector of its own: any other compiles to
 the shared unknown row.  The target and the coherence documents read the scripts
 compiled at ingest, not their text; pretraining gathers and pads each
 script's descriptor-word rows once, since only the attention vector
-changes from step to step, and pools them on the tape.  Once frozen, the
-target pads and pools on plain arrays (:func:`autodiff.attention_pass`,
-the forward of the pool's tape node), both for the training targets and
-at inference, so trajectory inference builds no tape at all.
+changes from step to step, and pools them on the tape.  One batch pass
+(:meth:`SceneBagEncoder.batch`) picks a compiled script's descriptor
+words out of its ids, counts them per scene and pads them, for
+pretraining and the frozen target alike.  Once frozen, the target pools
+on plain arrays (:func:`autodiff.attention_pass`, the forward of the
+pool's tape node), both for the training targets and at inference, and
+the predictor's rollout reads its four arrays directly, so trajectory
+inference builds no tape at all.
 Pretraining and training supply per-script losses to
 :func:`classifier.optimizer_epochs`.  A training step draws all of its
 script's negatives with one ``rng.integers`` call and replays from those
@@ -124,9 +128,12 @@ class SceneBagEncoder:
     def batch(self, script: CompiledScript
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The right-padded (K, T, d) batch of descriptor-word rows of the K
-        scenes holding any, its run lengths, and those scenes' indices."""
+        scenes holding any, its run lengths, and those scenes' indices: the
+        words picked out of the ids, counted per scene and padded in one
+        pass, for pretraining and the frozen target alike."""
         ids, scene_of = self.word_ids(script)
-        kept = np.flatnonzero(runs := np.bincount(scene_of))
+        runs = np.bincount(scene_of)
+        kept = runs.nonzero()[0]
         lengths = runs[kept]
         return pad_rows(self.vectors.embeddings.matrix[ids], lengths), lengths, kept
 
@@ -221,7 +228,7 @@ class DescriptorPredictor:
         entering with the weights of the scene before it (the first with
         uniform weights).
         """
-        arrays = [t.data for t in self.named_params().values()]
+        arrays = (self.w1.data, self.b1.data, self.w2.data, self.b2.data)
         if not self.recurrent:
             return ad.predictor_pass(vs, *arrays)[-1]
         out = np.empty((len(vs), self.k))

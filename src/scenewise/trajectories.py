@@ -12,8 +12,16 @@ The streamgraph uses a symmetric (silhouette) baseline with inside-out
 layer ordering; within a scene the layer widths are the rescaled descriptor
 shares, so the band has constant total thickness and the internal flows
 show how descriptor weight moves across the script.  The m layers stack
-between m + 1 edges, and each edge's points are formatted once: the top
-of one layer is the bottom of the next.
+between m + 1 edges.  The scenes' x positions are formatted into two
+format strings, one per direction, and each edge fills them in with one
+``%`` each: forwards as the bottom of the layer above it, backwards as the
+top of the layer below it.  The markup that depends on no script is built
+once, when the module loads.
+
+The ``trajectories`` command reaches these functions from a raw play
+through ``DescriptorModel.weights_for_script``, which compiles the play
+and runs the target and the predictor on plain arrays; every step from
+the play to the written bytes builds no tape.
 """
 
 from __future__ import annotations
@@ -69,12 +77,11 @@ def rescale(rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] < 1:
         raise ValueError(f"expected (scenes, descriptors), got {rows.shape}")
-    if np.any(rows < 0):
+    if (rows < 0).any():
         raise ValueError("rescale expects nonnegative smoothed weights")
     totals = rows.sum(axis=1, keepdims=True)
-    out = np.where(totals > 0, rows / np.where(totals == 0, 1.0, totals),
-                   1.0 / rows.shape[1])
-    return out
+    return np.divide(rows, totals, out=np.full(rows.shape, 1.0 / rows.shape[1]),
+                     where=totals > 0)
 
 
 def parse_selection(selection: str) -> int | list[int]:
@@ -114,7 +121,7 @@ def select_descriptors(weights: np.ndarray, selection: str) -> list[int]:
         if chosen > k:
             raise DescriptorOutOfRange(
                 f"{selection!r} asks for more than the model's {k} descriptors")
-        means = weights.mean(axis=0)
+        means = weights.mean(axis=0).tolist()
         order = sorted(range(k), key=lambda i: (-means[i], i))
         return sorted(order[:chosen])
     for i in chosen:
@@ -157,8 +164,48 @@ def _inside_out_order(shares: np.ndarray) -> np.ndarray:
     # each column summed on its own, as a 1-D sum does, so that near-equal
     # volumes keep their order however the matrix is laid out
     volumes = np.ascontiguousarray(shares.T).sum(axis=1)
-    by_volume = np.argsort(-volumes, kind="stable")
+    by_volume = (-volumes).argsort(kind="stable")
     return np.concatenate([by_volume[1::2][::-1], by_volume[::2]])
+
+
+# the streamgraph's geometry, and the markup that depends on nothing else
+WIDTH, HEIGHT = 800.0, 360.0
+MARGIN_X, MARGIN_TOP, MARGIN_BOTTOM = 50.0, 40.0, 30.0
+PLOT_W = WIDTH - 2 * MARGIN_X
+PLOT_H = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+_SVG_HEAD = ('<svg xmlns="http://www.w3.org/2000/svg" '
+             f'width="{WIDTH:.0f}" height="{HEIGHT:.0f}" '
+             f'viewBox="0 0 {WIDTH:.0f} {HEIGHT:.0f}">\n'
+             f'<rect width="{WIDTH:.0f}" height="{HEIGHT:.0f}" fill="white"/>')
+_SVG_TITLE = (f'<text x="{WIDTH / 2:.1f}" y="20" text-anchor="middle" '
+              'font-family="sans-serif" font-size="14">%s</text>')
+_SVG_LAYER = ('<polygon points="%s %s" fill="%s" fill-opacity="0.85" '
+              'stroke="none"><title>descriptor_%s</title></polygon>\n'
+              '<text x="%s" y="%.3f" text-anchor="middle" '
+              'font-family="sans-serif" font-size="11" fill="#222">d%s</text>')
+_SVG_MARKER = (f'<line x1="%.3f" y1="{MARGIN_TOP:.1f}" x2="%.3f" '
+               f'y2="{HEIGHT - MARGIN_BOTTOM:.1f}" stroke="#333" '
+               'stroke-dasharray="4 3" stroke-width="1"/>\n'
+               f'<text x="%.3f" y="{MARGIN_TOP - 6:.1f}" '
+               'text-anchor="middle" font-family="sans-serif" '
+               'font-size="12" font-weight="bold">%s</text>')
+_AXIS_Y = HEIGHT - MARGIN_BOTTOM + 16
+_SVG_FOOT = (f'<text x="{MARGIN_X:.1f}" y="{_AXIS_Y:.1f}" '
+             'font-family="sans-serif" font-size="10">scene 1</text>\n'
+             f'<text x="{WIDTH - MARGIN_X:.1f}" y="{_AXIS_Y:.1f}" '
+             'text-anchor="end" font-family="sans-serif" font-size="10">'
+             'scene %s</text>\n</svg>\n')
+
+
+def _x_of(scene: int, n_scenes: int) -> float:
+    if n_scenes == 1:
+        return MARGIN_X + PLOT_W / 2
+    return MARGIN_X + PLOT_W * scene / (n_scenes - 1)
+
+
+def _y_of(value):
+    # value in [-0.5, 0.5] maps into the plot box, positive up
+    return MARGIN_TOP + PLOT_H * (0.5 - value)
 
 
 def export_svg(trajectories: Trajectories,
@@ -166,70 +213,39 @@ def export_svg(trajectories: Trajectories,
                title: str = "") -> str:
     """Streamgraph with symmetric baseline; byte-deterministic output."""
     shares = trajectories.shares
-    n_scenes = shares.shape[0]
-    width, height = 800.0, 360.0
-    margin_x, margin_top, margin_bottom = 50.0, 40.0, 30.0
-    plot_w = width - 2 * margin_x
-    plot_h = height - margin_top - margin_bottom
-
-    def x_of(scene: int) -> float:
-        if n_scenes == 1:
-            return margin_x + plot_w / 2
-        return margin_x + plot_w * scene / (n_scenes - 1)
-
-    def y_of(value):
-        # value in [-0.5, 0.5] maps into the plot box, positive up
-        return margin_top + plot_h * (0.5 - value)
-
+    n_scenes, m = shares.shape
     # the layers stack up from the silhouette baseline in inside-out order:
     # the layer at stack position p lies between edges[:, p] and
-    # edges[:, p + 1], and column j sits at position level[j]
+    # edges[:, p + 1], and column j sits at position order.argsort()[j]
     order = _inside_out_order(shares)
-    level = np.argsort(order)
-    edges = np.cumsum(np.column_stack([-shares.sum(axis=1) / 2.0,
-                                       shares[:, order]]), axis=1)
-    edge_ys = y_of(edges).T.tolist()
-    widest = shares.argmax(axis=0)
-    label_ys = y_of((edges[widest, level] + edges[widest, level + 1]) / 2.0).tolist()
-    xs = [f"{x_of(s):.3f}" for s in range(n_scenes)]
+    edges = np.empty((n_scenes, m + 1))
+    edges[:, 0] = -shares.sum(axis=1) / 2.0
+    edges[:, 1:] = shares[:, order]
+    edges = edges.cumsum(axis=1)
+    widest = shares.argmax(axis=0).tolist()
+    xs = [f"{_x_of(s, n_scenes):.3f}" for s in range(n_scenes)]
+    # each stack edge's points come from one format string, forwards as a
+    # layer's bottom and backwards as the top of the layer below it
+    forwards = " ".join([f"{x},%.3f" for x in xs])
+    backwards = " ".join([f"{x},%.3f" for x in reversed(xs)])
+    edge_ys = _y_of(edges).T.tolist()
+    edge_values = edges.T.tolist()
 
-    parts = [
-        '<svg xmlns="http://www.w3.org/2000/svg" '
-        f'width="{width:.0f}" height="{height:.0f}" '
-        f'viewBox="0 0 {width:.0f} {height:.0f}">',
-        f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
-    ]
+    parts = [_SVG_HEAD]
     if title:
-        parts.append(f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="14">{_esc(title)}</text>')
-    # each stack edge formatted once: the top of one layer is the bottom
-    # of the next
-    edge_points = [[f"{x},{y:.3f}" for x, y in zip(xs, ys)] for ys in edge_ys]
-    for j, descriptor in enumerate(trajectories.descriptors):
-        color = PALETTE[descriptor % len(PALETTE)]
-        points = edge_points[level[j]] + edge_points[level[j] + 1][::-1]
-        parts.append(f'<polygon points="{" ".join(points)}" fill="{color}" '
-                     f'fill-opacity="0.85" stroke="none">'
-                     f'<title>descriptor_{descriptor}</title></polygon>')
-        parts.append(f'<text x="{xs[widest[j]]}" y="{label_ys[j]:.3f}" '
-                     'text-anchor="middle" font-family="sans-serif" '
-                     f'font-size="11" fill="#222">d{descriptor}</text>')
+        parts.append(_SVG_TITLE % _esc(title))
+    for descriptor, p, x in zip(trajectories.descriptors,
+                                order.argsort().tolist(), widest):
+        label_y = _y_of((edge_values[p][x] + edge_values[p + 1][x]) / 2.0)
+        parts.append(_SVG_LAYER % (
+            forwards % tuple(edge_ys[p]), backwards % tuple(edge_ys[p + 1][::-1]),
+            PALETTE[descriptor % len(PALETTE)], descriptor, xs[x], label_y,
+            descriptor))
     for scene_no, label in annotations:
-        x = x_of(scene_no - 1)
-        parts.append(f'<line x1="{x:.3f}" y1="{margin_top:.1f}" x2="{x:.3f}" '
-                     f'y2="{height - margin_bottom:.1f}" stroke="#333" '
-                     'stroke-dasharray="4 3" stroke-width="1"/>')
-        parts.append(f'<text x="{x:.3f}" y="{margin_top - 6:.1f}" '
-                     'text-anchor="middle" font-family="sans-serif" '
-                     f'font-size="12" font-weight="bold">{_esc(label)}</text>')
-    axis_y = height - margin_bottom + 16
-    parts.append(f'<text x="{margin_x:.1f}" y="{axis_y:.1f}" '
-                 'font-family="sans-serif" font-size="10">scene 1</text>')
-    parts.append(f'<text x="{width - margin_x:.1f}" y="{axis_y:.1f}" '
-                 'text-anchor="end" font-family="sans-serif" font-size="10">'
-                 f'scene {n_scenes}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        x = _x_of(scene_no - 1, n_scenes)
+        parts.append(_SVG_MARKER % (x, x, x, _esc(label)))
+    parts.append(_SVG_FOOT % n_scenes)
+    return "\n".join(parts)
 
 
 def _esc(text: str) -> str:

@@ -359,6 +359,37 @@ def test_bi_gru_empty_sequence_raises():
         ad.bi_gru(ad.constant(np.zeros((1, 0, 4))), p, [0])
 
 
+# a right-padded (B, T, H) batch, its p and its lengths, each case breaking one
+ATTENTION_BATCH_CASES = {
+    "lengths_of_wrong_shape": ((2, 3, 4), 4, [[1, 2]], ShapeMismatch),
+    "one_length_too_many": ((2, 3, 4), 4, [1, 2, 3], ShapeMismatch),
+    "p_of_wrong_width": ((2, 3, 4), 5, [1, 2], ShapeMismatch),
+    "batch_not_3d": ((2, 3), 3, [1, 2], ShapeMismatch),
+    "zero_length": ((2, 3, 4), 4, [0, 2], EmptySequence),
+    "empty_batch": ((0, 3, 4), 4, [], EmptySequence),
+    "length_beyond_t": ((2, 3, 4), 4, [4, 1], ShapeMismatch),
+}
+
+
+@pytest.mark.parametrize("case", ATTENTION_BATCH_CASES)
+def test_attention_pass_checks_its_batch(case):
+    shape, width, lengths, error = ATTENTION_BATCH_CASES[case]
+    o, p = rng(3).normal(size=shape), rng(4).normal(size=width)
+    with pytest.raises(error):
+        ad.attention_pass(o, p, np.array(lengths, dtype=np.int64))
+    with pytest.raises(error):
+        ad.attention_pool(ad.constant(o), ad.parameter(p), lengths)
+
+
+@pytest.mark.parametrize("case", ["lengths_of_wrong_shape", "one_length_too_many",
+                                  "zero_length", "empty_batch", "length_beyond_t"])
+def test_bi_gru_checks_its_batch(case):
+    shape, _, lengths, error = ATTENTION_BATCH_CASES[case]
+    p = ad.init_bi_gru(rng(0), shape[2], 3)
+    with pytest.raises(error):
+        ad.bi_gru(ad.constant(np.zeros(shape)), p, lengths)
+
+
 def test_bi_gru_gradients_match_finite_differences():
     r = rng(7)
     p = ad.init_bi_gru(r, 3, 2)

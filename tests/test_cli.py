@@ -728,6 +728,59 @@ def test_undecodable_input_file_is_data_error_naming_its_line(
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("reader, text, where, message", [
+    ("tags", '{"a": 1', "line 1 column 8", "Expecting ',' delimiter"),
+    ("tags", '{"synth000": {"genre": ["a"]}\n\n"b": {}}', "line 3 column 1",
+     "Expecting ',' delimiter"),
+    ("loglines", '{"synth000": "a",\n  "synth001": }', "line 2 column 15",
+     "Expecting value"),
+    ("loglines", "", "line 1 column 1", "Expecting value"),
+], ids=["tags_unclosed", "tags_missing_comma", "loglines_no_value",
+        "loglines_empty"])
+def test_malformed_json_input_is_data_error_naming_line_and_column(
+        workspace, tmp_path, capsys, reader, text, where, message):
+    # tags through ingest, loglines through a loglines model's training;
+    # neither writes anything
+    _, synth = workspace
+    bad = tmp_path / f"{reader}.json"
+    bad.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    if reader == "tags":
+        argv = ["ingest"] + corpus_args(synth) + ["--out", str(out)]
+        argv[argv.index("--tags") + 1] = str(bad)
+    else:
+        argv = (["train"] + train_args(synth)
+                + ["--attribute", "genre", "--variant", "loglines",
+                   "--loglines", str(bad), "--epochs", "1", "--out", str(out)])
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    errors = [json.loads(line) for line in captured.err.splitlines()
+              if line.startswith("{")]
+    assert errors == [{"error": "DataError",
+                       "message": f"{bad} {where}: {message}"}]
+    assert captured.out == "" and not out.exists()
+
+
+def test_tags_and_loglines_with_byte_order_mark_read_as_without(
+        workspace, tmp_path):
+    _, synth = workspace
+    marked = {}
+    for name in ("tags.json", "loglines.json"):
+        marked[name] = tmp_path / name
+        marked[name].write_bytes(b"\xef\xbb\xbf" + (synth / name).read_bytes())
+    manifests = []
+    for tags, loglines in ((synth / "tags.json", synth / "loglines.json"),
+                           (marked["tags.json"], marked["loglines.json"])):
+        out = tmp_path / f"manifest{len(manifests)}.json"
+        argv = ["ingest"] + corpus_args(synth) + ["--loglines", str(loglines),
+                                                  "--out", str(out)]
+        argv[argv.index("--tags") + 1] = str(tags)
+        assert run(argv) == 0
+        manifests.append(out.read_bytes())
+    assert manifests[0] == manifests[1]
+    assert json.loads(manifests[0])["excluded"] == []
+
+
 @pytest.mark.parametrize("data, line", [
     (b"a\r\nb\rc\nd\xff\n", 4),        # each break kind counts once
     (b"\xef\xbb\xbfa 1\n\xff", 2),      # a byte-order mark is no line

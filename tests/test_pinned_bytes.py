@@ -15,6 +15,13 @@ report with ``--tag-embeddings`` and four cutoffs, for a BoE and a GRU+Attn
 checkpoint trained on it: each F-1 there rests on thresholded logits and on
 the percentiles of the tag space, so a change that moves a prediction or a
 percentile fails here.
+
+The trajectory digests cover ``scenewise trajectories`` from a raw play of
+the wide corpus to its SVG and CSV bytes, for a plain and a recurrent
+descriptor checkpoint trained on that corpus: annotated SVGs of a ``top:m``
+and of a list selection, and CSVs smoothed over 5 and 9 scenes, so a change
+on the path from the compile of the play through the descriptor weights,
+the smoothing and the rescaling to the formatted points fails here.
 """
 
 import hashlib
@@ -119,3 +126,43 @@ def test_evaluate_report_keeps_its_bytes(tagged_corpus, tmp_path, encoder, flags
                  "--tag-embeddings", str(tagged_corpus / "tag_embeddings.tsv"),
                  "--cutoffs", "100,90,80,70", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == EVALUATE_SHA256[encoder]
+
+
+# one digest per descriptor model over the exports below, in order
+TRAJECTORY_SHA256 = {
+    "plain": ("ebef909f835100135b3145360d276ab0"
+              "24f06505e353eddfbd184cce9bec1976"),
+    "recurrent": ("2a9980d9ecc1f76955afc6453ee395fe"
+                  "26941f82fc5a416d17c565c1db4eac9f"),
+}
+TRAJECTORY_EXPORTS = [
+    ("svg", ["--descriptors", "top:3", "--annotate", "2:A",
+             "--annotate", "9:B & <C>"]),
+    ("svg", ["--descriptors", "0,2", "--window", "9", "--annotate", "2:B"]),
+    ("csv", ["--descriptors", "top:3", "--window", "5"]),
+    ("csv", ["--descriptors", "0,2", "--window", "9"]),
+]
+
+
+@pytest.mark.parametrize("model, flags", [
+    ("plain", []),
+    ("recurrent", ["--recurrent"]),
+], ids=["plain", "recurrent"])
+def test_trajectory_exports_keep_their_bytes(wide_corpus, tmp_path, model, flags):
+    data = ["--scripts", str(wide_corpus / "scripts"),
+            "--embeddings", str(wide_corpus / "embeddings.txt")]
+    desc = tmp_path / "desc"
+    assert main(["descriptors", *data, "--tags", str(wide_corpus / "tags.json"),
+                 *INGEST_FLAGS, "--attribute", "genre", "--k", "4",
+                 "--hidden", "8", "--epochs", "2", "--pretrain-epochs", "1",
+                 "--negatives", "2", "--top-words", "3", *flags,
+                 "--out", str(desc)]) == 0
+    digest = hashlib.sha256()
+    for n, (fmt, export_flags) in enumerate(TRAJECTORY_EXPORTS):
+        out = tmp_path / f"traj{n}.{fmt}"
+        assert main(["trajectories", *data,
+                     "--checkpoint", str(desc / "descriptors.swck"),
+                     "--title", "synth000", "--format", fmt, *export_flags,
+                     "--out", str(out)]) == 0
+        digest.update(out.name.encode() + b"\0" + out.read_bytes() + b"\0")
+    assert digest.hexdigest() == TRAJECTORY_SHA256[model]

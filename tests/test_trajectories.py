@@ -213,7 +213,7 @@ def test_export_dispatch():
 def _oracle_case(rng, i):
     """Weights, selection, window, annotations and title for case ``i``:
     the forms below hold one scene, one descriptor, tied column volumes,
-    all-zero scenes and markup in the labels."""
+    all-zero scenes, and markup and % signs in the labels."""
     n_scenes = 1 if i % 25 == 0 else int(rng.integers(1, 40))
     k = int(rng.integers(1, 10))
     m = 1 if i % 20 == 1 else int(rng.integers(1, k + 1))
@@ -228,9 +228,11 @@ def _oracle_case(rng, i):
         weights[rng.random(n_scenes) < 0.4] = 0.0
     selection = [int(d) for d in rng.permutation(k)[:m]]
     window = int(rng.choice([1, 3, 5, 7]))
+    # labels and titles holding % check that they are not read as formats
     annotations = [(int(rng.integers(1, n_scenes + 1)), label)
-                   for label in ["A&<b>", "x > y", ""][:int(rng.integers(0, 4))]]
-    title = ["", "T&<i>", "plain"][i % 3]
+                   for label in ["A&<b>", "x > y", "", "50% %s"]
+                   [:int(rng.integers(0, 5))]]
+    title = ["", "T&<i>", "plain", "%d%%"][i % 4]
     return weights, selection, window, annotations, title
 
 
