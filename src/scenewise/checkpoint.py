@@ -46,8 +46,9 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray],
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint, checking the magic bytes, that the header parses
     as format ``FORMAT`` with a JSON-object manifest, distinct string
-    parameter names and shapes of non-negative ints, and that the payload
-    holds exactly the listed parameters' bytes."""
+    parameter names and shapes of non-negative ints, that the payload
+    holds exactly the listed parameters' bytes, and that every value is
+    finite."""
     raw = Path(path).read_bytes()
     if not raw.startswith(MAGIC):
         raise CheckpointCorrupt(f"{path}: not a scenewise checkpoint")
@@ -93,4 +94,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
         offset += count * 8
         params[name] = arr.reshape(shape).astype(np.float64)
+        if not np.isfinite(params[name]).all():
+            raise CheckpointCorrupt(f"{path}: parameter {name!r} holds a NaN "
+                                    f"or infinite value")
     return params, manifest

@@ -1,6 +1,7 @@
-"""Multi-label tag classification: reweighted loss, prediction heads, the
-per-script optimizer loop every trainer drives, tag training, and the
-loglines baseline.
+"""Multi-label tag classification: reweighted loss, the one tag model (a
+script encoder feeding a per-attribute head), the loglines baseline's
+encoder under it, the per-script optimizer loop every trainer drives, and
+tag training.
 
 The loss reweights each tag's negative term by the tag's ratio of positive
 to negative training samples, so rare tags are not drowned out::
@@ -169,10 +170,41 @@ class ClassifierHead:
         return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
 
 
-class ScriptTagModel:
-    """Hierarchical script encoder plus a per-attribute classification head."""
+class LoglineEncoder:
+    """The loglines baseline's encoder: a bidirectional GRU over a logline's
+    tokens, taking its final output."""
 
-    def __init__(self, encoder: HierarchicalModel, n_tags: int, seed: int = 0):
+    def __init__(self, vectors: TokenVectors, hidden_per_direction: int = 50,
+                 seed: int = 0):
+        self.vectors = vectors
+        self.token_encoder = SequenceEncoder(
+            EncoderSpec(EncoderKind.GRU, vectors.dim, hidden_per_direction),
+            np.random.default_rng(seed))
+
+    @property
+    def script_dim(self) -> int:
+        return self.token_encoder.output_dim
+
+    def encode_script(self, logline: CompiledScript | Screenplay) -> Tensor:
+        """(script_dim,): a compiled logline, or a raw one
+        (``logline_screenplay``) compiled here."""
+        ids = self.vectors.compiled(logline).ids
+        if not ids.size:
+            raise MissingLogline("empty logline")
+        return ad.row(encode_tokens(ids, [ids.size], self.vectors.embeddings.matrix,
+                                    self.token_encoder), 0)
+
+    def named_params(self) -> dict[str, Tensor]:
+        return self.token_encoder.named_params("logline")
+
+
+class ScriptTagModel:
+    """A script encoder plus a per-attribute classification head: the
+    hierarchical screenplay encoder, or the loglines baseline's
+    :class:`LoglineEncoder`."""
+
+    def __init__(self, encoder: HierarchicalModel | LoglineEncoder, n_tags: int,
+                 seed: int = 0):
         self.encoder = encoder
         self.head = ClassifierHead(n_tags, encoder.script_dim,
                                    np.random.default_rng(seed + 1))
@@ -182,40 +214,6 @@ class ScriptTagModel:
 
     def named_params(self) -> dict[str, Tensor]:
         out = self.encoder.named_params()
-        out.update(self.head.named_params())
-        return out
-
-
-class LoglinesModel:
-    """Bidirectional GRU over logline tokens feeding a linear classifier."""
-
-    def __init__(self, vectors: TokenVectors, n_tags: int,
-                 hidden_per_direction: int = 50, seed: int = 0):
-        self.vectors = vectors
-        self.encoder = SequenceEncoder(
-            EncoderSpec(EncoderKind.GRU, vectors.dim, hidden_per_direction),
-            np.random.default_rng(seed))
-        self.head = ClassifierHead(n_tags, self.output_dim,
-                                   np.random.default_rng(seed + 1))
-
-    @property
-    def output_dim(self) -> int:
-        return self.encoder.output_dim
-
-    def encode(self, logline: CompiledScript | Screenplay) -> Tensor:
-        """Encode a compiled logline, or a raw one (``logline_screenplay``)
-        compiled here."""
-        ids = self.vectors.compiled(logline).ids
-        if not ids.size:
-            raise MissingLogline("empty logline")
-        return ad.row(encode_tokens(ids, [ids.size], self.vectors.embeddings.matrix,
-                                    self.encoder), 0)
-
-    def logits(self, logline: CompiledScript | Screenplay) -> Tensor:
-        return self.head.logits(self.encode(logline))
-
-    def named_params(self) -> dict[str, Tensor]:
-        out = self.encoder.named_params("logline")
         out.update(self.head.named_params())
         return out
 

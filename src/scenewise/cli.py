@@ -46,7 +46,7 @@ from . import __version__
 from . import parser as screenplay
 from .checkpoint import load_checkpoint, save_checkpoint
 from .classifier import (
-    LoglinesModel,
+    LoglineEncoder,
     ScriptTagModel,
     TagTaxonomy,
     TrainConfig,
@@ -263,18 +263,19 @@ def _build_tag_model(corpus: Corpus, taxonomy: TagTaxonomy,
                      hidden: int, seed: int):
     vectors = corpus.vectors()
     if variant == "loglines":
-        model = LoglinesModel(vectors, len(taxonomy),
-                              hidden_per_direction=hidden, seed=seed)
-        return model, _LoglinesModelSettings(
+        encoder = LoglineEncoder(vectors, hidden, seed)
+        settings = _LoglinesModelSettings(
             type="loglines", hidden_per_direction=hidden, seed=seed)
-    chars_flag = {"auto": None, "yes": True, "no": False}[include_chars]
-    spec = EncoderSpec(kind=EncoderKind(encoder_kind), input_dim=vectors.dim,
-                       hidden_per_direction=hidden)
-    encoder = HierarchicalModel(spec=spec, variant=Variant(variant),
-                                vectors=vectors, characters=corpus.characters(),
-                                include_chars=chars_flag, seed=seed)
-    model = ScriptTagModel(encoder, len(taxonomy), seed=seed)
-    return model, _ScriptModelSettings(type="script", **encoder.to_config())
+    else:
+        chars_flag = {"auto": None, "yes": True, "no": False}[include_chars]
+        spec = EncoderSpec(kind=EncoderKind(encoder_kind), input_dim=vectors.dim,
+                           hidden_per_direction=hidden)
+        encoder = HierarchicalModel(spec=spec, variant=Variant(variant),
+                                    vectors=vectors,
+                                    characters=corpus.characters(),
+                                    include_chars=chars_flag, seed=seed)
+        settings = _ScriptModelSettings(type="script", **encoder.to_config())
+    return ScriptTagModel(encoder, len(taxonomy), seed=seed), settings
 
 
 @dataclass(frozen=True)
@@ -294,7 +295,7 @@ class _ScriptModelSettings:
 
 @dataclass(frozen=True)
 class _LoglinesModelSettings:
-    """A tag checkpoint's record of its ``LoglinesModel``."""
+    """A tag checkpoint's record of its ``LoglineEncoder``."""
 
     type: typing.Literal["loglines"]
     hidden_per_direction: int
@@ -424,15 +425,14 @@ def _checkpoint_of_kind(path: str, cls):
         raise DataError(f"{path}: {err}") from None
 
 
-def _rebuild_tag_model(record: _TagModelRecord, corpus: Corpus):
+def _rebuild_tag_model(record: _TagModelRecord, corpus: Corpus) -> ScriptTagModel:
     settings = record.model
-    n_tags = len(record.taxonomy)
     if isinstance(settings, _LoglinesModelSettings):
-        return LoglinesModel(corpus.vectors(), n_tags,
-                             hidden_per_direction=settings.hidden_per_direction,
-                             seed=settings.seed)
-    encoder = HierarchicalModel.from_config(asdict(settings), corpus.vectors())
-    return ScriptTagModel(encoder, n_tags, seed=settings.seed)
+        encoder = LoglineEncoder(corpus.vectors(), settings.hidden_per_direction,
+                                 settings.seed)
+    else:
+        encoder = HierarchicalModel.from_config(asdict(settings), corpus.vectors())
+    return ScriptTagModel(encoder, len(record.taxonomy), seed=settings.seed)
 
 
 def _run_log_csv(cfg_hash: str, header: str, rows) -> str:
@@ -511,7 +511,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
              "all": corpus.items}[args.split]
     if not items:
         raise DataError(f"no script to score in the {args.split!r} split")
-    samples = make_samples(items, taxonomy, isinstance(model, LoglinesModel))
+    samples = make_samples(items, taxonomy,
+                           isinstance(record.model, _LoglinesModelSettings))
     if not samples:
         raise DataError("loglines checkpoint but no loglines available; "
                         "pass --loglines")

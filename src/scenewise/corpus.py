@@ -40,6 +40,7 @@ from .ioutil import (
     canonical_json,
     config_hash,
     decode_error,
+    first_bad_byte,
     numbered_lines,
     sha256_hex,
     write_json,
@@ -470,13 +471,14 @@ def script_files(scripts_dir: str | Path) -> list[Path]:
 def read_script(path: Path) -> tuple[str | None, str | None]:
     """The UTF-8 text of script entry ``path`` (less a leading byte-order
     mark) and None, or None and the reason it is not a script: ``not a
-    regular file`` (such as a directory) or ``undecodable: ...``."""
+    regular file`` (such as a directory) or ``undecodable: line N: ...``
+    (:func:`ioutil.first_bad_byte`, which names no path)."""
     if not path.is_file():
         return None, "not a regular file"
     try:
         return path.read_text(encoding="utf-8-sig"), None
-    except UnicodeDecodeError as err:
-        return None, f"undecodable: {err}"
+    except UnicodeDecodeError:
+        return None, f"undecodable: {first_bad_byte(path) or 'not UTF-8 text'}"
 
 
 def ingest(scripts_dir: str | Path, tags_path: str | Path,

@@ -23,12 +23,12 @@ The model reads a script compiled once to embedding-row ids
 (``corpus.CompiledScript``): numpy masks over its statement table pick each
 channel's statements, and one gather per channel fetches their word rows.
 Under BoE the script vector is the concatenation of each block's mean over
-the scenes.  Only the character block has a parameter, so the other
-blocks' means are computed once per compiled script and kept on the model;
-the character block's mean over the scenes of each scene's mean speaker
-row is one tape node (``autodiff.mean_of_run_means``).  Where a script's
-speakers sit (``autodiff.RunLayout``) holds no parameter either, so it is
-kept beside the channel means.  A raw screenplay keeps neither.
+the scenes.  Only the character block has a parameter, so a compiled
+script keeps one record on the model from its first encode: the other
+blocks' means and where its speakers sit (``autodiff.RunLayout``).  The
+character block's mean over the scenes of each scene's mean speaker row is
+one tape node over that layout (``autodiff.mean_of_run_means``).  A raw
+screenplay keeps no record.
 Structural variants replace or drop tiers:
 
 * ``full`` — both channels, character block included
@@ -234,10 +234,10 @@ class HierarchicalModel:
 
         self.script_encoder = SequenceEncoder(
             replace(spec, input_dim=self.scene_dim), rng)
-        # BoE only, by identity: each compiled script's speaker layout
-        # (None without a speaker) and its (F,) channel means
-        self._speaker_layouts: dict[CompiledScript, ad.RunLayout | None] = {}
-        self._channel_means: dict[CompiledScript, dict[str, np.ndarray]] = {}
+        # BoE only, by identity: each compiled script's (F,) channel means
+        # and its speaker layout (None without a character block or a speaker)
+        self._boe_records: dict[CompiledScript, tuple[
+            dict[str, np.ndarray], ad.RunLayout | None]] = {}
 
     @property
     def scene_dim(self) -> int:
@@ -293,22 +293,6 @@ class HierarchicalModel:
                                                layout.index), layout.runs),
                            layout.at, script.n_scenes)
 
-    def _characters_mean(self, script: CompiledScript,
-                         keep: bool = True) -> Tensor:
-        """(char_dim,): the mean over the scenes of
-        ``_encode_characters(script)``, as one tape node.  The speaker
-        layout holds no parameter, so it is built on the script's first
-        call and kept, unless ``keep`` is false."""
-        if script in self._speaker_layouts:
-            layout = self._speaker_layouts[script]
-        else:
-            layout = self._speakers(script)
-            if keep:
-                self._speaker_layouts[script] = layout
-        if layout is None:
-            return ad.constant(np.zeros(self.char_dim))
-        return ad.mean_of_run_means(self.char_table.matrix, layout)
-
     def encode_scenes(self, script: CompiledScript | Screenplay) -> Tensor:
         """(n_scenes, scene_dim): each scene's blocks concatenated in
         ``block_layout`` order.  A raw screenplay is compiled first."""
@@ -322,10 +306,10 @@ class HierarchicalModel:
 
         Under BoE that is each block's mean over the scenes, concatenated
         in ``block_layout`` order.  A compiled script's channel means and
-        speaker layout hold no parameter, so they are computed on its
-        first encode and kept; a raw screenplay, compiled here, is not
-        kept.  The character block is one tape node over the character
-        table.
+        speaker layout hold no parameter, so they are built on its first
+        encode and kept as its one record; a raw screenplay, compiled here,
+        keeps none.  The character block is one tape node over the
+        character table.
         """
         raw = isinstance(script, Screenplay)
         script = self.vectors.compiled(script)
@@ -334,18 +318,23 @@ class HierarchicalModel:
         if self.spec.kind is not EncoderKind.BOE:
             return ad.row(self.script_encoder.encode(self.encode_scenes(script),
                                                      [script.n_scenes]), 0)
-        means = self._channel_means.get(script)
-        if means is None:
+        record = self._boe_records.get(script)
+        if record is None:
             means = {name: ad.mean_rows(self._encode_channel(script, name),
                                         [script.n_scenes]).data[0]
                      for name, _ in self.block_layout if name != "characters"}
             for mean in means.values():
                 mean.flags.writeable = False
+            record = means, self._speakers(script) if self.include_chars else None
             if not raw:
-                self._channel_means[script] = means
-        return ad.concat([self._characters_mean(script, not raw)
-                          if name == "characters" else ad.constant(means[name])
-                          for name, _ in self.block_layout])
+                self._boe_records[script] = record
+        means, layout = record
+        # the channels in block_layout order; the character block comes last
+        blocks = [ad.constant(mean) for mean in means.values()]
+        if self.include_chars:
+            blocks.append(ad.constant(np.zeros(self.char_dim)) if layout is None
+                          else ad.mean_of_run_means(self.char_table.matrix, layout))
+        return ad.concat(blocks)
 
     def named_params(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}

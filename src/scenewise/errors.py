@@ -103,5 +103,6 @@ class ParameterMismatch(DataError):
 
 
 class CheckpointCorrupt(DataError, ValueError):
-    """Checkpoint lacks the magic bytes, or its header or payload is
-    truncated, unreadable or too long."""
+    """Checkpoint lacks the magic bytes, its header or payload is
+    truncated, unreadable or too long, or a parameter holds a NaN or an
+    infinite value."""

@@ -1,5 +1,5 @@
 """Small IO helpers: atomic writes, JSON artifacts, canonical JSON, hashing,
-and the error for a text file that is not UTF-8."""
+and where a text file is not UTF-8 with the error that says so."""
 
 from __future__ import annotations
 
@@ -60,11 +60,11 @@ def _line_breaks(data: bytes) -> int:
     return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
 
 
-def decode_error(path: str | Path) -> DataError:
-    """The DataError for a file that is not UTF-8 text, naming ``path`` and
-    the line of its first bad byte as text mode numbers lines.  It reads
-    the file again in binary, a line at a time; a reader calls it only
-    once decoding has failed."""
+def first_bad_byte(path: str | Path) -> str | None:
+    """``line N: byte 0x.. is not UTF-8 text (reason)`` for the first byte
+    of the file ``path`` that is not UTF-8, numbering lines as text mode
+    does, or None if it has none.  It reads the file again in binary, a
+    line at a time; a reader calls it only once decoding has failed."""
     number = 1
     with open(path, "rb") as fh:
         for raw in fh:
@@ -72,11 +72,17 @@ def decode_error(path: str | Path) -> DataError:
                 raw.decode("utf-8")
             except UnicodeDecodeError as err:
                 number += _line_breaks(raw[:err.start])
-                return DataError(f"{path} line {number}: byte "
-                                 f"0x{raw[err.start]:02x} is not UTF-8 text "
-                                 f"({err.reason})")
+                return (f"line {number}: byte 0x{raw[err.start]:02x} is not "
+                        f"UTF-8 text ({err.reason})")
             number += _line_breaks(raw)
-    return DataError(f"{path}: not UTF-8 text")
+    return None
+
+
+def decode_error(path: str | Path) -> DataError:
+    """The DataError for a file that is not UTF-8 text, naming ``path`` and
+    :func:`first_bad_byte`'s line."""
+    where = first_bad_byte(path)
+    return DataError(f"{path} {where}" if where else f"{path}: not UTF-8 text")
 
 
 def numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:

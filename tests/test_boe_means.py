@@ -2,11 +2,12 @@
 
 Under BoE, ``HierarchicalModel.encode_script`` concatenates each block's
 mean over the scenes, keeps a compiled script's parameter-free channel
-means and builds the character block as one tape node.  The reference
-below is the composition it replaced: the script encoder over the whole
-(n_scenes, scene_dim) scene matrix, trained through the composed loss of
-``loss_oracle``.  Logits, loss gradients and trained parameters must equal
-the reference's bit for bit, on the first encode and on every repeat.
+means and speaker layout as one record and builds the character block as
+one tape node.  The reference below is the composition it replaced: the
+script encoder over the whole (n_scenes, scene_dim) scene matrix, trained
+through the composed loss of ``loss_oracle``.  Logits, loss gradients and
+trained parameters must equal the reference's bit for bit, on the first
+encode and on every repeat.
 """
 
 import numpy as np
@@ -59,7 +60,14 @@ def tag_model(vectors, variant, include_chars, n_tags=3, seed=3,
 
 
 def stored(model) -> dict:
-    return model.encoder._channel_means
+    return model.encoder._boe_records
+
+
+def characters_block(encoder, script):
+    """The character block of ``encoder``'s BoE script vector: the last
+    block, so the last input of the concatenation."""
+    assert encoder.block_layout[-1][0] == "characters"
+    return encoder.encode_script(script)._parents[-1]
 
 
 @pytest.fixture(scope="module")
@@ -193,7 +201,7 @@ def test_one_entry_per_distinct_compiled_script():
     # a second compile of the same play is another script
     model.logits(vectors.compiled(plays[0]))
     assert len(stored(model)) == len(scripts) + 1
-    for means in stored(model).values():
+    for means, _ in stored(model).values():
         assert set(means) == {"action", "dialogue"}
         assert not any(m.flags.writeable for m in means.values())
     # nothing of it reaches the parameters or the config
@@ -217,13 +225,13 @@ def test_character_block_is_one_node_equal_to_composition(small_corpus, variant)
         encoder = tag_model(vectors, variant, True).encoder
         params = {"chars.matrix": encoder.char_table.matrix}
         for script in scripts + scripts:
-            block = encoder._characters_mean(script)
+            block = characters_block(encoder, script)
             if any(script.characters):
                 assert block._parents == (encoder.char_table.matrix,)
             assert_bitwise(
                 logits_and_grads(params, lambda: loss_oracle.characters_mean(
                     encoder, script)),
-                logits_and_grads(params, lambda: encoder._characters_mean(script)))
+                logits_and_grads(params, lambda: characters_block(encoder, script)))
 
 
 def test_boe_full_gradients_match_finite_differences(small_corpus):

@@ -120,3 +120,14 @@ def test_non_finite_manifest_value_raises_and_writes_nothing(tmp_path, value):
     with pytest.raises(ValueError):
         write_json(tmp_path / "report.json", {"cutoffs": {"100": {"f1": value}}})
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_checkpoint_rejects_non_finite_parameter(tmp_path, value):
+    path = tmp_path / "model.swck"
+    w = np.ones((2, 3))
+    w[1, 2] = value
+    save_checkpoint(path, {"b": np.zeros(3), "w": w}, {"seed": 1})
+    with pytest.raises(CheckpointCorrupt, match=r"^.*model\.swck: parameter "
+                       r"'w' holds a NaN or infinite value$"):
+        load_checkpoint(path)

@@ -7,7 +7,7 @@ import loss_oracle
 from scenewise import autodiff as ad
 from scenewise import classifier
 from scenewise.classifier import (
-    LoglinesModel,
+    LoglineEncoder,
     Sample,
     ScriptTagModel,
     TagTaxonomy,
@@ -440,12 +440,14 @@ def test_train_raises_on_non_finite_loss(tiny_vectors):
 
 
 def test_loglines_model_dims_and_determinism(tiny_vectors):
-    model = LoglinesModel(tiny_vectors, n_tags=3, hidden_per_direction=2, seed=2)
-    assert model.output_dim == 4
-    single = model.encode(logline_screenplay("t", "alpha"))
+    model = ScriptTagModel(LoglineEncoder(tiny_vectors, hidden_per_direction=2,
+                                          seed=2), n_tags=3, seed=2)
+    assert model.encoder.script_dim == 4
+    single = model.encoder.encode_script(logline_screenplay("t", "alpha"))
     assert single.data.shape == (4,)
     z1 = model.logits(logline_screenplay("t", "alpha beta")).data
-    model2 = LoglinesModel(tiny_vectors, n_tags=3, hidden_per_direction=2, seed=2)
+    model2 = ScriptTagModel(LoglineEncoder(tiny_vectors, hidden_per_direction=2,
+                                           seed=2), n_tags=3, seed=2)
     z2 = model2.logits(logline_screenplay("t", "alpha beta")).data
     assert np.array_equal(z1, z2)
 
@@ -453,8 +455,8 @@ def test_loglines_model_dims_and_determinism(tiny_vectors):
 def test_loglines_paper_output_dim():
     r = rng(11)
     vectors = make_vectors({f"w{i}": r.normal(size=100) for i in range(3)})
-    model = LoglinesModel(vectors, n_tags=2)
-    assert model.output_dim == 100
+    model = ScriptTagModel(LoglineEncoder(vectors), n_tags=2)
+    assert model.encoder.script_dim == 100
 
 
 def _logline_item(title, tags, logline, vectors):
@@ -485,12 +487,12 @@ def test_make_samples_says_why_it_skips_a_script(caplog, tiny_vectors):
 
 def test_loglines_gradients_match_finite_differences(tiny_vectors):
     """End to end: from the logline biGRU and the head through the logits
-    of a ``LoglinesModel`` to the fused loss, with the list-typed lam and
-    mask that ``TagTaxonomy.from_items`` builds."""
+    of a loglines ``ScriptTagModel`` to the fused loss, with the list-typed
+    lam and mask that ``TagTaxonomy.from_items`` builds."""
     taxonomy = _toy_taxonomy()
     assert isinstance(taxonomy.lam, list) and isinstance(taxonomy.active, list)
-    model = LoglinesModel(tiny_vectors, len(taxonomy), hidden_per_direction=2,
-                          seed=3)
+    model = ScriptTagModel(LoglineEncoder(tiny_vectors, hidden_per_direction=2,
+                                          seed=3), len(taxonomy), seed=3)
     logline = tiny_vectors.compiled(logline_screenplay("t", "alpha beta gamma"))
     y = taxonomy.label_vector(("x",))
 

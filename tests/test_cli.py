@@ -602,6 +602,34 @@ def test_trajectories_refuses_a_script_ingest_would_exclude(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [np.nan, -np.inf], ids=["nan", "minus_inf"])
+@pytest.mark.parametrize("command, name", [
+    ("evaluate", "head.w"), ("trajectories", "predictor.w1"),
+])
+def test_checkpoint_with_a_non_finite_value_is_refused(
+        workspace, trained, descriptor_run, tmp_path, capsys, command, name,
+        value):
+    # a NaN weight once scored every tag silently and drew every share as
+    # 1/k; the checkpoint is refused before anything is written
+    _, synth = workspace
+    source = trained[0] / "checkpoint.swck" if command == "evaluate" \
+        else descriptor_run[0] / "descriptors.swck"
+
+    def poison(params):
+        params[name][0, 0] = value
+
+    bad = altered_checkpoint(source, tmp_path / "bad.swck", poison)
+    out = tmp_path / "out"
+    argv = trajectory_args(synth, bad, out) if command == "trajectories" else \
+        ["evaluate"] + data_args(synth) + ["--checkpoint", bad, "--out", str(out)]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.err.strip().splitlines()[-1]) == {
+        "error": "CheckpointCorrupt",
+        "message": f"{bad}: parameter {name!r} holds a NaN or infinite value"}
+    assert captured.out == "" and not out.exists()
+
+
 def test_descriptors_without_usable_script_is_data_error(tmp_path, capsys):
     # every script is one scene, so none has the two scenes training needs
     synth, out = tmp_path / "synth", tmp_path / "desc"
@@ -671,6 +699,32 @@ def test_ingest_excludes_undecodable_script(workspace, tmp_path):
     assert sum(len(v) for v in manifest["splits"].values()) == 8
     assert [e["title"] for e in manifest["excluded"]] == ["zzbinary"]
     assert manifest["excluded"][0]["reason"].startswith("undecodable: ")
+
+
+def test_undecodable_script_reason_names_the_line_of_its_first_bad_byte(
+        workspace, descriptor_run, tmp_path, capsys):
+    # ingest's manifest holds no path; trajectories names the script's
+    _, synth = workspace
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    for p in (synth / "scripts").glob("*.txt"):
+        (scripts / p.name).write_bytes(p.read_bytes())
+    bad = with_bad_byte(synth / "scripts" / "synth000.txt",
+                        scripts / "synth000.txt", 3)
+    reason = "undecodable: line 3: byte 0xff is not UTF-8 text (invalid start byte)"
+    out = tmp_path / "manifest.json"
+    args = corpus_args(synth)
+    args[args.index("--scripts") + 1] = str(scripts)
+    assert run(["ingest"] + args + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text())["excluded"] == [
+        {"title": "synth000", "reason": reason}]
+    capsys.readouterr()
+    argv = trajectory_args(synth, descriptor_run[0] / "descriptors.swck",
+                           tmp_path / "traj.svg")
+    argv[argv.index("--scripts") + 1] = str(scripts)
+    assert run(argv) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "DataError", "message": f"{bad}: {reason}"}
 
 
 def test_parse_skips_undecodable_script(workspace, tmp_path, caplog):

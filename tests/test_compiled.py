@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from scenewise import autodiff as ad
 from scenewise.classifier import (
-    LoglinesModel,
+    LoglineEncoder,
     ScriptTagModel,
     TagTaxonomy,
     make_samples,
@@ -130,10 +130,11 @@ def oracle_script(model, play):
     return ad.row(model.script_encoder.encode(scenes, [len(play.scenes)]), 0)
 
 
-def oracle_logline(model: LoglinesModel, text: str):
-    rows = oracle_rows(model.vectors, tokenize(text))
-    return model.head.logits(
-        ad.row(model.encoder.encode(ad.constant(rows), [len(rows)]), 0))
+def oracle_logline(model: ScriptTagModel, text: str):
+    encoder = model.encoder
+    rows = oracle_rows(encoder.vectors, tokenize(text))
+    return model.head.logits(ad.row(
+        encoder.token_encoder.encode(ad.constant(rows), [len(rows)]), 0))
 
 
 def oracle_vocabulary(plays, min_count):
@@ -195,6 +196,11 @@ def edge_plays() -> list[Screenplay]:
     ]
 
 
+def loglines_model(vectors, n_tags, seed=0):
+    return ScriptTagModel(LoglineEncoder(vectors, hidden_per_direction=2,
+                                         seed=seed), n_tags, seed=seed)
+
+
 def tag_model(vectors, kind, variant, seed=3):
     spec = EncoderSpec(kind, input_dim=4, hidden_per_direction=2)
     encoder = HierarchicalModel(spec, variant, vectors, ["ANNA", "BO"],
@@ -248,8 +254,8 @@ def test_compiled_logits_and_gradients_match_oracle(kind, variant, with_unk):
 @pytest.mark.parametrize("kind", list(EncoderKind))
 def test_speaker_layout_is_kept_per_compiled_script(kind):
     """BoE keeps a compiled script's speaker layout (None for a play
-    without speakers) from its first encode; a repeat encode reads it and
-    still equals the oracle.  A raw screenplay keeps nothing, and the
+    without speakers) in its record from its first encode; a repeat encode
+    reads it and still equals the oracle.  A raw screenplay keeps nothing, and the
     other kinds keep no layout at all."""
     vectors = vectors_for(with_unk=True)
     model = tag_model(vectors, kind, Variant.FULL)
@@ -258,26 +264,26 @@ def test_speaker_layout_is_kept_per_compiled_script(kind):
                                                            index=1)])]
     for play in plays:
         model.logits(play)
-    assert not model.encoder._speaker_layouts
+    assert not model.encoder._boe_records
     scripts = [vectors.compiled(play) for play in plays]
     for play, script in list(zip(plays, scripts)) * 2:
         expected = logits_and_grads(
             params, lambda: model.head.logits(oracle_script(model.encoder, play)))
         assert_bitwise(expected, logits_and_grads(
             params, lambda: model.logits(script)))
-    layouts = model.encoder._speaker_layouts
+    records = model.encoder._boe_records
     if kind is not EncoderKind.BOE:
-        assert not layouts
+        assert not records
         return
-    assert list(layouts) == scripts
-    assert [layouts[s] is None for s in scripts] == [False, False, True]
+    assert list(records) == scripts
+    assert [records[s][1] is None for s in scripts] == [False, False, True]
 
 
 @pytest.mark.parametrize("with_unk", [False, True])
 @pytest.mark.parametrize("text", ["alpha beta", "zzz tide ghost alpha", "sun"])
 def test_compiled_logline_matches_oracle(with_unk, text):
     vectors = vectors_for(with_unk)
-    model = LoglinesModel(vectors, n_tags=3, hidden_per_direction=2, seed=2)
+    model = loglines_model(vectors, n_tags=3, seed=2)
     params = model.named_params()
     expected = logits_and_grads(params, lambda: oracle_logline(model, text))
     raw = logline_screenplay("t", text)
@@ -346,8 +352,7 @@ def test_ingest_compiled_scripts_match_oracle(small_corpus, kind):
 
 
 def test_ingest_compiled_loglines_match_oracle(small_corpus):
-    model = LoglinesModel(small_corpus.vectors(), n_tags=2,
-                          hidden_per_direction=2, seed=1)
+    model = loglines_model(small_corpus.vectors(), n_tags=2, seed=1)
     params = model.named_params()
     taxonomy = TagTaxonomy.from_items(small_corpus.items, "genre")
     samples = make_samples(small_corpus.items, taxonomy, use_loglines=True)
@@ -374,7 +379,7 @@ def test_compiled_script_refuses_another_vocabulary(small_corpus):
         model = tag_model(vectors, EncoderKind.BOE, Variant.FULL)
         with pytest.raises(DataError, match=small_corpus.items[0].title):
             model.logits(script)
-        loglines = LoglinesModel(vectors, n_tags=2, hidden_per_direction=2)
+        loglines = loglines_model(vectors, n_tags=2)
         with pytest.raises(DataError):
             loglines.logits(small_corpus.items[0].logline_script)
     # the tables it was compiled against take it

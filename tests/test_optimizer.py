@@ -11,7 +11,7 @@ from scenewise import autodiff as ad
 from scenewise import classifier
 from scenewise import descriptors as dsc
 from scenewise.classifier import (
-    LoglinesModel,
+    LoglineEncoder,
     ScriptTagModel,
     TagTaxonomy,
     TrainConfig,
@@ -72,7 +72,8 @@ def tag_training(corpus, kind):
     taxonomy = TagTaxonomy.from_items(corpus.train_items + corpus.validation_items,
                                       "genre")
     if kind == "loglines":
-        model = LoglinesModel(vectors, len(taxonomy), hidden_per_direction=3, seed=4)
+        model = ScriptTagModel(LoglineEncoder(vectors, hidden_per_direction=3,
+                                              seed=4), len(taxonomy), seed=4)
     else:
         spec = EncoderSpec(EncoderKind(kind), input_dim=vectors.dim,
                            hidden_per_direction=3)

@@ -11,10 +11,11 @@ that moves one bit of them fails here.
 
 The tagged corpus has 8 tags, so 28 tag pairs, and cutoffs 90 to 70 match
 tags that cutoff 100 does not.  Its digests cover ``scenewise evaluate``'s
-report with ``--tag-embeddings`` and four cutoffs, for a BoE and a GRU+Attn
-checkpoint trained on it: each F-1 there rests on thresholded logits and on
-the percentiles of the tag space, so a change that moves a prediction or a
-percentile fails here.
+report with ``--tag-embeddings`` and four cutoffs, for a BoE, a GRU+Attn and
+a loglines checkpoint trained on it: each F-1 there rests on thresholded
+logits and on the percentiles of the tag space, so a change that moves a
+prediction or a percentile fails here.  The loglines checkpoint's own bytes
+are pinned too, so its parameter names, order and values cannot drift.
 
 The trajectory digests cover ``scenewise trajectories`` from a raw play of
 the wide corpus to its SVG and CSV bytes, for a plain and a recurrent
@@ -41,12 +42,19 @@ MANIFEST_SHA256 = ("1024a062b210e803e497a0e0d8b62f25"
                    "89db18443c14aabb8c218e2ee5dbf03a")
 COMPILED_SHA256 = ("f405d0beab7feada610e525bcb4ec038"
                    "b94182d7680c893cb5cfa7ab56dc8f6d")
-# evaluate's report on the 8-tag corpus, after training with each encoder
+# evaluate's report on the 8-tag corpus, after training each model
 EVALUATE_SHA256 = {
     "boe": ("03be20e94f4669d736397255fb31d422"
             "1060714bd6d763a526420ff915961d1a"),
     "gru_attn": ("c0381414c25e8d0fc4393b05a852e12c"
                  "9fe0d2ed54c67af1b95f12c77da355f3"),
+    "loglines": ("71256e178e546a6ab2c5a2727108fa24"
+                 "7a8a0f6dd01427f2b92af066ea9fb9c8"),
+}
+# the trained checkpoint itself: its manifest and every parameter's bytes
+CHECKPOINT_SHA256 = {
+    "loglines": ("a10aa46b731726c8ceed1c3021b6f21f"
+                 "8e7e4d8b2e26159c01085d3b0bbff42e"),
 }
 
 
@@ -108,24 +116,31 @@ def tagged_corpus(tmp_path_factory):
     return synth
 
 
-@pytest.mark.parametrize("encoder, flags", [
-    ("boe", ["--epochs", "3"]),
-    ("gru_attn", ["--epochs", "2", "--hidden", "10"]),
-], ids=["boe", "gru_attn"])
-def test_evaluate_report_keeps_its_bytes(tagged_corpus, tmp_path, encoder, flags):
+@pytest.mark.parametrize("model, flags", [
+    ("boe", ["--encoder", "boe", "--epochs", "3"]),
+    ("gru_attn", ["--encoder", "gru_attn", "--epochs", "2", "--hidden", "10"]),
+    ("loglines", ["--variant", "loglines", "--epochs", "2", "--hidden", "10"]),
+], ids=["boe", "gru_attn", "loglines"])
+def test_evaluate_report_keeps_its_bytes(tagged_corpus, tmp_path, model, flags):
     common = ["--scripts", str(tagged_corpus / "scripts"),
               "--tags", str(tagged_corpus / "tags.json"),
               "--embeddings", str(tagged_corpus / "embeddings.txt")]
+    if model == "loglines":
+        common += ["--loglines", str(tagged_corpus / "loglines.json")]
     run = tmp_path / "run"
-    assert main(["train", *common, "--attribute", "genre", "--encoder", encoder,
+    assert main(["train", *common, "--attribute", "genre",
                  "--min-count", "2", "--seed", "4", *flags,
                  "--out", str(run)]) == 0
+    checkpoint = run / "checkpoint.swck"
     out = run / "eval.json"
-    assert main(["evaluate", *common, "--checkpoint", str(run / "checkpoint.swck"),
+    assert main(["evaluate", *common, "--checkpoint", str(checkpoint),
                  "--split", "all",
                  "--tag-embeddings", str(tagged_corpus / "tag_embeddings.tsv"),
                  "--cutoffs", "100,90,80,70", "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == EVALUATE_SHA256[encoder]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EVALUATE_SHA256[model]
+    if model in CHECKPOINT_SHA256:
+        assert hashlib.sha256(checkpoint.read_bytes()).hexdigest() == \
+            CHECKPOINT_SHA256[model]
 
 
 # one digest per descriptor model over the exports below, in order
