@@ -19,7 +19,7 @@ import logging
 import math
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, ClassVar, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -177,6 +177,7 @@ class LoglineEncoder:
     def __init__(self, vectors: TokenVectors, hidden_per_direction: int = 50,
                  seed: int = 0):
         self.vectors = vectors
+        self.seed = seed
         self.token_encoder = SequenceEncoder(
             EncoderSpec(EncoderKind.GRU, vectors.dim, hidden_per_direction),
             np.random.default_rng(seed))
@@ -196,6 +197,26 @@ class LoglineEncoder:
 
     def named_params(self) -> dict[str, Tensor]:
         return self.token_encoder.named_params("logline")
+
+    def settings(self) -> LoglinesModelSettings:
+        return LoglinesModelSettings(
+            hidden_per_direction=self.token_encoder.spec.hidden_per_direction,
+            seed=self.seed)
+
+
+@dataclass(frozen=True)
+class LoglinesModelSettings:
+    """A :class:`LoglineEncoder`'s settings: what a tag checkpoint records
+    as its ``model``, and all that rebuilds the encoder."""
+
+    hidden_per_direction: int
+    seed: int
+    type: Literal["loglines"] = "loglines"
+    # the name ``train --variant`` gives this model; not a record key
+    variant: ClassVar[str] = "loglines"
+
+    def encoder(self, vectors: TokenVectors) -> LoglineEncoder:
+        return LoglineEncoder(vectors, self.hidden_per_direction, self.seed)
 
 
 class ScriptTagModel:

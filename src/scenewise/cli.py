@@ -19,9 +19,9 @@ encoder kind.  Each checkpoint kind's manifest is one declared record
 writes it with ``asdict``, and ``_checkpoint_of_kind`` checks all of it
 before anything is ingested or loaded.  The records they nest are the
 library's own where one exists (``IngestConfig``, ``TrainConfig``,
-``DescriptorConfig`` and the classifier's ``TagTaxonomy``), and the model
-settings and descriptor statistics (``_ScriptModelSettings``,
-``_LoglinesModelSettings``, ``_DescriptorStatsRecord``) otherwise.
+``DescriptorConfig``, the classifier's ``TagTaxonomy``, and the tag
+encoder's settings, ``ScriptModelSettings`` or ``LoglinesModelSettings``,
+whose ``encoder`` rebuilds it), and ``_DescriptorStatsRecord`` otherwise.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from . import parser as screenplay
 from .checkpoint import load_checkpoint, save_checkpoint
 from .classifier import (
     LoglineEncoder,
+    LoglinesModelSettings,
     ScriptTagModel,
     TagTaxonomy,
     TrainConfig,
@@ -67,6 +68,7 @@ from .corpus import (
     WordEmbeddings,
     generate_synthetic_corpus,
     ingest,
+    read_play,
     read_script,
     script_files,
 )
@@ -82,6 +84,7 @@ from .encoders import (
     EncoderKind,
     EncoderSpec,
     HierarchicalModel,
+    ScriptModelSettings,
     Variant,
 )
 from .errors import DataError, EmptyScript, ScenewiseError, VocabularyMismatch
@@ -260,12 +263,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def _build_tag_model(corpus: Corpus, taxonomy: TagTaxonomy,
                      variant: str, encoder_kind: str, include_chars: str,
-                     hidden: int, seed: int):
+                     hidden: int, seed: int) -> ScriptTagModel:
     vectors = corpus.vectors()
     if variant == "loglines":
         encoder = LoglineEncoder(vectors, hidden, seed)
-        settings = _LoglinesModelSettings(
-            type="loglines", hidden_per_direction=hidden, seed=seed)
     else:
         chars_flag = {"auto": None, "yes": True, "no": False}[include_chars]
         spec = EncoderSpec(kind=EncoderKind(encoder_kind), input_dim=vectors.dim,
@@ -274,44 +275,14 @@ def _build_tag_model(corpus: Corpus, taxonomy: TagTaxonomy,
                                     vectors=vectors,
                                     characters=corpus.characters(),
                                     include_chars=chars_flag, seed=seed)
-        settings = _ScriptModelSettings(type="script", **encoder.to_config())
-    return ScriptTagModel(encoder, len(taxonomy), seed=seed), settings
-
-
-@dataclass(frozen=True)
-class _ScriptModelSettings:
-    """A tag checkpoint's record of its ``HierarchicalModel``."""
-
-    type: typing.Literal["script"]
-    variant: typing.Literal[tuple(v.value for v in Variant)]
-    include_chars: bool
-    kind: typing.Literal[tuple(k.value for k in EncoderKind)]
-    input_dim: int
-    hidden_per_direction: int
-    char_dim: int
-    characters: list[str]
-    seed: int
-
-
-@dataclass(frozen=True)
-class _LoglinesModelSettings:
-    """A tag checkpoint's record of its ``LoglineEncoder``."""
-
-    type: typing.Literal["loglines"]
-    hidden_per_direction: int
-    seed: int
-
-    @property
-    def variant(self) -> str:
-        """The name ``train --variant`` gives this model."""
-        return "loglines"
+    return ScriptTagModel(encoder, len(taxonomy), seed=seed)
 
 
 @dataclass(frozen=True)
 class _TagModelRecord:
     """The manifest of a ``train`` checkpoint."""
 
-    model: _ScriptModelSettings | _LoglinesModelSettings
+    model: ScriptModelSettings | LoglinesModelSettings
     taxonomy: TagTaxonomy
     vocabulary_hash: str
     ingest: IngestConfig
@@ -382,6 +353,7 @@ def _record(value: dict, cls, where: str):
     what is wrong ``where`` unless it holds exactly ``cls``'s fields, each
     of its field's type (see ``_fits``), a nested record read alike."""
     hints = typing.get_type_hints(cls)
+    hints = {f.name: hints[f.name] for f in fields(cls)}  # a ClassVar is no key
     if unknown := sorted(value.keys() - hints.keys()):
         raise ValueError(f"{where} has an unknown key {unknown[0]!r}")
     for name, hint in hints.items():
@@ -426,13 +398,8 @@ def _checkpoint_of_kind(path: str, cls):
 
 
 def _rebuild_tag_model(record: _TagModelRecord, corpus: Corpus) -> ScriptTagModel:
-    settings = record.model
-    if isinstance(settings, _LoglinesModelSettings):
-        encoder = LoglineEncoder(corpus.vectors(), settings.hidden_per_direction,
-                                 settings.seed)
-    else:
-        encoder = HierarchicalModel.from_config(asdict(settings), corpus.vectors())
-    return ScriptTagModel(encoder, len(record.taxonomy), seed=settings.seed)
+    return ScriptTagModel(record.model.encoder(corpus.vectors()),
+                          len(record.taxonomy), seed=record.model.seed)
 
 
 def _run_log_csv(cfg_hash: str, header: str, rows) -> str:
@@ -452,7 +419,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     taxonomy = TagTaxonomy.from_items(training_pool, args.attribute)
     if not len(taxonomy):
         raise DataError(f"no tags for attribute {args.attribute!r}")
-    model, settings = _build_tag_model(
+    model = _build_tag_model(
         corpus, taxonomy, args.variant, args.encoder, args.include_chars,
         args.hidden, args.seed)
     train_samples = make_samples(corpus.train_items, taxonomy, use_loglines)
@@ -468,7 +435,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                   "ingest": asdict(ingest_config), "train": asdict(train_config)}
     cfg_hash = config_hash(run_config)
     record = _TagModelRecord(
-        model=settings, taxonomy=taxonomy,
+        model=model.encoder.settings(), taxonomy=taxonomy,
         vocabulary_hash=corpus.vocabulary.hash(), ingest=ingest_config,
         train=train_config, best_epoch=result.best_epoch,
         best_val_ap=result.best_val_ap, config_hash=cfg_hash)
@@ -511,8 +478,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
              "all": corpus.items}[args.split]
     if not items:
         raise DataError(f"no script to score in the {args.split!r} split")
-    samples = make_samples(items, taxonomy,
-                           isinstance(record.model, _LoglinesModelSettings))
+    samples = make_samples(items, taxonomy, record.model.type == "loglines")
     if not samples:
         raise DataError("loglines checkpoint but no loglines available; "
                         "pass --loglines")
@@ -595,10 +561,9 @@ def cmd_trajectories(args: argparse.Namespace) -> int:
     script_path = Path(args.scripts) / f"{args.title}.txt"
     if not script_path.exists():
         raise DataError(f"script not found: {script_path}")
-    text, problem = read_script(script_path)
+    play, problem = read_play(script_path, record.ingest.cap)
     if problem is not None:
         raise DataError(f"{script_path}: {problem}")
-    play = screenplay.parse_script(args.title, text, cap=record.ingest.cap)
     weights = model.weights_for_script(play)
     selection = select_descriptors(
         weights, args.descriptors or f"top:{min(4, record.config.k)}")

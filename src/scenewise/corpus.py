@@ -481,6 +481,23 @@ def read_script(path: Path) -> tuple[str | None, str | None]:
         return None, f"undecodable: {first_bad_byte(path) or 'not UTF-8 text'}"
 
 
+def read_play(path: Path, cap: int | None) -> tuple[Screenplay | None, str | None]:
+    """The play of script entry ``path``, its scenes split at ``cap``, and
+    None; or None and the reason ``ingest`` excludes the entry: that of
+    :func:`read_script`, ``empty: ...`` or ``no usable statements`` (no
+    scene holds a statement)."""
+    text, problem = read_script(path)
+    if problem is not None:
+        return None, problem
+    try:
+        play = parser.parse_script(path.stem, text, cap=cap)
+    except EmptyScript as err:
+        return None, f"empty: {err}"
+    if not any(scene.statements for scene in play.scenes):
+        return None, "no usable statements"
+    return play, None
+
+
 def ingest(scripts_dir: str | Path, tags_path: str | Path,
            embeddings_path: str | Path, config: IngestConfig = IngestConfig(),
            loglines_path: str | Path | None = None) -> tuple[Corpus, dict]:
@@ -500,17 +517,9 @@ def ingest(scripts_dir: str | Path, tags_path: str | Path,
     parsed: list[CorpusItem] = []
     for path in scripts:
         title = path.stem
-        text, problem = read_script(path)
+        play, problem = read_play(path, config.cap)
         if problem is not None:
             excluded.append({"title": title, "reason": problem})
-            continue
-        try:
-            play = parser.parse_script(title, text, cap=config.cap)
-        except EmptyScript as err:
-            excluded.append({"title": title, "reason": f"empty: {err}"})
-            continue
-        if not any(scene.statements for scene in play.scenes):
-            excluded.append({"title": title, "reason": "no usable statements"})
             continue
         if title not in tags:
             excluded.append({"title": title, "reason": "missing tags"})

@@ -29,6 +29,9 @@ blocks' means and where its speakers sit (``autodiff.RunLayout``).  The
 character block's mean over the scenes of each scene's mean speaker row is
 one tape node over that layout (``autodiff.mean_of_run_means``).  A raw
 screenplay keeps no record.
+A model's settings are one frozen record, ``ScriptModelSettings``:
+``HierarchicalModel.settings`` returns it, a tag checkpoint stores it as
+its ``model`` record, and its ``encoder`` rebuilds the model.
 Structural variants replace or drop tiers:
 
 * ``full`` — both channels, character block included
@@ -40,8 +43,9 @@ Structural variants replace or drop tiers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
+from typing import Literal
 
 import numpy as np
 
@@ -347,27 +351,37 @@ class HierarchicalModel:
             out.update(self.char_table.named_params("chars"))
         return out
 
-    def to_config(self) -> dict:
-        return {
-            "variant": self.variant.value,
-            "include_chars": self.include_chars,
-            "kind": self.spec.kind.value,
-            "input_dim": self.spec.input_dim,
-            "hidden_per_direction": self.spec.hidden_per_direction,
-            "char_dim": self.char_dim,
-            "characters": sorted(self.char_table.index)
-            if self.char_table else [],
-            "seed": self.seed,
-        }
+    def settings(self) -> ScriptModelSettings:
+        return ScriptModelSettings(
+            variant=self.variant.value, include_chars=self.include_chars,
+            kind=self.spec.kind.value, input_dim=self.spec.input_dim,
+            hidden_per_direction=self.spec.hidden_per_direction,
+            char_dim=self.char_dim,
+            characters=sorted(self.char_table.index) if self.char_table else [],
+            seed=self.seed)
 
-    @classmethod
-    def from_config(cls, config: dict, vectors: TokenVectors) -> "HierarchicalModel":
-        spec = EncoderSpec(
-            kind=EncoderKind(config["kind"]),
-            input_dim=config["input_dim"],
-            hidden_per_direction=config["hidden_per_direction"],
-        )
-        names = [n for n in config["characters"] if n != CharacterTable.UNK_NAME]
-        return cls(spec=spec, variant=Variant(config["variant"]), vectors=vectors,
-                   characters=names, include_chars=config["include_chars"],
-                   char_dim=config["char_dim"], seed=config["seed"])
+    def to_config(self) -> dict:
+        return asdict(self.settings())
+
+
+@dataclass(frozen=True)
+class ScriptModelSettings:
+    """A :class:`HierarchicalModel`'s settings, a tag checkpoint's ``model``
+    record: all that rebuilds the model (``characters`` holds UNK too)."""
+
+    variant: Literal[tuple(v.value for v in Variant)]
+    include_chars: bool
+    kind: Literal[tuple(k.value for k in EncoderKind)]
+    input_dim: int
+    hidden_per_direction: int
+    char_dim: int
+    characters: list[str]
+    seed: int
+    type: Literal["script"] = "script"
+
+    def encoder(self, vectors: TokenVectors) -> HierarchicalModel:
+        spec = EncoderSpec(EncoderKind(self.kind), self.input_dim,
+                           self.hidden_per_direction)
+        names = [n for n in self.characters if n != CharacterTable.UNK_NAME]
+        return HierarchicalModel(spec, Variant(self.variant), vectors, names,
+                                 self.include_chars, self.char_dim, self.seed)

@@ -568,21 +568,11 @@ def test_gru_attn_trains_at_screenplay_length(long_tag_corpus, monkeypatch):
         assert np.array_equal(again[2][name], value), name
 
 
-def test_gru_attn_directional_gradient_at_screenplay_length(long_tag_corpus):
-    """The full GRU+Attn model's loss on a play of 150 or more scenes, so
-    the script tier back-propagates through every scene: along seeded
-    unit directions ``v`` over all parameters, ``<grad f, v>`` equals the
+def assert_directional_gradient(model, sample: Sample, taxonomy: TagTaxonomy,
+                                directions: int = 3) -> None:
+    """Along seeded unit directions ``v`` over all of ``model``'s
+    parameters, ``<grad f, v>`` of the loss ``f`` on ``sample`` equals the
     central difference ``(f(theta + h v) - f(theta - h v)) / 2h``."""
-    corpus = long_tag_corpus
-    taxonomy = TagTaxonomy.from_items(corpus.items, "genre")
-    sample = make_samples(corpus.train_items, taxonomy)[0]
-    assert sample.x.n_scenes >= 150
-    vectors = corpus.vectors()
-    spec = EncoderSpec(EncoderKind.GRU_ATTN, input_dim=vectors.dim,
-                       hidden_per_direction=10)
-    model = ScriptTagModel(HierarchicalModel(spec, Variant.FULL, vectors,
-                                             corpus.characters(), seed=2),
-                           len(taxonomy), seed=2)
     params = list(model.named_params().values())
 
     def loss():
@@ -593,7 +583,7 @@ def test_gru_attn_directional_gradient_at_screenplay_length(long_tag_corpus):
     grads = [t.grad.copy() for t in params]
     theta = [t.data.copy() for t in params]
     h = 1e-5
-    for seed in range(3):
+    for seed in range(directions):
         r = rng(100 + seed)
         v = [r.normal(size=t.data.shape) for t in params]
         scale = 1.0 / math.sqrt(sum(float(np.sum(d * d)) for d in v))
@@ -607,3 +597,57 @@ def test_gru_attn_directional_gradient_at_screenplay_length(long_tag_corpus):
         numeric = (values[0] - values[1]) / (2 * h)
         assert abs(analytic - numeric) <= 1e-6 * max(abs(analytic), 1e-3), \
             (seed, analytic, numeric)
+    for t, t0 in zip(params, theta):
+        t.data[...] = t0
+
+
+def test_gru_attn_directional_gradient_at_screenplay_length(long_tag_corpus):
+    """The full GRU+Attn model's loss on a play of 150 or more scenes, so
+    the script tier back-propagates through every scene, passes
+    :func:`assert_directional_gradient`."""
+    corpus = long_tag_corpus
+    taxonomy = TagTaxonomy.from_items(corpus.items, "genre")
+    sample = make_samples(corpus.train_items, taxonomy)[0]
+    assert sample.x.n_scenes >= 150
+    vectors = corpus.vectors()
+    spec = EncoderSpec(EncoderKind.GRU_ATTN, input_dim=vectors.dim,
+                       hidden_per_direction=10)
+    model = ScriptTagModel(HierarchicalModel(spec, Variant.FULL, vectors,
+                                             corpus.characters(), seed=2),
+                           len(taxonomy), seed=2)
+    assert_directional_gradient(model, sample, taxonomy)
+
+
+@pytest.fixture(scope="module")
+def short_tag_corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("short_tags")
+    generate_synthetic_corpus(out, SynthSpec(
+        n_scripts=4, n_tags=3, signal=1.0, seed=6, scenes_range=(4, 6),
+        statements_range=(2, 3)))
+    corpus, _ = ingest(out / "scripts", out / "tags.json", out / "embeddings.txt",
+                       IngestConfig(min_count=2, heldout_fraction=0.0,
+                                    validation_fraction=0.25, seed=1))
+    return corpus, TagTaxonomy.from_items(corpus.items, "genre")
+
+
+@pytest.mark.parametrize("include_chars", [None, True, False],
+                         ids=["auto", "chars", "no_chars"])
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+@pytest.mark.parametrize("kind", list(EncoderKind), ids=lambda k: k.value)
+def test_every_encoder_directional_gradient(short_tag_corpus, kind, variant,
+                                            include_chars):
+    """Every encoder kind, variant and character setting: the tag model's
+    loss on a 4-6-scene play, channels, character block and head
+    included, passes :func:`assert_directional_gradient` along two
+    directions."""
+    corpus, taxonomy = short_tag_corpus
+    sample = make_samples(corpus.train_items, taxonomy)[0]
+    vectors = corpus.vectors()
+    spec = EncoderSpec(kind, input_dim=vectors.dim, hidden_per_direction=4)
+    encoder = HierarchicalModel(spec, variant, vectors, corpus.characters(),
+                                include_chars=include_chars, seed=2)
+    assert sample.x.n_scenes >= 4 and any(sample.x.characters)
+    assert encoder.include_chars == (
+        variant is Variant.FULL if include_chars is None else include_chars)
+    assert_directional_gradient(ScriptTagModel(encoder, len(taxonomy), seed=2),
+                                sample, taxonomy, directions=2)

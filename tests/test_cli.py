@@ -8,11 +8,11 @@ import pytest
 
 from scenewise import cli
 from scenewise.checkpoint import load_checkpoint, save_checkpoint
-from scenewise.classifier import TagTaxonomy, TrainConfig
+from scenewise.classifier import TagTaxonomy, TrainConfig, load_params, make_samples
 from scenewise.cli import main
 from scenewise.corpus import IngestConfig, SynthSpec, ingest
 from scenewise.descriptors import DescriptorConfig
-from scenewise.encoders import CharacterTable
+from scenewise.encoders import CharacterTable, EncoderKind, Variant
 from scenewise.evaluation import micro_f1
 from scenewise.ioutil import decode_error
 from scenewise.parser import DEFAULT_SCENE_CAP, parse_script
@@ -580,7 +580,11 @@ def test_trajectories_refuses_tag_checkpoint(workspace, trained, tmp_path,
     (None, "script not found: "),
     ("directory", ": not a regular file"),
     (b"INT. ROOM - DAY\n\xff\n", ": undecodable: "),
-], ids=["missing", "directory", "undecodable"])
+    (b"\n   \n\n", ": empty: synth000: no non-blank line"),
+    (b"FADE IN:\n\nCUT TO:\n", ": no usable statements"),
+    (b"12345\n---\n", ": no usable statements"),
+], ids=["missing", "directory", "undecodable", "blank", "transitions_only",
+        "page_marks_only"])
 def test_trajectories_refuses_a_script_ingest_would_exclude(
         workspace, descriptor_run, tmp_path, capsys, entry, reason):
     _, synth = workspace
@@ -1109,8 +1113,8 @@ def test_each_variant_builds_a_distinct_model(workspace):
     taxonomy = TagTaxonomy.from_items(corpus.items, "genre")
     structures = {}
     for variant in train_variant_action().choices:
-        model, _ = cli._build_tag_model(corpus, taxonomy, variant, "gru_attn",
-                                        "auto", hidden=2, seed=0)
+        model = cli._build_tag_model(corpus, taxonomy, variant, "gru_attn",
+                                     "auto", hidden=2, seed=0)
         shapes = sorted((name, t.data.shape)
                         for name, t in model.named_params().items())
         layout = getattr(model.encoder, "block_layout", None)
@@ -1118,6 +1122,50 @@ def test_each_variant_builds_a_distinct_model(workspace):
     for i, a in enumerate(structures):
         for b in list(structures)[i + 1:]:
             assert structures[a] != structures[b], (a, b)
+
+
+@pytest.fixture(scope="module")
+def tag_corpus(workspace):
+    _, synth = workspace
+    corpus, _ = ingest(synth / "scripts", synth / "tags.json",
+                       synth / "embeddings.txt", IngestConfig(min_count=2),
+                       loglines_path=synth / "loglines.json")
+    return corpus, TagTaxonomy.from_items(corpus.items, "genre")
+
+
+TAG_ENCODERS = [(variant.value, kind.value, chars) for kind in EncoderKind
+                for variant in Variant for chars in ("auto", "yes", "no")]
+
+
+@pytest.mark.parametrize("variant, kind, chars",
+                         TAG_ENCODERS + [("loglines", "gru_attn", "auto")],
+                         ids=lambda value: value)
+def test_tag_model_record_round_trips(tag_corpus, tmp_path, variant, kind,
+                                      chars):
+    """Every tag encoder's ``model`` record, saved in a checkpoint through
+    ``asdict`` and read back by ``_checkpoint_of_kind``, is the record it
+    was; the model rebuilt from it loads the saved parameters and scores a
+    compiled script with the original's logits to the bit."""
+    corpus, taxonomy = tag_corpus
+    model = cli._build_tag_model(corpus, taxonomy, variant, kind, chars,
+                                 hidden=2, seed=3)
+    r = np.random.default_rng(0)
+    params = {name: t.data + r.normal(0.0, 0.1, size=t.data.shape)
+              for name, t in model.named_params().items()}
+    load_params(model.named_params(), params)  # away from the initial draw
+    record = cli._TagModelRecord(
+        model=model.encoder.settings(), taxonomy=taxonomy,
+        vocabulary_hash=corpus.vocabulary.hash(), ingest=IngestConfig(min_count=2),
+        train=TrainConfig(), best_epoch=1, best_val_ap=0.5, config_hash="0" * 64)
+    save_checkpoint(tmp_path / "model.swck", params, asdict(record))
+    saved, read = cli._checkpoint_of_kind(str(tmp_path / "model.swck"),
+                                          cli._TagModelRecord)
+    assert read == record
+    rebuilt = cli._rebuild_tag_model(read, corpus)
+    assert rebuilt.encoder.settings() == record.model
+    load_params(rebuilt.named_params(), saved)
+    script = make_samples(corpus.items, taxonomy, variant == "loglines")[0].x
+    assert np.array_equal(rebuilt.logits(script).data, model.logits(script).data)
 
 
 def test_evaluate_refuses_plus_chars_checkpoint(workspace, tmp_path, capsys):

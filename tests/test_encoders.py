@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from scenewise import autodiff as ad
+from scenewise.classifier import ScriptTagModel
 from scenewise.encoders import (
     CharacterTable,
     EncoderKind,
@@ -462,13 +463,55 @@ def test_character_matrix_equals_per_name_draws():
 
 def test_model_config_round_trip(tiny_vectors):
     model = small_model(tiny_vectors, kind=EncoderKind.GRU_ATTN)
-    rebuilt = HierarchicalModel.from_config(model.to_config(), tiny_vectors)
-    assert rebuilt.to_config() == model.to_config()
+    rebuilt = model.settings().encoder(tiny_vectors)
+    assert rebuilt.settings() == model.settings()
     assert sorted(rebuilt.named_params()) == sorted(model.named_params())
     scene = scene_of(action("alpha beta"), dialogue("gamma", "ANNA"))
     play = Screenplay("t", [scene])
     assert np.allclose(rebuilt.encode_script(play).data,
                        model.encode_script(play).data)
+
+
+def channel_play(actions=("alpha beta", "gamma"), lines=("delta sun", "moon"),
+                 names=("ANNA", "BO")):
+    """Two scenes, each with action and dialogue; the keywords edit the
+    action texts, the dialogue texts or the speakers."""
+    return Screenplay("t", [
+        scene_of(action(actions[0]), dialogue(lines[0], names[0]),
+                 action("tide"), index=1),
+        scene_of(dialogue(lines[1], names[1]), action(actions[1]), index=2),
+    ])
+
+
+# each edit changes what one reader reads: CY is unseen, so it takes UNK's row
+CHANNEL_EDITS = {"action": {"actions": ("dust moon", "sun")},
+                 "dialogue": {"lines": ("alpha tide", "beta")},
+                 "names": {"names": ("CY", "BO")}}
+CHANNELS_READ = {Variant.MINUS_ACTION: {"dialogue"},
+                 Variant.MINUS_DIALOGUE: {"action"}}
+
+
+@pytest.mark.parametrize("include_chars", [False, True],
+                         ids=["no_chars", "chars"])
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+@pytest.mark.parametrize("kind", list(EncoderKind), ids=lambda k: k.value)
+def test_logits_read_only_the_channels_of_their_variant(tiny_vectors, kind,
+                                                        variant, include_chars):
+    """Exactly: editing the text of a channel the variant drops, or the
+    speaker names of a model without characters, leaves the tag logits
+    equal to the bit; editing what the model reads changes them."""
+    model = ScriptTagModel(small_model(tiny_vectors, variant, kind,
+                                       include_chars=include_chars),
+                           n_tags=3, seed=1)
+    read = CHANNELS_READ.get(variant, {"action", "dialogue"}) \
+        | ({"names"} if include_chars else set())
+    base = model.logits(channel_play()).data
+    for edit, change in CHANNEL_EDITS.items():
+        edited = model.logits(channel_play(**change)).data
+        if edit in read:
+            assert not np.allclose(edited, base), edit
+        else:
+            assert np.array_equal(edited, base), edit
 
 
 def test_end_to_end_gradients_match_finite_differences(tiny_vectors):
