@@ -29,12 +29,16 @@ right-padded to ``(B, T, D)`` and ``lengths[b]`` says how many leading
 steps of row ``b`` are real; every row starts from a zero state, the
 forward direction reads steps ``0 .. L-1`` and the reverse direction
 ``L-1 .. 0``.  It makes one ``x [Wz|Wr|Wh]`` product per direction for all
-steps, lays the two directions side by side time-major with the reverse
-one's time axis flipped, and steps both in one loop with one stacked
-``h [Uz|Ur]`` product per step.  A padded step leaves the state
-unchanged, its output is exactly zero, and its input receives exactly zero
-gradient.  The VJP is hand-written backpropagation through time over the
-saved gate activations, again both directions per step; the weight
+steps and adds the biases into one time-major buffer that holds the two
+directions side by side, the reverse one's time axis flipped.  It steps
+both in one loop with one stacked ``h [Uz|Ur]`` product per step; a step
+allocates nothing, and writes its gates, its candidate and its new state
+straight into the arrays the VJP reads, through one set of scratch buffers
+per call, in the order of operations of the formulas above.  The gate
+sigmoid, ``_sigmoid``, takes no per-entry branch.  A padded step leaves the
+state unchanged, its output is exactly zero, and its input receives exactly
+zero gradient.  The VJP is hand-written backpropagation through time over
+the saved gate activations, again both directions per step; the weight
 gradients sum each direction's steps in its batch order, so they are the
 sums one direction at a time would give.  It returns the input's gradient
 and each stored array's.  ``attention_pool`` pools such a batch with one
@@ -339,9 +343,32 @@ def mean_of_run_means(a: Tensor, layout: RunLayout) -> Tensor:
     return _op(mean, (a,), vjp)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None,
+             tmp: np.ndarray | None = None) -> np.ndarray:
+    """The logistic sigmoid ``exp(min(x, 0)) / (1 + exp(-|x|))``, written
+    into ``out`` (which may be ``x``) with ``tmp`` as scratch when given.
+
+    Neither exponent is ever positive, so nothing overflows.  It is the
+    two-branch form ``1 / (1 + e)`` for ``x >= 0`` and ``e / (1 + e)``
+    below, ``e = exp(-|x|)``, to the bit, without that form's per-entry
+    ``np.where``: below zero ``min(x, 0)`` and ``-|x|`` are both ``x``
+    exactly, and from zero up (-0.0 included) the numerator is
+    ``exp(0) = 1.0``.  ``-inf`` gives 0 and ``+inf`` 1.  The minimum is
+    ``np.fmin``, which passes over a NaN, so a NaN input's numerator is
+    1.0 and the quotient is the denominator's NaN, sign bit and all, as
+    in the branch form.
+    """
+    if out is None:
+        out = np.empty_like(x)
+    if tmp is None:
+        tmp = np.empty_like(x)
+    np.abs(x, out=tmp)
+    np.negative(tmp, out=tmp)
+    np.exp(tmp, out=tmp)
+    tmp += 1.0
+    np.fmin(x, 0.0, out=out)
+    np.exp(out, out=out)
+    return np.divide(out, tmp, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -431,19 +458,29 @@ def bi_gru(xs: Tensor, p: BiGru, lengths) -> Tensor:
     flat_x = x.reshape(-1, d)
     u_zr = np.stack([q.u_zr.data for q in dirs])
     uh = np.stack([q.u_h.data for q in dirs])
-    gates_x = _time_major(*((flat_x @ q.w.data + q.b.data).reshape(n, t_max, -1)
-                            for q in dirs))
+    # x W + b of both directions, time-major, the reverse one's time flipped
+    gates_x = np.empty((t_max, 2, n, 3 * h_dim))
+    for q, dest in zip(dirs, (gates_x[:, 0], gates_x[::-1, 1])):
+        np.add((flat_x @ q.w.data).reshape(n, t_max, -1), q.b.data,
+               out=dest.transpose(1, 0, 2))
     live_steps = _time_major(mask, mask)
     # states[t] is the state step t reads, states[t + 1] the one it writes
     states = np.zeros((t_max + 1, 2, n, h_dim))
     zr = np.empty((t_max, 2, n, 2 * h_dim))
     cand = np.empty((t_max, 2, n, h_dim))
-    h = states[0]
+    # each step's scratch; a step writes its results into zr, cand and states
+    hu, tmp = np.empty((2, 2, n, 2 * h_dim))
+    rh, rhu, step = np.empty((3, 2, n, h_dim))
     for t in range(t_max):
-        zr[t] = gate = _sigmoid(gates_x[t, ..., :2 * h_dim] + h @ u_zr)
+        h, gate, c = states[t], zr[t], cand[t]
+        np.add(gates_x[t, ..., :2 * h_dim], np.matmul(h, u_zr, out=hu), out=gate)
+        _sigmoid(gate, out=gate, tmp=tmp)
         z, r = gate[..., :h_dim], gate[..., h_dim:]
-        cand[t] = c = np.tanh(gates_x[t, ..., 2 * h_dim:] + (r * h) @ uh)
-        states[t + 1] = h = h + live_steps[t] * (z * (c - h))
+        np.matmul(np.multiply(r, h, out=rh), uh, out=rhu)
+        np.tanh(np.add(gates_x[t, ..., 2 * h_dim:], rhu, out=c), out=c)
+        np.multiply(z, np.subtract(c, h, out=step), out=step)
+        step *= live_steps[t]
+        np.add(h, step, out=states[t + 1])
     h_prev = states[:-1]
     out = np.concatenate([states[1:, 0].transpose(1, 0, 2),
                           states[:0:-1, 1].transpose(1, 0, 2)], axis=-1)

@@ -68,6 +68,7 @@ from .corpus import (
     WordEmbeddings,
     generate_synthetic_corpus,
     ingest,
+    play_problem,
     read_play,
     read_script,
     script_files,
@@ -236,13 +237,15 @@ def cmd_parse(args: argparse.Namespace) -> int:
     parsed = 0
     for path in script_files(args.scripts):
         text, problem = read_script(path)
+        if problem is None:
+            try:
+                play, report = screenplay.scan_script(path.stem, text, cap=cap)
+            except EmptyScript as err:
+                problem = f"empty: {err}"
+            else:
+                problem = play_problem(play)
         if problem is not None:
             log.warning("skipping %s: %s", path.name, problem)
-            continue
-        try:
-            play, report = screenplay.scan_script(path.stem, text, cap=cap)
-        except EmptyScript as err:
-            log.warning("skipping %s: empty: %s", path.name, err)
             continue
         atomic_write_text(out_dir / f"{path.stem}.tsv", screenplay.to_table(play))
         report["config_hash"] = config_hash({"cap": cap})
@@ -484,6 +487,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                         "pass --loglines")
     active = set(taxonomy.active_tags())
     scored = {s.key for s in samples}
+    if not any(it.tags.get(attribute) for it in items if it.title in scored):
+        raise DataError(f"{args.tags}: no scored script has a tag for "
+                        f"attribute {attribute!r}")
     gold = {it.title: set(it.tags.get(attribute, ())) & active
             for it in items if it.title in scored}
     preds = predictions(model, samples, taxonomy, threshold=args.threshold)
@@ -513,6 +519,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_descriptors(args: argparse.Namespace) -> int:
     corpus, _ = _ingest_from_args(args)
+    if not corpus.descriptor_vocab:
+        raise DataError(
+            f"the descriptor vocabulary is empty: no vocabulary word with a "
+            f"vector occurs in at least {args.descriptor_min_movies} train "
+            f"and validation scripts (--descriptor-min-movies) outside their "
+            f"{args.descriptor_top_exclude} most frequent words "
+            f"(--descriptor-top-exclude); lower either flag")
     config = _config(DescriptorConfig, args)
     target = pretrain_reconstruction_target(corpus, args.attribute, config)
     model, stats = train_descriptors(corpus, target, config)

@@ -481,11 +481,19 @@ def read_script(path: Path) -> tuple[str | None, str | None]:
         return None, f"undecodable: {first_bad_byte(path) or 'not UTF-8 text'}"
 
 
+def play_problem(play: Screenplay) -> str | None:
+    """``no usable statements`` when no scene of ``play`` holds a
+    statement, the reason ``ingest`` and ``parse`` skip such a play; else
+    None."""
+    if not any(scene.statements for scene in play.scenes):
+        return "no usable statements"
+    return None
+
+
 def read_play(path: Path, cap: int | None) -> tuple[Screenplay | None, str | None]:
     """The play of script entry ``path``, its scenes split at ``cap``, and
     None; or None and the reason ``ingest`` excludes the entry: that of
-    :func:`read_script`, ``empty: ...`` or ``no usable statements`` (no
-    scene holds a statement)."""
+    :func:`read_script`, ``empty: ...`` or :func:`play_problem`'s."""
     text, problem = read_script(path)
     if problem is not None:
         return None, problem
@@ -493,8 +501,8 @@ def read_play(path: Path, cap: int | None) -> tuple[Screenplay | None, str | Non
         play = parser.parse_script(path.stem, text, cap=cap)
     except EmptyScript as err:
         return None, f"empty: {err}"
-    if not any(scene.statements for scene in play.scenes):
-        return None, "no usable statements"
+    if (problem := play_problem(play)) is not None:
+        return None, problem
     return play, None
 
 

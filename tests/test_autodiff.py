@@ -21,6 +21,31 @@ def test_sigmoid_at_zero():
     assert sigmoid(ad.constant(0.0)).item() == 0.5
 
 
+SIGMOID_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-300,
+                 -1e-300, 36.8, -36.8, 709.7, -709.7, 745.2, -745.2, 1e308,
+                 -1e308, np.inf, -np.inf, np.nan, -np.nan]
+
+
+def where_form_sigmoid(x):
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def test_sigmoid_matches_where_form_bitwise():
+    # the gate sigmoid drops np.where; every bit must stay, NaN's sign too
+    draws = [rng(60 + k).normal(scale=scale, size=100_000)
+             for k, scale in enumerate([1e-6, 1e-3, 1.0, 10.0, 40.0, 800.0])]
+    for x in [np.array(SIGMOID_EDGES)] + draws:
+        got = ad._sigmoid(x)
+        bits = got.view(np.uint64)
+        assert np.array_equal(bits, where_form_sigmoid(x).view(np.uint64))
+        assert np.array_equal(bits, gru_oracle._sigmoid(x).view(np.uint64))
+        # into caller buffers, in place over the input
+        buf, tmp = x.copy(), np.empty_like(x)
+        assert ad._sigmoid(buf, out=buf, tmp=tmp) is buf
+        assert np.array_equal(buf.view(np.uint64), bits)
+
+
 def test_softmax_symmetry():
     y = softmax(ad.constant([0.0, 0.0, 0.0]))
     assert np.allclose(y.data, [1 / 3, 1 / 3, 1 / 3])
@@ -481,10 +506,14 @@ def test_bi_gru_is_one_tape_node_over_input_and_both_directions():
     assert list(out._parents[1:]) == list(p.named("gru").values())
 
 
-# (lengths, input dim, hidden): ragged batches with length-1 rows, and B = 1
+# (lengths, input dim, hidden): ragged batches with length-1 rows, B = 1,
+# and the pinned corpus's tier shapes at hidden 50: its script tier
+# (1, 6, 210), a scene tier (6, 4, 100) and a ragged statement tier
+# (15, 11, 100)
 BITWISE_CASES = [([3, 1, 5, 2, 4], 3, 4), ([1], 4, 3), ([6], 5, 2),
                  ([1, 1, 1], 2, 3), ([9, 1, 4, 9, 2, 7, 1], 6, 5),
-                 ([2, 17, 1, 11], 20, 8)]
+                 ([2, 17, 1, 11], 20, 8), ([6], 210, 50), ([4] * 6, 100, 50),
+                 ([11, 3, 7, 1, 9, 5, 11, 2, 6, 8, 4, 10, 3, 7, 5], 100, 50)]
 
 
 @pytest.mark.parametrize("trainable_input", [False, True],

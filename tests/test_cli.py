@@ -382,6 +382,27 @@ def test_evaluate_refuses_an_empty_split(workspace, tmp_path, capsys, similarity
     assert not out.exists()
 
 
+def test_evaluate_refuses_tags_without_the_checkpoint_attribute(
+        workspace, trained, tmp_path, capsys):
+    # such a file once scored micro-F1 0.0 over the split and exited 0,
+    # where train refuses it
+    _, synth = workspace
+    titles = json.loads((synth / "tags.json").read_text())
+    tags = tmp_path / "tags.json"
+    tags.write_text(json.dumps({title: {"mood": ["calm"]} for title in titles}))
+    argv = data_args(synth)
+    argv[argv.index("--tags") + 1] = str(tags)
+    out = tmp_path / "eval.json"
+    assert run(["evaluate"] + argv
+               + ["--checkpoint", str(trained[0] / "checkpoint.swck"),
+                  "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "DataError",
+                   "message": f"{tags}: no scored script has a tag for "
+                              f"attribute 'genre'"}
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def descriptor_run(workspace):
     root, synth = workspace
@@ -649,6 +670,23 @@ def test_descriptors_without_usable_script_is_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_descriptors_with_an_empty_descriptor_vocabulary_names_its_flags(
+        workspace, tmp_path, capsys):
+    # at the default counts no word of 8 scripts is in 50 of them; the run
+    # once stopped in pretraining with "no script to train on"
+    _, synth = workspace
+    out = tmp_path / "desc"
+    assert run(["descriptors"] + train_args(synth)
+               + ["--attribute", "genre", "--k", "3", "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "DataError"
+    assert err["message"].startswith("the descriptor vocabulary is empty: ")
+    assert "50 train and validation scripts (--descriptor-min-movies)" \
+        in err["message"]
+    assert "500 most frequent words (--descriptor-top-exclude)" in err["message"]
+    assert not out.exists()
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["train"])  # missing required flags
@@ -889,6 +927,32 @@ def test_parse_skips_empty_script(workspace, tmp_path, caplog):
     assert sorted(p.stem for p in out.glob("*.tsv")) == ["synth000", "synth001"]
     assert not (out / "synth000b.quality.json").exists()
     assert "synth000b.txt: empty: " in caplog.text
+
+
+@pytest.mark.parametrize("text", ["FADE IN:\n\nCUT TO:\n", "12345\n---\n"],
+                         ids=["transitions_only", "page_marks_only"])
+def test_parse_skips_what_ingest_excludes_with_its_reason(
+        workspace, tmp_path, caplog, text):
+    # parse once wrote such a script as one scene with an empty heading
+    _, synth = workspace
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    for p in sorted((synth / "scripts").glob("*.txt")):
+        (scripts / p.name).write_bytes(p.read_bytes())
+    (scripts / "zzbare.txt").write_text(text)
+    manifest = tmp_path / "manifest.json"
+    args = corpus_args(synth)
+    args[args.index("--scripts") + 1] = str(scripts)
+    assert run(["ingest"] + args + ["--out", str(manifest)]) == 0
+    excluded = json.loads(manifest.read_text())["excluded"]
+    assert excluded == [{"title": "zzbare", "reason": "no usable statements"}]
+    out = tmp_path / "parsed"
+    with caplog.at_level("WARNING"):
+        assert run(["parse", "--scripts", str(scripts), "--out", str(out)]) == 0
+    assert len(list(out.glob("*.tsv"))) == 8
+    assert not (out / "zzbare.tsv").exists()
+    assert not (out / "zzbare.quality.json").exists()
+    assert "zzbare.txt: no usable statements" in caplog.text
 
 
 def test_evaluate_rejects_garbage_checkpoint(workspace, tmp_path, capsys):
