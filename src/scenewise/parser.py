@@ -10,7 +10,12 @@ heading; parentheticals, transitions, character cues and lines without
 letters are structural and never become statements.  A line's indent is
 measured only when it starts with a space, and a line holding tabs has
 them replaced by spaces once, for the text it keeps; the transition
-pattern alone reads the tabs as written.
+pattern alone reads the tabs as written.  A cue is named by its text less
+its markers, and only a text holding ``)`` can carry a marker.
+
+``Statement`` is a frozen, slotted dataclass with one ``__init__`` of its
+own, which writes the three slots through the class's slot descriptors;
+equality, hashing, ``repr``, copying and pickling are the dataclass's.
 """
 
 from __future__ import annotations
@@ -55,11 +60,25 @@ class ScriptLine:
     text: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Statement:
     kind: StatementKind  # ACTION or DIALOGUE
     text: str
     character: str | None = None
+
+    # the scan builds one per statement: a frozen dataclass's generated
+    # __init__ writes each field through object.__setattr__, and writing
+    # the slot descriptors directly takes about three fifths of its time
+    def __init__(self, kind: StatementKind, text: str,
+                 character: str | None = None):
+        _set_kind(self, kind)
+        _set_text(self, text)
+        _set_character(self, character)
+
+
+_set_kind = Statement.__dict__["kind"].__set__
+_set_text = Statement.__dict__["text"].__set__
+_set_character = Statement.__dict__["character"].__set__
 
 
 @dataclass
@@ -131,7 +150,9 @@ def scan_script(title: str, text: str, cap: int | None = DEFAULT_SCENE_CAP
                 continue
             if (indent >= CUE_INDENT and len(stripped) <= MAX_CUE_LENGTH
                     and has_letter(stripped)):
-                name = _strip_cue_markers(plain)
+                # a marker ends in ")"; without one the name is ``plain``,
+                # already stripped
+                name = _strip_cue_markers(plain) if ")" in plain else plain
                 if name:
                     dialogue += 1
                     cues += 1

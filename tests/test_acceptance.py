@@ -472,15 +472,16 @@ def test_criterion_9_cli_determinism(tmp_path):
     data = ["--scripts", str(synth_dir / "scripts"),
             "--tags", str(synth_dir / "tags.json"),
             "--embeddings", str(synth_dir / "embeddings.txt")]
+    loglines = ["--loglines", str(synth_dir / "loglines.json")]
 
-    def train_args(out, encoder="boe", chars="no"):
-        return (["train"] + data + train_flags
-                + ["--attribute", "genre", "--variant", "full",
+    def train_args(out, encoder="boe", chars="no", variant="full"):
+        return (["train"] + data + loglines + train_flags
+                + ["--attribute", "genre", "--variant", variant,
                    "--encoder", encoder, "--include-chars", chars,
                    "--epochs", "2", "--seed", "4", "--out", str(out)])
 
     def eval_args(out, run="run1"):
-        return (["evaluate"] + data
+        return (["evaluate"] + data + loglines
                 + ["--checkpoint", str(tmp_path / run / "checkpoint.swck"),
                    "--out", str(out)])
 
@@ -525,13 +526,20 @@ def test_criterion_9_cli_determinism(tmp_path):
     assert cli_main(eval_args(tmp_path / "eval2.json")) == 0
     pairs.append((tmp_path / "eval1.json", tmp_path / "eval2.json"))
 
-    # the GRU+Attn encoder, with the characters block
-    for run in ("gru1", "gru2"):
-        assert cli_main(train_args(tmp_path / run, "gru_attn", "yes")) == 0
-        assert cli_main(eval_args(tmp_path / f"{run}.json", run)) == 0
-    for name in ("checkpoint.swck", "train_log.csv"):
-        pairs.append((tmp_path / "gru1" / name, tmp_path / "gru2" / name))
-    pairs.append((tmp_path / "gru1.json", tmp_path / "gru2.json"))
+    # the GRU+Attn encoder with the characters block, each other encoder
+    # kind, the han and two_tier structures, and the loglines model
+    for model, args in [("gru", ("gru_attn", "yes")),
+                        ("boe_attn", ("boe_attn",)), ("gru_plain", ("gru",)),
+                        ("han", ("gru", "no", "han")),
+                        ("two_tier", ("boe_attn", "no", "two_tier")),
+                        ("loglines", ("boe", "no", "loglines"))]:
+        for run in (f"{model}1", f"{model}2"):
+            assert cli_main(train_args(tmp_path / run, *args)) == 0
+            assert cli_main(eval_args(tmp_path / f"{run}.json", run)) == 0
+        for name in ("checkpoint.swck", "train_log.csv"):
+            pairs.append((tmp_path / f"{model}1" / name,
+                          tmp_path / f"{model}2" / name))
+        pairs.append((tmp_path / f"{model}1.json", tmp_path / f"{model}2.json"))
 
     assert cli_main(sim_args(tmp_path / "sim1.json")) == 0
     assert cli_main(sim_args(tmp_path / "sim2.json")) == 0

@@ -381,12 +381,28 @@ def test_block_layout_stable_under_dialogue_change(tiny_vectors):
                               block(model, b2, "dialogue"))
 
 
-def test_boe_scene_encoder_permutation_invariant(tiny_vectors):
-    model = small_model(tiny_vectors)
-    s1 = scene_of(action("alpha"), action("beta gamma"), action("delta"))
-    s2 = scene_of(action("delta"), action("alpha"), action("beta gamma"))
-    assert np.allclose(model.encode_scenes(play_of(s1)).data,
-                       model.encode_scenes(play_of(s2)).data)
+# interleaved, so reversing the scene reverses each channel's statements too
+SCENE_STATEMENTS = (action("alpha"), dialogue("beta gamma", "ANNA"),
+                    action("delta sun"), dialogue("moon", "BO"),
+                    action("tide dust"), dialogue("gamma", "ANNA"))
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+@pytest.mark.parametrize("kind", list(EncoderKind), ids=lambda k: k.value)
+def test_scene_statement_permutation(tiny_vectors, kind, variant):
+    """Reordering a scene's statements leaves the logits of a BoE or
+    BoE+Attn model equal up to the order of their float sums, for every
+    variant: a mean or an attention pool over the statements, or over
+    ``two_tier``'s concatenated words, has no order.  A GRU or GRU+Attn
+    model reads each sequence in order, so its logits move."""
+    model = ScriptTagModel(small_model(tiny_vectors, variant, kind),
+                           n_tags=3, seed=1)
+    base = model.logits(play_of(scene_of(*SCENE_STATEMENTS))).data
+    moved = model.logits(play_of(scene_of(*SCENE_STATEMENTS[::-1]))).data
+    if kind in (EncoderKind.BOE, EncoderKind.BOE_ATTN):
+        assert np.max(np.abs(moved - base)) < 1e-12
+    else:
+        assert not np.allclose(moved, base)
 
 
 def test_han_uses_interleaved_order(tiny_vectors):

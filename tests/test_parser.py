@@ -1,8 +1,10 @@
+import copy
 import dataclasses
+import pickle
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 import parser_oracle as oracle
@@ -154,6 +156,102 @@ def test_statement_is_frozen_slotted_and_hashable():
     assert not hasattr(stmt, "__dict__")
     assert hash(stmt) == hash(Statement(DIALOGUE, "Mia.", "JULES"))
     assert {stmt, Statement(DIALOGUE, "Mia.", "JULES")} == {stmt}
+
+
+# ``Statement`` as the dataclass decorator builds it, with its own
+# ``__init__``: the reference for the hand-written one
+@dataclasses.dataclass(frozen=True, slots=True)
+class GeneratedStatement:
+    kind: StatementKind
+    text: str
+    character: str | None = None
+
+
+def _as_generated(stmt: Statement) -> GeneratedStatement:
+    return GeneratedStatement(stmt.kind, stmt.text, stmt.character)
+
+
+def _outcome(cls, *args, **kwargs) -> tuple:
+    """(repr, fields) of ``cls(*args, **kwargs)``, or the TypeError's text,
+    with the class name left out."""
+    try:
+        made = cls(*args, **kwargs)
+    except TypeError as err:
+        return ("TypeError", str(err).replace(f"{cls.__name__}.", "C."))
+    return (repr(made).replace(f"{cls.__name__}(", "C(", 1),
+            dataclasses.astuple(made))
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((DIALOGUE, "Mia.", "JULES"), {}),
+    ((ACTION, "He waits."), {}),
+    ((DIALOGUE, "Mia."), {"character": "JULES"}),
+    ((), {"kind": ACTION, "text": "He waits."}),
+    ((), {"text": "Mia.", "character": "JULES", "kind": DIALOGUE}),
+    ((ACTION, "He waits.", None), {}),
+    ((ACTION,), {}),
+    ((), {}),
+    ((ACTION, "He waits.", None, "extra"), {}),
+    ((ACTION, "He waits."), {"kind": ACTION}),
+    ((ACTION, "He waits."), {"speaker": "JULES"}),
+], ids=["positional", "default_character", "keyword_character", "keywords",
+        "keywords_reordered", "explicit_none", "too_few", "none", "too_many",
+        "kind_twice", "unknown_keyword"])
+def test_statement_init_builds_what_the_generated_init_built(args, kwargs):
+    assert _outcome(Statement, *args, **kwargs) == \
+        _outcome(GeneratedStatement, *args, **kwargs)
+
+
+def test_statement_keeps_the_generated_dataclass_surface():
+    assert Statement.__match_args__ == GeneratedStatement.__match_args__ \
+        == ("kind", "text", "character")
+    assert Statement.__slots__ == GeneratedStatement.__slots__
+    assert [f.name for f in dataclasses.fields(Statement)] == \
+        [f.name for f in dataclasses.fields(GeneratedStatement)]
+    # the decorator writes the docstring from the signature of __init__
+    assert Statement.__doc__ == "Statement(kind: 'StatementKind', text: 'str', " \
+        "character: 'str | None' = None)"
+    stmt = Statement(DIALOGUE, "Mia.", "JULES")
+    assert repr(stmt) == \
+        "Statement(kind=<StatementKind.DIALOGUE: 'Dial.'>, text='Mia.', " \
+        "character='JULES')"
+    match stmt:
+        case Statement(kind, text, character):
+            assert (kind, text, character) == (DIALOGUE, "Mia.", "JULES")
+    assert Statement(ACTION, "x") != Statement(ACTION, "x", "JULES")
+    assert hash(stmt) == hash(_as_generated(stmt))
+
+
+@pytest.mark.parametrize("stmt", [Statement(DIALOGUE, "Mia.", "JULES"),
+                                  Statement(ACTION, "He waits.")],
+                         ids=["dialogue", "action"])
+def test_statement_copies_replaces_and_pickles_as_before(stmt):
+    old = _as_generated(stmt)
+    for made, reference in [
+            (dataclasses.replace(stmt, text="Vincent."),
+             dataclasses.replace(old, text="Vincent.")),
+            (dataclasses.replace(stmt, character=None),
+             dataclasses.replace(old, character=None)),
+            (copy.copy(stmt), copy.copy(old)),
+            (copy.deepcopy(stmt), copy.deepcopy(old)),
+            (pickle.loads(pickle.dumps(stmt)), pickle.loads(pickle.dumps(old)))]:
+        assert type(made) is Statement
+        assert _as_generated(made) == reference
+    assert pickle.loads(pickle.dumps(stmt)) == stmt
+    with pytest.raises(TypeError):
+        dataclasses.replace(stmt, speaker="JULES")
+
+
+def test_scanned_statements_are_frozen_statements():
+    play = parse_script("t", FRAGMENT)
+    stmts = [s for scene in play.scenes for s in scene.statements]
+    assert {s.kind for s in stmts} == {ACTION, DIALOGUE}
+    for stmt in stmts:
+        assert type(stmt) is Statement
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stmt.text = "Vincent."
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stmt.character = "VINCENT"
 
 
 def _scene_with(n: int) -> str:
@@ -383,3 +481,22 @@ def test_scan_matches_two_pass_oracle_on_tabs_and_cue_markers(text):
     expected = oracle.split_long_scenes(oracle.segment_scenes(raw), 2)
     assert scan_script("Cases", text, cap=2) == (
         expected, oracle.quality_report(raw))
+
+
+def _cue_lines(text: str) -> list[str]:
+    raw = oracle.RawScript.from_text("t", text)
+    return [line for line, cls in zip(raw.lines, oracle.classify_lines(raw))
+            if cls.is_character_cue]
+
+
+@pytest.mark.parametrize("paren", [True, False], ids=["paren", "no_paren"])
+@pytest.mark.parametrize("tab", [True, False], ids=["tab", "no_tab"])
+def test_raw_script_fuzz_draws_cues_with_and_without_parens(paren, tab):
+    # the scan names a cue without ")" with no marker pass, so the fuzz that
+    # checks it against the oracle must reach cues on both sides, with tabs
+    found = find(raw_scripts(),
+                 lambda text: any((")" in line) is paren and ("\t" in line) is tab
+                                  for line in _cue_lines(text)),
+                 settings=settings(database=None, derandomize=True,
+                                   max_examples=2000, phases=[Phase.generate]))
+    assert _cue_lines(found)

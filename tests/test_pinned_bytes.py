@@ -23,11 +23,19 @@ descriptor checkpoint trained on that corpus: annotated SVGs of a ``top:m``
 and of a list selection, and CSVs smoothed over 5 and 9 scenes, so a change
 on the path from the compile of the play through the descriptor weights,
 the smoothing and the rescaling to the formatted points fails here.
+
+The loglines checkpoint's bytes and the trajectory exports hold trained
+floats, so numpy's SIMD dispatch and OpenBLAS's kernels may move their
+bits; ``PINNED_PLATFORM`` records the platform they were pinned on, and a
+mismatch prints it beside the running one.
 """
 
+import ctypes
 import hashlib
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from scenewise.cli import main
@@ -51,6 +59,52 @@ EVALUATE_SHA256 = {
     "loglines": ("71256e178e546a6ab2c5a2727108fa24"
                  "7a8a0f6dd01427f2b92af066ea9fb9c8"),
 }
+# where the float-bearing digests (CHECKPOINT_SHA256, TRAJECTORY_SHA256)
+# were pinned, as running_platform() reports it
+PINNED_PLATFORM = {
+    "numpy": "2.4.6",
+    "cpu_features": "X86_V2 X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+    "openblas_core": "SkylakeX",
+}
+
+
+def openblas_core() -> str:
+    """The kernel set each OpenBLAS library in this process runs, by its
+    own report."""
+    maps = Path("/proc/self/maps")
+    libs = sorted({line.split()[-1] for line in maps.read_text().splitlines()
+                   if "openblas" in line and line.split()[-1].startswith("/")}) \
+        if maps.exists() else []
+    cores = []
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for symbol in ("scipy_openblas_get_corename64_",
+                       "openblas_get_corename64_", "openblas_get_corename"):
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                cores.append(fn().decode())
+                break
+    return " ".join(cores) or "unknown"
+
+
+def running_platform() -> dict:
+    """numpy's version, the SIMD targets its dispatch runs (its baseline and
+    each enabled dispatch target) and OpenBLAS's kernel set."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    enabled = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    return {"numpy": np.__version__,
+            "cpu_features": " ".join(umath.__cpu_baseline__ + enabled),
+            "openblas_core": openblas_core()}
+
+
+def platform_note() -> str:
+    return f"pinned on {PINNED_PLATFORM}; running on {running_platform()}"
+
+
 # the trained checkpoint itself: its manifest and every parameter's bytes
 CHECKPOINT_SHA256 = {
     "loglines": ("a10aa46b731726c8ceed1c3021b6f21f"
@@ -140,7 +194,7 @@ def test_evaluate_report_keeps_its_bytes(tagged_corpus, tmp_path, model, flags):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == EVALUATE_SHA256[model]
     if model in CHECKPOINT_SHA256:
         assert hashlib.sha256(checkpoint.read_bytes()).hexdigest() == \
-            CHECKPOINT_SHA256[model]
+            CHECKPOINT_SHA256[model], platform_note()
 
 
 # one digest per descriptor model over the exports below, in order
@@ -180,4 +234,11 @@ def test_trajectory_exports_keep_their_bytes(wide_corpus, tmp_path, model, flags
                      "--title", "synth000", "--format", fmt, *export_flags,
                      "--out", str(out)]) == 0
         digest.update(out.name.encode() + b"\0" + out.read_bytes() + b"\0")
-    assert digest.hexdigest() == TRAJECTORY_SHA256[model]
+    assert digest.hexdigest() == TRAJECTORY_SHA256[model], platform_note()
+
+
+def test_platform_record_names_what_running_platform_reads():
+    running = running_platform()
+    assert list(running) == list(PINNED_PLATFORM)
+    assert all(isinstance(v, str) and v for v in running.values())
+    assert str(PINNED_PLATFORM) in platform_note()
