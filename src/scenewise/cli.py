@@ -4,6 +4,10 @@ Subcommands: parse, ingest, train, evaluate, descriptors, trajectories,
 synth.  Usage errors exit 2 (argparse); data errors exit 1 with one
 machine-parsable JSON line on stderr.  Every artifact embeds the run's
 config hash except the fixed-format script TSV and trajectory CSV.
+``parse``, ``ingest`` and ``trajectories`` read each script through
+``corpus.read_play``: ``parse`` writes the table and the quality report of
+the play it returns, and skips an entry ``ingest`` excludes, with the same
+reason.
 
 The ingest settings (vocabulary count, scene cap, split fractions and
 seed) are flags of ``ingest``, ``train`` and ``descriptors`` only, and the
@@ -68,9 +72,7 @@ from .corpus import (
     WordEmbeddings,
     generate_synthetic_corpus,
     ingest,
-    play_problem,
     read_play,
-    read_script,
     script_files,
 )
 from .descriptors import (
@@ -88,7 +90,7 @@ from .encoders import (
     ScriptModelSettings,
     Variant,
 )
-from .errors import DataError, EmptyScript, ScenewiseError, VocabularyMismatch
+from .errors import DataError, ScenewiseError, VocabularyMismatch
 from .evaluation import load_tag_embeddings, micro_f1, similarity_report
 from .ioutil import atomic_write_text, config_hash, write_json
 from .trajectories import (
@@ -236,20 +238,13 @@ def cmd_parse(args: argparse.Namespace) -> int:
     cap = None if args.no_split else args.cap
     parsed = 0
     for path in script_files(args.scripts):
-        text, problem = read_script(path)
-        if problem is None:
-            try:
-                play, report = screenplay.scan_script(path.stem, text, cap=cap)
-            except EmptyScript as err:
-                problem = f"empty: {err}"
-            else:
-                problem = play_problem(play)
+        play, problem = read_play(path, cap)
         if problem is not None:
             log.warning("skipping %s: %s", path.name, problem)
             continue
         atomic_write_text(out_dir / f"{path.stem}.tsv", screenplay.to_table(play))
-        report["config_hash"] = config_hash({"cap": cap})
-        write_json(out_dir / f"{path.stem}.quality.json", report)
+        write_json(out_dir / f"{path.stem}.quality.json",
+                   {**play.quality, "config_hash": config_hash({"cap": cap})})
         parsed += 1
     print(f"parsed {parsed} script(s) into {out_dir}")
     return 0
@@ -468,12 +463,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if missing := [t for t in taxonomy.tags if t not in space]:
             raise DataError(f"{args.tag_embeddings} has no vector for the "
                             f"{attribute!r} tag(s) {', '.join(map(repr, missing))}")
-    corpus, _ = ingest(args.scripts, args.tags, args.embeddings, record.ingest,
-                       loglines_path=args.loglines)
+    corpus, manifest = ingest(args.scripts, args.tags, args.embeddings,
+                              record.ingest, loglines_path=args.loglines)
     if corpus.vocabulary.hash() != record.vocabulary_hash:
-        raise VocabularyMismatch(
-            f"{args.checkpoint}: checkpoint vocabulary hash does not match "
-            f"the corpus under {args.scripts}")
+        # a tags file without some title drops its script as surely as a
+        # changed script directory changes the words
+        message = (f"{args.checkpoint}: checkpoint vocabulary hash does not "
+                   f"match the corpus of --scripts {args.scripts} and --tags "
+                   f"{args.tags}")
+        if excluded := manifest["excluded"]:
+            message += (f"; ingest excluded {len(excluded)} entr"
+                        f"{'y' if len(excluded) == 1 else 'ies'}, the first "
+                        f"{excluded[0]['title']}: {excluded[0]['reason']}")
+        raise VocabularyMismatch(message)
     model = _rebuild_tag_model(record, corpus)
     load_params(model.named_params(), params)
     items = {"train": corpus.train_items, "validation": corpus.validation_items,

@@ -8,9 +8,12 @@ File formats owned here:
 * loglines: JSON ``{title: text}``
 * embeddings: UTF-8 text lines ``token v1 .. v100`` (GloVe textual layout)
 
-A leading UTF-8 byte-order mark of any of these files is dropped as it is
-read, and a tags or loglines file that is not JSON is a ``DataError``
-naming its line and column.  Ingest tokenizes each play in one call: its
+Every command reads a script entry through ``read_play``: the play of
+``parser.parse_script``, which carries the scan's quality report, or the
+one reason every command gives for skipping the entry.  A leading UTF-8
+byte-order mark of any of these files is dropped as it is read, and a
+tags or loglines file that is not JSON is a ``DataError`` naming its line
+and column.  Ingest tokenizes each play in one call: its
 statements' texts joined by line feeds are lowercased, encoded, translated
 and decoded once, then split back into statements.
 """
@@ -481,19 +484,11 @@ def read_script(path: Path) -> tuple[str | None, str | None]:
         return None, f"undecodable: {first_bad_byte(path) or 'not UTF-8 text'}"
 
 
-def play_problem(play: Screenplay) -> str | None:
-    """``no usable statements`` when no scene of ``play`` holds a
-    statement, the reason ``ingest`` and ``parse`` skip such a play; else
-    None."""
-    if not any(scene.statements for scene in play.scenes):
-        return "no usable statements"
-    return None
-
-
 def read_play(path: Path, cap: int | None) -> tuple[Screenplay | None, str | None]:
-    """The play of script entry ``path``, its scenes split at ``cap``, and
-    None; or None and the reason ``ingest`` excludes the entry: that of
-    :func:`read_script`, ``empty: ...`` or :func:`play_problem`'s."""
+    """The play of script entry ``path``, its scenes split at ``cap`` and
+    its quality report on it, and None; or None and the reason every
+    command skips the entry: that of :func:`read_script`, ``empty: ...``,
+    or ``no usable statements`` when no scene holds a statement."""
     text, problem = read_script(path)
     if problem is not None:
         return None, problem
@@ -501,8 +496,8 @@ def read_play(path: Path, cap: int | None) -> tuple[Screenplay | None, str | Non
         play = parser.parse_script(path.stem, text, cap=cap)
     except EmptyScript as err:
         return None, f"empty: {err}"
-    if (problem := play_problem(play)) is not None:
-        return None, problem
+    if not any(scene.statements for scene in play.scenes):
+        return None, "no usable statements"
     return play, None
 
 

@@ -1,13 +1,15 @@
 """Screenplay structure parsing.
 
-One scan over the lines of a raw screenplay classifies each line by
-standard-format cues (capitalization and indentation), groups the
-statements into scenes at slug lines, and counts every line kind for the
-quality report.  The scan keeps one piece of state: the speaker of the
-previous non-blank line, which an indented line continues.  A statement is
-an action line, a dialogue line (with its speaking character), or the scene
-heading; parentheticals, transitions, character cues and lines without
-letters are structural and never become statements.  A line's indent is
+``parse_script`` is the one scan over the lines of a raw screenplay: it
+classifies each line by standard-format cues (capitalization and
+indentation), groups the statements into scenes at slug lines, and counts
+every line kind for the quality report, which the play it returns carries
+as ``quality`` (outside the play's equality and ``repr``).  The scan keeps
+one piece of state: the speaker of the previous non-blank line, which an
+indented line continues.  A statement is an action line, a dialogue line
+(with its speaking character), or the scene heading; parentheticals,
+transitions, character cues and lines without letters are structural and
+never become statements.  A line's indent is
 measured only when it starts with a space, and a line holding tabs has
 them replaced by spaces once, for the text it keeps; the transition
 pattern alone reads the tabs as written.  A cue is named by its text less
@@ -92,6 +94,8 @@ class Scene:
 class Screenplay:
     title: str
     scenes: list[Scene]
+    # the scan's quality report; not part of the play's value
+    quality: dict | None = field(default=None, compare=False, repr=False)
 
 
 def _strip_cue_markers(name: str) -> str:
@@ -102,8 +106,8 @@ def _strip_cue_markers(name: str) -> str:
     return name.strip()
 
 
-def scan_script(title: str, text: str, cap: int | None = DEFAULT_SCENE_CAP
-                ) -> tuple[Screenplay, dict]:
+def parse_script(title: str, text: str,
+                 cap: int | None = DEFAULT_SCENE_CAP) -> Screenplay:
     """Parse a raw screenplay and report its line counts, in one line scan.
 
     Each scene heading opens a scene; a script without any heading becomes
@@ -111,9 +115,9 @@ def scan_script(title: str, text: str, cap: int | None = DEFAULT_SCENE_CAP
     continued by a new scene without a heading (no cap if ``cap`` is
     None).  The report counts lines by kind (a character cue counts as
     DIALOGUE) and scores the fraction of non-blank lines carrying structure
-    the model consumes (headings, action, dialogue, cues).  Unrecognizable
-    lines count as OTHER; only a script without a non-blank line raises
-    (``EmptyScript``).
+    the model consumes (headings, action, dialogue, cues); the play carries
+    it as ``quality``.  Unrecognizable lines count as OTHER; only a script
+    without a non-blank line raises (``EmptyScript``).
     """
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
@@ -196,13 +200,7 @@ def scan_script(title: str, text: str, cap: int | None = DEFAULT_SCENE_CAP
         "quality_score": round((headings + actions + dialogue)
                                / (len(lines) - blank), 6),
     }
-    return Screenplay(title=title, scenes=scenes), report
-
-
-def parse_script(title: str, text: str,
-                 cap: int | None = DEFAULT_SCENE_CAP) -> Screenplay:
-    """The screenplay of ``scan_script`` without its report."""
-    return scan_script(title, text, cap)[0]
+    return Screenplay(title=title, scenes=scenes, quality=report)
 
 
 # ---------------------------------------------------------------------------

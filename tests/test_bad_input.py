@@ -1,11 +1,13 @@
-"""One row per defect of a script file, through every command that reads
-scripts.
+"""One row per defect of an input file, through every command that reads it.
 
-``ingest`` excludes a bad entry with a reason in its manifest, ``parse``
-logs the same reason on its skip line and writes nothing for the entry, and
-``trajectories`` stops with a ``DataError`` that holds the same reason; each
-names the file.  A leading byte-order mark is no defect: each command reads
-the marked file as the same file without it.
+``ingest`` excludes a bad script entry with a reason in its manifest,
+``parse`` logs the same reason on its skip line and writes nothing for the
+entry, and ``trajectories`` stops with a ``DataError`` that holds the same
+reason; each names the file.  A leading byte-order mark is no defect: each
+command reads the marked file as the same file without it.  ``parse`` and
+``ingest`` keep the same plays from the same directory.  A named input file
+that is missing or is a directory stops the command with one JSON line that
+names the path.
 """
 
 import json
@@ -14,6 +16,9 @@ import shutil
 import pytest
 
 from scenewise.cli import main
+from scenewise.corpus import IngestConfig, ingest
+from scenewise.ioutil import config_hash
+from scenewise.parser import DEFAULT_SCENE_CAP, to_table
 
 INGEST_FLAGS = ["--min-count", "2", "--validation-fraction", "0.15",
                 "--descriptor-min-movies", "2", "--descriptor-top-exclude", "30"]
@@ -129,3 +134,104 @@ def test_a_byte_order_mark_reads_as_the_same_script(corpus, tmp_path):
     assert outputs(synth, checkpoint, marked, tmp_path / "marked_out",
                    "synth000") == \
         outputs(synth, checkpoint, plain, tmp_path / "plain_out", "synth000")
+
+
+def test_parse_and_ingest_keep_the_same_plays(corpus, tmp_path, caplog):
+    synth, _ = corpus
+    scripts = copy_scripts(synth, tmp_path, "scripts")
+    for name, (content, _) in DEFECTS.items():
+        entry = scripts / f"zz_{name}.txt"
+        if content is None:
+            entry.mkdir()
+        else:
+            entry.write_bytes(content)
+    tags = json.loads((synth / "tags.json").read_text())
+    untagged = sorted(tags)[0]
+    del tags[untagged]
+    (tmp_path / "tags.json").write_text(json.dumps(tags))
+
+    config = IngestConfig(min_count=2, validation_fraction=0.15,
+                          descriptor_min_movies=2, descriptor_top_exclude=30)
+    held, manifest = ingest(scripts, tmp_path / "tags.json",
+                            synth / "embeddings.txt", config)
+    parsed = tmp_path / "parsed"
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        assert main(["parse", "--scripts", str(scripts),
+                     "--out", str(parsed)]) == 0
+    skipped = {r.getMessage() for r in caplog.records
+               if r.levelname == "WARNING"}
+    assert skipped == {f"skipping {e['title']}.txt: {e['reason']}"
+                       for e in manifest["excluded"]
+                       if e["reason"] != "missing tags"}
+    assert len(skipped) == len(DEFECTS)
+
+    plays = {it.title: it.screenplay for it in held.items}
+    assert sorted(p.stem for p in parsed.glob("*.tsv")) == \
+        sorted([*plays, untagged])
+    cap_hash = config_hash({"cap": DEFAULT_SCENE_CAP})
+    for title, play in plays.items():
+        assert (parsed / f"{title}.tsv").read_text() == to_table(play), title
+        assert json.loads((parsed / f"{title}.quality.json").read_text()) == \
+            {**play.quality, "config_hash": cap_hash}, title
+
+
+@pytest.fixture(scope="module")
+def tag_checkpoint(corpus, tmp_path_factory):
+    """A BoE tag checkpoint trained for one epoch on the corpus."""
+    synth, _ = corpus
+    run = tmp_path_factory.mktemp("bad_input_tags")
+    assert main(["train", *data_args(synth, synth / "scripts"),
+                 "--min-count", "2", "--validation-fraction", "0.15",
+                 "--attribute", "genre", "--encoder", "boe", "--epochs", "1",
+                 "--out", str(run)]) == 0
+    return run / "checkpoint.swck"
+
+
+def command_argv(command, synth, descriptors, tags, out):
+    """A run of ``command`` that reads every input file it can name."""
+    data = data_args(synth, synth / "scripts")
+    return {
+        "ingest": ["ingest", *data, *INGEST_FLAGS, "--out", str(out)],
+        "evaluate": ["evaluate", *data, "--checkpoint", str(tags),
+                     "--tag-embeddings", str(synth / "tag_embeddings.tsv"),
+                     "--out", str(out)],
+        "trajectories": ["trajectories", "--checkpoint", str(descriptors),
+                         "--scripts", str(synth / "scripts"),
+                         "--embeddings", str(synth / "embeddings.txt"),
+                         "--title", "synth000", "--out", str(out)],
+    }[command]
+
+
+# (command, flag, defect of the flag's file, the error main reports)
+MISSING_FILES = [
+    ("ingest", "--tags", "missing", "FileNotFoundError"),
+    ("ingest", "--tags", "directory", "IsADirectoryError"),
+    ("ingest", "--embeddings", "missing", "FileNotFoundError"),
+    ("evaluate", "--checkpoint", "missing", "FileNotFoundError"),
+    ("evaluate", "--checkpoint", "directory", "IsADirectoryError"),
+    ("evaluate", "--tag-embeddings", "missing", "FileNotFoundError"),
+    ("trajectories", "--checkpoint", "directory", "IsADirectoryError"),
+]
+
+
+@pytest.mark.parametrize("command, flag, defect, error", MISSING_FILES,
+                         ids=[f"{c}{f}_{d}" for c, f, d, _ in MISSING_FILES])
+def test_a_missing_or_directory_input_file_is_one_error_naming_it(
+        corpus, tag_checkpoint, tmp_path, capsys, command, flag, defect, error):
+    synth, descriptors = corpus
+    bad = tmp_path / f"bad_{flag[2:]}"
+    if defect == "directory":
+        bad.mkdir()
+    out = tmp_path / "out"
+    argv = command_argv(command, synth, descriptors, tag_checkpoint,
+                        out / "artifact")
+    argv[argv.index(flag) + 1] = str(bad)
+    capsys.readouterr()
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == error
+    assert str(bad) in payload["message"]
+    assert not out.exists()

@@ -179,6 +179,32 @@ def test_evaluate_refuses_vocabulary_mismatch(workspace, trained, tmp_path,
     assert not out.exists()
 
 
+def test_evaluate_vocabulary_mismatch_names_the_tags_and_the_exclusions(
+        workspace, trained, tmp_path, capsys):
+    # the scripts are unchanged; a tags file without one title drops its
+    # script, and so its words, from the corpus
+    _, synth = workspace
+    checkpoint = trained[0] / "checkpoint.swck"
+    titles = json.loads((synth / "tags.json").read_text())
+    dropped = sorted(titles)[-1]
+    del titles[dropped]
+    tags = tmp_path / "tags.json"
+    tags.write_text(json.dumps(titles))
+    argv = data_args(synth)
+    argv[argv.index("--tags") + 1] = str(tags)
+    out = tmp_path / "eval.json"
+    assert run(["evaluate"] + argv
+               + ["--checkpoint", str(checkpoint), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {
+        "error": "VocabularyMismatch",
+        "message": f"{checkpoint}: checkpoint vocabulary hash does not match "
+                   f"the corpus of --scripts {synth / 'scripts'} and --tags "
+                   f"{tags}; ingest excluded 1 entry, the first "
+                   f"{dropped}: missing tags"}
+    assert not out.exists()
+
+
 def test_evaluate_scores_the_checkpoint_split(workspace, tmp_path, monkeypatch):
     _, synth = workspace
     settings = train_args(synth) + ["--seed", "3", "--heldout-fraction", "0.3"]

@@ -109,8 +109,8 @@ def test_synthetic_corpus_well_formed(tmp_path):
     assert manifest["spec"]["n_scripts"] == 6
 
     for path in scripts:
-        play, report = parser.scan_script(path.stem, path.read_text(), cap=None)
-        assert report["counts"]["OTHER"] == 0
+        play = parser.parse_script(path.stem, path.read_text(), cap=None)
+        assert play.quality["counts"]["OTHER"] == 0
         assigned = tags[path.stem]["genre"]
         for scene in play.scenes:
             toks = set(cp.scene_tokens(scene))
@@ -484,9 +484,10 @@ def test_script_with_byte_order_mark_reads_as_without(tmp_path, text):
     marked.write_text(BOM + text, encoding="utf-8")
     assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
     assert read_script(marked) == read_script(plain) == (text, None)
-    play, report = parser.scan_script("t", read_script(marked)[0])
-    assert (play, report) == parser.scan_script("t", text)
-    assert report["counts"]["SCENE_HEADING"] >= 1
+    play = parser.parse_script("t", read_script(marked)[0])
+    unmarked = parser.parse_script("t", text)
+    assert (play, play.quality) == (unmarked, unmarked.quality)
+    assert play.quality["counts"]["SCENE_HEADING"] >= 1
 
 
 def test_embeddings_with_byte_order_mark_load_as_without(tmp_path):

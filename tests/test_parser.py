@@ -17,7 +17,6 @@ from scenewise.parser import (
     StatementKind,
     parse_script,
     parse_table,
-    scan_script,
     script_lines,
     to_table,
 )
@@ -62,7 +61,7 @@ def test_classify_scene_heading():
 def test_classify_dialogue_inherits_character():
     text = "                         VINCENT\n               What's her name?\n"
     assert statements(text) == [(DIALOGUE, "VINCENT", "What's her name?")]
-    _, report = scan_script("t", text)
+    report = parse_script("t", text).quality
     assert report["character_cues"] == 1
     assert report["counts"]["DIALOGUE"] == 2
 
@@ -80,7 +79,7 @@ def test_classify_blank_parenthetical_transition_other():
             "                                   CUT TO:\n"
             "        42.\n")
     assert statements(text) == [(DIALOGUE, "JULES", "Hi.")]
-    _, report = scan_script("t", text)
+    report = parse_script("t", text).quality
     assert report["counts"] == {"SCENE_HEADING": 0, "ACTION": 0, "DIALOGUE": 2,
                                 "PARENTHETICAL": 1, "TRANSITION": 1, "BLANK": 1,
                                 "OTHER": 1}
@@ -384,8 +383,16 @@ def test_messy_fragment_classification():
         in action_texts(platform)
 
 
+def test_the_quality_report_is_outside_a_plays_value():
+    play = parse_script("Pulp Fiction", FRAGMENT)
+    bare = dataclasses.replace(play, quality=None)
+    assert play.quality is not None
+    assert bare == play
+    assert repr(bare) == repr(play)
+
+
 def test_quality_report_counts():
-    _, report = scan_script("Pulp Fiction", FRAGMENT)
+    report = parse_script("Pulp Fiction", FRAGMENT).quality
     assert report["heading_count"] == 1
     assert report["counts"]["ACTION"] == 2
     assert report["counts"]["DIALOGUE"] == 6  # 3 cues + 3 bodies
@@ -460,12 +467,12 @@ def test_scan_matches_two_pass_oracle(text, cap):
         expected = oracle.segment_scenes(raw)
     except EmptyScript:
         with pytest.raises(EmptyScript):
-            scan_script("Fuzz Script", text, cap=cap)
+            parse_script("Fuzz Script", text, cap=cap)
         return
     if cap is not None:
         expected = oracle.split_long_scenes(expected, cap)
-    assert scan_script("Fuzz Script", text, cap=cap) == (
-        expected, oracle.quality_report(raw))
+    play = parse_script("Fuzz Script", text, cap=cap)
+    assert (play, play.quality) == (expected, oracle.quality_report(raw))
 
 
 @pytest.mark.parametrize("text", [
@@ -479,8 +486,8 @@ def test_scan_matches_two_pass_oracle_on_tabs_and_cue_markers(text):
     # stacked or unknown cue markers, and cue-like lines without letters
     raw = oracle.RawScript.from_text("Cases", text)
     expected = oracle.split_long_scenes(oracle.segment_scenes(raw), 2)
-    assert scan_script("Cases", text, cap=2) == (
-        expected, oracle.quality_report(raw))
+    play = parse_script("Cases", text, cap=2)
+    assert (play, play.quality) == (expected, oracle.quality_report(raw))
 
 
 def _cue_lines(text: str) -> list[str]:
