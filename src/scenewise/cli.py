@@ -2,8 +2,9 @@
 
 Subcommands: parse, ingest, train, evaluate, descriptors, trajectories,
 synth.  Usage errors exit 2 (argparse); data errors exit 1 with one
-machine-parsable JSON line on stderr.  Every artifact embeds the run's
-config hash except the fixed-format script TSV and trajectory CSV.
+machine-parsable JSON line on stderr; a missing or directory file that a
+flag names is a data error naming the flag.  Every artifact embeds the
+run's config hash except the fixed-format script TSV and trajectory CSV.
 ``parse``, ``ingest`` and ``trajectories`` read each script through
 ``corpus.read_play``: ``parse`` writes the table and the quality report of
 the play it returns, and skips an entry ``ingest`` excludes, with the same
@@ -402,9 +403,9 @@ def _rebuild_tag_model(record: _TagModelRecord, corpus: Corpus) -> ScriptTagMode
 
 def _run_log_csv(cfg_hash: str, header: str, rows) -> str:
     """A training log: the config hash, the ``header`` row, then one row
-    per epoch, each value as its ``repr`` and ``None`` as an empty cell."""
+    per epoch, each value as its ``repr``."""
     lines = [f"# config_hash {cfg_hash}", header]
-    lines += [",".join("" if v is None else repr(v) for v in row) for row in rows]
+    lines += [",".join(map(repr, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -423,8 +424,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     train_samples = make_samples(corpus.train_items, taxonomy, use_loglines)
     val_samples = make_samples(corpus.validation_items, taxonomy, use_loglines)
     train_config = _config(TrainConfig, args, max_epochs=args.epochs)
-    result = train(model, train_samples, val_samples, taxonomy, train_config,
-                   timing=args.timing)
+    result = train(model, train_samples, val_samples, taxonomy, train_config)
 
     ingest_config = _config(IngestConfig, args)
     run_config = {"command": "train", "attribute": args.attribute,
@@ -442,8 +442,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     save_checkpoint(out_dir / "checkpoint.swck", result.best_params,
                     asdict(record))
     atomic_write_text(out_dir / "train_log.csv", _run_log_csv(
-        cfg_hash, "epoch,train_loss,val_ap,lr,wallclock",
-        [(r.epoch, r.train_loss, r.val_ap, r.lr, r.wallclock) for r in result.rows]))
+        cfg_hash, "epoch,train_loss,val_ap,lr",
+        [(r.epoch, r.train_loss, r.val_ap, r.lr) for r in result.rows]))
     print(f"trained {args.variant} on {args.attribute}: best val AP "
           f"{result.best_val_ap:.4f} at epoch {result.best_epoch}; "
           f"artifacts in {out_dir}")
@@ -653,8 +653,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("--threshold", type=_probability, default=TrainConfig.threshold)
     sp.add_argument("--stop-at-train-f1", type=_number("(0, 1]"),
                     default=TrainConfig.stop_at_train_f1)
-    sp.add_argument("--timing", action="store_true",
-                    help="record wallclock in the train log (nondeterministic)")
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_train)
 
@@ -730,6 +728,20 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _flag_error(args: argparse.Namespace, err: OSError) -> Exception:
+    """``err`` as a DataError naming the flag and the path, when the path
+    it failed on is the value of one of the command's flags; else ``err``
+    itself."""
+    if isinstance(err.filename, (str, os.PathLike)):
+        failed = Path(err.filename)
+        for name, value in vars(args).items():
+            if name != "command" and isinstance(value, str) \
+                    and Path(value) == failed:
+                flag = "--" + name.replace("_", "-")
+                return DataError(f"{flag} {value}: {err.strerror}")
+    return err
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
@@ -749,6 +761,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except (ScenewiseError, OSError, ValueError) as err:
+        if isinstance(err, OSError):
+            err = _flag_error(args, err)
         line = json.dumps({"error": type(err).__name__, "message": str(err)})
         print(line, file=sys.stderr)
         return 1

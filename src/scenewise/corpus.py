@@ -10,12 +10,14 @@ File formats owned here:
 
 Every command reads a script entry through ``read_play``: the play of
 ``parser.parse_script``, which carries the scan's quality report, or the
-one reason every command gives for skipping the entry.  A leading UTF-8
+one reason every command gives for skipping the entry; ``ingest`` logs
+that reason, as it records it in its manifest.  A leading UTF-8
 byte-order mark of any of these files is dropped as it is read, and a
 tags or loglines file that is not JSON is a ``DataError`` naming its line
-and column.  Ingest tokenizes each play in one call: its
-statements' texts joined by line feeds are lowercased, encoded, translated
-and decoded once, then split back into statements.
+and column.  A token is a maximal run of ``[a-z0-9']`` in the lowercased
+text, and there is one tokenizer: a play's (or a scene's) statements'
+texts joined by line feeds are lowercased, encoded, translated and
+decoded once, then split back into statements.
 """
 
 from __future__ import annotations
@@ -53,28 +55,21 @@ from .parser import Scene, Screenplay, Statement, StatementKind
 log = logging.getLogger(__name__)
 
 # A token is a maximal run of [a-z0-9'] in the lowercased text.  Every other
-# byte of its UTF-8 form becomes a space; each byte of a non-ASCII character
-# is 0x80 or above, so such a character separates tokens as any other does.
-_TOKEN_BYTES = bytes(b if chr(b) in "abcdefghijklmnopqrstuvwxyz0123456789'"
-                     else 0x20 for b in range(256))
-
-# The same table keeping the line feed, so that a play's statements, joined
-# by line feeds, are tokenized in one call and split back apart.
-_LINE_TOKEN_BYTES = _TOKEN_BYTES[:0x0A] + b"\n" + _TOKEN_BYTES[0x0B:]
+# byte of its UTF-8 form becomes a space, but the line feed stays, so that a
+# play's statements, joined by line feeds, are tokenized in one call and split
+# back apart; each byte of a non-ASCII character is 0x80 or above, so such a
+# character separates tokens as any other does.
+_LINE_TOKEN_BYTES = bytes(
+    b if chr(b) in "abcdefghijklmnopqrstuvwxyz0123456789'\n" else 0x20
+    for b in range(256))
 
 UNK_TOKEN = "<unk>"
 
 
-def tokenize(text: str) -> list[str]:
-    """The maximal runs of ``[a-z0-9']`` in the lowercased text."""
-    return (text.lower().encode("utf-8", "surrogatepass")
-            .translate(_TOKEN_BYTES).decode("ascii").split())
-
-
 def _statement_tokens(texts: list[str]) -> list[list[str]]:
-    """``tokenize`` of each text, from one lowercase, encode, translate and
-    decode of their join by line feeds; a line feed inside a text is a
-    space first, as ``tokenize`` reads it."""
+    """Each text's tokens, the maximal runs of ``[a-z0-9']`` in it
+    lowercased, from one lowercase, encode, translate and decode of the
+    texts' join by line feeds; a line feed inside a text is a space first."""
     if not texts:
         return []
     joined = "\n".join(texts)
@@ -87,10 +82,8 @@ def _statement_tokens(texts: list[str]) -> list[list[str]]:
 
 def scene_tokens(scene: Scene) -> list[str]:
     """All statement tokens of a scene in original interleaved order."""
-    tokens: list[str] = []
-    for stmt in scene.statements:
-        tokens.extend(tokenize(stmt.text))
-    return tokens
+    return list(chain.from_iterable(
+        _statement_tokens([stmt.text for stmt in scene.statements])))
 
 
 # ---------------------------------------------------------------------------
@@ -521,12 +514,11 @@ def ingest(scripts_dir: str | Path, tags_path: str | Path,
     for path in scripts:
         title = path.stem
         play, problem = read_play(path, config.cap)
+        if problem is None and title not in tags:
+            problem = "missing tags"
         if problem is not None:
             excluded.append({"title": title, "reason": problem})
-            continue
-        if title not in tags:
-            excluded.append({"title": title, "reason": "missing tags"})
-            log.warning("skipping %s: missing tags", title)
+            log.warning("skipping %s: %s", title, problem)
             continue
         parsed.append(CorpusItem(title=title, screenplay=play, tags=tags[title],
                                  logline=loglines.get(title)))

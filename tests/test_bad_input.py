@@ -5,15 +5,26 @@
 entry, and ``trajectories`` stops with a ``DataError`` that holds the same
 reason; each names the file.  A leading byte-order mark is no defect: each
 command reads the marked file as the same file without it.  ``parse`` and
-``ingest`` keep the same plays from the same directory.  A named input file
-that is missing or is a directory stops the command with one JSON line that
-names the path.
+``ingest`` keep the same plays from the same directory, and each says why
+it skips an entry.  A named input file that is missing or is a directory
+stops the command with one JSON line, a ``DataError`` naming the flag and
+the path.  With one of its input files truncated or one byte flipped,
+``ingest`` exits 0 with the manifest a rerun writes, or 1 with one JSON
+line.
 """
 
+import contextlib
+import errno
+import io
 import json
+import os
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scenewise.cli import main
 from scenewise.corpus import IngestConfig, ingest
@@ -97,10 +108,14 @@ def test_every_command_gives_a_bad_script_the_same_reason(
         entry.write_bytes(content)
 
     manifest = tmp_path / "manifest.json"
-    assert main(["ingest", *data_args(synth, scripts), *INGEST_FLAGS,
-                 "--out", str(manifest)]) == 0
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        assert main(["ingest", *data_args(synth, scripts), *INGEST_FLAGS,
+                     "--out", str(manifest)]) == 0
     assert json.loads(manifest.read_text())["excluded"] == [
         {"title": "zzbad", "reason": reason}]
+    assert [r.getMessage() for r in caplog.records
+            if r.levelname == "WARNING"] == [f"skipping zzbad: {reason}"]
 
     parsed = tmp_path / "parsed"
     caplog.clear()
@@ -152,8 +167,14 @@ def test_parse_and_ingest_keep_the_same_plays(corpus, tmp_path, caplog):
 
     config = IngestConfig(min_count=2, validation_fraction=0.15,
                           descriptor_min_movies=2, descriptor_top_exclude=30)
-    held, manifest = ingest(scripts, tmp_path / "tags.json",
-                            synth / "embeddings.txt", config)
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        held, manifest = ingest(scripts, tmp_path / "tags.json",
+                                synth / "embeddings.txt", config)
+    assert [r.getMessage() for r in caplog.records
+            if r.levelname == "WARNING"] == [
+        f"skipping {e['title']}: {e['reason']}" for e in manifest["excluded"]]
+    assert len(manifest["excluded"]) == len(DEFECTS) + 1
     parsed = tmp_path / "parsed"
     caplog.clear()
     with caplog.at_level("WARNING"):
@@ -192,7 +213,8 @@ def command_argv(command, synth, descriptors, tags, out):
     """A run of ``command`` that reads every input file it can name."""
     data = data_args(synth, synth / "scripts")
     return {
-        "ingest": ["ingest", *data, *INGEST_FLAGS, "--out", str(out)],
+        "ingest": ["ingest", *data, *INGEST_FLAGS,
+                   "--loglines", str(synth / "loglines.json"), "--out", str(out)],
         "evaluate": ["evaluate", *data, "--checkpoint", str(tags),
                      "--tag-embeddings", str(synth / "tag_embeddings.tsv"),
                      "--out", str(out)],
@@ -203,22 +225,26 @@ def command_argv(command, synth, descriptors, tags, out):
     }[command]
 
 
-# (command, flag, defect of the flag's file, the error main reports)
+# (command, flag, defect of the flag's file)
 MISSING_FILES = [
-    ("ingest", "--tags", "missing", "FileNotFoundError"),
-    ("ingest", "--tags", "directory", "IsADirectoryError"),
-    ("ingest", "--embeddings", "missing", "FileNotFoundError"),
-    ("evaluate", "--checkpoint", "missing", "FileNotFoundError"),
-    ("evaluate", "--checkpoint", "directory", "IsADirectoryError"),
-    ("evaluate", "--tag-embeddings", "missing", "FileNotFoundError"),
-    ("trajectories", "--checkpoint", "directory", "IsADirectoryError"),
+    ("ingest", "--tags", "missing"),
+    ("ingest", "--tags", "directory"),
+    ("ingest", "--embeddings", "missing"),
+    ("ingest", "--loglines", "missing"),
+    ("evaluate", "--checkpoint", "missing"),
+    ("evaluate", "--checkpoint", "directory"),
+    ("evaluate", "--tag-embeddings", "missing"),
+    ("trajectories", "--checkpoint", "directory"),
+    ("trajectories", "--embeddings", "missing"),
 ]
+STRERROR = {"missing": os.strerror(errno.ENOENT),
+            "directory": os.strerror(errno.EISDIR)}
 
 
-@pytest.mark.parametrize("command, flag, defect, error", MISSING_FILES,
-                         ids=[f"{c}{f}_{d}" for c, f, d, _ in MISSING_FILES])
+@pytest.mark.parametrize("command, flag, defect", MISSING_FILES,
+                         ids=[f"{c}{f}_{d}" for c, f, d in MISSING_FILES])
 def test_a_missing_or_directory_input_file_is_one_error_naming_it(
-        corpus, tag_checkpoint, tmp_path, capsys, command, flag, defect, error):
+        corpus, tag_checkpoint, tmp_path, capsys, command, flag, defect):
     synth, descriptors = corpus
     bad = tmp_path / f"bad_{flag[2:]}"
     if defect == "directory":
@@ -231,7 +257,61 @@ def test_a_missing_or_directory_input_file_is_one_error_naming_it(
     assert main(argv) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
-    payload = json.loads(lines[0])
-    assert payload["error"] == error
-    assert str(bad) in payload["message"]
+    assert json.loads(lines[0]) == {
+        "error": "DataError", "message": f"{flag} {bad}: {STRERROR[defect]}"}
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# property layer: one input file of ``ingest`` truncated or one byte flipped
+
+INGEST_INPUTS = ["script", "tags.json", "loglines.json", "embeddings.txt"]
+
+
+def run_main(argv):
+    """``main``'s exit code and the lines it printed on stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue().splitlines()
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(which=st.sampled_from(INGEST_INPUTS), truncate=st.booleans(),
+       data=st.data())
+def test_ingest_of_a_damaged_input_file_exits_0_or_1(corpus, which, truncate,
+                                                      data):
+    synth, _ = corpus
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        scripts = shutil.copytree(synth / "scripts", tmp / "scripts")
+        inputs = {name: synth / name for name in INGEST_INPUTS[1:]}
+        if which == "script":
+            scripts_in = sorted(scripts.iterdir())
+            damaged = data.draw(st.sampled_from(scripts_in), label="script")
+        else:
+            damaged = inputs[which] = shutil.copy(synth / which, tmp / which)
+        raw = bytearray(Path(damaged).read_bytes())
+        offset = data.draw(st.integers(0, len(raw) - 1), label="offset")
+        if truncate:
+            del raw[offset:]
+        else:
+            raw[offset] ^= data.draw(st.integers(1, 255), label="flip")
+        Path(damaged).write_bytes(raw)
+
+        argv = ["ingest", "--scripts", str(scripts),
+                "--tags", str(inputs["tags.json"]),
+                "--embeddings", str(inputs["embeddings.txt"]),
+                "--loglines", str(inputs["loglines.json"]), *INGEST_FLAGS]
+        out = tmp / "manifest.json"
+        code, err = run_main([*argv, "--out", str(out)])
+        assert code in (0, 1)
+        if code == 1:
+            assert len(err) == 1
+            assert json.loads(err[0]).keys() == {"error", "message"}
+            assert not out.exists()
+        else:
+            again = tmp / "again.json"
+            assert run_main([*argv, "--out", str(again)])[0] == 0
+            assert again.read_bytes() == out.read_bytes()

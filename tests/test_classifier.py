@@ -1,4 +1,6 @@
 import math
+import re
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -295,6 +297,24 @@ def test_optimizer_epochs_refuses_a_bad_step_setting(name, value):
                               loss_of, rng(0), epochs=2, **settings))
     assert calls == []
     assert np.array_equal(w.data, [1.0, -2.0])
+
+
+def test_optimizer_epochs_logs_one_progress_line_per_epoch(caplog):
+    # the line comes before the epoch's loss is yielded, so a trainer that
+    # stops early has a line for each epoch it ran and none beyond
+    w = ad.parameter(np.array([1.0, -2.0]))
+    epochs = optimizer_epochs("toy training", {"w": w},
+                              [("a", None), ("b", None)],
+                              lambda _: total(mul(w, w)), rng(0),
+                              epochs=5, lr=0.1, max_norm=5.0)
+    with caplog.at_level("INFO", logger=classifier.__name__):
+        losses = list(islice(epochs, 2))
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == classifier.__name__ and r.levelname == "INFO"]
+    assert len(lines) == 2
+    for epoch, (line, loss) in enumerate(zip(lines, losses), 1):
+        assert re.fullmatch(rf"toy training epoch {epoch}/5: mean loss "
+                            rf"{loss:.6g}, \d+\.\d\d s", line), line
 
 
 def test_average_precision_perfect_ranking():

@@ -15,7 +15,12 @@ from scenewise.descriptors import DescriptorConfig
 from scenewise.encoders import CharacterTable, EncoderKind, Variant
 from scenewise.evaluation import micro_f1
 from scenewise.ioutil import decode_error
-from scenewise.parser import DEFAULT_SCENE_CAP, parse_script
+from scenewise.parser import (
+    DEFAULT_SCENE_CAP,
+    parse_script,
+    parse_table,
+    to_table,
+)
 
 DATA = Path(__file__).parent / "data"
 TRAIN_FLAGS = ["--min-count", "2", "--validation-fraction", "0.15"]
@@ -89,6 +94,23 @@ def test_parse_output_matches_golden_bytes(tmp_path):
         assert (out / name).read_bytes() == (golden / name).read_bytes(), name
 
 
+def test_parse_no_split_keeps_a_long_scene_whole(tmp_path):
+    text = ("INT. ROOM - DAY\n\nAnna walks in.\n\nShe sits down.\n\n"
+            "She leaves.\n")
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    (scripts / "long.txt").write_text(text)
+    split, whole = tmp_path / "split", tmp_path / "whole"
+    assert run(["parse", "--scripts", str(scripts), "--cap", "2",
+                "--out", str(split)]) == 0
+    assert run(["parse", "--scripts", str(scripts), "--cap", "2", "--no-split",
+                "--out", str(whole)]) == 0
+    assert len(parse_table((split / "long.tsv").read_text()).scenes) == 2
+    table = (whole / "long.tsv").read_text()
+    assert len(parse_table(table).scenes) == 1
+    assert table == to_table(parse_script("long", text, cap=None))
+
+
 def test_ingest_command(workspace):
     root, synth = workspace
     out = root / "corpus_manifest.json"
@@ -119,10 +141,9 @@ def test_train_writes_artifacts(trained):
     log = (out / "train_log.csv").read_text()
     lines = log.strip().split("\n")
     assert lines[0].startswith("# config_hash ")
-    assert lines[1] == "epoch,train_loss,val_ap,lr,wallclock"
+    assert lines[1] == "epoch,train_loss,val_ap,lr"
     assert len(lines) == 2 + 3  # hash comment + header + 3 epochs
-    # wallclock column stays empty unless --timing is passed
-    assert all(line.endswith(",") for line in lines[2:])
+    assert all("" not in line.split(",") for line in lines[2:])
 
 
 def test_train_rerun_byte_identical(trained, tmp_path):
@@ -743,6 +764,31 @@ def test_ingest_without_scripts_is_data_error(workspace, tmp_path, capsys):
     assert error == {"error": "DataError", "message":
                      f"no *.txt scripts under {tmp_path / 'nowhere'}"}
     assert captured.out == "" and not out.exists()
+
+
+def test_a_failed_write_under_out_is_reported_as_it_is(workspace, tmp_path,
+                                                        capsys):
+    # only a flag's own path becomes a DataError naming the flag
+    _, synth = workspace
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["ingest"] + corpus_args(synth)
+                + ["--out", str(blocker / "manifest.json")]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "FileExistsError"
+    assert str(blocker) in error["message"]
+
+
+def test_a_missing_file_named_like_the_command_names_its_flag(
+        workspace, tmp_path, monkeypatch, capsys):
+    _, synth = workspace
+    monkeypatch.chdir(tmp_path)
+    args = corpus_args(synth)
+    args[args.index("--tags") + 1] = "ingest"
+    assert main(["ingest"] + args + ["--out", "manifest.json"]) == 1
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == {
+        "error": "DataError",
+        "message": "--tags ingest: No such file or directory"}
 
 
 def test_default_out_uses_env_dir(workspace, tmp_path, monkeypatch):

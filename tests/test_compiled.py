@@ -35,7 +35,6 @@ from scenewise.corpus import (
     ingest,
     logline_screenplay,
     scene_tokens,
-    tokenize,
 )
 from scenewise.encoders import (
     EncoderKind,
@@ -87,7 +86,7 @@ def oracle_channel_statements(scene, channel):
         texts = [text for _, text in dialogue_lines(scene)]
     else:
         texts = [s.text for s in scene.statements]
-    return [toks for toks in (tokenize(t) for t in texts) if toks]
+    return [toks for toks in map(tokenpass_oracle.tokenize, texts) if toks]
 
 
 def oracle_channel(model, scenes, channel):
@@ -132,7 +131,7 @@ def oracle_script(model, play):
 
 def oracle_logline(model: ScriptTagModel, text: str):
     encoder = model.encoder
-    rows = oracle_rows(encoder.vectors, tokenize(text))
+    rows = oracle_rows(encoder.vectors, tokenpass_oracle.tokenize(text))
     return model.head.logits(ad.row(
         encoder.token_encoder.encode(ad.constant(rows), [len(rows)]), 0))
 
@@ -300,8 +299,8 @@ def test_unknown_tokens_gather_the_unknown_row():
         assert script.ids.tolist() == [unknown] * 3 + [
             vectors.embeddings.index["alpha"]]
         assert np.array_equal(vectors.embeddings.matrix[script.ids],
-                              oracle_rows(vectors, tokenize(play.scenes[0]
-                                                            .statements[0].text)))
+                              oracle_rows(vectors, tokenpass_oracle.tokenize(
+                                  play.scenes[0].statements[0].text)))
 
 
 def test_compiled_layout_keeps_empty_statements():
@@ -554,9 +553,10 @@ def test_token_pass_matches_per_statement_oracle_on_synthetic_corpus(
 @given(st.text(alphabet=st.characters(exclude_categories=())))
 def test_tokenize_matches_regex_oracle(text):
     # any code point, lone surrogates included
-    assert tokenize(text) == tokenpass_oracle.tokenize(text)
+    assert scene_tokens(scene_of(action(text))) == tokenpass_oracle.tokenize(text)
 
 
 def test_tokenize_lowercases_before_splitting():
-    assert tokenize("\u0130STANBUL, 5\u212a run\tisn't caf\u00e9s\nend") == \
+    text = "\u0130STANBUL, 5\u212a run\tisn't caf\u00e9s\nend"
+    assert scene_tokens(scene_of(action(text))) == \
         ["i", "stanbul", "5k", "run", "isn't", "caf", "s", "end"]

@@ -21,7 +21,6 @@ from scenewise.corpus import (
     load_tags,
     read_script,
     split_titles,
-    tokenize,
 )
 from scenewise.errors import DataError
 from scenewise.ioutil import sha256_hex
@@ -30,8 +29,12 @@ from conftest import dialogue_lines, embedding_rows, speakers
 
 
 def test_tokenize_basic():
-    assert tokenize("What's her name?") == ["what's", "her", "name"]
-    assert tokenize("We TRACK alongside.") == ["we", "track", "alongside"]
+    def tokens(text):
+        return cp.scene_tokens(parser.Scene(index=1, statements=[
+            parser.Statement(parser.StatementKind.ACTION, text)]))
+
+    assert tokens("What's her name?") == ["what's", "her", "name"]
+    assert tokens("We TRACK alongside.") == ["we", "track", "alongside"]
 
 
 def test_vocabulary_min_count():
