@@ -15,7 +15,14 @@ seed) are flags of ``ingest``, ``train`` and ``descriptors`` only, and the
 two descriptor-vocabulary counts of ``ingest`` and ``descriptors`` only.
 A checkpoint records them all (a tag checkpoint the counts' defaults), and
 ``evaluate`` and ``trajectories`` read them from it, so a model is always
-scored on the split and the scenes it was trained with.  ``evaluate``
+scored on the split and the scenes it was trained with.  A descriptor
+checkpoint also carries its descriptor words' vectors
+(``target.word_vectors``), so ``trajectories`` reads only its checkpoint
+and its script; a tag checkpoint records the SHA-256 of the embedding rows
+its vocabulary compiles to (``vectors_sha256``), and ``evaluate`` refuses
+an ``--embeddings`` file that gives other rows.  A parameter that
+overflows the model's arithmetic as ``evaluate`` or ``trajectories``
+scores is one data error naming the checkpoint.  ``evaluate``
 writes one report: micro-F1, and with ``--tag-embeddings`` the
 similarity F-1 sweep over ``--cutoffs`` as well.
 ``train``'s ``--variant`` names only a structure; ``--encoder`` names the
@@ -32,6 +39,7 @@ whose ``encoder`` rebuilds it), and ``_DescriptorStatsRecord`` otherwise.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
@@ -284,6 +292,7 @@ class _TagModelRecord:
     model: ScriptModelSettings | LoglinesModelSettings
     taxonomy: TagTaxonomy
     vocabulary_hash: str
+    vectors_sha256: str
     ingest: IngestConfig
     train: TrainConfig
     best_epoch: int
@@ -309,7 +318,6 @@ class _DescriptorModelRecord:
     attribute: str
     config: DescriptorConfig
     vocab: list[str]
-    vocabulary_hash: str
     ingest: IngestConfig
     stats: _DescriptorStatsRecord
     config_hash: str
@@ -396,6 +404,40 @@ def _checkpoint_of_kind(path: str, cls):
         raise DataError(f"{path}: {err}") from None
 
 
+# a descriptor checkpoint's (len(vocab), d) array of its words' vectors
+_WORD_VECTORS = "target.word_vectors"
+
+
+def _descriptor_words(path: str, params: dict[str, np.ndarray],
+                      vocab: list[str]) -> WordEmbeddings:
+    """The vectors of a descriptor checkpoint's ``vocab``, taken out of its
+    ``params``; a ``DataError`` naming ``path`` unless they are one
+    (len(vocab), d) array, d the width of ``descriptors.r``."""
+    rows = params.pop(_WORD_VECTORS, None)
+    if rows is None:
+        raise DataError(f"{path} holds no {_WORD_VECTORS!r}, the vectors of "
+                        f"its descriptor words; retrain it")
+    r_shape = np.shape(params.get("descriptors.r"))
+    if len(r_shape) != 2 or rows.shape != (len(vocab), r_shape[1]):
+        raise DataError(f"{path}: {_WORD_VECTORS!r} has shape {rows.shape}, "
+                        f"not one row per word of its 'vocab' ({len(vocab)}) "
+                        f"as wide as 'descriptors.r' {r_shape}")
+    return WordEmbeddings(dict(zip(vocab, rows)), r_shape[1])
+
+
+@contextlib.contextmanager
+def _scoring(path: str):
+    """Numpy's overflow, invalid-value and division-by-zero flags, raised
+    while checkpoint ``path``'s model scores, as one ``DataError`` naming
+    it: a finite but huge parameter once gave NaN scores and a warning."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as err:
+        raise DataError(f"{path}: its parameters overflow the model's "
+                        f"arithmetic ({err})") from None
+
+
 def _rebuild_tag_model(record: _TagModelRecord, corpus: Corpus) -> ScriptTagModel:
     return ScriptTagModel(record.model.encoder(corpus.vectors()),
                           len(record.taxonomy), seed=record.model.seed)
@@ -434,7 +476,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg_hash = config_hash(run_config)
     record = _TagModelRecord(
         model=model.encoder.settings(), taxonomy=taxonomy,
-        vocabulary_hash=corpus.vocabulary.hash(), ingest=ingest_config,
+        vocabulary_hash=corpus.vocabulary.hash(),
+        vectors_sha256=corpus.vectors().rows_sha256(), ingest=ingest_config,
         train=train_config, best_epoch=result.best_epoch,
         best_val_ap=result.best_val_ap, config_hash=cfg_hash)
     out_dir = _default_out(args.out, "run")
@@ -476,6 +519,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                         f"{'y' if len(excluded) == 1 else 'ies'}, the first "
                         f"{excluded[0]['title']}: {excluded[0]['reason']}")
         raise VocabularyMismatch(message)
+    if corpus.vectors().rows_sha256() != record.vectors_sha256:
+        raise DataError(f"--embeddings {args.embeddings}: the rows it gives "
+                        f"the corpus vocabulary are not those "
+                        f"{args.checkpoint} was trained on (vectors_sha256)")
     model = _rebuild_tag_model(record, corpus)
     load_params(model.named_params(), params)
     items = {"train": corpus.train_items, "validation": corpus.validation_items,
@@ -494,7 +541,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                         f"attribute {attribute!r}")
     gold = {it.title: set(it.tags.get(attribute, ())) & active
             for it in items if it.title in scored}
-    preds = predictions(model, samples, taxonomy, threshold=args.threshold)
+    with _scoring(args.checkpoint):
+        preds = predictions(model, samples, taxonomy, threshold=args.threshold)
     f1 = micro_f1(preds, gold)
     report = {
         "attribute": attribute,
@@ -541,7 +589,7 @@ def cmd_descriptors(args: argparse.Namespace) -> int:
     cfg_hash = config_hash(run_config)
     record = _DescriptorModelRecord(
         attribute=args.attribute, config=config, vocab=list(target.vocab),
-        vocabulary_hash=corpus.vocabulary.hash(), ingest=ingest_config,
+        ingest=ingest_config,
         stats=_DescriptorStatsRecord(
             initial_fro=stats.initial_fro, final_fro=stats.final_fro,
             simplex_max_deviation=stats.simplex_max_deviation,
@@ -549,6 +597,7 @@ def cmd_descriptors(args: argparse.Namespace) -> int:
         config_hash=cfg_hash)
     params = {name: t.data for name, t
               in {**target.named_params(), **model.named_params()}.items()}
+    params[_WORD_VECTORS] = target.vocab_matrix()
     out_dir = _default_out(args.out, "descriptors")
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out_dir / "descriptors.swck", params, asdict(record))
@@ -565,7 +614,7 @@ def cmd_descriptors(args: argparse.Namespace) -> int:
 
 def cmd_trajectories(args: argparse.Namespace) -> int:
     params, record = _checkpoint_of_kind(args.checkpoint, _DescriptorModelRecord)
-    embeddings = WordEmbeddings.load(args.embeddings)
+    embeddings = _descriptor_words(args.checkpoint, params, record.vocab)
     # the play is compiled against the descriptor words; load_params sets p
     vectors = TokenVectors(Vocabulary(record.vocab), embeddings)
     target = SceneBagEncoder(record.vocab, vectors, np.random.default_rng(0))
@@ -579,7 +628,8 @@ def cmd_trajectories(args: argparse.Namespace) -> int:
     play, problem = read_play(script_path, record.ingest.cap)
     if problem is not None:
         raise DataError(f"{script_path}: {problem}")
-    weights = model.weights_for_script(play)
+    with _scoring(args.checkpoint):
+        weights = model.weights_for_script(play)
     selection = select_descriptors(
         weights, args.descriptors or f"top:{min(4, record.config.k)}")
     trajectories = build_trajectories(weights, selection, window=args.window)
@@ -693,7 +743,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("--checkpoint", required=True,
                     help="descriptor checkpoint (.swck)")
     sp.add_argument("--scripts", required=True)
-    sp.add_argument("--embeddings", required=True)
     sp.add_argument("--title", required=True)
     sp.add_argument("--descriptors", type=_selection, default=None,
                     help="'top:m' or comma-separated indices (default: top:4, "

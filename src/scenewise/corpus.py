@@ -318,6 +318,15 @@ class TokenVectors:
     def dim(self) -> int:
         return self.embeddings.dim
 
+    def rows_sha256(self) -> str:
+        """SHA-256 of the float64 bytes of the rows the vocabulary compiles
+        to: each token's row, or the unknown row for a token the embeddings
+        lack, in vocabulary order, then the unknown row."""
+        unknown = len(self.embeddings.matrix) - 1
+        row_of = self.embeddings.index.get
+        ids = [row_of(t, unknown) for t in self.vocabulary.tokens] + [unknown]
+        return sha256_hex(self.embeddings.matrix[ids].astype("<f8").tobytes())
+
     def compiled(self, script: CompiledScript | Screenplay) -> CompiledScript:
         """``script`` as row ids for this vocabulary and these embeddings.
 

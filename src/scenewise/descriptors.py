@@ -28,7 +28,10 @@ pretraining and the frozen target alike.  Once frozen, the target pools
 on plain arrays (:func:`autodiff.attention_pass`, the forward of the
 pool's tape node), both for the training targets and at inference, and
 the predictor's rollout reads its four arrays directly, so trajectory
-inference builds no tape at all.
+inference builds no tape at all.  The target reads no embedding row but
+its descriptor words' (:meth:`SceneBagEncoder.vocab_matrix`), so a
+descriptor checkpoint carries those rows beside ``p``, and a trained model
+is rebuilt from its checkpoint alone.
 Pretraining and training supply per-script losses to
 :func:`classifier.optimizer_epochs`.  A training step draws all of its
 script's negatives with one ``rng.integers`` call and replays from those
@@ -56,7 +59,7 @@ from .classifier import (
 )
 from .corpus import CompiledScript, Corpus, TokenVectors
 from .encoders import pad_rows
-from .errors import DataError, InsufficientVocab, ScriptTooSmall, ZeroDocFrequency
+from .errors import InsufficientVocab, ScriptTooSmall, ZeroDocFrequency
 from .parser import Scene, Screenplay
 
 log = logging.getLogger(__name__)
@@ -95,7 +98,8 @@ class SceneBagEncoder:
     table over the embedding rows picks them out of a compiled script's ids,
     and one softmax attention pool over their padded batch weighs them by
     the attention vector ``p``, a Glorot draw of ``dim`` entries and the
-    target's only parameter.  Pretraining trains ``p`` on the tape
+    target's only parameter.  Each word of ``vocab`` must have a row of its
+    own in ``vectors``' embeddings.  Pretraining trains ``p`` on the tape
     (:func:`autodiff.attention_pool`); then the targets are frozen and
     :meth:`encode_scenes` pools on plain arrays.
     """
@@ -105,8 +109,6 @@ class SceneBagEncoder:
         self.vocab = tuple(vocab)
         self.vectors = vectors
         self.dim = vectors.dim
-        if missing := [w for w in self.vocab if w not in vectors.embeddings]:
-            raise DataError(f"descriptor words without a vector: {missing[:5]}")
         self.rows = [vectors.embeddings.index[w] for w in self.vocab]
         self.word_rows = np.zeros(len(vectors.embeddings.matrix), dtype=bool)
         self.word_rows[self.rows] = True
@@ -162,6 +164,8 @@ class SceneBagEncoder:
                 for s in range(script.n_scenes)]
 
     def vocab_matrix(self) -> np.ndarray:
+        """The (len(vocab), d) rows of the descriptor words, in ``vocab``
+        order: all the target reads of its embeddings."""
         return self.vectors.embeddings.matrix[self.rows]
 
 

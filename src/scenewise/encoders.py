@@ -354,7 +354,7 @@ class HierarchicalModel:
     def settings(self) -> ScriptModelSettings:
         return ScriptModelSettings(
             variant=self.variant.value, include_chars=self.include_chars,
-            kind=self.spec.kind.value, input_dim=self.spec.input_dim,
+            kind=self.spec.kind.value,
             hidden_per_direction=self.spec.hidden_per_direction,
             char_dim=self.char_dim,
             characters=sorted(self.char_table.index) if self.char_table else [],
@@ -367,12 +367,12 @@ class HierarchicalModel:
 @dataclass(frozen=True)
 class ScriptModelSettings:
     """A :class:`HierarchicalModel`'s settings, a tag checkpoint's ``model``
-    record: all that rebuilds the model (``characters`` holds UNK too)."""
+    record: all that rebuilds the model from its word vectors, whose width
+    is its input width (``characters`` holds UNK too)."""
 
     variant: Literal[tuple(v.value for v in Variant)]
     include_chars: bool
     kind: Literal[tuple(k.value for k in EncoderKind)]
-    input_dim: int
     hidden_per_direction: int
     char_dim: int
     characters: list[str]
@@ -380,7 +380,7 @@ class ScriptModelSettings:
     type: Literal["script"] = "script"
 
     def encoder(self, vectors: TokenVectors) -> HierarchicalModel:
-        spec = EncoderSpec(EncoderKind(self.kind), self.input_dim,
+        spec = EncoderSpec(EncoderKind(self.kind), vectors.dim,
                            self.hidden_per_direction)
         names = [n for n in self.characters if n != CharacterTable.UNK_NAME]
         return HierarchicalModel(spec, Variant(self.variant), vectors, names,

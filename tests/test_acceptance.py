@@ -502,7 +502,6 @@ def test_criterion_9_cli_determinism(tmp_path):
         return ["trajectories",
                 "--checkpoint", str(tmp_path / "desc1" / "descriptors.swck"),
                 "--scripts", str(synth_dir / "scripts"),
-                "--embeddings", str(synth_dir / "embeddings.txt"),
                 "--title", "synth000", "--descriptors", "top:2",
                 "--window", "3", "--annotate", "2:A", "--format", fmt,
                 "--out", str(out)]

@@ -10,7 +10,9 @@ it skips an entry.  A named input file that is missing or is a directory
 stops the command with one JSON line, a ``DataError`` naming the flag and
 the path.  With one of its input files truncated or one byte flipped,
 ``ingest`` exits 0 with the manifest a rerun writes, or 1 with one JSON
-line.
+line.  So do ``trajectories`` and ``evaluate`` with one byte of their
+trained checkpoint flipped, and what they write at exit 0 holds no NaN or
+infinity.
 """
 
 import contextlib
@@ -18,6 +20,7 @@ import errno
 import io
 import json
 import os
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -89,7 +92,6 @@ def outputs(synth, checkpoint, scripts, out, title):
     svg = out / "traj.svg"
     assert main(["trajectories", "--checkpoint", str(checkpoint),
                  "--scripts", str(scripts),
-                 "--embeddings", str(synth / "embeddings.txt"),
                  "--title", title, "--out", str(svg)]) == 0
     return (manifest.read_bytes(),
             [(p.name, p.read_bytes()) for p in sorted(parsed.iterdir())],
@@ -131,7 +133,6 @@ def test_every_command_gives_a_bad_script_the_same_reason(
     capsys.readouterr()
     assert main(["trajectories", "--checkpoint", str(checkpoint),
                  "--scripts", str(scripts),
-                 "--embeddings", str(synth / "embeddings.txt"),
                  "--title", "zzbad", "--out", str(out)]) == 1
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == {
         "error": "DataError", "message": f"{entry}: {reason}"}
@@ -220,7 +221,6 @@ def command_argv(command, synth, descriptors, tags, out):
                      "--out", str(out)],
         "trajectories": ["trajectories", "--checkpoint", str(descriptors),
                          "--scripts", str(synth / "scripts"),
-                         "--embeddings", str(synth / "embeddings.txt"),
                          "--title", "synth000", "--out", str(out)],
     }[command]
 
@@ -235,7 +235,6 @@ MISSING_FILES = [
     ("evaluate", "--checkpoint", "directory"),
     ("evaluate", "--tag-embeddings", "missing"),
     ("trajectories", "--checkpoint", "directory"),
-    ("trajectories", "--embeddings", "missing"),
 ]
 STRERROR = {"missing": os.strerror(errno.ENOENT),
             "directory": os.strerror(errno.EISDIR)}
@@ -315,3 +314,33 @@ def test_ingest_of_a_damaged_input_file_exits_0_or_1(corpus, which, truncate,
             again = tmp / "again.json"
             assert run_main([*argv, "--out", str(again)])[0] == 0
             assert again.read_bytes() == out.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# property layer: one byte of a trained checkpoint flipped
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(command=st.sampled_from(["trajectories", "evaluate"]), data=st.data())
+def test_a_checkpoint_with_a_flipped_byte_exits_0_or_1(corpus, tag_checkpoint,
+                                                       command, data):
+    synth, descriptors = corpus
+    source = descriptors if command == "trajectories" else tag_checkpoint
+    raw = bytearray(source.read_bytes())
+    offset = data.draw(st.integers(0, len(raw) - 1), label="offset")
+    raw[offset] ^= data.draw(st.integers(1, 255), label="flip")
+    with tempfile.TemporaryDirectory() as tmp:
+        damaged = Path(tmp) / "damaged.swck"
+        damaged.write_bytes(raw)
+        out = Path(tmp) / "out"
+        argv = command_argv(command, synth, damaged, damaged, out)
+        code, err = run_main(argv)
+        assert code in (0, 1)
+        if code == 1:
+            assert len(err) == 1
+            assert json.loads(err[0]).keys() == {"error", "message"}
+            assert not out.exists()
+        else:
+            written = out.read_bytes()
+            assert run_main(argv)[0] == 0
+            assert out.read_bytes() == written
+            assert not re.search(rb"\b(nan|inf)\b", written)

@@ -226,6 +226,86 @@ def test_evaluate_vocabulary_mismatch_names_the_tags_and_the_exclusions(
     assert not out.exists()
 
 
+def test_evaluate_refuses_other_embedding_rows(workspace, trained, tmp_path,
+                                              capsys):
+    # the first 3 rows of the file: every other vocabulary word compiles to
+    # the unknown row, which the vocabulary hash cannot see
+    _, synth = workspace
+    checkpoint = trained[0] / "checkpoint.swck"
+    rows = (synth / "embeddings.txt").read_text().splitlines(keepends=True)
+    embeddings = tmp_path / "embeddings.txt"
+    embeddings.write_text("".join(rows[:3]))
+    out = tmp_path / "eval.json"
+    assert run(["evaluate"] + with_embeddings(data_args(synth), embeddings)
+               + ["--checkpoint", str(checkpoint), "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(line) for line in lines] == [{
+        "error": "DataError",
+        "message": f"--embeddings {embeddings}: the rows it gives the corpus "
+                   f"vocabulary are not those {checkpoint} was trained on "
+                   f"(vectors_sha256)"}]
+    assert not out.exists()
+
+
+def embedding_lines(synth):
+    """The lines of the corpus's embeddings file, the index of the first
+    whose token is outside the vocabulary of ``train_args``, and that line
+    with its vector negated."""
+    corpus, _ = ingest(synth / "scripts", synth / "tags.json",
+                       synth / "embeddings.txt",
+                       IngestConfig(min_count=2, validation_fraction=0.15))
+    lines = (synth / "embeddings.txt").read_text().splitlines(keepends=True)
+    outside = next(n for n, line in enumerate(lines)
+                   if line.split()[0] not in corpus.vocabulary)
+    token, *values = lines[outside].split()
+    negated = " ".join([token, *(str(-float(v)) for v in values)]) + "\n"
+    return lines, outside, negated
+
+
+def with_embeddings(argv, path):
+    argv[argv.index("--embeddings") + 1] = str(path)
+    return argv
+
+
+def test_evaluate_takes_other_rows_outside_the_vocabulary(workspace, tmp_path):
+    # with an <unk> row, the unknown row is no mean of the others, so a row
+    # that no vocabulary word compiles to is read by nothing
+    _, synth = workspace
+    lines, outside, negated = embedding_lines(synth)
+    lines.append("<unk>" + " 0.01" * len(negated.split()[1:]) + "\n")
+    trained_on, other = tmp_path / "trained_on.txt", tmp_path / "other.txt"
+    trained_on.write_text("".join(lines))
+    lines[outside] = negated
+    other.write_text("".join(lines))
+    assert run(["train"] + with_embeddings(train_args(synth), trained_on)
+               + ["--attribute", "genre", "--encoder", "boe", "--epochs", "1",
+                  "--out", str(tmp_path / "run")]) == 0
+    reports = []
+    for path in (trained_on, other):
+        reports.append(tmp_path / f"{path.stem}.json")
+        assert run(["evaluate"] + with_embeddings(data_args(synth), path)
+                   + ["--checkpoint", str(tmp_path / "run" / "checkpoint.swck"),
+                      "--out", str(reports[-1])]) == 0
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+
+
+def test_evaluate_refuses_an_outside_row_that_moves_the_unknown_row(
+        workspace, trained, tmp_path, capsys):
+    # without an <unk> row, the unknown row is the mean of every row
+    _, synth = workspace
+    lines, outside, negated = embedding_lines(synth)
+    lines[outside] = negated
+    other = tmp_path / "other.txt"
+    other.write_text("".join(lines))
+    out = tmp_path / "eval.json"
+    assert run(["evaluate"] + with_embeddings(data_args(synth), other)
+               + ["--checkpoint", str(trained[0] / "checkpoint.swck"),
+                  "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "DataError" and "(vectors_sha256)" in err["message"]
+    assert not out.exists()
+
+
 def test_evaluate_scores_the_checkpoint_split(workspace, tmp_path, monkeypatch):
     _, synth = workspace
     settings = train_args(synth) + ["--seed", "3", "--heldout-fraction", "0.3"]
@@ -484,10 +564,13 @@ def test_descriptors_log(descriptor_run):
 
 
 def test_descriptors_checkpoint_lists_its_parameters(descriptor_run):
-    params, _ = load_checkpoint(descriptor_run[0] / "descriptors.swck")
-    assert set(params) == {"target.p", "descriptors.r", "predictor.w1",
-                           "predictor.b1", "predictor.w2", "predictor.b2"}
-    assert params["target.p"].shape == (params["descriptors.r"].shape[1],)
+    params, manifest = load_checkpoint(descriptor_run[0] / "descriptors.swck")
+    assert set(params) == {"target.p", "target.word_vectors", "descriptors.r",
+                           "predictor.w1", "predictor.b1", "predictor.w2",
+                           "predictor.b2"}
+    d = params["descriptors.r"].shape[1]
+    assert params["target.p"].shape == (d,)
+    assert params["target.word_vectors"].shape == (len(manifest["vocab"]), d)
 
 
 @pytest.mark.parametrize("recurrent", [False, True], ids=["plain", "recurrent"])
@@ -514,7 +597,6 @@ def test_trajectories_command(workspace, descriptor_run, tmp_path, fmt):
     out_file = tmp_path / f"traj.{fmt}"
     args = ["trajectories", "--checkpoint", str(out_desc / "descriptors.swck"),
             "--scripts", str(synth / "scripts"),
-            "--embeddings", str(synth / "embeddings.txt"),
             "--title", "synth000", "--descriptors", "top:2",
             "--window", "3", "--annotate", "2:A",
             "--format", fmt, "--out", str(out_file)]
@@ -533,7 +615,6 @@ def test_trajectories_command(workspace, descriptor_run, tmp_path, fmt):
 def trajectory_args(synth, checkpoint, out):
     return ["trajectories", "--checkpoint", str(checkpoint),
             "--scripts", str(synth / "scripts"),
-            "--embeddings", str(synth / "embeddings.txt"),
             "--title", "synth000", "--format", "svg", "--out", str(out)]
 
 
@@ -599,6 +680,58 @@ def test_trajectories_refuses_more_descriptors_than_the_model_has(
     assert not out.exists()
     assert run(trajectory_args(synth, out_desc / "descriptors.swck", out)
                + ["--descriptors", "top:3", "--annotate", "1:A"]) == 0
+
+
+@pytest.mark.parametrize("change", [
+    lambda p: p.pop("target.word_vectors"),
+    lambda p: p.update({"target.word_vectors": p["target.word_vectors"][:-1]}),
+    lambda p: p.update({"target.word_vectors": p["target.word_vectors"][:, :-1]}),
+    lambda p: p.update({"target.word_vectors": p["target.word_vectors"][0]}),
+], ids=["missing", "a_row_short", "a_column_short", "one_row"])
+def test_trajectories_refuses_descriptor_words_of_another_form(
+        workspace, descriptor_run, tmp_path, capsys, monkeypatch, change):
+    _, synth = workspace
+    bad = altered_checkpoint(descriptor_run[0] / "descriptors.swck",
+                             tmp_path / "bad.swck", change)
+    monkeypatch.setattr(cli, "read_play", lambda *args: pytest.fail(
+        "read the script before the checkpoint's descriptor words"))
+    out = tmp_path / "traj.svg"
+    assert_refused_before_reading(trajectory_args(synth, bad, out), bad,
+                                  "'target.word_vectors'", out, capsys,
+                                  monkeypatch)
+
+
+@pytest.mark.parametrize("command, name", [
+    ("evaluate", "chars.matrix"), ("trajectories", "target.p"),
+])
+def test_checkpoint_values_that_overflow_are_one_error(
+        workspace, descriptor_run, tmp_path, capsys, command, name):
+    # finite, but the scores overflow: once a wrong report or NaN shares and
+    # a warning, or a raw traceback where warnings are errors, as they are
+    # in these tests
+    _, synth = workspace
+    source = descriptor_run[0] / "descriptors.swck"
+    if command == "evaluate":
+        assert run(["train"] + train_args(synth)
+                   + ["--attribute", "genre", "--encoder", "boe",
+                      "--epochs", "1", "--out", str(tmp_path / "run")]) == 0
+        source = tmp_path / "run" / "checkpoint.swck"
+
+    def inflate(params):
+        params[name][...] = 1e308
+
+    bad = altered_checkpoint(source, tmp_path / "bad.swck", inflate)
+    out = tmp_path / "out"
+    argv = trajectory_args(synth, bad, out) if command == "trajectories" else \
+        ["evaluate"] + data_args(synth) + ["--checkpoint", bad, "--out", str(out)]
+    assert run(argv) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "DataError"
+    assert err["message"].startswith(
+        f"{bad}: its parameters overflow the model's arithmetic (overflow ")
+    assert not out.exists()
 
 
 # evaluate's two paths: exact micro-F1 alone, and with the similarity sweep
@@ -1291,7 +1424,9 @@ def test_tag_model_record_round_trips(tag_corpus, tmp_path, variant, kind,
     load_params(model.named_params(), params)  # away from the initial draw
     record = cli._TagModelRecord(
         model=model.encoder.settings(), taxonomy=taxonomy,
-        vocabulary_hash=corpus.vocabulary.hash(), ingest=IngestConfig(min_count=2),
+        vocabulary_hash=corpus.vocabulary.hash(),
+        vectors_sha256=corpus.vectors().rows_sha256(),
+        ingest=IngestConfig(min_count=2),
         train=TrainConfig(), best_epoch=1, best_val_ap=0.5, config_hash="0" * 64)
     save_checkpoint(tmp_path / "model.swck", params, asdict(record))
     saved, read = cli._checkpoint_of_kind(str(tmp_path / "model.swck"),
@@ -1420,9 +1555,10 @@ def test_ingest_refuses_split_fraction_outside_unit_interval(
 
 
 TAG_MODEL_KEYS = ["best_epoch", "best_val_ap", "config_hash", "ingest", "kind",
-                  "model", "taxonomy", "train", "vocabulary_hash"]
+                  "model", "taxonomy", "train", "vectors_sha256",
+                  "vocabulary_hash"]
 DESCRIPTOR_MODEL_KEYS = ["attribute", "config", "config_hash", "ingest", "kind",
-                         "stats", "vocab", "vocabulary_hash"]
+                         "stats", "vocab"]
 READERS = {"tag_model": TAG_READERS,
            "descriptor_model": ("trajectories",)}
 
@@ -1432,6 +1568,40 @@ def test_checkpoints_hold_exactly_their_declared_keys(trained, descriptor_run):
     _, descriptor = load_checkpoint(descriptor_run[0] / "descriptors.swck")
     assert sorted(tag) == TAG_MODEL_KEYS
     assert sorted(descriptor) == DESCRIPTOR_MODEL_KEYS
+
+
+def tag_checkpoint_of_the_earlier_format(params, manifest):
+    manifest["model"]["input_dim"] = 100
+    del manifest["vectors_sha256"]
+    return "vectors_sha256"
+
+
+def descriptor_checkpoint_of_the_earlier_format(params, manifest):
+    manifest["vocabulary_hash"] = manifest["config_hash"]
+    del params["target.word_vectors"]
+    return "vocabulary_hash"
+
+
+@pytest.mark.parametrize("command, earlier", [
+    ("evaluate", tag_checkpoint_of_the_earlier_format),
+    ("trajectories", descriptor_checkpoint_of_the_earlier_format),
+], ids=["tag_model", "descriptor_model"])
+def test_checkpoints_of_the_earlier_format_are_refused(
+        workspace, trained, descriptor_run, tmp_path, capsys, monkeypatch,
+        command, earlier):
+    # a tag checkpoint without the rows hash, its model record with the word
+    # width; a descriptor one with the vocabulary hash and without its
+    # words' vectors
+    _, synth = workspace
+    src = (descriptor_run[0] / "descriptors.swck" if command == "trajectories"
+           else trained[0] / "checkpoint.swck")
+    params, manifest = load_checkpoint(src)
+    key = earlier(params, manifest)
+    bad = tmp_path / "bad.swck"
+    save_checkpoint(bad, params, manifest)
+    out = tmp_path / "out"
+    assert_refused_before_reading(rejected_checkpoint_argv(synth, command, bad, out),
+                                  bad, repr(key), out, capsys, monkeypatch)
 
 
 TAXONOMY_KEYS = ["active", "attribute", "lam", "tags"]

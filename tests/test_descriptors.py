@@ -732,12 +732,6 @@ def test_target_refuses_script_compiled_against_other_vocabulary(desc_corpus):
         model.weights_for_script(other)
 
 
-def test_target_refuses_descriptor_word_without_vector(desc_corpus):
-    with pytest.raises(DataError, match="descriptor words without a vector"):
-        SceneBagEncoder(desc_corpus.descriptor_vocab + ("notaword",),
-                        desc_corpus.vectors(), rng(0))
-
-
 @pytest.fixture(scope="module")
 def desc_corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("desc_synth")

@@ -22,7 +22,9 @@ the wide corpus to its SVG and CSV bytes, for a plain and a recurrent
 descriptor checkpoint trained on that corpus: annotated SVGs of a ``top:m``
 and of a list selection, and CSVs smoothed over 5 and 9 scenes, so a change
 on the path from the compile of the play through the descriptor weights,
-the smoothing and the rescaling to the formatted points fails here.
+the smoothing and the rescaling to the formatted points fails here.  The
+exports keep their bytes with the corpus's embeddings file removed after
+``descriptors``, since the checkpoint carries its descriptor words' vectors.
 
 The loglines checkpoint's bytes and the trajectory exports hold trained
 floats, so numpy's SIMD dispatch and OpenBLAS's kernels may move their
@@ -33,6 +35,7 @@ mismatch prints it beside the running one.
 import ctypes
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -107,8 +110,8 @@ def platform_note() -> str:
 
 # the trained checkpoint itself: its manifest and every parameter's bytes
 CHECKPOINT_SHA256 = {
-    "loglines": ("a10aa46b731726c8ceed1c3021b6f21f"
-                 "8e7e4d8b2e26159c01085d3b0bbff42e"),
+    "loglines": ("e3b1dcab94705ca3486cc5124a670649"
+                 "e2f0d7ac8eb547a67eb7be434cfb298e"),
 }
 
 
@@ -218,23 +221,46 @@ TRAJECTORY_EXPORTS = [
     ("recurrent", ["--recurrent"]),
 ], ids=["plain", "recurrent"])
 def test_trajectory_exports_keep_their_bytes(wide_corpus, tmp_path, model, flags):
-    data = ["--scripts", str(wide_corpus / "scripts"),
-            "--embeddings", str(wide_corpus / "embeddings.txt")]
-    desc = tmp_path / "desc"
-    assert main(["descriptors", *data, "--tags", str(wide_corpus / "tags.json"),
+    desc = train_descriptors(wide_corpus, tmp_path / "desc", flags)
+    assert trajectory_digest(wide_corpus / "scripts", desc, tmp_path) == \
+        TRAJECTORY_SHA256[model], platform_note()
+
+
+def test_trajectories_read_no_embeddings_file(wide_corpus, tmp_path):
+    # the checkpoint carries its descriptor words' vectors; the digest is
+    # compared with the same run's, not the pinned one, so that it holds on
+    # any platform, and test_trajectory_exports_keep_their_bytes[plain] pins
+    # those bytes
+    corpus = shutil.copytree(wide_corpus, tmp_path / "corpus")
+    desc = train_descriptors(corpus, tmp_path / "desc", [])
+    with_file = trajectory_digest(corpus / "scripts", desc, tmp_path)
+    (corpus / "embeddings.txt").unlink()
+    assert trajectory_digest(corpus / "scripts", desc, tmp_path) == with_file
+
+
+def train_descriptors(corpus, out, flags):
+    """The checkpoint of a small descriptor model trained on ``corpus``."""
+    assert main(["descriptors", "--scripts", str(corpus / "scripts"),
+                 "--embeddings", str(corpus / "embeddings.txt"),
+                 "--tags", str(corpus / "tags.json"),
                  *INGEST_FLAGS, "--attribute", "genre", "--k", "4",
                  "--hidden", "8", "--epochs", "2", "--pretrain-epochs", "1",
                  "--negatives", "2", "--top-words", "3", *flags,
-                 "--out", str(desc)]) == 0
+                 "--out", str(out)]) == 0
+    return out / "descriptors.swck"
+
+
+def trajectory_digest(scripts, checkpoint, tmp_path):
+    """One digest over ``TRAJECTORY_EXPORTS`` of synth000, in order."""
     digest = hashlib.sha256()
     for n, (fmt, export_flags) in enumerate(TRAJECTORY_EXPORTS):
         out = tmp_path / f"traj{n}.{fmt}"
-        assert main(["trajectories", *data,
-                     "--checkpoint", str(desc / "descriptors.swck"),
+        assert main(["trajectories", "--scripts", str(scripts),
+                     "--checkpoint", str(checkpoint),
                      "--title", "synth000", "--format", fmt, *export_flags,
                      "--out", str(out)]) == 0
         digest.update(out.name.encode() + b"\0" + out.read_bytes() + b"\0")
-    assert digest.hexdigest() == TRAJECTORY_SHA256[model], platform_note()
+    return digest.hexdigest()
 
 
 def test_platform_record_names_what_running_platform_reads():
