@@ -422,7 +422,7 @@ def _descriptor_words(path: str, params: dict[str, np.ndarray],
         raise DataError(f"{path}: {_WORD_VECTORS!r} has shape {rows.shape}, "
                         f"not one row per word of its 'vocab' ({len(vocab)}) "
                         f"as wide as 'descriptors.r' {r_shape}")
-    return WordEmbeddings(dict(zip(vocab, rows)), r_shape[1])
+    return WordEmbeddings(vocab, rows)
 
 
 @contextlib.contextmanager

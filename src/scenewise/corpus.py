@@ -14,10 +14,17 @@ one reason every command gives for skipping the entry; ``ingest`` logs
 that reason, as it records it in its manifest.  A leading UTF-8
 byte-order mark of any of these files is dropped as it is read, and a
 tags or loglines file that is not JSON is a ``DataError`` naming its line
-and column.  A token is a maximal run of ``[a-z0-9']`` in the lowercased
-text, and there is one tokenizer: a play's (or a scene's) statements'
-texts joined by line feeds are lowercased, encoded, translated and
-decoded once, then split back into statements.
+and column.  An embeddings file is read in one pass: each non-blank line
+is split into its token and its values' text, and one ``np.loadtxt`` call
+reads every row's values; a value is a decimal number as numpy reads it,
+so ``1_0`` and non-ASCII digits, which ``float`` reads, are refused.  A
+file that breaks a rule is read again, a line at a time, for the error of
+its first faulty line.
+
+A token is a maximal run of ``[a-z0-9']`` in the lowercased text, and
+there is one tokenizer: a play's (or a scene's) statements' texts joined
+by line feeds are lowercased, encoded, translated and decoded once, then
+split back into statements.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from collections import defaultdict
 from dataclasses import asdict, dataclass
 from itertools import chain, count
 from pathlib import Path
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -111,28 +118,72 @@ class WordEmbeddings:
     """Pretrained token vectors in one ``(n + 1, dim)`` matrix.
 
     ``index`` maps each token to its row; the last row is the unknown
-    vector (the file's ``<unk>`` row, else the mean of all rows), so row
-    ``-1`` serves every token the file lacks.
+    vector (the ``<unk>`` row, else the mean of all rows), so row ``-1``
+    serves every token the table lacks.
     """
 
-    def __init__(self, table: dict[str, np.ndarray], dim: int):
-        self.dim = dim
-        self.index = {token: i for i, token in enumerate(table)}
-        self.matrix = np.zeros((len(table) + 1, dim))
-        if table:
-            self.matrix[:-1] = list(table.values())
-        if UNK_TOKEN in table:
-            self.matrix[-1] = table[UNK_TOKEN]
-        elif table:
+    def __init__(self, tokens: Sequence[str], rows: np.ndarray):
+        """The embeddings whose ``tokens[i]`` has the vector ``rows[i]``,
+        ``rows`` an ``(n, dim)`` array; ``rows`` itself is copied, not kept."""
+        n, self.dim = rows.shape
+        self.index = {token: i for i, token in enumerate(tokens)}
+        self.matrix = np.zeros((n + 1, self.dim))
+        self.matrix[:-1] = rows
+        if UNK_TOKEN in self.index:
+            self.matrix[-1] = rows[self.index[UNK_TOKEN]]
+        elif n:
             self.matrix[-1] = self.matrix[:-1].mean(axis=0)
 
     @classmethod
     def load(cls, path: str | Path, expected_dim: int = 100) -> "WordEmbeddings":
-        table: dict[str, np.ndarray] = {}
+        """The embeddings file ``path``, read in one pass.
+
+        Each non-blank line is split once into its token and the text of
+        its values, and one ``np.loadtxt`` call reads all the value texts
+        into the matrix, which is then checked whole: ``expected_dim``
+        values a row, all finite, no token twice.  A file that breaks any
+        rule is read again by :meth:`_refuse`, which raises the error of
+        its first faulty line.
+        """
+        tokens: list[str] = []
+
+        def value_texts():
+            for _, line in numbered_lines(path):
+                parts = line.split(None, 1)
+                if parts:
+                    tokens.append(parts[0])
+                    # a token-only row yields a blank line, which loadtxt
+                    # skips, so the matrix comes out a row short
+                    yield parts[1] if len(parts) == 2 else ""
+
+        texts = value_texts()
+        # loadtxt warns on input without data, so a file whose first row
+        # holds no value never reaches it
+        first = next(texts, "")
+        if not first:
+            cls._refuse(path, expected_dim)
+        try:
+            rows = np.loadtxt(chain((first,), texts), comments=None, ndmin=2)
+        except (ValueError, DataError):   # DataError: a byte that is not UTF-8
+            cls._refuse(path, expected_dim)
+        if rows.shape != (len(tokens), expected_dim) \
+                or not np.isfinite(rows).all():
+            cls._refuse(path, expected_dim)
+        embeddings = cls(tokens, rows)
+        if len(embeddings.index) != len(tokens):
+            cls._refuse(path, expected_dim)
+        return embeddings
+
+    @staticmethod
+    def _refuse(path: str | Path, expected_dim: int) -> NoReturn:
+        """Raise the error of the first faulty line of embeddings file
+        ``path``, reading it a line at a time: a byte that is not UTF-8, a
+        token listed again, a row without ``expected_dim`` values, a value
+        that is not a decimal number as numpy reads it, or a non-finite
+        value; or, if it has no vector row, the DataError that says so."""
         first_line: dict[str, int] = {}
-        dim: int | None = None
         for number, line in numbered_lines(path):
-            parts = line.rstrip("\n").split()
+            parts = line.split()
             if not parts:
                 continue
             token, values = parts[0], parts[1:]
@@ -141,26 +192,28 @@ class WordEmbeddings:
             if first != number:
                 raise DataError(f"{where}: {token!r} is listed again; its "
                                 f"first row is line {first}")
-            if dim is None:
-                dim = len(values)
-                if expected_dim is not None and dim != expected_dim:
-                    raise EmbeddingDimMismatch(
-                        f"{where}: embedding dim {dim}, expected {expected_dim}")
-            elif len(values) != dim:
+            if len(values) != expected_dim:
                 raise EmbeddingDimMismatch(
-                    f"{where}: {len(values)} values for {token!r}, "
-                    f"but the first row has {dim}")
+                    # first_line holds the tokens of this row and those before
+                    f"{where}: embedding dim {len(values)}, expected "
+                    f"{expected_dim}" if len(first_line) == 1 else
+                    f"{where}: {len(values)} values for {token!r}, but the "
+                    f"first row has {expected_dim}")
             try:
-                vec = np.asarray([float(v) for v in values])
+                vec = [float(v) for v in values]
             except ValueError as err:
                 raise DataError(f"{where}: {err}") from None
-            if not np.isfinite(vec).all():
+            for v in values:
+                # float() also reads '_' digit separators and non-ASCII digits
+                if not v.isascii() or "_" in v:
+                    raise DataError(f"{where}: {v!r} is not a plain decimal "
+                                    f"number (ASCII digits, no '_')")
+            if not all(map(math.isfinite, vec)):
                 raise NonFiniteEmbedding(
                     f"{where}: non-finite value in the vector of {token!r}")
-            table[token] = vec
-        if dim is None:
+        if not first_line:
             raise DataError(f"{path}: no vector row")
-        return cls(table, dim)
+        raise DataError(f"{path}: not rows of {expected_dim} numbers each")
 
     def __contains__(self, token: str) -> bool:
         return token in self.index

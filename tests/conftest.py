@@ -5,11 +5,11 @@ from scenewise.corpus import TokenVectors, Vocabulary, WordEmbeddings
 from scenewise.parser import StatementKind
 
 
-def make_vectors(table: dict[str, np.ndarray]) -> TokenVectors:
-    dim = len(next(iter(table.values())))
-    arrays = {k: np.asarray(v, dtype=np.float64) for k, v in table.items()}
-    return TokenVectors(Vocabulary(list(arrays)),
-                        WordEmbeddings(arrays, dim))
+def make_vectors(tokens: list[str], rows) -> TokenVectors:
+    """A vocabulary of ``tokens`` and embeddings giving ``tokens[i]`` the
+    vector ``rows[i]``."""
+    return TokenVectors(Vocabulary(tokens),
+                        WordEmbeddings(tokens, np.asarray(rows, np.float64)))
 
 
 def embedding_rows(embeddings: WordEmbeddings, tokens: list[str]) -> np.ndarray:
@@ -39,4 +39,4 @@ def speakers(scene) -> set[str]:
 def tiny_vectors():
     rng = np.random.default_rng(42)
     tokens = ["alpha", "beta", "gamma", "delta", "sun", "moon", "tide", "dust"]
-    return make_vectors({t: rng.normal(size=4) for t in tokens})
+    return make_vectors(tokens, rng.normal(size=(len(tokens), 4)))

@@ -8,7 +8,10 @@ command reads the marked file as the same file without it.  ``parse`` and
 ``ingest`` keep the same plays from the same directory, and each says why
 it skips an entry.  A named input file that is missing or is a directory
 stops the command with one JSON line, a ``DataError`` naming the flag and
-the path.  With one of its input files truncated or one byte flipped,
+the path.  Blank lines in an embeddings file are no defect: ``ingest``
+reads it as the same file without them.  A tags entry of the wrong JSON
+shape stops every command that reads the tags with one ``DataError``
+naming the file.  With one of its input files truncated or one byte flipped,
 ``ingest`` exits 0 with the manifest a rerun writes, or 1 with one JSON
 line.  So do ``trajectories`` and ``evaluate`` with one byte of their
 trained checkpoint flipped, and what they write at exit 0 holds no NaN or
@@ -36,6 +39,8 @@ from scenewise.parser import DEFAULT_SCENE_CAP, to_table
 
 INGEST_FLAGS = ["--min-count", "2", "--validation-fraction", "0.15",
                 "--descriptor-min-movies", "2", "--descriptor-top-exclude", "30"]
+INGEST_CONFIG = IngestConfig(min_count=2, validation_fraction=0.15,
+                             descriptor_min_movies=2, descriptor_top_exclude=30)
 
 # the bad entry's content (None: a directory) and the reason each command
 # gives for it
@@ -166,12 +171,10 @@ def test_parse_and_ingest_keep_the_same_plays(corpus, tmp_path, caplog):
     del tags[untagged]
     (tmp_path / "tags.json").write_text(json.dumps(tags))
 
-    config = IngestConfig(min_count=2, validation_fraction=0.15,
-                          descriptor_min_movies=2, descriptor_top_exclude=30)
     caplog.clear()
     with caplog.at_level("WARNING"):
         held, manifest = ingest(scripts, tmp_path / "tags.json",
-                                synth / "embeddings.txt", config)
+                                synth / "embeddings.txt", INGEST_CONFIG)
     assert [r.getMessage() for r in caplog.records
             if r.levelname == "WARNING"] == [
         f"skipping {e['title']}: {e['reason']}" for e in manifest["excluded"]]
@@ -216,6 +219,10 @@ def command_argv(command, synth, descriptors, tags, out):
     return {
         "ingest": ["ingest", *data, *INGEST_FLAGS,
                    "--loglines", str(synth / "loglines.json"), "--out", str(out)],
+        "train": ["train", *data, "--min-count", "2", "--attribute", "genre",
+                  "--encoder", "boe", "--epochs", "1", "--out", str(out)],
+        "descriptors": ["descriptors", *data, *INGEST_FLAGS, "--attribute",
+                        "genre", "--epochs", "1", "--out", str(out)],
         "evaluate": ["evaluate", *data, "--checkpoint", str(tags),
                      "--tag-embeddings", str(synth / "tag_embeddings.tsv"),
                      "--out", str(out)],
@@ -258,6 +265,50 @@ def test_a_missing_or_directory_input_file_is_one_error_naming_it(
     assert len(lines) == 1
     assert json.loads(lines[0]) == {
         "error": "DataError", "message": f"{flag} {bad}: {STRERROR[defect]}"}
+    assert not out.exists()
+
+
+def test_embeddings_with_blank_lines_ingest_as_without(corpus, tmp_path):
+    synth, _ = corpus
+    rows = (synth / "embeddings.txt").read_text().splitlines(keepends=True)
+    spaced = tmp_path / "embeddings.txt"
+    spaced.write_text("\n" + "".join(row + "\n \t\n" * (i % 2)
+                                     for i, row in enumerate(rows)) + "\n\n")
+    plain_corpus, plain = ingest(synth / "scripts", synth / "tags.json",
+                                 synth / "embeddings.txt", INGEST_CONFIG)
+    spaced_corpus, manifest = ingest(synth / "scripts", synth / "tags.json",
+                                     spaced, INGEST_CONFIG)
+    assert manifest == plain
+    assert spaced_corpus.embeddings.index == plain_corpus.embeddings.index
+    assert spaced_corpus.embeddings.matrix.tobytes() == \
+        plain_corpus.embeddings.matrix.tobytes()
+
+
+# a title's tags given as a list, and an attribute's tags given as a string
+WRONG_TAGS = {"title_list": ["fantasy"], "attribute_string": {"genre": "ember"}}
+
+
+@pytest.mark.parametrize("command", ["ingest", "train", "evaluate",
+                                     "descriptors"])
+@pytest.mark.parametrize("entry", WRONG_TAGS.values(), ids=WRONG_TAGS)
+def test_a_tags_entry_of_the_wrong_shape_is_one_error_naming_the_file(
+        corpus, tag_checkpoint, tmp_path, command, entry):
+    synth, descriptors = corpus
+    tags = json.loads((synth / "tags.json").read_text())
+    title = sorted(tags)[1]
+    tags[title] = entry
+    bad = tmp_path / "tags.json"
+    bad.write_text(json.dumps(tags))
+    out = tmp_path / "out"
+    argv = command_argv(command, synth, descriptors, tag_checkpoint,
+                        out / "artifact")
+    argv[argv.index("--tags") + 1] = str(bad)
+    code, err = run_main(argv)
+    assert code == 1
+    assert [json.loads(line) for line in err] == [{
+        "error": "DataError",
+        "message": f"{bad}: the tags of {title!r} are not an object mapping "
+                   f"each attribute to a list of tag strings"}]
     assert not out.exists()
 
 

@@ -474,7 +474,7 @@ def test_loglines_model_dims_and_determinism(tiny_vectors):
 
 def test_loglines_paper_output_dim():
     r = rng(11)
-    vectors = make_vectors({f"w{i}": r.normal(size=100) for i in range(3)})
+    vectors = make_vectors([f"w{i}" for i in range(3)], r.normal(size=(3, 100)))
     model = ScriptTagModel(LoglineEncoder(vectors), n_tags=2)
     assert model.encoder.script_dim == 100
 

@@ -168,12 +168,10 @@ WORDS = ["alpha", "beta", "gamma", "delta", "sun", "moon", "tide", "dust"]
 def vectors_for(with_unk: bool) -> TokenVectors:
     """Embeddings lacking ``ghost``, a vocabulary lacking ``tide``; with
     ``with_unk`` the file also has an ``<unk>`` row."""
-    r = np.random.default_rng(4)
-    table = {t: r.normal(size=4) for t in WORDS}
-    if with_unk:
-        table[UNK_TOKEN] = r.normal(size=4)
+    tokens = WORDS + [UNK_TOKEN] if with_unk else WORDS
+    rows = np.random.default_rng(4).normal(size=(len(tokens), 4))
     vocab = [t for t in WORDS if t != "tide"] + ["ghost"]
-    return TokenVectors(Vocabulary(vocab), WordEmbeddings(table, 4))
+    return TokenVectors(Vocabulary(vocab), WordEmbeddings(tokens, rows))
 
 
 def edge_plays() -> list[Screenplay]:
@@ -373,8 +371,8 @@ def test_compiled_script_refuses_another_vocabulary(small_corpus):
     same_tokens = Vocabulary(small_corpus.vocabulary.tokens)
     for vectors in (TokenVectors(same_tokens, own.embeddings),
                     TokenVectors(own.vocabulary, WordEmbeddings(
-                        {t: own.embeddings.matrix[i]
-                         for t, i in own.embeddings.index.items()}, own.dim))):
+                        list(own.embeddings.index),
+                        own.embeddings.matrix[:-1]))):
         model = tag_model(vectors, EncoderKind.BOE, Variant.FULL)
         with pytest.raises(DataError, match=small_corpus.items[0].title):
             model.logits(script)

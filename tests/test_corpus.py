@@ -309,7 +309,7 @@ def test_characters_match_walk_over_scenes(synth_corpus):
     assert corpus.characters() == walked_characters(corpus)
     # the film fragments, cut into 3-statement scenes, change speakers
     # from scene to scene
-    vocabulary, embeddings = Vocabulary([]), WordEmbeddings({}, 2)
+    vocabulary, embeddings = Vocabulary([]), WordEmbeddings([], np.zeros((0, 2)))
     items = []
     for path in sorted((Path(__file__).parent / "data").glob("*.txt")):
         play = parser.parse_script(path.stem, path.read_text(encoding="utf-8"),
@@ -469,6 +469,108 @@ def test_embeddings_reject_a_file_without_a_vector_row(tmp_path, text):
     assert str(err.value) == f"{path}: no vector row"
 
 
+# decimals whose nearest double is hard to get right: 17 significant digits,
+# the least subnormal, a decimal on the edge of the normal range, ties that
+# round to even (2**53 + 1, 2**53 + 3 and 1 + 2**-53), a negative zero, the
+# shortened forms and the largest double
+HARD_DECIMALS = [
+    ["0.10000000000000001", "4.9e-324", "2.2250738585072011e-308"],
+    ["9007199254740993", "9007199254740995",
+     "1.00000000000000011102230246251565404236316680908203125"],
+    ["-0.0", "+1", ".5"],
+    ["5.", "1E5", "-1.7976931348623157e308"],
+]
+
+
+def test_embeddings_read_each_value_as_float_does(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("".join(f"w{i} {' '.join(row)}\n"
+                            for i, row in enumerate(HARD_DECIMALS)))
+    emb = WordEmbeddings.load(path, expected_dim=3)
+    want = np.array([[float(v) for v in row] for row in HARD_DECIMALS])
+    assert emb.matrix[:-1].tobytes() == want.tobytes()
+    assert emb.index == {f"w{i}": i for i in range(len(HARD_DECIMALS))}
+
+
+PLAIN_ROWS = "a 0.1 0.2 0.3\nb -1 2.5 1e-3\n<unk> 7 8 9\n"
+
+
+@pytest.mark.parametrize("text", [
+    PLAIN_ROWS.replace("\n", "\r\n"),
+    PLAIN_ROWS.replace("\n", "\r"),
+    PLAIN_ROWS.rstrip("\n"),
+    "a\t0.1\t0.2  0.3\nb \x0b-1\x1c2.5\xa0\xa01e-3 \t\n<unk>\x0c7 8 9\n",
+    "\n \na 0.1 0.2 0.3\n\n\t\nb -1 2.5 1e-3\n<unk> 7 8 9\n\n  \n",
+], ids=["crlf", "lone_cr", "no_final_newline", "whitespace_runs", "blank_lines"])
+def test_embeddings_read_line_ends_and_whitespace_as_plain_rows(tmp_path, text):
+    plain, other = tmp_path / "plain.txt", tmp_path / "other.txt"
+    plain.write_text(PLAIN_ROWS, encoding="utf-8")
+    other.write_bytes(text.encode("utf-8"))
+    want, got = (WordEmbeddings.load(p, expected_dim=3) for p in (plain, other))
+    assert got.index == want.index == {"a": 0, "b": 1, "<unk>": 2}
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    assert np.array_equal(got.matrix[-1], [7.0, 8.0, 9.0])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("tok\nb 1 2 3\n", "line 1: embedding dim 0, expected 3"),
+    ("\ntok \t\nb 1 2 3\n", "line 2: embedding dim 0, expected 3"),
+    ("a 1 2 3\ntok\nb 1 2 3\n", "line 2: 0 values for 'tok', but the first "
+                                "row has 3"),
+    ("a 1 2 3\nb 4 5 6\ntok\n", "line 3: 0 values for 'tok', but the first "
+                                "row has 3"),
+], ids=["first", "first_after_blank", "middle", "last"])
+def test_embeddings_reject_a_token_without_values_naming_its_line(
+        tmp_path, text, message):
+    path = tmp_path / "emb.txt"
+    path.write_text(text)
+    with pytest.raises(cp.EmbeddingDimMismatch) as err:
+        WordEmbeddings.load(path, expected_dim=3)
+    assert str(err.value) == f"{path} {message}"
+
+
+FILLER_ROWS = "".join(f"f{i} 1 2 3\n" for i in range(1000))   # over 8 KiB
+
+
+@pytest.mark.parametrize("data, error, message", [
+    (b"a 1 2 3\nb 1 nan 3\nc 1 x 3\n", cp.NonFiniteEmbedding,
+     "line 2: non-finite value in the vector of 'b'"),
+    (b"a 1 2 3\nb 1 x 3\nc 1 nan 3\n", DataError,
+     "line 2: could not convert string to float: 'x'"),
+    (b"a 1 2 3\nb 1 2\na 4 5 6\n", cp.EmbeddingDimMismatch,
+     "line 2: 2 values for 'b', but the first row has 3"),
+    (b"a 1 2 3\na 1 2\n", DataError,
+     "line 2: 'a' is listed again; its first row is line 1"),
+    (b"a 1 2 3\nb 1 1_0 3\nc 1 inf 3\n", DataError,
+     "line 2: '1_0' is not a plain decimal number (ASCII digits, no '_')"),
+    (b"a 1 2 3\nb 1 inf 3\n" + FILLER_ROWS.encode() + b"c 1 \xff 3\n",
+     cp.NonFiniteEmbedding, "line 2: non-finite value in the vector of 'b'"),
+    (b"a 1 2 3\nb 1 \xff 3\nc 1 inf 3\n", DataError,
+     "line 2: byte 0xff is not UTF-8 text (invalid start byte)"),
+], ids=["non_finite", "non_numeric", "width", "repeated", "underscore",
+        "non_finite_then_bad_byte", "bad_byte"])
+def test_embeddings_name_the_first_of_two_faulty_lines(tmp_path, data, error,
+                                                        message):
+    path = tmp_path / "emb.txt"
+    path.write_bytes(data)
+    with pytest.raises(error) as err:
+        WordEmbeddings.load(path, expected_dim=3)
+    assert str(err.value) == f"{path} {message}"
+
+
+@pytest.mark.parametrize("value", ["1_0", "١", "１.5"],
+                         ids=["underscore", "arabic_indic", "fullwidth"])
+def test_embeddings_refuse_a_numeral_float_reads_but_numpy_does_not(tmp_path,
+                                                                     value):
+    assert float(value) in (10.0, 1.0, 1.5)
+    path = tmp_path / "emb.txt"
+    path.write_text(f"a 1 2 3\n\nb 1 {value} 3\n", encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        WordEmbeddings.load(path, expected_dim=3)
+    assert str(err.value) == (f"{path} line 3: {value!r} is not a plain "
+                              f"decimal number (ASCII digits, no '_')")
+
+
 BOM = "\ufeff"
 BOM_SCRIPTS = [
     "INT. ROOM - DAY\n\nShe waits.\n" + " " * 20 + "ANNA\n" + " " * 10
@@ -504,14 +606,17 @@ def test_embeddings_with_byte_order_mark_load_as_without(tmp_path):
 
 
 def test_embedding_rows_gather_one_matrix():
-    table = {"a": np.array([1.0, 2.0]), "b": np.array([3.0, 5.0])}
-    emb = WordEmbeddings(table, 2)
+    rows = np.array([[1.0, 2.0], [3.0, 5.0]])
+    emb = WordEmbeddings(["a", "b"], rows)
     assert np.array_equal(emb.matrix[-1], [2.0, 3.5])
-    rows = embedding_rows(emb, ["b", "zzz", "a"])
-    assert np.array_equal(rows, np.stack([table["b"], [2.0, 3.5], table["a"]]))
+    assert np.array_equal(embedding_rows(emb, ["b", "zzz", "a"]),
+                          [rows[1], [2.0, 3.5], rows[0]])
     assert embedding_rows(emb, []).shape == (0, 2)
-    with_unk = WordEmbeddings({**table, cp.UNK_TOKEN: np.array([9.0, 9.0])}, 2)
+    with_unk = WordEmbeddings(["a", cp.UNK_TOKEN, "b"],
+                              np.insert(rows, 1, [9.0, 9.0], axis=0))
     assert np.array_equal(embedding_rows(with_unk, ["zzz"]), [[9.0, 9.0]])
+    assert np.array_equal(embedding_rows(with_unk, ["b"]), rows[1:])
+    assert not np.shares_memory(emb.matrix, rows)
 
 
 

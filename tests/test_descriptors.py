@@ -233,8 +233,8 @@ def bag_encoder(vocab, vectors, p):
 
 def tiny_model(recurrent, k=4, dim=6, seed=0, negatives=3, lam=10.0):
     vocab = [f"w{i}" for i in range(8)]
-    emb = WordEmbeddings({w: rng(seed + i).normal(size=dim)
-                          for i, w in enumerate(vocab)}, dim)
+    emb = WordEmbeddings(vocab, np.array([rng(seed + i).normal(size=dim)
+                                          for i in range(len(vocab))]))
     target = bag_encoder(vocab, TokenVectors(Vocabulary(vocab), emb),
                          rng(seed).normal(size=dim))
     config = DescriptorConfig(k=k, hidden=5, recurrent=recurrent,
@@ -576,7 +576,8 @@ def test_target_is_one_glorot_draw(seed):
     # where that one draw leaves it, for the pretraining head's draws
     vocab = [f"w{i}" for i in range(4)]
     dim = 3 + seed
-    vectors = make_vectors({w: rng(i).normal(size=dim) for i, w in enumerate(vocab)})
+    vectors = make_vectors(vocab, [rng(i).normal(size=dim)
+                                   for i in range(len(vocab))])
     drawn, reference = rng(seed), rng(seed)
     target = SceneBagEncoder(vocab, vectors, drawn)
     assert np.array_equal(target.p, ad.glorot(reference, (dim,)))
@@ -590,8 +591,8 @@ def test_scene_bag_encoder_softmax_pool():
     # but not a descriptor word
     vectors = TokenVectors(
         Vocabulary(["x", "y", "z"]),
-        WordEmbeddings({"x": np.array([1.0, 0.0]), "y": np.array([0.0, 1.0]),
-                        "z": np.array([3.0, 3.0])}, 2))
+        WordEmbeddings(["x", "y", "z"],
+                       np.array([[1.0, 0.0], [0.0, 1.0], [3.0, 3.0]])))
     enc = bag_encoder(["x", "y"], vectors, [2.0, 0.0])
     scenes = [action_scene(1, "x y z"), action_scene(2, "z z"),
               action_scene(3, "y y x")]

@@ -245,7 +245,7 @@ def test_boe_two_tokens_midpoint(tiny_vectors):
 def test_token_batch_matches_one_sequence_at_a_time(kind):
     r = rng(18)
     vocab = [f"w{i}" for i in range(6)]
-    vectors = make_vectors({t: r.normal(size=4) for t in vocab})
+    vectors = make_vectors(vocab, r.normal(size=(len(vocab), 4)))
     encoder = SequenceEncoder(EncoderSpec(kind, input_dim=4,
                                           hidden_per_direction=3), r)
     sequences = [["w0", "w1", "w2"], ["w3"], ["w4", "w5", "w0", "w1", "w2"],
@@ -260,7 +260,7 @@ def test_token_batch_matches_one_sequence_at_a_time(kind):
 def test_gru_attn_statement_output_dim_100():
     r = rng(7)
     tokens = ["alpha", "beta", "gamma"]
-    vectors = make_vectors({t: r.normal(size=100) for t in tokens})
+    vectors = make_vectors(tokens, r.normal(size=(len(tokens), 100)))
     encoder = SequenceEncoder(EncoderSpec(EncoderKind.GRU_ATTN), r)
     for t in range(1, 4):
         out = encode_sequences([tokens[:t]], vectors, encoder)
@@ -343,7 +343,7 @@ def test_dialogue_free_scene_has_zero_blocks(tiny_vectors):
 def test_full_variant_dims_at_paper_sizes():
     r = rng(9)
     vocab = [f"w{i}" for i in range(6)]
-    vectors = make_vectors({t: r.normal(size=100) for t in vocab})
+    vectors = make_vectors(vocab, r.normal(size=(len(vocab), 100)))
     model = small_model(vectors, spec=PAPER_SPEC, char_dim=10)
     assert model.scene_dim == 210  # 100 action + 100 dialogue + 10 characters
     scene = scene_of(action("w0 w1"), dialogue("w2 w3", "ANNA"))
@@ -354,7 +354,7 @@ def test_full_variant_dims_at_paper_sizes():
 
 def test_full_without_chars_matches_base_configuration():
     r = rng(10)
-    vectors = make_vectors({f"w{i}": r.normal(size=100) for i in range(4)})
+    vectors = make_vectors([f"w{i}" for i in range(4)], r.normal(size=(4, 100)))
     model = small_model(vectors, spec=PAPER_SPEC, char_dim=10,
                         include_chars=False)
     assert [name for name, _ in model.block_layout] == ["action", "dialogue"]
