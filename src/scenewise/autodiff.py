@@ -6,7 +6,11 @@ closure mapping the output gradient to per-parent contributions.
 ``backward`` assigns each reachable node's first gradient contribution and
 adds later ones, so repeated backward passes never double-count; a
 parameter that an ``Adam`` store holds gets it in its slice of the store's
-gradient buffer.  The module holds only the ops the models run: a few
+gradient buffer.  Backward frees what it has consumed: an intermediate
+node's gradient is dropped as soon as its VJP has read it, so after a pass
+only the root and the leaves hold one, and a graph lives only as long as
+its root is referenced (the trainers' loop drops each step's loss right
+after ``backward``).  The module holds only the ops the models run: a few
 fused nodes and the structural ops around them (``add``, ``matmul``,
 ``concat``, ``row``, ``place``, ``mean_rows``).  The elementwise and
 reduction ops that only the tests' oracles and gradchecks compose live in
@@ -40,13 +44,14 @@ state unchanged, its output is exactly zero, and its input receives exactly
 zero gradient.  The VJP is hand-written backpropagation through time over
 the saved gate activations, again both directions per step; the weight
 gradients sum each direction's steps in its batch order, so they are the
-sums one direction at a time would give.  It returns the input's gradient
-and each stored array's.  ``attention_pool`` pools such a batch with one
-attention vector, weighting each sequence's real steps by the softmax of
-their scores and the padded steps by zero, also as a single node (its
-forward, ``attention_pass``, is what the frozen descriptor target calls
-on plain arrays), and
-``mean_rows`` averages runs of consecutive rows.  Every sequence op takes
+sums one direction at a time would give.  It drops its time-major copy of
+the upstream gradient once the sweep ends, and each direction's batch-order
+copies before it makes the next direction's.  It returns the input's
+gradient and each stored array's.  ``attention_pool`` pools such a batch
+with one attention vector, weighting each sequence's real steps by the
+softmax of their scores and the padded steps by zero, also as a single
+node (its forward, ``attention_pass``, is what the frozen descriptor
+target calls on plain arrays), and ``mean_rows`` averages runs of consecutive rows.  Every sequence op takes
 its batch's ``lengths`` and returns one tensor with a batch axis; a
 single sequence is a batch of one.  ``mixture_hinge_loss`` is one
 script's whole descriptor loss as one node: the predictor
@@ -178,16 +183,22 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 
 def backward(root: Tensor) -> None:
-    """Populate ``.grad`` on every participating node reachable from ``root``.
+    """Populate ``.grad`` on every participating leaf reachable from ``root``.
 
     A node's gradient starts as a copy of its first contribution (which
-    may be a view of another gradient) and later ones are added to it, so
-    calling backward twice on the same graph yields the same gradients as
-    calling it once.  A node no contribution reaches keeps ``None``.  A
-    parameter that an :class:`Adam` store holds keeps that store's
-    gradient slice: its first contribution is copied into the slice and
-    ``.grad`` is the slice itself, so each backward pass overwrites the
-    last one's gradient there instead of allocating a new array.
+    may be a view of another gradient) and later ones are added to it.
+    The sweep takes each intermediate node's gradient, sets its ``.grad``
+    to ``None`` and only then runs its VJP, so a gradient is freed as soon
+    as it has been used.  After a pass, ``.grad`` holds a gradient on the
+    leaves alone (parameters, store slices and inputs that require one)
+    and on ``root``, whose gradient is ones; every other node's is
+    ``None``.  The VJP closures stay, so calling backward twice on the
+    same graph yields the same gradients as calling it once.  A leaf no
+    contribution reaches keeps ``None``.  A parameter that an
+    :class:`Adam` store holds keeps that store's gradient slice: its first
+    contribution is copied into the slice and ``.grad`` is the slice
+    itself, so each backward pass overwrites the last one's gradient there
+    instead of allocating a new array.
     """
     if not root.requires_grad:
         raise ValueError("backward() on a tensor with no graph attached")
@@ -196,10 +207,12 @@ def backward(root: Tensor) -> None:
         node.grad = None
     root.grad = np.ones_like(root.data)
     for node in reversed(order):
-        vjp = node._vjp
-        if vjp is None or node.grad is None:
+        vjp, grad = node._vjp, node.grad
+        if vjp is None or grad is None:
             continue
-        for par, contribution in zip(node._parents, vjp(node.grad)):
+        if node is not root:
+            node.grad = None
+        for par, contribution in zip(node._parents, vjp(grad)):
             if not par.requires_grad or contribution is None:
                 continue
             if par.grad is None:
@@ -511,6 +524,7 @@ def bi_gru(xs: Tensor, p: BiGru, lengths) -> Tensor:
             d_zr[..., h_dim:] = d_rh * hp * rt * (1.0 - rt)
             d_gates[t, ..., 2 * h_dim:] = d_c
             dh = dh * (1.0 - m * zt) + d_rh * rt + d_zr @ u_zr_t
+        del g, dh
         grads, d_x = [], None
         for k, q in enumerate(dirs):
             flat = batch_major(d_gates, k)
@@ -521,6 +535,7 @@ def bi_gru(xs: Tensor, p: BiGru, lengths) -> Tensor:
             if xs.requires_grad:
                 d_k = (flat @ q.w.data.T).reshape(x.shape)
                 d_x = d_k if d_x is None else d_x + d_k
+            del flat, hp
         return (d_x, *grads)
 
     return _op(out, (xs, *(t for q in dirs for t in (q.w, q.u_zr, q.u_h, q.b))),

@@ -328,6 +328,11 @@ def optimizer_epochs(trainer: str, params: dict[str, Tensor],
     the latter also names the epoch, the key and the value, and is raised
     before Adam touches a parameter.  A non-finite or non-positive ``lr`` or
     ``max_norm`` raises ``ValueError`` naming ``trainer`` before any step.
+
+    A step holds one graph: the loop drops its loss right after
+    ``backward``, so the graph is freed before the clip and the Adam step,
+    and neither the next step's forward nor whatever runs while the epoch's
+    mean is yielded (such as validation) overlaps it.
     """
     for name, value in (("lr", lr), ("max_norm", max_norm)):
         if not (math.isfinite(value) and value > 0):
@@ -348,6 +353,7 @@ def optimizer_epochs(trainer: str, params: dict[str, Tensor],
                 raise NonFiniteLoss(
                     f"{trainer} epoch {epoch}, script {key!r}: loss={value!r}")
             loss.backward()
+            del loss
             try:
                 clip_grad_norm(opt, max_norm)
             except NonFiniteLoss as err:

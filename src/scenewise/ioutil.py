@@ -88,9 +88,29 @@ def decode_error(path: str | Path) -> DataError:
 def numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """``(number, line)`` for each line of the UTF-8 text file ``path``, less
     a leading byte-order mark, read as it is iterated; a byte that does not
-    decode is :func:`decode_error`."""
+    decode is :func:`decode_error`, raised only after every whole line
+    before it has been yielded.
+
+    Text mode decodes the file a chunk at a time, so a bad byte stops it
+    before the lines of its chunk are yielded.  The file is then read
+    again with each bad byte escaped, and the lines after those already
+    yielded are yielded, numbered as text mode numbers them, up to the
+    first that holds an escaped byte."""
+    done = 0
     with open(path, encoding="utf-8-sig") as fh:
         try:
-            yield from enumerate(fh, 1)
+            for done, line in enumerate(fh, 1):
+                yield done, line
+            return
         except UnicodeDecodeError:
-            raise decode_error(path) from None
+            pass
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+        for number, line in enumerate(fh, 1):
+            if number > done:
+                try:
+                    # an escaped byte is a lone surrogate, which UTF-8 refuses
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    break
+                yield number, line
+    raise decode_error(path)

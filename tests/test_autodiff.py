@@ -227,6 +227,72 @@ def test_unreached_parameter_keeps_no_gradient():
     assert a.grad is None and spare.grad is None
 
 
+def keep_every_gradient(root):
+    """The sweep with no freeing: every node reached keeps its gradient,
+    each a fresh array.  Returns the graph in topological order."""
+    order = ad._toposort(root)
+    for node in order:
+        node.grad = None
+    root.grad = np.ones_like(root.data)
+    for node in reversed(order):
+        if node._vjp is None or node.grad is None:
+            continue
+        for par, contribution in zip(node._parents, node._vjp(node.grad)):
+            if not par.requires_grad or contribution is None:
+                continue
+            if par.grad is None:
+                par.grad = np.array(contribution, dtype=np.float64)
+            else:
+                par.grad += contribution
+    return order
+
+
+def assert_backward_frees_consumed_gradients(root):
+    """``backward`` on ``root``, twice: every intermediate node's ``.grad``
+    ends ``None``, the root's is ones, and every leaf's is bitwise what
+    :func:`keep_every_gradient` gives, in its store slice when it has one."""
+    order = keep_every_gradient(root)
+    inner = [n for n in order if n._vjp is not None and n is not root]
+    assert inner and all(n.grad is not None for n in inner)
+    want = {id(n): n.grad.copy() for n in order
+            if n._vjp is None and n.grad is not None}
+    assert want
+    for _ in range(2):
+        ad.backward(root)
+        assert all(n.grad is None for n in inner)
+        assert np.array_equal(root.grad, np.ones_like(root.data))
+        for n in order:
+            if n._vjp is not None:
+                continue
+            if id(n) not in want:
+                assert n.grad is None
+                continue
+            assert n.grad.shape == want[id(n)].shape
+            assert n.grad.tobytes() == want[id(n)].tobytes()
+            if n._grad_slice is not None:
+                assert n.grad is n._grad_slice
+
+
+def test_backward_frees_every_consumed_gradient():
+    # leaves of every kind: store slices, parameters outside a store and a
+    # GRU input that takes a gradient; summary feeds concat twice
+    r = rng(7)
+    xs = ad.parameter(r.normal(size=(3, 5, 4)))
+    gru = ad.init_bi_gru(r, 4, 3)
+    att = ad.parameter(r.normal(size=6))
+    w = ad.parameter(r.normal(size=(2, 12)))
+    b = ad.parameter(r.normal(size=2))
+    spare = ad.parameter(r.normal(size=2))
+    ad.Adam({**gru.named("gru"), "att": att, "spare": spare})
+    lengths = np.array([5, 2, 4])
+    pooled = ad.attention_pool(ad.bi_gru(xs, gru, lengths), att, lengths)
+    summary = ad.row(ad.mean_rows(pooled, [3]), 0)
+    z = ad.add(ad.matmul(w, ad.concat([summary, summary])), b)
+    loss = ad.logistic_loss(z, np.array([1.0, 0.0]), np.array([0.0, 0.5]), -0.5)
+    assert_backward_frees_consumed_gradients(loss)
+    assert spare.grad is None
+
+
 def test_row_accumulates_repeated_indices():
     a = ad.parameter(rng(31).normal(size=(4, 3)))
     index = [2, 0, 2, 2, 3]

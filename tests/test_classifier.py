@@ -1,5 +1,7 @@
 import math
 import re
+import tracemalloc
+import weakref
 from itertools import islice
 
 import numpy as np
@@ -38,7 +40,7 @@ from scenewise.parser import Scene, Screenplay, Statement, StatementKind
 
 from conftest import make_vectors
 from tape_ops import mul, sqrt, total
-from test_autodiff import gradcheck
+from test_autodiff import assert_backward_frees_consumed_gradients, gradcheck
 
 
 def rng(seed=0):
@@ -315,6 +317,68 @@ def test_optimizer_epochs_logs_one_progress_line_per_epoch(caplog):
     for epoch, (line, loss) in enumerate(zip(lines, losses), 1):
         assert re.fullmatch(rf"toy training epoch {epoch}/5: mean loss "
                             rf"{loss:.6g}, \d+\.\d\d s", line), line
+
+
+def test_optimizer_epochs_drop_each_step_graph_before_the_next():
+    # a weak reference to each loss's value and to an inner node's: both
+    # die with the step's graph, before the next forward and before the
+    # caller resumes at the epoch's end
+    w = ad.parameter(np.array([1.0, -2.0, 0.5]))
+    watched = []
+
+    def all_dead():
+        return all(ref() is None for ref in watched)
+
+    def loss_of(scale):
+        assert all_dead()
+        inner = mul(w, ad.constant(np.full(3, scale)))
+        loss = total(mul(inner, inner))
+        watched.extend([weakref.ref(loss.data), weakref.ref(inner.data)])
+        return loss
+
+    epochs = optimizer_epochs("toy training", {"w": w},
+                              [("a", 1.0), ("b", 2.0), ("c", 0.5)], loss_of,
+                              rng(0), epochs=3, lr=0.1, max_norm=5.0)
+    for _ in epochs:
+        assert all_dead()
+    assert len(watched) == 2 * 3 * 3
+
+
+def test_tag_training_validates_with_no_step_graph_alive(short_tag_corpus,
+                                                         monkeypatch):
+    corpus, taxonomy = short_tag_corpus
+    train_samples = make_samples(corpus.train_items, taxonomy)
+    val_samples = make_samples(corpus.validation_items, taxonomy)
+    watched, validations = [], []
+    loss = classifier.reweighted_loss
+    score = classifier.validation_ap
+
+    def all_dead():
+        return all(ref() is None for ref in watched)
+
+    def watched_loss(y, z, lam, active):
+        assert all_dead()
+        out = loss(y, z, lam, active)
+        watched.extend([weakref.ref(out.data), weakref.ref(z.data)])
+        return out
+
+    def watched_score(*args):
+        assert watched and all_dead()
+        validations.append(len(watched))
+        return score(*args)
+
+    monkeypatch.setattr(classifier, "reweighted_loss", watched_loss)
+    monkeypatch.setattr(classifier, "validation_ap", watched_score)
+    vectors = corpus.vectors()
+    spec = EncoderSpec(EncoderKind.GRU_ATTN, input_dim=vectors.dim,
+                       hidden_per_direction=4)
+    model = ScriptTagModel(HierarchicalModel(spec, Variant.FULL, vectors,
+                                             corpus.characters(), seed=2),
+                           len(taxonomy), seed=2)
+    train(model, train_samples, val_samples, taxonomy,
+          TrainConfig(max_epochs=2, patience=3, seed=4))
+    per_epoch = 2 * len(train_samples)   # two references a step
+    assert validations == [per_epoch, 2 * per_epoch]
 
 
 def test_average_precision_perfect_ranking():
@@ -638,6 +702,54 @@ def test_gru_attn_directional_gradient_at_screenplay_length(long_tag_corpus):
     assert_directional_gradient(model, sample, taxonomy)
 
 
+def test_tag_training_peak_memory_holds_one_step_graph(long_tag_corpus):
+    """Tag training on plays of 150 to 170 scenes peaks, in memory that
+    tracemalloc traces, below one isolated step's peak plus the Adam store
+    and one best-parameter copy, with 2% of a step to spare for the loop's
+    own bookkeeping.  Holding the previous step's graph during the next
+    step's forward would add about three quarters of a step."""
+    corpus = long_tag_corpus
+    taxonomy = TagTaxonomy.from_items(corpus.items, "genre")
+    train_samples = make_samples(corpus.train_items, taxonomy)
+    val_samples = make_samples(corpus.validation_items, taxonomy)
+    vectors = corpus.vectors()
+    spec = EncoderSpec(EncoderKind.GRU_ATTN, input_dim=vectors.dim,
+                       hidden_per_direction=10)
+
+    def fresh_model():
+        return ScriptTagModel(HierarchicalModel(spec, Variant.FULL, vectors,
+                                                corpus.characters(), seed=2),
+                              len(taxonomy), seed=2)
+
+    def growth(fn) -> tuple[int, int]:
+        """What ``fn()`` leaves allocated, and its peak, in bytes."""
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        current, peak = tracemalloc.get_traced_memory()
+        return current - base, peak - base
+
+    def one_step(model, sample):
+        reweighted_loss(sample.y, model.logits(sample.x), taxonomy.lam,
+                        taxonomy.active).backward()
+
+    tracemalloc.start()
+    try:
+        # a twin's parameters move into a store, as the trainer's do, so a
+        # step's gradients land in store slices
+        twin, stores = fresh_model(), []
+        store, _ = growth(lambda: stores.append(ad.Adam(twin.named_params())))
+        step = max(growth(lambda: one_step(twin, s))[1] for s in train_samples)
+        model = fresh_model()
+        best = sum(t.data.nbytes for t in model.named_params().values())
+        _, peak = growth(lambda: train(model, train_samples, val_samples,
+                                       taxonomy, TrainConfig(max_epochs=1)))
+    finally:
+        tracemalloc.stop()
+    assert 0 < store + best < step / 10
+    assert peak < step + store + best + step // 50, (peak, step, store, best)
+
+
 @pytest.fixture(scope="module")
 def short_tag_corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("short_tags")
@@ -648,6 +760,22 @@ def short_tag_corpus(tmp_path_factory):
                        IngestConfig(min_count=2, heldout_fraction=0.0,
                                     validation_fraction=0.25, seed=1))
     return corpus, TagTaxonomy.from_items(corpus.items, "genre")
+
+
+@pytest.mark.parametrize("kind", list(EncoderKind), ids=lambda k: k.value)
+def test_backward_leaves_gradients_on_the_tag_model_leaves_alone(
+        short_tag_corpus, kind):
+    corpus, taxonomy = short_tag_corpus
+    sample = make_samples(corpus.train_items, taxonomy)[0]
+    vectors = corpus.vectors()
+    spec = EncoderSpec(kind, input_dim=vectors.dim, hidden_per_direction=4)
+    model = ScriptTagModel(HierarchicalModel(spec, Variant.FULL, vectors,
+                                             corpus.characters(), seed=2),
+                           len(taxonomy), seed=2)
+    ad.Adam(model.named_params())
+    assert_backward_frees_consumed_gradients(
+        reweighted_loss(sample.y, model.logits(sample.x), taxonomy.lam,
+                        taxonomy.active))
 
 
 @pytest.mark.parametrize("include_chars", [None, True, False],

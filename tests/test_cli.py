@@ -13,8 +13,9 @@ from scenewise.cli import main
 from scenewise.corpus import IngestConfig, SynthSpec, ingest
 from scenewise.descriptors import DescriptorConfig
 from scenewise.encoders import CharacterTable, EncoderKind, Variant
+from scenewise.errors import DataError
 from scenewise.evaluation import micro_f1
-from scenewise.ioutil import decode_error
+from scenewise.ioutil import decode_error, numbered_lines
 from scenewise.parser import (
     DEFAULT_SCENE_CAP,
     parse_script,
@@ -1094,6 +1095,25 @@ def test_decode_error_numbers_lines_as_text_mode_does(tmp_path, data, line):
     with pytest.raises(UnicodeDecodeError):
         path.read_text(encoding="utf-8")
     assert str(decode_error(path)).startswith(f"{path} line {line}: byte 0x")
+
+
+@pytest.mark.parametrize("data, lines", [
+    (b"a\r\nb\rc\nd\xff\n", ["a\n", "b\n", "c\n"]),
+    (b"\xef\xbb\xbfa 1\n\n\xff", ["a 1\n", "\n"]),
+    (b"ok\nno\xc3(\nafter\n", ["ok\n"]),
+    (b"\xff\nafter\n", []),
+    (b"".join(b"row %d\n" % i for i in range(3000)) + b"x\xff\n",
+     [f"row {i}\n" for i in range(3000)]),
+], ids=["breaks", "mark", "continuation", "first", "later_chunk"])
+def test_numbered_lines_yield_every_line_before_a_bad_byte(tmp_path, data,
+                                                           lines):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    seen = []
+    with pytest.raises(DataError) as err:
+        seen.extend(numbered_lines(path))
+    assert seen == list(enumerate(lines, 1))
+    assert str(err.value) == str(decode_error(path))
 
 
 def test_ingest_and_parse_skip_directory_named_like_a_script(

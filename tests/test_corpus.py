@@ -558,6 +558,22 @@ def test_embeddings_name_the_first_of_two_faulty_lines(tmp_path, data, error,
     assert str(err.value) == f"{path} {message}"
 
 
+@pytest.mark.parametrize("data, line", [
+    (b"a 1 2 3\nb 1 nan 3\nc 1 \xff 3\n", 2),
+    (b"a 1 2 3\r\nz 1 2 3\rb 1 nan 3\r\nc 1 \xff 3\n", 3),
+    (b"\xef\xbb\xbfa 1 2 3\n\nb 1 nan 3\nc \xff\n", 3),
+], ids=["newlines", "mixed_breaks", "mark_and_blank"])
+def test_embeddings_name_a_faulty_line_before_a_bad_byte_in_its_chunk(
+        tmp_path, data, line):
+    # the bad byte is in the same 8 KiB decode chunk as the earlier fault
+    path = tmp_path / "emb.txt"
+    path.write_bytes(data)
+    with pytest.raises(cp.NonFiniteEmbedding) as err:
+        WordEmbeddings.load(path, expected_dim=3)
+    assert str(err.value) == (f"{path} line {line}: non-finite value in the "
+                              f"vector of 'b'")
+
+
 @pytest.mark.parametrize("value", ["1_0", "١", "１.5"],
                          ids=["underscore", "arabic_indic", "fullwidth"])
 def test_embeddings_refuse_a_numeral_float_reads_but_numpy_does_not(tmp_path,

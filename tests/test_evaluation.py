@@ -405,6 +405,17 @@ def test_load_tag_embeddings_numbers_lines_after_a_mark(tmp_path, second,
     assert str(err.value).startswith(f"{path} line 2: ")
 
 
+def test_load_tag_embeddings_name_a_faulty_line_before_a_bad_byte(tmp_path):
+    # the bad byte is in the same 8 KiB decode chunk as the repeated tag
+    path = tmp_path / "tags.tsv"
+    path.write_bytes(b"genre\tcrime\t1.0 0.0\ngenre\tcrime\t0.9 0.1\n"
+                     b"genre\theist\t0.9 \xff\n")
+    with pytest.raises(DataError) as err:
+        load_tag_embeddings(path)
+    assert str(err.value) == (f"{path} line 2: 'crime' of 'genre' is listed "
+                              f"again; its first row is line 1")
+
+
 @pytest.mark.parametrize("bad, error, message", [
     ("genre\theist\t0.9 nan\n", NonFiniteEmbedding, "non-finite"),
     ("genre\theist\t0.9 inf\n", NonFiniteEmbedding, "non-finite"),
