@@ -10,8 +10,11 @@ gradient buffer.  Backward frees what it has consumed: an intermediate
 node's gradient is dropped as soon as its VJP has read it, so after a pass
 only the root and the leaves hold one, and a graph lives only as long as
 its root is referenced (the trainers' loop drops each step's loss right
-after ``backward``).  The module holds only the ops the models run: a few
-fused nodes and the structural ops around them (``add``, ``matmul``,
+after ``backward``).  An op none of whose inputs takes a gradient records
+nothing: its output has no parents and no VJP, so what a VJP would read
+is freed as soon as the forward is done with it; scoring runs so.  The
+module holds only the ops the models run: a few fused nodes and the
+structural ops around them (``add``, ``matmul``,
 ``concat``, ``row``, ``place``, ``mean_rows``).  The elementwise and
 reduction ops that only the tests' oracles and gradchecks compose live in
 ``tests/tape_ops.py``.
@@ -38,7 +41,10 @@ directions side by side, the reverse one's time axis flipped.  It steps
 both in one loop with one stacked ``h [Uz|Ur]`` product per step; a step
 allocates nothing, and writes its gates, its candidate and its new state
 straight into the arrays the VJP reads, through one set of scratch buffers
-per call, in the order of operations of the formulas above.  The gate
+per call, in the order of operations of the formulas above.  When no
+input takes a gradient, it keeps one step's gates and candidate instead
+of every step's; either way it frees the input projection before it
+builds the output.  The gate
 sigmoid, ``_sigmoid``, takes no per-entry branch.  A padded step leaves the
 state unchanged, its output is exactly zero, and its input receives exactly
 zero gradient.  The VJP is hand-written backpropagation through time over
@@ -464,6 +470,7 @@ def bi_gru(xs: Tensor, p: BiGru, lengths) -> Tensor:
     x = xs.data
     n, t_max, d = x.shape
     dirs = (p.fw, p.bw)
+    parents = (xs, *(t for q in dirs for t in (q.w, q.u_zr, q.u_h, q.b)))
     h_dim = p.fw.hidden_dim
     for q in dirs:
         if d != q.w.data.shape[0]:
@@ -479,13 +486,16 @@ def bi_gru(xs: Tensor, p: BiGru, lengths) -> Tensor:
     live_steps = _time_major(mask, mask)
     # states[t] is the state step t reads, states[t + 1] the one it writes
     states = np.zeros((t_max + 1, 2, n, h_dim))
-    zr = np.empty((t_max, 2, n, 2 * h_dim))
-    cand = np.empty((t_max, 2, n, h_dim))
+    # the VJP reads every step's gates and candidate; when there is no VJP,
+    # each step overwrites the last one's
+    kept = t_max if any(a.requires_grad for a in parents) else 1
+    zr = np.empty((kept, 2, n, 2 * h_dim))
+    cand = np.empty((kept, 2, n, h_dim))
     # each step's scratch; a step writes its results into zr, cand and states
     hu, tmp = np.empty((2, 2, n, 2 * h_dim))
     rh, rhu, step = np.empty((3, 2, n, h_dim))
     for t in range(t_max):
-        h, gate, c = states[t], zr[t], cand[t]
+        h, gate, c = states[t], zr[t % kept], cand[t % kept]
         np.add(gates_x[t, ..., :2 * h_dim], np.matmul(h, u_zr, out=hu), out=gate)
         _sigmoid(gate, out=gate, tmp=tmp)
         z, r = gate[..., :h_dim], gate[..., h_dim:]
@@ -494,6 +504,7 @@ def bi_gru(xs: Tensor, p: BiGru, lengths) -> Tensor:
         np.multiply(z, np.subtract(c, h, out=step), out=step)
         step *= live_steps[t]
         np.add(h, step, out=states[t + 1])
+    del gates_x, dest  # spent: freed before the output is built
     h_prev = states[:-1]
     out = np.concatenate([states[1:, 0].transpose(1, 0, 2),
                           states[:0:-1, 1].transpose(1, 0, 2)], axis=-1)
@@ -538,8 +549,7 @@ def bi_gru(xs: Tensor, p: BiGru, lengths) -> Tensor:
             del flat, hp
         return (d_x, *grads)
 
-    return _op(out, (xs, *(t for q in dirs for t in (q.w, q.u_zr, q.u_h, q.b))),
-               vjp)
+    return _op(out, parents, vjp)
 
 
 def attention_pass(o: np.ndarray, p: np.ndarray, lengths

@@ -15,6 +15,11 @@ computed via the stable log-sigmoid, as one tape node
 The optimizer loop logs one INFO progress line per epoch, with the seconds
 the epoch took; no result or artifact holds a time, so training is
 byte-deterministic for a fixed seed.
+
+Scoring (validation, ``predictions`` and so ``evaluate``) runs the forward
+with the model's parameters taking no gradient, so no op records a tape:
+the logits are the recorded forward's to the bit, and no graph is built
+or held for them.
 """
 
 from __future__ import annotations
@@ -298,8 +303,18 @@ def make_samples(items: Sequence[CorpusItem], taxonomy: TagTaxonomy,
 
 
 def logits_of(model, samples: Sequence[Sample]) -> np.ndarray:
-    """The one scoring pass: ``model``'s logits, one row per sample."""
-    return np.array([model.logits(s.x).data for s in samples])
+    """The one scoring pass: ``model``'s logits, one row per sample.  The
+    parameters take no gradient while it runs, so its forwards record no
+    tape; each one's flag is restored after it, also when it raises."""
+    params = list(model.named_params().values())
+    flags = [t.requires_grad for t in params]
+    for t in params:
+        t.requires_grad = False
+    try:
+        return np.array([model.logits(s.x).data for s in samples])
+    finally:
+        for t, flag in zip(params, flags):
+            t.requires_grad = flag
 
 
 def validation_ap(model, samples: Sequence[Sample], taxonomy: TagTaxonomy) -> float:

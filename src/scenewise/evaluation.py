@@ -13,9 +13,13 @@ A ``TagEmbeddingSpace`` computes every ordered pair's percentile once, when
 it is built: one ``np.searchsorted`` of the whole similarity matrix in the
 sorted distinct-pair similarities, with 100 on the diagonal.
 ``similarity_f1`` and ``merge_equivalents`` read that table.
-``similarity_f1`` still resolves a script's tags only when it pairs them,
-in the order the pairs reach them, so an unknown tag raises ``UnknownTag``
-where a per-pair lookup would.
+``similarity_f1`` matches each distinct (prediction set, gold set) pair
+once per call and counts it once for every script that holds it, so a
+corpus whose scripts repeat a few tag-set pairs costs a few matchings.  It
+still resolves a pair's tags only when it pairs them, in the order the
+pairs reach them, and matches the pairs in the order the scripts, in key
+order, first reach them, so an unknown tag raises ``UnknownTag`` where a
+per-pair lookup would.  It keeps nothing between calls.
 
 The tag embeddings file is read a line at a time, dropping a leading
 byte-order mark; a byte that is not UTF-8 is a data error naming the file
@@ -24,6 +28,7 @@ and the line of the first such byte.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -165,36 +170,45 @@ def similarity_f1(predictions: Mapping[str, set], gold: Mapping[str, set],
     reaches the cutoff consumes both sides as one true positive.  Leftover
     predictions are false positives, leftover gold tags false negatives.
     At cutoff 100 only exact matches qualify, reproducing ``micro_f1``.
+
+    A script's outcome depends only on its (prediction set, gold set)
+    pair, and a corpus repeats few of them, so each distinct pair is
+    resolved, sorted and matched once per call, and its counts are taken
+    once for every script that holds it.  Pairs are matched in the order
+    the scripts, in key order, first reach them, so the first unknown tag
+    raises as a per-script pass would raise it.
     """
     _check_aligned(predictions, gold)
     sims, percentiles = space._similarity_rows, space._percentile_rows
     require = space._require
+    # scripts per distinct pair, in the order the scripts first reach it
+    pairs = Counter((frozenset(predictions[key]), frozenset(gold[key]))
+                    for key in sorted(gold))
     tp = fp = fn = 0
-    for key in sorted(gold):
-        p, g = sorted(set(predictions[key])), sorted(set(gold[key]))
-        fp += len(p)
-        fn += len(g)
-        if not (p and g):  # no pair, so no tag to resolve
-            continue
-        # tags resolve in the order the pairs first reach them, so an
-        # unknown one raises as a per-pair lookup would
-        first = require(p[0])
-        cols = [require(b) for b in g]
-        rows =[first] + [require(a) for a in p[1:]]
-        # by descending similarity, exact matches first on ties
-        candidates = sorted((-sims[i][j], a != b, a, b, percentiles[i][j])
-                            for a, i in zip(p, rows) for b, j in zip(g, cols))
-        matched_p: set[str] = set()
-        matched_g: set[str] = set()
-        for _, _, a, b, percentile in candidates:
-            if a in matched_p or b in matched_g:
-                continue
-            if percentile >= cutoff:
-                matched_p.add(a)
-                matched_g.add(b)
-                tp += 1
-        fp -= len(matched_p)
-        fn -= len(matched_g)
+    for (p, g), scripts in pairs.items():
+        p, g = sorted(p), sorted(g)
+        matched = 0
+        if p and g:  # else no pair, so no tag to resolve
+            # tags resolve in the order the pairs first reach them, so an
+            # unknown one raises as a per-pair lookup would
+            first = require(p[0])
+            cols = [require(b) for b in g]
+            rows = [first] + [require(a) for a in p[1:]]
+            # by descending similarity, exact matches first on ties
+            candidates = sorted((-sims[i][j], a != b, a, b, percentiles[i][j])
+                                for a, i in zip(p, rows) for b, j in zip(g, cols))
+            matched_p: set[str] = set()
+            matched_g: set[str] = set()
+            for _, _, a, b, percentile in candidates:
+                if a in matched_p or b in matched_g:
+                    continue
+                if percentile >= cutoff:
+                    matched_p.add(a)
+                    matched_g.add(b)
+                    matched += 1
+        tp += scripts * matched
+        fp += scripts * (len(p) - matched)
+        fn += scripts * (len(g) - matched)
     if 2 * tp + fp + fn == 0:
         return 0.0
     return 2 * tp / (2 * tp + fp + fn)

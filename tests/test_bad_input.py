@@ -15,7 +15,10 @@ naming the file.  With one of its input files truncated or one byte flipped,
 ``ingest`` exits 0 with the manifest a rerun writes, or 1 with one JSON
 line.  So do ``trajectories`` and ``evaluate`` with one byte of their
 trained checkpoint flipped, and what they write at exit 0 holds no NaN or
-infinity.
+infinity.  Harmless damage to ``evaluate``'s tag embeddings (a byte-order
+mark, CRLF line ends, empty lines, no last line break) leaves its report's
+bytes; one faulty line among it stops ``evaluate`` with one ``DataError``
+naming the file and that line.
 """
 
 import contextlib
@@ -32,6 +35,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scenewise import errors
 from scenewise.cli import main
 from scenewise.corpus import IngestConfig, ingest
 from scenewise.ioutil import config_hash
@@ -395,3 +399,152 @@ def test_a_checkpoint_with_a_flipped_byte_exits_0_or_1(corpus, tag_checkpoint,
             assert run_main(argv)[0] == 0
             assert out.read_bytes() == written
             assert not re.search(rb"\b(nan|inf)\b", written)
+
+
+# ---------------------------------------------------------------------------
+# property layer: ``evaluate``'s tag embeddings with harmless damage and at
+# most one faulty line
+
+TAG_FAULTS = ["dropped_tab", "repeated_tag", "non_finite", "non_numeric",
+              "changed_width", "undecodable_byte"]
+
+
+def tag_embedding_rows(synth):
+    """(attribute, tag, values) of each row of the corpus's tag embeddings,
+    then of three rows of a second attribute, which ``evaluate`` reads and
+    checks but does not score."""
+    rows = [tuple(line.split("\t")) for line in
+            (synth / "tag_embeddings.tsv").read_text().splitlines()]
+    return rows + [("tone", f"tone{i}",
+                    " ".join(f"{(3 * i + j) % 7 / 7:.6f}" for j in range(3)))
+                   for i in range(3)]
+
+
+def evaluate_with(corpus, tag_checkpoint, tag_embeddings, out):
+    """``evaluate``'s exit code and stderr lines with ``tag_embeddings``."""
+    synth, descriptors = corpus
+    argv = command_argv("evaluate", synth, descriptors, tag_checkpoint, out)
+    argv[argv.index("--tag-embeddings") + 1] = str(tag_embeddings)
+    return run_main(argv)
+
+
+@pytest.fixture(scope="module")
+def tag_embeddings_report(corpus, tag_checkpoint, tmp_path_factory):
+    """The report ``evaluate`` writes from the rows of
+    :func:`tag_embedding_rows`, which is the one it writes from the
+    corpus's own tag embeddings."""
+    synth, _ = corpus
+    tmp = tmp_path_factory.mktemp("tag_embeddings")
+    rows = tmp / "rows.tsv"
+    rows.write_text("".join("\t".join(r) + "\n"
+                            for r in tag_embedding_rows(synth)))
+    reports = []
+    for path in (synth / "tag_embeddings.tsv", rows):
+        out = tmp / f"{path.stem}.json"
+        assert evaluate_with(corpus, tag_checkpoint, path, out) == (0, [])
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    return reports[0]
+
+
+def damaged_tag_embeddings(rows, fault, data) -> tuple[bytes, str | None]:
+    """The text of ``rows`` with harmless damage drawn from ``data`` (a
+    byte-order mark, CRLF line ends, empty lines, no last line break) and
+    ``fault`` in one line, with the error text after that line's
+    ``path line N: `` (None without a fault)."""
+    lines = ["\t".join(r).encode() for r in rows]
+    at = message = None  # the index in ``lines`` of the faulty line
+    if fault == "repeated_tag":
+        first = data.draw(st.integers(0, len(rows) - 1), label="first")
+        at = data.draw(st.integers(first + 1, len(lines)), label="again")
+        lines.insert(at, lines[first])
+        attribute, tag, _ = rows[first]
+        message = f"{tag!r} of {attribute!r} is listed again; its first row is"
+    elif fault is not None:
+        # another width is a fault of any row but the first of its attribute
+        at = data.draw(st.sampled_from(
+            [i for i, r in enumerate(rows)
+             if fault != "changed_width" or r[0] in {q[0] for q in rows[:i]}]),
+            label="row")
+        attribute, tag, values = rows[at]
+        vals = values.split()
+        v = data.draw(st.integers(0, len(vals) - 1), label="value")
+        if fault == "dropped_tab":
+            fields = ([attribute + tag, values] if data.draw(st.booleans(),
+                                                               label="first")
+                      else [attribute, tag + values])
+            message = "2 tab-separated field(s), expected attribute, tag and values"
+        elif fault == "non_finite":
+            vals[v] = data.draw(st.sampled_from(
+                ["nan", "inf", "-inf", "NaN", "Infinity"]), label="bad")
+            message = f"non-finite value in the vector of {tag!r}"
+        elif fault == "non_numeric":
+            vals[v] = bad = data.draw(st.sampled_from(
+                ["x", "1,5", "1e", "0..5", "0x10"]), label="bad")
+            message = f"could not convert string to float: {bad!r}"
+        elif fault == "changed_width":
+            width = len(vals)
+            vals = (vals[:v] + vals[v + 1:] if data.draw(st.booleans(),
+                                                          label="drop")
+                    else vals + ["0.5"])
+            message = (f"{len(vals)} values for {tag!r}, but {attribute!r} "
+                       f"vectors have {width}")
+        if fault != "dropped_tab":
+            fields = [attribute, tag, " ".join(vals)]
+        lines[at] = "\t".join(fields).encode()
+        if fault == "undecodable_byte":
+            cut = data.draw(st.integers(0, len(lines[at])), label="byte")
+            lines[at] = lines[at][:cut] + b"\xff" + lines[at][cut:]
+            message = "byte 0xff is not UTF-8 text (invalid start byte)"
+    for index in sorted(data.draw(st.lists(st.integers(0, len(lines)),
+                                           max_size=3), label="blanks"),
+                        reverse=True):
+        lines.insert(index, b"")
+        if at is not None and index <= at:
+            at += 1
+    if fault == "repeated_tag":
+        message += f" line {lines.index(lines[at]) + 1}"
+    eol = b"\r\n" if data.draw(st.booleans(), label="crlf") else b"\n"
+    raw = ((b"\xef\xbb\xbf" if data.draw(st.booleans(), label="mark") else b"")
+           + eol.join(lines)
+           + (eol if data.draw(st.booleans(), label="last_break") else b""))
+    return raw, None if fault is None else f"line {at + 1}: {message}"
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(data=st.data())
+def test_evaluate_reads_harmlessly_damaged_tag_embeddings_as_clean(
+        corpus, tag_checkpoint, tag_embeddings_report, data):
+    """A byte-order mark, CRLF line ends, empty lines and a missing last
+    line break in the tag embeddings: ``evaluate`` writes the same report
+    bytes."""
+    raw, _ = damaged_tag_embeddings(tag_embedding_rows(corpus[0]), None, data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tag_embeddings.tsv"
+        path.write_bytes(raw)
+        out = Path(tmp) / "eval.json"
+        assert evaluate_with(corpus, tag_checkpoint, path, out) == (0, [])
+        assert out.read_bytes() == tag_embeddings_report
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(fault=st.sampled_from(TAG_FAULTS), data=st.data())
+def test_a_faulty_tag_embeddings_line_is_one_error_naming_it(
+        corpus, tag_checkpoint, fault, data):
+    """One faulty line among harmless damage (a dropped tab, a tag listed
+    again, a non-finite or non-numeric value, another width than its
+    attribute's first row, an undecodable byte): ``evaluate`` exits 1 with
+    one JSON line, a ``DataError`` naming the file and that line, and
+    writes nothing."""
+    raw, message = damaged_tag_embeddings(tag_embedding_rows(corpus[0]),
+                                          fault, data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tag_embeddings.tsv"
+        path.write_bytes(raw)
+        out = Path(tmp) / "eval.json"
+        code, err = evaluate_with(corpus, tag_checkpoint, path, out)
+        assert code == 1 and len(err) == 1
+        assert not out.exists()
+    error = json.loads(err[0])
+    assert issubclass(getattr(errors, error["error"]), errors.DataError)
+    assert error["message"] == f"{path} {message}"

@@ -751,6 +751,53 @@ def test_tag_training_peak_memory_holds_one_step_graph(long_tag_corpus):
 
 
 @pytest.fixture(scope="module")
+def scoring_plays(tmp_path_factory):
+    # 150-scene plays of five statements a scene
+    out = tmp_path_factory.mktemp("scoring_plays")
+    generate_synthetic_corpus(out, SynthSpec(
+        n_scripts=4, seed=3, scenes_range=(150, 150), statements_range=(5, 5)))
+    corpus, _ = ingest(out / "scripts", out / "tags.json", out / "embeddings.txt",
+                       IngestConfig(min_count=2, heldout_fraction=0.0,
+                                    validation_fraction=0.25, seed=1))
+    return corpus
+
+
+def test_scoring_peaks_below_half_a_recorded_forward(scoring_plays):
+    """Scoring 150-scene plays with the full GRU+Attn model at hidden 10
+    gives the recorded forwards' logits to the bit, and peaks, in memory
+    that tracemalloc traces, below half of what those forwards peak at: a
+    recorded forward holds every op's saved activations until its logits
+    are dropped, and a bi-GRU's gates and candidate of every step."""
+    corpus = scoring_plays
+    taxonomy = TagTaxonomy.from_items(corpus.items, "genre")
+    samples = make_samples(corpus.items, taxonomy)
+    assert len(samples) == 4 and all(s.x.n_scenes == 150 for s in samples)
+    vectors = corpus.vectors()
+    spec = EncoderSpec(EncoderKind.GRU_ATTN, input_dim=vectors.dim,
+                       hidden_per_direction=10)
+    model = ScriptTagModel(HierarchicalModel(spec, Variant.FULL, vectors,
+                                             corpus.characters(), seed=2),
+                           len(taxonomy), seed=2)
+
+    def peak(fn) -> tuple[np.ndarray, int]:
+        """``fn()`` and its peak above the memory traced before it."""
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        value = fn()
+        return value, tracemalloc.get_traced_memory()[1] - base
+
+    tracemalloc.start()
+    try:
+        recorded, recorded_peak = peak(
+            lambda: np.array([model.logits(s.x).data for s in samples]))
+        scored, scored_peak = peak(lambda: logits_of(model, samples))
+    finally:
+        tracemalloc.stop()
+    assert scored.tobytes() == recorded.tobytes()
+    assert scored_peak < recorded_peak / 2, (scored_peak, recorded_peak)
+
+
+@pytest.fixture(scope="module")
 def short_tag_corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("short_tags")
     generate_synthetic_corpus(out, SynthSpec(
@@ -776,6 +823,50 @@ def test_backward_leaves_gradients_on_the_tag_model_leaves_alone(
     assert_backward_frees_consumed_gradients(
         reweighted_loss(sample.y, model.logits(sample.x), taxonomy.lam,
                         taxonomy.active))
+
+
+@pytest.mark.parametrize("kind", list(EncoderKind), ids=lambda k: k.value)
+def test_scoring_records_no_tape(short_tag_corpus, monkeypatch, kind):
+    """``logits_of`` gives the recorded forwards' logits to the bit, while
+    every op it runs returns a tensor with no parents, no VJP and no
+    gradient flag, so ``backward`` on its logits raises.  Every parameter
+    takes a gradient again after it, also after a pass that raised."""
+    corpus, taxonomy = short_tag_corpus
+    samples = make_samples(corpus.items, taxonomy)
+    vectors = corpus.vectors()
+    spec = EncoderSpec(kind, input_dim=vectors.dim, hidden_per_direction=4)
+    model = ScriptTagModel(HierarchicalModel(spec, Variant.FULL, vectors,
+                                             corpus.characters(), seed=2),
+                           len(taxonomy), seed=2)
+    recorded = [model.logits(s.x) for s in samples]
+    assert all(z.requires_grad for z in recorded)
+    outputs = []
+    op = ad._op
+
+    def recorded_op(*args):
+        outputs.append(op(*args))
+        return outputs[-1]
+
+    monkeypatch.setattr(ad, "_op", recorded_op)
+    scored = logits_of(model, samples)
+    monkeypatch.undo()
+    assert len(outputs) > len(samples)
+    assert all(t._parents == () and t._vjp is None and not t.requires_grad
+               for t in outputs)
+    assert scored.tobytes() == np.array([z.data for z in recorded]).tobytes()
+    with pytest.raises(ValueError, match="no graph attached"):
+        outputs[-1].backward()
+    params = model.named_params().values()
+    assert all(t.requires_grad for t in params)
+
+    def failing_logits(x):
+        assert not any(t.requires_grad for t in params)
+        raise KeyError("inside")
+
+    monkeypatch.setattr(model, "logits", failing_logits)
+    with pytest.raises(KeyError):
+        logits_of(model, samples)
+    assert all(t.requires_grad for t in params)
 
 
 @pytest.mark.parametrize("include_chars", [None, True, False],

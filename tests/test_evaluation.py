@@ -274,6 +274,72 @@ def test_similarity_f1_unknown_tags_fuzz_against_oracle():
     assert 50 < raised < 250  # both outcomes are exercised
 
 
+def tag_value(names):
+    """A script's tags: a set, a list that may repeat tags, or empty."""
+    tags = st.lists(st.sampled_from(names), max_size=4)
+    return st.one_of(tags.map(set), tags)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_similarity_f1_on_repeated_tag_set_pairs_matches_per_pair_oracle(data):
+    """Up to 40 scripts drawn from a small pool of tag values, so that
+    (prediction, gold) pairs repeat, over a space of 2 to 12 tags, with
+    unknown tags on either side, at cutoffs 0, 100 and every percentile
+    of the space: the same float as the per-pair oracle, or the same
+    ``UnknownTag`` text."""
+    n_tags = data.draw(st.integers(2, 12), label="n_tags")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    vectors = rng.normal(size=(n_tags, 3))
+    if data.draw(st.booleans(), label="coarse"):
+        vectors = np.round(vectors)  # tied cosines and zero vectors
+    space = space_of([f"t{i}" for i in range(n_tags)], vectors)
+    names = list(space.tags)
+    if data.draw(st.booleans(), label="unknown"):
+        names += ["u0", "u1"]
+    pool = data.draw(st.lists(tag_value(names), min_size=1, max_size=4),
+                     label="pool")
+    n_scripts = data.draw(st.integers(0, 40), label="n_scripts")
+    pick = st.integers(0, len(pool) - 1)
+    pred = {f"s{i:02d}": pool[data.draw(pick)] for i in range(n_scripts)}
+    gold = {f"s{i:02d}": pool[data.draw(pick)] for i in range(n_scripts)}
+    for cutoff in sorted({0.0, 100.0} | set(space.percentiles.ravel().tolist())):
+        want = outcome(evaluation_oracle.similarity_f1, pred, gold, space, cutoff)
+        assert outcome(similarity_f1, pred, gold, space, cutoff) == want
+
+
+def test_similarity_f1_resolves_each_distinct_pair_once(monkeypatch):
+    """``_require`` runs once per tag of each distinct (prediction, gold)
+    pair in a call, in the order the pairs first reach the tags, however
+    many scripts share the pair and however their tags are listed; a
+    pair with an empty side resolves nothing, and a second call resolves
+    again, as the space keeps nothing between calls."""
+    space = random_space(4, n_tags=6)
+    pairs = [({"tag3", "tag0"}, {"tag1"}),
+             (["tag0", "tag3", "tag0"], ["tag1", "tag1"]),  # the first again
+             ({"tag2"}, {"tag5", "tag4"}),
+             (set(), {"tag5"}),
+             ({"tag4"}, []),
+             ({"tag1", "tag2"}, {"tag1", "tag2", "tag3"})]
+    pred = {f"s{i:02d}": pairs[i % len(pairs)][0] for i in range(30)}
+    gold = {f"s{i:02d}": pairs[i % len(pairs)][1] for i in range(30)}
+    calls = []
+    require = space._require
+    monkeypatch.setattr(space, "_require",
+                        lambda tag: calls.append(tag) or require(tag))
+    state = dict(vars(space))
+    once = ["tag0", "tag1", "tag3",
+            "tag2", "tag4", "tag5",
+            "tag1", "tag1", "tag2", "tag3", "tag2"]
+    for cutoff in (100.0, 0.0):
+        calls.clear()
+        got = similarity_f1(pred, gold, space, cutoff)
+        assert calls == once
+        assert got == evaluation_oracle.similarity_f1(pred, gold, space, cutoff)
+    assert vars(space).keys() == state.keys()
+    assert all(vars(space)[k] is v for k, v in state.items())
+
+
 # ---------------------------------------------------------------------------
 # merging
 
