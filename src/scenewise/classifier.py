@@ -51,6 +51,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .evaluation import micro_f1
+from .ioutil import check_intervals
 from .parser import Screenplay
 
 log = logging.getLogger(__name__)
@@ -218,11 +219,14 @@ class LoglinesModelSettings:
     """A :class:`LoglineEncoder`'s settings: what a tag checkpoint records
     as its ``model``, and all that rebuilds the encoder."""
 
-    hidden_per_direction: int
-    seed: int
+    hidden_per_direction: int = field(metadata={"interval": "[1, inf)"})
+    seed: int = field(metadata={"interval": "[0, inf)"})
     type: Literal["loglines"] = "loglines"
     # the name ``train --variant`` gives this model; not a record key
     variant: ClassVar[str] = "loglines"
+
+    def __post_init__(self):
+        check_intervals(self)
 
     def encoder(self, vectors: TokenVectors) -> LoglineEncoder:
         return LoglineEncoder(vectors, self.hidden_per_direction, self.seed)
@@ -254,13 +258,17 @@ class ScriptTagModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    lr: float = 5e-3
-    max_norm: float = 5.0
-    max_epochs: int = 20
-    patience: int = 5
-    threshold: float = 0.5
-    seed: int = 0
-    stop_at_train_f1: float | None = None
+    lr: float = field(default=5e-3, metadata={"interval": "(0, inf)"})
+    max_norm: float = field(default=5.0, metadata={"interval": "(0, inf)"})
+    max_epochs: int = field(default=20, metadata={"interval": "[1, inf)"})
+    patience: int = field(default=5, metadata={"interval": "[1, inf)"})
+    threshold: float = field(default=0.5, metadata={"interval": "(0, 1)"})
+    seed: int = field(default=0, metadata={"interval": "[0, inf)"})
+    stop_at_train_f1: float | None = field(default=None,
+                                           metadata={"interval": "(0, 1]"})
+
+    def __post_init__(self):
+        check_intervals(self)
 
 
 @dataclass
@@ -341,18 +349,14 @@ def optimizer_epochs(trainer: str, params: dict[str, Tensor],
     place.  No items raise :class:`DataEmpty`, and a non-finite loss or
     gradient norm raises :class:`NonFiniteLoss`, each naming ``trainer``;
     the latter also names the epoch, the key and the value, and is raised
-    before Adam touches a parameter.  A non-finite or non-positive ``lr`` or
-    ``max_norm`` raises ``ValueError`` naming ``trainer`` before any step.
+    before Adam touches a parameter.  ``lr`` and ``max_norm`` are a
+    ``TrainConfig``'s or a ``DescriptorConfig``'s, which checks their range.
 
     A step holds one graph: the loop drops its loss right after
     ``backward``, so the graph is freed before the clip and the Adam step,
     and neither the next step's forward nor whatever runs while the epoch's
     mean is yielded (such as validation) overlaps it.
     """
-    for name, value in (("lr", lr), ("max_norm", max_norm)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{trainer}: {name} must be finite and > 0, "
-                             f"got {value!r}")
     if not items:
         raise DataEmpty(f"{trainer}: no script to train on")
     opt = Adam(params, lr=lr)

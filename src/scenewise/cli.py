@@ -34,6 +34,10 @@ library's own where one exists (``IngestConfig``, ``TrainConfig``,
 ``DescriptorConfig``, the classifier's ``TagTaxonomy``, and the tag
 encoder's settings, ``ScriptModelSettings`` or ``LoglinesModelSettings``,
 whose ``encoder`` rebuilds it), and ``_DescriptorStatsRecord`` otherwise.
+A setting's range is declared once, on its record's field: a flag setting
+it is typed from the field (``_add_field_flags``), the record checks it
+when built, and ``_record`` names a checkpoint key whose value lies
+outside it.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ import argparse
 import contextlib
 import json
 import logging
-import math
 import os
 import reprlib
 import sys
@@ -71,8 +74,6 @@ from .classifier import (
 )
 from .corpus import (
     ORDER_TOKENS,
-    PLANTED_RUN_MAX,
-    TOPIC_NAMES,
     Corpus,
     IngestConfig,
     SynthSpec,
@@ -101,7 +102,13 @@ from .encoders import (
 )
 from .errors import DataError, ScenewiseError, VocabularyMismatch
 from .evaluation import load_tag_embeddings, micro_f1, similarity_report
-from .ioutil import atomic_write_text, config_hash, write_json
+from .ioutil import (
+    atomic_write_text,
+    config_hash,
+    declared_intervals,
+    outside_interval,
+    write_json,
+)
 from .trajectories import (
     build_trajectories,
     export,
@@ -131,46 +138,41 @@ def _add_data_flags(sp: argparse.ArgumentParser, loglines: bool = False) -> None
 def _add_corpus_flags(sp: argparse.ArgumentParser, loglines: bool = False) -> None:
     """The data flags plus the ingest settings a tag model depends on."""
     _add_data_flags(sp, loglines)
-    sp.add_argument("--min-count", type=_count, default=IngestConfig.min_count)
-    sp.add_argument("--cap", type=_count, default=IngestConfig.cap)
-    sp.add_argument("--heldout-fraction", type=float,
-                    default=IngestConfig.heldout_fraction)
-    sp.add_argument("--validation-fraction", type=float,
-                    default=IngestConfig.validation_fraction)
-    sp.add_argument("--seed", type=_seed, default=IngestConfig.seed)
+    _add_field_flags(sp, IngestConfig, "min_count", "cap", "heldout_fraction",
+                     "validation_fraction", "seed")
 
 
 def _add_descriptor_vocabulary_flags(sp: argparse.ArgumentParser) -> None:
     """The two ingest settings only the descriptor vocabulary depends on."""
-    sp.add_argument("--descriptor-min-movies", type=_count,
-                    default=IngestConfig.descriptor_min_movies)
-    sp.add_argument("--descriptor-top-exclude", type=_number("[0, inf)", int),
-                    default=IngestConfig.descriptor_top_exclude)
+    _add_field_flags(sp, IngestConfig, "descriptor_min_movies",
+                     "descriptor_top_exclude")
 
 
-def _number(interval: str, kind: type = float):
-    """argparse type for a finite ``kind`` (float or int) within
-    ``interval``, written as in mathematics: ``(0, 1]`` takes 1 but not 0,
-    ``[1, inf)`` every value from 1 up."""
-    low, high = (float(end) for end in interval[1:-1].split(","))
+def _add_field_flags(sp: argparse.ArgumentParser, cls, *names: str,
+                     flag: str | None = None) -> None:
+    """A flag for each field of ``names`` of settings record ``cls``, its
+    type the field's (:func:`_field_type`) and its default the field's;
+    the flag is the field's name with dashes, or ``flag`` for one field
+    whose flag names it otherwise."""
+    for name in names:
+        sp.add_argument(flag or "--" + name.replace("_", "-"),
+                        type=_field_type(cls, name), default=getattr(cls, name))
+
+
+def _field_type(cls, name: str):
+    """argparse type for field ``name`` of settings record ``cls``: a value
+    of the field's kind (an entry's, for a tuple) within the interval the
+    field declares (:func:`ioutil.declared_intervals`)."""
+    kind, _ = declared_intervals(cls)[name]
 
     def parse(text: str):
         value = kind(text)
-        above = low < value if interval[0] == "(" else low <= value
-        below = value < high if interval[-1] == ")" else value <= high
-        if not (math.isfinite(value) and above and below):
-            raise argparse.ArgumentTypeError(
-                f"must be a finite {kind.__name__} in {interval}, got {text}")
+        if expected := outside_interval(cls, name, value):
+            raise argparse.ArgumentTypeError(f"must be {expected}, got {text}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names it when kind() fails
     return parse
-
-
-_probability = _number("(0, 1)")
-_count = _number("[1, inf)", int)
-_seed = _number("[0, inf)", int)
-_positive = _number("(0, inf)")
 
 
 DEFAULT_CUTOFFS = "100,90,80,70"
@@ -358,7 +360,8 @@ def _expected(hint) -> str:
 def _record(value: dict, cls, where: str):
     """JSON object ``value`` as a ``cls`` record; a ``ValueError`` saying
     what is wrong ``where`` unless it holds exactly ``cls``'s fields, each
-    of its field's type (see ``_fits``), a nested record read alike."""
+    of its field's type (see ``_fits``) and within the interval the field
+    declares, a nested record read alike."""
     hints = typing.get_type_hints(cls)
     hints = {f.name: hints[f.name] for f in fields(cls)}  # a ClassVar is no key
     if unknown := sorted(value.keys() - hints.keys()):
@@ -366,9 +369,11 @@ def _record(value: dict, cls, where: str):
     for name, hint in hints.items():
         if name not in value:
             raise ValueError(f"{where} lacks {name!r}")
-        if not _fits(value[name], hint):
+        expected = (_expected(hint) if not _fits(value[name], hint)
+                    else outside_interval(cls, name, value[name]))
+        if expected:
             raise ValueError(f"{where} holds {reprlib.repr(value[name])} for "
-                             f"{name!r}; expected {_expected(hint)}")
+                             f"{name!r}; expected {expected}")
     return cls(**{name: _nested(value[name], hint, f"{where}'s {name}")
                   for name, hint in hints.items()})
 
@@ -393,7 +398,7 @@ def _checkpoint_of_kind(path: str, cls):
     """A checkpoint's arrays and its manifest as a ``cls`` record, read
     before anything is ingested or loaded; a ``DataError`` naming ``path``
     and the key unless the manifest is of ``cls``'s kind and holds exactly
-    its keys, each of its type (see ``_record``)."""
+    its keys, each of its type and in its range (see ``_record``)."""
     params, manifest = load_checkpoint(path)
     if manifest.get("kind") != cls.kind:
         raise DataError(f"{path} is a {reprlib.repr(manifest.get('kind'))} "
@@ -673,7 +678,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("parse", help="parse scripts to TSV + quality reports")
     sp.add_argument("--scripts", required=True)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--cap", type=_count, default=screenplay.DEFAULT_SCENE_CAP)
+    _add_field_flags(sp, IngestConfig, "cap")
     sp.add_argument("--no-split", action="store_true",
                     help="do not split long scenes")
     sp.set_defaults(fn=cmd_parse)
@@ -694,15 +699,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     choices=[k.value for k in EncoderKind])
     sp.add_argument("--include-chars", default="auto",
                     choices=["auto", "yes", "no"])
-    sp.add_argument("--hidden", type=_count,
-                    default=EncoderSpec.hidden_per_direction)
-    sp.add_argument("--lr", type=_positive, default=TrainConfig.lr)
-    sp.add_argument("--max-norm", type=_positive, default=TrainConfig.max_norm)
-    sp.add_argument("--epochs", type=_count, default=TrainConfig.max_epochs)
-    sp.add_argument("--patience", type=_count, default=TrainConfig.patience)
-    sp.add_argument("--threshold", type=_probability, default=TrainConfig.threshold)
-    sp.add_argument("--stop-at-train-f1", type=_number("(0, 1]"),
-                    default=TrainConfig.stop_at_train_f1)
+    _add_field_flags(sp, EncoderSpec, "hidden_per_direction", flag="--hidden")
+    _add_field_flags(sp, TrainConfig, "lr", "max_norm")
+    _add_field_flags(sp, TrainConfig, "max_epochs", flag="--epochs")
+    _add_field_flags(sp, TrainConfig, "patience", "threshold", "stop_at_train_f1")
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_train)
 
@@ -711,7 +711,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--split", default="heldout",
                     choices=["train", "validation", "heldout", "all"])
-    sp.add_argument("--threshold", type=_probability, default=TrainConfig.threshold)
+    _add_field_flags(sp, TrainConfig, "threshold")
     sp.add_argument("--tag-embeddings", default=None)
     sp.add_argument("--cutoffs", type=_cutoffs, default=None,
                     help=f"default {DEFAULT_CUTOFFS}; needs --tag-embeddings")
@@ -722,20 +722,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_corpus_flags(sp)
     _add_descriptor_vocabulary_flags(sp)
     sp.add_argument("--attribute", required=True)
-    sp.add_argument("--k", type=_count, default=DescriptorConfig.k)
-    sp.add_argument("--hidden", type=_count, default=DescriptorConfig.hidden)
+    _add_field_flags(sp, DescriptorConfig, "k", "hidden")
     sp.add_argument("--init", default=DescriptorConfig.init,
                     choices=["random_glorot", "kmeans"])
     sp.add_argument("--recurrent", action="store_true")
-    sp.add_argument("--alpha", type=_number("[0, 1]"), default=DescriptorConfig.alpha)
-    sp.add_argument("--ortho-lambda", type=_number("[0, inf)"),
-                    default=DescriptorConfig.ortho_lambda)
-    sp.add_argument("--negatives", type=_count, default=DescriptorConfig.negatives)
-    sp.add_argument("--lr", type=_positive, default=DescriptorConfig.lr)
-    sp.add_argument("--epochs", type=_count, default=DescriptorConfig.epochs)
-    sp.add_argument("--pretrain-epochs", type=_number("[0, inf)", int),
-                    default=DescriptorConfig.pretrain_epochs)
-    sp.add_argument("--top-words", type=_count, default=DescriptorConfig.top_words)
+    _add_field_flags(sp, DescriptorConfig, "alpha", "ortho_lambda", "negatives",
+                     "lr", "epochs", "pretrain_epochs", "top_words")
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_descriptors)
 
@@ -756,22 +748,18 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("synth", help="generate a synthetic corpus")
     sp.add_argument("--out", default=None)
-    sp.add_argument("--scripts", type=_count, default=SynthSpec.n_scripts)
-    # each tag has a topic name of its own
-    sp.add_argument("--tags", type=_number(f"[2, {len(TOPIC_NAMES)}]", int),
-                    default=SynthSpec.n_tags)
-    sp.add_argument("--signal", type=_number("[0, 1]"), default=SynthSpec.signal)
+    _add_field_flags(sp, SynthSpec, "n_scripts", flag="--scripts")
+    _add_field_flags(sp, SynthSpec, "n_tags", flag="--tags")
+    _add_field_flags(sp, SynthSpec, "signal")
     sp.add_argument("--order-sensitive", action="store_true")
     sp.add_argument("--attribute", default=SynthSpec.attribute)
-    scenes, statements = SynthSpec.scenes_range, SynthSpec.statements_range
-    sp.add_argument("--scenes-min", type=_count, default=scenes[0])
-    sp.add_argument("--scenes-max", type=_count, default=scenes[1])
-    sp.add_argument("--statements-min", type=_count, default=statements[0])
-    sp.add_argument("--statements-max", type=_count, default=statements[1])
-    sp.add_argument("--markers-per-tag",
-                    type=_number(f"[{PLANTED_RUN_MAX}, inf)", int),
-                    default=SynthSpec.markers_per_tag)
-    sp.add_argument("--seed", type=_seed, default=SynthSpec.seed)
+    for count in ("scenes", "statements"):
+        name = f"{count}_range"
+        # a range's two ends are flags of their own, each an entry's type
+        for end, default in zip(("min", "max"), getattr(SynthSpec, name)):
+            sp.add_argument(f"--{count}-{end}", type=_field_type(SynthSpec, name),
+                            default=default)
+    _add_field_flags(sp, SynthSpec, "markers_per_tag", "seed")
     sp.set_defaults(fn=cmd_synth)
 
     return ap

@@ -33,7 +33,7 @@ import json
 import logging
 import math
 from collections import defaultdict
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from itertools import chain, count
 from pathlib import Path
 from typing import NoReturn, Sequence
@@ -50,6 +50,7 @@ from .errors import (
 from .ioutil import (
     atomic_write_text,
     canonical_json,
+    check_intervals,
     config_hash,
     decode_error,
     first_bad_byte,
@@ -315,10 +316,8 @@ class TokenPass:
                               exclude_top: int = 500) -> tuple[str, ...]:
         """Tokens occurring in at least ``min_movies`` of the plays at
         ``which`` (default all), outside their ``exclude_top`` most frequent
-        tokens (ties broken by the token).  A negative ``exclude_top``
-        raises ``ValueError``."""
-        if exclude_top < 0:
-            raise ValueError(f"exclude_top must be at least 0, got {exclude_top}")
+        tokens (ties broken by the token); ``exclude_top`` is an
+        ``IngestConfig``'s, which checks its range."""
         total, doc_freq = self._counts(which)
         total = total.tolist()
         present = [i for i, n in enumerate(total) if n]
@@ -413,14 +412,19 @@ class CorpusItem:
 
 @dataclass(frozen=True)
 class IngestConfig:
-    min_count: int = 5
-    cap: int = parser.DEFAULT_SCENE_CAP
-    heldout_fraction: float = 0.2
-    validation_fraction: float = 0.1
-    seed: int = 0
-    descriptor_min_movies: int = 50
-    descriptor_top_exclude: int = 500
-    expected_dim: int = 100
+    min_count: int = field(default=5, metadata={"interval": "[1, inf)"})
+    cap: int = field(default=parser.DEFAULT_SCENE_CAP,
+                     metadata={"interval": "[1, inf)"})
+    heldout_fraction: float = field(default=0.2, metadata={"interval": "[0, 1)"})
+    validation_fraction: float = field(default=0.1, metadata={"interval": "[0, 1)"})
+    seed: int = field(default=0, metadata={"interval": "[0, inf)"})
+    descriptor_min_movies: int = field(default=50, metadata={"interval": "[1, inf)"})
+    descriptor_top_exclude: int = field(default=500,
+                                        metadata={"interval": "[0, inf)"})
+    expected_dim: int = field(default=100, metadata={"interval": "[1, inf)"})
+
+    def __post_init__(self):
+        check_intervals(self)
 
 
 @dataclass
@@ -457,12 +461,8 @@ class Corpus:
 
 def split_titles(titles: list[str], heldout_fraction: float,
                  validation_fraction: float, seed: int) -> dict[str, str]:
-    """Deterministic seeded split, independent of input order.  Each
-    fraction must lie in [0, 1)."""
-    for name, fraction in (("heldout", heldout_fraction),
-                           ("validation", validation_fraction)):
-        if not 0.0 <= fraction < 1.0:
-            raise DataError(f"{name} fraction {fraction!r} is outside [0, 1)")
+    """Deterministic seeded split, independent of input order, by an
+    ``IngestConfig``'s fractions, which checks their range."""
     ordered = sorted(titles)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(ordered))
@@ -639,18 +639,26 @@ PLANTED_RUN_MAX = 4
 
 @dataclass(frozen=True)
 class SynthSpec:
-    n_scripts: int = 40
-    n_tags: int = 3
-    signal: float = 0.8
-    seed: int = 0
+    n_scripts: int = field(default=40, metadata={"interval": "[1, inf)"})
+    # one topic name per tag
+    n_tags: int = field(default=3, metadata={"interval": f"[2, {len(TOPIC_NAMES)}]"})
+    signal: float = field(default=0.8, metadata={"interval": "[0, 1]"})
+    seed: int = field(default=0, metadata={"interval": "[0, inf)"})
     order_sensitive: bool = False
     attribute: str = "genre"
-    scenes_range: tuple[int, int] = (5, 8)
-    statements_range: tuple[int, int] = (4, 7)
-    markers_per_tag: int = 12
-    marker_spread: float = 0.25
-    noise_vocab: int = 30
-    embedding_dim: int = 100
+    scenes_range: tuple[int, int] = field(default=(5, 8),
+                                          metadata={"interval": "[1, inf)"})
+    statements_range: tuple[int, int] = field(default=(4, 7),
+                                              metadata={"interval": "[1, inf)"})
+    # at least the most markers a planted run draws
+    markers_per_tag: int = field(
+        default=12, metadata={"interval": f"[{PLANTED_RUN_MAX}, inf)"})
+    marker_spread: float = field(default=0.25, metadata={"interval": "[0, inf)"})
+    noise_vocab: int = field(default=30, metadata={"interval": "[0, inf)"})
+    embedding_dim: int = field(default=100, metadata={"interval": "[1, inf)"})
+
+    def __post_init__(self):
+        check_intervals(self)
 
 
 def _topic_markers(spec: SynthSpec) -> dict[str, list[str]]:
@@ -693,31 +701,20 @@ def generate_synthetic_corpus(out_dir: str | Path, spec: SynthSpec = SynthSpec()
     """Write a synthetic corpus: scripts, tags, loglines, embeddings, tag
     embeddings, and a ground-truth record of the planted topics.
 
-    A count, the seed, the signal share or the marker spread out of range
-    raises ``ValueError`` naming its ``SynthSpec`` field, before anything
-    is written.
+    ``spec`` checked its fields' intervals when it was built; a range whose
+    min exceeds its max, or ``order_sensitive`` with more tags than
+    rotations of the order tokens, raises ``ValueError`` naming the
+    ``SynthSpec`` field, before anything is written.
     """
-    scenes, statements = spec.scenes_range, spec.statements_range
     for name, ok, rule in (
-            ("n_scripts", spec.n_scripts >= 1, "at least 1"),
-            ("seed", spec.seed >= 0, "at least 0"),
-            ("n_tags", 2 <= spec.n_tags <= len(TOPIC_NAMES),
-             f"within [2, {len(TOPIC_NAMES)}], one topic name per tag"),
             ("n_tags", not spec.order_sensitive or spec.n_tags <= len(ORDER_TOKENS),
              f"at most {len(ORDER_TOKENS)} with order_sensitive, one rotation "
              "of the order tokens per tag"),
-            ("scenes_range", 1 <= scenes[0] <= scenes[1],
-             "(min, max) with 1 <= min <= max"),
-            ("statements_range", 1 <= statements[0] <= statements[1],
-             "(min, max) with 1 <= min <= max"),
-            ("markers_per_tag", spec.markers_per_tag >= PLANTED_RUN_MAX,
-             f"at least {PLANTED_RUN_MAX}, the most markers a planted run draws"),
-            ("noise_vocab", spec.noise_vocab >= 0, "at least 0"),
-            ("embedding_dim", spec.embedding_dim >= 1, "at least 1"),
-            ("signal", 0.0 <= spec.signal <= 1.0, "within [0, 1]"),
-            ("marker_spread",
-             math.isfinite(spec.marker_spread) and spec.marker_spread >= 0.0,
-             "finite and at least 0")):
+            ("scenes_range", spec.scenes_range[0] <= spec.scenes_range[1],
+             "(min, max) with min <= max"),
+            ("statements_range",
+             spec.statements_range[0] <= spec.statements_range[1],
+             "(min, max) with min <= max")):
         if not ok:
             raise ValueError(f"SynthSpec.{name} must be {rule}, "
                              f"got {getattr(spec, name)!r}")

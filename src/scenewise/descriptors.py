@@ -44,7 +44,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -60,6 +60,7 @@ from .classifier import (
 from .corpus import CompiledScript, Corpus, TokenVectors
 from .encoders import pad_rows
 from .errors import InsufficientVocab, ScriptTooSmall, ZeroDocFrequency
+from .ioutil import check_intervals
 from .parser import Scene, Screenplay
 
 log = logging.getLogger(__name__)
@@ -71,19 +72,22 @@ KMEANS_MAX_ITER = 100
 
 @dataclass(frozen=True)
 class DescriptorConfig:
-    k: int = 25
-    hidden: int = 100
+    k: int = field(default=25, metadata={"interval": "[1, inf)"})
+    hidden: int = field(default=100, metadata={"interval": "[1, inf)"})
     recurrent: bool = False
-    alpha: float = 0.5
-    ortho_lambda: float = 10.0
-    negatives: int = 5
-    lr: float = 5e-3
-    max_norm: float = 5.0
-    epochs: int = 15
-    pretrain_epochs: int = 10
+    alpha: float = field(default=0.5, metadata={"interval": "[0, 1]"})
+    ortho_lambda: float = field(default=10.0, metadata={"interval": "[0, inf)"})
+    negatives: int = field(default=5, metadata={"interval": "[1, inf)"})
+    lr: float = field(default=5e-3, metadata={"interval": "(0, inf)"})
+    max_norm: float = field(default=5.0, metadata={"interval": "(0, inf)"})
+    epochs: int = field(default=15, metadata={"interval": "[1, inf)"})
+    pretrain_epochs: int = field(default=10, metadata={"interval": "[0, inf)"})
     init: str = RANDOM_GLOROT
-    seed: int = 0
-    top_words: int = 10
+    seed: int = field(default=0, metadata={"interval": "[0, inf)"})
+    top_words: int = field(default=10, metadata={"interval": "[1, inf)"})
+
+    def __post_init__(self):
+        check_intervals(self)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -43,7 +43,7 @@ Structural variants replace or drop tiers:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from typing import Literal
 
@@ -53,6 +53,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import ACTION, DIALOGUE, CompiledScript, TokenVectors
 from .errors import EmptyScript, EmptyStatement, ShapeMismatch
+from .ioutil import check_intervals
 from .parser import Screenplay
 
 
@@ -67,7 +68,10 @@ class EncoderKind(Enum):
 class EncoderSpec:
     kind: EncoderKind
     input_dim: int = 100
-    hidden_per_direction: int = 50
+    hidden_per_direction: int = field(default=50, metadata={"interval": "[1, inf)"})
+
+    def __post_init__(self):
+        check_intervals(self)
 
     @property
     def output_dim(self) -> int:
@@ -373,11 +377,14 @@ class ScriptModelSettings:
     variant: Literal[tuple(v.value for v in Variant)]
     include_chars: bool
     kind: Literal[tuple(k.value for k in EncoderKind)]
-    hidden_per_direction: int
-    char_dim: int
+    hidden_per_direction: int = field(metadata={"interval": "[1, inf)"})
+    char_dim: int = field(metadata={"interval": "[1, inf)"})
     characters: list[str]
-    seed: int
+    seed: int = field(metadata={"interval": "[0, inf)"})
     type: Literal["script"] = "script"
+
+    def __post_init__(self):
+        check_intervals(self)
 
     def encoder(self, vectors: TokenVectors) -> HierarchicalModel:
         spec = EncoderSpec(EncoderKind(self.kind), vectors.dim,

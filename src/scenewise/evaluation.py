@@ -91,7 +91,8 @@ class TagEmbeddingSpace:
 
 
 def load_tag_embeddings(path: str | Path) -> dict[str, TagEmbeddingSpace]:
-    """Read ``attribute<TAB>tag<TAB>floats`` lines into per-attribute spaces.
+    """Read ``attribute<TAB>tag<TAB>floats`` lines into per-attribute spaces;
+    a blank line (empty, or spaces and tabs only) is skipped.
 
     A line without three tab-separated fields, listing a tag of its
     attribute again, without values, with a value that is not a finite
@@ -102,7 +103,7 @@ def load_tag_embeddings(path: str | Path) -> dict[str, TagEmbeddingSpace]:
     first_line: dict[tuple[str, str], int] = {}
     for number, line in numbered_lines(path):
         line = line.rstrip("\n")
-        if not line:
+        if not line.strip():
             continue
         where = f"{path} line {number}"
         fields = line.split("\t")

@@ -1,12 +1,17 @@
 """Small IO helpers: atomic writes, JSON artifacts, canonical JSON, hashing,
-and where a text file is not UTF-8 with the error that says so."""
+where a text file is not UTF-8 with the error that says so, and the
+intervals a settings record's fields declare."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
 import os
 import tempfile
+import typing
+from dataclasses import fields
 from pathlib import Path
 from typing import Iterator
 
@@ -114,3 +119,46 @@ def numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
                     break
                 yield number, line
     raise decode_error(path)
+
+
+@functools.cache
+def declared_intervals(cls) -> dict[str, tuple[type, str]]:
+    """``{name: (kind, interval)}`` for each field of dataclass ``cls`` whose
+    metadata declares an ``"interval"``, written as in mathematics:
+    ``(0, 1]`` takes 1 but not 0, ``[1, inf)`` every value from 1 up.
+    ``kind`` (int or float) is the field's type, or its entries' for a
+    tuple, or the type beside ``None`` in an optional field."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (next(t for t in typing.get_args(hints[f.name])
+                          or (hints[f.name],) if t is not type(None)),
+                     f.metadata["interval"])
+            for f in fields(cls) if "interval" in f.metadata}
+
+
+def outside_interval(cls, name: str, value) -> str | None:
+    """What field ``name`` of dataclass ``cls`` takes, as ``a finite float in
+    [0, 1]``, when ``value`` (each entry of a tuple; ``None`` is no value)
+    lies outside the interval the field declares; else None."""
+    if name not in declared_intervals(cls) or value is None:
+        return None
+    kind, interval = declared_intervals(cls)[name]
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    for entry in value if isinstance(value, tuple) else (value,):
+        above = low < entry if interval[0] == "(" else low <= entry
+        below = entry < high if interval[-1] == ")" else entry <= high
+        if not (math.isfinite(entry) and above and below):
+            return (f"a finite {kind.__name__} in {interval}"
+                    + (" in each entry" if isinstance(value, tuple) else ""))
+    return None
+
+
+def check_intervals(record) -> None:
+    """A ``ValueError`` naming the first field of dataclass instance
+    ``record`` whose value lies outside the interval it declares (see
+    :func:`outside_interval`); each settings record calls it when built."""
+    cls = type(record)
+    for name in declared_intervals(cls):
+        value = getattr(record, name)
+        if expected := outside_interval(cls, name, value):
+            raise ValueError(f"{cls.__name__}.{name} must be {expected}, "
+                             f"got {value!r}")

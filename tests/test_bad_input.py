@@ -16,8 +16,8 @@ naming the file.  With one of its input files truncated or one byte flipped,
 line.  So do ``trajectories`` and ``evaluate`` with one byte of their
 trained checkpoint flipped, and what they write at exit 0 holds no NaN or
 infinity.  Harmless damage to ``evaluate``'s tag embeddings (a byte-order
-mark, CRLF line ends, empty lines, no last line break) leaves its report's
-bytes; one faulty line among it stops ``evaluate`` with one ``DataError``
+mark, CRLF line ends, blank lines of spaces and tabs or of nothing, no last
+line break) leaves its report's bytes; one faulty line among it stops ``evaluate`` with one ``DataError``
 naming the file and that line.
 """
 
@@ -449,7 +449,8 @@ def tag_embeddings_report(corpus, tag_checkpoint, tmp_path_factory):
 
 def damaged_tag_embeddings(rows, fault, data) -> tuple[bytes, str | None]:
     """The text of ``rows`` with harmless damage drawn from ``data`` (a
-    byte-order mark, CRLF line ends, empty lines, no last line break) and
+    byte-order mark, CRLF line ends, blank lines, each empty or of spaces
+    and tabs, no last line break) and
     ``fault`` in one line, with the error text after that line's
     ``path line N: `` (None without a fault)."""
     lines = ["\t".join(r).encode() for r in rows]
@@ -499,7 +500,8 @@ def damaged_tag_embeddings(rows, fault, data) -> tuple[bytes, str | None]:
     for index in sorted(data.draw(st.lists(st.integers(0, len(lines)),
                                            max_size=3), label="blanks"),
                         reverse=True):
-        lines.insert(index, b"")
+        lines.insert(index, data.draw(st.text(" \t", max_size=3),
+                                      label="blank").encode())
         if at is not None and index <= at:
             at += 1
     if fault == "repeated_tag":
@@ -515,9 +517,9 @@ def damaged_tag_embeddings(rows, fault, data) -> tuple[bytes, str | None]:
 @given(data=st.data())
 def test_evaluate_reads_harmlessly_damaged_tag_embeddings_as_clean(
         corpus, tag_checkpoint, tag_embeddings_report, data):
-    """A byte-order mark, CRLF line ends, empty lines and a missing last
-    line break in the tag embeddings: ``evaluate`` writes the same report
-    bytes."""
+    """A byte-order mark, CRLF line ends, blank lines (empty, or a line of
+    spaces and/or tabs) and a missing last line break in the tag
+    embeddings: ``evaluate`` writes the same report bytes."""
     raw, _ = damaged_tag_embeddings(tag_embedding_rows(corpus[0]), None, data)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "tag_embeddings.tsv"

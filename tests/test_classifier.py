@@ -34,6 +34,7 @@ from scenewise.corpus import (
     ingest,
     logline_screenplay,
 )
+from scenewise.descriptors import DescriptorConfig
 from scenewise.encoders import EncoderKind, EncoderSpec, HierarchicalModel, Variant
 from scenewise.errors import DataEmpty, NonFiniteLoss, NoPositives, ShapeMismatch
 from scenewise.parser import Scene, Screenplay, Statement, StatementKind
@@ -279,26 +280,20 @@ def test_no_samples_score_nothing(tiny_vectors):
     assert predictions(model, [], taxonomy) == {}
 
 
+@pytest.mark.parametrize("config", [TrainConfig, DescriptorConfig])
 @pytest.mark.parametrize("name,value", [
     ("lr", -0.01), ("lr", 0.0), ("lr", math.nan), ("lr", math.inf),
     ("max_norm", -1.0), ("max_norm", 0.0), ("max_norm", math.nan),
     ("max_norm", math.inf),
 ])
-def test_optimizer_epochs_refuses_a_bad_step_setting(name, value):
-    w = ad.parameter(np.array([1.0, -2.0]))
-    calls = []
-
-    def loss_of(_):
-        calls.append(1)
-        return total(mul(w, w))
-
-    settings = {"lr": 0.1, "max_norm": 5.0, name: value}
-    with pytest.raises(ValueError, match=rf"^toy training: {name} must be "
-                                         rf"finite and > 0, got {value!r}$"):
-        list(optimizer_epochs("toy training", {"w": w}, [("only", None)],
-                              loss_of, rng(0), epochs=2, **settings))
-    assert calls == []
-    assert np.array_equal(w.data, [1.0, -2.0])
+def test_a_bad_step_setting_is_refused_when_its_record_is_built(config, name,
+                                                                value):
+    """The settings every trainer's steps take: no record holds a
+    non-finite or non-positive learning rate or clipping norm."""
+    with pytest.raises(ValueError, match=rf"^{config.__name__}\.{name} must be "
+                                         rf"a finite float in \(0, inf\), "
+                                         rf"got {value!r}$"):
+        config(**{name: value})
 
 
 def test_optimizer_epochs_logs_one_progress_line_per_epoch(caplog):

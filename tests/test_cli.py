@@ -1,5 +1,7 @@
 import argparse
+import inspect
 import json
+import re
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -15,7 +17,7 @@ from scenewise.descriptors import DescriptorConfig
 from scenewise.encoders import CharacterTable, EncoderKind, Variant
 from scenewise.errors import DataError
 from scenewise.evaluation import micro_f1
-from scenewise.ioutil import decode_error, numbered_lines
+from scenewise.ioutil import decode_error, declared_intervals, numbered_lines
 from scenewise.parser import (
     DEFAULT_SCENE_CAP,
     parse_script,
@@ -1561,16 +1563,18 @@ def test_trajectories_cut_scenes_at_the_checkpoint_cap(workspace, tmp_path):
 
 @pytest.mark.parametrize("flag,value", [("--heldout-fraction", "-0.2"),
                                         ("--validation-fraction", "-0.5"),
-                                        ("--heldout-fraction", "1.0")])
+                                        ("--heldout-fraction", "1.0"),
+                                        ("--heldout-fraction", "5"),
+                                        ("--validation-fraction", "nan")])
 def test_ingest_refuses_split_fraction_outside_unit_interval(
         workspace, tmp_path, capsys, flag, value):
     _, synth = workspace
     out = tmp_path / "manifest.json"
-    assert run(["ingest"] + corpus_args(synth) + [flag, value,
-                                                  "--out", str(out)]) == 1
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert err["error"] == "DataError"
-    assert value in err["message"]
+    with pytest.raises(SystemExit) as exc:
+        main(["ingest"] + corpus_args(synth) + [flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert (f"argument {flag}: must be a finite float in [0, 1), got {value}"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -1633,7 +1637,8 @@ def damaged_manifests():
     entry short; inside the taxonomy, each key deleted or set to 7, an
     unknown key added, and an active mask of 1/0 for its booleans; and a
     model record holding the retired attention normalization, as earlier
-    checkpoints do."""
+    checkpoints do; and in each nested record that declares ranges, a
+    value outside one."""
     cases = [(command, kind, key, damage)
              for kind, keys in [("tag_model", TAG_MODEL_KEYS),
                                 ("descriptor_model", DESCRIPTOR_MODEL_KEYS)]
@@ -1651,6 +1656,16 @@ def damaged_manifests():
                                   ("active", "ints")]]
     cases += [(command, "tag_model", "attention_normalization", "model-softmax")
               for command in READERS["tag_model"]]
+    cases += [(command, kind, key, f"{record}={value}")
+              for kind, record, key, value in [
+                  ("descriptor_model", "config", "alpha", "7.0"),
+                  ("tag_model", "train", "lr", "0"),
+                  ("tag_model", "model", "hidden_per_direction", "0"),
+                  ("tag_model", "model", "char_dim", "-1")]
+              + [(kind, "ingest", key, value) for kind in READERS
+                 for key, value in [("cap", "0"), ("heldout_fraction", "1.0"),
+                                    ("expected_dim", "0")]]
+              for command in READERS[kind]]
     return cases + [(command, "tag_model", "lam", "short")
                     for command in READERS["tag_model"]]
 
@@ -1670,6 +1685,9 @@ def damage_manifest(manifest, key, damage):
         manifest["model"][key] = "softmax"
     elif damage == "ints":
         manifest["taxonomy"][key] = [int(v) for v in manifest["taxonomy"][key]]
+    elif "=" in damage:
+        record, value = damage.split("=")
+        manifest[record][key] = json.loads(value)
     else:
         manifest["taxonomy"][key].pop()
 
@@ -1858,6 +1876,10 @@ def test_descriptors_take_zero_pretrain_epochs():
     ("descriptors", "--alpha", "1.5"), ("descriptors", "--alpha", "-0.1"),
     ("descriptors", "--alpha", "nan"),
     ("descriptors", "--pretrain-epochs", "-2"),
+    ("train", "--heldout-fraction", "5"), ("train", "--heldout-fraction", "nan"),
+    ("train", "--validation-fraction", "1"),
+    ("descriptors", "--heldout-fraction", "-0.1"),
+    ("descriptors", "--validation-fraction", "inf"),
 ])
 def test_numeric_training_flags_outside_their_range_are_usage_errors(
         workspace, tmp_path, capsys, command, flag, value):
@@ -1933,6 +1955,37 @@ def test_each_flag_default_is_its_config_field_default(command, config, dests):
     assert {dest for dest in actions if dest in defaults} == set(dests.split())
     for dest in dests.split():
         assert actions[dest].default == defaults[dest], dest
+
+
+# the flag types that are not an interval: each checks a form of its own
+FORM_TYPES = {cli._cutoffs, cli._odd_window, cli._selection, cli._annotation}
+# a string literal written as an interval, such as "[0, inf)" or f"[2, {n}]"
+INTERVAL_LITERAL = re.compile(r"""f?["'][\[(][^"'\n]*,[^"'\n]*[\])]["']""")
+
+
+def test_each_ranged_flag_takes_its_record_field_interval():
+    """Every flag typed by a range is typed from a named record field that
+    declares an interval, and ``cli.py`` writes no interval or range type of
+    its own, so a range is declared once, on its field."""
+    ranged = []
+    for command, sub in _subcommands().items():
+        for action in sub._actions:
+            if action.type is None or action.type in FORM_TYPES:
+                continue
+            closure = inspect.getclosurevars(action.type).nonlocals
+            assert {"cls", "name"} <= closure.keys(), (command, action.dest)
+            assert closure["name"] in declared_intervals(closure["cls"]), \
+                (command, action.dest)
+            ranged.append(command)
+    assert set(ranged) == set(_subcommands()) - {"trajectories"}
+    literals = ['"(0, 1]"', "'[1, inf)'", 'f"[2, {len(TOPIC_NAMES)}]"']
+    assert INTERVAL_LITERAL.findall(
+        ", ".join(f"type=_number({literal}, int)" for literal in literals)) \
+        == literals
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    assert INTERVAL_LITERAL.findall(source) == []
+    assert re.findall(r"\b_(?:number|count|seed|positive|probability)\b",
+                      source) == []
 
 
 def test_parse_cap_default_is_the_parser_scene_cap():

@@ -62,13 +62,15 @@ def test_descriptor_vocabulary_filters():
     assert not any(v.startswith("special") for v in vocab)  # below min_movies
 
 
-def test_descriptor_vocabulary_refuses_negative_exclusion():
-    plays = [parser.parse_script("s", "common words here\n", cap=None)]
-    tokens = TokenPass(plays)
+def test_negative_descriptor_exclusion_is_refused_when_built():
     # a negative count would slice away every token but the rarest
-    with pytest.raises(ValueError, match="exclude_top must be at least 0, got -1"):
-        tokens.descriptor_vocabulary(min_movies=1, exclude_top=-1)
-    assert tokens.descriptor_vocabulary(min_movies=1, exclude_top=0) == \
+    with pytest.raises(ValueError, match=r"^IngestConfig\.descriptor_top_exclude "
+                       r"must be a finite int in \[0, inf\), got -1$"):
+        IngestConfig(descriptor_top_exclude=-1)
+    plays = [parser.parse_script("s", "common words here\n", cap=None)]
+    none = IngestConfig(descriptor_top_exclude=0).descriptor_top_exclude
+    assert TokenPass(plays).descriptor_vocabulary(min_movies=1,
+                                                  exclude_top=none) == \
         ("common", "here", "words")
 
 
@@ -81,14 +83,19 @@ def test_split_deterministic_and_order_independent():
 
 
 @pytest.mark.parametrize("heldout,validation,named", [
-    (-0.2, 0.1, "heldout fraction -0.2"), (1.0, 0.1, "heldout fraction 1.0"),
-    (0.2, -0.5, "validation fraction -0.5"), (0.2, 1.0, "validation fraction 1.0"),
-    (float("nan"), 0.1, "heldout fraction nan")])
-def test_split_refuses_fraction_outside_unit_interval(heldout, validation, named):
-    with pytest.raises(DataError, match=named):
-        split_titles([f"t{i}" for i in range(20)], heldout, validation, seed=0)
-    assert split_titles(["a", "b"], 0.0, 0.0, seed=0) == {"a": "train",
-                                                          "b": "train"}
+    (-0.2, 0.1, "heldout_fraction"), (1.0, 0.1, "heldout_fraction"),
+    (0.2, -0.5, "validation_fraction"), (0.2, 1.0, "validation_fraction"),
+    (float("nan"), 0.1, "heldout_fraction")])
+def test_split_fraction_outside_unit_interval_is_refused_when_built(
+        heldout, validation, named):
+    value = heldout if named == "heldout_fraction" else validation
+    with pytest.raises(ValueError, match=rf"^IngestConfig\.{named} must be a "
+                       rf"finite float in \[0, 1\), got {value!r}$"):
+        IngestConfig(heldout_fraction=heldout, validation_fraction=validation)
+    ends = IngestConfig(heldout_fraction=0.0, validation_fraction=0.0)
+    assert split_titles(["a", "b"], ends.heldout_fraction,
+                        ends.validation_fraction, seed=0) == {"a": "train",
+                                                              "b": "train"}
 
 
 def test_split_fractions_disjoint():
